@@ -165,22 +165,3 @@ def partial_trace(
     if keep == "K":
         return np.einsum("kikj->ij", four)
     raise ValueError(f"keep must be 'H' or 'K', got {keep!r}")
-
-
-def matrix_to_json(a) -> dict:
-    """Serialize a matrix as {"rows", "cols", "entries": [[re, im], ...]}."""
-    a = as_matrix(a)
-    entries = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": entries}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    rows = int(obj["rows"])
-    cols = int(obj["cols"])
-    entries = obj["entries"]
-    if len(entries) != rows * cols:
-        raise SizeError(
-            f"entry count {len(entries)} does not match {rows}x{cols}"
-        )
-    flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    return as_matrix(flat.reshape(rows, cols))

@@ -7,14 +7,11 @@ measurement by the deciding player. Input registers are read-only: a move
 may use them as controls (any block-diagonal action in their computational
 basis) but must never rewrite them. Qubit 0 is the most significant index
 position, matching :func:`qilab.linalg.tensor`.
-
-Exact mode computes outcome probabilities from the final state; the
-sampled mode exists for demonstrations and draws shots from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -23,7 +20,6 @@ from . import linalg
 from .errors import ModelViolationError, ProtocolError, SizeError
 from .info import validate_projective
 from .linalg import dagger
-from .rng import Stream
 
 Player = Literal["alice", "bob"]
 
@@ -320,7 +316,7 @@ class InputEnsemble:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Exact (or sampled) run summary over an input ensemble."""
+    """Exact run summary over an input ensemble."""
 
     error_avg: float
     instance_errors: tuple[float, ...]
@@ -328,22 +324,6 @@ class RunReport:
     message_qubits: int
     first_message_qubits: int
     rounds: int
-    mode: str = "exact"
-    slice_errors: tuple[float, ...] = field(default=())
-    slice_info: tuple[float, ...] = field(default=())
-
-    def to_json(self) -> dict:
-        return {
-            "error_avg": self.error_avg,
-            "instance_errors": list(self.instance_errors),
-            "outcome_distributions": [list(d) for d in self.outcome_distributions],
-            "message_qubits": self.message_qubits,
-            "first_message_qubits": self.first_message_qubits,
-            "rounds": self.rounds,
-            "mode": self.mode,
-            "slice_errors": list(self.slice_errors),
-            "slice_info": list(self.slice_info),
-        }
 
 
 def initial_state(layout: RegisterLayout, register_states: dict) -> np.ndarray:
@@ -388,18 +368,11 @@ def outcome_distribution(spec: ProtocolSpec, state: np.ndarray) -> np.ndarray:
     return arr / arr.sum()
 
 
-def run_protocol(
-    spec: ProtocolSpec,
-    ensemble: InputEnsemble,
-    mode: Literal["exact", "sampled"] = "exact",
-    shots: int = 0,
-    seed: int = 0,
-) -> RunReport:
+def run_protocol(spec: ProtocolSpec, ensemble: InputEnsemble) -> RunReport:
     """Validate the spec, play out each weighted input, score the target.
 
-    In exact mode every instance error is 1 minus the exact probability of
-    the target outcome; sampled mode draws ``shots`` runs instead and is
-    meant for demonstrations only.
+    Every instance error is 1 minus the exact probability of the target
+    outcome.
     """
     spec.validate()
     dists = []
@@ -410,27 +383,7 @@ def run_protocol(
         dist = outcome_distribution(spec, state)
         dists.append(tuple(float(p) for p in dist))
         errors.append(1.0 - float(dist[inst.target]))
-    if mode == "exact":
-        error_avg = float(
-            sum(w.weight * e for w, e in zip(ensemble.instances, errors))
-        )
-    elif mode == "sampled":
-        if shots < 1:
-            raise ValueError("sampled mode needs shots >= 1")
-        stream = Stream(seed)
-        weights = np.cumsum([i.weight for i in ensemble.instances])
-        wrong = 0
-        for _ in range(shots):
-            pick = int(np.searchsorted(weights, stream.uniform()))
-            pick = min(pick, len(ensemble.instances) - 1)
-            cum = np.cumsum(dists[pick])
-            outcome = int(np.searchsorted(cum, stream.uniform()))
-            outcome = min(outcome, len(cum) - 1)
-            if outcome != ensemble.instances[pick].target:
-                wrong += 1
-        error_avg = wrong / shots
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    error_avg = float(sum(w.weight * e for w, e in zip(ensemble.instances, errors)))
     return RunReport(
         error_avg=error_avg,
         instance_errors=tuple(errors),
@@ -438,7 +391,6 @@ def run_protocol(
         message_qubits=spec.message_qubits,
         first_message_qubits=spec.first_message_qubits,
         rounds=spec.rounds,
-        mode=mode,
     )
 
 
@@ -446,58 +398,3 @@ def total_variation(p, q) -> float:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     return 0.5 * float(np.sum(np.abs(p - q)))
-
-
-def spec_to_json(spec: ProtocolSpec) -> dict:
-    """Serialize layout, moves (inline matrices) and final measurement."""
-    return {
-        "layout": [
-            {
-                "name": r.name,
-                "qubits": list(r.qubits),
-                "kind": r.kind,
-                "owner": r.owner,
-            }
-            for r in spec.layout.registers
-        ],
-        "moves": [
-            {
-                "player": m.player,
-                "unitary": linalg.matrix_to_json(m.unitary),
-                "targets": list(m.targets),
-                "send": list(m.send),
-            }
-            for m in spec.moves
-        ],
-        "final_measurement": {
-            "player": spec.final_measurement.player,
-            "qubits": list(spec.final_measurement.qubits),
-            "projectors": [
-                linalg.matrix_to_json(p) for p in spec.final_measurement.projectors
-            ],
-        },
-    }
-
-
-_NAMED_GATES = {"I2": I2, "X": X, "H": H}
-
-
-def spec_from_json(obj: dict) -> ProtocolSpec:
-    layout = RegisterLayout(
-        tuple(
-            Register(r["name"], tuple(r["qubits"]), r["kind"], r["owner"])
-            for r in obj["layout"]
-        )
-    )
-    moves = []
-    for m in obj["moves"]:
-        u = m["unitary"]
-        mat = _NAMED_GATES[u] if isinstance(u, str) else linalg.matrix_from_json(u)
-        moves.append(Move(m["player"], mat, tuple(m["targets"]), tuple(m["send"])))
-    meas_obj = obj["final_measurement"]
-    meas = Measurement(
-        meas_obj["player"],
-        tuple(meas_obj["qubits"]),
-        tuple(linalg.matrix_from_json(p) for p in meas_obj["projectors"]),
-    )
-    return ProtocolSpec(layout, tuple(moves), meas)

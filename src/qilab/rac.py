@@ -38,6 +38,7 @@ from .rng import Stream
 from .states import DensityMatrix, make_density
 
 OPTIMAL_TWO_BIT_SUCCESS = (2.0 + np.sqrt(2.0)) / 4.0  # cos^2(pi/8)
+SEESAW_ROUNDS = 100  # alternations per start of optimize_rac
 
 
 def bit_of(value: int, i: int, n: int) -> int:
@@ -50,88 +51,57 @@ def bit_of(value: int, i: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def bloch_success(bloch: np.ndarray, n: int) -> float:
-    """Average success of the best per-index measurement for an encoding.
-
-    ``bloch`` holds one unit Bloch vector per x. For each index the two
-    candidate mixtures differ by a Bloch vector d_i, the optimal
-    measurement succeeds with 1/2 + |d_i| / 4, and indices are uniform.
-    """
-    total = 0.0
-    for i in range(n):
-        mask = np.array([bit_of(x, i, n) for x in range(2**n)])
-        d = bloch[mask == 0].mean(axis=0) - bloch[mask == 1].mean(axis=0)
-        total += float(np.linalg.norm(d))
-    return 0.5 + total / (4.0 * n)
-
-
-def _angles_to_bloch(angles: np.ndarray) -> np.ndarray:
-    theta = angles[:, 0]
-    phi = angles[:, 1]
-    return np.column_stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+def _signs(n: int) -> np.ndarray:
+    """Sign matrix s[i, x] = +1 if bit i of x is 0, else -1."""
+    return np.array(
+        [[1.0 - 2.0 * bit_of(x, i, n) for x in range(2**n)] for i in range(n)]
     )
 
 
-def _coordinate_refine(angles: np.ndarray, n: int, rounds: int = 60) -> np.ndarray:
-    angles = angles.copy()
-    step = 0.6
-    for _ in range(rounds):
-        for idx in range(angles.shape[0]):
-            for col in range(2):
-                base = angles[idx, col]
-                candidates = base + np.linspace(-step, step, 13)
-                best_val = -1.0
-                best = base
-                for cand in candidates:
-                    angles[idx, col] = cand
-                    val = bloch_success(_angles_to_bloch(angles), n)
-                    if val > best_val:
-                        best_val = val
-                        best = cand
-                angles[idx, col] = best
-        step *= 0.8
-    return angles
+def bloch_success(bloch: np.ndarray, n: int) -> float:
+    """Average success of the best per-index measurement for an encoding.
+
+    ``bloch`` holds one unit Bloch vector b_x per x. For index i the two
+    candidate mixtures differ by d_i = (s @ b)_i / 2^(n-1), the optimal
+    measurement succeeds with 1/2 + |d_i| / 4, and indices are uniform.
+    """
+    d = _signs(n) @ bloch
+    return 0.5 + float(np.linalg.norm(d, axis=1).sum()) / (2 ** (n - 1) * 4.0 * n)
+
+
+def _unit_rows(v: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """Normalize each row of ``v``; a zero row keeps the row of ``prev``."""
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    return np.divide(v, norms, out=prev.copy(), where=norms > 1e-12)
 
 
 def optimize_rac(n: int, seed: int = 5, starts: int = 6) -> tuple[float, np.ndarray]:
-    """Search for the best one-qubit encoding of n bits.
+    """Search for the best one-qubit encoding of n bits by see-saw.
 
-    Dense grid over polar angles (n = 2 admits a planar optimum) plus
-    multi-start coordinate refinement over the full sphere. Returns the
-    achieved average success and the Bloch vectors found.
+    The success is 1/2 + sum_{i,x} s_i(x) u_i . b_x / (2^(n-1) 4n) over
+    unit decoding directions u_i and unit encodings b_x. With b fixed the
+    best u_i is proportional to sum_x s_i(x) b_x; with u fixed the best b_x
+    is proportional to sum_i s_i(x) u_i. Each half-step maximizes over one
+    side with the other held, so the success never decreases. Each start
+    draws random unit vectors from ``Stream(seed)`` and alternates for
+    ``SEESAW_ROUNDS`` rounds; the best start wins. Returns the achieved
+    average success and the Bloch vectors found.
     """
+    s = _signs(n)
     stream = Stream(seed)
-    best_angles = None
     best_val = -1.0
-    if n == 2:
-        grid = np.linspace(0.0, 2.0 * np.pi, 17, endpoint=False)
-        t0, t1, t2, t3 = np.meshgrid(grid, grid, grid, grid, indexing="ij")
-        bx = np.stack([np.sin(t) for t in (t0, t1, t2, t3)])
-        bz = np.stack([np.cos(t) for t in (t0, t1, t2, t3)])
-        d1x, d1z = bx[0] + bx[1] - bx[2] - bx[3], bz[0] + bz[1] - bz[2] - bz[3]
-        d2x, d2z = bx[0] - bx[1] + bx[2] - bx[3], bz[0] - bz[1] + bz[2] - bz[3]
-        score = np.hypot(d1x, d1z) + np.hypot(d2x, d2z)
-        flat = int(np.argmax(score))
-        picks = np.unravel_index(flat, score.shape)
-        best_angles = np.array([[grid[p], 0.0] for p in picks])
-        best_val = bloch_success(_angles_to_bloch(best_angles), n)
+    best = None
     for _ in range(starts):
-        angles = np.array(
-            [
-                [stream.uniform() * np.pi, stream.uniform() * 2.0 * np.pi]
-                for _ in range(2**n)
-            ]
-        )
-        refined = _coordinate_refine(angles, n)
-        val = bloch_success(_angles_to_bloch(refined), n)
+        g = stream.gauss_array(3 * (2**n + n)).reshape(-1, 3)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        bloch, u = g[: 2**n], g[2**n :]
+        for _ in range(SEESAW_ROUNDS):
+            u = _unit_rows(s @ bloch, u)
+            bloch = _unit_rows(s.T @ u, bloch)
+        val = bloch_success(bloch, n)
         if val > best_val:
-            best_val = val
-            best_angles = refined
-    if best_angles is not None:
-        best_angles = _coordinate_refine(best_angles, n, rounds=40)
-        best_val = bloch_success(_angles_to_bloch(best_angles), n)
-    return best_val, _angles_to_bloch(best_angles)
+            best_val, best = val, bloch
+    return best_val, best
 
 
 def bloch_to_ket(b: np.ndarray) -> np.ndarray:
@@ -358,18 +328,18 @@ def rac_lower_bound_check(spec: ProtocolSpec, n: int) -> RacBoundReport:
     if len(sends) != 1 or spec.moves[sends[0]].player != "alice":
         raise ProtocolError("expected exactly one message, sent by alice")
     m = spec.first_message_qubits
-    report = run_protocol(spec, index_ensemble(n))
+    inputs = index_ensemble(n)
+    report = run_protocol(spec, inputs)
     eps = report.error_avg
     cost_floor = (1.0 - binary_entropy(eps)) * n
 
     err = {}
-    for idx, inst in enumerate(index_ensemble(n).instances):
+    for idx, inst in enumerate(inputs.instances):
         err[(inst.register_states["x"], inst.register_states["i"])] = (
             report.instance_errors[idx]
         )
     ensemble = message_encoding(spec, n)
-    info = holevo_information(ensemble)
-    decomposition_lhs, decomposition_rhs = info_decomposition_check(ensemble)
+    decomposition_lhs, info = info_decomposition_check(ensemble)
 
     fano_sum = 0.0
     min_fano_slack = np.inf
@@ -394,7 +364,7 @@ def rac_lower_bound_check(spec: ProtocolSpec, n: int) -> RacBoundReport:
         cost_floor=cost_floor,
         fano_sum=fano_sum,
         decomposition_lhs=decomposition_lhs,
-        info=min(info, decomposition_rhs + 1e-12),
+        info=info,
         min_prefix_fano_slack=float(min_fano_slack),
         slack=float(m) - cost_floor,
     )

@@ -726,33 +726,6 @@ def drop_first_message(
     return spec_double, report
 
 
-def family_report(family: TwoRoundFamily) -> proto.RunReport:
-    """Run every slice of the family and report slice errors and
-    first-message informations alongside the overall average error."""
-    slice_errors = []
-    slice_info = []
-    reports = []
-    for j in range(family.n):
-        rep = run_protocol(family.spec, slice_distribution(family, j))
-        reports.append(rep)
-        slice_errors.append(rep.error_avg)
-        slice_info.append(slice_information(family.spec, family, j))
-    return proto.RunReport(
-        error_avg=float(np.mean(slice_errors)),
-        instance_errors=tuple(
-            e for rep in reports for e in rep.instance_errors
-        ),
-        outcome_distributions=tuple(
-            d for rep in reports for d in rep.outcome_distributions
-        ),
-        message_qubits=family.spec.message_qubits,
-        first_message_qubits=family.spec.first_message_qubits,
-        rounds=family.spec.rounds,
-        slice_errors=tuple(slice_errors),
-        slice_info=tuple(slice_info),
-    )
-
-
 @dataclass(frozen=True)
 class PipelineReport:
     """End-to-end certificate for one toy instance and slot."""

@@ -44,9 +44,6 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         return linalg.hermitian_eig(self.mat).eigenvalues
 
-    def to_json(self) -> dict:
-        return linalg.matrix_to_json(self.mat)
-
 
 @dataclass(frozen=True)
 class BipartitePureState:
@@ -63,13 +60,6 @@ class BipartitePureState:
     def coefficient_matrix(self) -> np.ndarray:
         """Reshape to (dim_h, dim_k); rows index H, columns index K."""
         return self.vec.reshape(self.dim_h, self.dim_k)
-
-    def to_json(self) -> dict:
-        return {
-            "dim_h": int(self.dim_h),
-            "dim_k": int(self.dim_k),
-            "vec": [[float(z.real), float(z.imag)] for z in self.vec],
-        }
 
 
 @dataclass(frozen=True)
@@ -246,12 +236,3 @@ def random_pure(dim_h: int, dim_k: int, seed: int) -> BipartitePureState:
     stream = Stream(seed)
     v = stream.complex_gauss_matrix(dim_h * dim_k, 1).reshape(-1)
     return make_pure(dim_h, dim_k, v / np.linalg.norm(v))
-
-
-def state_to_json(psi: BipartitePureState) -> dict:
-    return psi.to_json()
-
-
-def state_from_json(obj: dict) -> BipartitePureState:
-    vec = np.array([complex(re, im) for re, im in obj["vec"]])
-    return make_pure(int(obj["dim_h"]), int(obj["dim_k"]), vec)

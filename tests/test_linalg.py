@@ -179,13 +179,3 @@ def test_partial_trace_equal_spectra():
 def test_partial_trace_dimension_error():
     with pytest.raises(SizeError):
         linalg.partial_trace(np.eye(5), 2, 2, "H")
-
-
-def test_matrix_json_roundtrip():
-    a = random_complex(3, 2, 17)
-    assert np.allclose(linalg.matrix_from_json(linalg.matrix_to_json(a)), a)
-
-
-def test_matrix_json_bad_entry_count():
-    with pytest.raises(SizeError):
-        linalg.matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})

@@ -157,7 +157,6 @@ def test_exact_mode_is_deterministic():
     a = proto.run_protocol(copy_protocol(), uniform_bit_ensemble())
     b = proto.run_protocol(copy_protocol(), uniform_bit_ensemble())
     assert a == b
-    assert a.to_json() == b.to_json()
 
 
 def test_superposed_input_distribution():
@@ -165,16 +164,6 @@ def test_superposed_input_distribution():
     ens = proto.InputEnsemble((proto.InputInstance(1.0, {"x": plus}, 0),))
     report = proto.run_protocol(copy_protocol(), ens)
     assert report.outcome_distributions[0] == pytest.approx((0.5, 0.5))
-
-
-def test_sampled_mode():
-    report = proto.run_protocol(
-        copy_protocol(), uniform_bit_ensemble(), mode="sampled", shots=500, seed=3
-    )
-    assert report.mode == "sampled"
-    assert report.error_avg == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        proto.run_protocol(copy_protocol(), uniform_bit_ensemble(), mode="sampled")
 
 
 def test_extract_pure_factor_detects_entanglement():
@@ -210,14 +199,6 @@ def test_layout_validation():
         )
     with pytest.raises(SizeError):
         proto.make_layout([("big", 9, "work", "alice")])
-
-
-def test_spec_json_roundtrip_runs_identically():
-    spec = copy_protocol()
-    again = proto.spec_from_json(proto.spec_to_json(spec))
-    r1 = proto.run_protocol(spec, uniform_bit_ensemble())
-    r2 = proto.run_protocol(again, uniform_bit_ensemble())
-    assert r1 == r2
 
 
 def test_total_variation():

@@ -4,8 +4,10 @@ import pytest
 from qilab import rac
 from qilab.errors import ProtocolError
 from qilab.protocol import run_protocol
+from qilab.rng import Stream
 
 COS2_PI8 = (2.0 + np.sqrt(2.0)) / 4.0
+THREE_BIT_OPTIMUM = 0.5 + 1.0 / (2.0 * np.sqrt(3.0))
 
 
 def test_bit_of():
@@ -19,10 +21,38 @@ def test_bloch_success_closed_form():
     assert rac.bloch_success(bloch, 2) == pytest.approx(0.75)
 
 
+def test_bloch_success_matches_per_index_means():
+    # reference: difference of the bit-0 and bit-1 mean Bloch vectors
+    for n in (2, 3):
+        g = Stream(40 + n).gauss_array(3 * 2**n).reshape(-1, 3)
+        bloch = g / np.linalg.norm(g, axis=1, keepdims=True)
+        total = 0.0
+        for i in range(n):
+            mask = np.array([rac.bit_of(x, i, n) for x in range(2**n)])
+            d = bloch[mask == 0].mean(axis=0) - bloch[mask == 1].mean(axis=0)
+            total += np.linalg.norm(d)
+        expected = 0.5 + total / (4 * n)
+        assert rac.bloch_success(bloch, n) == pytest.approx(expected, abs=1e-14)
+
+
+def test_bloch_success_cube_vertices():
+    # b_x = (s_0(x), s_1(x), s_2(x)) / sqrt(3): the 3-into-1 optimum
+    signs = [[1 - 2 * rac.bit_of(x, i, 3) for i in range(3)] for x in range(8)]
+    bloch = np.array(signs, dtype=float) / np.sqrt(3.0)
+    assert rac.bloch_success(bloch, 3) == pytest.approx(THREE_BIT_OPTIMUM, abs=1e-14)
+
+
 def test_oracle_finds_two_bit_optimum():
     val, bloch = rac.optimize_rac(2, seed=5, starts=2)
-    assert val == pytest.approx(COS2_PI8, abs=1e-9)
-    assert np.allclose(np.linalg.norm(bloch, axis=1), 1.0, atol=1e-9)
+    assert val == pytest.approx(COS2_PI8, abs=1e-12)
+    assert np.allclose(np.linalg.norm(bloch, axis=1), 1.0, atol=1e-12)
+
+
+def test_oracle_finds_three_bit_optimum():
+    val, bloch = rac.optimize_rac(3, seed=7, starts=2)
+    assert val == pytest.approx(THREE_BIT_OPTIMUM, abs=1e-12)
+    assert bloch.shape == (8, 3)
+    assert np.allclose(np.linalg.norm(bloch, axis=1), 1.0, atol=1e-12)
 
 
 def test_protocol_matches_oracle_two_bits():

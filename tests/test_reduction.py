@@ -180,15 +180,13 @@ def test_modify_requires_bob_start():
         red.modify_first_message(flipped, 0)
 
 
-def test_family_report_slices():
+def test_copy_first_slice_errors():
     fam = red.two_round_family("copy_first")
-    rep = red.family_report(fam)
-    assert rep.slice_errors == pytest.approx((0.25, 0.5), abs=1e-12)
-    assert rep.slice_info == pytest.approx((1.0, 0.0), abs=1e-10)
-    assert rep.error_avg == pytest.approx(np.mean(rep.slice_errors), abs=1e-12)
-    assert rep.rounds == 2 and rep.first_message_qubits == 1
-    json_form = rep.to_json()
-    assert json_form["slice_errors"] == [0.25, 0.5]
+    reps = [
+        proto.run_protocol(fam.spec, red.slice_distribution(fam, j)) for j in range(2)
+    ]
+    assert [r.error_avg for r in reps] == pytest.approx([0.25, 0.5], abs=1e-12)
+    assert all(r.rounds == 2 and r.first_message_qubits == 1 for r in reps)
 
 
 def test_pipeline_report_fields():

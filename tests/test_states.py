@@ -182,13 +182,6 @@ def test_distance_up_to_phase():
     assert states.distance_up_to_phase(v, w) == pytest.approx(direct, abs=1e-6)
 
 
-def test_state_json_roundtrip():
-    psi = states.random_pure(2, 3, 34)
-    again = states.state_from_json(states.state_to_json(psi))
-    assert again.dim_h == 2 and again.dim_k == 3
-    assert np.allclose(again.vec, psi.vec)
-
-
 def test_make_pure_validation():
     with pytest.raises(SizeError):
         states.make_pure(2, 2, np.ones(3))
