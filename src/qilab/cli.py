@@ -1,7 +1,8 @@
 """Command-line driver for the verification suites.
 
-Exit status equals the number of bound violations, so 0 means every
-check passed. Reports are canonical: keys sorted, floats printed with
+Exit status is 0 when every check passes, 1 when any bound is violated
+(the report and the text summary carry the count), and 2 on a usage
+error. Reports are canonical: keys sorted, floats printed with
 17 significant digits, no timestamps, so identical flags produce
 byte-identical output.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .errors import QilabError
 from .suites import SuiteConfig, run_suite
 
 REPORT_SCHEMA = 1
@@ -50,8 +52,21 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return low, high
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """One stderr line and exit status 2 for any bad flag."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qilab",
         description="Run seeded verification suites over the qilab library.",
     )
@@ -62,13 +77,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
-        "--trials", type=int, default=None, help="override the per-suite default"
+        "--trials",
+        type=_positive_int,
+        default=None,
+        help="override the per-suite default",
     )
     parser.add_argument(
         "--dims", type=_parse_dims, default=(2, 8), metavar="LO-HI"
     )
-    parser.add_argument("--m", type=int, default=5, help="max encoding width in bits")
-    parser.add_argument("--n", type=int, default=2, help="index-problem size")
+    parser.add_argument(
+        "--m", type=_positive_int, default=5, help="max encoding width in bits"
+    )
+    parser.add_argument("--n", type=_positive_int, default=2, help="index-problem size")
     parser.add_argument(
         "--tol", type=float, default=None, help="override every check tolerance"
     )
@@ -106,8 +126,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = build_report(args)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KeyError, QilabError) as exc:
+        print(f"qilab: error: {exc}", file=sys.stderr)
         return 2
     text = canonical_json(report) + "\n"
     if args.out:
@@ -128,7 +148,7 @@ def main(argv=None) -> int:
                 shown = f"{value:.6g}" if isinstance(value, float) else value
                 print(f"     {key} = {shown}")
         print(f"total violations: {violations}")
-    return violations
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":

@@ -5,8 +5,14 @@ some of the mover's qubits followed by handing a subset of them to the
 other player; the global state never collapses until one final projective
 measurement by the deciding player. Input registers are read-only: a move
 may use them as controls (any block-diagonal action in their computational
-basis) but must never rewrite them. Qubit 0 is the most significant index
-position, matching :func:`qilab.linalg.tensor`.
+basis) but must never rewrite them. So an input register given a basis value
+is simulated as classical bits: every move and projector is cut to the
+diagonal block those bits select, and only the other wires carry a state
+vector. An input given a superposition stays a quantum wire.
+``MAX_QUBITS`` bounds the simulated wires of one run and the wire count
+of every dense operator, not the layout's total wire count. Qubit 0 is
+the most significant index position, matching
+:func:`qilab.linalg.tensor`.
 """
 
 from __future__ import annotations
@@ -20,10 +26,11 @@ from . import linalg
 from .errors import ModelViolationError, ProtocolError, SizeError
 from .info import validate_projective
 from .linalg import dagger
+from .states import BipartitePureState, make_pure
 
 Player = Literal["alice", "bob"]
 
-MAX_QUBITS = 8  # exact simulation caps at dimension 256
+MAX_QUBITS = 8  # simulated wires and operator wires cap at dimension 256
 
 # Single-qubit gate constants.
 I2 = np.eye(2, dtype=np.complex128)
@@ -64,18 +71,15 @@ class RegisterLayout:
             seen.extend(reg.qubits)
         if sorted(seen) != list(range(len(seen))):
             raise ProtocolError("registers must partition 0..n-1 exactly once")
-        if len(seen) > MAX_QUBITS:
+        simulated = sum(r.n_qubits for r in self.registers if r.kind != "input")
+        if simulated > MAX_QUBITS:
             raise SizeError(
-                f"{len(seen)} qubits exceeds the exact-simulation cap {MAX_QUBITS}"
+                f"{simulated} non-input qubits exceed the simulation cap {MAX_QUBITS}"
             )
 
     @property
     def n_qubits(self) -> int:
         return sum(r.n_qubits for r in self.registers)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
 
     def register(self, name: str) -> Register:
         for reg in self.registers:
@@ -150,6 +154,7 @@ class ProtocolSpec:
         inputs = self.layout.input_qubits()
         for idx, move in enumerate(self.moves):
             t = len(move.targets)
+            _check_operator_wires(t, f"move {idx}")
             u = linalg.as_matrix(move.unitary)
             if u.shape != (2**t, 2**t):
                 raise ProtocolError(
@@ -176,12 +181,20 @@ class ProtocolSpec:
             for q in move.send:
                 owner[q] = other
         meas = self.final_measurement
+        _check_operator_wires(len(meas.qubits), "final measurement")
         for q in meas.qubits:
             if owner[q] != meas.player:
                 raise ProtocolError(
                     f"final measurement touches qubit {q} not owned by {meas.player}"
                 )
         validate_projective(meas.projectors, 2 ** len(meas.qubits))
+
+
+def _check_operator_wires(n_wires: int, what: str) -> None:
+    if n_wires > MAX_QUBITS:
+        raise SizeError(
+            f"{what} acts on {n_wires} qubits, over the operator cap {MAX_QUBITS}"
+        )
 
 
 def _block_view(u: np.ndarray, t: int, guarded: list[int]) -> np.ndarray:
@@ -196,13 +209,11 @@ def _block_view(u: np.ndarray, t: int, guarded: list[int]) -> np.ndarray:
 
 def _assert_block_diagonal(u, t, guarded, tol, move_idx):
     blocks = _block_view(u, t, guarded)
-    c = blocks.shape[0]
-    for b1 in range(c):
-        for b2 in range(c):
-            if b1 != b2 and np.max(np.abs(blocks[b1, :, b2, :])) > tol:
-                raise ModelViolationError(
-                    f"move {move_idx}: unitary rewrites an input register"
-                )
+    off_diagonal = 1.0 - np.eye(blocks.shape[0])[:, None, :, None]
+    if np.max(np.abs(blocks) * off_diagonal) > tol:
+        raise ModelViolationError(
+            f"move {move_idx}: unitary rewrites an input register"
+        )
 
 
 def block_diagonal(blocks: dict[int, np.ndarray], n_control: int) -> np.ndarray:
@@ -217,6 +228,10 @@ def block_diagonal(blocks: dict[int, np.ndarray], n_control: int) -> np.ndarray:
         raise SizeError("all blocks must act on the same dimension")
     da = dims.pop()
     dc = 2**n_control
+    if dc * da > 2**MAX_QUBITS:
+        raise SizeError(
+            f"operator of dimension {dc * da} exceeds the cap 2^{MAX_QUBITS}"
+        )
     out = np.zeros((dc * da, dc * da), dtype=np.complex128)
     for b in range(dc):
         u = blocks.get(b, np.eye(da, dtype=np.complex128))
@@ -258,38 +273,6 @@ def reduced_density(state: np.ndarray, n_qubits: int, keep) -> np.ndarray:
     return m @ dagger(m)
 
 
-def extract_pure_factor(
-    state: np.ndarray,
-    n_qubits: int,
-    fixed_bits: dict[int, int],
-    part_h,
-    part_k,
-    tol: float = 1e-9,
-) -> np.ndarray:
-    """Slice out known-classical wires and order the rest as (H..., K...).
-
-    Requires the state to factor exactly across the fixed wires (norm of
-    the slice must be 1); raises ProtocolError otherwise.
-    """
-    psi = state.reshape((2,) * n_qubits)
-    index = tuple(
-        fixed_bits[q] if q in fixed_bits else slice(None) for q in range(n_qubits)
-    )
-    sub = psi[index]
-    unfixed = [q for q in range(n_qubits) if q not in fixed_bits]
-    wanted = list(part_h) + list(part_k)
-    if sorted(wanted) != sorted(unfixed):
-        raise ProtocolError("part_h + part_k must cover exactly the unfixed wires")
-    order = [unfixed.index(q) for q in wanted]
-    vec = sub.transpose(order).reshape(-1)
-    nrm = float(np.linalg.norm(vec))
-    if abs(nrm - 1.0) > tol:
-        raise ProtocolError(
-            f"state does not factor across fixed wires (slice norm {nrm})"
-        )
-    return vec / nrm
-
-
 @dataclass(frozen=True)
 class InputInstance:
     """One weighted protocol input: per-register value and target outcome.
@@ -326,14 +309,78 @@ class RunReport:
     rounds: int
 
 
-def initial_state(layout: RegisterLayout, register_states: dict) -> np.ndarray:
-    """Product state over registers; ints are basis values, arrays amplitudes."""
-    pieces = []
+@dataclass(frozen=True)
+class Branch:
+    """One run's state: classical input bits plus the simulated wires.
+
+    ``bits`` maps each basis-valued input wire to its bit; ``vec`` is the
+    state vector of every other wire, in the order of ``wires``.
+    """
+
+    bits: dict[int, int]
+    wires: tuple[int, ...]
+    vec: np.ndarray
+
+    def _positions(self, wires) -> list[int]:
+        missing = [q for q in wires if q not in self.wires]
+        if missing:
+            raise ProtocolError(f"wires {missing} are classical in this run")
+        return [self.wires.index(q) for q in wires]
+
+    def apply(self, op: np.ndarray, targets) -> Branch:
+        """Apply ``op`` on ``targets``, cut to the block the bits select.
+
+        Exact when ``op`` is block-diagonal on the classical wires, which
+        :meth:`ProtocolSpec.validate` enforces for every move.
+        """
+        targets = tuple(targets)
+        classical = [k for k, q in enumerate(targets) if q in self.bits]
+        if classical:
+            b = 0
+            for k in classical:
+                b = (b << 1) | self.bits[targets[k]]
+            op = _block_view(np.asarray(op), len(targets), classical)[b, :, b, :]
+        rest = self._positions([q for q in targets if q not in self.bits])
+        vec = apply_unitary(self.vec, len(self.wires), op, rest)
+        return Branch(self.bits, self.wires, vec)
+
+    def expectation(self, op: np.ndarray, targets) -> float:
+        """<psi|op_bb|psi>: exact for any op because the bits are a basis state."""
+        return float(np.vdot(self.vec, self.apply(op, targets).vec).real)
+
+    def density(self, wires) -> np.ndarray:
+        """Reduced density matrix on some simulated wires, in that order."""
+        return reduced_density(self.vec, len(self.wires), self._positions(wires))
+
+    def bipartite(self, part_h, part_k) -> BipartitePureState:
+        """The simulated state as a pure state across (part_h, part_k)."""
+        order = [*part_h, *part_k]
+        if sorted(order) != sorted(self.wires):
+            raise ProtocolError(
+                "part_h + part_k must cover exactly the simulated wires"
+            )
+        psi = self.vec.reshape((2,) * len(self.wires)).transpose(self._positions(order))
+        return make_pure(2 ** len(part_h), 2 ** len(part_k), psi.reshape(-1))
+
+
+def initial_state(layout: RegisterLayout, register_states: dict) -> Branch:
+    """Product state over registers; ints are basis values, arrays amplitudes.
+
+    A basis-valued input register becomes classical bits; every other
+    register is a simulated wire. Unlisted registers start at |0...0>.
+    """
+    bits: dict[int, int] = {}
+    wires: list[int] = []
+    vec = np.ones(1, dtype=np.complex128)
     for reg in layout.registers:
         val = register_states.get(reg.name, 0)
         if isinstance(val, (int, np.integer)):
             if not 0 <= int(val) < reg.dim:
                 raise SizeError(f"value {val} out of range for register {reg.name}")
+            if reg.kind == "input":
+                for k, q in enumerate(reg.qubits):
+                    bits[q] = (int(val) >> (reg.n_qubits - 1 - k)) & 1
+                continue
             piece = np.zeros(reg.dim, dtype=np.complex128)
             piece[int(val)] = 1.0
         else:
@@ -341,30 +388,33 @@ def initial_state(layout: RegisterLayout, register_states: dict) -> np.ndarray:
             if piece.shape[0] != reg.dim:
                 raise SizeError(f"state length mismatch for register {reg.name}")
             piece = piece / np.linalg.norm(piece)
-        pieces.append(piece)
-    state = pieces[0]
-    for piece in pieces[1:]:
-        state = np.kron(state, piece)
-    return state
+        wires.extend(reg.qubits)
+        vec = np.outer(vec, piece).reshape(-1)
+    if len(wires) > MAX_QUBITS:
+        raise SizeError(
+            f"{len(wires)} simulated qubits exceed the simulation cap {MAX_QUBITS}"
+        )
+    return Branch(bits, tuple(wires), vec)
 
 
-def evolve(spec: ProtocolSpec, state: np.ndarray, upto: int | None = None) -> np.ndarray:
+def evolve(spec: ProtocolSpec, state: Branch, upto: int | None = None) -> Branch:
     """Apply the first ``upto`` moves (all of them by default)."""
-    n = spec.layout.n_qubits
     moves = spec.moves if upto is None else spec.moves[:upto]
     for move in moves:
-        state = apply_unitary(state, n, move.unitary, move.targets)
+        state = state.apply(move.unitary, move.targets)
     return state
 
 
-def outcome_distribution(spec: ProtocolSpec, state: np.ndarray) -> np.ndarray:
+def first_message_density(spec: ProtocolSpec, register_states: dict) -> np.ndarray:
+    """Density of the first message right after the move that sends it."""
+    upto = spec.first_message_index() + 1
+    state = evolve(spec, initial_state(spec.layout, register_states), upto)
+    return state.density(spec.moves[upto - 1].send)
+
+
+def outcome_distribution(spec: ProtocolSpec, state: Branch) -> np.ndarray:
     meas = spec.final_measurement
-    n = spec.layout.n_qubits
-    probs = []
-    for proj in meas.projectors:
-        projected = apply_unitary(state, n, linalg.as_matrix(proj), meas.qubits)
-        probs.append(float(np.linalg.norm(projected) ** 2))
-    arr = np.array(probs)
+    arr = np.array([state.expectation(p, meas.qubits) for p in meas.projectors])
     return arr / arr.sum()
 
 

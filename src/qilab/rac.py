@@ -190,15 +190,6 @@ def classical_copy_protocol(n: int) -> ProtocolSpec:
             ("m", n, "message", "alice"),
         ]
     )
-    copy_blocks = {}
-    for x in range(2**n):
-        mat = np.eye(1, dtype=np.complex128)
-        for i in range(n):
-            mat = np.kron(mat, proto.X if bit_of(x, i, n) else proto.I2)
-        copy_blocks[x] = mat
-    x_wires = layout.register("x").qubits
-    m_wires = layout.register("m").qubits
-    move = Move("alice", block_diagonal(copy_blocks, n), (*x_wires, *m_wires), send=m_wires)
     blocks0: dict[int, np.ndarray] = {}
     blocks1: dict[int, np.ndarray] = {}
     dm = 2**n
@@ -211,11 +202,23 @@ def classical_copy_protocol(n: int) -> ProtocolSpec:
             blocks0[i] = np.eye(dm, dtype=np.complex128)
             blocks1[i] = np.zeros((dm, dm), dtype=np.complex128)
     i_wires = layout.register("i").qubits
+    m_wires = layout.register("m").qubits
     measurement = Measurement(
         "bob",
         (*i_wires, *m_wires),
         (block_diagonal(blocks0, ib), block_diagonal(blocks1, ib)),
     )
+    # Built after the measurement: for n >= 6 the projectors already pass
+    # the operator cap, so this raises before allocating the 2^n copy
+    # blocks (268 MB at n = 8).
+    copy_blocks = {}
+    for x in range(2**n):
+        mat = np.eye(1, dtype=np.complex128)
+        for i in range(n):
+            mat = np.kron(mat, proto.X if bit_of(x, i, n) else proto.I2)
+        copy_blocks[x] = mat
+    x_wires = layout.register("x").qubits
+    move = Move("alice", block_diagonal(copy_blocks, n), (*x_wires, *m_wires), send=m_wires)
     return ProtocolSpec(layout, (move,), measurement)
 
 
@@ -280,14 +283,10 @@ def index_ensemble(n: int) -> InputEnsemble:
 
 def message_encoding(spec: ProtocolSpec, n: int):
     """The ensemble x -> sigma_x carried by the one message."""
-    layout = spec.layout
-    m_wires = layout.register("m").qubits
-    states = []
-    for x in range(2**n):
-        state = proto.initial_state(layout, {"x": x, "i": 0})
-        state = proto.evolve(spec, state, upto=1)
-        rho = proto.reduced_density(state, layout.n_qubits, m_wires)
-        states.append(make_density(rho, tol=1e-8))
+    states = [
+        make_density(proto.first_message_density(spec, {"x": x}), tol=1e-8)
+        for x in range(2**n)
+    ]
     return uniform_cube_ensemble(states)
 
 

@@ -42,42 +42,26 @@ from .protocol import (
     ProtocolSpec,
     Register,
     RegisterLayout,
+    Branch,
     block_diagonal,
+    first_message_density,
+    initial_state,
     make_layout,
     ry,
     run_protocol,
     state_prep_unitary,
     total_variation,
 )
+from .rac import bit_of
 from .states import (
-    BipartitePureState,
     canonical_purification,
     distance_up_to_phase,
     make_density,
-    make_pure,
+    reduced_state,
 )
 from .transition import apply_k_unitary, exact_local_transition, uhlmann_align
 
 PLUS = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class NestedIndexInstance:
-    """One concrete input of the two-level index problem."""
-
-    n: int
-    inner_bits: int
-    x: tuple[int, ...]
-    a: int
-    y: tuple[int, ...]
-
-    def value(self) -> int:
-        return bit_value(self.x[self.a], self.y[self.a], self.inner_bits)
-
-
-def bit_value(x: int, y: int, inner_bits: int) -> int:
-    """Bit y of an inner_bits-wide value x, most significant first."""
-    return (x >> (inner_bits - 1 - y)) & 1
 
 
 @dataclass(frozen=True)
@@ -174,20 +158,13 @@ def two_round_family(style: str, theta: float = 0.6 * np.pi) -> TwoRoundFamily:
 
 
 def slice_distribution(
-    family: TwoRoundFamily,
-    j: int,
-    superposed: bool = True,
-    layout_names=None,
+    family: TwoRoundFamily, j: int, superposed: bool = True
 ) -> InputEnsemble:
     """Inputs with the pointer fixed to j: x's uniform classical, y_j
     uniform classical, remaining y registers in uniform superposition
     (or enumerated classically when ``superposed`` is False).
-
-    ``layout_names`` restricts the emitted register assignments to the
-    registers present in a derived protocol.
     """
     n, inner = family.n, family.inner_bits
-    names = layout_names
     instances = []
     other = 1 - j
     y_other_options = [(PLUS, 1.0)] if superposed else [(0, 0.5), (1, 0.5)]
@@ -203,17 +180,11 @@ def slice_distribution(
                         f"y{j}": z,
                         f"y{other}": y_other_val,
                     }
-                    if names is not None:
-                        regs = {k: v for k, v in regs.items() if k in names}
-                    target = bit_value(v0 if j == 0 else v1, z, inner)
+                    target = bit_of(v0 if j == 0 else v1, z, inner)
                     instances.append(
                         InputInstance(base_w * w_other, regs, target)
                     )
     return InputEnsemble(tuple(instances))
-
-
-def _layout_names(spec: ProtocolSpec) -> set[str]:
-    return {r.name for r in spec.layout.registers}
 
 
 def message_density_by_value(
@@ -221,27 +192,17 @@ def message_density_by_value(
 ) -> dict[int, np.ndarray]:
     """Density of the first message for each classical value of y_j.
 
-    Averages over uniform classical x's with the other y registers in
-    uniform superposition, after Bob's first move only.
+    Averages over the superposed slice distribution: uniform classical
+    x's, the other y registers in uniform superposition.
     """
-    layout = spec.layout
-    names = _layout_names(spec)
-    m_wires = spec.moves[spec.first_message_index()].send
-    upto = spec.first_message_index() + 1
-    out = {}
-    other = 1 - j
-    for z in range(family.inner_bits):
-        acc = np.zeros((2 ** len(m_wires),) * 2, dtype=np.complex128)
-        combos = [(v0, v1) for v0 in range(4) for v1 in range(4)]
-        combos = [c for c in combos if "x0" in names] or [(0, 0)]
-        for v0, v1 in combos:
-            regs = {"a": j, "x0": v0, "x1": v1, f"y{j}": z, f"y{other}": PLUS}
-            regs = {k: v for k, v in regs.items() if k in names}
-            state = proto.initial_state(layout, regs)
-            state = proto.evolve(spec, state, upto=upto)
-            acc += proto.reduced_density(state, layout.n_qubits, m_wires)
-        out[z] = acc / len(combos)
-    return out
+    acc: dict[int, np.ndarray] = {}
+    weight: dict[int, float] = {}
+    for inst in slice_distribution(family, j).instances:
+        z = inst.register_states[f"y{j}"]
+        rho = first_message_density(spec, inst.register_states)
+        acc[z] = acc.get(z, 0.0) + inst.weight * rho
+        weight[z] = weight.get(z, 0.0) + inst.weight
+    return {z: acc[z] / weight[z] for z in sorted(acc)}
 
 
 def slice_information(spec: ProtocolSpec, family: TwoRoundFamily, j: int) -> float:
@@ -264,22 +225,14 @@ def message_info_budget(
     The per-slot values mu_i = I(M : Y_i) sum to at most the joint
     I(M : Y_1..Y_n), which the message size ell_1 caps in turn.
     """
-    layout = spec.layout
-    names = _layout_names(spec)
-    m_wires = spec.moves[spec.first_message_index()].send
-    upto = spec.first_message_index() + 1
     mus = [slice_information(spec, family, j) for j in range(family.n)]
 
     joint_states = []
     labels = []
     for z0 in range(family.inner_bits):
         for z1 in range(family.inner_bits):
-            regs = {"a": 0, "x0": 0, "x1": 0, "y0": z0, "y1": z1}
-            regs = {k: v for k, v in regs.items() if k in names}
-            state = proto.initial_state(layout, regs)
-            state = proto.evolve(spec, state, upto=upto)
-            acc = proto.reduced_density(state, layout.n_qubits, m_wires)
-            joint_states.append(make_density(acc, tol=1e-8))
+            rho = first_message_density(spec, {"y0": z0, "y1": z1})
+            joint_states.append(make_density(rho, tol=1e-8))
             labels.append(f"{z0}{z1}")
     joint = holevo_information(
         make_ensemble(labels, np.full(len(labels), 1.0 / len(labels)), joint_states)
@@ -292,124 +245,26 @@ def message_info_budget(
 # ---------------------------------------------------------------------------
 
 
-def _specialize_wire_block(unitary: np.ndarray, targets, wires, value: int):
-    """Fix some target wires to a classical value and drop them.
+def _relayout(
+    spec: ProtocolSpec, kinds=None, owners=None, append=()
+) -> ProtocolSpec:
+    """The same moves on a layout with registers re-kinded or re-owned.
 
-    Valid only for block-diagonal unitaries; the control wires carry
-    ``value`` and the returned operator acts on the remaining targets.
+    ``append`` lists (name, n_qubits, kind, owner) registers added after
+    the last wire; every existing wire keeps its number.
     """
-    positions = [targets.index(q) for q in wires]
-    t = len(targets)
-    blocks = proto._block_view(np.asarray(unitary), t, positions)
-    c = blocks.shape[0]
-    for b1 in range(c):
-        for b2 in range(c):
-            if b1 != b2 and np.max(np.abs(blocks[b1, :, b2, :])) > 1e-10:
-                raise ReductionError("cannot specialize a non-block-diagonal move")
-    rest = tuple(q for q in targets if q not in wires)
-    return blocks[value, :, value, :].copy(), rest
-
-
-def _factor_out_identity_wires(unitary: np.ndarray, targets, wires):
-    """Drop wires on which the unitary acts as the identity factor."""
-    positions = [targets.index(q) for q in wires]
-    t = len(targets)
-    blocks = proto._block_view(np.asarray(unitary), t, positions)
-    c = blocks.shape[0]
-    base = blocks[0, :, 0, :]
-    for b1 in range(c):
-        for b2 in range(c):
-            block = blocks[b1, :, b2, :]
-            want = base if b1 == b2 else np.zeros_like(base)
-            if np.max(np.abs(block - want)) > 1e-10:
-                raise ReductionError(
-                    "move does not act as identity on the dropped wires"
-                )
-    rest = tuple(q for q in targets if q not in wires)
-    return base.copy(), rest
-
-
-def _remap_spec(spec: ProtocolSpec, drop_regs, rekind, append_regs) -> ProtocolSpec:
-    """Rebuild a spec without some registers, with renumbered qubits.
-
-    Dropped registers must not appear in any move or the measurement;
-    handle pointer specialization before calling this. ``append_regs``
-    is a list of (name, n_qubits, kind, owner) appended at the end.
-    """
-    dropped_qubits = set()
-    for name in drop_regs:
-        dropped_qubits.update(spec.layout.register(name).qubits)
-    kept = [q for q in range(spec.layout.n_qubits) if q not in dropped_qubits]
-    remap = {q: i for i, q in enumerate(kept)}
-    regs = []
-    cursor = 0
-    for reg in spec.layout.registers:
-        if reg.name in drop_regs:
-            continue
-        n = reg.n_qubits
-        regs.append(
-            Register(
-                reg.name,
-                tuple(range(cursor, cursor + n)),
-                rekind.get(reg.name, reg.kind),
-                reg.owner,
-            )
+    kinds, owners = kinds or {}, owners or {}
+    regs = [
+        Register(
+            r.name, r.qubits, kinds.get(r.name, r.kind), owners.get(r.name, r.owner)
         )
-        cursor += n
-    for name, n, kind, owner in append_regs:
+        for r in spec.layout.registers
+    ]
+    cursor = spec.layout.n_qubits
+    for name, n, kind, owner in append:
         regs.append(Register(name, tuple(range(cursor, cursor + n)), kind, owner))
         cursor += n
-    layout = RegisterLayout(tuple(regs))
-    moves = []
-    for move in spec.moves:
-        if any(q in dropped_qubits for q in move.targets + move.send):
-            raise ReductionError("cannot drop a register still used by a move")
-        moves.append(
-            Move(
-                move.player,
-                move.unitary,
-                tuple(remap[q] for q in move.targets),
-                tuple(remap[q] for q in move.send),
-            )
-        )
-    meas = spec.final_measurement
-    if any(q in dropped_qubits for q in meas.qubits):
-        raise ReductionError("cannot drop a register used by the measurement")
-    measurement = Measurement(
-        meas.player, tuple(remap[q] for q in meas.qubits), meas.projectors
-    )
-    return ProtocolSpec(layout, tuple(moves), measurement)
-
-
-def _specialized_base(family: TwoRoundFamily, j: int) -> ProtocolSpec:
-    """P with the pointer fixed to j and unused Alice blocks pruned.
-
-    The derived protocol solves the inner index problem on slot j, so
-    the unselected registers stop being inputs: the other y register
-    becomes workspace Bob initializes himself.
-    """
-    spec = family.spec
-    other = 1 - j
-    a_wires = family.spec.layout.register("a").qubits
-    x_other = f"x{other}"
-    x_other_wires = spec.layout.register(x_other).qubits
-    moves = []
-    for move in spec.moves:
-        unitary, targets = move.unitary, move.targets
-        if any(q in targets for q in a_wires):
-            unitary, targets = _specialize_wire_block(unitary, targets, a_wires, j)
-        if any(q in targets for q in x_other_wires):
-            unitary, targets = _factor_out_identity_wires(
-                unitary, targets, x_other_wires
-            )
-        moves.append(Move(move.player, unitary, targets, move.send))
-    base = ProtocolSpec(spec.layout, tuple(moves), spec.final_measurement)
-    return _remap_spec(
-        base,
-        drop_regs=("a", x_other),
-        rekind={f"y{other}": "work"},
-        append_regs=[],
-    )
+    return ProtocolSpec(RegisterLayout(tuple(regs)), spec.moves, spec.final_measurement)
 
 
 @dataclass(frozen=True)
@@ -451,25 +306,22 @@ def modify_first_message(
     global state back toward the original one; the error increase is
     bounded by twice the mean square-root alignment distance.
     """
-    spec = family.spec
-    base = _specialized_base(family, j)
+    other = 1 - j
+    # The derived protocol solves the inner index problem on slot j, so
+    # the other y register stops being an input: it becomes workspace Bob
+    # initializes himself.
+    base = _relayout(family.spec, kinds={f"y{other}": "work"})
     first = base.moves[0]
     if first.player != "bob":
         raise ReductionError("the first move must belong to the player without the pointer")
     yj_wires = base.layout.register(f"y{j}").qubits
     touched = tuple(q for q in yj_wires if q in first.targets)
 
-    ensemble_p = slice_distribution(family, j, layout_names=_layout_names(base))
-    eps_j = run_protocol(base, ensemble_p).error_avg
+    eps_j = run_protocol(base, slice_distribution(family, j)).error_avg
     mu_j = slice_information(base, family, j)
 
     if touched:
-        prime = _remap_spec(
-            base,
-            drop_regs=(),
-            rekind={},
-            append_regs=[("psi", len(touched), "work", "bob")],
-        )
+        prime = _relayout(base, append=[("psi", len(touched), "work", "bob")])
         psi_wires = prime.layout.register("psi").qubits
         wire_map = dict(zip(touched, psi_wires))
         new_targets = tuple(wire_map.get(q, q) for q in first.targets)
@@ -484,47 +336,24 @@ def modify_first_message(
         rewired = first
 
     layout = prime.layout
-    n_q = layout.n_qubits
     m_wires = tuple(first.send)
-    yj_wires = layout.register(f"y{j}").qubits
-    alice_fixed = {q: 0 for q in layout.register(f"x{j}").qubits}
-    k_wires = tuple(
-        q
-        for q in range(n_q)
-        if q not in m_wires and q not in yj_wires and q not in alice_fixed
-    )
 
-    def opening_state(move: Move, z: int) -> BipartitePureState:
-        other = 1 - j
-        regs = {f"y{j}": z, f"y{other}": PLUS}
-        regs = {k: v for k, v in regs.items() if k in _layout_names(prime)}
-        state = proto.initial_state(layout, regs)
-        state = proto.apply_unitary(state, n_q, move.unitary, move.targets)
-        fixed = dict(alice_fixed)
-        fixed.update({q: (z >> (len(yj_wires) - 1 - i)) & 1 for i, q in enumerate(yj_wires)})
-        vec = proto.extract_pure_factor(
-            state, n_q, fixed, m_wires, k_wires
-        )
-        return make_pure(2 ** len(m_wires), 2 ** len(k_wires), vec)
+    def opening_state(move: Move, z: int) -> Branch:
+        state = initial_state(layout, {f"y{j}": z, f"y{other}": PLUS})
+        return state.apply(move.unitary, move.targets)
 
-    phi_prime = opening_state(rewired, 0)
+    # y_j and Alice's inputs are classical, so K is every other wire.
+    opened = opening_state(rewired, 0)
+    k_wires = tuple(q for q in opened.wires if q not in m_wires)
+    phi_prime = opened.bipartite(m_wires, k_wires)
+    rho_mean = reduced_state(phi_prime)
     t_values = []
     align_distances = []
     corrective_blocks = {}
     for z in range(family.inner_bits):
-        phi_z = opening_state(
-            Move(first.player, first.unitary, tuple(first.targets), first.send), z
-        )
+        phi_z = opening_state(first, z).bipartite(m_wires, k_wires)
         result = uhlmann_align(phi_z, phi_prime)
-        rho_z = proto.reduced_density(
-            phi_z.vec, len(m_wires) + len(k_wires), range(len(m_wires))
-        )
-        rho_mean = proto.reduced_density(
-            phi_prime.vec, len(m_wires) + len(k_wires), range(len(m_wires))
-        )
-        t_z = trace_distance(
-            make_density(rho_z, tol=1e-8), make_density(rho_mean, tol=1e-8)
-        )
+        t_z = trace_distance(reduced_state(phi_z), rho_mean)
         if result.pure_distance > 2.0 * np.sqrt(t_z) + 1e-8:
             raise ReductionError("alignment distance exceeded its bound")
         t_values.append(t_z)
@@ -542,8 +371,7 @@ def modify_first_message(
     )
     spec_prime.validate()
 
-    ensemble_prime = slice_distribution(family, j, layout_names=_layout_names(spec_prime))
-    delta_j = run_protocol(spec_prime, ensemble_prime).error_avg
+    delta_j = run_protocol(spec_prime, slice_distribution(family, j)).error_avg
     mu_j_prime = slice_information(spec_prime, family, j)
     report = FirstMessageReport(
         j=j,
@@ -586,11 +414,8 @@ def drop_first_message(
     The outcome distribution matches P' on every slice input, with one
     round fewer and at most ceil(log2 n) extra message qubits.
     """
-    layout_p = spec_prime.layout
-    first = spec_prime.moves[0]
-    corrective = spec_prime.moves[1]
+    first, corrective = spec_prime.moves[:2]
     m_wires = tuple(first.send)
-    names = _layout_names(spec_prime)
 
     densities = message_density_by_value(spec_prime, family, j)
     rho_list = list(densities.values())
@@ -603,17 +428,9 @@ def drop_first_message(
 
     # New layout: message register now belongs to Alice; purification
     # partner B'' is appended when the message state is mixed.
-    regs = []
-    for reg in layout_p.registers:
-        owner = "alice" if reg.qubits == m_wires else reg.owner
-        regs.append(Register(reg.name, reg.qubits, reg.kind, owner))
     append = [("bp", n_b, "work", "alice")] if n_b > 0 else []
-    shell = ProtocolSpec(
-        RegisterLayout(tuple(regs)), spec_prime.moves, spec_prime.final_measurement
-    )
-    shell = _remap_spec(shell, drop_regs=(), rekind={}, append_regs=append)
+    shell = _relayout(spec_prime, owners={"m": "alice"}, append=append)
     layout = shell.layout
-    n_q = layout.n_qubits
     bp_wires = layout.register("bp").qubits if n_b > 0 else ()
 
     purification = canonical_purification(rho_m, max(2**n_b, 1))
@@ -634,56 +451,23 @@ def drop_first_message(
     )
 
     yj_wires = layout.register(f"y{j}").qubits
-    alice_regs = [r for r in layout.registers if r.owner == "alice"]
-    alice_fixed = {
-        q: 0
-        for r in alice_regs
-        for q in r.qubits
-        if q not in m_wires and q not in bp_wires
-    }
-    k_wires = tuple(
-        q
-        for q in range(n_q)
-        if q not in m_wires
-        and q not in bp_wires
-        and q not in yj_wires
-        and q not in alice_fixed
-    )
-    k_full = tuple(bp_wires) + k_wires
+    y_other = f"y{1 - j}"
 
-    other = 1 - j
-
-    def base_regs(z: int) -> dict:
-        regs_map = {f"y{j}": z, f"y{other}": PLUS}
-        return {k: v for k, v in regs_map.items() if k in names}
+    # Alice's prepared message; y_j and Alice's inputs are classical, so
+    # K is B'' followed by every other simulated wire.
+    prepared = initial_state(layout, {y_other: PLUS}).apply(prep.unitary, prep.targets)
+    k_full = (*bp_wires, *(q for q in prepared.wires if q not in (*m_wires, *bp_wires)))
+    xi = prepared.bipartite(m_wires, k_full)
 
     # Target states: P' after its opening move and corrective, embedded
     # in the new register space (B'' spectator at |0>).
     max_residual = 0.0
     v_blocks = {}
-    xi_vec = None
     for z in range(family.inner_bits):
-        state = proto.initial_state(layout, base_regs(z))
-        state = proto.apply_unitary(state, n_q, first.unitary, first.targets)
-        state = proto.apply_unitary(
-            state, n_q, corrective.unitary, corrective.targets
-        )
-        fixed = dict(alice_fixed)
-        fixed.update(
-            {q: (z >> (len(yj_wires) - 1 - i)) & 1 for i, q in enumerate(yj_wires)}
-        )
-        chi_vec = proto.extract_pure_factor(state, n_q, fixed, m_wires, k_full)
-        chi = make_pure(2 ** len(m_wires), 2 ** len(k_full), chi_vec)
-        if xi_vec is None:
-            xi_state = proto.initial_state(layout, base_regs(z))
-            xi_state = proto.apply_unitary(xi_state, n_q, prep.unitary, prep.targets)
-            xi_vec_full = proto.extract_pure_factor(
-                xi_state, n_q, fixed, m_wires, k_full
-            )
-            xi = make_pure(2 ** len(m_wires), 2 ** len(k_full), xi_vec_full)
-            xi_vec = xi_vec_full
-        else:
-            xi = make_pure(2 ** len(m_wires), 2 ** len(k_full), xi_vec)
+        state = initial_state(layout, {f"y{j}": z, y_other: PLUS})
+        state = state.apply(first.unitary, first.targets)
+        state = state.apply(corrective.unitary, corrective.targets)
+        chi = state.bipartite(m_wires, k_full)
         v_z = exact_local_transition(chi, xi)
         aligned = apply_k_unitary(xi, v_z)
         max_residual = max(
@@ -704,10 +488,9 @@ def drop_first_message(
     )
     spec_double.validate()
 
-    ens_prime = slice_distribution(family, j, layout_names=names)
-    ens_double = slice_distribution(family, j, layout_names=_layout_names(spec_double))
-    run_prime = run_protocol(spec_prime, ens_prime)
-    run_double = run_protocol(spec_double, ens_double)
+    ensemble = slice_distribution(family, j)
+    run_prime = run_protocol(spec_prime, ensemble)
+    run_double = run_protocol(spec_double, ensemble)
     max_tv = max(
         total_variation(p, q)
         for p, q in zip(run_prime.outcome_distributions, run_double.outcome_distributions)

@@ -33,16 +33,25 @@ def test_json_format_is_valid_json(capsys):
 
 def test_exit_code_matches_violations(capsys):
     # the encoding suite transparently reports the half-argument floor
-    # violations, so its exit code is positive and equals the count
+    # violations: the exit status is 1 and the report keeps the count
     code, out = run_cli(
         ["--suite", "encoding", "--trials", "40", "--format", "json"], capsys
     )
     report = json.loads(out)
     total = sum(c["violations"] for c in report["checks"])
-    assert code == total
+    assert total > 0 and code == 1
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["info_floor_quarter"]["violations"] == 0
     assert by_name["delta_le_two_sqrt_info"]["violations"] == 0
+
+
+def test_violation_count_does_not_wrap_exit_status(capsys):
+    # 1280 violations used to exit 1280 mod 256 = 0
+    code, out = run_cli(
+        ["--suite", "metrics", "--trials", "256", "--tol", "-10"], capsys
+    )
+    assert code == 1
+    assert "total violations: 1280" in out
 
 
 def test_deterministic_bytes(tmp_path, capsys):
@@ -57,12 +66,39 @@ def test_deterministic_bytes(tmp_path, capsys):
 
 
 def test_bad_flags_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--suite", "nonsense"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--dims", "9-3"])
-    assert exc.value.code == 2
+    for argv in (
+        ["--suite", "nonsense"],
+        ["--dims", "9-3"],
+        ["--trials", "-3"],
+        ["--trials", "0"],
+        ["--m", "0"],
+        ["--n", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "error:" in captured.err
+
+
+def test_library_size_error_exits_two(capsys):
+    # n = 5 reaches the dense-operator cap, n = 9 the simulated-wire cap
+    for n in ("5", "9"):
+        code = cli.main(["--suite", "rac", "--n", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "cap" in captured.err
+
+
+def test_four_bit_index_runs(capsys):
+    # x and i are classical bits, so n = 4 needs 4 simulated qubits
+    code, out = run_cli(["--suite", "rac", "--n", "4", "--format", "json"], capsys)
+    report = json.loads(out)
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["classical_copy_equality"]["details"]["n"] == 4
+    assert code == 0
 
 
 def test_dims_parsing():

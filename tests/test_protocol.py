@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qilab import linalg
 from qilab import protocol as proto
+from qilab import rac
+from qilab import reduction as red
 from qilab.errors import ModelViolationError, ProtocolError, SizeError
 from qilab.rng import Stream
 from qilab.states import random_unitary
@@ -123,6 +127,12 @@ def test_input_register_write_rejected():
     )
     with pytest.raises(ModelViolationError):
         spec2.validate()
+    # a leak between one pair of blocks, among 4 x 4, is found
+    leaky = proto.block_diagonal({b: proto.I2 for b in range(4)}, 2)
+    proto._assert_block_diagonal(leaky, 3, [0, 1], 1e-10, 0)
+    leaky[6:8, 4:6] = 1e-6 * np.eye(2)
+    with pytest.raises(ModelViolationError):
+        proto._assert_block_diagonal(leaky, 3, [0, 1], 1e-10, 0)
 
 
 def test_controlled_read_of_input_is_allowed():
@@ -166,13 +176,26 @@ def test_superposed_input_distribution():
     assert report.outcome_distributions[0] == pytest.approx((0.5, 0.5))
 
 
-def test_extract_pure_factor_detects_entanglement():
-    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+def test_basis_inputs_are_classical_bits():
+    layout = copy_protocol().layout
+    state = proto.initial_state(layout, {"x": 1})
+    assert state.bits == {0: 1} and state.wires == (1,)
+    assert np.allclose(state.vec, [1.0, 0.0])
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    state = proto.initial_state(layout, {"x": plus})
+    assert state.bits == {} and state.wires == (0, 1)
+    # a move is cut to the block its classical controls select
+    cnot = proto.block_diagonal({0: proto.I2, 1: proto.X}, 1)
+    flipped = proto.initial_state(layout, {"x": 1}).apply(cnot, (0, 1))
+    assert np.allclose(flipped.vec, [0.0, 1.0])
+
+
+def test_bipartite_orders_the_simulated_wires():
+    layout = proto.make_layout([("a", 1, "work", "alice"), ("b", 1, "work", "bob")])
+    state = proto.initial_state(layout, {"a": 0, "b": 1})
+    assert np.allclose(state.bipartite((1,), (0,)).vec, [0.0, 0.0, 1.0, 0.0])
     with pytest.raises(ProtocolError):
-        proto.extract_pure_factor(bell, 2, {0: 0}, [1], [])
-    product = np.kron(np.array([1, 0]), np.array([1, 1]) / np.sqrt(2))
-    vec = proto.extract_pure_factor(product, 2, {0: 0}, [1], [])
-    assert np.allclose(vec, np.array([1, 1]) / np.sqrt(2))
+        state.bipartite((1,), ())
 
 
 def test_state_prep_unitary():
@@ -204,3 +227,94 @@ def test_layout_validation():
 def test_total_variation():
     assert proto.total_variation([1, 0], [0, 1]) == pytest.approx(1.0)
     assert proto.total_variation([0.5, 0.5], [0.5, 0.5]) == 0.0
+
+
+def test_operator_cap():
+    # a dense operator past 2^MAX_QUBITS is refused before it is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError):
+            proto.block_diagonal({0: np.eye(256)}, 1)
+        with pytest.raises(SizeError):
+            rac.classical_copy_protocol(5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22  # the refused 1024 x 1024 operator alone is 16 MiB
+    layout = proto.make_layout(
+        [("x", 9, "input", "alice"), ("m", 1, "message", "alice")]
+    )
+    spec = proto.ProtocolSpec(
+        layout,
+        (proto.Move("alice", np.eye(2**9), tuple(range(9))),),
+        proto.Measurement("alice", (9,), (P0, P1)),
+    )
+    with pytest.raises(SizeError):
+        spec.validate()
+
+
+# ---------------------------------------------------------------------------
+# Dense reference: every wire in one state vector, every operator embedded.
+# ---------------------------------------------------------------------------
+
+
+def _embed(op, targets, n):
+    """The 2^n x 2^n operator acting as ``op`` on ``targets``."""
+    rest = [q for q in range(n) if q not in targets]
+    order = [*targets, *rest]
+    perm = np.zeros((2**n, 2**n))
+    for b in range(2**n):
+        bits = [(b >> (n - 1 - q)) & 1 for q in range(n)]
+        perm[int("".join(str(bits[q]) for q in order), 2), b] = 1.0
+    return perm.T @ np.kron(op, np.eye(2 ** len(rest))) @ perm
+
+
+def dense_distributions(spec, ensemble):
+    n = spec.layout.n_qubits
+    moves = [_embed(np.asarray(m.unitary), m.targets, n) for m in spec.moves]
+    meas = spec.final_measurement
+    projs = [_embed(np.asarray(p), meas.qubits, n) for p in meas.projectors]
+    out = []
+    for inst in ensemble.instances:
+        state = np.ones(1, dtype=complex)
+        for reg in spec.layout.registers:
+            val = inst.register_states.get(reg.name, 0)
+            if isinstance(val, (int, np.integer)):
+                piece = np.eye(reg.dim)[val]
+            else:
+                piece = np.asarray(val, dtype=complex) / np.linalg.norm(val)
+            state = np.kron(state, piece)
+        for u in moves:
+            state = u @ state
+        probs = np.array([np.vdot(state, p @ state).real for p in projs])
+        out.append(probs / probs.sum())
+    return np.array(out)
+
+
+def assert_matches_dense(spec, ensemble):
+    got = np.array(proto.run_protocol(spec, ensemble).outcome_distributions)
+    assert np.max(np.abs(got - dense_distributions(spec, ensemble))) <= 1e-12
+
+
+def test_dense_reference_index_protocols():
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    superposed = proto.InputEnsemble((proto.InputInstance(1.0, {"x": plus}, 0),))
+    assert_matches_dense(copy_protocol(), uniform_bit_ensemble())
+    assert_matches_dense(copy_protocol(), superposed)
+    _, bloch = rac.optimize_rac(2, seed=5, starts=2)
+    kets = [rac.bloch_to_ket(b) for b in bloch]
+    for spec in (
+        rac.rac_protocol(2, kets),
+        rac.classical_copy_protocol(2),
+        rac.trivial_index_protocol(2),
+    ):
+        assert_matches_dense(spec, rac.index_ensemble(2))
+
+
+def test_dense_reference_two_round_family():
+    for style in ("copy_first", "constant", "parity", "rotation"):
+        fam = red.two_round_family(style)
+        for j in (0, 1):
+            for superposed in (True, False):
+                ensemble = red.slice_distribution(fam, j, superposed)
+                assert_matches_dense(fam.spec, ensemble)

@@ -4,17 +4,7 @@ import pytest
 from qilab import protocol as proto
 from qilab import reduction as red
 from qilab.errors import ReductionError
-
-
-def test_nested_index_value():
-    inst = red.NestedIndexInstance(
-        n=2, inner_bits=2, x=(0b10, 0b01), a=0, y=(1, 0)
-    )
-    assert inst.value() == 0  # x_0 = 10, bit 1
-    inst2 = red.NestedIndexInstance(
-        n=2, inner_bits=2, x=(0b10, 0b01), a=1, y=(1, 1)
-    )
-    assert inst2.value() == 1  # x_1 = 01, bit 1
+from qilab.rac import bit_of
 
 
 def test_families_validate():
@@ -33,29 +23,25 @@ def test_slice_distribution_weights_and_targets():
     for inst in ens.instances:
         v0 = inst.register_states["x0"]
         z = inst.register_states["y0"]
-        assert inst.target == red.bit_value(v0, z, 2)
+        assert inst.target == bit_of(v0, z, 2)
 
 
 def test_unfixed_slot_acts_like_uniform_mixture():
-    # slice inputs: the fixed slot averages to I/2 over the ensemble, and
-    # once the protocol reads the superposed slot it decoheres to I/2 too
+    # slice inputs: the fixed slot is a uniform classical bit, and once the
+    # protocol reads the superposed slot it decoheres to I/2
     fam = red.two_round_family("copy_first")
     layout = fam.spec.layout
-    n_q = layout.n_qubits
-    ens = red.slice_distribution(fam, 0)
-    y0 = layout.register("y0").qubits
-    avg = np.zeros((2, 2), dtype=complex)
-    for inst in ens.instances:
-        state = proto.initial_state(layout, inst.register_states)
-        avg += inst.weight * proto.reduced_density(state, n_q, y0)
-    assert np.allclose(avg, np.eye(2) / 2, atol=1e-12)
+    weights = {0: 0.0, 1: 0.0}
+    for inst in red.slice_distribution(fam, 0).instances:
+        weights[inst.register_states["y0"]] += inst.weight
+    assert weights == pytest.approx({0: 0.5, 1: 0.5}, abs=1e-12)
 
     ens1 = red.slice_distribution(fam, 1)
-    inst = ens1.instances[0]
-    state = proto.initial_state(layout, inst.register_states)
+    state = proto.initial_state(layout, ens1.instances[0].register_states)
+    y0 = layout.register("y0").qubits
+    assert set(y0) <= set(state.wires)  # a superposed input stays a wire
     state = proto.evolve(fam.spec, state, upto=1)
-    read_slot = proto.reduced_density(state, n_q, layout.register("y0").qubits)
-    assert np.allclose(read_slot, np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(state.density(y0), np.eye(2) / 2, atol=1e-12)
 
 
 def test_superposed_equals_classical_average():
@@ -187,6 +173,20 @@ def test_copy_first_slice_errors():
     ]
     assert [r.error_avg for r in reps] == pytest.approx([0.25, 0.5], abs=1e-12)
     assert all(r.rounds == 2 and r.first_message_qubits == 1 for r in reps)
+
+
+def test_derived_protocol_keeps_the_family_layout():
+    # P' keeps every family wire and appends psi; only y1, m and psi are
+    # simulated, so 9 wires fit under the 8-qubit cap
+    fam = red.two_round_family("copy_first")
+    spec_prime, _ = red.modify_first_message(fam, 0)
+    layout = spec_prime.layout
+    assert layout.n_qubits == 9
+    assert layout.n_qubits - len(layout.input_qubits()) == 3
+    assert layout.register("y1").kind == "work"
+    spec_prime.validate()
+    report = proto.run_protocol(spec_prime, red.slice_distribution(fam, 0))
+    assert 0.0 <= report.error_avg <= 1.0
 
 
 def test_pipeline_report_fields():
