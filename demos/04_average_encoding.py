@@ -51,7 +51,7 @@ states = [random_density(2, 1 + x % 2, seed=900 + x) for x in range(8)]
 e = uniform_cube_ensemble(states)
 d = pairwise_distance_matrix(e)
 delta = float(np.sum(d)) / 64
-pairing = find_pairing(e, seed=3)
+pairing = find_pairing(d, seed=3)
 found = pairing_average(d, pairing)
 best = max(pairing_average(d, p) for p in enumerate_pairings(8))
 print(f"Delta                  : {delta:.5f}")

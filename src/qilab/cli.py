@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import QilabError
@@ -59,6 +60,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         """One stderr line and exit status 2 for any bad flag."""
@@ -90,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--n", type=_positive_int, default=2, help="index-problem size")
     parser.add_argument(
-        "--tol", type=float, default=None, help="override every check tolerance"
+        "--tol", type=_finite_float, default=None, help="override every check tolerance"
     )
     parser.add_argument("--out", default=None, help="write the JSON report here")
     parser.add_argument("--format", choices=["json", "text"], default="text")

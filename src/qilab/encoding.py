@@ -48,6 +48,7 @@ class EncodingStats:
     delta_to_mean: float
     info: float
     pairing: tuple[tuple[int, int], ...]
+    distances: np.ndarray
 
 
 def _cube_m(e: CQEnsemble) -> int:
@@ -79,18 +80,19 @@ def pairing_average(d: np.ndarray, pairing) -> float:
 
 
 def find_pairing(
-    e: CQEnsemble, seed: int, max_tries: int = 200, tol: float = 1e-10
+    d: np.ndarray, seed: int, max_tries: int = 200, tol: float = 1e-10
 ) -> tuple[tuple[int, int], ...]:
     """Random perfect pairing whose average distance reaches Delta.
 
+    ``d`` is the pairwise distance matrix of a uniform cube ensemble.
     The expected average over a uniformly random pairing exceeds Delta by
     a factor 2^m / (2^m - 1), so a short keep-best search succeeds; if
     ``max_tries`` runs out the best pairing found is reported in the
     raised error.
     """
-    m = _cube_m(e)
-    n = 2**m
-    d = pairwise_distance_matrix(e)
+    n = d.shape[0]
+    if d.shape != (n, n) or n < 2 or n & (n - 1):
+        raise SizeError(f"need a square power-of-two side >= 2, got {d.shape}")
     delta = float(np.sum(d)) / n**2
     stream = Stream(seed)
     best: tuple[tuple[int, int], ...] = ()
@@ -155,12 +157,10 @@ def encoding_stats(e: CQEnsemble, seed: int = 7, tol: float = 1e-8) -> EncodingS
     n = 2**m
     d = pairwise_distance_matrix(e)
     delta = float(np.sum(d)) / n**2
-    mean = e.average_state()
-    delta_mean = float(
-        np.mean([trace_distance(mean, s) for s in e.states])
-    )
+    mean = e.average_state
+    delta_mean = float(np.mean([trace_distance(mean, s) for s in e.states]))
     info = holevo_information(e)
-    pairing = find_pairing(e, seed)
+    pairing = find_pairing(d, seed)
     if delta_mean > delta + tol:
         raise _bound_error("delta_to_mean exceeds delta", delta_mean, delta)
     if delta > 2.0 * np.sqrt(info) + tol:
@@ -168,7 +168,7 @@ def encoding_stats(e: CQEnsemble, seed: int = 7, tol: float = 1e-8) -> EncodingS
     floor = information_floor(delta, m)
     if info < floor - tol:
         raise _bound_error("info below entropy-gap floor", info, floor)
-    return EncodingStats(delta, delta_mean, info, pairing)
+    return EncodingStats(delta, delta_mean, info, pairing, d)
 
 
 def _bound_error(message, lhs, rhs):

@@ -8,6 +8,7 @@ exact zeros inside entropy sums to keep -x log x noise out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +60,7 @@ def fano_bound(delta: float) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Shannon entropy of the eigenvalue spectrum, in bits."""
-    vals = np.clip(rho.eigenvalues(), 0.0, 1.0)
+    vals = np.clip(rho.eig.eigenvalues, 0.0, 1.0)
     mask = vals > _ZERO_CUT
     return float(-np.sum(vals[mask] * np.log2(vals[mask])))
 
@@ -76,6 +77,7 @@ class CQEnsemble:
     def dim(self) -> int:
         return self.states[0].dim
 
+    @cached_property
     def average_state(self) -> DensityMatrix:
         return mixture(self.priors, self.states)
 
@@ -119,7 +121,7 @@ def conditional_entropy(e: CQEnsemble) -> float:
 
 def holevo_information(e: CQEnsemble) -> float:
     """S(mean state) - sum_x p_x S(sigma_x); bounds extractable bits."""
-    chi = von_neumann_entropy(e.average_state()) - conditional_entropy(e)
+    chi = von_neumann_entropy(e.average_state) - conditional_entropy(e)
     return float(max(chi, 0.0))
 
 
@@ -172,20 +174,16 @@ def measured_mutual_info(e: CQEnsemble, measurement) -> float:
 
 
 def bipartite_mutual_info(rho_ab: DensityMatrix, dim_a: int, dim_b: int) -> float:
-    """S(A) + S(B) - S(AB) from the reduced states."""
+    """S(A) + S(B) - S(AB) from the reduced states, PSD up to rounding noise."""
     if dim_a * dim_b != rho_ab.dim:
         raise SizeError(
             f"dims ({dim_a}, {dim_b}) do not multiply to {rho_ab.dim}"
         )
-    rho_a = make_density_loose(linalg.partial_trace(rho_ab.mat, dim_a, dim_b, "H"))
-    rho_b = make_density_loose(linalg.partial_trace(rho_ab.mat, dim_a, dim_b, "K"))
+    rho_a = make_density(linalg.partial_trace(rho_ab.mat, dim_a, dim_b, "H"), tol=1e-8)
+    rho_b = make_density(linalg.partial_trace(rho_ab.mat, dim_a, dim_b, "K"), tol=1e-8)
     return (
         von_neumann_entropy(rho_a)
         + von_neumann_entropy(rho_b)
         - von_neumann_entropy(rho_ab)
     )
 
-
-def make_density_loose(mat) -> DensityMatrix:
-    """Wrap a matrix that is PSD up to partial-trace rounding noise."""
-    return make_density(mat, tol=1e-8)

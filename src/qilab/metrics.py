@@ -12,6 +12,7 @@ import numpy as np
 
 from . import linalg
 from .errors import SizeError
+from .info import validate_projective
 from .linalg import DEFAULT_TOL, dagger
 from .states import BipartitePureState, DensityMatrix
 
@@ -24,16 +25,8 @@ class TwoOutcomeMeasurement:
     projector_neg: np.ndarray
 
     def validate(self, tol: float = 1e-8) -> None:
-        for p in (self.projector_pos, self.projector_neg):
-            if linalg.frobenius(p - dagger(p)) > tol:
-                raise ValueError("projector is not Hermitian")
-            if linalg.frobenius(p @ p - p) > tol:
-                raise ValueError("projector is not idempotent")
         dim = self.projector_pos.shape[0]
-        if linalg.frobenius(self.projector_pos + self.projector_neg - np.eye(dim)) > tol:
-            raise ValueError("projectors do not sum to the identity")
-        if linalg.frobenius(self.projector_pos @ self.projector_neg) > tol:
-            raise ValueError("projectors are not mutually orthogonal")
+        validate_projective([self.projector_pos, self.projector_neg], dim, tol)
 
 
 def trace_norm(a) -> float:
@@ -68,16 +61,16 @@ def pure_trace_distance(phi1, phi2) -> float:
     return 2.0 * float(np.sqrt(max(1.0 - overlap_sq, 0.0)))
 
 
-def _sqrt_factor(rho: DensityMatrix, tol: float) -> np.ndarray:
+def _sqrt_factor(rho: DensityMatrix) -> np.ndarray:
     # Columns V_i sqrt(l_i) with noise-level eigenvalues dropped: keeping
     # them would inject sqrt(eps)-sized spurious directions into the
     # product below.
-    vals, vecs = linalg.hermitian_eig(rho.mat, tol)
+    vals, vecs = rho.eig
     keep = vals > 1e-14
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def fidelity(r1: DensityMatrix, r2: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
+def fidelity(r1: DensityMatrix, r2: DensityMatrix) -> float:
     """Squared-overlap fidelity, clamped to [0, 1].
 
     Equals || sqrt(r1) sqrt(r2) ||_t^2; evaluated on the spectral factors
@@ -85,8 +78,8 @@ def fidelity(r1: DensityMatrix, r2: DensityMatrix, tol: float = DEFAULT_TOL) -> 
     singular values of sqrt(r1) sqrt(r2).
     """
     _check_dims(r1, r2)
-    a1 = _sqrt_factor(r1, tol)
-    a2 = _sqrt_factor(r2, tol)
+    a1 = _sqrt_factor(r1)
+    a2 = _sqrt_factor(r2)
     f = trace_norm(dagger(a1) @ a2) ** 2
     return float(min(max(f, 0.0), 1.0))
 

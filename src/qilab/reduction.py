@@ -423,7 +423,7 @@ def drop_first_message(
         if np.max(np.abs(other - rho_list[0])) > 1e-9:
             raise ReductionError("first message still depends on y_j")
     rho_m = make_density(rho_list[0], tol=1e-8)
-    rank = int(np.sum(rho_m.eigenvalues() > 1e-9))
+    rank = int(np.sum(rho_m.eig.eigenvalues > 1e-9))
     n_b = max(int(np.ceil(np.log2(max(rank, 1)))), 0)
 
     # New layout: message register now belongs to Alice; purification

@@ -9,6 +9,7 @@ seeds and are bit-reproducible (see :mod:`qilab.rng`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +42,13 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        return linalg.hermitian_eig(self.mat).eigenvalues
+    @cached_property
+    def eig(self) -> linalg.EigDecomposition:
+        """Certified eigendecomposition, computed once and read-only."""
+        vals, vecs = linalg.hermitian_eig(self.mat)
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        return linalg.EigDecomposition(vals, vecs)
 
 
 @dataclass(frozen=True)
@@ -160,9 +166,7 @@ def _phase_normalized(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return vec
 
 
-def canonical_purification(
-    rho: DensityMatrix, dim_k: int, tol: float = DEFAULT_TOL
-) -> BipartitePureState:
+def canonical_purification(rho: DensityMatrix, dim_k: int) -> BipartitePureState:
     """Purification sum_i sqrt(l_i) |e_i>_H |i>_K over a fresh K register.
 
     Eigenvalues are taken in descending order and the K side uses the
@@ -170,7 +174,7 @@ def canonical_purification(
     on the phase-normalized leading entry of each eigenvector, so the
     output is deterministic.
     """
-    vals, vecs = linalg.hermitian_eig(rho.mat, tol)
+    vals, vecs = rho.eig
     cols = [_phase_normalized(vecs[:, i]) for i in range(len(vals))]
     secondary = np.array(
         [next((abs(z) for z in c if abs(z) > 1e-12), 0.0) for c in cols]
@@ -178,8 +182,7 @@ def canonical_purification(
     order = np.lexsort((secondary, -vals))
     vals = vals[order]
     cols = [cols[i] for i in order]
-    rank = int(np.sum(vals > tol))
-    rank = max(rank, 1)
+    rank = max(int(np.sum(vals > DEFAULT_TOL)), 1)
     if dim_k < rank:
         raise RankError(f"dim_k={dim_k} is below the state rank {rank}")
     a = np.zeros((rho.dim, dim_k), dtype=np.complex128)

@@ -315,10 +315,8 @@ def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
             )
         else:
             skipped_half += 1
-        d = enc.pairwise_distance_matrix(e)
-        pair_bound.add(
-            enc.pairing_average(d, stats.pairing) - stats.delta_pairwise
-        )
+        paired = enc.pairing_average(stats.distances, stats.pairing)
+        pair_bound.add(paired - stats.delta_pairwise)
         if m <= 4:
             lhs, rhs = enc.info_decomposition_check(e)
             decomp.add(rhs - lhs)
@@ -334,9 +332,7 @@ def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
         seed = derive_seed(cfg.seed, 31, t)
         e = _random_cube_ensemble(seed, 3, 2 + t % 3)
         d = enc.pairwise_distance_matrix(e)
-        found = enc.pairing_average(
-            d, enc.find_pairing(e, derive_seed(seed, 98))
-        )
+        found = enc.pairing_average(d, enc.find_pairing(d, derive_seed(seed, 98)))
         best = max(enc.pairing_average(d, p) for p in enc.enumerate_pairings(8))
         exhaustive.add(best - found)
         delta = float(np.sum(d)) / 64.0

@@ -73,6 +73,9 @@ def test_bad_flags_exit_two(capsys):
         ["--trials", "0"],
         ["--m", "0"],
         ["--n", "0"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--tol", "-inf"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

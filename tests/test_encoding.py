@@ -82,13 +82,14 @@ def test_multi_bit_violates_half_argument_floor():
 
 def test_find_pairing_single_bit():
     e = cube(104, 1, 3)
-    assert enc.find_pairing(e, seed=5) == ((0, 1),)
+    d = enc.pairwise_distance_matrix(e)
+    assert enc.find_pairing(d, seed=5) == ((0, 1),)
 
 
 def test_find_pairing_identical_states():
     rho = states.random_density(2, 1, 105)
     e = info.uniform_cube_ensemble([rho] * 8)
-    pairing = enc.find_pairing(e, seed=6)
+    pairing = enc.find_pairing(enc.pairwise_distance_matrix(e), seed=6)
     assert sorted(i for p in pairing for i in p) == list(range(8))
 
 
@@ -97,11 +98,34 @@ def test_find_pairing_beats_delta_and_respects_optimum():
         e = cube(derive_seed(106, t), 3, 2 + t % 3)
         d = enc.pairwise_distance_matrix(e)
         delta = float(np.sum(d)) / 64.0
-        pairing = enc.find_pairing(e, seed=derive_seed(107, t))
+        pairing = enc.find_pairing(d, seed=derive_seed(107, t))
         found = enc.pairing_average(d, pairing)
         assert found >= delta - 1e-10
         best = max(enc.pairing_average(d, p) for p in enc.enumerate_pairings(8))
         assert found <= best + 1e-10
+
+
+def test_find_pairing_rejects_bad_shapes():
+    with pytest.raises(SizeError):
+        enc.find_pairing(np.zeros((3, 3)), seed=1)
+    with pytest.raises(SizeError):
+        enc.find_pairing(np.zeros((4, 2)), seed=1)
+
+
+def test_encoding_stats_builds_one_distance_matrix(monkeypatch):
+    e = cube(113, 3, 3)
+    calls = []
+    original = enc.pairwise_distance_matrix
+
+    def counted(ens):
+        calls.append(ens)
+        return original(ens)
+
+    monkeypatch.setattr(enc, "pairwise_distance_matrix", counted)
+    stats = enc.encoding_stats(e)
+    assert len(calls) == 1
+    expected = original(e)
+    assert stats.distances.tobytes() == expected.tobytes()
 
 
 def test_enumerate_pairings_count():
@@ -112,7 +136,7 @@ def test_enumerate_pairings_count():
 def test_prefix_ensemble_cases():
     e = cube(108, 2, 3)
     full = enc.prefix_ensemble(e, "")
-    assert np.allclose(full.mat, e.average_state().mat, atol=1e-12)
+    assert np.allclose(full.mat, e.average_state.mat, atol=1e-12)
     assert np.allclose(enc.prefix_ensemble(e, "01").mat, e.states[1].mat)
     # oracle: direct two-term mixture
     direct = (e.states[0].mat + e.states[1].mat) / 2

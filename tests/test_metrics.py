@@ -124,6 +124,12 @@ def test_optimal_measurement_identical_states():
     assert achieved == pytest.approx(0.0, abs=1e-10)
 
 
+def test_measurement_validate_rejects_non_projector():
+    meas = metrics.TwoOutcomeMeasurement(np.diag([0.5, 0.0]), np.diag([0.5, 1.0]))
+    with pytest.raises(ValueError):
+        meas.validate()
+
+
 def test_optimal_measurement_orthogonal_states():
     meas, achieved = metrics.optimal_measurement(KET0, KET1)
     assert achieved == pytest.approx(2.0, abs=1e-12)

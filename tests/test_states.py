@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qilab import linalg, states
+from qilab import info, linalg, metrics, states
 from qilab.errors import (
     HermiticityError,
     NormalizationError,
@@ -19,6 +19,32 @@ def test_make_density_accepts_maximally_mixed():
 
 def test_make_density_accepts_plus_state():
     states.make_density(np.full((2, 2), 0.5))
+
+
+def test_eig_decomposed_once_per_density(monkeypatch):
+    rho = states.random_density(3, 2, 41)
+    sigma = states.random_density(3, 3, 42)
+    calls = []
+    original = linalg.hermitian_eig
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermitian_eig", counted)
+    for _ in range(2):
+        info.von_neumann_entropy(rho)
+        metrics.fidelity(rho, sigma)
+        states.canonical_purification(rho, 3)
+    assert len(calls) == 2
+
+
+def test_eig_arrays_are_read_only():
+    vals, vecs = states.random_density(3, 2, 43).eig
+    with pytest.raises(ValueError):
+        vals[0] = 1.0
+    with pytest.raises(ValueError):
+        vecs[0, 0] = 1.0
 
 
 def test_make_density_distinct_errors():
