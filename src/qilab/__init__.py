@@ -28,7 +28,6 @@ from .linalg import (
     EigDecomposition,
     hermitian_eig,
     partial_trace,
-    psd_sqrt,
     svd,
     tensor,
 )
@@ -45,7 +44,6 @@ from .metrics import (
 from .states import (
     BipartitePureState,
     DensityMatrix,
-    SchmidtDecomposition,
     canonical_purification,
     distance_up_to_phase,
     make_density,
@@ -55,7 +53,6 @@ from .states import (
     random_density,
     random_pure,
     random_unitary,
-    schmidt,
 )
 from .transition import (
     TransitionResult,
@@ -72,7 +69,6 @@ __all__ = [
     "DensityMatrix",
     "EigDecomposition",
     "EncodingStats",
-    "SchmidtDecomposition",
     "TransitionResult",
     "TwoOutcomeMeasurement",
     "bayes_success",
@@ -97,13 +93,11 @@ __all__ = [
     "optimal_measurement",
     "partial_trace",
     "prefix_ensemble",
-    "psd_sqrt",
     "pure_density",
     "pure_trace_distance",
     "random_density",
     "random_pure",
     "random_unitary",
-    "schmidt",
     "shannon_entropy",
     "svd",
     "tensor",

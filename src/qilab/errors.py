@@ -49,10 +49,6 @@ class ProtocolError(QilabError):
     """A protocol move violates ownership or support rules."""
 
 
-class ModelViolationError(ProtocolError):
-    """A protocol unitary rewrites an input register."""
-
-
 class ReductionError(QilabError):
     """A step of the message-reduction pipeline failed its contract."""
 

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     HermiticityError,
-    NotPositiveError,
     SizeError,
 )
 
@@ -126,22 +125,6 @@ def singular_values(a) -> np.ndarray:
     """Singular values only, descending."""
     a = as_matrix(a)
     return np.linalg.svd(a, compute_uv=False)
-
-
-def psd_sqrt(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian square root of a positive semi-definite matrix.
-
-    Eigenvalues in ``[-tol, 0)`` are clamped to zero before the root;
-    anything below ``-tol`` raises NotPositiveError.
-    """
-    vals, vecs = hermitian_eig(a, tol)
-    if vals[0] < -tol:
-        raise NotPositiveError(
-            f"matrix has eigenvalue {vals[0]:.3e} below -tol; not PSD"
-        )
-    clamped = np.clip(vals, 0.0, None)
-    root = (vecs * np.sqrt(clamped)) @ dagger(vecs)
-    return (root + dagger(root)) / 2.0
 
 
 def partial_trace(

@@ -1,18 +1,19 @@
 """Two-party protocol simulator with register ownership tracking.
 
-The model: Alice and Bob each own a set of qubits. A move is a unitary on
-some of the mover's qubits followed by handing a subset of them to the
-other player; the global state never collapses until one final projective
-measurement by the deciding player. Input registers are read-only: a move
-may use them as controls (any block-diagonal action in their computational
-basis) but must never rewrite them. So an input register given a basis value
-is simulated as classical bits: every move and projector is cut to the
-diagonal block those bits select, and only the other wires carry a state
-vector. An input given a superposition stays a quantum wire.
-``MAX_QUBITS`` bounds the simulated wires of one run and the wire count
-of every dense operator, not the layout's total wire count. Qubit 0 is
-the most significant index position, matching
-:func:`qilab.linalg.tensor`.
+The model: Alice and Bob each own a set of qubits. A move applies to some
+of the mover's qubits (its targets) the unitary block selected by the
+value of other qubits the mover owns (its controls), then hands a subset
+of its qubits to the other player. The global state never collapses until
+one final projective measurement by the deciding player, whose projectors
+are selected by controls the same way. Inputs are classical data that a
+move may read but never change: an input register can only be a control.
+An input given a basis value is simulated as classical bits that pick the
+block; every other wire carries a state vector, and a simulated control
+wire (an input given a superposition, a work or a message qubit) applies
+each block to its own slice. ``MAX_QUBITS`` bounds the simulated wires of
+one run and the targets of every move and measurement, not the layout's
+total wire count nor the number of controls. Qubit 0 is the most
+significant index position, matching :func:`qilab.linalg.tensor`.
 """
 
 from __future__ import annotations
@@ -22,20 +23,22 @@ from typing import Literal
 
 import numpy as np
 
-from . import linalg
-from .errors import ModelViolationError, ProtocolError, SizeError
+from .errors import ProtocolError, SizeError
 from .info import validate_projective
 from .linalg import dagger
 from .states import BipartitePureState, make_pure
 
 Player = Literal["alice", "bob"]
 
-MAX_QUBITS = 8  # simulated wires and operator wires cap at dimension 256
+MAX_QUBITS = 8  # simulated wires and target wires cap at dimension 256
 
-# Single-qubit gate constants.
+# Gate and projector constants.
 I2 = np.eye(2, dtype=np.complex128)
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+SWAP = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]
+P0 = np.diag([1.0, 0.0]).astype(np.complex128)  # computational-basis projectors
+P1 = np.diag([0.0, 1.0]).astype(np.complex128)
 
 
 def ry(theta: float) -> np.ndarray:
@@ -108,17 +111,33 @@ def make_layout(specs) -> RegisterLayout:
 
 @dataclass(frozen=True)
 class Move:
+    """A unitary on ``targets`` chosen by the value of the ``controls``.
+
+    ``blocks`` maps each control value (first control wire most
+    significant) to a unitary on the targets; a missing value means the
+    identity. Controls are read and never written, so a move cannot
+    rewrite an input register: inputs may only be controls.
+    """
+
     player: Player
-    unitary: np.ndarray
     targets: tuple[int, ...]
+    blocks: dict[int, np.ndarray]
+    controls: tuple[int, ...] = ()
     send: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class Measurement:
+    """Projective measurement on ``targets`` chosen by the ``controls``.
+
+    ``blocks`` maps every control value to its projectors on the targets,
+    one per outcome, in the same outcome order for every value.
+    """
+
     player: Player
-    qubits: tuple[int, ...]
-    projectors: tuple[np.ndarray, ...]
+    targets: tuple[int, ...]
+    blocks: dict[int, tuple[np.ndarray, ...]]
+    controls: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -148,95 +167,56 @@ class ProtocolSpec:
                 return i
         raise ProtocolError("protocol sends no messages")
 
-    def validate(self, tol: float = 1e-10) -> None:
-        """Static walk: unitarity, support, ownership, input preservation."""
+    def validate(self) -> None:
+        """Static walk: wire roles, ownership, block shapes, unitarity."""
         owner = self.layout.initial_owner()
         inputs = self.layout.input_qubits()
         for idx, move in enumerate(self.moves):
-            t = len(move.targets)
-            _check_operator_wires(t, f"move {idx}")
-            u = linalg.as_matrix(move.unitary)
-            if u.shape != (2**t, 2**t):
-                raise ProtocolError(
-                    f"move {idx}: unitary shape {u.shape} for {t} targets"
-                )
-            if linalg.frobenius(dagger(u) @ u - np.eye(2**t)) > 1e-8:
-                raise ProtocolError(f"move {idx}: matrix is not unitary")
-            if len(set(move.targets)) != t:
-                raise ProtocolError(f"move {idx}: repeated target qubit")
-            for q in move.targets:
-                if owner[q] != move.player:
-                    raise ProtocolError(
-                        f"move {idx}: {move.player} does not own qubit {q}"
-                    )
-            guarded = [i for i, q in enumerate(move.targets) if q in inputs]
-            if guarded:
-                _assert_block_diagonal(u, t, guarded, tol, idx)
+            what = f"move {idx}"
+            _check_wires(move, owner, inputs, what)
+            if move.blocks:
+                d = 2 ** len(move.targets)
+                if {np.shape(b) for b in move.blocks.values()} != {(d, d)}:
+                    raise ProtocolError(f"{what}: blocks must be {d}x{d}")
+                u = np.asarray(list(move.blocks.values()), dtype=np.complex128)
+                gram = np.conj(np.swapaxes(u, 1, 2)) @ u - np.eye(d)
+                # written so that a NaN entry fails too
+                if not np.max(np.linalg.norm(gram, axis=(1, 2))) <= 1e-8:
+                    raise ProtocolError(f"{what}: a block is not unitary")
             for q in move.send:
                 if owner[q] != move.player:
-                    raise ProtocolError(
-                        f"move {idx}: cannot send unowned qubit {q}"
-                    )
+                    raise ProtocolError(f"{what}: cannot send unowned qubit {q}")
             other: Player = "bob" if move.player == "alice" else "alice"
             for q in move.send:
                 owner[q] = other
         meas = self.final_measurement
-        _check_operator_wires(len(meas.qubits), "final measurement")
-        for q in meas.qubits:
-            if owner[q] != meas.player:
-                raise ProtocolError(
-                    f"final measurement touches qubit {q} not owned by {meas.player}"
-                )
-        validate_projective(meas.projectors, 2 ** len(meas.qubits))
+        _check_wires(meas, owner, inputs, "final measurement")
+        if set(meas.blocks) != set(range(2 ** len(meas.controls))):
+            raise ProtocolError("final measurement must list every control value")
+        if len({len(p) for p in meas.blocks.values()}) != 1:
+            raise ProtocolError("every control value needs the same outcomes")
+        for projectors in meas.blocks.values():
+            validate_projective(projectors, 2 ** len(meas.targets))
 
 
-def _check_operator_wires(n_wires: int, what: str) -> None:
-    if n_wires > MAX_QUBITS:
+def _check_wires(op, owner: dict, inputs: frozenset, what: str) -> None:
+    """Targets under the cap, disjoint from the controls and from inputs,
+    every wire owned by the player, every block key a control value."""
+    if len(op.targets) > MAX_QUBITS:
         raise SizeError(
-            f"{what} acts on {n_wires} qubits, over the operator cap {MAX_QUBITS}"
+            f"{what} acts on {len(op.targets)} qubits, over the operator cap {MAX_QUBITS}"
         )
-
-
-def _block_view(u: np.ndarray, t: int, guarded: list[int]) -> np.ndarray:
-    """Reshape so guarded wires index the leading block axes on both sides."""
-    rest = [i for i in range(t) if i not in guarded]
-    perm = guarded + rest
-    c = len(guarded)
-    arr = u.reshape((2,) * (2 * t))
-    arr = arr.transpose([*perm, *[t + p for p in perm]])
-    return arr.reshape(2**c, 2 ** (t - c), 2**c, 2 ** (t - c))
-
-
-def _assert_block_diagonal(u, t, guarded, tol, move_idx):
-    blocks = _block_view(u, t, guarded)
-    off_diagonal = 1.0 - np.eye(blocks.shape[0])[:, None, :, None]
-    if np.max(np.abs(blocks) * off_diagonal) > tol:
-        raise ModelViolationError(
-            f"move {move_idx}: unitary rewrites an input register"
-        )
-
-
-def block_diagonal(blocks: dict[int, np.ndarray], n_control: int) -> np.ndarray:
-    """Operator sum_b |b><b| (x) A_b on (control wires, acted wires).
-
-    Missing control values default to the identity block, which is the
-    right completion for controlled unitaries; pass explicit zero blocks
-    when assembling projectors.
-    """
-    dims = {u.shape[0] for u in blocks.values()}
-    if len(dims) != 1:
-        raise SizeError("all blocks must act on the same dimension")
-    da = dims.pop()
-    dc = 2**n_control
-    if dc * da > 2**MAX_QUBITS:
-        raise SizeError(
-            f"operator of dimension {dc * da} exceeds the cap 2^{MAX_QUBITS}"
-        )
-    out = np.zeros((dc * da, dc * da), dtype=np.complex128)
-    for b in range(dc):
-        u = blocks.get(b, np.eye(da, dtype=np.complex128))
-        out[b * da : (b + 1) * da, b * da : (b + 1) * da] = u
-    return out
+    wires = (*op.controls, *op.targets)
+    if len(set(wires)) != len(wires):
+        raise ProtocolError(f"{what}: a wire is repeated or both control and target")
+    for q in wires:
+        if owner[q] != op.player:
+            raise ProtocolError(f"{what}: {op.player} does not own qubit {q}")
+    written = [q for q in op.targets if q in inputs]
+    if written:
+        raise ProtocolError(f"{what}: targets input qubits {written}; inputs can only be controls")
+    if not all(0 <= b < 2 ** len(op.controls) for b in op.blocks):
+        raise ProtocolError(f"{what}: block keys must be control values")
 
 
 def state_prep_unitary(vec: np.ndarray) -> np.ndarray:
@@ -252,16 +232,21 @@ def state_prep_unitary(vec: np.ndarray) -> np.ndarray:
     return q
 
 
-def apply_unitary(state: np.ndarray, n_qubits: int, u: np.ndarray, targets) -> np.ndarray:
-    t = len(targets)
-    psi = state.reshape((2,) * n_qubits)
-    rest = [ax for ax in range(n_qubits) if ax not in targets]
-    perm = list(targets) + rest
-    psi = psi.transpose(perm).reshape(2**t, -1)
-    psi = u @ psi
-    psi = psi.reshape((2,) * n_qubits)
-    inverse = np.argsort(perm)
-    return psi.transpose(inverse).reshape(-1)
+def apply_unitary(
+    state: np.ndarray, n_qubits: int, u: np.ndarray, targets, controls=()
+) -> np.ndarray:
+    """Apply ``u`` to ``targets`` of an n-qubit state vector.
+
+    With ``controls``, ``u`` stacks one block per value of the control
+    wires (first wire most significant); each acts on its own slice.
+    """
+    c, t = len(controls), len(targets)
+    rest = [ax for ax in range(n_qubits) if ax not in targets and ax not in controls]
+    perm = [*controls, *targets, *rest]
+    psi = state.reshape((2,) * n_qubits).transpose(perm).reshape(2**c, 2**t, -1)
+    psi = u.reshape(2**c, 2**t, 2**t) @ psi
+    inverse = sorted(range(n_qubits), key=perm.__getitem__)
+    return psi.reshape((2,) * n_qubits).transpose(inverse).reshape(-1)
 
 
 def reduced_density(state: np.ndarray, n_qubits: int, keep) -> np.ndarray:
@@ -327,26 +312,32 @@ class Branch:
             raise ProtocolError(f"wires {missing} are classical in this run")
         return [self.wires.index(q) for q in wires]
 
-    def apply(self, op: np.ndarray, targets) -> Branch:
-        """Apply ``op`` on ``targets``, cut to the block the bits select.
+    def apply(self, controls, targets, blocks) -> Branch:
+        """Apply ``blocks[b]`` on ``targets``, b the value of ``controls``.
 
-        Exact when ``op`` is block-diagonal on the classical wires, which
-        :meth:`ProtocolSpec.validate` enforces for every move.
+        Classical control bits fix their part of b. Simulated control
+        wires take every value, each slice getting its own block, in one
+        batched call. A missing value is the identity.
         """
-        targets = tuple(targets)
-        classical = [k for k, q in enumerate(targets) if q in self.bits]
-        if classical:
-            b = 0
-            for k in classical:
-                b = (b << 1) | self.bits[targets[k]]
-            op = _block_view(np.asarray(op), len(targets), classical)[b, :, b, :]
-        rest = self._positions([q for q in targets if q not in self.bits])
-        vec = apply_unitary(self.vec, len(self.wires), op, rest)
+        values = [0]
+        for k, q in enumerate(controls):
+            options = (self.bits[q],) if q in self.bits else (0, 1)
+            values = [v | bit << (len(controls) - 1 - k) for v in values for bit in options]
+        listed = [v in blocks for v in values]
+        if not any(listed):
+            return self
+        eye = None if all(listed) else np.eye(2 ** len(targets), dtype=np.complex128)
+        stack = np.asarray([blocks.get(v, eye) for v in values])
+        free = [q for q in controls if q not in self.bits]
+        vec = apply_unitary(
+            self.vec, len(self.wires), stack, self._positions(targets), self._positions(free)
+        )
         return Branch(self.bits, self.wires, vec)
 
-    def expectation(self, op: np.ndarray, targets) -> float:
-        """<psi|op_bb|psi>: exact for any op because the bits are a basis state."""
-        return float(np.vdot(self.vec, self.apply(op, targets).vec).real)
+    def expectation(self, controls, targets, blocks) -> float:
+        """<psi|P|psi> for the controlled operator P: exact because the
+        classical bits are a basis state."""
+        return float(np.vdot(self.vec, self.apply(controls, targets, blocks).vec).real)
 
     def density(self, wires) -> np.ndarray:
         """Reduced density matrix on some simulated wires, in that order."""
@@ -397,24 +388,24 @@ def initial_state(layout: RegisterLayout, register_states: dict) -> Branch:
     return Branch(bits, tuple(wires), vec)
 
 
-def evolve(spec: ProtocolSpec, state: Branch, upto: int | None = None) -> Branch:
-    """Apply the first ``upto`` moves (all of them by default)."""
-    moves = spec.moves if upto is None else spec.moves[:upto]
+def evolve(moves, state: Branch) -> Branch:
+    """Play ``moves`` in order."""
     for move in moves:
-        state = state.apply(move.unitary, move.targets)
+        state = state.apply(move.controls, move.targets, move.blocks)
     return state
 
 
 def first_message_density(spec: ProtocolSpec, register_states: dict) -> np.ndarray:
     """Density of the first message right after the move that sends it."""
     upto = spec.first_message_index() + 1
-    state = evolve(spec, initial_state(spec.layout, register_states), upto)
+    state = evolve(spec.moves[:upto], initial_state(spec.layout, register_states))
     return state.density(spec.moves[upto - 1].send)
 
 
 def outcome_distribution(spec: ProtocolSpec, state: Branch) -> np.ndarray:
     meas = spec.final_measurement
-    arr = np.array([state.expectation(p, meas.qubits) for p in meas.projectors])
+    per_outcome = [dict(zip(meas.blocks, p)) for p in zip(*meas.blocks.values())]
+    arr = np.array([state.expectation(meas.controls, meas.targets, b) for b in per_outcome])
     return arr / arr.sum()
 
 
@@ -429,7 +420,7 @@ def run_protocol(spec: ProtocolSpec, ensemble: InputEnsemble) -> RunReport:
     errors = []
     for inst in ensemble.instances:
         state = initial_state(spec.layout, inst.register_states)
-        state = evolve(spec, state)
+        state = evolve(spec.moves, state)
         dist = outcome_distribution(spec, state)
         dists.append(tuple(float(p) for p in dist))
         errors.append(1.0 - float(dist[inst.target]))

@@ -10,7 +10,7 @@ every link of that chain on concrete protocols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,9 +27,11 @@ from .protocol import (
     InputEnsemble,
     InputInstance,
     Measurement,
+    P0,
+    P1,
+    SWAP,
     Move,
     ProtocolSpec,
-    block_diagonal,
     make_layout,
     run_protocol,
     state_prep_unitary,
@@ -153,35 +155,35 @@ def rac_protocol(n: int, kets) -> ProtocolSpec:
             ("m", 1, "message", "alice"),
         ]
     )
-    encode = block_diagonal(
-        {x: state_prep_unitary(kets[x]) for x in range(2**n)}, n
-    )
     x_wires = layout.register("x").qubits
     m_wire = layout.register("m").qubits
-    move = Move("alice", encode, (*x_wires, *m_wire), send=m_wire)
-    zero2 = np.zeros((2, 2), dtype=np.complex128)
-    blocks0: dict[int, np.ndarray] = {}
-    blocks1: dict[int, np.ndarray] = {}
+    encode = {x: state_prep_unitary(kets[x]) for x in range(2**n)}
+    move = Move("alice", m_wire, encode, controls=x_wires, send=m_wire)
+    decode: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for i in range(2**ib):
         if i < n:
-            rho0, rho1 = _mixture_pair(kets, n, i)
-            meas, _ = optimal_measurement(rho0, rho1)
-            blocks0[i] = meas.projector_pos
-            blocks1[i] = meas.projector_neg
+            meas, _ = optimal_measurement(*_mixture_pair(kets, n, i))
+            decode[i] = (meas.projector_pos, meas.projector_neg)
         else:
-            blocks0[i] = np.eye(2, dtype=np.complex128)
-            blocks1[i] = zero2
+            decode[i] = (proto.I2, np.zeros((2, 2), dtype=np.complex128))
     i_wires = layout.register("i").qubits
-    measurement = Measurement(
-        "bob",
-        (*i_wires, *m_wire),
-        (block_diagonal(blocks0, ib), block_diagonal(blocks1, ib)),
-    )
+    measurement = Measurement("bob", m_wire, decode, controls=i_wires)
     return ProtocolSpec(layout, (move,), measurement)
 
 
+def _copy_moves(player, sources, copies) -> list[Move]:
+    """copies[k] ^= sources[k], one CNOT move per bit; the last sends the copies."""
+    moves = [Move(player, (c,), {1: proto.X}, controls=(s,)) for s, c in zip(sources, copies)]
+    moves[-1] = replace(moves[-1], send=tuple(copies))
+    return moves
+
+
 def classical_copy_protocol(n: int) -> ProtocolSpec:
-    """Alice copies all n bits into the message; zero error at m = n."""
+    """Alice copies all n bits into the message; zero error at m = n.
+
+    Alice sends x through one CNOT per bit. Bob swaps m_i onto the first
+    message wire, one controlled swap per index, and measures that wire.
+    """
     ib = _index_register_bits(n)
     layout = make_layout(
         [
@@ -190,36 +192,14 @@ def classical_copy_protocol(n: int) -> ProtocolSpec:
             ("m", n, "message", "alice"),
         ]
     )
-    blocks0: dict[int, np.ndarray] = {}
-    blocks1: dict[int, np.ndarray] = {}
-    dm = 2**n
-    for i in range(2**ib):
-        if i < n:
-            diag = np.array([1.0 - bit_of(v, i, n) for v in range(dm)])
-            blocks0[i] = np.diag(diag).astype(np.complex128)
-            blocks1[i] = np.diag(1.0 - diag).astype(np.complex128)
-        else:
-            blocks0[i] = np.eye(dm, dtype=np.complex128)
-            blocks1[i] = np.zeros((dm, dm), dtype=np.complex128)
+    x_wires = layout.register("x").qubits
     i_wires = layout.register("i").qubits
     m_wires = layout.register("m").qubits
-    measurement = Measurement(
-        "bob",
-        (*i_wires, *m_wires),
-        (block_diagonal(blocks0, ib), block_diagonal(blocks1, ib)),
-    )
-    # Built after the measurement: for n >= 6 the projectors already pass
-    # the operator cap, so this raises before allocating the 2^n copy
-    # blocks (268 MB at n = 8).
-    copy_blocks = {}
-    for x in range(2**n):
-        mat = np.eye(1, dtype=np.complex128)
-        for i in range(n):
-            mat = np.kron(mat, proto.X if bit_of(x, i, n) else proto.I2)
-        copy_blocks[x] = mat
-    x_wires = layout.register("x").qubits
-    move = Move("alice", block_diagonal(copy_blocks, n), (*x_wires, *m_wires), send=m_wires)
-    return ProtocolSpec(layout, (move,), measurement)
+    moves = _copy_moves("alice", x_wires, m_wires)
+    for i in range(1, n):
+        moves.append(Move("bob", (m_wires[0], m_wires[i]), {i: SWAP}, controls=i_wires))
+    measurement = Measurement("bob", m_wires[:1], {0: (P0, P1)})
+    return ProtocolSpec(layout, tuple(moves), measurement)
 
 
 def trivial_index_protocol(n: int) -> ProtocolSpec:
@@ -242,31 +222,14 @@ def trivial_index_protocol(n: int) -> ProtocolSpec:
     i_wires = layout.register("i").qubits
     mi_wires = layout.register("mi").qubits
     ans_wire = layout.register("ans").qubits
-    copy_blocks = {}
-    for i in range(2**ib):
-        mat = np.eye(1, dtype=np.complex128)
-        for b in range(ib):
-            mat = np.kron(mat, proto.X if (i >> (ib - 1 - b)) & 1 else proto.I2)
-        copy_blocks[i] = mat
-    send_index = Move(
-        "bob", block_diagonal(copy_blocks, ib), (*i_wires, *mi_wires), send=mi_wires
-    )
-    answer_blocks = {}
-    for x in range(2**n):
-        for i in range(2**ib):
-            ctrl = (x << ib) | i
-            hit = bit_of(x, i, n) if i < n else 0
-            answer_blocks[ctrl] = proto.X if hit else proto.I2
+    answer_blocks = {
+        (x << ib) | i: proto.X for x in range(2**n) for i in range(n) if bit_of(x, i, n)
+    }
     answer = Move(
-        "alice",
-        block_diagonal(answer_blocks, n + ib),
-        (*x_wires, *mi_wires, *ans_wire),
-        send=ans_wire,
+        "alice", ans_wire, answer_blocks, controls=(*x_wires, *mi_wires), send=ans_wire
     )
-    p0 = np.diag([1.0, 0.0]).astype(np.complex128)
-    p1 = np.diag([0.0, 1.0]).astype(np.complex128)
-    measurement = Measurement("bob", ans_wire, (p0, p1))
-    return ProtocolSpec(layout, (send_index, answer), measurement)
+    moves = (*_copy_moves("bob", i_wires, mi_wires), answer)
+    return ProtocolSpec(layout, moves, Measurement("bob", ans_wire, {0: (P0, P1)}))
 
 
 def index_ensemble(n: int) -> InputEnsemble:
@@ -320,8 +283,8 @@ class RacBoundReport:
 def rac_lower_bound_check(spec: ProtocolSpec, n: int) -> RacBoundReport:
     """Measure eps and certify (1 - H(eps)) * n <= m link by link.
 
-    Requires a one-message protocol: a single Alice move sending the
-    whole message, then Bob's measurement.
+    Requires a one-message protocol: Alice's moves, the last of them
+    sending the whole message, then Bob's moves and measurement.
     """
     sends = [i for i, mv in enumerate(spec.moves) if mv.send]
     if len(sends) != 1 or spec.moves[sends[0]].player != "alice":

@@ -24,17 +24,18 @@ Every inequality along the way is measured exactly and reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
 from . import protocol as proto
 from .errors import ReductionError
 from .info import holevo_information, make_ensemble
-from .metrics import trace_distance
 from .protocol import (
     H,
-    I2,
+    P0,
+    P1,
     InputEnsemble,
     InputInstance,
     Measurement,
@@ -43,7 +44,7 @@ from .protocol import (
     Register,
     RegisterLayout,
     Branch,
-    block_diagonal,
+    evolve,
     first_message_density,
     initial_state,
     make_layout,
@@ -57,7 +58,6 @@ from .states import (
     canonical_purification,
     distance_up_to_phase,
     make_density,
-    reduced_state,
 )
 from .transition import apply_k_unitary, exact_local_transition, uhlmann_align
 
@@ -78,33 +78,20 @@ class TwoRoundFamily:
     inner_bits: int = 2
 
 
-def _decode_block(v: int) -> np.ndarray:
-    # Answer bit is v[m]; a permutation decode exists only when the two
-    # bits differ, otherwise flipping by the first bit is as good as any.
-    first = (v >> 1) & 1
-    return proto.X if first else I2
-
-
 def _decode_move(layout: RegisterLayout) -> Move:
-    a_w = layout.register("a").qubits
-    x0_w = layout.register("x0").qubits
-    x1_w = layout.register("x1").qubits
+    # Answer bit is v[m] for the selected block v; a permutation decode
+    # exists only when the two bits differ, otherwise flipping by the
+    # first bit is as good as any.
+    controls = tuple(q for name in ("a", "x0", "x1") for q in layout.register(name).qubits)
     m_w = layout.register("m").qubits
-    blocks = {}
-    for j in range(2):
-        for v0 in range(4):
-            for v1 in range(4):
-                ctrl = (j << 4) | (v0 << 2) | v1
-                blocks[ctrl] = _decode_block(v0 if j == 0 else v1)
-    unitary = block_diagonal(blocks, 5)
-    return Move("alice", unitary, (*a_w, *x0_w, *x1_w, *m_w), send=m_w)
-
-
-def _computational_measurement(layout: RegisterLayout) -> Measurement:
-    m_w = layout.register("m").qubits
-    p0 = np.diag([1.0, 0.0]).astype(np.complex128)
-    p1 = np.diag([0.0, 1.0]).astype(np.complex128)
-    return Measurement("bob", m_w, (p0, p1))
+    blocks = {
+        (j << 4) | (v0 << 2) | v1: proto.X
+        for j in range(2)
+        for v0 in range(4)
+        for v1 in range(4)
+        if ((v0 if j == 0 else v1) >> 1) & 1
+    }
+    return Move("alice", m_w, blocks, controls=controls, send=m_w)
 
 
 def two_round_family(style: str, theta: float = 0.6 * np.pi) -> TwoRoundFamily:
@@ -129,24 +116,17 @@ def two_round_family(style: str, theta: float = 0.6 * np.pi) -> TwoRoundFamily:
     y1_w = layout.register("y1").qubits
     m_w = layout.register("m").qubits
     if style == "copy_first":
-        first = Move(
-            "bob", block_diagonal({0: I2, 1: proto.X}, 1), (*y0_w, *m_w), send=m_w
-        )
+        first = Move("bob", m_w, {1: proto.X}, controls=y0_w, send=m_w)
     elif style == "constant":
-        first = Move("bob", H, m_w, send=m_w)
+        first = Move("bob", m_w, {0: H}, send=m_w)
     elif style == "parity":
-        blocks = {b: (proto.X if bin(b).count("1") % 2 else I2) for b in range(4)}
-        first = Move(
-            "bob", block_diagonal(blocks, 2), (*y0_w, *y1_w, *m_w), send=m_w
-        )
+        first = Move("bob", m_w, {1: proto.X, 2: proto.X}, controls=(*y0_w, *y1_w), send=m_w)
     elif style == "rotation":
-        first = Move(
-            "bob", block_diagonal({0: I2, 1: ry(theta)}, 1), (*y0_w, *m_w), send=m_w
-        )
+        first = Move("bob", m_w, {1: ry(theta)}, controls=y0_w, send=m_w)
     else:
         raise ValueError(f"unknown style {style!r}")
     spec = ProtocolSpec(
-        layout, (first, _decode_move(layout)), _computational_measurement(layout)
+        layout, (first, _decode_move(layout)), Measurement("bob", m_w, {0: (P0, P1)})
     )
     spec.validate()
     return TwoRoundFamily(spec, style)
@@ -299,12 +279,13 @@ def modify_first_message(
 ) -> tuple[ProtocolSpec, FirstMessageReport]:
     """Derive P' whose first message ignores y_j, plus the certificate.
 
-    Bob's opening unitary is rewired to read a fresh ancilla prepared in
-    the uniform superposition instead of y_j, which forces
-    I(M : Y_j) = 0. A corrective unitary on his remaining qubits,
-    controlled on y_j and built by purification alignment, brings the
-    global state back toward the original one; the error increase is
-    bounded by twice the mean square-root alignment distance.
+    Bob's opening becomes two moves: a Hadamard puts a fresh ancilla psi
+    in the uniform superposition, and the original blocks then read psi
+    in the control slot of y_j, which forces I(M : Y_j) = 0. A corrective
+    unitary on his remaining qubits, controlled on y_j and built by
+    purification alignment, brings the global state back toward the
+    original one; the error increase is bounded by twice the mean
+    square-root alignment distance.
     """
     other = 1 - j
     # The derived protocol solves the inner index problem on slot j, so
@@ -315,7 +296,7 @@ def modify_first_message(
     if first.player != "bob":
         raise ReductionError("the first move must belong to the player without the pointer")
     yj_wires = base.layout.register(f"y{j}").qubits
-    touched = tuple(q for q in yj_wires if q in first.targets)
+    touched = tuple(q for q in yj_wires if q in first.controls)
 
     eps_j = run_protocol(base, slice_distribution(family, j)).error_avg
     mu_j = slice_information(base, family, j)
@@ -324,50 +305,38 @@ def modify_first_message(
         prime = _relayout(base, append=[("psi", len(touched), "work", "bob")])
         psi_wires = prime.layout.register("psi").qubits
         wire_map = dict(zip(touched, psi_wires))
-        new_targets = tuple(wire_map.get(q, q) for q in first.targets)
-        hadamards = np.eye(1, dtype=np.complex128)
-        for q in new_targets:
-            hadamards = np.kron(hadamards, H if q in psi_wires else I2)
-        rewired = Move(
-            "bob", np.asarray(first.unitary) @ hadamards, new_targets, first.send
-        )
+        hadamards = Move("bob", psi_wires, {0: reduce(np.kron, [H] * len(psi_wires))})
+        rewired = replace(first, controls=tuple(wire_map.get(q, q) for q in first.controls))
+        opening = (hadamards, rewired)
     else:
         prime = base
-        rewired = first
+        opening = (first,)
 
     layout = prime.layout
     m_wires = tuple(first.send)
 
-    def opening_state(move: Move, z: int) -> Branch:
-        state = initial_state(layout, {f"y{j}": z, f"y{other}": PLUS})
-        return state.apply(move.unitary, move.targets)
+    def opened(moves, z: int) -> Branch:
+        return evolve(moves, initial_state(layout, {f"y{j}": z, f"y{other}": PLUS}))
 
     # y_j and Alice's inputs are classical, so K is every other wire.
-    opened = opening_state(rewired, 0)
-    k_wires = tuple(q for q in opened.wires if q not in m_wires)
-    phi_prime = opened.bipartite(m_wires, k_wires)
-    rho_mean = reduced_state(phi_prime)
+    rewired_state = opened(opening, 0)
+    k_wires = tuple(q for q in rewired_state.wires if q not in m_wires)
+    phi_prime = rewired_state.bipartite(m_wires, k_wires)
     t_values = []
     align_distances = []
     corrective_blocks = {}
     for z in range(family.inner_bits):
-        phi_z = opening_state(first, z).bipartite(m_wires, k_wires)
+        phi_z = opened((first,), z).bipartite(m_wires, k_wires)
         result = uhlmann_align(phi_z, phi_prime)
-        t_z = trace_distance(reduced_state(phi_z), rho_mean)
-        if result.pure_distance > 2.0 * np.sqrt(t_z) + 1e-8:
+        if result.pure_distance > result.bound + 1e-8:
             raise ReductionError("alignment distance exceeded its bound")
-        t_values.append(t_z)
+        t_values.append(result.t)
         align_distances.append(result.pure_distance)
         corrective_blocks[z] = result.unitary_k
 
-    corrective = Move(
-        "bob",
-        block_diagonal(corrective_blocks, len(yj_wires)),
-        (*yj_wires, *k_wires),
-        send=(),
-    )
+    corrective = Move("bob", k_wires, corrective_blocks, controls=yj_wires)
     spec_prime = ProtocolSpec(
-        layout, (rewired, corrective, *prime.moves[1:]), prime.final_measurement
+        layout, (*opening, corrective, *prime.moves[1:]), prime.final_measurement
     )
     spec_prime.validate()
 
@@ -414,8 +383,7 @@ def drop_first_message(
     The outcome distribution matches P' on every slice input, with one
     round fewer and at most ceil(log2 n) extra message qubits.
     """
-    first, corrective = spec_prime.moves[:2]
-    m_wires = tuple(first.send)
+    m_wires = tuple(spec_prime.moves[spec_prime.first_message_index()].send)
 
     densities = message_density_by_value(spec_prime, family, j)
     rho_list = list(densities.values())
@@ -434,28 +402,20 @@ def drop_first_message(
     bp_wires = layout.register("bp").qubits if n_b > 0 else ()
 
     purification = canonical_purification(rho_m, max(2**n_b, 1))
-    prep = Move(
-        "alice",
-        state_prep_unitary(purification.vec),
-        (*m_wires, *bp_wires),
-        send=(),
-    )
+    prep = Move("alice", (*m_wires, *bp_wires), {0: state_prep_unitary(purification.vec)})
 
-    # Alice's own move from P' now also carries B''.
-    alice_move = shell.moves[2]
-    alice_move = Move(
-        alice_move.player,
-        alice_move.unitary,
-        alice_move.targets,
-        tuple(alice_move.send) + tuple(bp_wires),
-    )
+    # Bob plays every move of P' before Alice's first one: his opening
+    # and the corrective. Alice's own move now also carries B''.
+    first_alice = next(i for i, mv in enumerate(shell.moves) if mv.player == "alice")
+    alice_move = shell.moves[first_alice]
+    alice_move = replace(alice_move, send=(*alice_move.send, *bp_wires))
 
     yj_wires = layout.register(f"y{j}").qubits
     y_other = f"y{1 - j}"
 
     # Alice's prepared message; y_j and Alice's inputs are classical, so
     # K is B'' followed by every other simulated wire.
-    prepared = initial_state(layout, {y_other: PLUS}).apply(prep.unitary, prep.targets)
+    prepared = evolve((prep,), initial_state(layout, {y_other: PLUS}))
     k_full = (*bp_wires, *(q for q in prepared.wires if q not in (*m_wires, *bp_wires)))
     xi = prepared.bipartite(m_wires, k_full)
 
@@ -465,8 +425,7 @@ def drop_first_message(
     v_blocks = {}
     for z in range(family.inner_bits):
         state = initial_state(layout, {f"y{j}": z, y_other: PLUS})
-        state = state.apply(first.unitary, first.targets)
-        state = state.apply(corrective.unitary, corrective.targets)
+        state = evolve(shell.moves[:first_alice], state)
         chi = state.bipartite(m_wires, k_full)
         v_z = exact_local_transition(chi, xi)
         aligned = apply_k_unitary(xi, v_z)
@@ -475,15 +434,10 @@ def drop_first_message(
         )
         v_blocks[z] = v_z
 
-    restore = Move(
-        "bob",
-        block_diagonal(v_blocks, len(yj_wires)),
-        (*yj_wires, *k_full),
-        send=(),
-    )
+    restore = Move("bob", k_full, v_blocks, controls=yj_wires)
     spec_double = ProtocolSpec(
         layout,
-        (prep, alice_move, restore, *shell.moves[3:]),
+        (prep, alice_move, restore, *shell.moves[first_alice + 1 :]),
         shell.final_measurement,
     )
     spec_double.validate()

@@ -22,7 +22,7 @@ from .errors import (
     SizeError,
     TraceError,
 )
-from .linalg import CERT_TOL, DEFAULT_TOL, dagger
+from .linalg import DEFAULT_TOL, dagger
 from .rng import Stream
 
 
@@ -66,15 +66,6 @@ class BipartitePureState:
     def coefficient_matrix(self) -> np.ndarray:
         """Reshape to (dim_h, dim_k); rows index H, columns index K."""
         return self.vec.reshape(self.dim_h, self.dim_k)
-
-
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Schmidt form: coeffs descending, orthonormal bases on each side."""
-
-    coeffs: np.ndarray
-    left_basis: np.ndarray
-    right_basis: np.ndarray
 
 
 def make_density(mat, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -142,20 +133,6 @@ def reduced_state(psi: BipartitePureState, keep: str = "H") -> DensityMatrix:
     if keep == "K":
         return make_density(a.T @ np.conj(a), tol=1e-8)
     raise ValueError(f"keep must be 'H' or 'K', got {keep!r}")
-
-
-def schmidt(psi: BipartitePureState, tol: float = DEFAULT_TOL) -> SchmidtDecomposition:
-    """Schmidt decomposition via SVD of the coefficient matrix.
-
-    Reassembly is sum_r coeffs[r] * left[:, r] (x) right[:, r].
-    """
-    a = psi.coefficient_matrix()
-    u, s, v = linalg.svd(a)
-    right = np.conj(v)
-    total = float(np.sum(s**2))
-    if abs(total - 1.0) > max(CERT_TOL, tol):
-        raise NormalizationError(f"Schmidt coefficients sum to {total}, not 1")
-    return SchmidtDecomposition(_frozen(s), _frozen(u), _frozen(right))
 
 
 def _phase_normalized(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:

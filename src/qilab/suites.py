@@ -14,6 +14,7 @@ import numpy as np
 
 from . import encoding as enc
 from . import info, linalg, metrics, rac, reduction, transition
+from .errors import ReductionError
 from .info import (
     binary_entropy,
     binary_entropy_gap,
@@ -461,6 +462,10 @@ _PIPELINE_STYLES = ("copy_first", "constant", "parity", "rotation")
 
 
 def reduction_suite(cfg: SuiteConfig) -> list[CheckResult]:
+    if cfg.n != 2:
+        # The toy family is the n = 2 nested index problem; running it for
+        # another n would report a PASS for a check that never ran.
+        raise ReductionError(f"the reduction suite runs n = 2 only, not n = {cfg.n}")
     independence = _Tally("first_message_independence", _tol(cfg, 1e-9))
     align_bound = _Tally("alignment_error_bound", _tol(cfg, 1e-8))
     info_bound = _Tally("info_error_bound", _tol(cfg, 1e-8))

@@ -32,14 +32,18 @@ class TransitionResult:
     """Outcome of aligning one purification against another.
 
     ``pure_distance`` is the trace distance between the first state and
-    the rotated second state; ``bound`` is 2 * sqrt(trace distance of the
-    reduced states), which always dominates it.
+    the rotated second state; ``t`` is the trace distance of the reduced
+    states, and ``bound`` = 2 * sqrt(t) always dominates ``pure_distance``.
     """
 
     unitary_k: np.ndarray
     achieved_overlap_sq: float
     pure_distance: float
-    bound: float
+    t: float
+
+    @property
+    def bound(self) -> float:
+        return 2.0 * float(np.sqrt(self.t))
 
 
 def apply_k_unitary(psi: BipartitePureState, u: np.ndarray) -> BipartitePureState:
@@ -84,8 +88,8 @@ def uhlmann_align(
     pure_distance = 2.0 * float(np.sqrt(max(1.0 - overlap_sq, 0.0)))
     rho1 = reduced_state(phi1, "H")
     rho2 = reduced_state(phi2, "H")
-    bound = 2.0 * float(np.sqrt(metrics.trace_distance(rho1, rho2)))
-    return TransitionResult(u, overlap_sq, pure_distance, bound)
+    t = metrics.trace_distance(rho1, rho2)
+    return TransitionResult(u, overlap_sq, pure_distance, t)
 
 
 def exact_local_transition(

@@ -86,13 +86,32 @@ def test_bad_flags_exit_two(capsys):
 
 
 def test_library_size_error_exits_two(capsys):
-    # n = 5 reaches the dense-operator cap, n = 9 the simulated-wire cap
-    for n in ("5", "9"):
-        code = cli.main(["--suite", "rac", "--n", n])
+    # n = 9 copies into 9 message qubits, past the simulated-wire cap
+    code = cli.main(["--suite", "rac", "--n", "9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "cap" in captured.err
+
+
+def test_five_bit_index_runs(capsys):
+    # controls never enter a dense operator, so n = 5 fits the caps
+    code, out = run_cli(["--suite", "rac", "--n", "5", "--format", "json"], capsys)
+    by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert by_name["classical_copy_equality"]["violations"] == 0
+    assert by_name["classical_copy_equality"]["details"]["n"] == 5
+    assert code == 0
+
+
+def test_reduction_rejects_other_n(capsys):
+    # the reduction suite runs the n = 2 family only; any other --n used
+    # to run n = 2 anyway and report a PASS
+    for suite in ("reduction", "all"):
+        code = cli.main(["--suite", suite, "--n", "3", "--trials", "1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.count("\n") == 1 and "cap" in captured.err
+        assert captured.err.count("\n") == 1 and "n = 2" in captured.err
 
 
 def test_four_bit_index_runs(capsys):

@@ -7,7 +7,7 @@ from qilab import linalg
 from qilab import protocol as proto
 from qilab import rac
 from qilab import reduction as red
-from qilab.errors import ModelViolationError, ProtocolError, SizeError
+from qilab.errors import ProtocolError, SizeError
 from qilab.rng import Stream
 from qilab.states import random_unitary
 
@@ -19,9 +19,8 @@ def copy_protocol():
     layout = proto.make_layout(
         [("x", 1, "input", "alice"), ("m", 1, "message", "alice")]
     )
-    cnot = proto.block_diagonal({0: proto.I2, 1: proto.X}, 1)
-    moves = (proto.Move("alice", cnot, (0, 1), send=(1,)),)
-    meas = proto.Measurement("bob", (1,), (P0, P1))
+    moves = (proto.Move("alice", (1,), {1: proto.X}, controls=(0,), send=(1,)),)
+    meas = proto.Measurement("bob", (1,), {0: (P0, P1)})
     return proto.ProtocolSpec(layout, moves, meas)
 
 
@@ -34,7 +33,7 @@ def uniform_bit_ensemble():
 def test_empty_protocol_fixed_work_qubit():
     layout = proto.make_layout([("w", 1, "work", "alice")])
     spec = proto.ProtocolSpec(
-        layout, (), proto.Measurement("alice", (0,), (P0, P1))
+        layout, (), proto.Measurement("alice", (0,), {0: (P0, P1)})
     )
     report = proto.run_protocol(
         spec, proto.InputEnsemble((proto.InputInstance(1.0, {}, 0),))
@@ -88,8 +87,8 @@ def test_ownership_violation_rejected():
     )
     spec = proto.ProtocolSpec(
         layout,
-        (proto.Move("alice", proto.block_diagonal({0: proto.I2, 1: proto.X}, 1), (0, 1)),),
-        proto.Measurement("bob", (1,), (P0, P1)),
+        (proto.Move("alice", (1,), {1: proto.X}, controls=(0,)),),
+        proto.Measurement("bob", (1,), {0: (P0, P1)}),
     )
     with pytest.raises(ProtocolError):
         spec.validate()
@@ -101,38 +100,35 @@ def test_sending_unowned_qubit_rejected():
     )
     spec = proto.ProtocolSpec(
         layout,
-        (proto.Move("alice", proto.I2, (0,), send=(1,)),),
-        proto.Measurement("bob", (1,), (P0, P1)),
+        (proto.Move("alice", (0,), {}, send=(1,)),),
+        proto.Measurement("bob", (1,), {0: (P0, P1)}),
     )
     with pytest.raises(ProtocolError):
         spec.validate()
 
 
 def test_input_register_write_rejected():
+    # inputs can only be controls: listing one as a target is refused at
+    # validate time, whatever the block (X or H would rewrite it)
     layout = proto.make_layout(
         [("x", 1, "input", "alice"), ("m", 1, "message", "alice")]
     )
+    for gate in (proto.X, proto.H, proto.I2):
+        spec = proto.ProtocolSpec(
+            layout,
+            (proto.Move("alice", (0,), {0: gate}),),
+            proto.Measurement("alice", (1,), {0: (P0, P1)}),
+        )
+        with pytest.raises(ProtocolError, match="input"):
+            spec.validate()
+    # a wire cannot be both a control and a target
     spec = proto.ProtocolSpec(
         layout,
-        (proto.Move("alice", proto.X, (0,)),),
-        proto.Measurement("alice", (1,), (P0, P1)),
+        (proto.Move("alice", (1,), {1: proto.X}, controls=(1,)),),
+        proto.Measurement("alice", (1,), {0: (P0, P1)}),
     )
-    with pytest.raises(ModelViolationError):
+    with pytest.raises(ProtocolError, match="control and target"):
         spec.validate()
-    # Hadamard on an input register also rewrites it
-    spec2 = proto.ProtocolSpec(
-        layout,
-        (proto.Move("alice", proto.H, (0,)),),
-        proto.Measurement("alice", (1,), (P0, P1)),
-    )
-    with pytest.raises(ModelViolationError):
-        spec2.validate()
-    # a leak between one pair of blocks, among 4 x 4, is found
-    leaky = proto.block_diagonal({b: proto.I2 for b in range(4)}, 2)
-    proto._assert_block_diagonal(leaky, 3, [0, 1], 1e-10, 0)
-    leaky[6:8, 4:6] = 1e-6 * np.eye(2)
-    with pytest.raises(ModelViolationError):
-        proto._assert_block_diagonal(leaky, 3, [0, 1], 1e-10, 0)
 
 
 def test_controlled_read_of_input_is_allowed():
@@ -143,8 +139,8 @@ def test_non_unitary_move_rejected():
     layout = proto.make_layout([("w", 1, "work", "alice")])
     spec = proto.ProtocolSpec(
         layout,
-        (proto.Move("alice", np.array([[1.0, 0.0], [0.0, 0.5]]), (0,)),),
-        proto.Measurement("alice", (0,), (P0, P1)),
+        (proto.Move("alice", (0,), {0: np.array([[1.0, 0.0], [0.0, 0.5]])}),),
+        proto.Measurement("alice", (0,), {0: (P0, P1)}),
     )
     with pytest.raises(ProtocolError):
         spec.validate()
@@ -156,8 +152,8 @@ def test_measurement_ownership_enforced():
     )
     spec = proto.ProtocolSpec(
         layout,
-        (proto.Move("alice", proto.I2, (1,)),),  # never sent
-        proto.Measurement("bob", (1,), (P0, P1)),
+        (proto.Move("alice", (1,), {0: proto.I2}),),  # never sent
+        proto.Measurement("bob", (1,), {0: (P0, P1)}),
     )
     with pytest.raises(ProtocolError):
         spec.validate()
@@ -184,10 +180,11 @@ def test_basis_inputs_are_classical_bits():
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     state = proto.initial_state(layout, {"x": plus})
     assert state.bits == {} and state.wires == (0, 1)
-    # a move is cut to the block its classical controls select
-    cnot = proto.block_diagonal({0: proto.I2, 1: proto.X}, 1)
-    flipped = proto.initial_state(layout, {"x": 1}).apply(cnot, (0, 1))
+    # the classical control bits select the block
+    flipped = proto.initial_state(layout, {"x": 1}).apply((0,), (1,), {1: proto.X})
     assert np.allclose(flipped.vec, [0.0, 1.0])
+    kept = proto.initial_state(layout, {"x": 0}).apply((0,), (1,), {1: proto.X})
+    assert np.allclose(kept.vec, [1.0, 0.0])
 
 
 def test_bipartite_orders_the_simulated_wires():
@@ -206,15 +203,6 @@ def test_state_prep_unitary():
     assert np.linalg.norm(u.conj().T @ u - np.eye(8)) <= 1e-10
 
 
-def test_block_diagonal_shapes():
-    out = proto.block_diagonal({0: proto.I2, 3: proto.X}, 2)
-    assert out.shape == (8, 8)
-    assert np.allclose(out[6:8, 6:8], proto.X)
-    assert np.allclose(out[2:4, 2:4], proto.I2)  # missing blocks default to I
-    with pytest.raises(SizeError):
-        proto.block_diagonal({0: proto.I2, 1: np.eye(4)}, 1)
-
-
 def test_layout_validation():
     with pytest.raises(ProtocolError):
         proto.RegisterLayout(
@@ -230,24 +218,30 @@ def test_total_variation():
 
 
 def test_operator_cap():
-    # a dense operator past 2^MAX_QUBITS is refused before it is allocated
+    # controls never enter a dense operator: x(8) + i(3) + m fits, with the
+    # copy as one CNOT per bit and the code as one 2x2 block per x
+    _, bloch = rac.optimize_rac(8, seed=5, starts=1)
+    kets = [rac.bloch_to_ket(b) for b in bloch]
+    ensemble = rac.index_ensemble(8)
     tracemalloc.start()
     try:
-        with pytest.raises(SizeError):
-            proto.block_diagonal({0: np.eye(256)}, 1)
-        with pytest.raises(SizeError):
-            rac.classical_copy_protocol(5)
+        copy = rac.classical_copy_protocol(8)
+        code = rac.rac_protocol(8, kets)
+        copy_report = proto.run_protocol(copy, ensemble)
+        code_report = proto.run_protocol(code, ensemble)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**22  # the refused 1024 x 1024 operator alone is 16 MiB
+    assert peak < 2**22  # a dense copy operator on the 16 x + m wires is 64 GiB
+    assert copy_report.error_avg == 0.0
+    assert 0.5 <= 1.0 - code_report.error_avg <= 1.0
     layout = proto.make_layout(
         [("x", 9, "input", "alice"), ("m", 1, "message", "alice")]
     )
     spec = proto.ProtocolSpec(
         layout,
-        (proto.Move("alice", np.eye(2**9), tuple(range(9))),),
-        proto.Measurement("alice", (9,), (P0, P1)),
+        (proto.Move("alice", tuple(range(9)), {0: np.eye(2**9)}),),
+        proto.Measurement("alice", (9,), {0: (P0, P1)}),
     )
     with pytest.raises(SizeError):
         spec.validate()
@@ -258,22 +252,34 @@ def test_operator_cap():
 # ---------------------------------------------------------------------------
 
 
-def _embed(op, targets, n):
-    """The 2^n x 2^n operator acting as ``op`` on ``targets``."""
-    rest = [q for q in range(n) if q not in targets]
-    order = [*targets, *rest]
-    perm = np.zeros((2**n, 2**n))
-    for b in range(2**n):
-        bits = [(b >> (n - 1 - q)) & 1 for q in range(n)]
-        perm[int("".join(str(bits[q]) for q in order), 2), b] = 1.0
-    return perm.T @ np.kron(op, np.eye(2 ** len(rest))) @ perm
+def _embed(controls, targets, blocks, n, default=None):
+    """The 2^n x 2^n operator applying blocks[b] (``default`` when b is
+    missing) on ``targets`` where the ``controls`` read b, entry by entry."""
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for col in range(2**n):
+        bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
+        b = int("0" + "".join(str(bits[q]) for q in controls), 2)
+        block = np.asarray(blocks[b] if b in blocks else default)
+        t_in = int("0" + "".join(str(bits[q]) for q in targets), 2)
+        for t_out in range(2 ** len(targets)):
+            row_bits = list(bits)
+            for k, q in enumerate(targets):
+                row_bits[q] = (t_out >> (len(targets) - 1 - k)) & 1
+            out[int("".join(map(str, row_bits)), 2), col] += block[t_out, t_in]
+    return out
 
 
 def dense_distributions(spec, ensemble):
     n = spec.layout.n_qubits
-    moves = [_embed(np.asarray(m.unitary), m.targets, n) for m in spec.moves]
+    moves = [
+        _embed(m.controls, m.targets, m.blocks, n, np.eye(2 ** len(m.targets)))
+        for m in spec.moves
+    ]
     meas = spec.final_measurement
-    projs = [_embed(np.asarray(p), meas.qubits, n) for p in meas.projectors]
+    projs = [
+        _embed(meas.controls, meas.targets, {b: p[k] for b, p in meas.blocks.items()}, n)
+        for k in range(len(meas.blocks[0]))
+    ]
     out = []
     for inst in ensemble.instances:
         state = np.ones(1, dtype=complex)
@@ -309,6 +315,8 @@ def test_dense_reference_index_protocols():
         rac.trivial_index_protocol(2),
     ):
         assert_matches_dense(spec, rac.index_ensemble(2))
+    for spec in (rac.classical_copy_protocol(3), rac.trivial_index_protocol(3)):
+        assert_matches_dense(spec, rac.index_ensemble(3))
 
 
 def test_dense_reference_two_round_family():
@@ -318,3 +326,14 @@ def test_dense_reference_two_round_family():
             for superposed in (True, False):
                 ensemble = red.slice_distribution(fam, j, superposed)
                 assert_matches_dense(fam.spec, ensemble)
+
+
+def test_dense_reference_derived_parity_protocol():
+    # P' of parity reads the superposed ancilla psi in the control slot of
+    # y_j, next to the other y register, now a simulated work wire
+    fam = red.two_round_family("parity")
+    for j in (0, 1):
+        spec_prime, _ = red.modify_first_message(fam, j)
+        assert spec_prime.layout.n_qubits == 9
+        for superposed in (True, False):
+            assert_matches_dense(spec_prime, red.slice_distribution(fam, j, superposed))

@@ -40,7 +40,7 @@ def test_unfixed_slot_acts_like_uniform_mixture():
     state = proto.initial_state(layout, ens1.instances[0].register_states)
     y0 = layout.register("y0").qubits
     assert set(y0) <= set(state.wires)  # a superposed input stays a wire
-    state = proto.evolve(fam.spec, state, upto=1)
+    state = proto.evolve(fam.spec.moves[:1], state)
     assert np.allclose(state.density(y0), np.eye(2) / 2, atol=1e-12)
 
 
@@ -128,8 +128,8 @@ def test_message_info_budget():
 
 
 def test_random_first_messages_respect_budget():
-    # randomized sweep over block-diagonal first moves on (y0, y1, m)
-    from qilab.protocol import Move, ProtocolSpec, block_diagonal
+    # randomized sweep over first moves on m controlled by (y0, y1)
+    from qilab.protocol import Move, ProtocolSpec
     from qilab.states import random_unitary
     from qilab.rng import derive_seed
 
@@ -142,7 +142,7 @@ def test_random_first_messages_respect_budget():
         blocks = {
             b: random_unitary(2, derive_seed(130, trial, b)) for b in range(4)
         }
-        first = Move("bob", block_diagonal(blocks, 2), (*y0, *y1, *m), send=m)
+        first = Move("bob", m, blocks, controls=(*y0, *y1), send=m)
         spec = ProtocolSpec(
             layout, (first, base.spec.moves[1]), base.spec.final_measurement
         )

@@ -93,36 +93,6 @@ def test_mixture_rejects_bad_weights():
         states.mixture([1.5, -0.5], [rho, rho])
 
 
-def test_schmidt_product_state():
-    vec = np.zeros(4, dtype=complex)
-    vec[1] = 1.0  # |0>|1>
-    dec = states.schmidt(states.make_pure(2, 2, vec))
-    assert np.allclose(dec.coeffs, [1.0, 0.0], atol=1e-12)
-
-
-def test_schmidt_bell_state():
-    vec = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    dec = states.schmidt(states.make_pure(2, 2, vec))
-    assert np.allclose(dec.coeffs, [1 / np.sqrt(2)] * 2)
-
-
-def test_schmidt_reassembly_and_spectrum():
-    psi = states.random_pure(3, 4, 21)
-    dec = states.schmidt(psi)
-    rebuilt = sum(
-        dec.coeffs[r] * np.kron(dec.left_basis[:, r], dec.right_basis[:, r])
-        for r in range(len(dec.coeffs))
-    )
-    assert states.distance_up_to_phase(rebuilt, psi.vec) <= 1e-9
-    # oracle: squared coefficients equal the H-side reduced spectrum
-    reduced = states.reduced_state(psi, "H")
-    spectrum = np.sort(np.linalg.eigvalsh(reduced.mat))[::-1]
-    padded = np.zeros_like(spectrum)
-    padded[: len(dec.coeffs)] = dec.coeffs**2
-    assert np.allclose(np.sort(padded), np.sort(spectrum), atol=1e-10)
-    assert sum(dec.coeffs**2) == pytest.approx(1.0, abs=1e-10)
-
-
 def test_canonical_purification_pure_state():
     rho = states.pure_density([1, 0])
     psi = states.canonical_purification(rho, 1)
