@@ -40,12 +40,13 @@ for seed in range(4):
     r1 = random_density(4, rank=seed % 3 + 1, seed=10 + seed)
     r2 = random_density(4, rank=3, seed=20 + seed)
     f = fidelity(r1, r2)
-    half_t = trace_distance(r1, r2) / 2
+    t = trace_distance(r1, r2)
+    half_t = t / 2
     print(
         f"random dim-4 pair #{seed}    {f:.5f}  {half_t:.5f}   "
         f"{1 - np.sqrt(f):.5f}    {np.sqrt(1 - f):.5f}"
     )
-    lo, hi = fidelity_distance_bounds(r1, r2)
+    lo, hi = fidelity_distance_bounds(f, t)
     assert lo >= -1e-9 and hi >= -1e-9
 
 print()

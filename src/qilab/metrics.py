@@ -114,17 +114,14 @@ def bayes_success(r1: DensityMatrix, r2: DensityMatrix) -> float:
     return 0.5 + trace_distance(r1, r2) / 4.0
 
 
-def fidelity_distance_bounds(
-    r1: DensityMatrix, r2: DensityMatrix
-) -> tuple[float, float]:
+def fidelity_distance_bounds(f: float, t: float) -> tuple[float, float]:
     """Slack of the two-sided bound 1 - sqrt(F) <= t/2 <= sqrt(1 - F).
 
-    Returns (lower_slack, upper_slack) where t is the trace distance;
-    both are non-negative up to numerics for valid density matrices.
+    Takes the fidelity ``f`` and the trace distance ``t`` of one pair of
+    states and returns (lower_slack, upper_slack); both are non-negative
+    up to numerics when the pair are valid density matrices.
     """
-    _check_dims(r1, r2)
-    f = fidelity(r1, r2)
-    half_dist = trace_distance(r1, r2) / 2.0
+    half_dist = t / 2.0
     lower_slack = half_dist - (1.0 - np.sqrt(f))
     upper_slack = np.sqrt(max(1.0 - f, 0.0)) - half_dist
     return float(lower_slack), float(upper_slack)

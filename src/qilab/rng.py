@@ -5,6 +5,17 @@ with the standard constants below. It is stateless apart from the counter,
 so any language can reproduce the exact stream from the seed alone.
 Gaussian variates use the Box-Muller transform on the uniform stream.
 
+:meth:`Stream.gauss` is the definition of the Gaussian stream.
+:meth:`Stream.gauss_array` is its batched form and must equal
+``[s.gauss() for _ in range(n)]`` bit for bit, leaving the same counter
+and spare variate behind, so that a seed names the same states whichever
+path drew them. It runs SplitMix64 and the IEEE-exact steps (scaling,
+``sqrt``, products) on numpy arrays, but takes ``log``, ``cos`` and
+``sin`` from libm through :mod:`math`, as the scalar path does. numpy's
+vectorized ``np.log`` differs from libm by one ulp on about 0.3% of
+arguments (numpy 2.4 on x86-64), which moves about 0.16% of draws; its
+``cos`` and ``sin`` agree there, but no numpy build promises it.
+
 Constants (hex):
     GAMMA = 9E3779B97F4A7C15
     MIX1  = BF58476D1CE4E5B9
@@ -21,6 +32,13 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_U1, _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (1, 11, 27, 30, 31))
+# Draw counts below this go through the scalar gauss() loop: a batch costs
+# about 30 us of fixed numpy overhead, and the scalar loop is faster up to
+# 16 draws and slower from 20 on (numpy 2.4.6, Python 3.11, x86-64, one
+# core). Both paths give the same bits, so the cut only moves time.
+_BATCH_MIN = 18
 
 
 def mix64(z: int) -> int:
@@ -74,12 +92,53 @@ class Stream:
         return r * math.cos(2.0 * math.pi * u2)
 
     def gauss_array(self, n: int) -> np.ndarray:
-        return np.array([self.gauss() for _ in range(n)], dtype=np.float64)
+        """The next ``n`` values of :meth:`gauss`, as a float64 array."""
+        if n < _BATCH_MIN:
+            return np.array([self.gauss() for _ in range(n)], dtype=np.float64)
+        out = np.empty(n, dtype=np.float64)
+        start = 0
+        if n and self._spare_gauss is not None:
+            out[0] = self._spare_gauss
+            self._spare_gauss = None
+            start = 1
+        rest = n - start
+        pairs = (rest + 1) // 2
+        if pairs == 0:
+            return out
+        c = self.counter
+        self.counter += 2 * pairs
+        z = np.arange(c + 1, c + 2 * pairs + 1, dtype=np.uint64)
+        z *= _U_GAMMA
+        z += np.uint64(self.seed)
+        z ^= z >> _U30
+        z *= _U_MIX1
+        z ^= z >> _U27
+        z *= _U_MIX2
+        z ^= z >> _U31
+        z >>= _U11
+        # Draws 1, 3, 5, ... are uniform_open() and 2, 4, 6, ... uniform().
+        u1 = (z[0::2] + _U1) * 2.0**-53
+        u2 = z[1::2] * 2.0**-53
+        del z
+        log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, pairs)
+        r = np.sqrt(-2.0 * log_u1)
+        theta = ((2.0 * math.pi) * u2).tolist()
+        cos = np.fromiter(map(math.cos, theta), np.float64, pairs)
+        sin = np.fromiter(map(math.sin, theta), np.float64, pairs)
+        np.multiply(r, cos, out=out[start::2])
+        np.multiply(r[: rest // 2], sin[: rest // 2], out=out[start + 1 :: 2])
+        if rest % 2:
+            self._spare_gauss = float(r[-1] * sin[-1])
+        return out
 
     def complex_gauss_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """Matrix of standard complex Gaussians, row-major fill order."""
-        re = self.gauss_array(rows * cols)
-        im = self.gauss_array(rows * cols)
+        """Matrix of standard complex Gaussians, row-major fill order.
+
+        The real parts are the first ``rows * cols`` draws and the
+        imaginary parts the next ``rows * cols``.
+        """
+        g = self.gauss_array(2 * rows * cols)
+        re, im = g[: rows * cols], g[rows * cols :]
         return ((re + 1j * im) / math.sqrt(2.0)).reshape(rows, cols)
 
     def shuffled(self, items: list) -> list:

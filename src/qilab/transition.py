@@ -100,14 +100,12 @@ def exact_local_transition(
     Requires the reduced states on H to agree within ``tol`` in trace
     distance; use :func:`uhlmann_align` when they differ.
     """
-    rho1 = reduced_state(phi1, "H")
-    rho2 = reduced_state(phi2, "H")
-    gap = metrics.trace_distance(rho1, rho2)
+    result = uhlmann_align(phi1, phi2)
+    gap = result.t
     if gap > tol:
         raise ReductionError(
             f"reduced states differ by {gap:.3e}; exact transition needs equality"
         )
-    result = uhlmann_align(phi1, phi2)
     aligned = apply_k_unitary(phi2, result.unitary_k)
     residual = distance_up_to_phase(aligned.vec, phi1.vec)
     # Continuity: a reduced-state gap g can leave a residual ~ sqrt(g).

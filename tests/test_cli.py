@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qilab import cli
+from qilab import cli, suites
 
 
 def run_cli(args, capsys):
@@ -103,15 +103,23 @@ def test_five_bit_index_runs(capsys):
     assert code == 0
 
 
-def test_reduction_rejects_other_n(capsys):
+def test_reduction_rejects_other_n(capsys, monkeypatch):
     # the reduction suite runs the n = 2 family only; any other --n used
-    # to run n = 2 anyway and report a PASS
+    # to run n = 2 anyway and report a PASS, and --suite all used to run
+    # five suites before rejecting it
+    called = []
+    monkeypatch.setattr(
+        suites,
+        "SUITES",
+        {name: (lambda cfg, name=name: called.append(name) or []) for name in suites.SUITES},
+    )
     for suite in ("reduction", "all"):
         code = cli.main(["--suite", suite, "--n", "3", "--trials", "1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "n = 2" in captured.err
+    assert called == []
 
 
 def test_four_bit_index_runs(capsys):

@@ -166,12 +166,18 @@ def test_bayes_success():
     )
 
 
+def bounds(r1, r2):
+    return metrics.fidelity_distance_bounds(
+        metrics.fidelity(r1, r2), metrics.trace_distance(r1, r2)
+    )
+
+
 def test_fidelity_distance_bounds_edges():
     rho = states.random_density(3, 2, 53)
-    lo, up = metrics.fidelity_distance_bounds(rho, rho)
+    lo, up = bounds(rho, rho)
     assert lo == pytest.approx(0.0, abs=1e-7)
     assert up == pytest.approx(0.0, abs=1e-7)
-    lo, up = metrics.fidelity_distance_bounds(KET0, KET1)
+    lo, up = bounds(KET0, KET1)
     assert lo == pytest.approx(0.0, abs=1e-10)
     assert up == pytest.approx(0.0, abs=1e-10)
 
@@ -180,7 +186,7 @@ def test_fidelity_distance_bounds_sweep():
     worst = np.inf
     for seed in range(300):
         r1, r2 = random_pair(derive_seed(54, seed), 2 + seed % 7)
-        lo, up = metrics.fidelity_distance_bounds(r1, r2)
+        lo, up = bounds(r1, r2)
         worst = min(worst, lo, up)
     assert worst >= -1e-9
 

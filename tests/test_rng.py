@@ -1,5 +1,9 @@
-import numpy as np
+import math
 
+import numpy as np
+import pytest
+
+from qilab import rng
 from qilab.rng import Stream, derive_seed, mix64
 
 
@@ -17,6 +21,76 @@ def test_stream_frozen_regression():
         13757245211066428519,
         17911839290282890590,
     ]
+
+
+def test_gauss_frozen_regression():
+    # frozen outputs of the scalar definition that gauss_array must match
+    s = Stream(1)
+    assert [s.gauss() for _ in range(4)] == [
+        -0.028249746095854695,
+        -1.065617648414326,
+        -0.2279195228676347,
+        0.0830941684715009,
+    ]
+
+
+def _scalar_gauss(s, n):
+    return np.array([s.gauss() for _ in range(n)], dtype=np.float64)
+
+
+def _scalar_complex(s, rows, cols):
+    re = _scalar_gauss(s, rows * cols)
+    im = _scalar_gauss(s, rows * cols)
+    return ((re + 1j * im) / math.sqrt(2.0)).reshape(rows, cols)
+
+
+# (method, args) steps; gauss_array sizes cover 0, 1, 2, 3 and odd sizes
+# above 100, each reached with and without a spare variate held.
+_STEPS = [
+    ("gauss_array", (0,)),
+    ("gauss_array", (1,)),
+    ("gauss_array", (0,)),
+    ("gauss_array", (1,)),
+    ("gauss_array", (2,)),
+    ("gauss", ()),
+    ("gauss_array", (2,)),
+    ("gauss_array", (3,)),
+    ("gauss_array", (3,)),
+    ("uniform", ()),
+    ("gauss_array", (101,)),
+    ("complex_gauss_matrix", (3, 4)),
+    ("gauss_array", (4097,)),
+    ("integer", (7,)),
+    ("complex_gauss_matrix", (1, 1)),
+    ("gauss", ()),
+    ("complex_gauss_matrix", (5, 3)),
+    ("gauss_array", (333,)),
+    ("complex_gauss_matrix", (16, 16)),
+]
+_SCALAR_FORMS = {"gauss_array": _scalar_gauss, "complex_gauss_matrix": _scalar_complex}
+
+
+@pytest.mark.parametrize("batch_min", [None, 0])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 1])
+def test_batched_gauss_matches_scalar_bit_for_bit(seed, batch_min, monkeypatch):
+    # seed + c * GAMMA wraps mod 2**64 from the first draw at these seeds;
+    # batch_min 0 sends even the smallest draws through the batched path
+    if batch_min is not None:
+        monkeypatch.setattr(rng, "_BATCH_MIN", batch_min)
+    batched, scalar = Stream(seed), Stream(seed)
+    spares = set()
+    for method, args in _STEPS:
+        got = np.asarray(getattr(batched, method)(*args))
+        if method in _SCALAR_FORMS:
+            want = _SCALAR_FORMS[method](scalar, *args)
+        else:
+            want = np.asarray(getattr(scalar, method)(*args))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (method, args)
+        assert batched.counter == scalar.counter
+        assert batched._spare_gauss == scalar._spare_gauss
+        spares.add(scalar._spare_gauss is None)
+    assert spares == {True, False}
 
 
 def test_mix64_zero():

@@ -131,7 +131,7 @@ def test_exact_transition_bell_permutation():
 def test_exact_transition_requires_equal_reductions():
     r1, r2, phi1, phi2 = random_pair(95, 3, 3)
     assert metrics.trace_distance(r1, r2) > 1e-3
-    with pytest.raises(ReductionError):
+    with pytest.raises(ReductionError, match="reduced states differ"):
         transition.exact_local_transition(phi1, phi2)
 
 
