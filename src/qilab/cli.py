@@ -14,13 +14,14 @@ import math
 import sys
 
 from .errors import QilabError
+from .linalg import MAX_DIM
 from .suites import SuiteConfig, run_suite
 
 REPORT_SCHEMA = 1
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, 17-digit floats, non-finite as null."""
     if isinstance(obj, dict):
         items = ", ".join(
             f"{canonical_json(str(k))}: {canonical_json(v)}"
@@ -36,7 +37,7 @@ def canonical_json(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return f"{obj:.17g}"
+        return f"{obj:.17g}" if math.isfinite(obj) else "null"
     if isinstance(obj, str):
         escaped = (
             obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
@@ -48,8 +49,8 @@ def canonical_json(obj) -> str:
 def _parse_dims(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("-")
     low, high = int(lo), int(hi or lo)
-    if not 1 <= low <= high <= 8:
-        raise argparse.ArgumentTypeError("dims must satisfy 1 <= lo <= hi <= 8")
+    if not 1 <= low <= high <= MAX_DIM:
+        raise argparse.ArgumentTypeError(f"dims must satisfy 1 <= lo <= hi <= {MAX_DIM}")
     return low, high
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NormalizationError, SizeError
-from .states import DensityMatrix, make_density, mixture
+from .states import DensityMatrix, _frozen, make_density, mixture
 
 _ZERO_CUT = 1e-12
 
@@ -76,6 +76,11 @@ class CQEnsemble:
     @property
     def dim(self) -> int:
         return self.states[0].dim
+
+    @cached_property
+    def mats(self) -> np.ndarray:
+        """The states' matrices as one read-only (n, dim, dim) stack."""
+        return _frozen([s.mat for s in self.states])
 
     @cached_property
     def average_state(self) -> DensityMatrix:

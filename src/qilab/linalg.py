@@ -37,10 +37,11 @@ class EigDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex array, rejecting non-finite entries."""
+def as_matrix(a, stack: bool = False) -> np.ndarray:
+    """Coerce to a 2-d complex array, or with ``stack`` to any stack of
+    matrices (ndim >= 2), rejecting non-finite entries."""
     mat = np.asarray(a, dtype=np.complex128)
-    if mat.ndim != 2:
+    if mat.ndim != 2 and not (stack and mat.ndim > 2):
         raise SizeError(f"expected a 2-d matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
         raise ValueError("matrix contains non-finite entries")
@@ -68,11 +69,6 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    scale = max(frobenius(a), 1.0)
-    return frobenius(a - dagger(a)) <= tol * scale
-
-
 def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -83,14 +79,14 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigDecomposition:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise SizeError(f"expected a square matrix, got shape {a.shape}")
-    if not is_hermitian(a, tol):
+    scale = max(frobenius(a), 1.0)
+    if frobenius(a - dagger(a)) > tol * scale:
         raise HermiticityError("matrix is not Hermitian within tolerance")
     h = (a + dagger(a)) / 2.0
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    scale = max(frobenius(a), 1.0)
     residual = frobenius(a @ vecs - vecs * vals)
     if residual > CERT_TOL * scale:
         raise ConvergenceError(
@@ -122,9 +118,9 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values only, descending."""
-    a = as_matrix(a)
-    return np.linalg.svd(a, compute_uv=False)
+    """Singular values only, descending along the last axis; a stack of
+    matrices (..., rows, cols) goes to LAPACK in one batched call."""
+    return np.linalg.svd(as_matrix(a, stack=True), compute_uv=False)
 
 
 def partial_trace(

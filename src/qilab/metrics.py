@@ -29,9 +29,10 @@ class TwoOutcomeMeasurement:
         validate_projective([self.projector_pos, self.projector_neg], dim, tol)
 
 
-def trace_norm(a) -> float:
-    """Sum of singular values."""
-    return float(np.sum(linalg.singular_values(a)))
+def trace_norm(a) -> float | np.ndarray:
+    """Sum of singular values; for a stack (..., rows, cols), an array."""
+    norms = np.sum(linalg.singular_values(a), axis=-1)
+    return norms if norms.ndim else float(norms)
 
 
 def _check_dims(r1: DensityMatrix, r2: DensityMatrix) -> None:

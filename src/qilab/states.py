@@ -15,7 +15,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    HermiticityError,
     NormalizationError,
     NotPositiveError,
     RankError,
@@ -44,11 +43,14 @@ class DensityMatrix:
 
     @cached_property
     def eig(self) -> linalg.EigDecomposition:
-        """Certified eigendecomposition, computed once and read-only."""
-        vals, vecs = linalg.hermitian_eig(self.mat)
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        return linalg.EigDecomposition(vals, vecs)
+        """Certified eigendecomposition, read-only; make_density seeds it."""
+        return _read_only(linalg.hermitian_eig(self.mat))
+
+
+def _read_only(dec: linalg.EigDecomposition) -> linalg.EigDecomposition:
+    for arr in dec:
+        arr.setflags(write=False)
+    return dec
 
 
 @dataclass(frozen=True)
@@ -69,21 +71,19 @@ class BipartitePureState:
 
 
 def make_density(mat, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Validate Hermiticity, positivity and unit trace, then wrap."""
-    mat = linalg.as_matrix(mat)
-    if mat.shape[0] != mat.shape[1]:
-        raise SizeError(f"density matrix must be square, got {mat.shape}")
-    if not linalg.is_hermitian(mat, tol):
-        raise HermiticityError("density matrix is not Hermitian within tol")
+    """Validate Hermiticity, unit trace and, on the cached ``eig``, positivity."""
+    dec = linalg.hermitian_eig(mat, tol)
+    mat = np.asarray(mat, dtype=np.complex128)
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > max(tol, 1e-12) * mat.shape[0]:
         raise TraceError(f"trace {tr} differs from 1 beyond tolerance")
-    vals = np.linalg.eigvalsh((mat + dagger(mat)) / 2.0)
-    if vals[0] < -tol:
+    if dec.eigenvalues[0] < -tol:
         raise NotPositiveError(
-            f"density matrix has eigenvalue {vals[0]:.3e} below -tol"
+            f"density matrix has eigenvalue {dec.eigenvalues[0]:.3e} below -tol"
         )
-    return DensityMatrix(_frozen(mat))
+    rho = DensityMatrix(_frozen(mat))
+    rho.__dict__["eig"] = _read_only(dec)
+    return rho
 
 
 def pure_density(vec, tol: float = DEFAULT_TOL) -> DensityMatrix:

@@ -85,9 +85,9 @@ class _Tally:
             self.violations += 1
 
     def result(self) -> CheckResult:
-        out = CheckResult(
-            self.name, self.trials, float(self.min_slack), self.violations
-        )
+        # A check that ran no trial certified nothing: it must not read PASS.
+        violations = self.violations if self.trials else 1
+        out = CheckResult(self.name, self.trials, float(self.min_slack), violations)
         out.details = dict(self.details)
         out.details["tolerance"] = self.tol
         return out

@@ -142,6 +142,32 @@ def test_canonical_json_formatting():
     assert cli.canonical_json(0.1) == "0.10000000000000001"
 
 
+def test_zero_trial_check_is_a_violation_in_valid_json():
+    text = cli.canonical_json(suites._Tally("x", 1e-9).result().to_json())
+    check = json.loads(text)
+    assert check["violations"] >= 1 and check["trials"] == 0
+    assert check["min_slack"] is None
+    assert cli.canonical_json([float("nan"), -float("inf")]) == "[null, null]"
+
+
+def test_dims_reach_max_dim(capsys):
+    # the large-d workload's dimensions are reachable from the command line
+    code, out = run_cli(
+        ["--suite", "metrics", "--dims", "192-256", "--trials", "2", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    direct = suites.run_suite("metrics", suites.SuiteConfig(seed=1, dims=(192, 256), trials=2))
+    assert json.loads(out)["checks"] == json.loads(
+        cli.canonical_json([c.to_json() for c in direct])
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--dims", "8-257"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
 def test_tol_override(capsys):
     code, out = run_cli(
         [

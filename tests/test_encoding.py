@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qilab import encoding as enc
-from qilab import info, states
+from qilab import info, metrics, states
 from qilab.errors import SizeError
 from qilab.rng import Stream, derive_seed
 
@@ -126,6 +126,31 @@ def test_encoding_stats_builds_one_distance_matrix(monkeypatch):
     assert len(calls) == 1
     expected = original(e)
     assert stats.distances.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("batch", [None, 3 * 8**2])
+def test_stacked_distances_match_per_pair_loop_bit_for_bit(batch, monkeypatch):
+    # reference: one trace_distance call per pair, as the loop computed it;
+    # a small batch size splits the pairs over several SVD calls
+    if batch is not None:
+        monkeypatch.setattr(enc, "_BATCH_ENTRIES", batch)
+    for m in range(6):
+        for dim in range(2, 9):
+            e = cube(derive_seed(114, m, dim), m, dim)
+            n = 2**m
+            loop = np.zeros((n, n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    loop[i, j] = loop[j, i] = metrics.trace_distance(
+                        e.states[i], e.states[j]
+                    )
+            assert np.array_equal(enc.pairwise_distance_matrix(e), loop)
+            if m == 0:
+                assert loop.shape == (1, 1)
+                continue
+            mean = e.average_state
+            to_mean = float(np.mean([metrics.trace_distance(mean, s) for s in e.states]))
+            assert enc.encoding_stats(e).delta_to_mean == to_mean
 
 
 def test_enumerate_pairings_count():

@@ -24,6 +24,27 @@ def test_trace_norm_of_density_is_one():
         assert metrics.trace_norm(rho.mat) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_trace_norm_of_a_stack_is_per_matrix():
+    stack = Stream(44).complex_gauss_matrix(2 * 3 * 4, 4).reshape(2, 3, 4, 4)
+    norms = metrics.trace_norm(stack)
+    assert norms.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert norms[idx] == metrics.trace_norm(stack[idx])
+    assert metrics.trace_norm(np.zeros((0, 3, 3))).shape == (0,)
+
+
+def test_trace_norm_rejects_non_finite_and_vectors():
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        mat = np.eye(3, dtype=complex)
+        mat[1, 2] = bad
+        with pytest.raises(ValueError):
+            metrics.trace_norm(mat)
+        with pytest.raises(ValueError):
+            metrics.trace_norm(np.stack([np.eye(3), mat]))
+    with pytest.raises(SizeError):
+        metrics.trace_norm(np.ones(3))
+
+
 def test_trace_distance_zero_and_orthogonal():
     assert metrics.trace_distance(KET0, KET0) == pytest.approx(0.0, abs=1e-12)
     assert metrics.trace_distance(KET0, KET1) == pytest.approx(2.0, abs=1e-12)

@@ -22,8 +22,8 @@ def test_make_density_accepts_plus_state():
 
 
 def test_eig_decomposed_once_per_density(monkeypatch):
-    rho = states.random_density(3, 2, 41)
-    sigma = states.random_density(3, 3, 42)
+    # counted from construction on: make_density's validating decomposition
+    # is the one every later read gets, and no second eigensolver runs
     calls = []
     original = linalg.hermitian_eig
 
@@ -31,7 +31,13 @@ def test_eig_decomposed_once_per_density(monkeypatch):
         calls.append(a)
         return original(a, *args, **kwargs)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
     monkeypatch.setattr(linalg, "hermitian_eig", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    rho = states.random_density(3, 2, 41)
+    sigma = states.random_density(3, 3, 42)
     for _ in range(2):
         info.von_neumann_entropy(rho)
         metrics.fidelity(rho, sigma)
@@ -54,6 +60,17 @@ def test_make_density_distinct_errors():
         states.make_density(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(TraceError):
         states.make_density(np.eye(2))
+
+
+def test_eig_follows_make_density_tolerance():
+    # a skew part between the default tol and the caller's tol is accepted,
+    # and reading eig does not re-judge it at the default
+    mat = np.eye(2, dtype=complex) / 2
+    mat[0, 1] = 1e-9j
+    rho = states.make_density(mat, tol=1e-8)
+    assert np.allclose(rho.eig.eigenvalues, [0.5, 0.5])
+    with pytest.raises(HermiticityError):
+        states.make_density(mat)
 
 
 def test_density_is_frozen():
