@@ -50,6 +50,7 @@ from .states import (
     make_pure,
     mixture,
     pure_density,
+    random_densities,
     random_density,
     random_pure,
     random_unitary,
@@ -95,6 +96,7 @@ __all__ = [
     "prefix_ensemble",
     "pure_density",
     "pure_trace_distance",
+    "random_densities",
     "random_density",
     "random_pure",
     "random_unitary",

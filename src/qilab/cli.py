@@ -140,8 +140,12 @@ def main(argv=None) -> int:
         return 2
     text = canonical_json(report) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"qilab: error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     violations = sum(c["violations"] for c in report["checks"])
     if args.format == "json":
         sys.stdout.write(text)

@@ -43,17 +43,40 @@ def as_matrix(a, stack: bool = False) -> np.ndarray:
     mat = np.asarray(a, dtype=np.complex128)
     if mat.ndim != 2 and not (stack and mat.ndim > 2):
         raise SizeError(f"expected a 2-d matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
-        raise ValueError("matrix contains non-finite entries")
+    if not np.isfinite(mat).all():
+        check_each(
+            ~np.isfinite(mat).all(axis=(-2, -1)),
+            ValueError,
+            "{name} contains non-finite entries",
+        )
     return mat
 
 
+def check_each(bad: np.ndarray, error: type[Exception], template: str, values=None) -> None:
+    """Raise ``error`` for the first matrix flagged in ``bad``, if any.
+
+    ``bad`` holds one flag per matrix: 0-d for a single matrix, or the
+    leading shape of a stack. The message is ``template`` formatted with
+    ``name`` ("matrix", or "matrix i" for entry i of a stack) and
+    ``value``, that matrix's entry of ``values``.
+    """
+    if not bad.any():
+        return
+    where = tuple(int(i) for i in np.argwhere(bad)[0])
+    name = "matrix" if not where else f"matrix {where[0] if len(where) == 1 else where}"
+    value = None if values is None else values[where]
+    raise error(template.format(name=name, value=value))
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(a.T)
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(np.swapaxes(a, -1, -2))
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+def frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a matrix, or of each matrix of a stack."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat).real)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -70,31 +93,44 @@ def tensor(a, b) -> np.ndarray:
 
 
 def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
+    stack ``(..., d, d)`` in one batched LAPACK call.
 
-    Raises HermiticityError if the input is not Hermitian within ``tol``
-    (relative, Frobenius), and ConvergenceError if the solver fails or the
-    reconstruction residual is above the certification tolerance.
+    Each matrix is certified on its own, against its own Frobenius scale:
+    HermiticityError if it is not Hermitian within ``tol`` (relative), and
+    ConvergenceError if the solver fails, or the reconstruction residual or
+    the eigenvectors' distance from orthonormal is above the certification
+    tolerance. For a stack, the message names the first failing matrix.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise SizeError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(frobenius(a), 1.0)
-    if frobenius(a - dagger(a)) > tol * scale:
-        raise HermiticityError("matrix is not Hermitian within tolerance")
+    a = as_matrix(a, stack=True)
+    dim = a.shape[-1]
+    if a.shape[-2] != dim:
+        raise SizeError(f"expected square matrices, got shape {a.shape}")
+    scale = np.maximum(frobenius(a), 1.0)
+    check_each(
+        frobenius(a - dagger(a)) > tol * scale,
+        HermiticityError,
+        "{name} is not Hermitian within tolerance",
+    )
     h = (a + dagger(a)) / 2.0
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    residual = frobenius(a @ vecs - vecs * vals)
-    if residual > CERT_TOL * scale:
-        raise ConvergenceError(
-            f"eigendecomposition residual {residual:.3e} above tolerance"
-        )
-    ortho = frobenius(dagger(vecs) @ vecs - np.eye(a.shape[0]))
-    if ortho > CERT_TOL:
-        raise ConvergenceError(f"eigenvectors not orthonormal: {ortho:.3e}")
+    residual = frobenius(a @ vecs - vecs * vals[..., None, :])
+    check_each(
+        residual > CERT_TOL * scale,
+        ConvergenceError,
+        "{name} has eigendecomposition residual {value:.3e} above tolerance",
+        residual,
+    )
+    ortho = frobenius(dagger(vecs) @ vecs - np.eye(dim))
+    check_each(
+        ortho > CERT_TOL,
+        ConvergenceError,
+        "{name} has eigenvectors not orthonormal: {value:.3e}",
+        ortho,
+    )
     return EigDecomposition(vals, vecs)
 
 

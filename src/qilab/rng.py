@@ -9,7 +9,9 @@ Gaussian variates use the Box-Muller transform on the uniform stream.
 :meth:`Stream.gauss_array` is its batched form and must equal
 ``[s.gauss() for _ in range(n)]`` bit for bit, leaving the same counter
 and spare variate behind, so that a seed names the same states whichever
-path drew them. It runs SplitMix64 and the IEEE-exact steps (scaling,
+path drew them. :func:`gauss_rows` draws for many fresh seeds at once and
+equals a per-seed ``gauss_array`` loop bit for bit; both run one kernel,
+:func:`_gauss_pairs`. It runs SplitMix64 and the IEEE-exact steps (scaling,
 ``sqrt``, products) on numpy arrays, but takes ``log``, ``cos`` and
 ``sin`` from libm through :mod:`math`, as the scalar path does. numpy's
 vectorized ``np.log`` differs from libm by one ulp on about 0.3% of
@@ -103,32 +105,12 @@ class Stream:
             start = 1
         rest = n - start
         pairs = (rest + 1) // 2
-        if pairs == 0:
-            return out
-        c = self.counter
+        r, cos, sin = _gauss_pairs(np.array([self.seed], dtype=np.uint64), self.counter, pairs)
         self.counter += 2 * pairs
-        z = np.arange(c + 1, c + 2 * pairs + 1, dtype=np.uint64)
-        z *= _U_GAMMA
-        z += np.uint64(self.seed)
-        z ^= z >> _U30
-        z *= _U_MIX1
-        z ^= z >> _U27
-        z *= _U_MIX2
-        z ^= z >> _U31
-        z >>= _U11
-        # Draws 1, 3, 5, ... are uniform_open() and 2, 4, 6, ... uniform().
-        u1 = (z[0::2] + _U1) * 2.0**-53
-        u2 = z[1::2] * 2.0**-53
-        del z
-        log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, pairs)
-        r = np.sqrt(-2.0 * log_u1)
-        theta = ((2.0 * math.pi) * u2).tolist()
-        cos = np.fromiter(map(math.cos, theta), np.float64, pairs)
-        sin = np.fromiter(map(math.sin, theta), np.float64, pairs)
-        np.multiply(r, cos, out=out[start::2])
-        np.multiply(r[: rest // 2], sin[: rest // 2], out=out[start + 1 :: 2])
+        np.multiply(r[0], cos[0], out=out[start::2])
+        np.multiply(r[0, : rest // 2], sin[0, : rest // 2], out=out[start + 1 :: 2])
         if rest % 2:
-            self._spare_gauss = float(r[-1] * sin[-1])
+            self._spare_gauss = float(r[0, -1] * sin[0, -1])
         return out
 
     def complex_gauss_matrix(self, rows: int, cols: int) -> np.ndarray:
@@ -137,9 +119,7 @@ class Stream:
         The real parts are the first ``rows * cols`` draws and the
         imaginary parts the next ``rows * cols``.
         """
-        g = self.gauss_array(2 * rows * cols)
-        re, im = g[: rows * cols], g[rows * cols :]
-        return ((re + 1j * im) / math.sqrt(2.0)).reshape(rows, cols)
+        return _complex_gauss(self.gauss_array(2 * rows * cols), rows, cols)
 
     def shuffled(self, items: list) -> list:
         """Fisher-Yates shuffle of a copy of ``items``."""
@@ -156,3 +136,57 @@ def derive_seed(seed: int, *indices: int) -> int:
     for idx in indices:
         z = mix64(z ^ mix64((int(idx) + 1) * _GAMMA))
     return z
+
+
+def _gauss_pairs(seeds: np.ndarray, counter: int, pairs: int) -> tuple[np.ndarray, ...]:
+    """The Box-Muller factors ``(r, cos, sin)`` of each seed's next pairs.
+
+    Row ``i`` of the three ``(len(seeds), pairs)`` arrays comes from
+    uniform draws ``counter + 1 ... counter + 2 * pairs`` of
+    ``Stream(seeds[i])``: :meth:`Stream.gauss` returns ``r * cos`` of a
+    pair first and keeps ``r * sin`` as its spare.
+    """
+    z = np.arange(counter + 1, counter + 2 * pairs + 1, dtype=np.uint64)
+    z *= _U_GAMMA
+    z = z + seeds[:, None]
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
+    z >>= _U11
+    # Draws 1, 3, 5, ... are uniform_open() and 2, 4, 6, ... uniform().
+    u1 = ((z[:, 0::2] + _U1) * 2.0**-53).ravel()
+    u2 = (z[:, 1::2] * 2.0**-53).ravel()
+    del z
+    size = u1.size
+    log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, size)
+    r = np.sqrt(-2.0 * log_u1)
+    theta = ((2.0 * math.pi) * u2).tolist()
+    cos = np.fromiter(map(math.cos, theta), np.float64, size)
+    sin = np.fromiter(map(math.sin, theta), np.float64, size)
+    shape = (len(seeds), pairs)
+    return r.reshape(shape), cos.reshape(shape), sin.reshape(shape)
+
+
+def gauss_rows(seeds, n: int) -> np.ndarray:
+    """``[Stream(s).gauss_array(n) for s in seeds]`` as one ``(len(seeds), n)``
+    array, drawn in one batch with the same bits."""
+    seeds = np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    out = np.empty((len(seeds), n), dtype=np.float64)
+    r, cos, sin = _gauss_pairs(seeds, 0, (n + 1) // 2)
+    np.multiply(r, cos, out=out[:, 0::2])
+    np.multiply(r[:, : n // 2], sin[:, : n // 2], out=out[:, 1::2])
+    return out
+
+
+def complex_gauss_stack(seeds, rows: int, cols: int) -> np.ndarray:
+    """``[Stream(s).complex_gauss_matrix(rows, cols) for s in seeds]`` as one
+    ``(len(seeds), rows, cols)`` array, drawn in one batch."""
+    return _complex_gauss(gauss_rows(seeds, 2 * rows * cols), rows, cols)
+
+
+def _complex_gauss(g: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Complex matrices from Gaussian rows: real parts first, then imaginary."""
+    re, im = g[..., : rows * cols], g[..., rows * cols :]
+    return ((re + 1j * im) / math.sqrt(2.0)).reshape(g.shape[:-1] + (rows, cols))

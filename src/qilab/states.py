@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -22,13 +23,24 @@ from .errors import (
     TraceError,
 )
 from .linalg import DEFAULT_TOL, dagger
-from .rng import Stream
+from .rng import Stream, complex_gauss_stack
+
+# Most matrix entries one stacked build holds at once, so batching keeps
+# memory flat; a matrix above it is built on its own.
+BLOCK_ENTRIES = 2**14
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays themselves, made read-only in place (views of them too)."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -44,13 +56,8 @@ class DensityMatrix:
     @cached_property
     def eig(self) -> linalg.EigDecomposition:
         """Certified eigendecomposition, read-only; make_density seeds it."""
-        return _read_only(linalg.hermitian_eig(self.mat))
-
-
-def _read_only(dec: linalg.EigDecomposition) -> linalg.EigDecomposition:
-    for arr in dec:
-        arr.setflags(write=False)
-    return dec
+        vals, vecs = linalg.hermitian_eig(self.mat)
+        return linalg.EigDecomposition(*_read_only(vals, vecs))
 
 
 @dataclass(frozen=True)
@@ -72,17 +79,39 @@ class BipartitePureState:
 
 def make_density(mat, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Validate Hermiticity, unit trace and, on the cached ``eig``, positivity."""
-    dec = linalg.hermitian_eig(mat, tol)
     mat = np.asarray(mat, dtype=np.complex128)
-    tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > max(tol, 1e-12) * mat.shape[0]:
-        raise TraceError(f"trace {tr} differs from 1 beyond tolerance")
-    if dec.eigenvalues[0] < -tol:
-        raise NotPositiveError(
-            f"density matrix has eigenvalue {dec.eigenvalues[0]:.3e} below -tol"
-        )
-    rho = DensityMatrix(_frozen(mat))
-    rho.__dict__["eig"] = _read_only(dec)
+    if mat.ndim != 2:
+        raise SizeError(f"expected a 2-d matrix, got shape {mat.shape}")
+    vals, vecs = _validated(mat, tol)
+    return _density(_frozen(mat), *_read_only(vals, vecs))
+
+
+def _validated(mats: np.ndarray, tol: float) -> linalg.EigDecomposition:
+    """Check each matrix of ``mats`` (one, or a stack) is a density matrix;
+    return the certified decomposition the checks were judged on."""
+    dec = linalg.hermitian_eig(mats, tol)
+    tr = np.trace(mats, axis1=-2, axis2=-1)
+    linalg.check_each(
+        np.abs(tr - 1.0) > max(tol, 1e-12) * mats.shape[-1],
+        TraceError,
+        "{name} has trace {value} differing from 1 beyond tolerance",
+        tr,
+    )
+    lowest = dec.eigenvalues[..., 0]
+    linalg.check_each(
+        lowest < -tol,
+        NotPositiveError,
+        "{name} has eigenvalue {value:.3e} below -tol",
+        lowest,
+    )
+    return dec
+
+
+def _density(mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> DensityMatrix:
+    """A validated density with its ``eig`` cache seeded, from read-only
+    arrays that no caller can write through."""
+    rho = DensityMatrix(mat)
+    rho.__dict__["eig"] = linalg.EigDecomposition(vals, vecs)
     return rho
 
 
@@ -202,13 +231,77 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     """Gram matrix of ``rank`` complex Gaussian columns, trace-normalized."""
-    if not 1 <= rank <= dim:
-        raise RankError(f"rank must be in [1, {dim}], got {rank}")
-    stream = Stream(seed)
-    g = stream.complex_gauss_matrix(dim, rank)
-    rho = g @ dagger(g)
-    rho = rho / np.trace(rho).real
-    return make_density(rho, tol=1e-9)
+    return random_densities([(dim, rank, seed)])[0]
+
+
+def random_densities(specs) -> list[DensityMatrix]:
+    """``[random_density(dim, rank, seed) for dim, rank, seed in specs]``,
+    bit for bit, built in stacks.
+
+    Specs of one ``(dim, rank)`` share one batched draw, one stacked
+    product and trace and one stacked certified eigendecomposition, in
+    blocks of at most :data:`BLOCK_ENTRIES` matrix entries. Each density's
+    arrays are read-only views into its block's stacks.
+    """
+    return [_density_at(*row) for row in _random_stacks(specs)]
+
+
+def random_densities_by_trial(trials):
+    """For each ``(key, specs)`` in ``trials``, yield ``(key, densities)``:
+    the random densities of its ``(dim, rank, seed)`` specs, in order.
+
+    Trials are read lazily, and consecutive trials are built together in
+    blocks of at most :data:`BLOCK_ENTRIES` matrix entries (a larger trial
+    is a block of its own), so a sweep batches its draws while holding one
+    block at a time.
+    """
+    block: list[tuple] = []
+    entries = 0
+    for key, specs in trials:
+        specs = tuple(specs)
+        size = sum(dim * dim for dim, _, _ in specs)
+        if block and entries + size > BLOCK_ENTRIES:
+            yield from _by_trial(block)
+            block, entries = [], 0
+        block.append((key, specs))
+        entries += size
+    if block:
+        yield from _by_trial(block)
+
+
+def _by_trial(block: list[tuple]):
+    rows = iter(_random_stacks([spec for _, specs in block for spec in specs]))
+    for key, specs in block:
+        yield key, tuple(_density_at(*row) for row in islice(rows, len(specs)))
+
+
+def _random_stacks(specs) -> list[tuple[tuple, int]]:
+    """Per spec, ``(stack, j)``: its density and certified eigendecomposition
+    are row ``j`` of the arrays ``stack = (mats, eigenvalues, eigenvectors)``,
+    built as :func:`random_densities` describes."""
+    specs = [(int(dim), int(rank), int(seed)) for dim, rank, seed in specs]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (dim, rank, _) in enumerate(specs):
+        if not 1 <= rank <= dim:
+            raise RankError(f"rank must be in [1, {dim}], got {rank}")
+        groups.setdefault((dim, rank), []).append(i)
+    out: list = [None] * len(specs)
+    for (dim, rank), members in groups.items():
+        step = max(1, BLOCK_ENTRIES // (dim * dim))
+        for lo in range(0, len(members), step):
+            block = members[lo : lo + step]
+            g = complex_gauss_stack([specs[i][2] for i in block], dim, rank)
+            rho = g @ dagger(g)
+            rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+            stack = _read_only(rho, *_validated(rho, 1e-9))
+            for j, i in enumerate(block):
+                out[i] = (stack, j)
+    return out
+
+
+def _density_at(stack: tuple, j: int) -> DensityMatrix:
+    mats, vals, vecs = stack
+    return _density(mats[j], vals[j], vecs[j])
 
 
 def random_pure(dim_h: int, dim_k: int, seed: int) -> BipartitePureState:

@@ -8,6 +8,7 @@ agreement checks report tol - |difference|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,8 @@ from .states import (
     make_density,
     mixture,
     pure_density,
-    random_density,
+    random_densities,
+    random_densities_by_trial,
     random_pure,
     random_unitary,
 )
@@ -80,8 +82,14 @@ class _Tally:
 
     def add(self, slack: float) -> None:
         self.trials += 1
-        self.min_slack = min(self.min_slack, float(slack))
-        if slack < -self.tol:
+        slack = float(slack)
+        if not math.isfinite(slack):
+            # A non-finite slack certified nothing: it is a violation, and as
+            # NaN it stays the minimum (``x < nan`` is False), written null.
+            slack = math.nan
+        if math.isnan(slack) or slack < self.min_slack:
+            self.min_slack = slack
+        if not slack >= -self.tol:
             self.violations += 1
 
     def result(self) -> CheckResult:
@@ -102,6 +110,17 @@ def _dim_cycle(cfg: SuiteConfig, t: int) -> int:
     return lo + t % (hi - lo + 1)
 
 
+def _spec(dim: int, seed: int) -> tuple[int, int, int]:
+    """``(dim, rank, seed)`` of a random density whose rank its seed draws."""
+    return dim, 1 + Stream(seed).integer(dim), seed
+
+
+def _weights(stream: Stream, n: int, floor: float = 0.05) -> np.ndarray:
+    """``n`` positive weights from ``stream``, normalized to sum 1."""
+    raw = np.array([stream.uniform() + floor for _ in range(n)])
+    return raw / raw.sum()
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -112,12 +131,12 @@ def metrics_suite(cfg: SuiteConfig) -> list[CheckResult]:
     tight = _Tally("measurement_tightness", _tol(cfg, 1e-9))
     pure_agree = _Tally("pure_state_distance_agreement", _tol(cfg, 1e-9))
     tensor_mult = _Tally("trace_norm_multiplicative", _tol(cfg, 1e-10))
-    for t in range(trials):
-        dim = _dim_cycle(cfg, t)
-        s1 = derive_seed(cfg.seed, 10, t, 0)
-        s2 = derive_seed(cfg.seed, 10, t, 1)
-        r1 = random_density(dim, 1 + Stream(s1).integer(dim), s1)
-        r2 = random_density(dim, 1 + Stream(s2).integer(dim), s2)
+    specs = (
+        (t, [_spec(_dim_cycle(cfg, t), derive_seed(cfg.seed, 10, t, i)) for i in (0, 1)])
+        for t in range(trials)
+    )
+    for t, (r1, r2) in random_densities_by_trial(specs):
+        dim = r1.dim
         dist = metrics.trace_distance(r1, r2)
         lo, up = metrics.fidelity_distance_bounds(metrics.fidelity(r1, r2), dist)
         fvg_lower.add(lo)
@@ -145,20 +164,45 @@ def metrics_suite(cfg: SuiteConfig) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _random_ensemble(seed: int, n_states: int, dim: int):
-    stream = Stream(seed)
-    states = [
-        random_density(dim, 1 + stream.integer(dim), derive_seed(seed, i))
-        for i in range(n_states)
-    ]
-    raw = np.array([stream.uniform() + 0.05 for _ in range(n_states)])
-    priors = raw / raw.sum()
-    return make_ensemble([str(i) for i in range(n_states)], priors, states)
-
-
 def _random_projective(seed: int, dim: int):
     u = random_unitary(dim, seed)
     return [np.outer(u[:, k], np.conj(u[:, k])) for k in range(dim)]
+
+
+def _info_trials(seed: int, trials: int):
+    """Per info trial, its stream draws and the specs of its random densities.
+
+    Every draw a trial's checks consume is taken here, in their order, so
+    that its densities can be built in a block with other trials'.
+    """
+    for t in range(trials):
+        dim, n_states = 2 + t % 3, 2 + t % 3
+        trial_seed = derive_seed(seed, 20, t)
+        e_stream = Stream(trial_seed)
+        e_specs = [
+            (dim, 1 + e_stream.integer(dim), derive_seed(trial_seed, i))
+            for i in range(n_states)
+        ]
+        priors = _weights(e_stream, n_states)
+        stream = Stream(derive_seed(seed, 21, t))
+        k = d = 2 + t % 2
+        p = _weights(stream, k)
+        sigma_specs = [
+            (d, 1 + stream.integer(d), derive_seed(trial_seed, 30 + i)) for i in range(k)
+        ]
+        joint = _weights(stream, 8, 1e-3).reshape(2, 2, 2)
+        yz_specs = [
+            (4, 1 + stream.integer(4), derive_seed(trial_seed, 40 + i)) for i in range(4)
+        ]
+        ws = _weights(stream, 3)
+        part_specs = [
+            (3, 1 + stream.integer(3), derive_seed(trial_seed, 50 + i)) for i in range(3)
+        ]
+        ab_spec = (4, 1 + stream.integer(4), derive_seed(trial_seed, 60))
+        yield (
+            (trial_seed, priors, p, joint, ws),
+            (*e_specs, *sigma_specs, *yz_specs, *part_specs, ab_spec),
+        )
 
 
 def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
@@ -169,21 +213,18 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
     mono = _Tally("mi_monotonicity", _tol(cfg, 1e-10))
     concave = _Tally("entropy_concavity", _tol(cfg, 1e-9))
     subadd = _Tally("entropy_subadditivity", _tol(cfg, 1e-9))
-    for t in range(trials):
-        dim = 2 + t % 3
-        seed = derive_seed(cfg.seed, 20, t)
-        e = _random_ensemble(seed, 2 + t % 3, dim)
+    for (seed, priors, p, joint, ws), dens in random_densities_by_trial(
+        _info_trials(cfg.seed, trials)
+    ):
+        n_states, k = len(priors), len(p)
+        e_states, dens = dens[:n_states], dens[n_states:]
+        sigmas, yz, parts, rho_ab = dens[:k], dens[k : k + 4], dens[k + 4 : k + 7], dens[-1]
+        dim = e_states[0].dim
+        e = make_ensemble([str(i) for i in range(n_states)], priors, list(e_states))
         meas = _random_projective(derive_seed(seed, 1), dim)
         holevo.add(holevo_information(e) - measured_mutual_info(e, meas))
 
-        stream = Stream(derive_seed(cfg.seed, 21, t))
-        k, d = 2 + t % 2, 2 + t % 2
-        raw = np.array([stream.uniform() + 0.05 for _ in range(k)])
-        p = raw / raw.sum()
-        sigmas = [
-            random_density(d, 1 + stream.integer(d), derive_seed(seed, 30 + i))
-            for i in range(k)
-        ]
+        d = sigmas[0].dim
         blockmat = np.zeros((k * d, k * d), dtype=np.complex128)
         for i, s in enumerate(sigmas):
             blockmat[i * d : (i + 1) * d, i * d : (i + 1) * d] = p[i] * s.mat
@@ -193,10 +234,6 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
         )
         block.add(block.tol - abs(lhs - rhs))
 
-        joint = np.array(
-            [stream.uniform() + 1e-3 for _ in range(8)]
-        ).reshape(2, 2, 2)
-        joint /= joint.sum()
         i_x_yz = classical_mutual_information(joint.reshape(2, 4))
         i_x_y = classical_mutual_information(joint.sum(axis=2))
         i_xy_z = classical_mutual_information(joint.reshape(4, 2))
@@ -204,11 +241,7 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
         chain.add(chain.tol - abs(i_x_yz - (i_x_y + i_xy_z - i_y_z)))
 
         labels = [format(v, "02b") for v in range(4)]
-        yz = [
-            random_density(4, 1 + stream.integer(4), derive_seed(seed, 40 + i))
-            for i in range(4)
-        ]
-        full = make_ensemble(labels, np.full(4, 0.25), yz)
+        full = make_ensemble(labels, np.full(4, 0.25), list(yz))
         red = make_ensemble(
             labels,
             np.full(4, 0.25),
@@ -221,19 +254,12 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
         )
         mono.add(holevo_information(full) - holevo_information(red))
 
-        ws = np.array([stream.uniform() + 0.05 for _ in range(3)])
-        ws /= ws.sum()
-        parts = [
-            random_density(3, 1 + stream.integer(3), derive_seed(seed, 50 + i))
-            for i in range(3)
-        ]
         mixed = mixture(ws, parts)
         concave.add(
             von_neumann_entropy(mixed)
             - sum(w * von_neumann_entropy(s) for w, s in zip(ws, parts))
         )
 
-        rho_ab = random_density(4, 1 + stream.integer(4), derive_seed(seed, 60))
         s_a = von_neumann_entropy(
             make_density(linalg.partial_trace(rho_ab.mat, 2, 2, "H"), tol=1e-8)
         )
@@ -269,12 +295,9 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
 
 def _random_cube_ensemble(seed: int, m: int, dim: int):
-    states = [
-        random_density(dim, 1 + Stream(derive_seed(seed, x)).integer(dim),
-                       derive_seed(seed, x))
-        for x in range(2**m)
-    ]
-    return uniform_cube_ensemble(states)
+    return uniform_cube_ensemble(
+        random_densities([_spec(dim, derive_seed(seed, x)) for x in range(2**m)])
+    )
 
 
 def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
@@ -362,13 +385,13 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
     agree = _Tally("overlap_matches_fidelity", _tol(cfg, 1e-8))
     bound = _Tally("transition_bound", _tol(cfg, 1e-8))
     chain = _Tally("fidelity_trace_chain", _tol(cfg, 1e-9))
-    for t in range(trials):
-        dim_h = 2 + t % 3
+    specs = (
+        (t, [_spec(2 + t % 3, derive_seed(cfg.seed, 40, t, i)) for i in (0, 1)])
+        for t in range(trials)
+    )
+    for t, (r1, r2) in random_densities_by_trial(specs):
+        dim_h = r1.dim
         dim_k = dim_h + t % (7 - dim_h)
-        s1 = derive_seed(cfg.seed, 40, t, 0)
-        s2 = derive_seed(cfg.seed, 40, t, 1)
-        r1 = random_density(dim_h, 1 + Stream(s1).integer(dim_h), s1)
-        r2 = random_density(dim_h, 1 + Stream(s2).integer(dim_h), s2)
         phi1 = canonical_purification(r1, dim_k)
         phi2 = canonical_purification(r2, dim_k)
         res = transition.uhlmann_align(phi1, phi2)
@@ -378,11 +401,11 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
         chain.add(metrics.trace_distance(r1, r2) - (1.0 - f))
 
     exact = _Tally("exact_transition", _tol(cfg, 1e-8))
-    for t in range(max(trials // 5, 50)):
-        dim_h = 2 + t % 3
+    seeds = (derive_seed(cfg.seed, 41, t) for t in range(max(trials // 5, 50)))
+    specs = (((t, seed), [_spec(2 + t % 3, seed)]) for t, seed in enumerate(seeds))
+    for (t, seed), (rho,) in random_densities_by_trial(specs):
+        dim_h = rho.dim
         dim_k = dim_h + t % 3
-        seed = derive_seed(cfg.seed, 41, t)
-        rho = random_density(dim_h, 1 + Stream(seed).integer(dim_h), seed)
         phi1 = canonical_purification(rho, dim_k)
         v = random_unitary(dim_k, derive_seed(seed, 1))
         phi2 = transition.apply_k_unitary(phi1, v)

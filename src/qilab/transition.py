@@ -9,6 +9,7 @@ trace distance is at most 2 * sqrt(trace distance of the reduced states).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .states import (
     canonical_purification,
     distance_up_to_phase,
     make_pure,
-    random_density,
+    random_densities_by_trial,
     reduced_state,
 )
 
@@ -132,24 +133,26 @@ def verify_transition_bound(
     min_chain_slack = np.inf
     violations = 0
     worst_seed = 0
-    for t in range(trials):
-        s1 = derive_seed(seed, t, 0)
-        s2 = derive_seed(seed, t, 1)
-        rank1 = 1 + _derived_rank(s1, dim_h)
-        rank2 = 1 + _derived_rank(s2, dim_h)
-        rho1 = random_density(dim_h, rank1, s1)
-        rho2 = random_density(dim_h, rank2, s2)
+    pairs = ((derive_seed(seed, t, 0), derive_seed(seed, t, 1)) for t in range(trials))
+    specs = (
+        (pair[0], [(dim_h, 1 + _derived_rank(s, dim_h), s) for s in pair]) for pair in pairs
+    )
+    for s1, (rho1, rho2) in random_densities_by_trial(specs):
         phi1 = canonical_purification(rho1, dim_k)
         phi2 = canonical_purification(rho2, dim_k)
         result = uhlmann_align(phi1, phi2)
         slack = result.bound - result.pure_distance
         tdist = metrics.trace_distance(rho1, rho2)
         chain = tdist - (1.0 - metrics.fidelity(rho1, rho2))
-        if slack < min_slack:
+        # A non-finite slack is a violation, and as NaN it stays the minimum
+        # (``x < nan`` is False) with the seed of the trial that made it.
+        slack, chain = (x if math.isfinite(x) else math.nan for x in (slack, chain))
+        if slack < min_slack or (math.isnan(slack) and not math.isnan(min_slack)):
             min_slack = slack
             worst_seed = s1
-        min_chain_slack = min(min_chain_slack, chain)
-        if slack < -1e-8 or chain < -1e-9:
+        if math.isnan(chain) or chain < min_chain_slack:
+            min_chain_slack = chain
+        if not (slack >= -1e-8 and chain >= -1e-9):
             violations += 1
     return {
         "trials": trials,

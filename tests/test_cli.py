@@ -185,3 +185,26 @@ def test_tol_override(capsys):
     report = json.loads(out)
     assert all(c["details"]["tolerance"] == 1e-3 for c in report["checks"])
     assert code == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_slack_is_a_violation(bad):
+    # a NaN slack compares False with everything: it must not read as a pass
+    # or vanish from min_slack, wherever it falls among finite slacks
+    for slacks in ([bad], [0.5, bad, 0.25], [bad, -1.0]):
+        tally = suites._Tally("x", 1e-9)
+        for slack in slacks:
+            tally.add(slack)
+        check = json.loads(cli.canonical_json(tally.result().to_json()))
+        assert check["trials"] == len(slacks)
+        assert check["violations"] == sum(s < 0 or s != s or s == float("inf") for s in slacks)
+        assert check["min_slack"] is None
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = cli.main(["--suite", "info", "--trials", "1", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and not target.exists()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith("qilab: error:")

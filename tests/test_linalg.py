@@ -161,3 +161,42 @@ def test_partial_trace_equal_spectra():
 def test_partial_trace_dimension_error():
     with pytest.raises(SizeError):
         linalg.partial_trace(np.eye(5), 2, 2, "H")
+
+
+def _hermitian_stack(shape, d, seed):
+    g = Stream(seed).complex_gauss_matrix(int(np.prod(shape)) * d, d)
+    g = g.reshape(shape + (d, d))
+    return g + linalg.dagger(g)
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (2, 3)])
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_stacked_hermitian_eig_is_per_matrix(shape, d):
+    stack = _hermitian_stack(shape, d, 17 + d)
+    vals, vecs = linalg.hermitian_eig(stack)
+    assert vals.shape == shape + (d,) and vecs.shape == shape + (d, d)
+    for idx in np.ndindex(shape):
+        one_vals, one_vecs = linalg.hermitian_eig(stack[idx])
+        assert np.array_equal(vals[idx], one_vals)
+        assert np.array_equal(vecs[idx], one_vecs)
+
+
+def test_stacked_hermitian_eig_names_the_failing_matrix():
+    stack = _hermitian_stack((4,), 3, 5)
+    skew = stack.copy()
+    skew[2, 0, 1] += 1.0
+    with pytest.raises(HermiticityError, match="matrix 2 "):
+        linalg.hermitian_eig(skew)
+    bad = stack.copy()
+    bad[1, 2, 2] = np.nan
+    with pytest.raises(ValueError, match="matrix 1 "):
+        linalg.hermitian_eig(bad)
+    grid = _hermitian_stack((2, 3), 2, 6)
+    grid[1, 0, 0, 1] = np.inf
+    with pytest.raises(ValueError, match=r"matrix \(1, 0\) "):
+        linalg.hermitian_eig(grid)
+    # one matrix keeps its unnumbered messages
+    with pytest.raises(HermiticityError, match="^matrix is not Hermitian"):
+        linalg.hermitian_eig(skew[2])
+    with pytest.raises(ValueError, match="^matrix contains non-finite"):
+        linalg.hermitian_eig(bad[1])

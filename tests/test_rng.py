@@ -141,3 +141,27 @@ def test_shuffle_is_permutation_and_deterministic():
 def test_derive_seed_spreads():
     seeds = {derive_seed(5, i, j) for i in range(10) for j in range(10)}
     assert len(seeds) == 100
+
+
+_ROW_SEEDS = [0, 1, 2**64 - 1, derive_seed(7, 3), -5]
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, 3, 16, 17, rng._BATCH_MIN, rng._BATCH_MIN + 1, 101, 128]
+)
+def test_gauss_rows_match_per_seed_gauss_array(n):
+    # below _BATCH_MIN a fresh stream's gauss_array is the scalar loop;
+    # the multi-seed kernel must give its bits for every n, odd or even
+    want = np.array([Stream(s).gauss_array(n) for s in _ROW_SEEDS])
+    got = rng.gauss_rows(_ROW_SEEDS, n)
+    assert got.dtype == want.dtype and got.shape == (len(_ROW_SEEDS), n)
+    assert got.tobytes() == want.tobytes()
+    assert rng.gauss_rows([], n).shape == (0, n)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (3, 2), (8, 8)])
+def test_complex_gauss_stack_matches_per_seed_matrices(rows, cols):
+    want = np.array([Stream(s).complex_gauss_matrix(rows, cols) for s in _ROW_SEEDS])
+    got = rng.complex_gauss_stack(_ROW_SEEDS, rows, cols)
+    assert got.shape == (len(_ROW_SEEDS), rows, cols)
+    assert got.tobytes() == want.tobytes()

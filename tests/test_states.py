@@ -10,6 +10,7 @@ from qilab.errors import (
     SizeError,
     TraceError,
 )
+from qilab.rng import Stream
 
 
 def test_make_density_accepts_maximally_mixed():
@@ -200,3 +201,66 @@ def test_make_pure_validation():
         states.make_pure(2, 2, np.ones(3))
     with pytest.raises(NormalizationError):
         states.make_pure(2, 2, np.array([2.0, 0, 0, 0]))
+
+
+def _per_matrix_reference(dim, rank, seed):
+    # the per-matrix construction, written out with 2-d operations only
+    g = Stream(seed).complex_gauss_matrix(dim, rank)
+    rho = g @ linalg.dagger(g)
+    rho = rho / np.trace(rho).real
+    return rho, linalg.hermitian_eig(rho, tol=1e-9)
+
+
+_SMALL_SPECS = [
+    (dim, rank, 1000 * dim + 10 * rank + k)
+    for dim in range(1, 9)
+    for rank in range(1, dim + 1)
+    for k in range(3)
+]
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [_SMALL_SPECS, [(192, 1, 5), (192, 7, 6), (256, 3, 7), (256, 256, 8), (192, 7, 9)]],
+    ids=["d1-8", "d192-256"],
+)
+def test_random_densities_match_per_matrix_loop_bit_for_bit(specs):
+    # shuffled so each (dim, rank) group is gathered from scattered positions
+    specs = Stream(3).shuffled(specs)
+    batched = states.random_densities(specs)
+    assert len(batched) == len(specs)
+    for spec, rho in zip(specs, batched):
+        one = states.random_density(*spec)
+        mat, (vals, vecs) = _per_matrix_reference(*spec)
+        for got in (rho, one):
+            assert np.array_equal(got.mat, mat)
+            assert np.array_equal(got.eig.eigenvalues, vals)
+            assert np.array_equal(got.eig.eigenvectors, vecs)
+        assert not rho.mat.flags.writeable and not rho.eig.eigenvectors.flags.writeable
+
+
+def test_random_densities_by_trial_reads_lazily_in_blocks(monkeypatch):
+    # a block of 2 trials of two 2x2 states each; the third trial is read
+    # only once the first block is spent
+    monkeypatch.setattr(states, "BLOCK_ENTRIES", 16)
+    read = []
+
+    def trials():
+        for t in range(5):
+            read.append(t)
+            yield t, [(2, 1 + t % 2, 10 * t), (2, 2, 10 * t + 1)]
+
+    out = states.random_densities_by_trial(trials())
+    key, (r1, r2) = next(out)
+    assert key == 0 and read == [0, 1, 2]
+    rest = list(out)
+    assert [k for k, _ in rest] == [1, 2, 3, 4] and read == [0, 1, 2, 3, 4]
+    for t, pair in [(0, (r1, r2))] + rest:
+        want = states.random_densities([(2, 1 + t % 2, 10 * t), (2, 2, 10 * t + 1)])
+        assert all(np.array_equal(a.mat, b.mat) for a, b in zip(pair, want))
+
+
+def test_random_densities_validate_every_rank():
+    with pytest.raises(RankError):
+        states.random_densities([(3, 1, 1), (3, 4, 2)])
+    assert states.random_densities([]) == []

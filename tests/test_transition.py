@@ -180,3 +180,23 @@ def test_verify_transition_bound_sweep():
 def test_verify_transition_bound_validates_trials():
     with pytest.raises(ValueError):
         transition.verify_transition_bound(0, (2, 2), seed=1)
+
+
+def test_verify_transition_bound_counts_non_finite_slack(monkeypatch):
+    # a NaN from the alignment is a violation and the reported minimum,
+    # with the seed of the first trial that produced it
+    real = transition.uhlmann_align
+    seen = []
+
+    def broken(phi1, phi2):
+        res = real(phi1, phi2)
+        seen.append(res)
+        if len(seen) == 2:
+            return transition.TransitionResult(res.unitary_k, res.achieved_overlap_sq, np.nan, res.t)
+        return res
+
+    monkeypatch.setattr(transition, "uhlmann_align", broken)
+    report = transition.verify_transition_bound(3, (2, 2), seed=5)
+    assert report["violations"] == 1
+    assert np.isnan(report["min_slack"])
+    assert report["worst_instance_seed"] == derive_seed(5, 1, 0)
