@@ -66,6 +66,9 @@ def _cube_m(e: CQEnsemble) -> int:
 
 # Entries per batched SVD (16 MiB): one call up to d = 8, m = 7; flat memory to MAX_DIM.
 _BATCH_ENTRIES = 1 << 20
+PAIRING_TRIES = 200  # random pairings find_pairing draws before it gives up
+PAIRING_TOL = 1e-10  # how far below Delta a found pairing's average may fall
+STATS_TOL = 1e-8  # how far encoding_stats lets each asserted bound be overshot
 
 
 def pairwise_distance_matrix(e: CQEnsemble) -> np.ndarray:
@@ -86,16 +89,14 @@ def pairing_average(d: np.ndarray, pairing) -> float:
     return 2.0 / n * float(sum(d[i, j] for i, j in pairing))
 
 
-def find_pairing(
-    d: np.ndarray, seed: int, max_tries: int = 200, tol: float = 1e-10
-) -> tuple[tuple[int, int], ...]:
+def find_pairing(d: np.ndarray, seed: int) -> tuple[tuple[int, int], ...]:
     """Random perfect pairing whose average distance reaches Delta.
 
     ``d`` is the pairwise distance matrix of a uniform cube ensemble.
     The expected average over a uniformly random pairing exceeds Delta by
     a factor 2^m / (2^m - 1), so a short keep-best search succeeds; if
-    ``max_tries`` runs out the best pairing found is reported in the
-    raised error.
+    ``PAIRING_TRIES`` draws run out the best pairing found is reported in
+    the raised error.
     """
     n = d.shape[0]
     if d.shape != (n, n) or n < 2 or n & (n - 1):
@@ -104,7 +105,7 @@ def find_pairing(
     stream = Stream(seed)
     best: tuple[tuple[int, int], ...] = ()
     best_avg = -np.inf
-    for _ in range(max_tries):
+    for _ in range(PAIRING_TRIES):
         order = stream.shuffled(list(range(n)))
         pairing = tuple(
             (min(order[2 * i], order[2 * i + 1]), max(order[2 * i], order[2 * i + 1]))
@@ -114,10 +115,10 @@ def find_pairing(
         if avg > best_avg:
             best_avg = avg
             best = pairing
-        if best_avg >= delta - tol:
+        if best_avg >= delta - PAIRING_TOL:
             return best
     raise PairingSearchError(
-        f"no pairing reached Delta={delta} in {max_tries} tries "
+        f"no pairing reached Delta={delta} in {PAIRING_TRIES} tries "
         f"(best {best_avg})",
         best,
         best_avg,
@@ -153,7 +154,7 @@ def information_floor(delta: float, m: int = 2) -> float:
     return 1.0 - binary_entropy(0.5 + min(delta, 2.0) / 4.0)
 
 
-def encoding_stats(e: CQEnsemble, seed: int = 7, tol: float = 1e-8) -> EncodingStats:
+def encoding_stats(e: CQEnsemble, seed: int = 7) -> EncodingStats:
     """Delta, Delta', Holevo information and a witnessing pairing.
 
     Internally asserts the chain Delta' <= Delta <= 2 sqrt(info) and
@@ -168,12 +169,12 @@ def encoding_stats(e: CQEnsemble, seed: int = 7, tol: float = 1e-8) -> EncodingS
     delta_mean = float(np.mean(trace_norm(mean.mat - e.mats)))
     info = holevo_information(e)
     pairing = find_pairing(d, seed)
-    if delta_mean > delta + tol:
+    if delta_mean > delta + STATS_TOL:
         raise _bound_error("delta_to_mean exceeds delta", delta_mean, delta)
-    if delta > 2.0 * np.sqrt(info) + tol:
+    if delta > 2.0 * np.sqrt(info) + STATS_TOL:
         raise _bound_error("delta exceeds 2 sqrt(info)", delta, 2 * np.sqrt(info))
     floor = information_floor(delta, m)
-    if info < floor - tol:
+    if info < floor - STATS_TOL:
         raise _bound_error("info below entropy-gap floor", info, floor)
     return EncodingStats(delta, delta_mean, info, pairing, d)
 
@@ -203,6 +204,13 @@ def _bit_ensemble(e: CQEnsemble, prefix: str) -> CQEnsemble:
     )
 
 
+def prefix_information(e: CQEnsemble) -> list[list[float]]:
+    """The information of each bit given each prefix: row i lists, for the
+    i-bit prefixes y in binary order, that of the bit after y."""
+    rows = ([format(y, f"0{i}b") if i else "" for y in range(2**i)] for i in range(_cube_m(e)))
+    return [[holevo_information(_bit_ensemble(e, y)) for y in row] for row in rows]
+
+
 def info_decomposition_check(e: CQEnsemble) -> tuple[float, float]:
     """Prefix-wise information sum versus the full ensemble information.
 
@@ -210,12 +218,5 @@ def info_decomposition_check(e: CQEnsemble) -> tuple[float, float]:
     conditional bit information, and rhs the Holevo information of the
     whole ensemble; lhs <= rhs up to numerics.
     """
-    m = _cube_m(e)
-    lhs = 0.0
-    for i in range(m):
-        prefixes = [format(y, f"0{i}b") if i > 0 else "" for y in range(2**i)]
-        lhs += float(
-            np.mean([holevo_information(_bit_ensemble(e, y)) for y in prefixes])
-        )
-    rhs = holevo_information(e)
-    return lhs, rhs
+    lhs = sum(float(np.mean(row)) for row in prefix_information(e))
+    return lhs, holevo_information(e)

@@ -130,8 +130,9 @@ def holevo_information(e: CQEnsemble) -> float:
     return float(max(chi, 0.0))
 
 
-def validate_projective(projectors, dim: int, tol: float = 1e-8) -> None:
+def validate_projective(projectors, dim: int) -> None:
     """Check a list of orthogonal projectors that sums to the identity."""
+    tol = linalg.CERT_TOL
     acc = np.zeros((dim, dim), dtype=np.complex128)
     for p in projectors:
         p = linalg.as_matrix(p)

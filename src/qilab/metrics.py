@@ -24,9 +24,9 @@ class TwoOutcomeMeasurement:
     projector_pos: np.ndarray
     projector_neg: np.ndarray
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         dim = self.projector_pos.shape[0]
-        validate_projective([self.projector_pos, self.projector_neg], dim, tol)
+        validate_projective([self.projector_pos, self.projector_neg], dim)
 
 
 def trace_norm(a) -> float | np.ndarray:
@@ -86,19 +86,19 @@ def fidelity(r1: DensityMatrix, r2: DensityMatrix) -> float:
 
 
 def optimal_measurement(
-    r1: DensityMatrix, r2: DensityMatrix, tol: float = DEFAULT_TOL
+    r1: DensityMatrix, r2: DensityMatrix
 ) -> tuple[TwoOutcomeMeasurement, float]:
     """Projective measurement onto the eigenspaces of r1 - r2.
 
     The achieved l1 distance |Tr P+ (r1-r2)| + |Tr P- (r1-r2)| equals the
     trace distance, which is the best any measurement can do. Eigenvalues
-    in [-tol, tol] go to the positive projector; the achieved value does
-    not depend on that choice.
+    within DEFAULT_TOL of zero go to the positive projector; the achieved
+    value does not depend on that choice.
     """
     _check_dims(r1, r2)
     diff = r1.mat - r2.mat
     vals, vecs = linalg.hermitian_eig(diff, tol=1e-8)
-    pos_cols = vecs[:, vals >= -tol]
+    pos_cols = vecs[:, vals >= -DEFAULT_TOL]
     p_pos = pos_cols @ dagger(pos_cols)
     p_neg = np.eye(r1.dim) - p_pos
     meas = TwoOutcomeMeasurement(p_pos, p_neg)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ProtocolError, SizeError
 from .info import validate_projective
 from .linalg import dagger
-from .states import BipartitePureState, make_pure
+from .states import BipartitePureState, DensityMatrix, make_density, make_pure
 
 Player = Literal["alice", "bob"]
 
@@ -395,11 +395,25 @@ def evolve(moves, state: Branch) -> Branch:
     return state
 
 
-def first_message_density(spec: ProtocolSpec, register_states: dict) -> np.ndarray:
-    """Density of the first message right after the move that sends it."""
-    upto = spec.first_message_index() + 1
-    state = evolve(spec.moves[:upto], initial_state(spec.layout, register_states))
-    return state.density(spec.moves[upto - 1].send)
+def message_states(spec: ProtocolSpec, assignments) -> list[DensityMatrix]:
+    """Certified density of the first message for each input assignment.
+
+    Each ``register_states`` assignment is played once up to the move that
+    sends the first message. Reading an unset input before the send raises
+    ``ProtocolError``. An input those moves never read may stay unset: the
+    message is the same for each of its values, so it is their average.
+    """
+    moves = spec.moves[: spec.first_message_index() + 1]
+    read = {q for move in moves for q in move.controls}
+    inputs = [r.name for r in spec.layout.registers if r.kind == "input" and read & set(r.qubits)]
+    out = []
+    for register_states in assignments:
+        unset = [name for name in inputs if name not in register_states]
+        if unset:
+            raise ProtocolError(f"the first message reads unset inputs {unset}")
+        state = evolve(moves, initial_state(spec.layout, register_states))
+        out.append(make_density(state.density(moves[-1].send), tol=1e-8))
+    return out
 
 
 def outcome_distribution(spec: ProtocolSpec, state: Branch) -> np.ndarray:

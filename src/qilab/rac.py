@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import protocol as proto
-from .encoding import _bit_ensemble, info_decomposition_check
+from .encoding import prefix_information
 from .errors import ProtocolError
 from .info import (
     binary_entropy,
@@ -246,11 +246,7 @@ def index_ensemble(n: int) -> InputEnsemble:
 
 def message_encoding(spec: ProtocolSpec, n: int):
     """The ensemble x -> sigma_x carried by the one message."""
-    states = [
-        make_density(proto.first_message_density(spec, {"x": x}), tol=1e-8)
-        for x in range(2**n)
-    ]
-    return uniform_cube_ensemble(states)
+    return uniform_cube_ensemble(proto.message_states(spec, [{"x": x} for x in range(2**n)]))
 
 
 @dataclass(frozen=True)
@@ -301,13 +297,15 @@ def rac_lower_bound_check(spec: ProtocolSpec, n: int) -> RacBoundReport:
             report.instance_errors[idx]
         )
     ensemble = message_encoding(spec, n)
-    decomposition_lhs, info = info_decomposition_check(ensemble)
+    table = prefix_information(ensemble)
+    info = holevo_information(ensemble)
 
     fano_sum = 0.0
+    decomposition_lhs = 0.0
     min_fano_slack = np.inf
-    for j in range(n):
+    for j, row in enumerate(table):
         gaps = []
-        for y in range(2**j):
+        for y, sub_info in enumerate(row):
             suffix_count = 2 ** (n - j)
             errs = [
                 err[((y << (n - j)) | suffix, j)] for suffix in range(suffix_count)
@@ -315,10 +313,9 @@ def rac_lower_bound_check(spec: ProtocolSpec, n: int) -> RacBoundReport:
             eps_y = float(np.mean(errs))
             gap = 1.0 - binary_entropy(eps_y)
             gaps.append(gap)
-            prefix = format(y, f"0{j}b") if j > 0 else ""
-            sub_info = holevo_information(_bit_ensemble(ensemble, prefix))
             min_fano_slack = min(min_fano_slack, sub_info - gap)
         fano_sum += float(np.mean(gaps))
+        decomposition_lhs += float(np.mean(row))
     return RacBoundReport(
         n=n,
         m=m,

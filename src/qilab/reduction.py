@@ -31,7 +31,7 @@ import numpy as np
 
 from . import protocol as proto
 from .errors import ReductionError
-from .info import holevo_information, make_ensemble
+from .info import holevo_information, uniform_cube_ensemble
 from .protocol import (
     H,
     P0,
@@ -45,23 +45,20 @@ from .protocol import (
     RegisterLayout,
     Branch,
     evolve,
-    first_message_density,
     initial_state,
     make_layout,
+    message_states,
     ry,
     run_protocol,
     state_prep_unitary,
     total_variation,
 )
 from .rac import bit_of
-from .states import (
-    canonical_purification,
-    distance_up_to_phase,
-    make_density,
-)
+from .states import canonical_purification, distance_up_to_phase
 from .transition import apply_k_unitary, exact_local_transition, uhlmann_align
 
 PLUS = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
+ROTATION_THETA = 0.6 * np.pi  # the "rotation" style's angle
 
 
 @dataclass(frozen=True)
@@ -94,13 +91,13 @@ def _decode_move(layout: RegisterLayout) -> Move:
     return Move("alice", m_w, blocks, controls=controls, send=m_w)
 
 
-def two_round_family(style: str, theta: float = 0.6 * np.pi) -> TwoRoundFamily:
+def two_round_family(style: str) -> TwoRoundFamily:
     """Build a toy two-round protocol; ``style`` picks Bob's first message.
 
     copy_first  -- the message is a copy of y0;
     constant    -- the message is a fixed |+>, independent of everything;
     parity      -- the message is y0 XOR y1;
-    rotation    -- the message qubit is rotated by theta when y0 = 1.
+    rotation    -- the message qubit is rotated by ROTATION_THETA when y0 = 1.
     """
     layout = make_layout(
         [
@@ -122,7 +119,7 @@ def two_round_family(style: str, theta: float = 0.6 * np.pi) -> TwoRoundFamily:
     elif style == "parity":
         first = Move("bob", m_w, {1: proto.X, 2: proto.X}, controls=(*y0_w, *y1_w), send=m_w)
     elif style == "rotation":
-        first = Move("bob", m_w, {1: ry(theta)}, controls=y0_w, send=m_w)
+        first = Move("bob", m_w, {1: ry(ROTATION_THETA)}, controls=y0_w, send=m_w)
     else:
         raise ValueError(f"unknown style {style!r}")
     spec = ProtocolSpec(
@@ -167,34 +164,20 @@ def slice_distribution(
     return InputEnsemble(tuple(instances))
 
 
-def message_density_by_value(
-    spec: ProtocolSpec, family: TwoRoundFamily, j: int
-) -> dict[int, np.ndarray]:
-    """Density of the first message for each classical value of y_j.
-
-    Averages over the superposed slice distribution: uniform classical
-    x's, the other y registers in uniform superposition.
-    """
-    acc: dict[int, np.ndarray] = {}
-    weight: dict[int, float] = {}
-    for inst in slice_distribution(family, j).instances:
-        z = inst.register_states[f"y{j}"]
-        rho = first_message_density(spec, inst.register_states)
-        acc[z] = acc.get(z, 0.0) + inst.weight * rho
-        weight[z] = weight.get(z, 0.0) + inst.weight
-    return {z: acc[z] / weight[z] for z in sorted(acc)}
+def _slot_assignments(family: TwoRoundFamily, j: int) -> list[dict]:
+    """One input assignment per value of y_j, the other y register in |+>."""
+    return [{f"y{j}": z, f"y{1 - j}": PLUS} for z in range(family.inner_bits)]
 
 
 def slice_information(spec: ProtocolSpec, family: TwoRoundFamily, j: int) -> float:
-    """I(M : Y_j) of the first message under the slice distribution."""
-    rho = message_density_by_value(spec, family, j)
-    values = sorted(rho)
-    ensemble = make_ensemble(
-        [str(z) for z in values],
-        np.full(len(values), 1.0 / len(values)),
-        [make_density(rho[z], tol=1e-8) for z in values],
+    """I(M : Y_j) of the first message under the slice distribution.
+
+    The message's sender cannot read Alice's x's, so one run per value of
+    y_j gives the slice average exactly.
+    """
+    return holevo_information(
+        uniform_cube_ensemble(message_states(spec, _slot_assignments(family, j)))
     )
-    return holevo_information(ensemble)
 
 
 def message_info_budget(
@@ -206,17 +189,9 @@ def message_info_budget(
     I(M : Y_1..Y_n), which the message size ell_1 caps in turn.
     """
     mus = [slice_information(spec, family, j) for j in range(family.n)]
-
-    joint_states = []
-    labels = []
-    for z0 in range(family.inner_bits):
-        for z1 in range(family.inner_bits):
-            rho = first_message_density(spec, {"y0": z0, "y1": z1})
-            joint_states.append(make_density(rho, tol=1e-8))
-            labels.append(f"{z0}{z1}")
-    joint = holevo_information(
-        make_ensemble(labels, np.full(len(labels), 1.0 / len(labels)), joint_states)
-    )
+    values = range(family.inner_bits)
+    joint_states = message_states(spec, [{"y0": z0, "y1": z1} for z0 in values for z1 in values])
+    joint = holevo_information(uniform_cube_ensemble(joint_states))
     return mus, joint, spec.first_message_qubits
 
 
@@ -287,11 +262,10 @@ def modify_first_message(
     original one; the error increase is bounded by twice the mean
     square-root alignment distance.
     """
-    other = 1 - j
     # The derived protocol solves the inner index problem on slot j, so
     # the other y register stops being an input: it becomes workspace Bob
     # initializes himself.
-    base = _relayout(family.spec, kinds={f"y{other}": "work"})
+    base = _relayout(family.spec, kinds={f"y{1 - j}": "work"})
     first = base.moves[0]
     if first.player != "bob":
         raise ReductionError("the first move must belong to the player without the pointer")
@@ -314,9 +288,10 @@ def modify_first_message(
 
     layout = prime.layout
     m_wires = tuple(first.send)
+    assignments = _slot_assignments(family, j)
 
     def opened(moves, z: int) -> Branch:
-        return evolve(moves, initial_state(layout, {f"y{j}": z, f"y{other}": PLUS}))
+        return evolve(moves, initial_state(layout, assignments[z]))
 
     # y_j and Alice's inputs are classical, so K is every other wire.
     rewired_state = opened(opening, 0)
@@ -385,12 +360,11 @@ def drop_first_message(
     """
     m_wires = tuple(spec_prime.moves[spec_prime.first_message_index()].send)
 
-    densities = message_density_by_value(spec_prime, family, j)
-    rho_list = list(densities.values())
-    for other in rho_list[1:]:
-        if np.max(np.abs(other - rho_list[0])) > 1e-9:
+    assignments = _slot_assignments(family, j)
+    rho_m, *others = message_states(spec_prime, assignments)
+    for other in others:
+        if np.max(np.abs(other.mat - rho_m.mat)) > 1e-9:
             raise ReductionError("first message still depends on y_j")
-    rho_m = make_density(rho_list[0], tol=1e-8)
     rank = int(np.sum(rho_m.eig.eigenvalues > 1e-9))
     n_b = max(int(np.ceil(np.log2(max(rank, 1)))), 0)
 
@@ -411,11 +385,10 @@ def drop_first_message(
     alice_move = replace(alice_move, send=(*alice_move.send, *bp_wires))
 
     yj_wires = layout.register(f"y{j}").qubits
-    y_other = f"y{1 - j}"
 
     # Alice's prepared message; y_j and Alice's inputs are classical, so
     # K is B'' followed by every other simulated wire.
-    prepared = evolve((prep,), initial_state(layout, {y_other: PLUS}))
+    prepared = evolve((prep,), initial_state(layout, {f"y{1 - j}": PLUS}))
     k_full = (*bp_wires, *(q for q in prepared.wires if q not in (*m_wires, *bp_wires)))
     xi = prepared.bipartite(m_wires, k_full)
 
@@ -423,9 +396,8 @@ def drop_first_message(
     # in the new register space (B'' spectator at |0>).
     max_residual = 0.0
     v_blocks = {}
-    for z in range(family.inner_bits):
-        state = initial_state(layout, {f"y{j}": z, y_other: PLUS})
-        state = evolve(shell.moves[:first_alice], state)
+    for z, register_states in enumerate(assignments):
+        state = evolve(shell.moves[:first_alice], initial_state(layout, register_states))
         chi = state.bipartite(m_wires, k_full)
         v_z = exact_local_transition(chi, xi)
         aligned = apply_k_unitary(xi, v_z)
@@ -478,13 +450,16 @@ class PipelineReport:
     classical_error: float
 
 
-def run_pipeline(style: str, j: int, theta: float = 0.6 * np.pi) -> PipelineReport:
-    """Run P -> P' -> P'' for one toy instance and collect every check."""
-    family = two_round_family(style, theta)
+def run_pipeline(style: str, j: int) -> PipelineReport:
+    """Run P -> P' -> P'' for one toy instance and collect every check.
+
+    The superposed error is P's error on the slice, which
+    :func:`modify_first_message` has already measured as eps_j.
+    """
+    family = two_round_family(style)
     spec_prime, first_report = modify_first_message(family, j)
     _, drop_report = drop_first_message(family, j, spec_prime)
     mus, joint, ell1 = message_info_budget(family.spec, family)
-    sup = run_protocol(family.spec, slice_distribution(family, j, superposed=True))
     cla = run_protocol(family.spec, slice_distribution(family, j, superposed=False))
     return PipelineReport(
         style=style,
@@ -494,6 +469,6 @@ def run_pipeline(style: str, j: int, theta: float = 0.6 * np.pi) -> PipelineRepo
         mus=tuple(mus),
         joint_info=joint,
         ell1=ell1,
-        superposed_error=sup.error_avg,
+        superposed_error=first_report.eps_j,
         classical_error=cla.error_avg,
     )

@@ -28,6 +28,7 @@ from .rng import Stream, complex_gauss_stack
 # Most matrix entries one stacked build holds at once, so batching keeps
 # memory flat; a matrix above it is built on its own.
 BLOCK_ENTRIES = 2**14
+NORM_TOL = 1e-9  # how far from 1 a vector's norm or a mixture's weight sum may be
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -115,23 +116,23 @@ def _density(mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> DensityMatr
     return rho
 
 
-def pure_density(vec, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def pure_density(vec) -> DensityMatrix:
     """Rank-one density |v><v| from a unit vector."""
     v = np.asarray(vec, dtype=np.complex128).reshape(-1)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > max(tol, 1e-9):
+    if abs(nrm - 1.0) > NORM_TOL:
         raise NormalizationError(f"vector norm {nrm} is not 1 within tol")
     return DensityMatrix(_frozen(np.outer(v, np.conj(v))))
 
 
-def mixture(weights, states, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def mixture(weights, states) -> DensityMatrix:
     """Convex mixture sum_i w_i rho_i, revalidated."""
     w = np.asarray(weights, dtype=np.float64)
     if len(w) != len(states):
         raise SizeError("one weight per state required")
-    if np.any(w < -tol):
+    if np.any(w < -DEFAULT_TOL):
         raise NormalizationError("mixture weights must be non-negative")
-    if abs(float(np.sum(w)) - 1.0) > max(tol, 1e-9):
+    if abs(float(np.sum(w)) - 1.0) > NORM_TOL:
         raise NormalizationError(f"weights sum to {np.sum(w)}, expected 1")
     dims = {s.dim for s in states}
     if len(dims) != 1:
@@ -139,17 +140,17 @@ def mixture(weights, states, tol: float = DEFAULT_TOL) -> DensityMatrix:
     acc = np.zeros((dims.pop(),) * 2, dtype=np.complex128)
     for wi, si in zip(w, states):
         acc += wi * si.mat
-    return make_density(acc, tol)
+    return make_density(acc)
 
 
-def make_pure(dim_h: int, dim_k: int, vec, tol: float = DEFAULT_TOL) -> BipartitePureState:
+def make_pure(dim_h: int, dim_k: int, vec) -> BipartitePureState:
     v = np.asarray(vec, dtype=np.complex128).reshape(-1)
     if v.shape[0] != dim_h * dim_k:
         raise SizeError(
             f"vector length {v.shape[0]} does not match {dim_h}x{dim_k}"
         )
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > max(tol, 1e-9):
+    if abs(nrm - 1.0) > NORM_TOL:
         raise NormalizationError(f"state norm {nrm} is not 1 within tol")
     return BipartitePureState(int(dim_h), int(dim_k), _frozen(v / nrm))
 

@@ -260,13 +260,7 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
             - sum(w * von_neumann_entropy(s) for w, s in zip(ws, parts))
         )
 
-        s_a = von_neumann_entropy(
-            make_density(linalg.partial_trace(rho_ab.mat, 2, 2, "H"), tol=1e-8)
-        )
-        s_b = von_neumann_entropy(
-            make_density(linalg.partial_trace(rho_ab.mat, 2, 2, "K"), tol=1e-8)
-        )
-        subadd.add(s_a + s_b - von_neumann_entropy(rho_ab))
+        subadd.add(info.bipartite_mutual_info(rho_ab, 2, 2))
 
     gap = _Tally("binary_entropy_gap", _tol(cfg, 1e-12))
     for k in range(501):

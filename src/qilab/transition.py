@@ -57,9 +57,7 @@ def apply_k_unitary(psi: BipartitePureState, u: np.ndarray) -> BipartitePureStat
     return make_pure(psi.dim_h, psi.dim_k, a.reshape(-1))
 
 
-def uhlmann_align(
-    phi1: BipartitePureState, phi2: BipartitePureState, tol: float = 1e-8
-) -> TransitionResult:
+def uhlmann_align(phi1: BipartitePureState, phi2: BipartitePureState) -> TransitionResult:
     """K-side unitary rotating phi2 into the best match with phi1.
 
     Writing each state as a dim_h x dim_k coefficient matrix A, the
@@ -82,7 +80,7 @@ def uhlmann_align(
     overlap_sq = min(overlap**2, 1.0)
     aligned = apply_k_unitary(phi2, u)
     realized = np.vdot(phi1.vec, aligned.vec)
-    if abs(realized - overlap) > max(tol, 1e-8):
+    if abs(realized - overlap) > linalg.CERT_TOL:
         raise ReductionError(
             f"alignment overlap {realized} disagrees with trace norm {overlap}"
         )
@@ -93,17 +91,15 @@ def uhlmann_align(
     return TransitionResult(u, overlap_sq, pure_distance, t)
 
 
-def exact_local_transition(
-    phi1: BipartitePureState, phi2: BipartitePureState, tol: float = 1e-8
-) -> np.ndarray:
+def exact_local_transition(phi1: BipartitePureState, phi2: BipartitePureState) -> np.ndarray:
     """K-side unitary with (I (x) U) phi2 = phi1 up to a global phase.
 
-    Requires the reduced states on H to agree within ``tol`` in trace
+    Requires the reduced states on H to agree within 1e-8 in trace
     distance; use :func:`uhlmann_align` when they differ.
     """
     result = uhlmann_align(phi1, phi2)
     gap = result.t
-    if gap > tol:
+    if gap > 1e-8:
         raise ReductionError(
             f"reduced states differ by {gap:.3e}; exact transition needs equality"
         )

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from qilab import encoding as enc
 from qilab import rac
 from qilab.errors import ProtocolError
 from qilab.protocol import run_protocol
@@ -119,3 +122,20 @@ def test_message_encoding_states_are_the_kets():
     ensemble = rac.message_encoding(spec, 2)
     for ket, sigma in zip(kets, ensemble.states):
         assert np.allclose(sigma.mat, np.outer(ket, ket.conj()), atol=1e-10)
+
+
+def test_rac_bound_builds_each_prefix_state_once(monkeypatch):
+    # the prefix-information table serves both the decomposition sum and
+    # the per-prefix Fano loop
+    built = Counter()
+    original = enc.prefix_ensemble
+
+    def counting(e, prefix):
+        built[prefix] += 1
+        return original(e, prefix)
+
+    monkeypatch.setattr(enc, "prefix_ensemble", counting)
+    n = 3
+    rac.rac_lower_bound_check(rac.classical_copy_protocol(n), n)
+    prefixes = [format(y, f"0{k}b") for k in range(1, n + 1) for y in range(2**k)]
+    assert built == Counter(prefixes)

@@ -6,6 +6,8 @@ from qilab import reduction as red
 from qilab.errors import ReductionError
 from qilab.rac import bit_of
 
+STYLES = ("copy_first", "constant", "parity", "rotation")
+
 
 def test_families_validate():
     for style in ("copy_first", "constant", "parity", "rotation"):
@@ -55,14 +57,57 @@ def test_superposed_equals_classical_average():
 
 def test_message_densities_copy_first():
     fam = red.two_round_family("copy_first")
-    rho = red.message_density_by_value(fam.spec, fam, 0)
-    assert np.allclose(rho[0], np.diag([1.0, 0.0]), atol=1e-12)
-    assert np.allclose(rho[1], np.diag([0.0, 1.0]), atol=1e-12)
-    rho1 = red.message_density_by_value(fam.spec, fam, 1)
-    assert np.allclose(rho1[0], np.eye(2) / 2, atol=1e-12)
-    assert np.allclose(rho1[1], np.eye(2) / 2, atol=1e-12)
+    rho = proto.message_states(fam.spec, [{"y0": z, "y1": red.PLUS} for z in (0, 1)])
+    assert np.allclose(rho[0].mat, np.diag([1.0, 0.0]), atol=1e-12)
+    assert np.allclose(rho[1].mat, np.diag([0.0, 1.0]), atol=1e-12)
+    rho1 = proto.message_states(fam.spec, [{"y1": z, "y0": red.PLUS} for z in (0, 1)])
+    assert np.allclose(rho1[0].mat, np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(rho1[1].mat, np.eye(2) / 2, atol=1e-12)
     assert red.slice_information(fam.spec, fam, 0) == pytest.approx(1.0, abs=1e-10)
     assert red.slice_information(fam.spec, fam, 1) == pytest.approx(0.0, abs=1e-10)
+
+
+def _slice_average(spec, fam, j):
+    """Reference: the first message averaged over every slice instance,
+    one weighted run per instance, grouped by the value of y_j."""
+    send = spec.first_message_index()
+    acc, weight = {}, {}
+    for inst in red.slice_distribution(fam, j).instances:
+        z = inst.register_states[f"y{j}"]
+        state = proto.initial_state(spec.layout, inst.register_states)
+        rho = proto.evolve(spec.moves[: send + 1], state).density(spec.moves[send].send)
+        acc[z] = acc.get(z, 0.0) + inst.weight * rho
+        weight[z] = weight.get(z, 0.0) + inst.weight
+    return [acc[z] / weight[z] for z in sorted(acc)]
+
+
+@pytest.mark.parametrize("j", (0, 1))
+@pytest.mark.parametrize("style", STYLES)
+def test_message_states_equal_the_slice_average(style, j):
+    # Bob's opening cannot read Alice's x's, so one run per value of y_j
+    # gives the average over the 16 x values of the slice
+    fam = red.two_round_family(style)
+    spec_prime, _ = red.modify_first_message(fam, j)
+    for spec in (fam.spec, spec_prime):
+        got = proto.message_states(spec, [{f"y{j}": z, f"y{1 - j}": red.PLUS} for z in (0, 1)])
+        want = _slice_average(spec, fam, j)
+        assert len(got) == len(want) == 2
+        for rho, ref in zip(got, want):
+            assert np.max(np.abs(rho.mat - ref)) <= 1e-15
+
+
+def test_message_states_reject_an_unset_input_the_sender_reads():
+    # Alice opens the flipped family, reading a, x0 and x1
+    fam = red.two_round_family("copy_first")
+    flipped = proto.ProtocolSpec(
+        fam.spec.layout, (fam.spec.moves[1], fam.spec.moves[0]), fam.spec.final_measurement
+    )
+    with pytest.raises(proto.ProtocolError, match=r"unset inputs \['a', 'x0', 'x1'\]"):
+        proto.message_states(flipped, [{"y0": 0, "y1": 1}])
+    with pytest.raises(proto.ProtocolError, match=r"unset inputs \['x1'\]"):
+        proto.message_states(flipped, [{"a": 1, "x0": 3}])
+    (rho,) = proto.message_states(flipped, [{"a": 1, "x0": 0, "x1": 2}])
+    assert np.allclose(rho.mat, np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_modify_first_message_zeroes_information():
@@ -196,3 +241,28 @@ def test_pipeline_report_fields():
     assert rep.first.alignment_bound_slack >= -1e-8
     assert rep.first.info_bound_slack >= -1e-8
     assert rep.superposed_error == pytest.approx(rep.classical_error, abs=1e-12)
+
+
+def test_pipeline_makes_five_protocol_runs(monkeypatch):
+    # P on the superposed slice is run once, by modify_first_message, and
+    # run_pipeline reads its error from eps_j
+    runs = []
+    original = red.run_protocol
+
+    def counting(spec, ensemble):
+        runs.append(spec)
+        return original(spec, ensemble)
+
+    monkeypatch.setattr(red, "run_protocol", counting)
+    red.run_pipeline("rotation", 0)
+    assert len(runs) == 5
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_eps_j_is_the_superposed_slice_error_bit_for_bit(style):
+    # y_{1-j} re-kinded to work is still the same simulated |+> wire
+    fam = red.two_round_family(style)
+    for j in (0, 1):
+        _, rep = red.modify_first_message(fam, j)
+        sup = proto.run_protocol(fam.spec, red.slice_distribution(fam, j, superposed=True))
+        assert rep.eps_j == sup.error_avg
