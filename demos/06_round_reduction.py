@@ -29,7 +29,7 @@ for style in ("copy_first", "constant", "parity", "rotation"):
 
 print()
 print("== full pipeline on the rotation instance, slot 0 ==")
-rep = run_pipeline("rotation", 0)
+rep = run_pipeline("rotation")[0]
 f, d = rep.first, rep.drop
 print(f"slice error of the original protocol   eps_0  = {f.eps_j:.4f}")
 print(f"first-message information about slot 0 mu_0   = {f.mu_j:.4f}")

@@ -46,6 +46,7 @@ from .states import (
     DensityMatrix,
     canonical_purification,
     distance_up_to_phase,
+    make_densities,
     make_density,
     make_pure,
     mixture,
@@ -86,6 +87,7 @@ __all__ = [
     "find_pairing",
     "hermitian_eig",
     "holevo_information",
+    "make_densities",
     "make_density",
     "make_ensemble",
     "make_pure",

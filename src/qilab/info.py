@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NormalizationError, SizeError
-from .states import DensityMatrix, _frozen, make_density, mixture
+from .states import DensityMatrix, _frozen, make_densities, mixture
 
 _ZERO_CUT = 1e-12
 
@@ -87,7 +87,10 @@ class CQEnsemble:
         return mixture(self.priors, self.states)
 
 
-def make_ensemble(labels, priors, states) -> CQEnsemble:
+def make_ensemble(labels, priors, states, average=None) -> CQEnsemble:
+    """A validated ensemble. ``average``, if given, seeds ``average_state``;
+    it must be ``mixture(priors, states)`` certified, as
+    :func:`~qilab.states.make_densities` certifies it."""
     labels = tuple(str(x) for x in labels)
     priors = np.asarray(priors, dtype=np.float64)
     states = tuple(states)
@@ -104,7 +107,10 @@ def make_ensemble(labels, priors, states) -> CQEnsemble:
         raise SizeError("all encoded states must share one dimension")
     frozen = np.array(priors, copy=True)
     frozen.setflags(write=False)
-    return CQEnsemble(labels, frozen, states)
+    e = CQEnsemble(labels, frozen, states)
+    if average is not None:
+        e.__dict__["average_state"] = average
+    return e
 
 
 def uniform_cube_ensemble(states) -> CQEnsemble:
@@ -185,8 +191,9 @@ def bipartite_mutual_info(rho_ab: DensityMatrix, dim_a: int, dim_b: int) -> floa
         raise SizeError(
             f"dims ({dim_a}, {dim_b}) do not multiply to {rho_ab.dim}"
         )
-    rho_a = make_density(linalg.partial_trace(rho_ab.mat, dim_a, dim_b, "H"), tol=1e-8)
-    rho_b = make_density(linalg.partial_trace(rho_ab.mat, dim_a, dim_b, "K"), tol=1e-8)
+    rho_a, rho_b = make_densities(
+        [linalg.partial_trace(rho_ab.mat, dim_a, dim_b, keep) for keep in "HK"], tol=1e-8
+    )
     return (
         von_neumann_entropy(rho_a)
         + von_neumann_entropy(rho_b)

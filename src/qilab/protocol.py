@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ProtocolError, SizeError
 from .info import validate_projective
 from .linalg import dagger
-from .states import BipartitePureState, DensityMatrix, make_density, make_pure
+from .states import BipartitePureState, DensityMatrix, make_densities, make_pure
 
 Player = Literal["alice", "bob"]
 
@@ -406,14 +406,14 @@ def message_states(spec: ProtocolSpec, assignments) -> list[DensityMatrix]:
     moves = spec.moves[: spec.first_message_index() + 1]
     read = {q for move in moves for q in move.controls}
     inputs = [r.name for r in spec.layout.registers if r.kind == "input" and read & set(r.qubits)]
-    out = []
+    mats = []
     for register_states in assignments:
         unset = [name for name in inputs if name not in register_states]
         if unset:
             raise ProtocolError(f"the first message reads unset inputs {unset}")
         state = evolve(moves, initial_state(spec.layout, register_states))
-        out.append(make_density(state.density(moves[-1].send), tol=1e-8))
-    return out
+        mats.append(state.density(moves[-1].send))
+    return make_densities(mats, tol=1e-8)
 
 
 def outcome_distribution(spec: ProtocolSpec, state: Branch) -> np.ndarray:

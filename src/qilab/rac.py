@@ -37,7 +37,7 @@ from .protocol import (
     state_prep_unitary,
 )
 from .rng import Stream
-from .states import DensityMatrix, make_density
+from .states import DensityMatrix, make_densities
 
 OPTIMAL_TWO_BIT_SUCCESS = (2.0 + np.sqrt(2.0)) / 4.0  # cos^2(pi/8)
 SEESAW_ROUNDS = 100  # alternations per start of optimize_rac
@@ -130,11 +130,7 @@ def _mixture_pair(kets, n: int, i: int) -> tuple[DensityMatrix, DensityMatrix]:
     groups: dict[int, list[np.ndarray]] = {0: [], 1: []}
     for x, ket in enumerate(kets):
         groups[bit_of(x, i, n)].append(np.outer(ket, np.conj(ket)))
-    halves = []
-    for b in (0, 1):
-        acc = sum(groups[b]) / len(groups[b])
-        halves.append(make_density(acc, tol=1e-8))
-    return halves[0], halves[1]
+    return tuple(make_densities([sum(g) / len(g) for g in groups.values()], tol=1e-8))
 
 
 def rac_protocol(n: int, kets) -> ProtocolSpec:

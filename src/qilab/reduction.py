@@ -233,6 +233,7 @@ class FirstMessageReport:
     mu_j_prime: float
     t_values: tuple[float, ...]
     align_distances: tuple[float, ...]
+    prime_outcomes: tuple[tuple[float, ...], ...]  # P' on the slice, per instance
 
     @property
     def mean_sqrt_t(self) -> float:
@@ -315,16 +316,17 @@ def modify_first_message(
     )
     spec_prime.validate()
 
-    delta_j = run_protocol(spec_prime, slice_distribution(family, j)).error_avg
+    run_prime = run_protocol(spec_prime, slice_distribution(family, j))
     mu_j_prime = slice_information(spec_prime, family, j)
     report = FirstMessageReport(
         j=j,
         eps_j=eps_j,
-        delta_j=delta_j,
+        delta_j=run_prime.error_avg,
         mu_j=mu_j,
         mu_j_prime=mu_j_prime,
         t_values=tuple(t_values),
         align_distances=tuple(align_distances),
+        prime_outcomes=run_prime.outcome_distributions,
     )
     return spec_prime, report
 
@@ -349,7 +351,7 @@ class DropReport:
 
 
 def drop_first_message(
-    family: TwoRoundFamily, j: int, spec_prime: ProtocolSpec
+    family: TwoRoundFamily, j: int, spec_prime: ProtocolSpec, prime_outcomes
 ) -> tuple[ProtocolSpec, DropReport]:
     """Derive P'': Alice opens the protocol with the message prepared
     herself, purified across an extra register that rides along with her
@@ -357,6 +359,8 @@ def drop_first_message(
 
     The outcome distribution matches P' on every slice input, with one
     round fewer and at most ceil(log2 n) extra message qubits.
+    ``prime_outcomes`` are P''s outcome distributions on the slice, as
+    :func:`modify_first_message` reports them.
     """
     m_wires = tuple(spec_prime.moves[spec_prime.first_message_index()].send)
 
@@ -414,12 +418,9 @@ def drop_first_message(
     )
     spec_double.validate()
 
-    ensemble = slice_distribution(family, j)
-    run_prime = run_protocol(spec_prime, ensemble)
-    run_double = run_protocol(spec_double, ensemble)
+    run_double = run_protocol(spec_double, slice_distribution(family, j))
     max_tv = max(
-        total_variation(p, q)
-        for p, q in zip(run_prime.outcome_distributions, run_double.outcome_distributions)
+        total_variation(p, q) for p, q in zip(prime_outcomes, run_double.outcome_distributions)
     )
     budget = spec_prime.message_qubits + int(np.ceil(np.log2(family.n)))
     report = DropReport(
@@ -450,25 +451,32 @@ class PipelineReport:
     classical_error: float
 
 
-def run_pipeline(style: str, j: int) -> PipelineReport:
-    """Run P -> P' -> P'' for one toy instance and collect every check.
+def run_pipeline(style: str) -> tuple[PipelineReport, ...]:
+    """Run P -> P' -> P'' for one toy instance at each slot j and collect
+    every check.
 
-    The superposed error is P's error on the slice, which
+    The message-information budget does not depend on j and is computed
+    once. The superposed error is P's error on the slice, which
     :func:`modify_first_message` has already measured as eps_j.
     """
     family = two_round_family(style)
-    spec_prime, first_report = modify_first_message(family, j)
-    _, drop_report = drop_first_message(family, j, spec_prime)
     mus, joint, ell1 = message_info_budget(family.spec, family)
-    cla = run_protocol(family.spec, slice_distribution(family, j, superposed=False))
-    return PipelineReport(
-        style=style,
-        j=j,
-        first=first_report,
-        drop=drop_report,
-        mus=tuple(mus),
-        joint_info=joint,
-        ell1=ell1,
-        superposed_error=first_report.eps_j,
-        classical_error=cla.error_avg,
-    )
+    reports = []
+    for j in range(family.n):
+        spec_prime, first_report = modify_first_message(family, j)
+        _, drop_report = drop_first_message(family, j, spec_prime, first_report.prime_outcomes)
+        cla = run_protocol(family.spec, slice_distribution(family, j, superposed=False))
+        reports.append(
+            PipelineReport(
+                style=style,
+                j=j,
+                first=first_report,
+                drop=drop_report,
+                mus=tuple(mus),
+                joint_info=joint,
+                ell1=ell1,
+                superposed_error=first_report.eps_j,
+                classical_error=cla.error_avg,
+            )
+        )
+    return tuple(reports)

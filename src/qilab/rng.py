@@ -9,11 +9,11 @@ Gaussian variates use the Box-Muller transform on the uniform stream.
 :meth:`Stream.gauss_array` is its batched form and must equal
 ``[s.gauss() for _ in range(n)]`` bit for bit, leaving the same counter
 and spare variate behind, so that a seed names the same states whichever
-path drew them. :func:`gauss_rows` draws for many fresh seeds at once and
+function drew them. :func:`gauss_rows` draws for many fresh seeds at once and
 equals a per-seed ``gauss_array`` loop bit for bit; both run one kernel,
 :func:`_gauss_pairs`. It runs SplitMix64 and the IEEE-exact steps (scaling,
 ``sqrt``, products) on numpy arrays, but takes ``log``, ``cos`` and
-``sin`` from libm through :mod:`math`, as the scalar path does. numpy's
+``sin`` from libm through :mod:`math`, as :meth:`Stream.gauss` does. numpy's
 vectorized ``np.log`` differs from libm by one ulp on about 0.3% of
 arguments (numpy 2.4 on x86-64), which moves about 0.16% of draws; its
 ``cos`` and ``sin`` agree there, but no numpy build promises it.
@@ -36,11 +36,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
 _U1, _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (1, 11, 27, 30, 31))
-# Draw counts below this go through the scalar gauss() loop: a batch costs
-# about 30 us of fixed numpy overhead, and the scalar loop is faster up to
-# 16 draws and slower from 20 on (numpy 2.4.6, Python 3.11, x86-64, one
-# core). Both paths give the same bits, so the cut only moves time.
-_BATCH_MIN = 18
 
 
 def mix64(z: int) -> int:
@@ -95,8 +90,6 @@ class Stream:
 
     def gauss_array(self, n: int) -> np.ndarray:
         """The next ``n`` values of :meth:`gauss`, as a float64 array."""
-        if n < _BATCH_MIN:
-            return np.array([self.gauss() for _ in range(n)], dtype=np.float64)
         out = np.empty(n, dtype=np.float64)
         start = 0
         if n and self._spare_gauss is not None:

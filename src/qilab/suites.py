@@ -31,13 +31,12 @@ from .rng import Stream, derive_seed
 from .states import (
     canonical_purification,
     distance_up_to_phase,
-    make_density,
-    mixture,
+    mixture_matrix,
     pure_density,
+    pure_from_gauss,
     random_densities,
     random_densities_by_trial,
-    random_pure,
-    random_unitary,
+    unitary_from_gauss,
 )
 
 
@@ -124,6 +123,19 @@ def _weights(stream: Stream, n: int, floor: float = 0.05) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _metrics_trials(cfg: SuiteConfig, trials: int):
+    """Per metrics trial, its two random densities and its Gaussian draws:
+    two pure columns, then the 2x2 and 3x3 factors of a Kronecker product."""
+    for t in range(trials):
+        dim = _dim_cycle(cfg, t)
+        yield (
+            t,
+            [_spec(dim, derive_seed(cfg.seed, 10, t, i)) for i in (0, 1)],
+            [(dim, 1, derive_seed(cfg.seed, 11, t, i)) for i in (0, 1)]
+            + [(k, k, derive_seed(cfg.seed, 12, t, i)) for i, k in enumerate((2, 3))],
+        )
+
+
 def metrics_suite(cfg: SuiteConfig) -> list[CheckResult]:
     trials = cfg.trials or 1000
     fvg_lower = _Tally("fvg_lower", _tol(cfg, 1e-9))
@@ -131,11 +143,7 @@ def metrics_suite(cfg: SuiteConfig) -> list[CheckResult]:
     tight = _Tally("measurement_tightness", _tol(cfg, 1e-9))
     pure_agree = _Tally("pure_state_distance_agreement", _tol(cfg, 1e-9))
     tensor_mult = _Tally("trace_norm_multiplicative", _tol(cfg, 1e-10))
-    specs = (
-        (t, [_spec(_dim_cycle(cfg, t), derive_seed(cfg.seed, 10, t, i)) for i in (0, 1)])
-        for t in range(trials)
-    )
-    for t, (r1, r2) in random_densities_by_trial(specs):
+    for t, (r1, r2), (g1, g2, a, b) in random_densities_by_trial(_metrics_trials(cfg, trials)):
         dim = r1.dim
         dist = metrics.trace_distance(r1, r2)
         lo, up = metrics.fidelity_distance_bounds(metrics.fidelity(r1, r2), dist)
@@ -144,15 +152,13 @@ def metrics_suite(cfg: SuiteConfig) -> list[CheckResult]:
         _, achieved = metrics.optimal_measurement(r1, r2)
         tight.add(tight.tol - abs(achieved - dist))
 
-        v1 = random_pure(dim, 1, derive_seed(cfg.seed, 11, t, 0)).vec
-        v2 = random_pure(dim, 1, derive_seed(cfg.seed, 11, t, 1)).vec
+        v1 = pure_from_gauss(dim, 1, g1).vec
+        v2 = pure_from_gauss(dim, 1, g2).vec
         dens_dist = metrics.trace_distance(pure_density(v1), pure_density(v2))
         pure_agree.add(
             pure_agree.tol - abs(metrics.pure_trace_distance(v1, v2) - dens_dist)
         )
 
-        a = Stream(derive_seed(cfg.seed, 12, t, 0)).complex_gauss_matrix(2, 2)
-        b = Stream(derive_seed(cfg.seed, 12, t, 1)).complex_gauss_matrix(3, 3)
         lhs = metrics.trace_norm(np.kron(a, b))
         rhs = metrics.trace_norm(a) * metrics.trace_norm(b)
         tensor_mult.add(tensor_mult.tol - abs(lhs - rhs) / max(rhs, 1.0))
@@ -164,13 +170,9 @@ def metrics_suite(cfg: SuiteConfig) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _random_projective(seed: int, dim: int):
-    u = random_unitary(dim, seed)
-    return [np.outer(u[:, k], np.conj(u[:, k])) for k in range(dim)]
-
-
 def _info_trials(seed: int, trials: int):
-    """Per info trial, its stream draws and the specs of its random densities.
+    """Per info trial, its stream draws, the specs of its random densities
+    and the Gaussian draw of its random measurement basis.
 
     Every draw a trial's checks consume is taken here, in their order, so
     that its densities can be built in a block with other trials'.
@@ -202,7 +204,37 @@ def _info_trials(seed: int, trials: int):
         yield (
             (trial_seed, priors, p, joint, ws),
             (*e_specs, *sigma_specs, *yz_specs, *part_specs, ab_spec),
+            [(dim, dim, derive_seed(trial_seed, 1))],
         )
+
+
+def _info_derived(key, mats) -> list[tuple[np.ndarray, float]]:
+    """An info trial's derived matrices and the tolerance each is certified
+    at: the block matrix of the p-weighted sigmas, the partial traces of the
+    yz states, the averages of the three ensembles and of the parts, and
+    both reductions of rho_ab."""
+    _, priors, p, _, ws = key
+    n_states, k = len(priors), len(p)
+    e_mats, mats = mats[:n_states], mats[n_states:]
+    sigmas, yz, parts, ab = mats[:k], mats[k : k + 4], mats[k + 4 : k + 7], mats[-1]
+    d = sigmas[0].shape[0]
+    blockmat = np.zeros((k * d, k * d), dtype=np.complex128)
+    for i, s in enumerate(sigmas):
+        blockmat[i * d : (i + 1) * d, i * d : (i + 1) * d] = p[i] * s
+    traced = [np.asarray(linalg.partial_trace(s, 2, 2, "H")) for s in yz]
+    quarter = np.full(4, 0.25)
+    averages = [
+        mixture_matrix(priors, e_mats),
+        mixture_matrix(quarter, yz),
+        mixture_matrix(quarter, traced),
+        mixture_matrix(ws, parts),
+    ]
+    reductions = [linalg.partial_trace(ab, 2, 2, keep) for keep in "HK"]
+    return [
+        *((m, 1e-8) for m in (blockmat, *traced)),
+        *((m, linalg.DEFAULT_TOL) for m in averages),
+        *((m, 1e-8) for m in reductions),
+    ]
 
 
 def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
@@ -213,22 +245,22 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
     mono = _Tally("mi_monotonicity", _tol(cfg, 1e-10))
     concave = _Tally("entropy_concavity", _tol(cfg, 1e-9))
     subadd = _Tally("entropy_subadditivity", _tol(cfg, 1e-9))
-    for (seed, priors, p, joint, ws), dens in random_densities_by_trial(
-        _info_trials(cfg.seed, trials)
+    for (_, priors, p, joint, ws), dens, (z,) in random_densities_by_trial(
+        _info_trials(cfg.seed, trials), _info_derived
     ):
         n_states, k = len(priors), len(p)
         e_states, dens = dens[:n_states], dens[n_states:]
-        sigmas, yz, parts, rho_ab = dens[:k], dens[k : k + 4], dens[k + 4 : k + 7], dens[-1]
-        dim = e_states[0].dim
-        e = make_ensemble([str(i) for i in range(n_states)], priors, list(e_states))
-        meas = _random_projective(derive_seed(seed, 1), dim)
+        sigmas, yz, parts, rho_ab = dens[:k], dens[k : k + 4], dens[k + 4 : k + 7], dens[k + 7]
+        blocked, *traced = dens[k + 8 : k + 13]
+        e_avg, full_avg, red_avg, mixed, rho_a, rho_b = dens[k + 13 :]
+        e = make_ensemble(
+            [str(i) for i in range(n_states)], priors, list(e_states), average=e_avg
+        )
+        u = unitary_from_gauss(z)
+        meas = [np.outer(col, np.conj(col)) for col in u.T]
         holevo.add(holevo_information(e) - measured_mutual_info(e, meas))
 
-        d = sigmas[0].dim
-        blockmat = np.zeros((k * d, k * d), dtype=np.complex128)
-        for i, s in enumerate(sigmas):
-            blockmat[i * d : (i + 1) * d, i * d : (i + 1) * d] = p[i] * s.mat
-        lhs = von_neumann_entropy(make_density(blockmat, tol=1e-8))
+        lhs = von_neumann_entropy(blocked)
         rhs = shannon_entropy(p) + sum(
             pi * von_neumann_entropy(si) for pi, si in zip(p, sigmas)
         )
@@ -241,26 +273,17 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
         chain.add(chain.tol - abs(i_x_yz - (i_x_y + i_xy_z - i_y_z)))
 
         labels = [format(v, "02b") for v in range(4)]
-        full = make_ensemble(labels, np.full(4, 0.25), list(yz))
-        red = make_ensemble(
-            labels,
-            np.full(4, 0.25),
-            [
-                make_density(
-                    np.asarray(linalg.partial_trace(s.mat, 2, 2, "H")), tol=1e-8
-                )
-                for s in yz
-            ],
-        )
+        full = make_ensemble(labels, np.full(4, 0.25), list(yz), average=full_avg)
+        red = make_ensemble(labels, np.full(4, 0.25), traced, average=red_avg)
         mono.add(holevo_information(full) - holevo_information(red))
 
-        mixed = mixture(ws, parts)
         concave.add(
             von_neumann_entropy(mixed)
             - sum(w * von_neumann_entropy(s) for w, s in zip(ws, parts))
         )
 
-        subadd.add(info.bipartite_mutual_info(rho_ab, 2, 2))
+        s_ab = von_neumann_entropy(rho_ab)
+        subadd.add(von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - s_ab)
 
     gap = _Tally("binary_entropy_gap", _tol(cfg, 1e-12))
     for k in range(501):
@@ -395,14 +418,17 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
         chain.add(metrics.trace_distance(r1, r2) - (1.0 - f))
 
     exact = _Tally("exact_transition", _tol(cfg, 1e-8))
-    seeds = (derive_seed(cfg.seed, 41, t) for t in range(max(trials // 5, 50)))
-    specs = (((t, seed), [_spec(2 + t % 3, seed)]) for t, seed in enumerate(seeds))
-    for (t, seed), (rho,) in random_densities_by_trial(specs):
-        dim_h = rho.dim
-        dim_k = dim_h + t % 3
-        phi1 = canonical_purification(rho, dim_k)
-        v = random_unitary(dim_k, derive_seed(seed, 1))
-        phi2 = transition.apply_k_unitary(phi1, v)
+
+    def exact_trials():
+        # a density on H, purified into K, and a Gaussian for a unitary on K
+        for t in range(max(trials // 5, 50)):
+            seed = derive_seed(cfg.seed, 41, t)
+            dim_h, dim_k = 2 + t % 3, 2 + 2 * (t % 3)
+            yield t, [_spec(dim_h, seed)], [(dim_k, dim_k, derive_seed(seed, 1))]
+
+    for _, (rho,), (z,) in random_densities_by_trial(exact_trials()):
+        phi1 = canonical_purification(rho, len(z))
+        phi2 = transition.apply_k_unitary(phi1, unitary_from_gauss(z))
         u = transition.exact_local_transition(phi1, phi2)
         aligned = transition.apply_k_unitary(phi2, u)
         exact.add(exact.tol - distance_up_to_phase(aligned.vec, phi1.vec))
@@ -490,8 +516,7 @@ def reduction_suite(cfg: SuiteConfig) -> list[CheckResult]:
     sup_cls = _Tally("superposed_vs_classical", _tol(cfg, 1e-12))
     residual = _Tally("transition_residual", _tol(cfg, 1e-8))
     for style in _PIPELINE_STYLES:
-        for j in (0, 1):
-            rep = reduction.run_pipeline(style, j)
+        for rep in reduction.run_pipeline(style):
             independence.add(independence.tol - rep.first.mu_j_prime)
             align_bound.add(rep.first.alignment_bound_slack)
             info_bound.add(rep.first.info_bound_slack)

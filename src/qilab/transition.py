@@ -22,9 +22,9 @@ from .states import (
     BipartitePureState,
     canonical_purification,
     distance_up_to_phase,
+    make_densities,
     make_pure,
     random_densities_by_trial,
-    reduced_state,
 )
 
 
@@ -85,8 +85,7 @@ def uhlmann_align(phi1: BipartitePureState, phi2: BipartitePureState) -> Transit
             f"alignment overlap {realized} disagrees with trace norm {overlap}"
         )
     pure_distance = 2.0 * float(np.sqrt(max(1.0 - overlap_sq, 0.0)))
-    rho1 = reduced_state(phi1, "H")
-    rho2 = reduced_state(phi2, "H")
+    rho1, rho2 = make_densities([a @ dagger(a) for a in (a1, a2)], tol=1e-8)
     t = metrics.trace_distance(rho1, rho2)
     return TransitionResult(u, overlap_sq, pure_distance, t)
 

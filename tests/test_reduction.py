@@ -147,8 +147,8 @@ def test_drop_first_message_matches_and_saves_a_round():
     for style in ("copy_first", "constant", "parity", "rotation"):
         fam = red.two_round_family(style)
         for j in (0, 1):
-            spec_prime, _ = red.modify_first_message(fam, j)
-            spec_double, rep = red.drop_first_message(fam, j, spec_prime)
+            spec_prime, first = red.modify_first_message(fam, j)
+            spec_double, rep = red.drop_first_message(fam, j, spec_prime, first.prime_outcomes)
             assert rep.rounds_after == rep.rounds_before - 1
             assert rep.message_qubits_after <= rep.budget
             assert rep.max_outcome_tv <= 1e-8
@@ -235,7 +235,7 @@ def test_derived_protocol_keeps_the_family_layout():
 
 
 def test_pipeline_report_fields():
-    rep = red.run_pipeline("rotation", 0)
+    rep = red.run_pipeline("rotation")[0]
     assert rep.style == "rotation"
     assert 0.0 < rep.first.mu_j < 1.0
     assert rep.first.alignment_bound_slack >= -1e-8
@@ -244,18 +244,26 @@ def test_pipeline_report_fields():
 
 
 def test_pipeline_makes_five_protocol_runs(monkeypatch):
-    # P on the superposed slice is run once, by modify_first_message, and
-    # run_pipeline reads its error from eps_j
-    runs = []
-    original = red.run_protocol
+    # four runs per slot: P and P' on the superposed slice, once each, by
+    # modify_first_message (run_pipeline reads eps_j and drop_first_message
+    # reuses P''s outcomes), P'' on it by drop_first_message, and P on the
+    # classical slice; the message-information budget is computed once
+    runs, budgets = [], []
+    original_run, original_budget = red.run_protocol, red.message_info_budget
 
     def counting(spec, ensemble):
         runs.append(spec)
-        return original(spec, ensemble)
+        return original_run(spec, ensemble)
+
+    def counting_budget(spec, family):
+        budgets.append(spec)
+        return original_budget(spec, family)
 
     monkeypatch.setattr(red, "run_protocol", counting)
-    red.run_pipeline("rotation", 0)
-    assert len(runs) == 5
+    monkeypatch.setattr(red, "message_info_budget", counting_budget)
+    reports = red.run_pipeline("rotation")
+    assert [rep.j for rep in reports] == [0, 1]
+    assert len(runs) == 4 * len(reports) and len(budgets) == 1
 
 
 @pytest.mark.parametrize("style", STYLES)

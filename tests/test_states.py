@@ -264,3 +264,100 @@ def test_random_densities_validate_every_rank():
     with pytest.raises(RankError):
         states.random_densities([(3, 1, 1), (3, 4, 2)])
     assert states.random_densities([]) == []
+
+
+def _mixed_matrices():
+    # d = 1..9 and 256, each at two tolerances; the second copy of each
+    # carries a skew part that only the looser tolerance accepts
+    mats, tols = [], []
+    for k, dim in enumerate([*range(1, 10), 256]):
+        rho = states.random_density(dim, 1 + k % dim, 300 + k).mat
+        skew = rho.copy()
+        if dim > 1:
+            skew[0, 1] += 1e-9j
+        mats += [rho, skew]
+        tols += [linalg.DEFAULT_TOL, 1e-8]
+    order = Stream(4).shuffled(list(range(len(mats))))
+    return [mats[i] for i in order], [tols[i] for i in order]
+
+
+def test_make_densities_match_make_density_loop_bit_for_bit():
+    mats, tols = _mixed_matrices()
+    batched = states.make_densities(mats, tols)
+    assert len(batched) == len(mats)
+    for mat, tol, rho in zip(mats, tols, batched):
+        one = states.make_density(mat, tol)
+        # the per-matrix validation, written out on the 2-d matrix
+        vals, vecs = linalg.hermitian_eig(mat, tol)
+        for got in (rho, one):
+            assert np.array_equal(got.mat, mat)
+            assert np.array_equal(got.eig.eigenvalues, vals)
+            assert np.array_equal(got.eig.eigenvectors, vecs)
+        assert not rho.mat.flags.writeable and not rho.eig.eigenvalues.flags.writeable
+    one_tol = states.make_densities(mats[:6], 1e-8)
+    assert all(np.array_equal(a.mat, b.mat) for a, b in zip(one_tol, batched))
+    assert states.make_densities([]) == []
+
+
+def test_make_densities_name_the_failing_matrix_by_its_index():
+    # each failing matrix is the second 2x2 of the list but the fourth entry
+    good = [np.eye(2) / 2, np.eye(3) / 3, np.eye(2) / 2]
+    cases = [
+        (np.diag([1.1, -0.1]), NotPositiveError),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), HermiticityError),
+        (np.eye(2), TraceError),
+    ]
+    for bad, error in cases:
+        with pytest.raises(error, match="^matrix 3 "):
+            states.make_densities([*good, bad])
+    with pytest.raises(SizeError):
+        states.make_densities([np.eye(2) / 2, np.ones(2)])
+
+
+def test_by_trial_draws_match_per_seed_generators(monkeypatch):
+    # blocks of 64 entries hold one to three of these trials
+    monkeypatch.setattr(states, "BLOCK_ENTRIES", 64)
+    specs = {t: (2 + t % 3, 3 + t % 2, 7 * t) for t in range(9)}
+
+    def trials():
+        for t, (d, e, s) in specs.items():
+            yield t, [], [(d, 1, s), (2 * e, 1, s + 1), (d, d, s + 2), (d, e, s + 3)]
+
+    out = list(states.random_densities_by_trial(trials()))
+    assert [key for key, *_ in out] == list(specs)
+    for t, dens, (g, h, z, m) in out:
+        d, e, s = specs[t]
+        assert dens == ()
+        pairs = [
+            (states.pure_from_gauss(d, 1, g).vec, states.random_pure(d, 1, s).vec),
+            (states.pure_from_gauss(2, e, h).vec, states.random_pure(2, e, s + 1).vec),
+            (states.unitary_from_gauss(z), states.random_unitary(d, s + 2)),
+            (m, Stream(s + 3).complex_gauss_matrix(d, e)),
+        ]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not any(x.flags.writeable for x in (g, h, z, m))
+
+
+def test_by_trial_derived_densities_match_make_density(monkeypatch):
+    # one derived density per trial at each of two tolerances, certified a
+    # block at a time and wrapped as the trial runs
+    monkeypatch.setattr(states, "BLOCK_ENTRIES", 64)
+    calls = []
+
+    def derive(key, mats):
+        calls.append(key)
+        (rho,) = mats
+        return [(linalg.partial_trace(rho, 2, 2, "H"), 1e-8), (rho @ rho / np.trace(rho @ rho), 1e-10)]
+
+    trials = ((t, [(4, 1 + t % 4, 40 + t)]) for t in range(6))
+    for t, (rho, reduced, squared) in states.random_densities_by_trial(trials, derive):
+        assert calls == list(range(min(4 * (t // 4 + 1), 6)))
+        assert np.array_equal(rho.mat, states.random_density(4, 1 + t % 4, 40 + t).mat)
+        wants = [
+            states.make_density(linalg.partial_trace(rho.mat, 2, 2, "H"), tol=1e-8),
+            states.make_density(rho.mat @ rho.mat / np.trace(rho.mat @ rho.mat)),
+        ]
+        for got, want in zip((reduced, squared), wants):
+            assert np.array_equal(got.mat, want.mat)
+            assert np.array_equal(got.eig.eigenvectors, want.eig.eigenvectors)
