@@ -15,7 +15,7 @@ import sys
 
 from .errors import QilabError
 from .linalg import MAX_DIM
-from .suites import SuiteConfig, run_suite
+from .suites import MAX_ENCODING_M, SuiteConfig, run_suite
 
 REPORT_SCHEMA = 1
 
@@ -61,6 +61,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _encoding_width(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= MAX_ENCODING_M:
+        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_ENCODING_M}, got {value}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -95,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dims", type=_parse_dims, default=(2, 8), metavar="LO-HI"
     )
     parser.add_argument(
-        "--m", type=_positive_int, default=5, help="max encoding width in bits"
+        "--m", type=_encoding_width, default=5, help="max encoding width in bits, 1-5"
     )
     parser.add_argument("--n", type=_positive_int, default=2, help="index-problem size")
     parser.add_argument(

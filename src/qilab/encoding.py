@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PairingSearchError, SizeError
+from .errors import BoundViolationError, PairingSearchError, SizeError
 from .info import (
     CQEnsemble,
     binary_entropy,
@@ -37,7 +37,7 @@ from .info import (
 )
 from .metrics import trace_distance, trace_norm  # noqa: F401 (perfbench rebinds trace_distance here)
 from .rng import Stream
-from .states import DensityMatrix, mixture
+from .states import DensityMatrix, make_densities, make_density, mixture_matrix
 
 
 @dataclass(frozen=True)
@@ -170,19 +170,13 @@ def encoding_stats(e: CQEnsemble, seed: int = 7) -> EncodingStats:
     info = holevo_information(e)
     pairing = find_pairing(d, seed)
     if delta_mean > delta + STATS_TOL:
-        raise _bound_error("delta_to_mean exceeds delta", delta_mean, delta)
+        raise BoundViolationError(f"delta_to_mean exceeds delta: {delta_mean} vs {delta}")
     if delta > 2.0 * np.sqrt(info) + STATS_TOL:
-        raise _bound_error("delta exceeds 2 sqrt(info)", delta, 2 * np.sqrt(info))
+        raise BoundViolationError(f"delta exceeds 2 sqrt(info): {delta} vs {2 * np.sqrt(info)}")
     floor = information_floor(delta, m)
     if info < floor - STATS_TOL:
-        raise _bound_error("info below entropy-gap floor", info, floor)
+        raise BoundViolationError(f"info below entropy-gap floor: {info} vs {floor}")
     return EncodingStats(delta, delta_mean, info, pairing, d)
-
-
-def _bound_error(message, lhs, rhs):
-    from .errors import BoundViolationError
-
-    return BoundViolationError(f"{message}: {lhs} vs {rhs}")
 
 
 def prefix_ensemble(e: CQEnsemble, prefix: str) -> DensityMatrix:
@@ -190,25 +184,43 @@ def prefix_ensemble(e: CQEnsemble, prefix: str) -> DensityMatrix:
     m = _cube_m(e)
     if len(prefix) > m or any(c not in "01" for c in prefix):
         raise ValueError(f"bad prefix {prefix!r} for m={m}")
-    members = [s for lab, s in zip(e.labels, e.states) if lab.startswith(prefix)]
-    weights = np.full(len(members), 1.0 / len(members))
-    return mixture(weights, members)
+    return make_density(_prefix_mixture(e.mats, 2 ** (m - len(prefix)), int(prefix or "0", 2)))
 
 
-def _bit_ensemble(e: CQEnsemble, prefix: str) -> CQEnsemble:
-    """Two-label ensemble for the bit following ``prefix``."""
-    return make_ensemble(
-        ["0", "1"],
-        [0.5, 0.5],
-        [prefix_ensemble(e, prefix + "0"), prefix_ensemble(e, prefix + "1")],
-    )
+def _prefix_mixture(mats, span: int, k: int) -> np.ndarray:
+    # the states of the prefix k (read as a number) are the k-th run of
+    # ``span`` consecutive labels in binary order
+    return mixture_matrix(np.full(span, 1.0 / span), mats[k * span : (k + 1) * span])
+
+
+def prefix_mixtures(mats, m: int) -> list[np.ndarray]:
+    """For each prefix y of fewer than ``m`` bits, by length and then in
+    binary order: the matrices of the uniform mixtures of the cube states
+    ``mats`` extending y0 and y1, then of their even mixture, uncertified."""
+    out = []
+    for i in range(m):
+        for y in range(2**i):
+            pair = [_prefix_mixture(mats, 2 ** (m - i - 1), 2 * y + b) for b in (0, 1)]
+            out += [*pair, mixture_matrix((0.5, 0.5), pair)]
+    return out
+
+
+def prefix_table(densities, m: int) -> list[list[float]]:
+    """:func:`prefix_information`'s table from the certified
+    ``prefix_mixtures(mats, m)``: each triple's bit information."""
+    it = iter(densities)
+    infos = [
+        holevo_information(make_ensemble(["0", "1"], (0.5, 0.5), [y0, y1], average=avg))
+        for y0, y1, avg in zip(it, it, it)
+    ]
+    return [infos[2**i - 1 : 2 ** (i + 1) - 1] for i in range(m)]
 
 
 def prefix_information(e: CQEnsemble) -> list[list[float]]:
     """The information of each bit given each prefix: row i lists, for the
     i-bit prefixes y in binary order, that of the bit after y."""
-    rows = ([format(y, f"0{i}b") if i else "" for y in range(2**i)] for i in range(_cube_m(e)))
-    return [[holevo_information(_bit_ensemble(e, y)) for y in row] for row in rows]
+    m = _cube_m(e)
+    return prefix_table(make_densities(prefix_mixtures(e.mats, m)), m)
 
 
 def info_decomposition_check(e: CQEnsemble) -> tuple[float, float]:

@@ -113,14 +113,14 @@ def make_ensemble(labels, priors, states, average=None) -> CQEnsemble:
     return e
 
 
-def uniform_cube_ensemble(states) -> CQEnsemble:
-    """Uniform ensemble labeled by all bit strings of length m."""
+def uniform_cube_ensemble(states, average=None) -> CQEnsemble:
+    """Uniform ensemble labeled by all m-bit strings; ``average`` as for make_ensemble."""
     n = len(states)
     m = n.bit_length() - 1
     if 2**m != n:
         raise SizeError(f"need a power-of-two state count, got {n}")
     labels = [format(x, f"0{m}b") if m > 0 else "" for x in range(n)]
-    return make_ensemble(labels, np.full(n, 1.0 / n), states)
+    return make_ensemble(labels, np.full(n, 1.0 / n), states, average)
 
 
 def conditional_entropy(e: CQEnsemble) -> float:

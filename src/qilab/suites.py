@@ -15,7 +15,7 @@ import numpy as np
 
 from . import encoding as enc
 from . import info, linalg, metrics, rac, reduction, transition
-from .errors import ReductionError
+from .errors import ReductionError, SizeError
 from .info import (
     binary_entropy,
     binary_entropy_gap,
@@ -34,10 +34,12 @@ from .states import (
     mixture_matrix,
     pure_density,
     pure_from_gauss,
-    random_densities,
     random_densities_by_trial,
     unitary_from_gauss,
 )
+
+
+MAX_ENCODING_M = 5  # widest cube the encoding suite draws: 32 states
 
 
 @dataclass(frozen=True)
@@ -311,15 +313,24 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _random_cube_ensemble(seed: int, m: int, dim: int):
-    return uniform_cube_ensemble(
-        random_densities([_spec(dim, derive_seed(seed, x)) for x in range(2**m)])
-    )
+def _cube_trials(cases):
+    """Per ``(m, dim, seed)`` case, the specs of its cube's 2^m random densities."""
+    for m, dim, seed in cases:
+        yield (m, seed), [_spec(dim, derive_seed(seed, x)) for x in range(2**m)]
+
+
+def _encoding_derived(key, mats) -> list[tuple[np.ndarray, float]]:
+    """An encoding trial's derived matrices, certified at the default
+    tolerance: the cube average, then for m <= 4 its prefix mixtures."""
+    m, _ = key
+    derived = [mixture_matrix(np.full(len(mats), 1.0 / len(mats)), mats)]
+    if m <= 4:
+        derived += enc.prefix_mixtures(mats, m)
+    return [(mat, linalg.DEFAULT_TOL) for mat in derived]
 
 
 def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
     trials = cfg.trials or 200
-    m_cap = min(cfg.m, 5)
     prime_le = _Tally("delta_prime_le_delta", _tol(cfg, 1e-8))
     two_sqrt = _Tally("delta_le_two_sqrt_info", _tol(cfg, 1e-8))
     floor_quarter = _Tally("info_floor_quarter", _tol(cfg, 1e-8))
@@ -329,39 +340,32 @@ def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
     decomp = _Tally("info_decomposition", _tol(cfg, 1e-9))
     skipped_half = 0
     half_violations_m1 = 0
-    for t in range(trials):
-        m = 1 + t % m_cap
-        dim = _dim_cycle(cfg, t)
-        seed = derive_seed(cfg.seed, 30, t)
-        e = _random_cube_ensemble(seed, m, dim)
+    cubes = _cube_trials(
+        (1 + t % cfg.m, _dim_cycle(cfg, t), derive_seed(cfg.seed, 30, t)) for t in range(trials)
+    )
+    for (m, seed), dens in random_densities_by_trial(cubes, _encoding_derived):
+        e = uniform_cube_ensemble(dens[: 2**m], average=dens[2**m])
         stats = enc.encoding_stats(e, seed=derive_seed(seed, 99))
-        prime_le.add(stats.delta_pairwise - stats.delta_to_mean)
-        two_sqrt.add(2.0 * np.sqrt(stats.info) - stats.delta_pairwise)
-        floor_quarter.add(
-            stats.info - enc.information_floor(stats.delta_pairwise, m=2)
-        )
-        if stats.delta_pairwise <= 1.0:
+        delta = stats.delta_pairwise
+        prime_le.add(delta - stats.delta_to_mean)
+        two_sqrt.add(2.0 * np.sqrt(stats.info) - delta)
+        floor_quarter.add(stats.info - enc.information_floor(delta, m=2))
+        if delta <= 1.0:
             # The half-argument floor 1 - H((1 + Delta)/2) is provable only
             # for single-bit ensembles; multi-bit ensembles violate it and
             # the violations below are expected, not numerical defects.
+            half = 1.0 - binary_entropy((1.0 + delta) / 2.0)
             before = floor_half.violations
-            floor_half.add(
-                stats.info
-                - (1.0 - binary_entropy((1.0 + stats.delta_pairwise) / 2.0))
-            )
+            floor_half.add(stats.info - half)
             if m == 1 and floor_half.violations > before:
                 half_violations_m1 += 1
-            quarter.add(
-                (1.0 - binary_entropy((1.0 + stats.delta_pairwise) / 2.0))
-                - stats.delta_pairwise**2 / 4.0
-            )
+            quarter.add(half - delta**2 / 4.0)
         else:
             skipped_half += 1
-        paired = enc.pairing_average(stats.distances, stats.pairing)
-        pair_bound.add(paired - stats.delta_pairwise)
+        pair_bound.add(enc.pairing_average(stats.distances, stats.pairing) - delta)
         if m <= 4:
-            lhs, rhs = enc.info_decomposition_check(e)
-            decomp.add(rhs - lhs)
+            table = enc.prefix_table(dens[2**m + 1 :], m)
+            decomp.add(stats.info - sum(float(np.mean(row)) for row in table))
     floor_half.details["not_applicable"] = skipped_half
     floor_half.details["violations_at_m1"] = half_violations_m1
     floor_half.details["note"] = (
@@ -370,28 +374,15 @@ def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
     )
 
     exhaustive = _Tally("pairing_vs_exhaustive", _tol(cfg, 1e-10))
-    for t in range(10):
-        seed = derive_seed(cfg.seed, 31, t)
-        e = _random_cube_ensemble(seed, 3, 2 + t % 3)
-        d = enc.pairwise_distance_matrix(e)
+    cubes = _cube_trials((3, 2 + t % 3, derive_seed(cfg.seed, 31, t)) for t in range(10))
+    for (_, seed), dens in random_densities_by_trial(cubes):
+        d = enc.pairwise_distance_matrix(uniform_cube_ensemble(dens))
         found = enc.pairing_average(d, enc.find_pairing(d, derive_seed(seed, 98)))
         best = max(enc.pairing_average(d, p) for p in enc.enumerate_pairings(8))
         exhaustive.add(best - found)
-        delta = float(np.sum(d)) / 64.0
-        exhaustive.add(found - delta)
-    return [
-        t.result()
-        for t in (
-            prime_le,
-            two_sqrt,
-            floor_quarter,
-            floor_half,
-            quarter,
-            pair_bound,
-            decomp,
-            exhaustive,
-        )
-    ]
+        exhaustive.add(found - float(np.sum(d)) / 64.0)
+    checks = (prime_le, two_sqrt, floor_quarter, floor_half, quarter, pair_bound, decomp)
+    return [t.result() for t in (*checks, exhaustive)]
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +552,9 @@ SUITES = {
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> list[CheckResult]:
+    if not 1 <= cfg.m <= MAX_ENCODING_M:
+        # no cube is drawn wider, and a report must not echo an m it did not use
+        raise SizeError(f"m must be in 1..{MAX_ENCODING_M}, got {cfg.m}")
     if name in ("reduction", "all") and cfg.n != 2:
         # The reduction family is the n = 2 nested index problem; running
         # it for another n would report a PASS for a check that never ran.

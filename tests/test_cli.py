@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qilab import cli, suites
+from qilab.errors import SizeError
 
 
 def run_cli(args, capsys):
@@ -83,6 +84,20 @@ def test_bad_flags_exit_two(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "error:" in captured.err
+
+
+def test_m_outside_the_encoding_widths_is_rejected(capsys):
+    # --m 8 used to run the encoding suite as m = 5 and echo "m": 8
+    for m in ("6", "8"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--suite", "encoding", "--m", m, "--trials", "10"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "1..5" in captured.err
+    for m in (0, 6):
+        with pytest.raises(SizeError):
+            suites.run_suite("encoding", suites.SuiteConfig(m=m, trials=1))
 
 
 def test_library_size_error_exits_two(capsys):

@@ -176,6 +176,52 @@ def test_prefix_ensemble_validation():
         enc.prefix_ensemble(e, "x")
 
 
+def _per_prefix_information(e, m):
+    # the table as bit ensembles of single-density prefix mixtures
+    return [
+        [
+            info.holevo_information(
+                info.make_ensemble(
+                    ["0", "1"],
+                    [0.5, 0.5],
+                    [enc.prefix_ensemble(e, y + "0"), enc.prefix_ensemble(e, y + "1")],
+                )
+            )
+            for y in (format(k, f"0{i}b") if i else "" for k in range(2**i))
+        ]
+        for i in range(m)
+    ]
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_prefix_information_matches_the_per_prefix_path_bitwise(m):
+    for dim in range(2, 9):
+        # ranks cycle from 1, so every cube holds rank-1 members
+        e = info.uniform_cube_ensemble(
+            [
+                states.random_density(dim, 1 + x % dim, derive_seed(112, m, dim, x))
+                for x in range(2**m)
+            ]
+        )
+        assert enc.prefix_information(e) == _per_prefix_information(e, m)
+
+
+def test_encoding_suite_seeds_the_average_and_table_bitwise():
+    from qilab import suites
+
+    cubes = suites._cube_trials((1 + t % 5, 2 + t % 7, derive_seed(113, t)) for t in range(20))
+    for (m, _), dens in states.random_densities_by_trial(cubes, suites._encoding_derived):
+        cube_states, average = dens[: 2**m], dens[2**m]
+        e = info.uniform_cube_ensemble(cube_states)
+        direct = states.mixture(e.priors, cube_states)
+        assert np.array_equal(average.mat, direct.mat)
+        assert np.array_equal(average.eig.eigenvalues, direct.eig.eigenvalues)
+        if m <= 4:
+            assert enc.prefix_table(dens[2**m + 1 :], m) == _per_prefix_information(e, m)
+        else:
+            assert len(dens) == 2**m + 1
+
+
 def test_info_decomposition_identical():
     rho = states.random_density(2, 1, 110)
     e = info.uniform_cube_ensemble([rho] * 4)

@@ -2,8 +2,8 @@
 
 ``perfbench/reference.json`` holds, per workload and seed, one
 ``[check, trials, violations, min_slack]`` row per check. Here the suites
-of the protocol, sweep and large-d workloads must repeat those rows at
-seeds 1 and 2: the same checks in the same order, the same trials and
+of every workload (protocol, sweep, encoding and large-d) must repeat
+those rows at seeds 1 and 2: the same checks in the same order, the same trials and
 violations, and ``min_slack`` within 1e-12. The file is only read.
 """
 
@@ -20,6 +20,7 @@ SLACK_TOL = 1e-12
 WORKLOADS = {
     "protocol": (("rac", {}), ("reduction", {})),
     "sweep": (("metrics", {}), ("info", {}), ("transition", {})),
+    "encoding": (("encoding", {}),),
     "large-d": (("metrics", {"dims": (192, 256), "trials": 12}),),
 }
 
@@ -45,3 +46,8 @@ def test_protocol_suites_repeat_the_reference(seed):
 @pytest.mark.parametrize("seed", (1, 2))
 def test_sweep_and_large_d_suites_repeat_the_reference(workload, seed):
     _repeats_the_reference(workload, seed)
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_encoding_suite_repeats_the_reference(seed):
+    _repeats_the_reference("encoding", seed)

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -124,18 +122,18 @@ def test_message_encoding_states_are_the_kets():
         assert np.allclose(sigma.mat, np.outer(ket, ket.conj()), atol=1e-10)
 
 
-def test_rac_bound_builds_each_prefix_state_once(monkeypatch):
+def test_rac_bound_certifies_each_prefix_mixture_once(monkeypatch):
     # the prefix-information table serves both the decomposition sum and
-    # the per-prefix Fano loop
-    built = Counter()
-    original = enc.prefix_ensemble
+    # the per-prefix Fano loop: one stacked certification of every prefix's
+    # (y0, y1, half-half) triple, each mixture built once
+    certified = []
+    original = enc.make_densities
 
-    def counting(e, prefix):
-        built[prefix] += 1
-        return original(e, prefix)
+    def counting(mats, *args, **kwargs):
+        certified.append(len(mats))
+        return original(mats, *args, **kwargs)
 
-    monkeypatch.setattr(enc, "prefix_ensemble", counting)
+    monkeypatch.setattr(enc, "make_densities", counting)
     n = 3
     rac.rac_lower_bound_check(rac.classical_copy_protocol(n), n)
-    prefixes = [format(y, f"0{k}b") for k in range(1, n + 1) for y in range(2**k)]
-    assert built == Counter(prefixes)
+    assert certified == [3 * (2**n - 1)]

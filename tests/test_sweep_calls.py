@@ -1,8 +1,10 @@
-"""The sweep suites build their densities and draws a block at a time.
+"""The sweep and encoding suites build their densities and draws a block
+at a time.
 
-At default flags the metrics, info and transition suites make no single
-``make_density`` call and no ``Stream.gauss_array`` call: their random
-and derived densities go through ``make_densities`` and
+At default flags the metrics, info, transition and encoding suites make
+no single ``make_density`` call and no ``Stream.gauss_array`` call: their
+random and derived densities (the encoding suite's cube averages and
+prefix mixtures among them) go through ``make_densities`` and
 ``random_densities_by_trial``, and their Gaussians through
 ``rng.complex_gauss_stack``. Per-call counters at those two names (as in
 perfbench's tracer) see none of that batched work.
@@ -42,7 +44,7 @@ def test_the_counters_see_single_calls(counted):
     assert counted == {"make_density": 1, "gauss_array": 1}
 
 
-@pytest.mark.parametrize("suite", ("metrics", "info", "transition"))
+@pytest.mark.parametrize("suite", ("metrics", "info", "transition", "encoding"))
 def test_sweep_suites_make_no_single_density_or_draw_call(counted, suite):
     run_suite(suite, SuiteConfig(seed=1))
     assert counted == {"make_density": 0, "gauss_array": 0}
