@@ -2,9 +2,9 @@
 
 Exit status is 0 when every check passes, 1 when any bound is violated
 (the report and the text summary carry the count), and 2 on a usage
-error. Reports are canonical: keys sorted, floats printed with
-17 significant digits, no timestamps, so identical flags produce
-byte-identical output.
+error, such as a flag the chosen suite does not read. Reports are
+canonical: keys sorted, floats printed with 17 significant digits, no
+timestamps, so identical flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ import sys
 
 from .errors import QilabError
 from .linalg import MAX_DIM
-from .suites import MAX_ENCODING_M, SuiteConfig, run_suite
+from .suites import MAX_ENCODING_M, SuiteConfig, check_config, run_suite
 
 REPORT_SCHEMA = 1
+# flags a suite does not read: a report must not echo a value its checks ignored
+UNREAD_FLAGS = {"rac": "trials", "reduction": "trials", "info": "dims", "transition": "dims"}
 
 
 def canonical_json(obj) -> str:
@@ -99,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the per-suite default",
     )
     parser.add_argument(
-        "--dims", type=_parse_dims, default=(2, 8), metavar="LO-HI"
+        "--dims", type=_parse_dims, default=None, metavar="LO-HI", help="default 2-8"
     )
     parser.add_argument(
         "--m", type=_encoding_width, default=5, help="max encoding width in bits, 1-5"
@@ -117,11 +119,15 @@ def build_report(args) -> dict:
     cfg = SuiteConfig(
         seed=args.seed,
         trials=args.trials,
-        dims=tuple(args.dims),
+        dims=tuple(args.dims or SuiteConfig.dims),
         m=args.m,
         n=args.n,
         tol=args.tol,
     )
+    check_config(args.suite, cfg)
+    flag = UNREAD_FLAGS.get(args.suite)
+    if flag and getattr(args, flag) is not None:
+        raise QilabError(f"the {args.suite} suite does not read --{flag}")
     checks = run_suite(args.suite, cfg)
     return {
         "schema": REPORT_SCHEMA,
@@ -129,7 +135,7 @@ def build_report(args) -> dict:
         "config": {
             "seed": args.seed,
             "trials": args.trials,
-            "dims": list(args.dims),
+            "dims": list(cfg.dims),
             "m": args.m,
             "n": args.n,
             "tol": args.tol,

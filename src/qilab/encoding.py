@@ -184,24 +184,29 @@ def prefix_ensemble(e: CQEnsemble, prefix: str) -> DensityMatrix:
     m = _cube_m(e)
     if len(prefix) > m or any(c not in "01" for c in prefix):
         raise ValueError(f"bad prefix {prefix!r} for m={m}")
-    return make_density(_prefix_mixture(e.mats, 2 ** (m - len(prefix)), int(prefix or "0", 2)))
-
-
-def _prefix_mixture(mats, span: int, k: int) -> np.ndarray:
     # the states of the prefix k (read as a number) are the k-th run of
     # ``span`` consecutive labels in binary order
-    return mixture_matrix(np.full(span, 1.0 / span), mats[k * span : (k + 1) * span])
+    span, k = 2 ** (m - len(prefix)), int(prefix or "0", 2)
+    return make_density(_run_means(e.mats[k * span : (k + 1) * span], span)[0])
+
+
+def _run_means(mats: np.ndarray, span: int) -> np.ndarray:
+    """The uniform mixture of each run of ``span`` consecutive matrices of the
+    stack ``mats``, all runs in one :func:`mixture_matrix` pass."""
+    runs = mats.reshape(-1, span, *mats.shape[1:])
+    return mixture_matrix(np.full(span, 1.0 / span), [runs[:, s] for s in range(span)])
 
 
 def prefix_mixtures(mats, m: int) -> list[np.ndarray]:
     """For each prefix y of fewer than ``m`` bits, by length and then in
     binary order: the matrices of the uniform mixtures of the cube states
     ``mats`` extending y0 and y1, then of their even mixture, uncertified."""
+    mats = np.asarray(mats)
     out = []
     for i in range(m):
-        for y in range(2**i):
-            pair = [_prefix_mixture(mats, 2 ** (m - i - 1), 2 * y + b) for b in (0, 1)]
-            out += [*pair, mixture_matrix((0.5, 0.5), pair)]
+        pairs = _run_means(mats, 2 ** (m - i - 1))
+        for y, mean in enumerate(_run_means(pairs, 2)):
+            out += [pairs[2 * y], pairs[2 * y + 1], mean]
     return out
 
 

@@ -14,55 +14,55 @@ import numpy as np
 
 from . import linalg
 from .errors import NormalizationError, SizeError
-from .states import DensityMatrix, _frozen, make_densities, mixture
-
-_ZERO_CUT = 1e-12
+from .states import DensityMatrix, _frozen, entropy_rows, make_densities, mixture
 
 
-def shannon_entropy(p) -> float:
-    """Shannon entropy of a probability vector, in bits."""
-    arr = np.asarray(p, dtype=np.float64).reshape(-1)
+def _within(x, lo: float, hi: float, message: str) -> np.ndarray:
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.all((lo <= arr) & (arr <= hi)):
+        raise ValueError(f"{message}, got {x}")
+    return arr
+
+
+def shannon_entropy(p) -> float | np.ndarray:
+    """Shannon entropy of a probability vector in bits; of a stack of them
+    (..., n), one per row."""
+    arr = np.asarray(p, dtype=np.float64)
     if np.any(arr < -1e-9):
         raise NormalizationError("probabilities must be non-negative")
-    total = float(np.sum(arr))
-    if abs(total - 1.0) > 1e-9:
-        raise NormalizationError(f"probabilities sum to {total}, expected 1")
-    arr = np.clip(arr, 0.0, None)
-    mask = arr > _ZERO_CUT
-    return float(-np.sum(arr[mask] * np.log2(arr[mask])))
+    total = np.sum(arr, axis=-1)
+    bad = np.abs(total - 1.0) > 1e-9
+    linalg.check_each(bad, NormalizationError, "probabilities sum to {value}, expected 1", total)
+    out = entropy_rows(np.clip(arr, 0.0, None))
+    return out if out.ndim else float(out)
 
 
-def binary_entropy(p: float) -> float:
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    p = min(max(p, 0.0), 1.0)
-    return shannon_entropy([p, 1.0 - p])
+def binary_entropy(p):
+    """H(p, 1 - p) in bits, of a probability or elementwise of an array."""
+    p = np.clip(_within(p, -1e-12, 1.0 + 1e-12, "p must lie in [0, 1]"), 0.0, 1.0)
+    return shannon_entropy(np.stack([p, 1.0 - p], axis=-1))
 
 
-def binary_entropy_gap(delta: float) -> float:
-    """1 - H(1/2 + delta); at least delta^2 on [-1/2, 1/2]."""
-    if not -0.5 - 1e-12 <= delta <= 0.5 + 1e-12:
-        raise ValueError(f"delta must lie in [-1/2, 1/2], got {delta}")
-    delta = min(max(delta, -0.5), 0.5)
+def binary_entropy_gap(delta):
+    """1 - H(1/2 + delta); at least delta^2 on [-1/2, 1/2]. Elementwise on an array."""
+    delta = _within(delta, -0.5 - 1e-12, 0.5 + 1e-12, "delta must lie in [-1/2, 1/2]")
+    delta = np.clip(delta, -0.5, 0.5)
     return 1.0 - binary_entropy(0.5 + delta)
 
 
-def fano_bound(delta: float) -> float:
+def fano_bound(delta):
     """Lower bound 1 - H(1/2 + delta) on I(X:Y) for a binary predictor.
 
     Applies when X is a uniform bit and Y predicts it with success
-    probability at least 1/2 + delta.
+    probability at least 1/2 + delta. Elementwise on an array.
     """
-    if not 0.0 <= delta <= 0.5 + 1e-12:
-        raise ValueError(f"delta must lie in [0, 1/2], got {delta}")
-    return binary_entropy_gap(min(delta, 0.5))
+    delta = _within(delta, 0.0, 0.5 + 1e-12, "delta must lie in [0, 1/2]")
+    return binary_entropy_gap(np.minimum(delta, 0.5))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Shannon entropy of the eigenvalue spectrum, in bits."""
-    vals = np.clip(rho.eig.eigenvalues, 0.0, 1.0)
-    mask = vals > _ZERO_CUT
-    return float(-np.sum(vals[mask] * np.log2(vals[mask])))
+    """Shannon entropy of the eigenvalue spectrum in bits: ``rho.entropy``."""
+    return rho.entropy
 
 
 @dataclass(frozen=True)
@@ -153,15 +153,16 @@ def validate_projective(projectors, dim: int) -> None:
         raise ValueError("projectors do not sum to the identity")
 
 
-def classical_mutual_information(joint: np.ndarray) -> float:
-    """I(X:Y) of a 2-d joint probability table."""
+def classical_mutual_information(joint: np.ndarray) -> float | np.ndarray:
+    """I(X:Y) of a 2-d joint probability table; of a stack of them
+    (..., x, y), one per table."""
     joint = np.asarray(joint, dtype=np.float64)
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
+    px = joint.sum(axis=-1)
+    py = joint.sum(axis=-2)
     return (
         shannon_entropy(px)
         + shannon_entropy(py)
-        - shannon_entropy(joint.reshape(-1))
+        - shannon_entropy(joint.reshape(joint.shape[:-2] + (-1,)))
     )
 
 

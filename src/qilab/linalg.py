@@ -135,22 +135,21 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigDecomposition:
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition ``a = U diag(s) V^dag``.
+    """Singular value decomposition ``a = U diag(s) V^dag`` of a matrix, or
+    of each matrix of a stack in one batched LAPACK call.
 
     Returns (U, s, V) with orthonormal columns in U and V and ``s``
-    non-negative descending.
+    non-negative descending. Each matrix is certified on its own.
     """
-    a = as_matrix(a)
+    a = as_matrix(a, stack=True)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
-    v = dagger(vh)
-    scale = max(frobenius(a), 1.0)
-    residual = frobenius(a - (u * s) @ vh)
-    if residual > CERT_TOL * scale:
-        raise ConvergenceError(f"SVD residual {residual:.3e} above tolerance")
-    return u, s, v
+    residual = frobenius(a - (u * s[..., None, :]) @ vh)
+    bad = residual > CERT_TOL * np.maximum(frobenius(a), 1.0)
+    check_each(bad, ConvergenceError, "{name} has SVD residual {value:.3e} too large", residual)
+    return u, s, dagger(vh)
 
 
 def singular_values(a) -> np.ndarray:

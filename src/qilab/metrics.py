@@ -1,8 +1,7 @@
 """Distance and fidelity functionals on density matrices.
 
 Fidelity follows the squared-overlap convention F = || sqrt(r1) sqrt(r2) ||_t^2,
-so F(r, r) = 1 and for a pure r1 = |p><p| it equals <p| r2 |p>.
-"""
+so F(r, r) = 1 and for a pure r1 = |p><p| it equals <p| r2 |p>."""
 
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from . import linalg
 from .errors import SizeError
 from .info import validate_projective
 from .linalg import DEFAULT_TOL, dagger
-from .states import BipartitePureState, DensityMatrix
+from .states import BipartitePureState, DensityMatrix, stacked
 
 
 @dataclass(frozen=True)
@@ -35,15 +34,32 @@ def trace_norm(a) -> float | np.ndarray:
     return norms if norms.ndim else float(norms)
 
 
-def _check_dims(r1: DensityMatrix, r2: DensityMatrix) -> None:
-    if r1.dim != r2.dim:
-        raise SizeError(f"dimension mismatch: {r1.dim} vs {r2.dim}")
+def trace_norms(mats) -> list[float]:
+    """``[trace_norm(a) for a in mats]`` bit for bit, with one batched call
+    per matrix shape; a failing matrix's error names its index in ``mats``."""
+
+    def build(shape, members):
+        return (trace_norm(np.array([mats[i] for i in members])),)
+
+    return [float(norms[j]) for (norms,), j in stacked([a.shape for a in mats], build, np.prod)]
+
+
+def _checked_pairs(pairs) -> list[tuple[DensityMatrix, DensityMatrix]]:
+    pairs = list(pairs)
+    for i, (r1, r2) in enumerate(pairs):
+        if r1.dim != r2.dim:
+            raise SizeError(f"pair {i}: dimension mismatch: {r1.dim} vs {r2.dim}")
+    return pairs
+
+
+def trace_distances(pairs) -> list[float]:
+    """|| r1 - r2 ||_t, in [0, 2], of each pair ``(r1, r2)``, by :func:`trace_norms`."""
+    return trace_norms([r1.mat - r2.mat for r1, r2 in _checked_pairs(pairs)])
 
 
 def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
-    """|| r1 - r2 ||_t, in [0, 2]."""
-    _check_dims(r1, r2)
-    return trace_norm(r1.mat - r2.mat)
+    """|| r1 - r2 ||_t, in [0, 2]: the one-pair :func:`trace_distances`."""
+    return trace_distances([(r1, r2)])[0]
 
 
 def _as_vector(phi) -> np.ndarray:
@@ -71,18 +87,21 @@ def _sqrt_factor(rho: DensityMatrix) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def fidelity(r1: DensityMatrix, r2: DensityMatrix) -> float:
-    """Squared-overlap fidelity, clamped to [0, 1].
+def fidelities(pairs) -> list[float]:
+    """Squared-overlap fidelity of each pair ``(r1, r2)``, clamped to [0, 1].
 
     Equals || sqrt(r1) sqrt(r2) ||_t^2; evaluated on the spectral factors
     A_i = V_i sqrt(L_i), whose cross matrix A_1^dag A_2 has exactly the
-    singular values of sqrt(r1) sqrt(r2).
+    singular values of sqrt(r1) sqrt(r2). The cross matrices' trace norms
+    go through :func:`trace_norms`.
     """
-    _check_dims(r1, r2)
-    a1 = _sqrt_factor(r1)
-    a2 = _sqrt_factor(r2)
-    f = trace_norm(dagger(a1) @ a2) ** 2
-    return float(min(max(f, 0.0), 1.0))
+    crosses = [dagger(_sqrt_factor(r1)) @ _sqrt_factor(r2) for r1, r2 in _checked_pairs(pairs)]
+    return [float(min(max(norm**2, 0.0), 1.0)) for norm in trace_norms(crosses)]
+
+
+def fidelity(r1: DensityMatrix, r2: DensityMatrix) -> float:
+    """Squared-overlap fidelity: the one-pair :func:`fidelities`."""
+    return fidelities([(r1, r2)])[0]
 
 
 def optimal_measurement(
@@ -95,7 +114,7 @@ def optimal_measurement(
     within DEFAULT_TOL of zero go to the positive projector; the achieved
     value does not depend on that choice.
     """
-    _check_dims(r1, r2)
+    _checked_pairs([(r1, r2)])
     diff = r1.mat - r2.mat
     vals, vecs = linalg.hermitian_eig(diff, tol=1e-8)
     pos_cols = vecs[:, vals >= -DEFAULT_TOL]

@@ -31,6 +31,8 @@ from .rng import Stream, complex_gauss_stack
 # memory flat; a matrix above it is built on its own.
 BLOCK_ENTRIES = 2**14
 NORM_TOL = 1e-9  # how far from 1 a vector's norm or a mixture's weight sum may be
+CHUNK_TRIALS = 64  # trials per stacked chunk: few enough to keep the working set flat
+ZERO_CUT = 1e-12  # probabilities and eigenvalues at or below it count as 0 in entropies
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -61,6 +63,30 @@ class DensityMatrix:
         """Certified eigendecomposition, read-only; make_density seeds it."""
         vals, vecs = linalg.hermitian_eig(self.mat)
         return linalg.EigDecomposition(*_read_only(vals, vecs))
+
+    @cached_property
+    def entropy(self) -> float:
+        """Von Neumann entropy in bits. A density certified in a stack reads
+        its row of the stack's entropies, computed together at the first read."""
+        vals, j, memo = self.__dict__.get("_row") or (self.eig.eigenvalues, (), {})
+        if "rows" not in memo:
+            memo["rows"] = entropy_rows(np.clip(vals, 0.0, 1.0))
+        return float(memo["rows"][j])
+
+
+def entropy_rows(p: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the entries above :data:`ZERO_CUT` of each row (last
+    axis) of the clipped ``p``; each row bit for bit its 1-d masked sum."""
+    mask = p > ZERO_CUT
+    out = -np.sum(np.where(mask, p * np.log2(np.where(mask, p, 1.0)), 0.0), axis=-1)
+    if p.shape[-1] < 8 or mask.all():
+        return out
+    # numpy's pairwise sum unrolls at 8 entries, where a zero standing in for
+    # a dropped entry regroups the sum: such rows keep the 1-d masked sum
+    out = np.array(out)
+    for i in map(tuple, np.argwhere(~mask.all(axis=-1))):
+        out[i] = -np.sum(p[i][mask[i]] * np.log2(p[i][mask[i]]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -112,17 +138,18 @@ def _certified_stacks(mats, tol) -> list[tuple[tuple, int]]:
     mats = [_matrix(mat) for mat in mats]
 
     def build(key, members):
-        stack = np.array([mats[i] for i in members])
-        try:
-            return _read_only(stack, *_validated(stack, key[1]))
-        except (QilabError, ValueError) as exc:
-            # name the failing matrix by its index in ``mats``, not in its group
-            msg = re.sub(r"^matrix (\d+)", lambda m: f"matrix {members[int(m[1])]}", str(exc))
-            raise type(exc)(msg) from None
+        return _certified(np.array([mats[i] for i in members]), key[1])
 
     tols = [tol] * len(mats) if isinstance(tol, (int, float)) else list(tol)
     keys = [(mat.shape, float(t)) for mat, t in zip(mats, tols)]
-    return _stacked(keys, build, lambda key: key[0][0] * key[0][1])
+    return stacked(keys, build, lambda key: key[0][0] * key[0][1])
+
+
+def _certified(mats: np.ndarray, tol: float) -> tuple:
+    """``(mats, eigenvalues, eigenvectors, memo)`` of a validated stack; the
+    memo keeps its entropies once one is read."""
+    vals, vecs = _validated(mats, tol)
+    return (*_read_only(mats, vals, vecs), {})
 
 
 def _validated(mats: np.ndarray, tol: float) -> linalg.EigDecomposition:
@@ -170,7 +197,8 @@ def mixture(weights, states) -> DensityMatrix:
 
 def mixture_matrix(weights, mats) -> np.ndarray:
     """sum_i w_i mats[i], after :func:`mixture`'s checks on the weights and
-    dimensions; certifying it is left to the caller."""
+    dimensions; certifying it is left to the caller. The ``mats[i]`` may be
+    equal-shape stacks, mixed entry by entry."""
     w = np.asarray(weights, dtype=np.float64)
     if len(w) != len(mats):
         raise SizeError("one weight per state required")
@@ -178,10 +206,10 @@ def mixture_matrix(weights, mats) -> np.ndarray:
         raise NormalizationError("mixture weights must be non-negative")
     if abs(float(np.sum(w)) - 1.0) > NORM_TOL:
         raise NormalizationError(f"weights sum to {np.sum(w)}, expected 1")
-    dims = {m.shape[0] for m in mats}
-    if len(dims) != 1:
-        raise SizeError(f"states have mixed dimensions {sorted(dims)}")
-    acc = np.zeros((dims.pop(),) * 2, dtype=np.complex128)
+    shapes = {m.shape for m in mats}
+    if len(shapes) != 1:
+        raise SizeError(f"states have mixed dimensions {sorted(s[-1] for s in shapes)}")
+    acc = np.zeros(shapes.pop(), dtype=np.complex128)
     for wi, mi in zip(w, mats):
         acc += wi * mi
     return acc
@@ -318,6 +346,17 @@ def random_densities_by_trial(trials, derive=None):
         yield from _block_trials(block, derive)
 
 
+def random_density_chunks(trials, derive=None):
+    """:func:`random_densities_by_trial`'s trials in lists of at most
+    :data:`CHUNK_TRIALS` from one block, each emptied when the next is asked
+    for: a spent block is freed before the next is built."""
+    for block in _blocks(trials):
+        built = _block_trials(block, derive)
+        while chunk := list(islice(built, CHUNK_TRIALS)):
+            yield chunk
+            chunk.clear()
+
+
 def _block_trials(block: list, derive):
     # a generator of its own, so that a spent block's arrays are freed
     # before the next block is built
@@ -363,11 +402,11 @@ def _blocks(trials):
         yield block
 
 
-def _stacked(keys: list, build, entries) -> list[tuple[tuple, int]]:
+def stacked(keys: list, build, entries) -> list[tuple[tuple, int]]:
     """Per item, ``(stack, j)``: its arrays are row ``j`` of the arrays of
     ``stack = build(key, members)``, which items of equal ``key`` share, at
     most :data:`BLOCK_ENTRIES` matrix entries (``entries(key)`` each) to a
-    stack."""
+    stack. An error naming "matrix i" of a stack names item i's index."""
     groups: dict = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
@@ -376,7 +415,11 @@ def _stacked(keys: list, build, entries) -> list[tuple[tuple, int]]:
         step = max(1, BLOCK_ENTRIES // entries(key))
         for lo in range(0, len(members), step):
             chunk = members[lo : lo + step]
-            stack = build(key, chunk)
+            try:
+                stack = build(key, chunk)
+            except (QilabError, ValueError) as exc:
+                msg = re.sub(r"^matrix (\d+)", lambda m: f"matrix {chunk[int(m[1])]}", str(exc))
+                raise type(exc)(msg) from None
             for j, i in enumerate(chunk):
                 out[i] = (stack, j)
     return out
@@ -386,7 +429,7 @@ def _gauss_stacks(draws) -> list[tuple[tuple, int]]:
     def build(shape, members):
         return _read_only(complex_gauss_stack([draws[i][2] for i in members], *shape))
 
-    return _stacked([(int(r), int(c)) for r, c, _ in draws], build, lambda rc: rc[0] * rc[1])
+    return stacked([(int(r), int(c)) for r, c, _ in draws], build, lambda rc: rc[0] * rc[1])
 
 
 def _random_stacks(specs) -> list[tuple[tuple, int]]:
@@ -400,15 +443,17 @@ def _random_stacks(specs) -> list[tuple[tuple, int]]:
         g = complex_gauss_stack([specs[i][2] for i in members], *shape)
         rho = g @ dagger(g)
         rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
-        return _read_only(rho, *_validated(rho, 1e-9))
+        return _certified(rho, 1e-9)
 
     keys = [(int(dim), int(rank)) for dim, rank, _ in specs]
-    return _stacked(keys, build, lambda shape: shape[0] ** 2)
+    return stacked(keys, build, lambda shape: shape[0] ** 2)
 
 
 def _density_at(stack: tuple, j: int) -> DensityMatrix:
-    mats, vals, vecs = stack
-    return _density(mats[j], vals[j], vecs[j])
+    mats, vals, vecs, memo = stack
+    rho = _density(mats[j], vals[j], vecs[j])
+    rho.__dict__["_row"] = (vals, j, memo)
+    return rho
 
 
 def random_pure(dim_h: int, dim_k: int, seed: int) -> BipartitePureState:

@@ -35,6 +35,7 @@ from .states import (
     pure_density,
     pure_from_gauss,
     random_densities_by_trial,
+    random_density_chunks,
     unitary_from_gauss,
 )
 
@@ -145,28 +146,33 @@ def metrics_suite(cfg: SuiteConfig) -> list[CheckResult]:
     tight = _Tally("measurement_tightness", _tol(cfg, 1e-9))
     pure_agree = _Tally("pure_state_distance_agreement", _tol(cfg, 1e-9))
     tensor_mult = _Tally("trace_norm_multiplicative", _tol(cfg, 1e-10))
-    for t, (r1, r2), (g1, g2, a, b) in random_densities_by_trial(_metrics_trials(cfg, trials)):
-        dim = r1.dim
-        dist = metrics.trace_distance(r1, r2)
-        lo, up = metrics.fidelity_distance_bounds(metrics.fidelity(r1, r2), dist)
+    tallies = (fvg_lower, fvg_upper, tight, pure_agree, tensor_mult)
+    for chunk in random_density_chunks(_metrics_trials(cfg, trials)):
+        _metrics_chunk(chunk, *tallies)
+    return [t.result() for t in tallies]
+
+
+def _metrics_chunk(chunk, fvg_lower, fvg_upper, tight, pure_agree, tensor_mult) -> None:
+    """Tally one chunk of metrics trials, its trace norms in stacked calls."""
+    pairs = [dens for _, dens, _ in chunk]
+    dists = metrics.trace_distances(pairs)
+    for (r1, r2), dist, f in zip(pairs, dists, metrics.fidelities(pairs)):
+        lo, up = metrics.fidelity_distance_bounds(f, dist)
         fvg_lower.add(lo)
         fvg_upper.add(up)
         _, achieved = metrics.optimal_measurement(r1, r2)
         tight.add(tight.tol - abs(achieved - dist))
 
-        v1 = pure_from_gauss(dim, 1, g1).vec
-        v2 = pure_from_gauss(dim, 1, g2).vec
-        dens_dist = metrics.trace_distance(pure_density(v1), pure_density(v2))
-        pure_agree.add(
-            pure_agree.tol - abs(metrics.pure_trace_distance(v1, v2) - dens_dist)
-        )
+    pures = [[pure_from_gauss(len(g), 1, g).vec for g in draws[:2]] for *_, draws in chunk]
+    dens_dists = metrics.trace_distances([tuple(map(pure_density, vs)) for vs in pures])
+    for (v1, v2), dist in zip(pures, dens_dists):
+        pure_agree.add(pure_agree.tol - abs(metrics.pure_trace_distance(v1, v2) - dist))
 
-        lhs = metrics.trace_norm(np.kron(a, b))
-        rhs = metrics.trace_norm(a) * metrics.trace_norm(b)
+    factors = [draws[2:] for *_, draws in chunk]
+    norms = iter(metrics.trace_norms([m for a, b in factors for m in (np.kron(a, b), a, b)]))
+    for lhs, na, nb in zip(norms, norms, norms):
+        rhs = na * nb
         tensor_mult.add(tensor_mult.tol - abs(lhs - rhs) / max(rhs, 1.0))
-    return [
-        t.result() for t in (fvg_lower, fvg_upper, tight, pure_agree, tensor_mult)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +253,7 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
     mono = _Tally("mi_monotonicity", _tol(cfg, 1e-10))
     concave = _Tally("entropy_concavity", _tol(cfg, 1e-9))
     subadd = _Tally("entropy_subadditivity", _tol(cfg, 1e-9))
+    joints = []
     for (_, priors, p, joint, ws), dens, (z,) in random_densities_by_trial(
         _info_trials(cfg.seed, trials), _info_derived
     ):
@@ -268,11 +275,7 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
         )
         block.add(block.tol - abs(lhs - rhs))
 
-        i_x_yz = classical_mutual_information(joint.reshape(2, 4))
-        i_x_y = classical_mutual_information(joint.sum(axis=2))
-        i_xy_z = classical_mutual_information(joint.reshape(4, 2))
-        i_y_z = classical_mutual_information(joint.sum(axis=0))
-        chain.add(chain.tol - abs(i_x_yz - (i_x_y + i_xy_z - i_y_z)))
+        joints.append(joint)
 
         labels = [format(v, "02b") for v in range(4)]
         full = make_ensemble(labels, np.full(4, 0.25), list(yz), average=full_avg)
@@ -287,23 +290,28 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
         s_ab = von_neumann_entropy(rho_ab)
         subadd.add(von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - s_ab)
 
+    # the chain rule I(X:YZ) = I(X:Y) + I(XY:Z) - I(Y:Z), over every trial's table at once
+    joints = np.array(joints)
+    i_x_yz = classical_mutual_information(joints.reshape(-1, 2, 4))
+    i_x_y = classical_mutual_information(joints.sum(axis=3))
+    i_xy_z = classical_mutual_information(joints.reshape(-1, 4, 2))
+    i_y_z = classical_mutual_information(joints.sum(axis=1))
+    for slack in chain.tol - np.abs(i_x_yz - (i_x_y + i_xy_z - i_y_z)):
+        chain.add(slack)
+
     gap = _Tally("binary_entropy_gap", _tol(cfg, 1e-12))
-    for k in range(501):
-        delta = k / 1000.0
-        gap.add(binary_entropy_gap(delta) - delta**2)
+    deltas = [k / 1000.0 for k in range(501)]
+    for delta, g in zip(deltas, binary_entropy_gap(np.array(deltas))):
+        gap.add(g - delta**2)
 
     fano = _Tally("fano_channel", _tol(cfg, 1e-9))
     grid = np.linspace(0.0, 1.0, 41)
-    for pa in grid:
-        for pb in grid:
-            agreement = (pa + pb) / 2.0
-            if agreement < 0.5:
-                continue
-            delta = agreement - 0.5
-            joint = 0.5 * np.array([[pa, 1.0 - pa], [1.0 - pb, pb]])
-            fano.add(
-                classical_mutual_information(joint) - info.fano_bound(delta)
-            )
+    pa, pb = (x.reshape(-1) for x in np.meshgrid(grid, grid, indexing="ij"))
+    agreement = (pa + pb) / 2.0
+    pa, pb, agreement = (x[agreement >= 0.5] for x in (pa, pb, agreement))
+    joints = 0.5 * np.stack([pa, 1.0 - pa, 1.0 - pb, pb], axis=-1).reshape(-1, 2, 2)
+    for slack in classical_mutual_information(joints) - info.fano_bound(agreement - 0.5):
+        fano.add(slack)
     return [
         t.result()
         for t in (holevo, block, chain, mono, concave, subadd, gap, fano)
@@ -397,16 +405,12 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
         (t, [_spec(2 + t % 3, derive_seed(cfg.seed, 40, t, i)) for i in (0, 1)])
         for t in range(trials)
     )
-    for t, (r1, r2) in random_densities_by_trial(specs):
-        dim_h = r1.dim
-        dim_k = dim_h + t % (7 - dim_h)
-        phi1 = canonical_purification(r1, dim_k)
-        phi2 = canonical_purification(r2, dim_k)
-        res = transition.uhlmann_align(phi1, phi2)
-        f = metrics.fidelity(r1, r2)
-        agree.add(agree.tol - abs(res.achieved_overlap_sq - f))
-        bound.add(res.bound - res.pure_distance)
-        chain.add(metrics.trace_distance(r1, r2) - (1.0 - f))
+    for chunk in random_density_chunks(specs):
+        aligned = transition.aligned_trials(chunk, lambda t, rho: rho.dim + t % (7 - rho.dim))
+        for _, res, dist, f in aligned:
+            agree.add(agree.tol - abs(res.achieved_overlap_sq - f))
+            bound.add(res.bound - res.pure_distance)
+            chain.add(dist - (1.0 - f))
 
     exact = _Tally("exact_transition", _tol(cfg, 1e-8))
 
@@ -417,12 +421,14 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
             dim_h, dim_k = 2 + t % 3, 2 + 2 * (t % 3)
             yield t, [_spec(dim_h, seed)], [(dim_k, dim_k, derive_seed(seed, 1))]
 
-    for _, (rho,), (z,) in random_densities_by_trial(exact_trials()):
-        phi1 = canonical_purification(rho, len(z))
-        phi2 = transition.apply_k_unitary(phi1, unitary_from_gauss(z))
-        u = transition.exact_local_transition(phi1, phi2)
-        aligned = transition.apply_k_unitary(phi2, u)
-        exact.add(exact.tol - distance_up_to_phase(aligned.vec, phi1.vec))
+    for chunk in random_density_chunks(exact_trials()):
+        pairs = []
+        for _, (rho,), (z,) in chunk:
+            phi = canonical_purification(rho, len(z))
+            pairs.append((phi, transition.apply_k_unitary(phi, unitary_from_gauss(z))))
+        for (phi1, phi2), u in zip(pairs, transition.exact_local_transitions(pairs)):
+            aligned = transition.apply_k_unitary(phi2, u)
+            exact.add(exact.tol - distance_up_to_phase(aligned.vec, phi1.vec))
     sweep = transition.verify_transition_bound(
         max(trials // 5, 50), (3, 4), derive_seed(cfg.seed, 42)
     )
@@ -551,7 +557,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, cfg: SuiteConfig) -> list[CheckResult]:
+def check_config(name: str, cfg: SuiteConfig) -> None:
+    """Raise for a config that ``run_suite(name, cfg)`` cannot honour."""
     if not 1 <= cfg.m <= MAX_ENCODING_M:
         # no cube is drawn wider, and a report must not echo an m it did not use
         raise SizeError(f"m must be in 1..{MAX_ENCODING_M}, got {cfg.m}")
@@ -560,6 +567,10 @@ def run_suite(name: str, cfg: SuiteConfig) -> list[CheckResult]:
         # it for another n would report a PASS for a check that never ran.
         # Rejected here, before any suite of ``all`` has done its work.
         raise ReductionError(f"the reduction suite runs n = 2 only, not n = {cfg.n}")
+
+
+def run_suite(name: str, cfg: SuiteConfig) -> list[CheckResult]:
+    check_config(name, cfg)
     if name == "all":
         out = []
         for key in SUITES:

@@ -223,3 +223,33 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
     assert code == 2 and not target.exists()
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert captured.err.startswith("qilab: error:")
+
+
+@pytest.mark.parametrize(
+    "suite, flag",
+    [
+        ("rac", ["--trials", "7"]),
+        ("reduction", ["--trials", "7"]),
+        ("info", ["--dims", "3-3"]),
+        ("transition", ["--dims", "2-8"]),
+    ],
+)
+def test_a_flag_the_suite_does_not_read_is_rejected(suite, flag, capsys, monkeypatch):
+    # `info --dims 2-2` and `--dims 3-3` used to write the same checks and
+    # echo different configs; `all` reads both flags and keeps taking them
+    called = []
+    monkeypatch.setattr(
+        suites,
+        "SUITES",
+        {name: (lambda cfg, name=name: called.append((name, cfg)) or []) for name in suites.SUITES},
+    )
+    code = cli.main(["--suite", suite, *flag])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and called == []
+    assert captured.err == f"qilab: error: the {suite} suite does not read {flag[0]}\n"
+
+    code, out = run_cli(["--suite", "all", *flag, "--format", "json"], capsys)
+    assert code == 0 and [name for name, _ in called] == list(suites.SUITES)
+    echoed, cfg = json.loads(out)["config"], called[0][1]
+    assert (echoed["trials"], echoed["dims"]) == (cfg.trials, list(cfg.dims))
+    assert (cfg.trials, cfg.dims) in ((7, (2, 8)), (None, cli._parse_dims(flag[1])))

@@ -259,3 +259,26 @@ def test_cube_validation():
         enc.encoding_stats(bad_labels)
     with pytest.raises(SizeError):
         enc.encoding_stats(info.make_ensemble(["0", "1", "2"], [1 / 3] * 3, [rho] * 3))
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_prefix_mixtures_match_the_per_prefix_loop_bitwise(m):
+    # one mixture_matrix call per prefix mixture, as each was summed before
+    for dim in range(2, 9):
+        mats = [
+            states.random_density(dim, 1 + x % dim, derive_seed(114, m, dim, x)).mat
+            for x in range(2**m)
+        ]
+        loop = []
+        for i in range(m):
+            span = 2 ** (m - i - 1)
+            for y in range(2**i):
+                pair = [
+                    states.mixture_matrix(np.full(span, 1.0 / span), mats[k * span : (k + 1) * span])
+                    for k in (2 * y, 2 * y + 1)
+                ]
+                loop += [*pair, states.mixture_matrix((0.5, 0.5), pair)]
+        stacked = enc.prefix_mixtures(mats, m)
+        assert len(stacked) == len(loop) == 3 * (2**m - 1)
+        for k, (a, b) in enumerate(zip(stacked, loop)):
+            assert np.array_equal(a, b), f"d={dim} mixture {k}"

@@ -233,3 +233,60 @@ def test_projective_validation():
         info.validate_projective([np.diag([1.0, 0.0])], 2)
     with pytest.raises(ValueError):
         info.validate_projective([np.diag([0.5, 0.0]), np.diag([0.5, 1.0])], 2)
+
+
+def _masked_entropy(p):
+    # the 1-d masked sum every stacked entropy must reproduce bit for bit
+    p = np.asarray(p, dtype=np.float64)
+    kept = p[p > 1e-12]
+    return float(-np.sum(kept * np.log2(kept)))
+
+
+def test_stacked_entropy_rows_match_the_masked_sum_bitwise():
+    # every rank at d = 1..16, ranks mixed in each certified stack, so rows
+    # with dropped (zero) eigenvalues sit beside full ones, at d >= 8 too
+    for d in range(1, 17):
+        specs = [(d, r, derive_seed(120, d, r, k)) for r in range(1, d + 1) for k in range(2)]
+        stack = states.make_densities([rho.mat for rho in states.random_densities(specs)])
+        for i, rho in enumerate(stack):
+            vals = np.clip(rho.eig.eigenvalues, 0.0, 1.0)
+            want = _masked_entropy(vals)
+            assert info.von_neumann_entropy(rho) == want, f"d={d} density {i}"
+            assert info.von_neumann_entropy(states.make_density(rho.mat)) == want, f"d={d} density {i}"
+        if d >= 8:
+            assert any(np.any(rho.eig.eigenvalues <= 1e-12) for rho in stack)
+
+
+def _old_mutual_information(joint):
+    return (
+        _masked_entropy(joint.sum(axis=1))
+        + _masked_entropy(joint.sum(axis=0))
+        - _masked_entropy(joint.reshape(-1))
+    )
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 4), (4, 2), (3, 5), (8, 2)])
+def test_stacked_mutual_information_matches_per_table_bitwise(shape):
+    stream = Stream(derive_seed(121, *shape))
+    tables = np.array([[stream.uniform() for _ in range(shape[0] * shape[1])] for _ in range(40)])
+    tables[::3, 0] = 0.0  # zero cells drop out of the sums
+    tables[1::4, -2:] = 0.0
+    tables = (tables / tables.sum(axis=1, keepdims=True)).reshape(-1, *shape)
+    stacked = info.classical_mutual_information(tables)
+    for i, joint in enumerate(tables):
+        assert stacked[i] == _old_mutual_information(joint), f"table {i}"
+        assert info.classical_mutual_information(joint) == stacked[i], f"table {i}"
+    rows = tables.reshape(len(tables), -1)
+    assert [_masked_entropy(p) for p in rows] == list(info.shannon_entropy(rows))
+
+
+def test_stacked_binary_entropies_match_the_scalar_calls():
+    deltas = [k / 1000.0 for k in range(501)]
+    assert list(info.binary_entropy_gap(np.array(deltas))) == [
+        1.0 - _masked_entropy([0.5 + d, 1.0 - (0.5 + d)]) for d in deltas
+    ]
+    assert list(info.fano_bound(np.array(deltas))) == [info.fano_bound(d) for d in deltas]
+    with pytest.raises(ValueError):
+        info.fano_bound(np.array([0.1, -0.2]))
+    with pytest.raises(ValueError):
+        info.binary_entropy(np.array([0.5, 1.5]))

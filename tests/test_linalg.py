@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qilab import linalg
-from qilab.errors import HermiticityError, SizeError
+from qilab.errors import ConvergenceError, HermiticityError, SizeError
 from qilab.rng import Stream
 from qilab.states import random_unitary
 
@@ -200,3 +200,25 @@ def test_stacked_hermitian_eig_names_the_failing_matrix():
         linalg.hermitian_eig(skew[2])
     with pytest.raises(ValueError, match="^matrix contains non-finite"):
         linalg.hermitian_eig(bad[1])
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (3, 3), (4, 2), (2, 5), (8, 8)])
+def test_stacked_svd_is_per_matrix(rows, cols):
+    stack = random_complex(6 * rows, cols, 40 + rows).reshape(6, rows, cols)
+    u, s, v = linalg.svd(stack)
+    for i in range(6):
+        one = linalg.svd(stack[i])
+        assert all(np.array_equal(a[i], b) for a, b in zip((u, s, v), one)), f"matrix {i}"
+
+
+def test_stacked_svd_names_the_matrix_it_cannot_certify(monkeypatch):
+    real = np.linalg.svd
+
+    def off(a, *args, **kwargs):
+        u, s, vh = real(a, *args, **kwargs)
+        s[2] *= 1.5
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", off)
+    with pytest.raises(ConvergenceError, match="^matrix 2 has SVD residual"):
+        linalg.svd(random_complex(12, 3, 45).reshape(4, 3, 3))

@@ -247,3 +247,33 @@ def test_distance_monotone_under_partial_trace():
 def test_dimension_mismatch():
     with pytest.raises(SizeError):
         metrics.trace_distance(KET0, states.random_density(3, 1, 59))
+
+
+def test_stacked_trace_norms_match_single_calls_bitwise():
+    stream = Stream(130)
+    shapes = [(1 + t % 7, 1 + (3 * t) % 5) for t in range(60)] + [(9, 9), (12, 12)]
+    mats = [stream.complex_gauss_matrix(*shape) for shape in shapes]
+    norms = metrics.trace_norms(mats)
+    for i, a in enumerate(mats):
+        single = float(np.sum(np.linalg.svd(a, compute_uv=False)))
+        assert norms[i] == single == metrics.trace_norm(a), f"matrix {i}"
+
+
+def test_stacked_distances_and_fidelities_match_the_pair_formulas_bitwise():
+    pairs = [random_pair(derive_seed(131, t), 2 + t % 7) for t in range(80)]
+    pairs += [(KET0, KET1), (KET0, KET0), (PLUS, KET1)]
+    dists, fids = metrics.trace_distances(pairs), metrics.fidelities(pairs)
+    for i, (r1, r2) in enumerate(pairs):
+        diff = np.linalg.svd(r1.mat - r2.mat, compute_uv=False)
+        a1, a2 = (vecs[:, vals > 1e-14] * np.sqrt(vals[vals > 1e-14]) for vals, vecs in (r1.eig, r2.eig))
+        root_f = float(np.sum(np.linalg.svd(linalg.dagger(a1) @ a2, compute_uv=False)))
+        assert dists[i] == float(np.sum(diff)) == metrics.trace_distance(r1, r2), f"pair {i}"
+        assert fids[i] == float(min(max(root_f**2, 0.0), 1.0)) == metrics.fidelity(r1, r2), f"pair {i}"
+
+
+def test_stacked_calls_name_the_failing_item_by_its_index():
+    mats = [np.eye(2), np.eye(3), np.full((2, 2), np.nan)]
+    with pytest.raises(ValueError, match="^matrix 2 "):
+        metrics.trace_norms(mats)
+    with pytest.raises(SizeError, match="^pair 1: "):
+        metrics.trace_distances([(KET0, KET1), (KET0, states.random_density(3, 1, 132))])

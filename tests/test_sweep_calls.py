@@ -8,19 +8,30 @@ prefix mixtures among them) go through ``make_densities`` and
 ``random_densities_by_trial``, and their Gaussians through
 ``rng.complex_gauss_stack``. Per-call counters at those two names (as in
 perfbench's tracer) see none of that batched work.
+
+The metrics and transition suites also take their trace norms, Uhlmann
+alignments and reduced states a chunk of trials at a time: they make no
+single-matrix ``singular_values`` or ``svd`` call, and a seed-1 sweep pass
+(metrics, info, transition) makes at most 1,500 ``hermitian_eig`` calls.
 """
 
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from qilab import rng, states
+from qilab import linalg, rng, states
 from qilab.suites import SuiteConfig, run_suite
+
+# hermitian_eig calls per seed-1 suite: 1,000 of the metrics suite's are its
+# optimal measurements; the three sum to the sweep pass's 1,500
+EIG_BUDGET = {"metrics": 1200, "info": 100, "transition": 200}
 
 
 @pytest.fixture
 def counted(monkeypatch):
-    calls = {"make_density": 0, "gauss_array": 0}
+    calls = {"make_density": 0, "gauss_array": 0, "hermitian_eig": 0, "svd": 0, "singular_values": 0}
     make_density, gauss_array = states.make_density, rng.Stream.gauss_array
 
     def counting_make_density(*args, **kwargs):
@@ -36,15 +47,58 @@ def counted(monkeypatch):
         if name.split(".")[0] == "qilab" and getattr(module, "make_density", None) is make_density:
             monkeypatch.setattr(module, "make_density", counting_make_density)
     monkeypatch.setattr(rng.Stream, "gauss_array", counting_gauss_array)
+
+    def counting(name, single_only):
+        real = getattr(linalg, name)
+
+        def count(a, *args, **kwargs):
+            calls[name] += not single_only or np.ndim(a) == 2
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, count)
+
+    counting("hermitian_eig", single_only=False)
+    counting("svd", single_only=True)  # the SVDs count only on a single matrix
+    counting("singular_values", single_only=True)
     return calls
 
 
 def test_the_counters_see_single_calls(counted):
     states.reduced_state(states.random_pure(2, 2, 1), "H")
-    assert counted == {"make_density": 1, "gauss_array": 1}
+    linalg.svd(np.eye(2))
+    linalg.singular_values(np.eye(2)[None])
+    assert counted == {
+        "make_density": 1, "gauss_array": 1, "hermitian_eig": 1, "svd": 1, "singular_values": 0
+    }
 
 
 @pytest.mark.parametrize("suite", ("metrics", "info", "transition", "encoding"))
 def test_sweep_suites_make_no_single_density_or_draw_call(counted, suite):
     run_suite(suite, SuiteConfig(seed=1))
-    assert counted == {"make_density": 0, "gauss_array": 0}
+    assert counted["make_density"] == counted["gauss_array"] == 0
+    assert counted["hermitian_eig"] <= EIG_BUDGET.get(suite, np.inf)
+    if suite in ("metrics", "transition"):
+        assert counted["svd"] == counted["singular_values"] == 0
+
+
+def test_a_spent_block_is_freed_before_the_next_is_built(monkeypatch):
+    # at d = 203 every metrics trial is a block of its own; when the next one
+    # is built, no spent trial's densities (2 x 1.3 MB) may still be alive
+    alive = []
+    block_trials = states._block_trials
+
+    def noting(*args):
+        alive.append(tracemalloc.get_traced_memory()[0])
+        return block_trials(*args)
+
+    monkeypatch.setattr(states, "_block_trials", noting)
+    cfg = SuiteConfig(dims=(203, 203), trials=3)
+    run_suite("metrics", cfg)  # numpy's and LAPACK's one-off allocations
+    alive.clear()
+    tracemalloc.start()
+    try:
+        run_suite("metrics", cfg)
+    finally:
+        tracemalloc.stop()
+    one_trial = 2 * (2 * 203 * 203 * 16 + 203 * 8)
+    assert len(alive) == 3 and max(alive) < one_trial / 4

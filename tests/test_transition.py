@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qilab import metrics, states, transition
+from qilab import linalg, metrics, states, transition
 from qilab.errors import ReductionError, SizeError
 from qilab.rng import Stream, derive_seed
 
@@ -185,18 +185,64 @@ def test_verify_transition_bound_validates_trials():
 def test_verify_transition_bound_counts_non_finite_slack(monkeypatch):
     # a NaN from the alignment is a violation and the reported minimum,
     # with the seed of the first trial that produced it
-    real = transition.uhlmann_align
+    real = transition.uhlmann_aligns
     seen = []
 
-    def broken(phi1, phi2):
-        res = real(phi1, phi2)
-        seen.append(res)
-        if len(seen) == 2:
-            return transition.TransitionResult(res.unitary_k, res.achieved_overlap_sq, np.nan, res.t)
-        return res
+    def broken(pairs):
+        out = []
+        for res in real(pairs):
+            seen.append(res)
+            if len(seen) == 2:
+                res = transition.TransitionResult(res.unitary_k, res.achieved_overlap_sq, np.nan, res.t)
+            out.append(res)
+        return out
 
-    monkeypatch.setattr(transition, "uhlmann_align", broken)
+    monkeypatch.setattr(transition, "uhlmann_aligns", broken)
     report = transition.verify_transition_bound(3, (2, 2), seed=5)
     assert report["violations"] == 1
     assert np.isnan(report["min_slack"])
     assert report["worst_instance_seed"] == derive_seed(5, 1, 0)
+
+
+def _old_alignment(phi1, phi2):
+    # the per-pair formula: one certified SVD and two single reduced states
+    a1, a2 = phi1.coefficient_matrix(), phi2.coefficient_matrix()
+    p, s, vh = np.linalg.svd(linalg.dagger(a1) @ a2, full_matrices=False)
+    u = np.conj(p) @ linalg.dagger(vh).T
+    overlap_sq = min(float(np.sum(s)) ** 2, 1.0)
+    reduced = [states.make_density(a @ linalg.dagger(a), tol=1e-8) for a in (a1, a2)]
+    t = float(np.sum(np.linalg.svd(reduced[0].mat - reduced[1].mat, compute_uv=False)))
+    return u, overlap_sq, 2.0 * float(np.sqrt(max(1.0 - overlap_sq, 0.0))), t
+
+
+def test_stacked_alignments_match_the_pair_formula_bitwise():
+    # mixed shapes, ranks and degenerate (canonical) purifications in one call
+    pairs = []
+    for t in range(60):
+        dim_h, dim_k = 2 + t % 3, 2 + t % 5
+        if t % 2:
+            pairs.append(random_pair(derive_seed(140, t), dim_h, max(dim_h, dim_k))[2:])
+        else:
+            pairs.append(tuple(states.random_pure(dim_h, dim_k, derive_seed(141, t, i)) for i in (0, 1)))
+    for i, (res, pair) in enumerate(zip(transition.uhlmann_aligns(pairs), pairs)):
+        single = transition.uhlmann_align(*pair)
+        u, overlap_sq, pure_distance, t = _old_alignment(*pair)
+        assert np.array_equal(res.unitary_k, u) and np.array_equal(single.unitary_k, u), f"pair {i}"
+        got = (res.achieved_overlap_sq, res.pure_distance, res.t)
+        assert got == (overlap_sq, pure_distance, t), f"pair {i}"
+        assert got == (single.achieved_overlap_sq, single.pure_distance, single.t), f"pair {i}"
+    unitaries = transition.exact_local_transitions(
+        [(phi, transition.apply_k_unitary(phi, states.random_unitary(phi.dim_k, 142))) for phi, _ in pairs]
+    )
+    assert len(unitaries) == len(pairs)
+
+
+def test_stacked_alignments_name_the_failing_pair():
+    good = tuple(states.random_pure(2, 2, 143 + i) for i in (0, 1))
+    bad = (states.random_pure(2, 2, 145), states.random_pure(2, 3, 146))
+    with pytest.raises(SizeError, match="^pair 2: "):
+        transition.uhlmann_aligns([good, good, bad])
+    phi = good[0]
+    other = states.random_pure(2, 2, 147)
+    with pytest.raises(ReductionError, match="^pair 1: "):
+        transition.exact_local_transitions([(phi, phi), (phi, other)])
