@@ -19,7 +19,10 @@ from .suites import MAX_ENCODING_M, SuiteConfig, check_config, run_suite
 
 REPORT_SCHEMA = 1
 # flags a suite does not read: a report must not echo a value its checks ignored
-UNREAD_FLAGS = {"rac": "trials", "reduction": "trials", "info": "dims", "transition": "dims"}
+UNREAD_FLAGS = {
+    "metrics": ("m", "n"), "info": ("dims", "m", "n"), "encoding": ("n",),
+    "transition": ("dims", "m", "n"), "rac": ("trials", "m"), "reduction": ("trials", "m"),
+}
 
 
 def canonical_json(obj) -> str:
@@ -104,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--dims", type=_parse_dims, default=None, metavar="LO-HI", help="default 2-8"
     )
     parser.add_argument(
-        "--m", type=_encoding_width, default=5, help="max encoding width in bits, 1-5"
+        "--m", type=_encoding_width, default=None, help="max encoding width in bits, 1-5"
     )
-    parser.add_argument("--n", type=_positive_int, default=2, help="index-problem size")
+    parser.add_argument("--n", type=_positive_int, default=None, help="index-problem size")
     parser.add_argument(
         "--tol", type=_finite_float, default=None, help="override every check tolerance"
     )
@@ -120,14 +123,14 @@ def build_report(args) -> dict:
         seed=args.seed,
         trials=args.trials,
         dims=tuple(args.dims or SuiteConfig.dims),
-        m=args.m,
-        n=args.n,
+        m=SuiteConfig.m if args.m is None else args.m,
+        n=SuiteConfig.n if args.n is None else args.n,
         tol=args.tol,
     )
     check_config(args.suite, cfg)
-    flag = UNREAD_FLAGS.get(args.suite)
-    if flag and getattr(args, flag) is not None:
-        raise QilabError(f"the {args.suite} suite does not read --{flag}")
+    for flag in UNREAD_FLAGS.get(args.suite, ()):
+        if getattr(args, flag) is not None:
+            raise QilabError(f"the {args.suite} suite does not read --{flag}")
     checks = run_suite(args.suite, cfg)
     return {
         "schema": REPORT_SCHEMA,
@@ -136,8 +139,8 @@ def build_report(args) -> dict:
             "seed": args.seed,
             "trials": args.trials,
             "dims": list(cfg.dims),
-            "m": args.m,
-            "n": args.n,
+            "m": cfg.m,
+            "n": cfg.n,
             "tol": args.tol,
         },
         "checks": [c.to_json() for c in checks],

@@ -137,19 +137,17 @@ def holevo_information(e: CQEnsemble) -> float:
 
 
 def validate_projective(projectors, dim: int) -> None:
-    """Check a list of orthogonal projectors that sums to the identity."""
+    """Check a list of orthogonal projectors that sums to the identity, or
+    each list of a stack of them (..., outcomes, dim, dim), in one pass."""
     tol = linalg.CERT_TOL
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for p in projectors:
-        p = linalg.as_matrix(p)
-        if p.shape != (dim, dim):
-            raise SizeError(f"projector shape {p.shape} does not match dim {dim}")
-        if linalg.frobenius(p - linalg.dagger(p)) > tol:
-            raise ValueError("projector is not Hermitian")
-        if linalg.frobenius(p @ p - p) > tol:
-            raise ValueError("projector is not idempotent")
-        acc += p
-    if linalg.frobenius(acc - np.eye(dim)) > tol:
+    p = linalg.as_matrix(projectors, stack=True)
+    if p.shape[-2:] != (dim, dim):
+        raise SizeError(f"projector shape {p.shape[-2:]} does not match dim {dim}")
+    if np.any(linalg.frobenius(p - linalg.dagger(p)) > tol):
+        raise ValueError("projector is not Hermitian")
+    if np.any(linalg.frobenius(p @ p - p) > tol):
+        raise ValueError("projector is not idempotent")
+    if np.any(linalg.frobenius(p.sum(axis=-3) - np.eye(dim)) > tol):
         raise ValueError("projectors do not sum to the identity")
 
 
@@ -174,14 +172,11 @@ def measured_mutual_info(e: CQEnsemble, measurement) -> float:
     Holevo information of the ensemble.
     """
     if hasattr(measurement, "projector_pos"):
-        projectors = [measurement.projector_pos, measurement.projector_neg]
-    else:
-        projectors = list(measurement)
-    validate_projective(projectors, e.dim)
-    joint = np.zeros((len(e.labels), len(projectors)))
-    for i, (p, s) in enumerate(zip(e.priors, e.states)):
-        for k, proj in enumerate(projectors):
-            joint[i, k] = p * max(np.trace(proj @ s.mat).real, 0.0)
+        measurement = (measurement.projector_pos, measurement.projector_neg)
+    projs = linalg.as_matrix(list(measurement), stack=True)
+    validate_projective(projs, e.dim)
+    traces = np.trace(projs[None] @ e.mats[:, None], axis1=-2, axis2=-1).real
+    joint = e.priors[:, None] * np.maximum(traces, 0.0)
     joint = joint / joint.sum()
     return classical_mutual_information(joint)
 

@@ -38,8 +38,9 @@ def trace_norms(mats) -> list[float]:
     """``[trace_norm(a) for a in mats]`` bit for bit, with one batched call
     per matrix shape; a failing matrix's error names its index in ``mats``."""
 
-    def build(shape, members):
-        return (trace_norm(np.array([mats[i] for i in members])),)
+    def build(shape, members):  # a lone matrix of its shape goes as a view, not a copy
+        stack = [mats[i] for i in members]
+        return (trace_norm(stack[0][None] if len(stack) == 1 else np.array(stack)),)
 
     return [float(norms[j]) for (norms,), j in stacked([a.shape for a in mats], build, np.prod)]
 

@@ -26,11 +26,12 @@ import numpy as np
 from .errors import ProtocolError, SizeError
 from .info import validate_projective
 from .linalg import dagger
-from .states import BipartitePureState, DensityMatrix, make_densities, make_pure
+from .states import BipartitePureState, DensityMatrix, make_densities, make_pure, stacked
 
 Player = Literal["alice", "bob"]
 
 MAX_QUBITS = 8  # simulated wires and target wires cap at dimension 256
+BASIS_VALUE = (int, np.integer)  # a register value of these types is a basis state
 
 # Gate and projector constants.
 I2 = np.eye(2, dtype=np.complex128)
@@ -195,8 +196,7 @@ class ProtocolSpec:
             raise ProtocolError("final measurement must list every control value")
         if len({len(p) for p in meas.blocks.values()}) != 1:
             raise ProtocolError("every control value needs the same outcomes")
-        for projectors in meas.blocks.values():
-            validate_projective(projectors, 2 ** len(meas.targets))
+        validate_projective(list(meas.blocks.values()), 2 ** len(meas.targets))
 
 
 def _check_wires(op, owner: dict, inputs: frozenset, what: str) -> None:
@@ -235,26 +235,29 @@ def state_prep_unitary(vec: np.ndarray) -> np.ndarray:
 def apply_unitary(
     state: np.ndarray, n_qubits: int, u: np.ndarray, targets, controls=()
 ) -> np.ndarray:
-    """Apply ``u`` to ``targets`` of an n-qubit state vector.
+    """Apply ``u`` to ``targets`` of an n-qubit state vector, or of each row
+    of a stack of them.
 
     With ``controls``, ``u`` stacks one block per value of the control
-    wires (first wire most significant); each acts on its own slice.
+    wires (first wire most significant); each acts on its own slice. For a
+    stack of states, ``u`` may also hold one such stack per row.
     """
     c, t = len(controls), len(targets)
     rest = [ax for ax in range(n_qubits) if ax not in targets and ax not in controls]
-    perm = [*controls, *targets, *rest]
-    psi = state.reshape((2,) * n_qubits).transpose(perm).reshape(2**c, 2**t, -1)
-    psi = u.reshape(2**c, 2**t, 2**t) @ psi
-    inverse = sorted(range(n_qubits), key=perm.__getitem__)
-    return psi.reshape((2,) * n_qubits).transpose(inverse).reshape(-1)
+    perm = [0, *(1 + ax for ax in (*controls, *targets, *rest))]
+    psi = state.reshape(-1, *(2,) * n_qubits).transpose(perm)
+    psi = np.reshape(u, (-1, 2**c, 2**t, 2**t)) @ psi.reshape(len(psi), 2**c, 2**t, -1)
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    return psi.reshape(-1, *(2,) * n_qubits).transpose(inverse).reshape(state.shape)
 
 
 def reduced_density(state: np.ndarray, n_qubits: int, keep) -> np.ndarray:
-    """Reduced density matrix of a pure state on the ``keep`` qubits."""
+    """Reduced density matrix on the ``keep`` qubits of a pure state, or of
+    each row of a stack of them."""
     keep = list(keep)
     rest = [q for q in range(n_qubits) if q not in keep]
-    psi = state.reshape((2,) * n_qubits)
-    m = psi.transpose(keep + rest).reshape(2 ** len(keep), -1)
+    psi = state.reshape(-1, *(2,) * n_qubits).transpose(0, *(1 + q for q in keep + rest))
+    m = psi.reshape(*state.shape[:-1], 2 ** len(keep), -1)
     return m @ dagger(m)
 
 
@@ -296,13 +299,14 @@ class RunReport:
 
 @dataclass(frozen=True)
 class Branch:
-    """One run's state: classical input bits plus the simulated wires.
+    """A batch of runs that simulate the same wires, one row per input.
 
-    ``bits`` maps each basis-valued input wire to its bit; ``vec`` is the
-    state vector of every other wire, in the order of ``wires``.
+    ``bits`` maps each basis-valued input wire to its column of bits, one
+    per input; each row of ``vec`` is one input's state vector over
+    ``wires``, in that order.
     """
 
-    bits: dict[int, int]
+    bits: dict[int, np.ndarray]
     wires: tuple[int, ...]
     vec: np.ndarray
 
@@ -315,77 +319,121 @@ class Branch:
     def apply(self, controls, targets, blocks) -> Branch:
         """Apply ``blocks[b]`` on ``targets``, b the value of ``controls``.
 
-        Classical control bits fix their part of b. Simulated control
-        wires take every value, each slice getting its own block, in one
-        batched call. A missing value is the identity.
+        Each input's classical control bits fix their part of b. Simulated
+        control wires take every value, each slice getting its own block.
+        A missing value is the identity, and an input with no listed value
+        is left as it is. All blocks go to the batch in one batched matmul.
         """
-        values = [0]
-        for k, q in enumerate(controls):
-            options = (self.bits[q],) if q in self.bits else (0, 1)
-            values = [v | bit << (len(controls) - 1 - k) for v in values for bit in options]
-        listed = [v in blocks for v in values]
-        if not any(listed):
-            return self
-        eye = None if all(listed) else np.eye(2 ** len(targets), dtype=np.complex128)
-        stack = np.asarray([blocks.get(v, eye) for v in values])
         free = [q for q in controls if q not in self.bits]
-        vec = apply_unitary(
-            self.vec, len(self.wires), stack, self._positions(targets), self._positions(free)
-        )
+        # each control's bit: a column over the inputs, or a row over the slices
+        bit = {q: np.arange(2 ** len(free)) >> (len(free) - 1 - i) & 1 for i, q in enumerate(free)}
+        bit.update({q: self.bits[q][:, None] for q in controls if q in self.bits})
+        value = np.zeros((len(self.vec), 1), dtype=np.int64)
+        for k, q in enumerate(controls):
+            value = value | bit[q] << (len(controls) - 1 - k)
+        keys = np.array(sorted(blocks), dtype=np.int64)
+        listed = np.isin(value, keys)
+        rows = np.flatnonzero(listed.any(axis=1))
+        if not rows.size:
+            return self
+        table = np.asarray([*(blocks[k] for k in keys.tolist()), np.eye(2 ** len(targets))])
+        stack = table[np.where(listed, np.searchsorted(keys, value), len(keys))[rows]]
+        vec = self.vec.copy()
+        positions = self._positions(targets), self._positions(free)
+        vec[rows] = apply_unitary(self.vec[rows], len(self.wires), stack, *positions)
         return Branch(self.bits, self.wires, vec)
 
-    def expectation(self, controls, targets, blocks) -> float:
-        """<psi|P|psi> for the controlled operator P: exact because the
-        classical bits are a basis state."""
-        return float(np.vdot(self.vec, self.apply(controls, targets, blocks).vec).real)
+    def expectation(self, controls, targets, blocks) -> np.ndarray:
+        """<psi|P|psi> of each input for the controlled operator P: exact
+        because the classical bits are a basis state."""
+        applied = self.apply(controls, targets, blocks).vec
+        return np.array([np.vdot(v, w).real for v, w in zip(self.vec, applied)])
 
     def density(self, wires) -> np.ndarray:
-        """Reduced density matrix on some simulated wires, in that order."""
+        """Each input's reduced density matrix on some simulated wires, in that order."""
         return reduced_density(self.vec, len(self.wires), self._positions(wires))
 
-    def bipartite(self, part_h, part_k) -> BipartitePureState:
-        """The simulated state as a pure state across (part_h, part_k)."""
+    def bipartites(self, part_h, part_k) -> list[BipartitePureState]:
+        """Each input's simulated state as a pure state across (part_h, part_k)."""
         order = [*part_h, *part_k]
         if sorted(order) != sorted(self.wires):
-            raise ProtocolError(
-                "part_h + part_k must cover exactly the simulated wires"
-            )
-        psi = self.vec.reshape((2,) * len(self.wires)).transpose(self._positions(order))
-        return make_pure(2 ** len(part_h), 2 ** len(part_k), psi.reshape(-1))
+            raise ProtocolError("part_h + part_k must cover exactly the simulated wires")
+        psi = self.vec.reshape(-1, *(2,) * len(self.wires))
+        psi = psi.transpose(0, *(1 + p for p in self._positions(order)))
+        return [make_pure(2 ** len(part_h), 2 ** len(part_k), v.reshape(-1)) for v in psi]
+
+    def bipartite(self, part_h, part_k) -> BipartitePureState:
+        """The one-input :meth:`bipartites`."""
+        (state,) = self.bipartites(part_h, part_k)
+        return state
 
 
 def initial_state(layout: RegisterLayout, register_states: dict) -> Branch:
-    """Product state over registers; ints are basis values, arrays amplitudes.
+    """The one-input :func:`initial_states`."""
+    return initial_states(layout, [register_states])
 
-    A basis-valued input register becomes classical bits; every other
-    register is a simulated wire. Unlisted registers start at |0...0>.
+
+def initial_states(layout: RegisterLayout, assignments) -> Branch:
+    """Product states over registers, one row per ``register_states`` assignment.
+
+    Ints are basis values, arrays amplitudes; unlisted registers start at
+    |0...0>. An input register that every assignment gives a basis value
+    becomes classical bits (:func:`play` groups assignments so that one
+    batch shares them); every other register is a simulated wire.
     """
-    bits: dict[int, int] = {}
+    assignments = list(assignments)
+    bits: dict[int, np.ndarray] = {}
     wires: list[int] = []
-    vec = np.ones(1, dtype=np.complex128)
+    vec = np.ones((len(assignments), 1), dtype=np.complex128)
     for reg in layout.registers:
-        val = register_states.get(reg.name, 0)
-        if isinstance(val, (int, np.integer)):
-            if not 0 <= int(val) < reg.dim:
-                raise SizeError(f"value {val} out of range for register {reg.name}")
+        vals = [rs.get(reg.name, 0) for rs in assignments]
+        basis = [isinstance(v, BASIS_VALUE) for v in vals]
+        bad = [v for v, b in zip(vals, basis) if b and not 0 <= v < reg.dim]
+        if bad:
+            raise SizeError(f"value {bad[0]} out of range for register {reg.name}")
+        eye = np.eye(reg.dim, dtype=np.complex128)
+        if all(basis):
+            col = np.array(vals, dtype=np.int64)
             if reg.kind == "input":
                 for k, q in enumerate(reg.qubits):
-                    bits[q] = (int(val) >> (reg.n_qubits - 1 - k)) & 1
+                    bits[q] = (col >> (reg.n_qubits - 1 - k)) & 1
                 continue
-            piece = np.zeros(reg.dim, dtype=np.complex128)
-            piece[int(val)] = 1.0
-        else:
-            piece = np.asarray(val, dtype=np.complex128).reshape(-1)
-            if piece.shape[0] != reg.dim:
+            piece = eye[col]
+        else:  # each distinct amplitude array is checked and normalized once
+            given = [v for v, b in zip(vals, basis) if not b]
+            amps = {id(v): np.asarray(v, dtype=np.complex128).reshape(-1) for v in given}
+            if any(a.shape[0] != reg.dim for a in amps.values()):
                 raise SizeError(f"state length mismatch for register {reg.name}")
-            piece = piece / np.linalg.norm(piece)
+            amps = {key: a / np.linalg.norm(a) for key, a in amps.items()}
+            piece = np.array([eye[v] if b else amps[id(v)] for v, b in zip(vals, basis)])
         wires.extend(reg.qubits)
-        vec = np.outer(vec, piece).reshape(-1)
+        vec = (vec[:, :, None] * piece[:, None, :]).reshape(len(assignments), -1)
     if len(wires) > MAX_QUBITS:
-        raise SizeError(
-            f"{len(wires)} simulated qubits exceed the simulation cap {MAX_QUBITS}"
-        )
+        raise SizeError(f"{len(wires)} simulated qubits exceed the simulation cap {MAX_QUBITS}")
     return Branch(bits, tuple(wires), vec)
+
+
+def play(layout: RegisterLayout, assignments, finish) -> list:
+    """Per ``register_states`` assignment, its row of ``finish(batch)``.
+
+    Assignments that give basis values to the same input registers share
+    a batch (a :class:`Branch` from :func:`initial_states`) of at most
+    :data:`~qilab.states.BLOCK_ENTRIES` state entries; ``finish`` returns
+    one row per input of its batch.
+    """
+    assignments = list(assignments)
+    inputs = [r for r in layout.registers if r.kind == "input"]
+    keys = [
+        tuple(r for r in inputs if isinstance(rs.get(r.name, 0), BASIS_VALUE)) for rs in assignments
+    ]
+
+    def build(key, members):
+        return (finish(initial_states(layout, [assignments[i] for i in members])),)
+
+    def entries(key) -> int:  # the amplitudes of one input's state
+        return 2 ** (layout.n_qubits - sum(r.n_qubits for r in key))
+
+    return [rows[j] for (rows,), j in stacked(keys, build, entries)]
 
 
 def evolve(moves, state: Branch) -> Branch:
@@ -398,51 +446,48 @@ def evolve(moves, state: Branch) -> Branch:
 def message_states(spec: ProtocolSpec, assignments) -> list[DensityMatrix]:
     """Certified density of the first message for each input assignment.
 
-    Each ``register_states`` assignment is played once up to the move that
-    sends the first message. Reading an unset input before the send raises
-    ``ProtocolError``. An input those moves never read may stay unset: the
-    message is the same for each of its values, so it is their average.
+    The assignments are played in batches (:func:`play`) up to the move
+    that sends the first message. Reading an unset input before the send
+    raises ``ProtocolError``. An input those moves never read may stay
+    unset: the message is the same for each of its values, so it is their
+    average.
     """
+    assignments = list(assignments)
     moves = spec.moves[: spec.first_message_index() + 1]
     read = {q for move in moves for q in move.controls}
     inputs = [r.name for r in spec.layout.registers if r.kind == "input" and read & set(r.qubits)]
-    mats = []
     for register_states in assignments:
         unset = [name for name in inputs if name not in register_states]
         if unset:
             raise ProtocolError(f"the first message reads unset inputs {unset}")
-        state = evolve(moves, initial_state(spec.layout, register_states))
-        mats.append(state.density(moves[-1].send))
+    mats = play(spec.layout, assignments, lambda s: evolve(moves, s).density(moves[-1].send))
     return make_densities(mats, tol=1e-8)
 
 
-def outcome_distribution(spec: ProtocolSpec, state: Branch) -> np.ndarray:
-    meas = spec.final_measurement
-    per_outcome = [dict(zip(meas.blocks, p)) for p in zip(*meas.blocks.values())]
-    arr = np.array([state.expectation(meas.controls, meas.targets, b) for b in per_outcome])
-    return arr / arr.sum()
-
-
 def run_protocol(spec: ProtocolSpec, ensemble: InputEnsemble) -> RunReport:
-    """Validate the spec, play out each weighted input, score the target.
+    """Validate the spec, play out each weighted input (:func:`play`),
+    score the target.
 
     Every instance error is 1 minus the exact probability of the target
     outcome.
     """
     spec.validate()
-    dists = []
-    errors = []
-    for inst in ensemble.instances:
-        state = initial_state(spec.layout, inst.register_states)
+    instances = ensemble.instances
+    meas = spec.final_measurement
+    per_outcome = [dict(zip(meas.blocks, p)) for p in zip(*meas.blocks.values())]
+
+    def outcomes(state: Branch) -> np.ndarray:
         state = evolve(spec.moves, state)
-        dist = outcome_distribution(spec, state)
-        dists.append(tuple(float(p) for p in dist))
-        errors.append(1.0 - float(dist[inst.target]))
-    error_avg = float(sum(w.weight * e for w, e in zip(ensemble.instances, errors)))
+        arr = np.stack([state.expectation(meas.controls, meas.targets, b) for b in per_outcome], -1)
+        return arr / arr.sum(axis=-1, keepdims=True)
+
+    dists = np.array(play(spec.layout, [inst.register_states for inst in instances], outcomes))
+    errors = (1.0 - dists[np.arange(len(instances)), [i.target for i in instances]]).tolist()
+    error_avg = float(sum(w.weight * e for w, e in zip(instances, errors)))
     return RunReport(
         error_avg=error_avg,
         instance_errors=tuple(errors),
-        outcome_distributions=tuple(dists),
+        outcome_distributions=tuple(map(tuple, dists.tolist())),
         message_qubits=spec.message_qubits,
         first_message_qubits=spec.first_message_qubits,
         rounds=spec.rounds,

@@ -43,11 +43,11 @@ from .protocol import (
     ProtocolSpec,
     Register,
     RegisterLayout,
-    Branch,
     evolve,
     initial_state,
     make_layout,
     message_states,
+    play,
     ry,
     run_protocol,
     state_prep_unitary,
@@ -55,7 +55,7 @@ from .protocol import (
 )
 from .rac import bit_of
 from .states import canonical_purification, distance_up_to_phase
-from .transition import apply_k_unitary, exact_local_transition, uhlmann_align
+from .transition import apply_k_unitary, exact_local_transitions, uhlmann_aligns
 
 PLUS = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 ROTATION_THETA = 0.6 * np.pi  # the "rotation" style's angle
@@ -291,19 +291,15 @@ def modify_first_message(
     m_wires = tuple(first.send)
     assignments = _slot_assignments(family, j)
 
-    def opened(moves, z: int) -> Branch:
-        return evolve(moves, initial_state(layout, assignments[z]))
-
     # y_j and Alice's inputs are classical, so K is every other wire.
-    rewired_state = opened(opening, 0)
+    rewired_state = evolve(opening, initial_state(layout, assignments[0]))
     k_wires = tuple(q for q in rewired_state.wires if q not in m_wires)
     phi_prime = rewired_state.bipartite(m_wires, k_wires)
+    phis = play(layout, assignments, lambda s: evolve((first,), s).bipartites(m_wires, k_wires))
     t_values = []
     align_distances = []
     corrective_blocks = {}
-    for z in range(family.inner_bits):
-        phi_z = opened((first,), z).bipartite(m_wires, k_wires)
-        result = uhlmann_align(phi_z, phi_prime)
+    for z, result in enumerate(uhlmann_aligns([(phi_z, phi_prime) for phi_z in phis])):
         if result.pure_distance > result.bound + 1e-8:
             raise ReductionError("alignment distance exceeded its bound")
         t_values.append(result.t)
@@ -400,10 +396,9 @@ def drop_first_message(
     # in the new register space (B'' spectator at |0>).
     max_residual = 0.0
     v_blocks = {}
-    for z, register_states in enumerate(assignments):
-        state = evolve(shell.moves[:first_alice], initial_state(layout, register_states))
-        chi = state.bipartite(m_wires, k_full)
-        v_z = exact_local_transition(chi, xi)
+    bob_moves = shell.moves[:first_alice]
+    chis = play(layout, assignments, lambda s: evolve(bob_moves, s).bipartites(m_wires, k_full))
+    for z, (chi, v_z) in enumerate(zip(chis, exact_local_transitions([(chi, xi) for chi in chis]))):
         aligned = apply_k_unitary(xi, v_z)
         max_residual = max(
             max_residual, distance_up_to_phase(aligned.vec, chi.vec)

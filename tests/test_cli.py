@@ -253,3 +253,39 @@ def test_a_flag_the_suite_does_not_read_is_rejected(suite, flag, capsys, monkeyp
     echoed, cfg = json.loads(out)["config"], called[0][1]
     assert (echoed["trials"], echoed["dims"]) == (cfg.trials, list(cfg.dims))
     assert (cfg.trials, cfg.dims) in ((7, (2, 8)), (None, cli._parse_dims(flag[1])))
+
+
+@pytest.mark.parametrize(
+    "suite, unread, read",
+    [
+        ("metrics", ("--m", "--n"), ()),
+        ("info", ("--m", "--n"), ()),
+        ("encoding", ("--n",), ("--m",)),
+        ("transition", ("--m", "--n"), ()),
+        ("rac", ("--m",), ("--n",)),
+        ("reduction", ("--m",), ("--n",)),
+    ],
+)
+def test_m_and_n_are_rejected_where_unread(suite, unread, read, capsys, monkeypatch):
+    # `metrics --m 3` and `--m 4` used to write the same checks and echo
+    # different configs; a flag is rejected even at its default value
+    called = []
+    monkeypatch.setattr(
+        suites,
+        "SUITES",
+        {name: (lambda cfg, name=name: called.append(cfg) or []) for name in suites.SUITES},
+    )
+    values = {"--m": "5", "--n": "2"}
+    for flag in unread:
+        code = cli.main(["--suite", suite, flag, values[flag]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and called == []
+        assert captured.err == f"qilab: error: the {suite} suite does not read {flag}\n"
+    # a default run keeps its config bytes; a flag the suite reads is taken
+    code, out = run_cli(["--suite", suite, "--format", "json"], capsys)
+    assert code == 0
+    assert '"config": {"dims": [2, 8], "m": 5, "n": 2, "seed": 1, "tol": null, "trials": null}' in out
+    for flag in read:
+        code, out = run_cli(["--suite", suite, flag, values[flag], "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["config"][flag[2:]] == int(values[flag])
+    assert len(called) == 1 + len(read)

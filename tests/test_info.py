@@ -290,3 +290,51 @@ def test_stacked_binary_entropies_match_the_scalar_calls():
         info.fano_bound(np.array([0.1, -0.2]))
     with pytest.raises(ValueError):
         info.binary_entropy(np.array([0.5, 1.5]))
+
+
+def test_measured_mutual_info_matches_the_double_loop_bitwise():
+    # one stacked projector-times-state product and trace, bit for bit the
+    # per-(state, projector) loop written out here
+    from qilab.metrics import optimal_measurement
+
+    for trial in range(90):
+        dim = 2 + trial % 7
+        seed = derive_seed(134, trial)
+        stream = Stream(seed)
+        k = 2 + trial % 5
+        members = [
+            states.random_density(dim, 1 + stream.integer(dim), derive_seed(seed, i)) for i in range(k)
+        ]
+        raw = np.array([stream.uniform() + 0.05 for _ in range(k)])
+        e = info.make_ensemble([str(i) for i in range(k)], raw / raw.sum(), members)
+        u = states.random_unitary(dim, derive_seed(seed, 99))
+        rank1 = [np.outer(u[:, c], np.conj(u[:, c])) for c in range(dim)]
+        cut = 1 + trial % (dim - 1)
+        for meas in (
+            rank1,
+            [sum(rank1[:cut]), sum(rank1[cut:])],
+            [np.diag(np.arange(dim) == c).astype(float) for c in range(dim)],
+            optimal_measurement(members[0], members[1])[0],
+        ):
+            projs = (
+                [meas.projector_pos, meas.projector_neg] if hasattr(meas, "projector_pos") else meas
+            )
+            joint = np.zeros((k, len(projs)))
+            for i, (p, s) in enumerate(zip(e.priors, e.states)):
+                for c, proj in enumerate(projs):
+                    joint[i, c] = p * max(np.trace(proj @ s.mat).real, 0.0)
+            want = info.classical_mutual_information(joint / joint.sum())
+            assert info.measured_mutual_info(e, meas) == want, f"trial {trial}"
+
+
+def test_projective_validation_checks_each_list_of_a_stack():
+    good = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    info.validate_projective([good, good[::-1]], 2)
+    with pytest.raises(ValueError, match="sum to the identity"):
+        info.validate_projective([good, [good[0], good[0]]], 2)
+    with pytest.raises(ValueError, match="idempotent"):
+        info.validate_projective([good, [np.eye(2) / 2, np.eye(2) / 2]], 2)
+    with pytest.raises(ValueError, match="Hermitian"):
+        info.validate_projective([np.array([[1.0, 1.0], [0.0, 0.0]]), np.diag([0.0, 1.0])], 2)
+    with pytest.raises(SizeError):
+        info.validate_projective([good], 3)

@@ -277,3 +277,16 @@ def test_stacked_calls_name_the_failing_item_by_its_index():
         metrics.trace_norms(mats)
     with pytest.raises(SizeError, match="^pair 1: "):
         metrics.trace_distances([(KET0, KET1), (KET0, states.random_density(3, 1, 132))])
+
+
+def test_a_lone_matrix_of_its_shape_goes_to_the_svd_as_a_view(monkeypatch):
+    # a one-member shape group used to copy its matrix into a new stack
+    big = Stream(133).complex_gauss_matrix(203, 203)
+    mats = [np.eye(2), big, np.eye(2) / 2]
+    seen = []
+    trace_norm = metrics.trace_norm
+    monkeypatch.setattr(metrics, "trace_norm", lambda a: seen.append(a) or trace_norm(a))
+    norms = metrics.trace_norms(mats)
+    assert [np.shares_memory(a, big) for a in seen] == [False, True]
+    assert norms[1] == float(np.sum(np.linalg.svd(big, compute_uv=False)))
+    assert norms[0] == 2.0 and norms[2] == 1.0

@@ -337,3 +337,16 @@ def test_dense_reference_derived_parity_protocol():
         assert spec_prime.layout.n_qubits == 9
         for superposed in (True, False):
             assert_matches_dense(spec_prime, red.slice_distribution(fam, j, superposed))
+
+
+def test_measurement_projectors_are_checked_per_control_value():
+    # one stacked check, but each control value's projectors must sum to
+    # the identity on their own
+    layout = proto.make_layout([("x", 1, "input", "alice"), ("m", 1, "message", "alice")])
+    for blocks, ok in (({0: (P0, P1), 1: (P1, P0)}, True), ({0: (P0, P1), 1: (P0, P0)}, False)):
+        spec = proto.ProtocolSpec(layout, (), proto.Measurement("alice", (1,), blocks, controls=(0,)))
+        if ok:
+            spec.validate()
+        else:
+            with pytest.raises(ValueError, match="identity"):
+                spec.validate()
