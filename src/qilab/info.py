@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NormalizationError, SizeError
-from .states import DensityMatrix, _frozen, entropy_rows, make_densities, mixture
+from .states import DensityMatrix, _frozen, entropy_rows, make_densities, mixture, stacked
 
 
 def _within(x, lo: float, hi: float, message: str) -> np.ndarray:
@@ -28,10 +28,10 @@ def shannon_entropy(p) -> float | np.ndarray:
     """Shannon entropy of a probability vector in bits; of a stack of them
     (..., n), one per row."""
     arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr < -1e-9):
+    if not np.all(arr >= -1e-9):  # NaN fails too
         raise NormalizationError("probabilities must be non-negative")
     total = np.sum(arr, axis=-1)
-    bad = np.abs(total - 1.0) > 1e-9
+    bad = ~(np.abs(total - 1.0) <= 1e-9)
     linalg.check_each(bad, NormalizationError, "probabilities sum to {value}, expected 1", total)
     out = entropy_rows(np.clip(arr, 0.0, None))
     return out if out.ndim else float(out)
@@ -98,9 +98,9 @@ def make_ensemble(labels, priors, states, average=None) -> CQEnsemble:
         raise SizeError("labels, priors and states must have equal length")
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
-    if np.any(priors < -1e-12):
+    if not np.all(priors >= -1e-12):
         raise NormalizationError("priors must be non-negative")
-    if abs(float(np.sum(priors)) - 1.0) > 1e-9:
+    if not abs(float(np.sum(priors)) - 1.0) <= 1e-9:
         raise NormalizationError("priors must sum to 1")
     dims = {s.dim for s in states}
     if len(dims) != 1:
@@ -138,17 +138,19 @@ def holevo_information(e: CQEnsemble) -> float:
 
 def validate_projective(projectors, dim: int) -> None:
     """Check a list of orthogonal projectors that sums to the identity, or
-    each list of a stack of them (..., outcomes, dim, dim), in one pass."""
+    each list of a stack of them (..., outcomes, dim, dim), in one pass; a
+    failing list of a stack is named "matrix i"."""
     tol = linalg.CERT_TOL
     p = linalg.as_matrix(projectors, stack=True)
     if p.shape[-2:] != (dim, dim):
         raise SizeError(f"projector shape {p.shape[-2:]} does not match dim {dim}")
-    if np.any(linalg.frobenius(p - linalg.dagger(p)) > tol):
-        raise ValueError("projector is not Hermitian")
-    if np.any(linalg.frobenius(p @ p - p) > tol):
-        raise ValueError("projector is not idempotent")
-    if np.any(linalg.frobenius(p.sum(axis=-3) - np.eye(dim)) > tol):
-        raise ValueError("projectors do not sum to the identity")
+    for off, what in (
+        (p - linalg.dagger(p), "a projector that is not Hermitian"),
+        (p @ p - p, "a projector that is not idempotent"),
+        (p.sum(axis=-3, keepdims=True) - np.eye(dim), "projectors that do not sum to the identity"),
+    ):
+        bad = ~np.all(linalg.frobenius(off) <= tol, axis=-1)  # NaN fails too
+        linalg.check_each(bad, ValueError, "{name} has " + what)
 
 
 def classical_mutual_information(joint: np.ndarray) -> float | np.ndarray:
@@ -165,20 +167,29 @@ def classical_mutual_information(joint: np.ndarray) -> float | np.ndarray:
 
 
 def measured_mutual_info(e: CQEnsemble, measurement) -> float:
-    """Classical I(X:Y) between labels and measurement outcomes.
+    """The one-item :func:`measured_mutual_infos`."""
+    return measured_mutual_infos([(e, measurement)])[0]
 
-    ``measurement`` is either a TwoOutcomeMeasurement or a list of
-    orthogonal projectors summing to the identity. Never exceeds the
-    Holevo information of the ensemble.
-    """
-    if hasattr(measurement, "projector_pos"):
-        measurement = (measurement.projector_pos, measurement.projector_neg)
-    projs = linalg.as_matrix(list(measurement), stack=True)
-    validate_projective(projs, e.dim)
-    traces = np.trace(projs[None] @ e.mats[:, None], axis1=-2, axis2=-1).real
-    joint = e.priors[:, None] * np.maximum(traces, 0.0)
-    joint = joint / joint.sum()
-    return classical_mutual_information(joint)
+
+def measured_mutual_infos(items) -> list[float]:
+    """Per ``(ensemble, measurement)``, the classical I(X:Y) between labels and
+    the outcomes of a list of orthogonal projectors summing to the identity (a
+    TwoOutcomeMeasurement is one), at most the Holevo information. One
+    validation, product and trace per (states, dim, outcomes) shape; errors
+    name the item's index."""
+    items = [(e, np.asarray(list(m), dtype=np.complex128)) for e, m in items]
+
+    def build(key, members):
+        projs = np.array([items[i][1] for i in members])
+        validate_projective(projs, key[1])
+        mats = np.array([items[i][0].mats for i in members])
+        traces = np.trace(projs[:, None] @ mats[:, :, None], axis1=-2, axis2=-1).real
+        joint = np.array([items[i][0].priors for i in members])[..., None] * np.maximum(traces, 0.0)
+        return (classical_mutual_information(joint / joint.sum(axis=(-2, -1), keepdims=True)),)
+
+    keys = [(len(e.states), e.dim, p.shape) for e, p in items]
+    out = stacked(keys, build, lambda key: key[0] * np.prod(key[2]))
+    return [float(mi[j]) for (mi,), j in out]
 
 
 def bipartite_mutual_info(rho_ab: DensityMatrix, dim_a: int, dim_b: int) -> float:

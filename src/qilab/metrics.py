@@ -23,9 +23,11 @@ class TwoOutcomeMeasurement:
     projector_pos: np.ndarray
     projector_neg: np.ndarray
 
+    def __iter__(self):  # the projector list (P+, P-)
+        return iter((self.projector_pos, self.projector_neg))
+
     def validate(self) -> None:
-        dim = self.projector_pos.shape[0]
-        validate_projective([self.projector_pos, self.projector_neg], dim)
+        validate_projective(list(self), self.projector_pos.shape[0])
 
 
 def trace_norm(a) -> float | np.ndarray:
@@ -108,22 +110,38 @@ def fidelity(r1: DensityMatrix, r2: DensityMatrix) -> float:
 def optimal_measurement(
     r1: DensityMatrix, r2: DensityMatrix
 ) -> tuple[TwoOutcomeMeasurement, float]:
-    """Projective measurement onto the eigenspaces of r1 - r2.
+    """The one-pair :func:`optimal_measurements`."""
+    return optimal_measurements([(r1, r2)])[0]
 
-    The achieved l1 distance |Tr P+ (r1-r2)| + |Tr P- (r1-r2)| equals the
-    trace distance, which is the best any measurement can do. Eigenvalues
-    within DEFAULT_TOL of zero go to the positive projector; the achieved
-    value does not depend on that choice.
-    """
-    _checked_pairs([(r1, r2)])
-    diff = r1.mat - r2.mat
-    vals, vecs = linalg.hermitian_eig(diff, tol=1e-8)
-    pos_cols = vecs[:, vals >= -DEFAULT_TOL]
-    p_pos = pos_cols @ dagger(pos_cols)
-    p_neg = np.eye(r1.dim) - p_pos
-    meas = TwoOutcomeMeasurement(p_pos, p_neg)
-    achieved = abs(np.trace(p_pos @ diff).real) + abs(np.trace(p_neg @ diff).real)
-    return meas, float(achieved)
+
+def optimal_measurements(pairs) -> list[tuple[TwoOutcomeMeasurement, float]]:
+    """Per pair ``(r1, r2)``, the measurement onto the eigenspaces of r1 - r2
+    and the l1 distance |Tr P+ (r1-r2)| + |Tr P- (r1-r2)| it achieves: the trace
+    distance, the best any measurement can do. Eigenvalues within DEFAULT_TOL of
+    zero go to P+. One certified stacked eigendecomposition per dimension; its
+    errors name the pair's index."""
+    diffs = [r1.mat - r2.mat for r1, r2 in _checked_pairs(pairs)]
+
+    def build(shape, members):  # a lone pair's difference as a view: at large d a copy faults
+        diff = [diffs[i] for i in members]
+        diff = diff[0][None] if len(diff) == 1 else np.array(diff)
+        vals, vecs = linalg.hermitian_eig(diff, tol=1e-8)
+        kept = np.sum(vals >= -DEFAULT_TOL, axis=-1)  # ascending: the last ``kept`` columns
+        p_pos = np.empty_like(diff)
+        for k in set(kept.tolist()):
+            rows = kept == k
+            if rows.all():  # one count for the stack: no masked copies, the product in place
+                cols = vecs[..., shape[0] - k :]
+                np.matmul(cols, dagger(cols), out=p_pos)
+            else:
+                cols = vecs[rows][..., shape[0] - k :]
+                p_pos[rows] = cols @ dagger(cols)
+        p_neg = np.eye(shape[0]) - p_pos
+        traces = [np.abs(np.trace(p @ diff, axis1=-2, axis2=-1).real) for p in (p_pos, p_neg)]
+        return p_pos, p_neg, traces[0] + traces[1]
+
+    out = stacked([a.shape for a in diffs], build, np.prod)
+    return [(TwoOutcomeMeasurement(pos[j], neg[j]), float(val[j])) for (pos, neg, val), j in out]
 
 
 def bayes_success(r1: DensityMatrix, r2: DensityMatrix) -> float:

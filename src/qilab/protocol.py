@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ProtocolError, SizeError
 from .info import validate_projective
 from .linalg import dagger
-from .states import BipartitePureState, DensityMatrix, make_densities, make_pure, stacked
+from .states import BipartitePureState, DensityMatrix, _norms, make_densities, make_pures, stacked
 
 Player = Literal["alice", "bob"]
 
@@ -227,7 +227,7 @@ def state_prep_unitary(vec: np.ndarray) -> np.ndarray:
     q, _ = np.linalg.qr(np.column_stack([v, np.eye(d)]))
     k = int(np.argmax(np.abs(v)))
     q[:, 0] *= v[k] / q[k, 0]
-    if np.linalg.norm(q[:, 0] - v) > 1e-10:
+    if not np.linalg.norm(q[:, 0] - v) <= 1e-10:  # NaN fails too
         raise ProtocolError("state preparation column did not reproduce the vector")
     return q
 
@@ -281,7 +281,7 @@ class InputEnsemble:
 
     def __post_init__(self):
         total = sum(i.weight for i in self.instances)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"instance weights sum to {total}, expected 1")
 
 
@@ -360,7 +360,7 @@ class Branch:
             raise ProtocolError("part_h + part_k must cover exactly the simulated wires")
         psi = self.vec.reshape(-1, *(2,) * len(self.wires))
         psi = psi.transpose(0, *(1 + p for p in self._positions(order)))
-        return [make_pure(2 ** len(part_h), 2 ** len(part_k), v.reshape(-1)) for v in psi]
+        return make_pures([(2 ** len(part_h), 2 ** len(part_k), v) for v in psi])
 
     def bipartite(self, part_h, part_k) -> BipartitePureState:
         """The one-input :meth:`bipartites`."""
@@ -387,25 +387,22 @@ def initial_states(layout: RegisterLayout, assignments) -> Branch:
     vec = np.ones((len(assignments), 1), dtype=np.complex128)
     for reg in layout.registers:
         vals = [rs.get(reg.name, 0) for rs in assignments]
-        basis = [isinstance(v, BASIS_VALUE) for v in vals]
-        bad = [v for v, b in zip(vals, basis) if b and not 0 <= v < reg.dim]
-        if bad:
-            raise SizeError(f"value {bad[0]} out of range for register {reg.name}")
-        eye = np.eye(reg.dim, dtype=np.complex128)
-        if all(basis):
-            col = np.array(vals, dtype=np.int64)
-            if reg.kind == "input":
-                for k, q in enumerate(reg.qubits):
-                    bits[q] = (col >> (reg.n_qubits - 1 - k)) & 1
-                continue
-            piece = eye[col]
-        else:  # each distinct amplitude array is checked and normalized once
-            given = [v for v, b in zip(vals, basis) if not b]
-            amps = {id(v): np.asarray(v, dtype=np.complex128).reshape(-1) for v in given}
-            if any(a.shape[0] != reg.dim for a in amps.values()):
+        given = {i: v for i, v in enumerate(vals) if not isinstance(v, BASIS_VALUE)}
+        col = [0 if i in given else v for i, v in enumerate(vals)] if given else vals
+        if col and not (0 <= min(col) and max(col) < reg.dim):
+            bad = next(v for v in col if not 0 <= v < reg.dim)
+            raise SizeError(f"value {bad} out of range for register {reg.name}")
+        col = np.array(col, dtype=np.int64)  # the basis values, 0 where amplitudes are given
+        if reg.kind == "input" and not given:
+            shifts = np.arange(reg.n_qubits - 1, -1, -1)[:, None]
+            bits.update(zip(reg.qubits, (col >> shifts) & 1))
+            continue
+        piece = np.eye(reg.dim, dtype=np.complex128)[col]
+        if given:  # the amplitude rows, normalized as one stack
+            amps = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in given.values()]
+            if any(a.shape[0] != reg.dim for a in amps):
                 raise SizeError(f"state length mismatch for register {reg.name}")
-            amps = {key: a / np.linalg.norm(a) for key, a in amps.items()}
-            piece = np.array([eye[v] if b else amps[id(v)] for v, b in zip(vals, basis)])
+            piece[list(given)] = amps / _norms(np.array(amps))[:, None]
         wires.extend(reg.qubits)
         vec = (vec[:, :, None] * piece[:, None, :]).reshape(len(assignments), -1)
     if len(wires) > MAX_QUBITS:

@@ -22,7 +22,7 @@ from .info import (
     holevo_information,
     uniform_cube_ensemble,
 )
-from .metrics import optimal_measurement
+from .metrics import optimal_measurements
 from .protocol import (
     InputEnsemble,
     InputInstance,
@@ -155,13 +155,9 @@ def rac_protocol(n: int, kets) -> ProtocolSpec:
     m_wire = layout.register("m").qubits
     encode = {x: state_prep_unitary(kets[x]) for x in range(2**n)}
     move = Move("alice", m_wire, encode, controls=x_wires, send=m_wire)
-    decode: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for i in range(2**ib):
-        if i < n:
-            meas, _ = optimal_measurement(*_mixture_pair(kets, n, i))
-            decode[i] = (meas.projector_pos, meas.projector_neg)
-        else:
-            decode[i] = (proto.I2, np.zeros((2, 2), dtype=np.complex128))
+    measured = optimal_measurements([_mixture_pair(kets, n, i) for i in range(n)])
+    decode = {i: tuple(meas) for i, (meas, _) in enumerate(measured)}
+    decode.update({i: (proto.I2, np.zeros((2, 2), dtype=np.complex128)) for i in range(n, 2**ib)})
     i_wires = layout.register("i").qubits
     measurement = Measurement("bob", m_wire, decode, controls=i_wires)
     return ProtocolSpec(layout, (move,), measurement)

@@ -55,7 +55,7 @@ from .protocol import (
 )
 from .rac import bit_of
 from .states import canonical_purification, distance_up_to_phase
-from .transition import apply_k_unitary, exact_local_transitions, uhlmann_aligns
+from .transition import apply_k_unitaries, exact_local_transitions, uhlmann_aligns
 
 PLUS = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 ROTATION_THETA = 0.6 * np.pi  # the "rotation" style's angle
@@ -310,9 +310,7 @@ def modify_first_message(
     spec_prime = ProtocolSpec(
         layout, (*opening, corrective, *prime.moves[1:]), prime.final_measurement
     )
-    spec_prime.validate()
-
-    run_prime = run_protocol(spec_prime, slice_distribution(family, j))
+    run_prime = run_protocol(spec_prime, slice_distribution(family, j))  # validates P' first
     mu_j_prime = slice_information(spec_prime, family, j)
     report = FirstMessageReport(
         j=j,
@@ -394,16 +392,11 @@ def drop_first_message(
 
     # Target states: P' after its opening move and corrective, embedded
     # in the new register space (B'' spectator at |0>).
-    max_residual = 0.0
-    v_blocks = {}
     bob_moves = shell.moves[:first_alice]
     chis = play(layout, assignments, lambda s: evolve(bob_moves, s).bipartites(m_wires, k_full))
-    for z, (chi, v_z) in enumerate(zip(chis, exact_local_transitions([(chi, xi) for chi in chis]))):
-        aligned = apply_k_unitary(xi, v_z)
-        max_residual = max(
-            max_residual, distance_up_to_phase(aligned.vec, chi.vec)
-        )
-        v_blocks[z] = v_z
+    v_blocks = dict(enumerate(exact_local_transitions([(chi, xi) for chi in chis])))
+    aligned = apply_k_unitaries((xi, v_z) for v_z in v_blocks.values())
+    max_residual = max([0.0] + [distance_up_to_phase(a.vec, c.vec) for a, c in zip(aligned, chis)])
 
     restore = Move("bob", k_full, v_blocks, controls=yj_wires)
     spec_double = ProtocolSpec(
@@ -411,9 +404,7 @@ def drop_first_message(
         (prep, alice_move, restore, *shell.moves[first_alice + 1 :]),
         shell.final_measurement,
     )
-    spec_double.validate()
-
-    run_double = run_protocol(spec_double, slice_distribution(family, j))
+    run_double = run_protocol(spec_double, slice_distribution(family, j))  # validates P'' first
     max_tv = max(
         total_variation(p, q) for p, q in zip(prime_outcomes, run_double.outcome_distributions)
     )

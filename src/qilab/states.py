@@ -182,12 +182,33 @@ def _density(mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> DensityMatr
 
 
 def pure_density(vec) -> DensityMatrix:
-    """Rank-one density |v><v| from a unit vector."""
-    v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise NormalizationError(f"vector norm {nrm} is not 1 within tol")
-    return DensityMatrix(_frozen(np.outer(v, np.conj(v))))
+    """Rank-one density |v><v| from a unit vector: the one-vector :func:`pure_densities`."""
+    return pure_densities([vec])[0]
+
+
+def pure_densities(vecs) -> list[DensityMatrix]:
+    """Per unit vector v, |v><v|, stacked per length; a failing vector names its index."""
+    vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vecs]
+
+    def build(n, members):
+        v = np.array([vecs[i] for i in members])
+        _unit_norms(v)
+        return _read_only(v[:, :, None] * np.conj(v)[:, None, :])
+
+    return [DensityMatrix(m[j]) for (m,), j in stacked([len(v) for v in vecs], build, np.square)]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of the complex stack ``v``, bit for bit."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+def _unit_norms(v: np.ndarray) -> np.ndarray:
+    """:func:`_norms`, each checked to be 1 within :data:`NORM_TOL` (NaN fails)."""
+    nrm = _norms(v)
+    bad = ~(np.abs(nrm - 1.0) <= NORM_TOL)
+    linalg.check_each(bad, NormalizationError, "{name} has norm {value}, not 1 within tol", nrm)
+    return nrm
 
 
 def mixture(weights, states) -> DensityMatrix:
@@ -202,9 +223,9 @@ def mixture_matrix(weights, mats) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if len(w) != len(mats):
         raise SizeError("one weight per state required")
-    if np.any(w < -DEFAULT_TOL):
+    if not np.all(w >= -DEFAULT_TOL):
         raise NormalizationError("mixture weights must be non-negative")
-    if abs(float(np.sum(w)) - 1.0) > NORM_TOL:
+    if not abs(float(np.sum(w)) - 1.0) <= NORM_TOL:
         raise NormalizationError(f"weights sum to {np.sum(w)}, expected 1")
     shapes = {m.shape for m in mats}
     if len(shapes) != 1:
@@ -216,15 +237,27 @@ def mixture_matrix(weights, mats) -> np.ndarray:
 
 
 def make_pure(dim_h: int, dim_k: int, vec) -> BipartitePureState:
-    v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    if v.shape[0] != dim_h * dim_k:
-        raise SizeError(
-            f"vector length {v.shape[0]} does not match {dim_h}x{dim_k}"
-        )
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise NormalizationError(f"state norm {nrm} is not 1 within tol")
-    return BipartitePureState(int(dim_h), int(dim_k), _frozen(v / nrm))
+    """``vec`` as a state on H (x) K: the one-state :func:`make_pures`."""
+    return make_pures([(dim_h, dim_k, vec)])[0]
+
+
+def make_pures(items, rescale: bool = False) -> list[BipartitePureState]:
+    """Per ``(dim_h, dim_k, vec)``, ``vec`` over its norm, which must be 1 within
+    :data:`NORM_TOL` (``rescale`` first divides it by its norm: a Gaussian made
+    a state), stacked per shape; a failing vector's error names its index."""
+    items = [(int(h), int(k), np.asarray(v, dtype=np.complex128).reshape(-1)) for h, k, v in items]
+
+    def build(key, members):
+        h, k, n = key
+        if n != h * k:
+            raise SizeError(f"vector length {n} does not match {h}x{k}")
+        v = np.array([items[i][2] for i in members])
+        v = v / _norms(v)[:, None] if rescale else v
+        return _read_only(v / _unit_norms(v)[:, None])
+
+    keys = [(h, k, len(v)) for h, k, v in items]
+    out = zip(keys, stacked(keys, build, lambda key: key[2]))
+    return [BipartitePureState(h, k, v[j]) for (h, k, _), ((v,), j) in out]
 
 
 def reduced_state(psi: BipartitePureState, keep: str = "H") -> DensityMatrix:
@@ -237,39 +270,49 @@ def reduced_state(psi: BipartitePureState, keep: str = "H") -> DensityMatrix:
     raise ValueError(f"keep must be 'H' or 'K', got {keep!r}")
 
 
-def _phase_normalized(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate global phase so the first non-negligible entry is real positive."""
-    for z in vec:
-        if abs(z) > tol:
-            return vec * (np.conj(z) / abs(z))
-    return vec
-
-
 def canonical_purification(rho: DensityMatrix, dim_k: int) -> BipartitePureState:
-    """Purification sum_i sqrt(l_i) |e_i>_H |i>_K over a fresh K register.
+    """The one-density :func:`canonical_purifications`."""
+    return canonical_purifications([rho], [dim_k])[0]
 
-    Eigenvalues are taken in descending order and the K side uses the
-    computational basis in that order. Ties are broken by a secondary sort
-    on the phase-normalized leading entry of each eigenvector, so the
-    output is deterministic.
+
+def canonical_purifications(rhos, dim_ks) -> list[BipartitePureState]:
+    """Per density and ``dim_k``, the purification sum_i sqrt(l_i) |e_i>_H |i>_K
+    over a fresh K register, one stacked pass per (dim, dim_k) group.
+
+    Eigenvalues descend, the K side in that order. Each eigenvector's phase
+    makes its first entry above 1e-12 in modulus real positive, and ties are
+    broken by that entry's modulus. A RankError names the item's index.
     """
-    vals, vecs = rho.eig
-    cols = [_phase_normalized(vecs[:, i]) for i in range(len(vals))]
-    secondary = np.array(
-        [next((abs(z) for z in c if abs(z) > 1e-12), 0.0) for c in cols]
-    )
-    order = np.lexsort((secondary, -vals))
-    vals = vals[order]
-    cols = [cols[i] for i in order]
-    rank = max(int(np.sum(vals > DEFAULT_TOL)), 1)
-    if dim_k < rank:
-        raise RankError(f"dim_k={dim_k} is below the state rank {rank}")
-    a = np.zeros((rho.dim, dim_k), dtype=np.complex128)
-    for i in range(rank):
-        a[:, i] = np.sqrt(max(vals[i], 0.0)) * cols[i]
-    vec = a.reshape(-1)
-    vec = vec / np.linalg.norm(vec)
-    return BipartitePureState(rho.dim, int(dim_k), _frozen(vec))
+    rhos = list(rhos)
+    keys = [(rho.dim, int(k)) for rho, k in zip(rhos, dim_ks)]
+
+    def build(key, members):
+        dim, dim_k = key
+        vals, vecs = (np.array([rhos[i].eig[k] for i in members]) for k in (0, 1))
+        rows, ix = np.arange(len(members))[:, None], np.arange(dim)
+        first = vecs[rows, _first_rows(vecs), ix]
+        cols = vecs * (np.conj(first) / np.hypot(first.real, first.imag))[:, None, :]
+        lead = cols[rows, _first_rows(cols), ix]
+        order = np.lexsort((np.hypot(lead.real, lead.imag), -vals), axis=-1)
+        vals, cols = vals[rows, order], cols[rows[..., None], ix[:, None], order[:, None, :]]
+        rank = np.maximum(np.sum(vals > DEFAULT_TOL, axis=-1), 1)
+        message = f"{{name}} has rank {{value}} above dim_k={dim_k}"
+        linalg.check_each(rank > dim_k, RankError, message, rank)
+        n = min(dim, dim_k)
+        a = np.zeros((len(members), dim, dim_k), dtype=np.complex128)
+        scaled = cols[..., :n] * np.sqrt(np.maximum(vals[:, None, :n], 0.0))
+        a[..., :n] = np.where(ix[:n] < rank[:, None, None], scaled, 0.0)
+        vec = a.reshape(len(members), -1)
+        return _read_only(vec / _norms(vec)[:, None])
+
+    out = zip(keys, stacked(keys, build, np.prod))
+    return [BipartitePureState(*key, vec[j]) for key, ((vec,), j) in out]
+
+
+def _first_rows(vecs: np.ndarray) -> np.ndarray:
+    """Per column, the row of its first entry above 1e-12 in modulus. Moduli by
+    hypot, as abs() of one entry; np.abs of an array may differ by an ulp."""
+    return np.argmax(np.hypot(vecs.real, vecs.imag) > 1e-12, axis=-2)
 
 
 def distance_up_to_phase(v, w) -> float:
@@ -295,15 +338,25 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
 
 
 def unitary_from_gauss(z: np.ndarray) -> np.ndarray:
-    """The Haar unitary :func:`random_unitary` makes of the square complex
-    Gaussian ``z``: its QR factor, with R's diagonal phases moved into Q."""
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    phases = d / np.abs(d)
-    u = q * phases
-    if linalg.frobenius(dagger(u) @ u - np.eye(len(z))) > 1e-10:
-        raise NormalizationError("generated matrix failed the unitarity check")
-    return u
+    """:func:`random_unitary`'s unitary of ``z``: the one-matrix :func:`unitaries_from_gauss`."""
+    return unitaries_from_gauss([z])[0]
+
+
+def unitaries_from_gauss(zs) -> list[np.ndarray]:
+    """Per square complex Gaussian z, its QR factor with R's diagonal phases moved
+    into Q, stacked per shape; a z failing the unitarity check (a singular or
+    non-finite one) names its index."""
+    zs = [np.asarray(z, dtype=np.complex128) for z in zs]
+
+    def build(shape, members):
+        q, r = np.linalg.qr(np.array([zs[i] for i in members]))
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        u = q * (d / np.abs(d))[:, None, :]
+        off = linalg.frobenius(dagger(u) @ u - np.eye(shape[0]))
+        linalg.check_each(~(off <= 1e-10), NormalizationError, "{name} is not unitary")
+        return (u,)
+
+    return [u[j] for (u,), j in stacked([z.shape for z in zs], build, np.prod)]
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
@@ -406,7 +459,7 @@ def stacked(keys: list, build, entries) -> list[tuple[tuple, int]]:
     """Per item, ``(stack, j)``: its arrays are row ``j`` of the arrays of
     ``stack = build(key, members)``, which items of equal ``key`` share, at
     most :data:`BLOCK_ENTRIES` matrix entries (``entries(key)`` each) to a
-    stack. An error naming "matrix i" of a stack names item i's index."""
+    stack. An error naming "matrix i" (or "matrix (i, ...)") of a stack names item i's index."""
     groups: dict = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
@@ -418,7 +471,8 @@ def stacked(keys: list, build, entries) -> list[tuple[tuple, int]]:
             try:
                 stack = build(key, chunk)
             except (QilabError, ValueError) as exc:
-                msg = re.sub(r"^matrix (\d+)", lambda m: f"matrix {chunk[int(m[1])]}", str(exc))
+                name = r"^(matrix \(?)(\d+)"
+                msg = re.sub(name, lambda m: m[1] + str(chunk[int(m[2])]), str(exc))
                 raise type(exc)(msg) from None
             for j, i in enumerate(chunk):
                 out[i] = (stack, j)
@@ -463,5 +517,4 @@ def random_pure(dim_h: int, dim_k: int, seed: int) -> BipartitePureState:
 
 def pure_from_gauss(dim_h: int, dim_k: int, g: np.ndarray) -> BipartitePureState:
     """The state :func:`random_pure` makes of the complex Gaussian column ``g``."""
-    v = g.reshape(-1)
-    return make_pure(dim_h, dim_k, v / np.linalg.norm(v))
+    return make_pures([(dim_h, dim_k, g)], rescale=True)[0]

@@ -22,21 +22,21 @@ from .info import (
     classical_mutual_information,
     holevo_information,
     make_ensemble,
-    measured_mutual_info,
+    measured_mutual_infos,
     shannon_entropy,
     uniform_cube_ensemble,
     von_neumann_entropy,
 )
 from .rng import Stream, derive_seed
 from .states import (
-    canonical_purification,
+    canonical_purifications,
     distance_up_to_phase,
+    make_pures,
     mixture_matrix,
-    pure_density,
-    pure_from_gauss,
+    pure_densities,
     random_densities_by_trial,
     random_density_chunks,
-    unitary_from_gauss,
+    unitaries_from_gauss,
 )
 
 
@@ -156,16 +156,18 @@ def _metrics_chunk(chunk, fvg_lower, fvg_upper, tight, pure_agree, tensor_mult) 
     """Tally one chunk of metrics trials, its trace norms in stacked calls."""
     pairs = [dens for _, dens, _ in chunk]
     dists = metrics.trace_distances(pairs)
-    for (r1, r2), dist, f in zip(pairs, dists, metrics.fidelities(pairs)):
+    measured = metrics.optimal_measurements(pairs)
+    for dist, f, (_, achieved) in zip(dists, metrics.fidelities(pairs), measured):
         lo, up = metrics.fidelity_distance_bounds(f, dist)
         fvg_lower.add(lo)
         fvg_upper.add(up)
-        _, achieved = metrics.optimal_measurement(r1, r2)
         tight.add(tight.tol - abs(achieved - dist))
 
-    pures = [[pure_from_gauss(len(g), 1, g).vec for g in draws[:2]] for *_, draws in chunk]
-    dens_dists = metrics.trace_distances([tuple(map(pure_density, vs)) for vs in pures])
-    for (v1, v2), dist in zip(pures, dens_dists):
+    gauss = [(len(g), 1, g) for *_, draws in chunk for g in draws[:2]]
+    pures = [phi.vec for phi in make_pures(gauss, rescale=True)]
+    rhos = pure_densities(pures)
+    dens_dists = metrics.trace_distances(zip(rhos[::2], rhos[1::2]))
+    for v1, v2, dist in zip(pures[::2], pures[1::2], dens_dists):
         pure_agree.add(pure_agree.tol - abs(metrics.pure_trace_distance(v1, v2) - dist))
 
     factors = [draws[2:] for *_, draws in chunk]
@@ -254,41 +256,35 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
     concave = _Tally("entropy_concavity", _tol(cfg, 1e-9))
     subadd = _Tally("entropy_subadditivity", _tol(cfg, 1e-9))
     joints = []
-    for (_, priors, p, joint, ws), dens, (z,) in random_densities_by_trial(
-        _info_trials(cfg.seed, trials), _info_derived
-    ):
-        n_states, k = len(priors), len(p)
-        e_states, dens = dens[:n_states], dens[n_states:]
-        sigmas, yz, parts, rho_ab = dens[:k], dens[k : k + 4], dens[k + 4 : k + 7], dens[k + 7]
-        blocked, *traced = dens[k + 8 : k + 13]
-        e_avg, full_avg, red_avg, mixed, rho_a, rho_b = dens[k + 13 :]
-        e = make_ensemble(
-            [str(i) for i in range(n_states)], priors, list(e_states), average=e_avg
-        )
-        u = unitary_from_gauss(z)
-        meas = [np.outer(col, np.conj(col)) for col in u.T]
-        holevo.add(holevo_information(e) - measured_mutual_info(e, meas))
+    for chunk in random_density_chunks(_info_trials(cfg.seed, trials), _info_derived):
+        measured = []  # per trial, its ensemble and the projectors onto its unitary's columns
+        unitaries = unitaries_from_gauss([z for *_, (z,) in chunk])
+        for ((_, priors, p, joint, ws), dens, _), u in zip(chunk, unitaries):
+            n_states, k = len(priors), len(p)
+            e_states, dens = dens[:n_states], dens[n_states:]
+            sigmas, yz, parts, rho_ab = dens[:k], dens[k : k + 4], dens[k + 4 : k + 7], dens[k + 7]
+            blocked, *traced = dens[k + 8 : k + 13]
+            e_avg, full_avg, red_avg, mixed, rho_a, rho_b = dens[k + 13 :]
+            e = make_ensemble(map(str, range(n_states)), priors, e_states, average=e_avg)
+            measured.append((e, u.T[:, :, None] * np.conj(u.T)[:, None, :]))
 
-        lhs = von_neumann_entropy(blocked)
-        rhs = shannon_entropy(p) + sum(
-            pi * von_neumann_entropy(si) for pi, si in zip(p, sigmas)
-        )
-        block.add(block.tol - abs(lhs - rhs))
+            lhs = von_neumann_entropy(blocked)
+            rhs = shannon_entropy(p) + sum(w * von_neumann_entropy(s) for w, s in zip(p, sigmas))
+            block.add(block.tol - abs(lhs - rhs))
 
-        joints.append(joint)
+            joints.append(joint)
 
-        labels = [format(v, "02b") for v in range(4)]
-        full = make_ensemble(labels, np.full(4, 0.25), list(yz), average=full_avg)
-        red = make_ensemble(labels, np.full(4, 0.25), traced, average=red_avg)
-        mono.add(holevo_information(full) - holevo_information(red))
+            full = uniform_cube_ensemble(yz, average=full_avg)
+            red = uniform_cube_ensemble(traced, average=red_avg)
+            mono.add(holevo_information(full) - holevo_information(red))
 
-        concave.add(
-            von_neumann_entropy(mixed)
-            - sum(w * von_neumann_entropy(s) for w, s in zip(ws, parts))
-        )
+            parts_entropy = sum(w * von_neumann_entropy(s) for w, s in zip(ws, parts))
+            concave.add(von_neumann_entropy(mixed) - parts_entropy)
 
-        s_ab = von_neumann_entropy(rho_ab)
-        subadd.add(von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - s_ab)
+            s_ab = von_neumann_entropy(rho_ab)
+            subadd.add(von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - s_ab)
+        for (e, _), mi in zip(measured, measured_mutual_infos(measured)):
+            holevo.add(holevo_information(e) - mi)
 
     # the chain rule I(X:YZ) = I(X:Y) + I(XY:Z) - I(Y:Z), over every trial's table at once
     joints = np.array(joints)
@@ -422,13 +418,13 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
             yield t, [_spec(dim_h, seed)], [(dim_k, dim_k, derive_seed(seed, 1))]
 
     for chunk in random_density_chunks(exact_trials()):
-        pairs = []
-        for _, (rho,), (z,) in chunk:
-            phi = canonical_purification(rho, len(z))
-            pairs.append((phi, transition.apply_k_unitary(phi, unitary_from_gauss(z))))
-        for (phi1, phi2), u in zip(pairs, transition.exact_local_transitions(pairs)):
-            aligned = transition.apply_k_unitary(phi2, u)
-            exact.add(exact.tol - distance_up_to_phase(aligned.vec, phi1.vec))
+        zs = [z for *_, (z,) in chunk]
+        phis = canonical_purifications([rho for _, (rho,), _ in chunk], map(len, zs))
+        pairs = list(zip(phis, transition.apply_k_unitaries(zip(phis, unitaries_from_gauss(zs)))))
+        found = transition.exact_local_transitions(pairs)
+        aligned = transition.apply_k_unitaries((phi2, u) for (_, phi2), u in zip(pairs, found))
+        for (phi1, _), a in zip(pairs, aligned):
+            exact.add(exact.tol - distance_up_to_phase(a.vec, phi1.vec))
     sweep = transition.verify_transition_bound(
         max(trials // 5, 50), (3, 4), derive_seed(cfg.seed, 42)
     )

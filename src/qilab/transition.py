@@ -20,10 +20,10 @@ from .linalg import dagger
 from .rng import derive_seed, mix64
 from .states import (
     BipartitePureState,
-    canonical_purification,
+    canonical_purifications,
     distance_up_to_phase,
     make_densities,
-    make_pure,
+    make_pures,
     random_density_chunks,
     stacked,
 )
@@ -49,13 +49,19 @@ class TransitionResult:
 
 
 def apply_k_unitary(psi: BipartitePureState, u: np.ndarray) -> BipartitePureState:
-    """Apply I (x) U to a bipartite pure state."""
-    if u.shape != (psi.dim_k, psi.dim_k):
-        raise SizeError(
-            f"unitary shape {u.shape} does not match dim_k {psi.dim_k}"
-        )
-    a = psi.coefficient_matrix() @ u.T
-    return make_pure(psi.dim_h, psi.dim_k, a.reshape(-1))
+    """The one-state :func:`apply_k_unitaries`."""
+    return apply_k_unitaries([(psi, u)])[0]
+
+
+def apply_k_unitaries(pairs) -> list[BipartitePureState]:
+    """Per ``(psi, u)``, the bipartite pure state (I (x) U) psi; the results
+    are made states by one :func:`~qilab.states.make_pures` call."""
+    items = []
+    for psi, u in pairs:
+        if u.shape != (psi.dim_k, psi.dim_k):
+            raise SizeError(f"unitary shape {u.shape} does not match dim_k {psi.dim_k}")
+        items.append((psi.dim_h, psi.dim_k, psi.coefficient_matrix() @ u.T))
+    return make_pures(items)
 
 
 def uhlmann_aligns(pairs) -> list[TransitionResult]:
@@ -113,20 +119,19 @@ def exact_local_transitions(pairs) -> list[np.ndarray]:
     distance; use :func:`uhlmann_aligns` when they differ.
     """
     pairs = list(pairs)
-    out = []
-    for i, ((phi1, phi2), result) in enumerate(zip(pairs, uhlmann_aligns(pairs))):
+    results = uhlmann_aligns(pairs)
+    aligned = apply_k_unitaries((phi2, r.unitary_k) for (_, phi2), r in zip(pairs, results))
+    for i, ((phi1, _), result, a) in enumerate(zip(pairs, results, aligned)):
         gap = result.t
         if gap > 1e-8:
             raise ReductionError(
                 f"pair {i}: reduced states differ by {gap:.3e}; exact transition needs equality"
             )
-        aligned = apply_k_unitary(phi2, result.unitary_k)
-        residual = distance_up_to_phase(aligned.vec, phi1.vec)
+        residual = distance_up_to_phase(a.vec, phi1.vec)
         # Continuity: a reduced-state gap g can leave a residual ~ sqrt(g).
         if residual > max(100.0 * np.sqrt(max(gap, 1e-16)), 1e-6):
             raise ReductionError(f"pair {i}: exact transition residual {residual:.3e} too large")
-        out.append(result.unitary_k)
-    return out
+    return [r.unitary_k for r in results]
 
 
 def exact_local_transition(phi1: BipartitePureState, phi2: BipartitePureState) -> np.ndarray:
@@ -183,11 +188,9 @@ def aligned_trials(chunk, dim_k) -> list[tuple]:
     purifications into ``dim_k(key, rho1)`` and the pair's distance and
     fidelity, each kind in stacked calls. The result holds no state."""
     pairs = [dens for _, dens in chunk]
-    purified = [
-        tuple(canonical_purification(r, dim_k(key, r1)) for r in (r1, r2))
-        for key, (r1, r2) in chunk
-    ]
-    aligned = uhlmann_aligns(purified)
+    dim_ks = [dim_k(key, r1) for key, (r1, _) in chunk]
+    purified = canonical_purifications([r for pair in pairs for r in pair], np.repeat(dim_ks, 2))
+    aligned = uhlmann_aligns(zip(purified[::2], purified[1::2]))
     keys = [key for key, _ in chunk]
     return list(zip(keys, aligned, metrics.trace_distances(pairs), metrics.fidelities(pairs)))
 

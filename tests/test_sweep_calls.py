@@ -11,8 +11,11 @@ perfbench's tracer) see none of that batched work.
 
 The metrics and transition suites also take their trace norms, Uhlmann
 alignments and reduced states a chunk of trials at a time: they make no
-single-matrix ``singular_values`` or ``svd`` call, and a seed-1 sweep pass
-(metrics, info, transition) makes at most 1,500 ``hermitian_eig`` calls.
+single-matrix ``singular_values`` or ``svd`` call. The sweep suites (metrics,
+info, transition) take their optimal measurements, canonical purifications,
+Haar unitaries and measured informations a chunk at a time too: they make
+no single-matrix ``hermitian_eig`` or ``np.linalg.qr`` call, and a seed-1
+sweep pass makes at most 520 ``hermitian_eig`` calls.
 """
 
 import sys
@@ -24,14 +27,17 @@ import pytest
 from qilab import linalg, rng, states
 from qilab.suites import SuiteConfig, run_suite
 
-# hermitian_eig calls per seed-1 suite: 1,000 of the metrics suite's are its
-# optimal measurements; the three sum to the sweep pass's 1,500
-EIG_BUDGET = {"metrics": 1200, "info": 100, "transition": 200}
+# hermitian_eig calls per seed-1 suite, each one stacked call per chunk and
+# shape: the metrics suite certifies its random densities in 175 and takes
+# its optimal measurements in 133; the three sum to the sweep pass's 520
+EIG_BUDGET = {"metrics": 320, "info": 100, "transition": 100}
 
 
 @pytest.fixture
 def counted(monkeypatch):
-    calls = {"make_density": 0, "gauss_array": 0, "hermitian_eig": 0, "svd": 0, "singular_values": 0}
+    calls = dict.fromkeys(
+        ("make_density", "gauss_array", "hermitian_eig", "single_eig", "svd", "singular_values", "qr"), 0
+    )
     make_density, gauss_array = states.make_density, rng.Stream.gauss_array
 
     def counting_make_density(*args, **kwargs):
@@ -48,18 +54,20 @@ def counted(monkeypatch):
             monkeypatch.setattr(module, "make_density", counting_make_density)
     monkeypatch.setattr(rng.Stream, "gauss_array", counting_gauss_array)
 
-    def counting(name, single_only):
-        real = getattr(linalg, name)
+    def counting(module, name, single_only):
+        real = getattr(module, name)
 
         def count(a, *args, **kwargs):
             calls[name] += not single_only or np.ndim(a) == 2
+            calls["single_eig"] += name == "hermitian_eig" and np.ndim(a) == 2
             return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(linalg, name, count)
+        monkeypatch.setattr(module, name, count)
 
-    counting("hermitian_eig", single_only=False)
-    counting("svd", single_only=True)  # the SVDs count only on a single matrix
-    counting("singular_values", single_only=True)
+    counting(linalg, "hermitian_eig", single_only=False)
+    counting(linalg, "svd", single_only=True)  # the SVDs and QRs count only on a single matrix
+    counting(linalg, "singular_values", single_only=True)
+    counting(np.linalg, "qr", single_only=True)
     return calls
 
 
@@ -67,8 +75,17 @@ def test_the_counters_see_single_calls(counted):
     states.reduced_state(states.random_pure(2, 2, 1), "H")
     linalg.svd(np.eye(2))
     linalg.singular_values(np.eye(2)[None])
+    linalg.hermitian_eig(np.eye(2)[None])
+    np.linalg.qr(np.eye(2))
+    np.linalg.qr(np.eye(2)[None])
     assert counted == {
-        "make_density": 1, "gauss_array": 1, "hermitian_eig": 1, "svd": 1, "singular_values": 0
+        "make_density": 1,
+        "gauss_array": 1,
+        "hermitian_eig": 2,
+        "single_eig": 1,
+        "svd": 1,
+        "singular_values": 0,
+        "qr": 1,
     }
 
 
@@ -79,6 +96,8 @@ def test_sweep_suites_make_no_single_density_or_draw_call(counted, suite):
     assert counted["hermitian_eig"] <= EIG_BUDGET.get(suite, np.inf)
     if suite in ("metrics", "transition"):
         assert counted["svd"] == counted["singular_values"] == 0
+    if suite in EIG_BUDGET:
+        assert counted["single_eig"] == counted["qr"] == 0
 
 
 def test_a_spent_block_is_freed_before_the_next_is_built(monkeypatch):
