@@ -18,8 +18,8 @@ from qilab import (
     random_unitary,
     trace_distance,
     uhlmann_align,
-    verify_transition_bound,
 )
+from qilab.suites import SuiteConfig, run_suite
 from qilab.transition import apply_k_unitary
 
 print("== exact case: equal reductions ==")
@@ -55,8 +55,9 @@ print(f"aligned value                      : {result.achieved_overlap_sq:.8f}")
 
 print()
 print("== randomized certification sweep ==")
-report = verify_transition_bound(trials=400, dims=(3, 4), seed=9)
+checks = run_suite("transition", SuiteConfig(seed=9))
+sweep = next(c for c in checks if c.name == "transition_bound_sweep")
 print(
-    f"{report['trials']} trials: min slack {report['min_slack']:.4f}, "
-    f"violations {report['violations']}"
+    f"{sweep.trials} trials: min slack {sweep.min_slack:.4f}, "
+    f"violations {sweep.violations}, worst seed {sweep.details['worst_instance_seed']}"
 )

@@ -60,7 +60,6 @@ from .transition import (
     TransitionResult,
     exact_local_transition,
     uhlmann_align,
-    verify_transition_bound,
 )
 
 __version__ = "0.1.0"
@@ -109,6 +108,5 @@ __all__ = [
     "trace_norm",
     "uhlmann_align",
     "uniform_cube_ensemble",
-    "verify_transition_bound",
     "von_neumann_entropy",
 ]

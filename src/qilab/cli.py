@@ -75,8 +75,8 @@ def _encoding_width(text: str) -> int:
 
 def _finite_float(text: str) -> float:
     value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    if not 0.0 <= value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--n", type=_positive_int, default=None, help="index-problem size")
     parser.add_argument(
-        "--tol", type=_finite_float, default=None, help="override every check tolerance"
+        "--tol", type=_finite_float, default=None, help="override every check tolerance, >= 0"
     )
     parser.add_argument("--out", default=None, help="write the JSON report here")
     parser.add_argument("--format", choices=["json", "text"], default="text")

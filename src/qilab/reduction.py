@@ -41,7 +41,6 @@ from .protocol import (
     Measurement,
     Move,
     ProtocolSpec,
-    Register,
     RegisterLayout,
     evolve,
     initial_state,
@@ -54,8 +53,8 @@ from .protocol import (
     total_variation,
 )
 from .rac import bit_of
-from .states import canonical_purification, distance_up_to_phase
-from .transition import apply_k_unitaries, exact_local_transitions, uhlmann_aligns
+from .states import canonical_purification
+from .transition import exact_local_transitions, uhlmann_aligns
 
 PLUS = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 ROTATION_THETA = 0.6 * np.pi  # the "rotation" style's angle
@@ -206,20 +205,15 @@ def _relayout(
     """The same moves on a layout with registers re-kinded or re-owned.
 
     ``append`` lists (name, n_qubits, kind, owner) registers added after
-    the last wire; every existing wire keeps its number.
+    the last wire; every existing wire keeps its number, as registers are
+    laid out in wire order.
     """
     kinds, owners = kinds or {}, owners or {}
     regs = [
-        Register(
-            r.name, r.qubits, kinds.get(r.name, r.kind), owners.get(r.name, r.owner)
-        )
+        (r.name, r.n_qubits, kinds.get(r.name, r.kind), owners.get(r.name, r.owner))
         for r in spec.layout.registers
     ]
-    cursor = spec.layout.n_qubits
-    for name, n, kind, owner in append:
-        regs.append(Register(name, tuple(range(cursor, cursor + n)), kind, owner))
-        cursor += n
-    return ProtocolSpec(RegisterLayout(tuple(regs)), spec.moves, spec.final_measurement)
+    return ProtocolSpec(make_layout([*regs, *append]), spec.moves, spec.final_measurement)
 
 
 @dataclass(frozen=True)
@@ -394,9 +388,9 @@ def drop_first_message(
     # in the new register space (B'' spectator at |0>).
     bob_moves = shell.moves[:first_alice]
     chis = play(layout, assignments, lambda s: evolve(bob_moves, s).bipartites(m_wires, k_full))
-    v_blocks = dict(enumerate(exact_local_transitions([(chi, xi) for chi in chis])))
-    aligned = apply_k_unitaries((xi, v_z) for v_z in v_blocks.values())
-    max_residual = max([0.0] + [distance_up_to_phase(a.vec, c.vec) for a, c in zip(aligned, chis)])
+    found = exact_local_transitions([(chi, xi) for chi in chis])
+    v_blocks = {z: v_z for z, (v_z, _) in enumerate(found)}
+    max_residual = max([0.0] + [residual for _, residual in found])
 
     restore = Move("bob", k_full, v_blocks, controls=yj_wires)
     spec_double = ProtocolSpec(

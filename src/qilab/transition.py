@@ -9,7 +9,6 @@ trace distance is at most 2 * sqrt(trace distance of the reduced states).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +16,12 @@ import numpy as np
 from . import linalg, metrics
 from .errors import ReductionError, SizeError
 from .linalg import dagger
-from .rng import derive_seed, mix64
 from .states import (
     BipartitePureState,
     canonical_purifications,
     distance_up_to_phase,
     make_densities,
     make_pures,
-    random_density_chunks,
     stacked,
 )
 
@@ -111,9 +108,10 @@ def uhlmann_align(phi1: BipartitePureState, phi2: BipartitePureState) -> Transit
     return uhlmann_aligns([(phi1, phi2)])[0]
 
 
-def exact_local_transitions(pairs) -> list[np.ndarray]:
-    """For each pair ``(phi1, phi2)``, the K-side unitary with
-    (I (x) U) phi2 = phi1 up to a global phase, by :func:`uhlmann_aligns`.
+def exact_local_transitions(pairs) -> list[tuple[np.ndarray, float]]:
+    """For each pair ``(phi1, phi2)``, the K-side unitary U with
+    (I (x) U) phi2 = phi1 up to a global phase, by :func:`uhlmann_aligns`,
+    and the residual ``distance_up_to_phase`` it leaves.
 
     Requires the reduced states on H to agree within 1e-8 in trace
     distance; use :func:`uhlmann_aligns` when they differ.
@@ -121,6 +119,7 @@ def exact_local_transitions(pairs) -> list[np.ndarray]:
     pairs = list(pairs)
     results = uhlmann_aligns(pairs)
     aligned = apply_k_unitaries((phi2, r.unitary_k) for (_, phi2), r in zip(pairs, results))
+    out = []
     for i, ((phi1, _), result, a) in enumerate(zip(pairs, results, aligned)):
         gap = result.t
         if gap > 1e-8:
@@ -131,55 +130,13 @@ def exact_local_transitions(pairs) -> list[np.ndarray]:
         # Continuity: a reduced-state gap g can leave a residual ~ sqrt(g).
         if residual > max(100.0 * np.sqrt(max(gap, 1e-16)), 1e-6):
             raise ReductionError(f"pair {i}: exact transition residual {residual:.3e} too large")
-    return [r.unitary_k for r in results]
+        out.append((result.unitary_k, residual))
+    return out
 
 
 def exact_local_transition(phi1: BipartitePureState, phi2: BipartitePureState) -> np.ndarray:
-    """The one-pair :func:`exact_local_transitions`."""
-    return exact_local_transitions([(phi1, phi2)])[0]
-
-
-def verify_transition_bound(
-    trials: int, dims: tuple[int, int], seed: int
-) -> dict:
-    """Randomized sweep of the alignment bound on canonical purifications.
-
-    Per trial: draw two random densities on H, purify both into the same
-    K, align, and record bound - pure_distance. Also tracks the chain
-    1 - F <= trace distance of the reduced states.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    dim_h, dim_k = dims
-    min_slack = np.inf
-    min_chain_slack = np.inf
-    violations = 0
-    worst_seed = 0
-    pairs = ((derive_seed(seed, t, 0), derive_seed(seed, t, 1)) for t in range(trials))
-    specs = (
-        (pair[0], [(dim_h, 1 + _derived_rank(s, dim_h), s) for s in pair]) for pair in pairs
-    )
-    for chunk in random_density_chunks(specs):
-        for s1, result, tdist, fid in aligned_trials(chunk, lambda key, rho: dim_k):
-            slack = result.bound - result.pure_distance
-            chain = tdist - (1.0 - fid)
-            # A non-finite slack is a violation, and as NaN it stays the minimum
-            # (``x < nan`` is False) with the seed of the trial that made it.
-            slack, chain = (x if math.isfinite(x) else math.nan for x in (slack, chain))
-            if slack < min_slack or (math.isnan(slack) and not math.isnan(min_slack)):
-                min_slack = slack
-                worst_seed = s1
-            if math.isnan(chain) or chain < min_chain_slack:
-                min_chain_slack = chain
-            if not (slack >= -1e-8 and chain >= -1e-9):
-                violations += 1
-    return {
-        "trials": trials,
-        "min_slack": float(min_slack),
-        "min_chain_slack": float(min_chain_slack),
-        "violations": violations,
-        "worst_instance_seed": int(worst_seed),
-    }
+    """The unitary of the one-pair :func:`exact_local_transitions`."""
+    return exact_local_transitions([(phi1, phi2)])[0][0]
 
 
 def aligned_trials(chunk, dim_k) -> list[tuple]:
@@ -193,7 +150,3 @@ def aligned_trials(chunk, dim_k) -> list[tuple]:
     aligned = uhlmann_aligns(zip(purified[::2], purified[1::2]))
     keys = [key for key, _ in chunk]
     return list(zip(keys, aligned, metrics.trace_distances(pairs), metrics.fidelities(pairs)))
-
-
-def _derived_rank(seed: int, dim: int) -> int:
-    return mix64(seed) % dim

@@ -46,11 +46,11 @@ def test_exit_code_matches_violations(capsys):
     assert by_name["delta_le_two_sqrt_info"]["violations"] == 0
 
 
-def test_violation_count_does_not_wrap_exit_status(capsys):
-    # 1280 violations used to exit 1280 mod 256 = 0
-    code, out = run_cli(
-        ["--suite", "metrics", "--trials", "256", "--tol", "-10"], capsys
-    )
+def test_violation_count_does_not_wrap_exit_status(capsys, monkeypatch):
+    # 1280 violations used to exit 1280 mod 256 = 0; --tol rejects a
+    # negative value, so every check's tolerance is forced to -10 here
+    monkeypatch.setattr(suites, "_tol", lambda cfg, default: -10.0)
+    code, out = run_cli(["--suite", "metrics", "--trials", "256"], capsys)
     assert code == 1
     assert "total violations: 1280" in out
 
@@ -77,13 +77,14 @@ def test_bad_flags_exit_two(capsys):
         ["--tol", "nan"],
         ["--tol", "inf"],
         ["--tol", "-inf"],
+        ["--suite", "metrics", "--trials", "3", "--tol", "-1"],  # used to report 15 violations
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1 and "error:" in captured.err
+        assert captured.err.count("\n") == 1 and captured.err.startswith("qilab: error:")
 
 
 def test_m_outside_the_encoding_widths_is_rejected(capsys):
@@ -200,6 +201,16 @@ def test_tol_override(capsys):
     report = json.loads(out)
     assert all(c["details"]["tolerance"] == 1e-3 for c in report["checks"])
     assert code == 0
+
+
+def test_tol_override_reaches_every_transition_check(capsys):
+    # the sweep used to judge at its own 1e-8 and 1e-9 and echo no tolerance
+    code, out = run_cli(
+        ["--suite", "transition", "--trials", "10", "--tol", "1e-3", "--format", "json"], capsys
+    )
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 5 and code == 0
+    assert all(c["details"]["tolerance"] == 1e-3 for c in checks)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -16,6 +16,10 @@ info, transition) take their optimal measurements, canonical purifications,
 Haar unitaries and measured informations a chunk at a time too: they make
 no single-matrix ``hermitian_eig`` or ``np.linalg.qr`` call, and a seed-1
 sweep pass makes at most 520 ``hermitian_eig`` calls.
+
+The exact-transition checks read the residuals that
+``transition.exact_local_transitions`` measures and do not apply its
+unitaries again.
 """
 
 import sys
@@ -24,13 +28,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qilab import linalg, rng, states
+from qilab import linalg, rng, states, transition
 from qilab.suites import SuiteConfig, run_suite
 
 # hermitian_eig calls per seed-1 suite, each one stacked call per chunk and
 # shape: the metrics suite certifies its random densities in 175 and takes
 # its optimal measurements in 133; the three sum to the sweep pass's 520
 EIG_BUDGET = {"metrics": 320, "info": 100, "transition": 100}
+# apply_k_unitaries calls per seed-1 suite: 4 scrambles and 4 alignments in
+# the transition suite's exact chunks, one alignment per drop_first_message
+APPLY_BUDGET = {"transition": 8, "reduction": 8}
 
 
 @pytest.fixture
@@ -121,3 +128,19 @@ def test_a_spent_block_is_freed_before_the_next_is_built(monkeypatch):
         tracemalloc.stop()
     one_trial = 2 * (2 * 203 * 203 * 16 + 203 * 8)
     assert len(alive) == 3 and max(alive) < one_trial / 4
+
+
+@pytest.mark.parametrize("suite", sorted(APPLY_BUDGET))
+def test_exact_transitions_apply_each_unitary_once(monkeypatch, suite):
+    calls = []
+    real = transition.apply_k_unitaries
+
+    def counting(pairs):
+        calls.append(1)
+        return real(pairs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qilab" and getattr(module, "apply_k_unitaries", None) is real:
+            monkeypatch.setattr(module, "apply_k_unitaries", counting)
+    run_suite(suite, SuiteConfig(seed=1))
+    assert 0 < len(calls) <= APPLY_BUDGET[suite]

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qilab import linalg, metrics, states, transition
+from qilab import linalg, metrics, states, suites, transition
 from qilab.errors import ReductionError, SizeError
 from qilab.rng import Stream, derive_seed
 
@@ -168,40 +170,51 @@ def test_verify_transition_bound_orthogonal():
     )
 
 
-def test_verify_transition_bound_sweep():
-    report = transition.verify_transition_bound(300, (3, 4), seed=99)
-    assert report["trials"] == 300
-    assert report["violations"] == 0
-    assert report["min_slack"] >= -1e-8
-    assert report["min_chain_slack"] >= -1e-9
-    assert set(report) >= {"trials", "min_slack", "violations", "worst_instance_seed"}
+def test_first_nan_slack_stays_the_minimum_with_its_seed():
+    # a NaN certified nothing: it is a violation and the reported minimum,
+    # under the seed of the first trial that produced it
+    tally = suites._Tally("x", 1e-8)
+    passed = [tally.add(slack, seed) for seed, slack in enumerate((0.5, np.nan, -1.0, np.inf, 0.1))]
+    assert passed == [True, False, False, False, True]
+    check = tally.result()
+    assert check.violations == 3 and np.isnan(check.min_slack)
+    assert check.details["worst_instance_seed"] == 1
 
 
-def test_verify_transition_bound_validates_trials():
-    with pytest.raises(ValueError):
-        transition.verify_transition_bound(0, (2, 2), seed=1)
+def test_a_sweep_trial_breaking_the_chain_the_bound_or_both_is_one_violation(monkeypatch):
+    # trial 0 breaks the bound by 1, trial 1 the chain 1 - F <= T, trial 2 both
+    sweep_seed = derive_seed(1, 42)
+    firsts = [derive_seed(sweep_seed, t, 0) for t in range(3)]
+    real = transition.aligned_trials
 
-
-def test_verify_transition_bound_counts_non_finite_slack(monkeypatch):
-    # a NaN from the alignment is a violation and the reported minimum,
-    # with the seed of the first trial that produced it
-    real = transition.uhlmann_aligns
-    seen = []
-
-    def broken(pairs):
+    def broken(chunk, dim_k):
         out = []
-        for res in real(pairs):
-            seen.append(res)
-            if len(seen) == 2:
-                res = transition.TransitionResult(res.unitary_k, res.achieved_overlap_sq, np.nan, res.t)
-            out.append(res)
+        for key, res, dist, f in real(chunk, dim_k):
+            if key in (firsts[0], firsts[2]):
+                res = replace(res, pure_distance=res.bound + 1.0 + (key == firsts[2]))
+            if key in (firsts[1], firsts[2]):
+                dist = (1.0 - f) - 1.0
+            out.append((key, res, dist, f))
         return out
 
-    monkeypatch.setattr(transition, "uhlmann_aligns", broken)
-    report = transition.verify_transition_bound(3, (2, 2), seed=5)
-    assert report["violations"] == 1
-    assert np.isnan(report["min_slack"])
-    assert report["worst_instance_seed"] == derive_seed(5, 1, 0)
+    monkeypatch.setattr(transition, "aligned_trials", broken)
+    checks = {c.name: c for c in suites.run_suite("transition", suites.SuiteConfig(trials=10))}
+    sweep = checks["transition_bound_sweep"]
+    assert sweep.trials == 50 and sweep.violations == 3
+    assert sweep.min_slack == pytest.approx(-2.0)
+    assert sweep.details["min_chain_slack"] == pytest.approx(-1.0)
+    assert sweep.details["worst_instance_seed"] == firsts[2]
+    assert checks["transition_bound"].violations == 0
+
+
+def test_transition_bound_sweep_at_seed_99():
+    checks = {c.name: c for c in suites.run_suite("transition", suites.SuiteConfig(seed=99))}
+    sweep = checks["transition_bound_sweep"]
+    assert sweep.trials == 200 and sweep.violations == 0
+    assert sweep.min_slack >= -1e-8
+    assert sweep.details["min_chain_slack"] >= -1e-9
+    assert sweep.details["tolerance"] == 1e-8
+    assert isinstance(sweep.details["worst_instance_seed"], int)
 
 
 def _old_alignment(phi1, phi2):
@@ -231,10 +244,14 @@ def test_stacked_alignments_match_the_pair_formula_bitwise():
         got = (res.achieved_overlap_sq, res.pure_distance, res.t)
         assert got == (overlap_sq, pure_distance, t), f"pair {i}"
         assert got == (single.achieved_overlap_sq, single.pure_distance, single.t), f"pair {i}"
-    unitaries = transition.exact_local_transitions(
-        [(phi, transition.apply_k_unitary(phi, states.random_unitary(phi.dim_k, 142))) for phi, _ in pairs]
-    )
-    assert len(unitaries) == len(pairs)
+    exact_pairs = [
+        (phi, transition.apply_k_unitary(phi, states.random_unitary(phi.dim_k, 142))) for phi, _ in pairs
+    ]
+    found = transition.exact_local_transitions(exact_pairs)
+    assert len(found) == len(pairs)
+    for i, ((phi1, phi2), (u, residual)) in enumerate(zip(exact_pairs, found)):
+        aligned = transition.apply_k_unitary(phi2, u)
+        assert residual == states.distance_up_to_phase(aligned.vec, phi1.vec), f"pair {i}"
 
 
 def test_stacked_alignments_name_the_failing_pair():
