@@ -32,12 +32,12 @@ print("== full pipeline on the rotation instance, slot 0 ==")
 rep = run_pipeline("rotation")[0]
 f, d = rep.first, rep.drop
 print(f"slice error of the original protocol   eps_0  = {f.eps_j:.4f}")
-print(f"first-message information about slot 0 mu_0   = {f.mu_j:.4f}")
+print(f"first-message information about slot 0 mu_0   = {rep.mus[0]:.4f}")
 print(f"after the rewrite, information drops to        {f.mu_j_prime:.2e}")
 print(f"alignment distances per slot value             {np.round(f.align_distances, 4)}")
 print(f"modified-protocol error                delta_0 = {f.delta_j:.4f}")
 print(f"bound eps_0 + 2 E sqrt(t_z)                    = {f.eps_j + 2 * f.mean_sqrt_t:.4f}")
-print(f"bound eps_0 + 4 mu_0^(1/4)                     = {f.eps_j + 4 * f.mu_j ** 0.25:.4f}")
+print(f"bound eps_0 + 4 mu_0^(1/4)                     = {f.delta_j + rep.info_bound_slack:.4f}")
 print()
 print(f"rounds: {d.rounds_before} -> {d.rounds_after}")
 print(f"message qubits: {d.message_qubits_before} -> {d.message_qubits_after} (budget {d.budget})")
@@ -51,4 +51,4 @@ print(f"their sum {sum(rep.mus):.4f} <= joint {rep.joint_info:.4f} <= message si
 
 print()
 print("== superposed vs classical unset slots make no difference ==")
-print(f"|error(superposed) - error(classical)| = {abs(rep.superposed_error - rep.classical_error):.2e}")
+print(f"|error(superposed) - error(classical)| = {abs(f.eps_j - rep.classical_error):.2e}")

@@ -168,8 +168,9 @@ class ProtocolSpec:
                 return i
         raise ProtocolError("protocol sends no messages")
 
-    def validate(self) -> None:
-        """Static walk: wire roles, ownership, block shapes, unitarity."""
+    def __post_init__(self):
+        """Static walk, run once when the spec is built, so every spec is
+        valid: wire roles, ownership, block shapes, unitarity."""
         owner = self.layout.initial_owner()
         inputs = self.layout.input_qubits()
         for idx, move in enumerate(self.moves):
@@ -280,6 +281,8 @@ class InputEnsemble:
     instances: tuple[InputInstance, ...]
 
     def __post_init__(self):
+        if not all(i.weight >= 0 for i in self.instances):  # NaN fails too
+            raise ValueError("instance weights must be non-negative")
         total = sum(i.weight for i in self.instances)
         if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"instance weights sum to {total}, expected 1")
@@ -462,16 +465,17 @@ def message_states(spec: ProtocolSpec, assignments) -> list[DensityMatrix]:
 
 
 def run_protocol(spec: ProtocolSpec, ensemble: InputEnsemble) -> RunReport:
-    """Validate the spec, play out each weighted input (:func:`play`),
-    score the target.
+    """Play out each weighted input (:func:`play`), score the target.
 
     Every instance error is 1 minus the exact probability of the target
-    outcome.
+    outcome; a target that is not an outcome raises ``ProtocolError``.
     """
-    spec.validate()
     instances = ensemble.instances
     meas = spec.final_measurement
     per_outcome = [dict(zip(meas.blocks, p)) for p in zip(*meas.blocks.values())]
+    bad = [i.target for i in instances if not 0 <= i.target < len(per_outcome)]
+    if bad:
+        raise ProtocolError(f"target {bad[0]} is not an outcome 0..{len(per_outcome) - 1}")
 
     def outcomes(state: Branch) -> np.ndarray:
         state = evolve(spec.moves, state)

@@ -53,7 +53,7 @@ from .protocol import (
     total_variation,
 )
 from .rac import bit_of
-from .states import canonical_purification
+from .states import DensityMatrix, canonical_purification
 from .transition import exact_local_transitions, uhlmann_aligns
 
 PLUS = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
@@ -124,7 +124,6 @@ def two_round_family(style: str) -> TwoRoundFamily:
     spec = ProtocolSpec(
         layout, (first, _decode_move(layout)), Measurement("bob", m_w, {0: (P0, P1)})
     )
-    spec.validate()
     return TwoRoundFamily(spec, style)
 
 
@@ -199,10 +198,8 @@ def message_info_budget(
 # ---------------------------------------------------------------------------
 
 
-def _relayout(
-    spec: ProtocolSpec, kinds=None, owners=None, append=()
-) -> ProtocolSpec:
-    """The same moves on a layout with registers re-kinded or re-owned.
+def _relayout(layout: RegisterLayout, kinds=None, owners=None, append=()) -> RegisterLayout:
+    """The layout with registers re-kinded or re-owned.
 
     ``append`` lists (name, n_qubits, kind, owner) registers added after
     the last wire; every existing wire keeps its number, as registers are
@@ -211,9 +208,9 @@ def _relayout(
     kinds, owners = kinds or {}, owners or {}
     regs = [
         (r.name, r.n_qubits, kinds.get(r.name, r.kind), owners.get(r.name, r.owner))
-        for r in spec.layout.registers
+        for r in layout.registers
     ]
-    return ProtocolSpec(make_layout([*regs, *append]), spec.moves, spec.final_measurement)
+    return make_layout([*regs, *append])
 
 
 @dataclass(frozen=True)
@@ -223,11 +220,11 @@ class FirstMessageReport:
     j: int
     eps_j: float
     delta_j: float
-    mu_j: float
     mu_j_prime: float
     t_values: tuple[float, ...]
     align_distances: tuple[float, ...]
     prime_outcomes: tuple[tuple[float, ...], ...]  # P' on the slice, per instance
+    prime_messages: tuple[DensityMatrix, ...]  # P''s first message, per value of y_j
 
     @property
     def mean_sqrt_t(self) -> float:
@@ -237,11 +234,6 @@ class FirstMessageReport:
     def alignment_bound_slack(self) -> float:
         """eps_j + 2 E_z sqrt(t_z) - delta_j."""
         return self.eps_j + 2.0 * self.mean_sqrt_t - self.delta_j
-
-    @property
-    def info_bound_slack(self) -> float:
-        """eps_j + 4 mu_j^(1/4) - delta_j."""
-        return self.eps_j + 4.0 * self.mu_j**0.25 - self.delta_j
 
 
 def modify_first_message(
@@ -257,31 +249,29 @@ def modify_first_message(
     original one; the error increase is bounded by twice the mean
     square-root alignment distance.
     """
+    spec = family.spec
+    first = spec.moves[0]
+    if first.player != "bob":
+        raise ReductionError("the first move must belong to the player without the pointer")
+    yj_wires = spec.layout.register(f"y{j}").qubits
+    touched = tuple(q for q in yj_wires if q in first.controls)
+
+    eps_j = run_protocol(spec, slice_distribution(family, j)).error_avg
+
     # The derived protocol solves the inner index problem on slot j, so
     # the other y register stops being an input: it becomes workspace Bob
     # initializes himself.
-    base = _relayout(family.spec, kinds={f"y{1 - j}": "work"})
-    first = base.moves[0]
-    if first.player != "bob":
-        raise ReductionError("the first move must belong to the player without the pointer")
-    yj_wires = base.layout.register(f"y{j}").qubits
-    touched = tuple(q for q in yj_wires if q in first.controls)
-
-    eps_j = run_protocol(base, slice_distribution(family, j)).error_avg
-    mu_j = slice_information(base, family, j)
-
+    psi = [("psi", len(touched), "work", "bob")] if touched else []
+    layout = _relayout(spec.layout, kinds={f"y{1 - j}": "work"}, append=psi)
     if touched:
-        prime = _relayout(base, append=[("psi", len(touched), "work", "bob")])
-        psi_wires = prime.layout.register("psi").qubits
+        psi_wires = layout.register("psi").qubits
         wire_map = dict(zip(touched, psi_wires))
         hadamards = Move("bob", psi_wires, {0: reduce(np.kron, [H] * len(psi_wires))})
         rewired = replace(first, controls=tuple(wire_map.get(q, q) for q in first.controls))
         opening = (hadamards, rewired)
     else:
-        prime = base
         opening = (first,)
 
-    layout = prime.layout
     m_wires = tuple(first.send)
     assignments = _slot_assignments(family, j)
 
@@ -302,19 +292,19 @@ def modify_first_message(
 
     corrective = Move("bob", k_wires, corrective_blocks, controls=yj_wires)
     spec_prime = ProtocolSpec(
-        layout, (*opening, corrective, *prime.moves[1:]), prime.final_measurement
+        layout, (*opening, corrective, *spec.moves[1:]), spec.final_measurement
     )
-    run_prime = run_protocol(spec_prime, slice_distribution(family, j))  # validates P' first
-    mu_j_prime = slice_information(spec_prime, family, j)
+    run_prime = run_protocol(spec_prime, slice_distribution(family, j))
+    prime_messages = message_states(spec_prime, assignments)
     report = FirstMessageReport(
         j=j,
         eps_j=eps_j,
         delta_j=run_prime.error_avg,
-        mu_j=mu_j,
-        mu_j_prime=mu_j_prime,
+        mu_j_prime=holevo_information(uniform_cube_ensemble(prime_messages)),
         t_values=tuple(t_values),
         align_distances=tuple(align_distances),
         prime_outcomes=run_prime.outcome_distributions,
+        prime_messages=tuple(prime_messages),
     )
     return spec_prime, report
 
@@ -339,21 +329,22 @@ class DropReport:
 
 
 def drop_first_message(
-    family: TwoRoundFamily, j: int, spec_prime: ProtocolSpec, prime_outcomes
+    family: TwoRoundFamily, spec_prime: ProtocolSpec, first: FirstMessageReport
 ) -> tuple[ProtocolSpec, DropReport]:
     """Derive P'': Alice opens the protocol with the message prepared
     herself, purified across an extra register that rides along with her
     own message; Bob restores his side with an exact local transition.
 
     The outcome distribution matches P' on every slice input, with one
-    round fewer and at most ceil(log2 n) extra message qubits.
-    ``prime_outcomes`` are P''s outcome distributions on the slice, as
-    :func:`modify_first_message` reports them.
+    round fewer and at most ceil(log2 n) extra message qubits. ``first``
+    is :func:`modify_first_message`'s report on ``spec_prime``: its
+    first messages and outcome distributions on the slice are reused.
     """
+    j = first.j
     m_wires = tuple(spec_prime.moves[spec_prime.first_message_index()].send)
 
     assignments = _slot_assignments(family, j)
-    rho_m, *others = message_states(spec_prime, assignments)
+    rho_m, *others = first.prime_messages
     for other in others:
         if np.max(np.abs(other.mat - rho_m.mat)) > 1e-9:
             raise ReductionError("first message still depends on y_j")
@@ -363,8 +354,7 @@ def drop_first_message(
     # New layout: message register now belongs to Alice; purification
     # partner B'' is appended when the message state is mixed.
     append = [("bp", n_b, "work", "alice")] if n_b > 0 else []
-    shell = _relayout(spec_prime, owners={"m": "alice"}, append=append)
-    layout = shell.layout
+    layout = _relayout(spec_prime.layout, owners={"m": "alice"}, append=append)
     bp_wires = layout.register("bp").qubits if n_b > 0 else ()
 
     purification = canonical_purification(rho_m, max(2**n_b, 1))
@@ -372,8 +362,8 @@ def drop_first_message(
 
     # Bob plays every move of P' before Alice's first one: his opening
     # and the corrective. Alice's own move now also carries B''.
-    first_alice = next(i for i, mv in enumerate(shell.moves) if mv.player == "alice")
-    alice_move = shell.moves[first_alice]
+    first_alice = next(i for i, mv in enumerate(spec_prime.moves) if mv.player == "alice")
+    alice_move = spec_prime.moves[first_alice]
     alice_move = replace(alice_move, send=(*alice_move.send, *bp_wires))
 
     yj_wires = layout.register(f"y{j}").qubits
@@ -386,7 +376,7 @@ def drop_first_message(
 
     # Target states: P' after its opening move and corrective, embedded
     # in the new register space (B'' spectator at |0>).
-    bob_moves = shell.moves[:first_alice]
+    bob_moves = spec_prime.moves[:first_alice]
     chis = play(layout, assignments, lambda s: evolve(bob_moves, s).bipartites(m_wires, k_full))
     found = exact_local_transitions([(chi, xi) for chi in chis])
     v_blocks = {z: v_z for z, (v_z, _) in enumerate(found)}
@@ -395,12 +385,13 @@ def drop_first_message(
     restore = Move("bob", k_full, v_blocks, controls=yj_wires)
     spec_double = ProtocolSpec(
         layout,
-        (prep, alice_move, restore, *shell.moves[first_alice + 1 :]),
-        shell.final_measurement,
+        (prep, alice_move, restore, *spec_prime.moves[first_alice + 1 :]),
+        spec_prime.final_measurement,
     )
-    run_double = run_protocol(spec_double, slice_distribution(family, j))  # validates P'' first
+    run_double = run_protocol(spec_double, slice_distribution(family, j))
     max_tv = max(
-        total_variation(p, q) for p, q in zip(prime_outcomes, run_double.outcome_distributions)
+        total_variation(p, q)
+        for p, q in zip(first.prime_outcomes, run_double.outcome_distributions)
     )
     budget = spec_prime.message_qubits + int(np.ceil(np.log2(family.n)))
     report = DropReport(
@@ -427,8 +418,12 @@ class PipelineReport:
     mus: tuple[float, ...]
     joint_info: float
     ell1: int
-    superposed_error: float
     classical_error: float
+
+    @property
+    def info_bound_slack(self) -> float:
+        """eps_j + 4 mu_j^(1/4) - delta_j."""
+        return self.first.eps_j + 4.0 * self.mus[self.j] ** 0.25 - self.first.delta_j
 
 
 def run_pipeline(style: str) -> tuple[PipelineReport, ...]:
@@ -436,15 +431,14 @@ def run_pipeline(style: str) -> tuple[PipelineReport, ...]:
     every check.
 
     The message-information budget does not depend on j and is computed
-    once. The superposed error is P's error on the slice, which
-    :func:`modify_first_message` has already measured as eps_j.
+    once. P's error on the superposed slice is the first step's eps_j.
     """
     family = two_round_family(style)
     mus, joint, ell1 = message_info_budget(family.spec, family)
     reports = []
     for j in range(family.n):
         spec_prime, first_report = modify_first_message(family, j)
-        _, drop_report = drop_first_message(family, j, spec_prime, first_report.prime_outcomes)
+        _, drop_report = drop_first_message(family, spec_prime, first_report)
         cla = run_protocol(family.spec, slice_distribution(family, j, superposed=False))
         reports.append(
             PipelineReport(
@@ -455,7 +449,6 @@ def run_pipeline(style: str) -> tuple[PipelineReport, ...]:
                 mus=tuple(mus),
                 joint_info=joint,
                 ell1=ell1,
-                superposed_error=first_report.eps_j,
                 classical_error=cla.error_avg,
             )
         )

@@ -513,7 +513,7 @@ def reduction_suite(cfg: SuiteConfig) -> list[CheckResult]:
         for rep in reduction.run_pipeline(style):
             independence.add(independence.tol - rep.first.mu_j_prime)
             align_bound.add(rep.first.alignment_bound_slack)
-            info_bound.add(rep.first.info_bound_slack)
+            info_bound.add(rep.info_bound_slack)
             sim_equiv.add(sim_equiv.tol - rep.drop.max_outcome_tv)
             rounds.add(
                 0.0
@@ -525,7 +525,7 @@ def reduction_suite(cfg: SuiteConfig) -> list[CheckResult]:
             info_budget.add(rep.joint_info - sum(rep.mus))
             info_budget.add(rep.ell1 - rep.joint_info)
             sup_cls.add(
-                sup_cls.tol - abs(rep.superposed_error - rep.classical_error)
+                sup_cls.tol - abs(rep.first.eps_j - rep.classical_error)
             )
             residual.add(residual.tol - rep.drop.max_transition_residual)
     return [

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,25 @@ def test_copy_protocol_counts_and_error():
     assert report.rounds == 1
 
 
+def test_ensemble_weights_must_be_non_negative():
+    # 1.5 and -0.5 sum to 1, yet are no distribution
+    for weights in ((1.5, -0.5), (float("nan"), 1.0)):
+        with pytest.raises(ValueError, match="non-negative"):
+            proto.InputEnsemble(
+                tuple(proto.InputInstance(w, {"x": b}, b) for w, b in zip(weights, (0, 1)))
+            )
+
+
+@pytest.mark.parametrize("target", (-1, 2))
+def test_target_outside_the_outcomes_is_rejected(target):
+    # -1 would score the last outcome, 2 would index past the outcomes
+    ensemble = rac.index_ensemble(2)
+    first, *rest = ensemble.instances
+    bad = proto.InputEnsemble((replace(first, target=target), *rest))
+    with pytest.raises(ProtocolError, match=f"target {target} is not an outcome 0..1"):
+        proto.run_protocol(rac.classical_copy_protocol(2), bad)
+
+
 def test_apply_unitary_matches_dense_kron():
     # oracle: dense matrix built with explicit kron factors
     state = Stream(120).complex_gauss_matrix(8, 1).reshape(-1)
@@ -85,78 +105,86 @@ def test_ownership_violation_rejected():
     layout = proto.make_layout(
         [("x", 1, "input", "alice"), ("y", 1, "input", "bob")]
     )
-    spec = proto.ProtocolSpec(
-        layout,
-        (proto.Move("alice", (1,), {1: proto.X}, controls=(0,)),),
-        proto.Measurement("bob", (1,), {0: (P0, P1)}),
-    )
     with pytest.raises(ProtocolError):
-        spec.validate()
+        proto.ProtocolSpec(
+            layout,
+            (proto.Move("alice", (1,), {1: proto.X}, controls=(0,)),),
+            proto.Measurement("bob", (1,), {0: (P0, P1)}),
+        )
+
+
+def test_reading_the_other_players_input_is_rejected_when_built():
+    # Alice's move is controlled by Bob's input y: no spec exists that a
+    # simulator could run, message_states included
+    layout = proto.make_layout(
+        [("x", 1, "input", "alice"), ("y", 1, "input", "bob"), ("m", 1, "message", "alice")]
+    )
+    with pytest.raises(ProtocolError, match="alice does not own qubit 1"):
+        proto.ProtocolSpec(
+            layout,
+            (proto.Move("alice", (2,), {1: proto.X}, controls=(1,), send=(2,)),),
+            proto.Measurement("bob", (2,), {0: (P0, P1)}),
+        )
 
 
 def test_sending_unowned_qubit_rejected():
     layout = proto.make_layout(
         [("x", 1, "input", "alice"), ("y", 1, "input", "bob")]
     )
-    spec = proto.ProtocolSpec(
-        layout,
-        (proto.Move("alice", (0,), {}, send=(1,)),),
-        proto.Measurement("bob", (1,), {0: (P0, P1)}),
-    )
     with pytest.raises(ProtocolError):
-        spec.validate()
+        proto.ProtocolSpec(
+            layout,
+            (proto.Move("alice", (0,), {}, send=(1,)),),
+            proto.Measurement("bob", (1,), {0: (P0, P1)}),
+        )
 
 
 def test_input_register_write_rejected():
-    # inputs can only be controls: listing one as a target is refused at
-    # validate time, whatever the block (X or H would rewrite it)
+    # inputs can only be controls: listing one as a target is refused when
+    # the spec is built, whatever the block (X or H would rewrite it)
     layout = proto.make_layout(
         [("x", 1, "input", "alice"), ("m", 1, "message", "alice")]
     )
     for gate in (proto.X, proto.H, proto.I2):
-        spec = proto.ProtocolSpec(
+        with pytest.raises(ProtocolError, match="input"):
+            proto.ProtocolSpec(
+                layout,
+                (proto.Move("alice", (0,), {0: gate}),),
+                proto.Measurement("alice", (1,), {0: (P0, P1)}),
+            )
+    # a wire cannot be both a control and a target
+    with pytest.raises(ProtocolError, match="control and target"):
+        proto.ProtocolSpec(
             layout,
-            (proto.Move("alice", (0,), {0: gate}),),
+            (proto.Move("alice", (1,), {1: proto.X}, controls=(1,)),),
             proto.Measurement("alice", (1,), {0: (P0, P1)}),
         )
-        with pytest.raises(ProtocolError, match="input"):
-            spec.validate()
-    # a wire cannot be both a control and a target
-    spec = proto.ProtocolSpec(
-        layout,
-        (proto.Move("alice", (1,), {1: proto.X}, controls=(1,)),),
-        proto.Measurement("alice", (1,), {0: (P0, P1)}),
-    )
-    with pytest.raises(ProtocolError, match="control and target"):
-        spec.validate()
 
 
 def test_controlled_read_of_input_is_allowed():
-    copy_protocol().validate()
+    assert copy_protocol().rounds == 1  # built, so the walk accepted it
 
 
 def test_non_unitary_move_rejected():
     layout = proto.make_layout([("w", 1, "work", "alice")])
-    spec = proto.ProtocolSpec(
-        layout,
-        (proto.Move("alice", (0,), {0: np.array([[1.0, 0.0], [0.0, 0.5]])}),),
-        proto.Measurement("alice", (0,), {0: (P0, P1)}),
-    )
     with pytest.raises(ProtocolError):
-        spec.validate()
+        proto.ProtocolSpec(
+            layout,
+            (proto.Move("alice", (0,), {0: np.array([[1.0, 0.0], [0.0, 0.5]])}),),
+            proto.Measurement("alice", (0,), {0: (P0, P1)}),
+        )
 
 
 def test_measurement_ownership_enforced():
     layout = proto.make_layout(
         [("x", 1, "input", "alice"), ("m", 1, "message", "alice")]
     )
-    spec = proto.ProtocolSpec(
-        layout,
-        (proto.Move("alice", (1,), {0: proto.I2}),),  # never sent
-        proto.Measurement("bob", (1,), {0: (P0, P1)}),
-    )
     with pytest.raises(ProtocolError):
-        spec.validate()
+        proto.ProtocolSpec(
+            layout,
+            (proto.Move("alice", (1,), {0: proto.I2}),),  # never sent
+            proto.Measurement("bob", (1,), {0: (P0, P1)}),
+        )
 
 
 def test_exact_mode_is_deterministic():
@@ -238,13 +266,12 @@ def test_operator_cap():
     layout = proto.make_layout(
         [("x", 9, "input", "alice"), ("m", 1, "message", "alice")]
     )
-    spec = proto.ProtocolSpec(
-        layout,
-        (proto.Move("alice", tuple(range(9)), {0: np.eye(2**9)}),),
-        proto.Measurement("alice", (9,), {0: (P0, P1)}),
-    )
     with pytest.raises(SizeError):
-        spec.validate()
+        proto.ProtocolSpec(
+            layout,
+            (proto.Move("alice", tuple(range(9)), {0: np.eye(2**9)}),),
+            proto.Measurement("alice", (9,), {0: (P0, P1)}),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +370,9 @@ def test_measurement_projectors_are_checked_per_control_value():
     # one stacked check, but each control value's projectors must sum to
     # the identity on their own
     layout = proto.make_layout([("x", 1, "input", "alice"), ("m", 1, "message", "alice")])
-    for blocks, ok in (({0: (P0, P1), 1: (P1, P0)}, True), ({0: (P0, P1), 1: (P0, P0)}, False)):
-        spec = proto.ProtocolSpec(layout, (), proto.Measurement("alice", (1,), blocks, controls=(0,)))
-        if ok:
-            spec.validate()
-        else:
-            with pytest.raises(ValueError, match="identity"):
-                spec.validate()
+    def build(blocks):
+        return proto.ProtocolSpec(layout, (), proto.Measurement("alice", (1,), blocks, controls=(0,)))
+
+    build({0: (P0, P1), 1: (P1, P0)})
+    with pytest.raises(ValueError, match="identity"):
+        build({0: (P0, P1), 1: (P0, P0)})

@@ -142,7 +142,7 @@ def test_derived_protocols_match_the_one_input_reference(style):
     fam = red.two_round_family(style)
     for j in (0, 1):
         spec_prime, first = red.modify_first_message(fam, j)
-        spec_double, _ = red.drop_first_message(fam, j, spec_prime, first.prime_outcomes)
+        spec_double, _ = red.drop_first_message(fam, spec_prime, first)
         for spec in (spec_prime, spec_double):
             for superposed in (True, False):
                 assert_run_matches_reference(spec, red.slice_distribution(fam, j, superposed))

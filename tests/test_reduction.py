@@ -5,6 +5,7 @@ from qilab import protocol as proto
 from qilab import reduction as red
 from qilab.errors import ReductionError
 from qilab.rac import bit_of
+from qilab.suites import SuiteConfig, run_suite
 
 STYLES = ("copy_first", "constant", "parity", "rotation")
 
@@ -96,12 +97,19 @@ def test_message_states_equal_the_slice_average(style, j):
             assert np.max(np.abs(rho.mat - ref)) <= 1e-15
 
 
-def test_message_states_reject_an_unset_input_the_sender_reads():
-    # Alice opens the flipped family, reading a, x0 and x1
-    fam = red.two_round_family("copy_first")
-    flipped = proto.ProtocolSpec(
-        fam.spec.layout, (fam.spec.moves[1], fam.spec.moves[0]), fam.spec.final_measurement
+def _alice_first(fam):
+    """The family's layout with m Alice's, and her decode move as the
+    opening: a valid spec whose first message reads a, x0 and x1."""
+    layout = proto.make_layout(
+        [(r.name, r.n_qubits, r.kind, "alice" if r.name == "m" else r.owner)
+         for r in fam.spec.layout.registers]
     )
+    return proto.ProtocolSpec(layout, fam.spec.moves[1:], fam.spec.final_measurement)
+
+
+def test_message_states_reject_an_unset_input_the_sender_reads():
+    fam = red.two_round_family("copy_first")
+    flipped = _alice_first(fam)
     with pytest.raises(proto.ProtocolError, match=r"unset inputs \['a', 'x0', 'x1'\]"):
         proto.message_states(flipped, [{"y0": 0, "y1": 1}])
     with pytest.raises(proto.ProtocolError, match=r"unset inputs \['x1'\]"):
@@ -119,7 +127,8 @@ def test_modify_first_message_zeroes_information():
             assert spec_prime.rounds == 2
             assert spec_prime.message_qubits == fam.spec.message_qubits
             assert rep.delta_j <= rep.eps_j + 2.0 * rep.mean_sqrt_t + 1e-8
-            assert rep.delta_j <= rep.eps_j + 4.0 * rep.mu_j**0.25 + 1e-8
+            mu_j = red.slice_information(fam.spec, fam, j)
+            assert rep.delta_j <= rep.eps_j + 4.0 * mu_j**0.25 + 1e-8
             for t_z, dist in zip(rep.t_values, rep.align_distances):
                 assert dist <= 2.0 * np.sqrt(t_z) + 1e-8
 
@@ -127,7 +136,7 @@ def test_modify_first_message_zeroes_information():
 def test_independent_first_message_needs_no_correction():
     fam = red.two_round_family("constant")
     spec_prime, rep = red.modify_first_message(fam, 0)
-    assert rep.mu_j == pytest.approx(0.0, abs=1e-10)
+    assert red.slice_information(fam.spec, fam, 0) == pytest.approx(0.0, abs=1e-10)
     assert max(rep.t_values) <= 1e-9
     assert max(rep.align_distances) <= 1e-6
     assert rep.delta_j == pytest.approx(rep.eps_j, abs=1e-9)
@@ -137,7 +146,7 @@ def test_copy_first_slice_zero_numbers():
     fam = red.two_round_family("copy_first")
     _, rep = red.modify_first_message(fam, 0)
     assert rep.eps_j == pytest.approx(0.25, abs=1e-12)
-    assert rep.mu_j == pytest.approx(1.0, abs=1e-10)
+    assert red.slice_information(fam.spec, fam, 0) == pytest.approx(1.0, abs=1e-10)
     assert rep.t_values == pytest.approx((1.0, 1.0), abs=1e-10)
     # message replaced by half of a maximally entangled pair: fidelity 1/2
     assert rep.align_distances == pytest.approx((np.sqrt(2.0),) * 2, abs=1e-9)
@@ -148,7 +157,7 @@ def test_drop_first_message_matches_and_saves_a_round():
         fam = red.two_round_family(style)
         for j in (0, 1):
             spec_prime, first = red.modify_first_message(fam, j)
-            spec_double, rep = red.drop_first_message(fam, j, spec_prime, first.prime_outcomes)
+            spec_double, rep = red.drop_first_message(fam, spec_prime, first)
             assert rep.rounds_after == rep.rounds_before - 1
             assert rep.message_qubits_after <= rep.budget
             assert rep.max_outcome_tv <= 1e-8
@@ -199,15 +208,8 @@ def test_random_first_messages_respect_budget():
 
 def test_modify_requires_bob_start():
     fam = red.two_round_family("copy_first")
-    flipped = red.TwoRoundFamily(
-        proto.ProtocolSpec(
-            fam.spec.layout,
-            (fam.spec.moves[1], fam.spec.moves[0]),
-            fam.spec.final_measurement,
-        ),
-        "broken",
-    )
-    with pytest.raises((ReductionError, proto.ProtocolError, KeyError)):
+    flipped = red.TwoRoundFamily(_alice_first(fam), "alice_first")
+    with pytest.raises(ReductionError, match="player without the pointer"):
         red.modify_first_message(flipped, 0)
 
 
@@ -229,7 +231,6 @@ def test_derived_protocol_keeps_the_family_layout():
     assert layout.n_qubits == 9
     assert layout.n_qubits - len(layout.input_qubits()) == 3
     assert layout.register("y1").kind == "work"
-    spec_prime.validate()
     report = proto.run_protocol(spec_prime, red.slice_distribution(fam, 0))
     assert 0.0 <= report.error_avg <= 1.0
 
@@ -237,19 +238,23 @@ def test_derived_protocol_keeps_the_family_layout():
 def test_pipeline_report_fields():
     rep = red.run_pipeline("rotation")[0]
     assert rep.style == "rotation"
-    assert 0.0 < rep.first.mu_j < 1.0
+    assert 0.0 < rep.mus[0] < 1.0
     assert rep.first.alignment_bound_slack >= -1e-8
-    assert rep.first.info_bound_slack >= -1e-8
-    assert rep.superposed_error == pytest.approx(rep.classical_error, abs=1e-12)
+    assert rep.info_bound_slack >= -1e-8
+    assert rep.first.eps_j == pytest.approx(rep.classical_error, abs=1e-12)
 
 
-def test_pipeline_makes_five_protocol_runs(monkeypatch):
+def test_pipeline_makes_four_protocol_runs_per_slot(monkeypatch):
     # four runs per slot: P and P' on the superposed slice, once each, by
     # modify_first_message (run_pipeline reads eps_j and drop_first_message
     # reuses P''s outcomes), P'' on it by drop_first_message, and P on the
-    # classical slice; the message-information budget is computed once
-    runs, budgets = [], []
+    # classical slice; the message-information budget is computed once.
+    # Five first-message simulations per pipeline: the budget's two slots
+    # and joint ensemble, and P''s slot ensemble once per slot, which
+    # drop_first_message reuses
+    runs, budgets, messages = [], [], []
     original_run, original_budget = red.run_protocol, red.message_info_budget
+    original_messages = red.message_states
 
     def counting(spec, ensemble):
         runs.append(spec)
@@ -259,11 +264,41 @@ def test_pipeline_makes_five_protocol_runs(monkeypatch):
         budgets.append(spec)
         return original_budget(spec, family)
 
+    def counting_messages(spec, assignments):
+        messages.append(spec)
+        return original_messages(spec, assignments)
+
     monkeypatch.setattr(red, "run_protocol", counting)
     monkeypatch.setattr(red, "message_info_budget", counting_budget)
+    monkeypatch.setattr(red, "message_states", counting_messages)
     reports = red.run_pipeline("rotation")
     assert [rep.j for rep in reports] == [0, 1]
     assert len(runs) == 4 * len(reports) and len(budgets) == 1
+    assert len(messages) == 5
+
+
+def test_seed_one_protocol_pass_simulates_and_builds_each_spec_once(monkeypatch):
+    # the rac suite builds and simulates 3 specs; each reduction pipeline
+    # builds its family, P' and P'' per slot (5 specs) and simulates 5
+    # first-message ensembles, over 4 styles
+    messages, built = [], []
+    original_messages = proto.message_states
+    original_init = proto.ProtocolSpec.__post_init__
+
+    def counting_messages(spec, assignments):
+        messages.append(spec)
+        return original_messages(spec, assignments)
+
+    def counting_init(self):
+        built.append(self)
+        original_init(self)
+
+    for module in (proto, red):
+        monkeypatch.setattr(module, "message_states", counting_messages)
+    monkeypatch.setattr(proto.ProtocolSpec, "__post_init__", counting_init)
+    for suite in ("rac", "reduction"):
+        run_suite(suite, SuiteConfig(seed=1))
+    assert len(messages) <= 23 and len(built) <= 23
 
 
 @pytest.mark.parametrize("style", STYLES)
