@@ -64,7 +64,7 @@ def _cube_m(e: CQEnsemble) -> int:
     return m
 
 
-# Entries per batched SVD (16 MiB): one call up to d = 8, m = 7; flat memory to MAX_DIM.
+# Entries per batched eigvalsh (16 MiB): one call up to d = 8, m = 7; flat memory to MAX_DIM.
 _BATCH_ENTRIES = 1 << 20
 PAIRING_TRIES = 200  # random pairings find_pairing draws before it gives up
 PAIRING_TOL = 1e-10  # how far below Delta a found pairing's average may fall
@@ -72,14 +72,15 @@ STATS_TOL = 1e-8  # how far encoding_stats lets each asserted bound be overshot
 
 
 def pairwise_distance_matrix(e: CQEnsemble) -> np.ndarray:
-    """Trace distances of all pairs, from batched SVDs of the differences."""
+    """Trace distances of all pairs, from batched ``eigvalsh`` calls on the
+    differences: they are Hermitian, so no general SVD is needed."""
     n = len(e.states)
     rows, cols = np.triu_indices(n, 1)
     step = max(1, _BATCH_ENTRIES // e.dim**2)
     d = np.zeros((n, n))
     for k in range(0, len(rows), step):
         i, j = rows[k : k + step], cols[k : k + step]
-        d[i, j] = d[j, i] = trace_norm(e.mats[i] - e.mats[j])
+        d[i, j] = d[j, i] = trace_norm(e.mats[i] - e.mats[j], hermitian=True)
     return d
 
 
@@ -166,7 +167,7 @@ def encoding_stats(e: CQEnsemble, seed: int = 7) -> EncodingStats:
     d = pairwise_distance_matrix(e)
     delta = float(np.sum(d)) / n**2
     mean = e.average_state
-    delta_mean = float(np.mean(trace_norm(mean.mat - e.mats)))
+    delta_mean = float(np.mean(trace_norm(mean.mat - e.mats, hermitian=True)))
     info = holevo_information(e)
     pairing = find_pairing(d, seed)
     if delta_mean > delta + STATS_TOL:

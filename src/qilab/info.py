@@ -40,7 +40,9 @@ def shannon_entropy(p) -> float | np.ndarray:
 def binary_entropy(p):
     """H(p, 1 - p) in bits, of a probability or elementwise of an array."""
     p = np.clip(_within(p, -1e-12, 1.0 + 1e-12, "p must lie in [0, 1]"), 0.0, 1.0)
-    return shannon_entropy(np.stack([p, 1.0 - p], axis=-1))
+    # each row [p, 1 - p] is a distribution: shannon_entropy's checks would pass
+    out = entropy_rows(np.stack([p, 1.0 - p], axis=-1))
+    return out if out.ndim else float(out)
 
 
 def binary_entropy_gap(delta):

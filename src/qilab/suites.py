@@ -29,6 +29,7 @@ from .info import (
 )
 from .rng import Stream, derive_seed, mix64
 from .states import (
+    CHUNK_TRIALS,
     canonical_purifications,
     make_pures,
     mixture_matrix,
@@ -261,35 +262,39 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
     concave = _Tally("entropy_concavity", _tol(cfg, 1e-9))
     subadd = _Tally("entropy_subadditivity", _tol(cfg, 1e-9))
     joints = []
-    for chunk in random_density_chunks(_info_trials(cfg.seed, trials), _info_derived):
-        measured = []  # per trial, its ensemble and the projectors onto its unitary's columns
-        unitaries = unitaries_from_gauss([z for *_, (z,) in chunk])
-        for ((_, priors, p, joint, ws), dens, _), u in zip(chunk, unitaries):
-            n_states, k = len(priors), len(p)
-            e_states, dens = dens[:n_states], dens[n_states:]
-            sigmas, yz, parts, rho_ab = dens[:k], dens[k : k + 4], dens[k + 4 : k + 7], dens[k + 7]
-            blocked, *traced = dens[k + 8 : k + 13]
-            e_avg, full_avg, red_avg, mixed, rho_a, rho_b = dens[k + 13 :]
-            e = make_ensemble(map(str, range(n_states)), priors, e_states, average=e_avg)
-            measured.append((e, u.T[:, :, None] * np.conj(u.T)[:, None, :]))
+    ensembles, gauss = [], []  # per trial not yet measured: its ensemble and its unitary's draw
+    trial_densities = random_densities_by_trial(_info_trials(cfg.seed, trials), _info_derived)
+    for t, ((_, priors, p, joint, ws), dens, (z,)) in enumerate(trial_densities, 1):
+        n_states, k = len(priors), len(p)
+        e_states, dens = dens[:n_states], dens[n_states:]
+        sigmas, yz, parts, rho_ab = dens[:k], dens[k : k + 4], dens[k + 4 : k + 7], dens[k + 7]
+        blocked, *traced = dens[k + 8 : k + 13]
+        e_avg, full_avg, red_avg, mixed, rho_a, rho_b = dens[k + 13 :]
+        ensembles.append(make_ensemble(map(str, range(n_states)), priors, e_states, average=e_avg))
+        gauss.append(z)
 
-            lhs = von_neumann_entropy(blocked)
-            rhs = shannon_entropy(p) + sum(w * von_neumann_entropy(s) for w, s in zip(p, sigmas))
-            block.add(block.tol - abs(lhs - rhs))
+        lhs = von_neumann_entropy(blocked)
+        rhs = shannon_entropy(p) + sum(w * von_neumann_entropy(s) for w, s in zip(p, sigmas))
+        block.add(block.tol - abs(lhs - rhs))
 
-            joints.append(joint)
+        joints.append(joint)
 
-            full = uniform_cube_ensemble(yz, average=full_avg)
-            red = uniform_cube_ensemble(traced, average=red_avg)
-            mono.add(holevo_information(full) - holevo_information(red))
+        full = uniform_cube_ensemble(yz, average=full_avg)
+        red = uniform_cube_ensemble(traced, average=red_avg)
+        mono.add(holevo_information(full) - holevo_information(red))
 
-            parts_entropy = sum(w * von_neumann_entropy(s) for w, s in zip(ws, parts))
-            concave.add(von_neumann_entropy(mixed) - parts_entropy)
+        parts_entropy = sum(w * von_neumann_entropy(s) for w, s in zip(ws, parts))
+        concave.add(von_neumann_entropy(mixed) - parts_entropy)
 
-            s_ab = von_neumann_entropy(rho_ab)
-            subadd.add(von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - s_ab)
-        for (e, _), mi in zip(measured, measured_mutual_infos(measured)):
-            holevo.add(holevo_information(e) - mi)
+        s_ab = von_neumann_entropy(rho_ab)
+        subadd.add(von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - s_ab)
+        if len(gauss) == CHUNK_TRIALS or t == trials:
+            # the projectors onto each unitary's columns, measured in stacked calls
+            projs = [u.T[:, :, None] * np.conj(u.T)[:, None, :] for u in unitaries_from_gauss(gauss)]
+            for e, mi in zip(ensembles, measured_mutual_infos(zip(ensembles, projs))):
+                holevo.add(holevo_information(e) - mi)
+            ensembles.clear()
+            gauss.clear()
 
     # the chain rule I(X:YZ) = I(X:Y) + I(XY:Z) - I(Y:Z), over every trial's table at once
     joints = np.array(joints)

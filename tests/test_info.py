@@ -30,6 +30,19 @@ def test_binary_entropy_bounds(p):
     assert h == pytest.approx(info.binary_entropy(1.0 - p), abs=1e-12)
 
 
+def test_binary_entropy_is_the_two_entry_shannon_entropy_bitwise():
+    stream = Stream(160)
+    ps = np.array([0.0, 1.0, 1e-13, 1.0 - 1e-13, 0.5] + [stream.uniform() for _ in range(200)])
+    rows = np.stack([ps, 1.0 - ps], axis=-1)
+    for p, row in zip(ps, rows):
+        h = info.binary_entropy(p)
+        assert type(h) is float and h == info.shannon_entropy(row), p
+    grid = ps.reshape(5, 41)
+    assert np.array_equal(info.binary_entropy(grid), info.shannon_entropy(rows.reshape(5, 41, 2)))
+    with pytest.raises(ValueError):
+        info.binary_entropy(1.0 + 1e-9)
+
+
 def test_binary_entropy_gap_examples():
     assert info.binary_entropy_gap(0.0) == pytest.approx(0.0)
     assert info.binary_entropy_gap(0.5) == pytest.approx(1.0)

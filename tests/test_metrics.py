@@ -264,7 +264,7 @@ def test_stacked_distances_and_fidelities_match_the_pair_formulas_bitwise():
     pairs += [(KET0, KET1), (KET0, KET0), (PLUS, KET1)]
     dists, fids = metrics.trace_distances(pairs), metrics.fidelities(pairs)
     for i, (r1, r2) in enumerate(pairs):
-        diff = np.linalg.svd(r1.mat - r2.mat, compute_uv=False)
+        diff = np.linalg.svd(r1.mat - r2.mat, compute_uv=False, hermitian=True)
         a1, a2 = (vecs[:, vals > 1e-14] * np.sqrt(vals[vals > 1e-14]) for vals, vecs in (r1.eig, r2.eig))
         root_f = float(np.sum(np.linalg.svd(linalg.dagger(a1) @ a2, compute_uv=False)))
         assert dists[i] == float(np.sum(diff)) == metrics.trace_distance(r1, r2), f"pair {i}"
@@ -285,8 +285,64 @@ def test_a_lone_matrix_of_its_shape_goes_to_the_svd_as_a_view(monkeypatch):
     mats = [np.eye(2), big, np.eye(2) / 2]
     seen = []
     trace_norm = metrics.trace_norm
-    monkeypatch.setattr(metrics, "trace_norm", lambda a: seen.append(a) or trace_norm(a))
+
+    def noting(a, hermitian=False):
+        seen.append((a, hermitian))
+        return trace_norm(a, hermitian)
+
+    monkeypatch.setattr(metrics, "trace_norm", noting)
     norms = metrics.trace_norms(mats)
-    assert [np.shares_memory(a, big) for a in seen] == [False, True]
+    assert [(np.shares_memory(a, big), h) for a, h in seen] == [(False, False), (True, False)]
     assert norms[1] == float(np.sum(np.linalg.svd(big, compute_uv=False)))
     assert norms[0] == 2.0 and norms[2] == 1.0
+    # a lone d = 203 difference of densities goes the Hermitian route as a view
+    seen.clear()
+    r1, r2 = random_pair(134, 203)
+    dists = metrics.trace_distances([(KET0, KET1), (r1, r2)])
+    assert [h for _, h in seen] == [True, True]
+    lone = seen[1][0]
+    assert lone.shape == (1, 203, 203) and lone.base is not None and lone.base.shape == (203, 203)
+    assert dists[1] == float(np.sum(np.linalg.svd(r1.mat - r2.mat, compute_uv=False, hermitian=True)))
+
+
+def _svd_trace_norm(a):
+    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+
+
+def test_trace_distances_agree_with_the_general_svd():
+    # densities of every rank pair at d = 2..8, pure pairs and one d = 203 pair
+    specs = [
+        (d, r, derive_seed(135, d, r1, r2, k))
+        for d in range(2, 9)
+        for r1 in range(1, d + 1)
+        for r2 in range(1, d + 1)
+        for k, r in enumerate((r1, r2))
+    ]
+    rhos = states.random_densities(specs)
+    pairs = list(zip(rhos[::2], rhos[1::2]))
+    stream = Stream(136)
+    kets = [stream.complex_gauss_matrix(2 + t // 2 % 7, 1) for t in range(42)]
+    pures = states.pure_densities([k / np.linalg.norm(k) for k in kets])
+    pairs += list(zip(pures[::2], pures[1::2])) + [random_pair(137, 203)]
+    for i, ((r1, r2), dist) in enumerate(zip(pairs, metrics.trace_distances(pairs))):
+        assert abs(dist - _svd_trace_norm(r1.mat - r2.mat)) <= 1e-13, f"pair {i}"
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_an_asymmetric_density_moves_its_trace_distance_by_at_most_d_eps(dim):
+    # eigvalsh reads the lower triangle: a density certified at tol=1e-8 whose
+    # upper triangle is off by up to eps reads as its Hermitian lower part
+    eps = 1e-9
+    rho, sigma = random_pair(derive_seed(138, dim), dim)
+    upper = np.triu(Stream(derive_seed(139, dim)).complex_gauss_matrix(dim, dim), 1)
+    tilted = states.make_density(rho.mat + eps * upper / np.abs(upper).max(), tol=1e-8)
+    assert np.abs(tilted.mat - linalg.dagger(tilted.mat)).max() == pytest.approx(eps)
+    dist = metrics.trace_distance(tilted, sigma)
+    assert dist == metrics.trace_distance(rho, sigma)
+    assert abs(dist - _svd_trace_norm(tilted.mat - sigma.mat)) <= dim * eps
+
+
+def test_a_general_matrix_keeps_the_svd():
+    # its lower triangle is zero: eigenvalues would read a trace norm of 0
+    assert metrics.trace_norm([[0, 1], [0, 0]]) == 1.0
+    assert metrics.trace_norms([np.array([[0, 1], [0, 0]])]) == [1.0]

@@ -10,7 +10,8 @@ prefix mixtures among them) go through ``make_densities`` and
 perfbench's tracer) see none of that batched work.
 
 The metrics and transition suites also take their trace norms, Uhlmann
-alignments and reduced states a chunk of trials at a time: they make no
+alignments and reduced states a chunk of trials at a time, and the encoding
+suite each ensemble's distances in stacked calls: none of the three makes a
 single-matrix ``singular_values`` or ``svd`` call. The sweep suites (metrics,
 info, transition) take their optimal measurements, canonical purifications,
 Haar unitaries and measured informations a chunk at a time too: they make
@@ -101,7 +102,7 @@ def test_sweep_suites_make_no_single_density_or_draw_call(counted, suite):
     run_suite(suite, SuiteConfig(seed=1))
     assert counted["make_density"] == counted["gauss_array"] == 0
     assert counted["hermitian_eig"] <= EIG_BUDGET.get(suite, np.inf)
-    if suite in ("metrics", "transition"):
+    if suite in ("metrics", "transition", "encoding"):
         assert counted["svd"] == counted["singular_values"] == 0
     if suite in EIG_BUDGET:
         assert counted["single_eig"] == counted["qr"] == 0

@@ -224,7 +224,7 @@ def _old_alignment(phi1, phi2):
     u = np.conj(p) @ linalg.dagger(vh).T
     overlap_sq = min(float(np.sum(s)) ** 2, 1.0)
     reduced = [states.make_density(a @ linalg.dagger(a), tol=1e-8) for a in (a1, a2)]
-    t = float(np.sum(np.linalg.svd(reduced[0].mat - reduced[1].mat, compute_uv=False)))
+    t = float(np.sum(np.linalg.svd(reduced[0].mat - reduced[1].mat, compute_uv=False, hermitian=True)))
     return u, overlap_sq, 2.0 * float(np.sqrt(max(1.0 - overlap_sq, 0.0))), t
 
 
