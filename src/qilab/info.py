@@ -100,10 +100,7 @@ def make_ensemble(labels, priors, states, average=None) -> CQEnsemble:
         raise SizeError("labels, priors and states must have equal length")
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
-    if not np.all(priors >= -1e-12):
-        raise NormalizationError("priors must be non-negative")
-    if not abs(float(np.sum(priors)) - 1.0) <= 1e-9:
-        raise NormalizationError("priors must sum to 1")
+    linalg.check_weights(priors, 1e-12, 1e-9, "priors")
     dims = {s.dim for s in states}
     if len(dims) != 1:
         raise SizeError("all encoded states must share one dimension")
@@ -127,15 +124,30 @@ def uniform_cube_ensemble(states, average=None) -> CQEnsemble:
 
 def conditional_entropy(e: CQEnsemble) -> float:
     """Average encoded-state entropy sum_x p_x S(sigma_x)."""
-    return float(
-        sum(p * von_neumann_entropy(s) for p, s in zip(e.priors, e.states))
-    )
+    return float(conditional_entropies(e.priors, [von_neumann_entropy(s) for s in e.states]))
+
+
+def conditional_entropies(priors, entropies):
+    """:func:`conditional_entropy`'s sum over the last axis of priors and entropies."""
+    out = 0.0
+    for p, s in zip(np.asarray(priors).T, np.asarray(entropies).T):
+        out = out + p * s
+    return out
 
 
 def holevo_information(e: CQEnsemble) -> float:
     """S(mean state) - sum_x p_x S(sigma_x); bounds extractable bits."""
     chi = von_neumann_entropy(e.average_state) - conditional_entropy(e)
     return float(max(chi, 0.0))
+
+
+def holevo_informations(priors, entropies, average_entropies) -> np.ndarray:
+    """:func:`holevo_information` of each ensemble of a stack, bit for bit, from its
+    row of priors (checked once per stack), its states' and its average's entropies."""
+    priors = np.asarray(priors, dtype=np.float64)
+    linalg.check_weights(priors, 1e-12, 1e-9, "priors")
+    chi = np.asarray(average_entropies) - conditional_entropies(priors, entropies)
+    return np.where(chi < 0.0, 0.0, chi)  # max(chi, 0.0), NaN and -0.0 kept
 
 
 def validate_projective(projectors, dim: int) -> None:

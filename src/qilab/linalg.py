@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     HermiticityError,
+    NormalizationError,
     SizeError,
 )
 
@@ -66,6 +67,14 @@ def check_each(bad: np.ndarray, error: type[Exception], template: str, values=No
     name = "matrix" if not where else f"matrix {where[0] if len(where) == 1 else where}"
     value = None if values is None else values[where]
     raise error(template.format(name=name, value=value))
+
+
+def check_weights(w: np.ndarray, neg_tol: float, sum_tol: float, what: str) -> None:
+    """Check that ``w``, or each row of a stack, is a distribution; name a failing row."""
+    ok = (w >= -neg_tol).all(axis=-1) & (abs(w.sum(axis=-1) - 1.0) <= sum_tol)
+    if not ok.all():
+        where, got = (f" in row {np.argmin(ok)}", w[np.argmin(ok)]) if ok.ndim else ("", w)
+        raise NormalizationError(f"{what}{where} must be non-negative and sum to 1, got {got}")
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -164,21 +173,21 @@ def singular_values(a, hermitian: bool = False) -> np.ndarray:
 def partial_trace(
     a, dim_h: int, dim_k: int, keep: Literal["H", "K"] = "H"
 ) -> np.ndarray:
-    """Partial trace of an operator on a bipartite space H (x) K.
+    """Partial trace of an operator on H (x) K, or of each of a stack.
 
     ``a`` must be square of dimension ``dim_h * dim_k`` under the tensor
     convention of :func:`tensor` (H most significant).
     """
-    a = as_matrix(a)
+    a = as_matrix(a, stack=True)
     dim = dim_h * dim_k
-    if a.shape != (dim, dim):
+    if a.shape[-2:] != (dim, dim):
         raise SizeError(
             f"expected shape ({dim}, {dim}) for dims ({dim_h}, {dim_k}), "
             f"got {a.shape}"
         )
-    four = a.reshape(dim_h, dim_k, dim_h, dim_k)
+    four = a.reshape(a.shape[:-2] + (dim_h, dim_k, dim_h, dim_k))
     if keep == "H":
-        return np.einsum("ikjk->ij", four)
+        return np.einsum("...ikjk->...ij", four)
     if keep == "K":
-        return np.einsum("kikj->ij", four)
+        return np.einsum("...kikj->...ij", four)
     raise ValueError(f"keep must be 'H' or 'K', got {keep!r}")

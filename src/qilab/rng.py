@@ -11,12 +11,18 @@ Gaussian variates use the Box-Muller transform on the uniform stream.
 and spare variate behind, so that a seed names the same states whichever
 function drew them. :func:`gauss_rows` draws for many fresh seeds at once and
 equals a per-seed ``gauss_array`` loop bit for bit; both run one kernel,
-:func:`_gauss_pairs`. It runs SplitMix64 and the IEEE-exact steps (scaling,
-``sqrt``, products) on numpy arrays, but takes ``log``, ``cos`` and
-``sin`` from libm through :mod:`math`, as :meth:`Stream.gauss` does. numpy's
-vectorized ``np.log`` differs from libm by one ulp on about 0.3% of
-arguments (numpy 2.4 on x86-64), which moves about 0.16% of draws; its
-``cos`` and ``sin`` agree there, but no numpy build promises it.
+:func:`_gauss_pairs`. It draws SplitMix64 from the row kernel :func:`_u64_rows`
+and runs the IEEE-exact steps (scaling, ``sqrt``, products) on numpy arrays,
+but takes ``log``, ``cos`` and ``sin`` from libm through :mod:`math`, as
+:meth:`Stream.gauss` does. numpy's vectorized ``np.log`` differs from libm by
+one ulp on about 0.3% of arguments (numpy 2.4 on x86-64), which moves about
+0.16% of draws; its ``cos`` and ``sin`` agree there, but no numpy build promises it.
+
+The seed draws have batched forms under the same contract: :func:`derive_seeds`
+is :func:`derive_seed` broadcast over integer arrays, masked alike, and row ``i``
+of a :class:`StreamRows` draw is the same call on ``Stream(seeds[i])``, drawn
+from the same row kernel; a draw at or above ``integer``'s rejection limit
+consumes the next counter of its row only.
 
 Constants (hex):
     GAMMA = 9E3779B97F4A7C15
@@ -131,6 +137,70 @@ def derive_seed(seed: int, *indices: int) -> int:
     return z
 
 
+def derive_seeds(seed, *indices) -> np.ndarray:
+    """``derive_seed(seed, *indices)`` per entry of their broadcast, in a uint64 array."""
+    z = _u64(seed)
+    for idx in indices:
+        z = _mixed(z ^ _mixed((_u64(idx) + _U1) * _U_GAMMA))
+    return z
+
+
+class StreamRows:
+    """Row ``i`` of a draw, and ``counters[i]``, are the same call's on ``Stream(seeds[i])``."""
+
+    def __init__(self, seeds):
+        self.seeds = _u64(seeds).reshape(-1)
+        self.counters = np.zeros(len(self.seeds), dtype=np.uint64)
+
+    def _draw(self, n: int) -> np.ndarray:
+        z = _u64_rows(self.seeds, self.counters[:, None] + np.arange(1, n + 1, dtype=np.uint64))
+        self.counters += np.uint64(n)
+        return z
+
+    def uniform(self, n: int) -> np.ndarray:
+        """Each row's next ``n`` :meth:`Stream.uniform` draws, ``(rows, n)``."""
+        return (self._draw(n) >> _U11) * 2.0**-53
+
+    def integer(self, bound, n: int = 1) -> np.ndarray:
+        """Each row's next ``n`` ``Stream.integer(bound)`` draws; one bound or one per row."""
+        bounds = np.broadcast_to(bound, self.seeds.shape).tolist()
+        if min(bounds, default=1) <= 0:
+            raise ValueError("bound must be positive")
+        top = np.array([_MASK64 - (1 << 64) % b for b in bounds], dtype=np.uint64)
+        cols = []
+        for _ in range(n):
+            x = self._draw(1)[:, 0]
+            while (redo := np.flatnonzero(x > top)).size:  # a rejected draw is consumed
+                self.counters[redo] += _U1
+                x[redo] = _u64_rows(self.seeds[redo], self.counters[redo, None])[:, 0]
+            # % on Python ints: numpy's uint64 % costs RSS at its first use
+            cols.append([v % b for v, b in zip(x.tolist(), bounds)])
+        return np.array(cols, dtype=np.int64).reshape(n, -1).T
+
+
+def _u64(x) -> np.ndarray:
+    """``int(v) & _MASK64`` of an integer or of each of a flat sequence or array of them."""
+    if isinstance(x, np.ndarray):
+        return np.atleast_1d(x.astype(np.uint64, copy=False))
+    return np.array([int(v) & _MASK64 for v in np.atleast_1d(np.array(x, dtype=object))], np.uint64)
+
+
+def _mixed(z: np.ndarray) -> np.ndarray:
+    """:func:`mix64` of each entry of the uint64 array ``z``, in place."""
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
+    return z
+
+
+def _u64_rows(seeds: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Row i: ``Stream(seeds[i]).next_u64()`` at the counters ``draws``, which it overwrites."""
+    draws *= _U_GAMMA
+    return _mixed(draws + seeds[:, None])
+
+
 def _gauss_pairs(seeds: np.ndarray, counter: int, pairs: int) -> tuple[np.ndarray, ...]:
     """The Box-Muller factors ``(r, cos, sin)`` of each seed's next pairs.
 
@@ -139,14 +209,7 @@ def _gauss_pairs(seeds: np.ndarray, counter: int, pairs: int) -> tuple[np.ndarra
     ``Stream(seeds[i])``: :meth:`Stream.gauss` returns ``r * cos`` of a
     pair first and keeps ``r * sin`` as its spare.
     """
-    z = np.arange(counter + 1, counter + 2 * pairs + 1, dtype=np.uint64)
-    z *= _U_GAMMA
-    z = z + seeds[:, None]
-    z ^= z >> _U30
-    z *= _U_MIX1
-    z ^= z >> _U27
-    z *= _U_MIX2
-    z ^= z >> _U31
+    z = _u64_rows(seeds, np.arange(counter + 1, counter + 2 * pairs + 1, dtype=np.uint64))
     z >>= _U11
     # Draws 1, 3, 5, ... are uniform_open() and 2, 4, 6, ... uniform().
     u1 = ((z[:, 0::2] + _U1) * 2.0**-53).ravel()
@@ -165,7 +228,7 @@ def _gauss_pairs(seeds: np.ndarray, counter: int, pairs: int) -> tuple[np.ndarra
 def gauss_rows(seeds, n: int) -> np.ndarray:
     """``[Stream(s).gauss_array(n) for s in seeds]`` as one ``(len(seeds), n)``
     array, drawn in one batch with the same bits."""
-    seeds = np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    seeds = _u64(seeds)
     out = np.empty((len(seeds), n), dtype=np.float64)
     r, cos, sin = _gauss_pairs(seeds, 0, (n + 1) // 2)
     np.multiply(r, cos, out=out[:, 0::2])

@@ -219,19 +219,16 @@ def mixture(weights, states) -> DensityMatrix:
 def mixture_matrix(weights, mats) -> np.ndarray:
     """sum_i w_i mats[i], after :func:`mixture`'s checks on the weights and
     dimensions; certifying it is left to the caller. The ``mats[i]`` may be
-    equal-shape stacks, mixed entry by entry."""
+    equal-shape stacks, mixed entry by entry, with one row of weights each."""
     w = np.asarray(weights, dtype=np.float64)
-    if len(w) != len(mats):
+    if w.shape[-1:] != (len(mats),):
         raise SizeError("one weight per state required")
-    if not np.all(w >= -DEFAULT_TOL):
-        raise NormalizationError("mixture weights must be non-negative")
-    if not abs(float(np.sum(w)) - 1.0) <= NORM_TOL:
-        raise NormalizationError(f"weights sum to {np.sum(w)}, expected 1")
+    linalg.check_weights(w, DEFAULT_TOL, NORM_TOL, "mixture weights")
     shapes = {m.shape for m in mats}
     if len(shapes) != 1:
         raise SizeError(f"states have mixed dimensions {sorted(s[-1] for s in shapes)}")
     acc = np.zeros(shapes.pop(), dtype=np.complex128)
-    for wi, mi in zip(w, mats):
+    for wi, mi in zip(w.T[..., None, None], mats):
         acc += wi * mi
     return acc
 
@@ -389,11 +386,11 @@ def random_densities_by_trial(trials, derive=None):
     :func:`random_densities` builds them, and one
     :func:`~qilab.rng.complex_gauss_stack` per draw shape.
 
-    With ``derive``, ``derive(key, mats)`` maps a trial's density matrices
-    to a list of ``(matrix, tol)`` pairs, and the trial's densities go on
-    with those matrices made densities, as :func:`make_densities` makes
-    them for the whole block. Densities are wrapped only as their trial is
-    yielded.
+    With ``derive``, ``derive(keys, mats_by_trial)`` maps a block's trial
+    keys and each trial's density matrices to one list of ``(matrix, tol)``
+    pairs per trial, and each trial's densities go on with those matrices
+    made densities, as :func:`make_densities` makes them for the whole
+    block. Densities are wrapped only as their trial is yielded.
     """
     for block in _blocks(trials):
         yield from _block_trials(block, derive)
@@ -429,7 +426,7 @@ def _block_trials(block: list, derive):
 def _add_derived(block: list, rows: list, derive) -> None:
     """Extend each trial's rows with those of its derived densities (the raw
     matrices are freed on return, before the block's trials run)."""
-    pairs = [derive(key, [s[0][j] for s, j in r]) for (key, *_), r in zip(block, rows)]
+    pairs = derive([key for key, *_ in block], [[s[0][j] for s, j in r] for r in rows])
     flat = [pair for trial in pairs for pair in trial]
     stacks = iter(_certified_stacks([m for m, _ in flat], [t for _, t in flat]))
     for r, trial in zip(rows, pairs):

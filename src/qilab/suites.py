@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -20,14 +21,14 @@ from .info import (
     binary_entropy,
     binary_entropy_gap,
     classical_mutual_information,
-    holevo_information,
+    conditional_entropies,
+    holevo_informations,
     make_ensemble,
     measured_mutual_infos,
     shannon_entropy,
     uniform_cube_ensemble,
-    von_neumann_entropy,
 )
-from .rng import Stream, derive_seed, mix64
+from .rng import StreamRows, derive_seed, derive_seeds, mix64
 from .states import (
     CHUNK_TRIALS,
     canonical_purifications,
@@ -118,15 +119,17 @@ def _dim_cycle(cfg: SuiteConfig, t: int) -> int:
     return lo + t % (hi - lo + 1)
 
 
-def _spec(dim: int, seed: int) -> tuple[int, int, int]:
-    """``(dim, rank, seed)`` of a random density whose rank its seed draws."""
-    return dim, 1 + Stream(seed).integer(dim), seed
+def _batches(trials: int, size: int = CHUNK_TRIALS):
+    """Trial indices ``0 ... trials - 1`` in arrays of at most ``size``."""
+    for lo in range(0, trials, size):
+        yield np.arange(lo, min(lo + size, trials))
 
 
-def _weights(stream: Stream, n: int, floor: float = 0.05) -> np.ndarray:
-    """``n`` positive weights from ``stream``, normalized to sum 1."""
-    raw = np.array([stream.uniform() + floor for _ in range(n)])
-    return raw / raw.sum()
+def _specs(dims, seeds) -> list[tuple[int, int, int]]:
+    """Per seed, flat, ``(dim, 1 + Stream(seed).integer(dim), seed)``; dims broadcast."""
+    dims, seeds = (a.ravel() for a in np.broadcast_arrays(dims, seeds))
+    ranks = 1 + StreamRows(seeds).integer(dims)[:, 0]
+    return list(zip(dims.tolist(), ranks.tolist(), seeds.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +138,12 @@ def _weights(stream: Stream, n: int, floor: float = 0.05) -> np.ndarray:
 def _metrics_trials(cfg: SuiteConfig, trials: int):
     """Per metrics trial, its two random densities and its Gaussian draws:
     two pure columns, then the 2x2 and 3x3 factors of a Kronecker product."""
-    for t in range(trials):
-        dim = _dim_cycle(cfg, t)
-        yield (
-            t,
-            [_spec(dim, derive_seed(cfg.seed, 10, t, i)) for i in (0, 1)],
-            [(dim, 1, derive_seed(cfg.seed, 11, t, i)) for i in (0, 1)]
-            + [(k, k, derive_seed(cfg.seed, 12, t, i)) for i, k in enumerate((2, 3))],
-        )
+    for t in _batches(trials):
+        dims = _dim_cycle(cfg, t)
+        specs = _specs(dims[:, None], derive_seeds(cfg.seed, 10, t[:, None], [0, 1]))
+        pure, kron = (derive_seeds(cfg.seed, tag, t[:, None], [0, 1]).tolist() for tag in (11, 12))
+        for j, (d, (p0, p1), (k0, k1)) in enumerate(zip(dims.tolist(), pure, kron)):
+            yield t[j], specs[2 * j : 2 * j + 2], [(d, 1, p0), (d, 1, p1), (2, 2, k0), (3, 3, k1)]
 
 
 def metrics_suite(cfg: SuiteConfig) -> list[CheckResult]:
@@ -187,70 +188,88 @@ def _metrics_chunk(chunk, fvg_lower, fvg_upper, tight, pure_agree, tensor_mult) 
 
 
 def _info_trials(seed: int, trials: int):
-    """Per info trial, its stream draws, the specs of its random densities
-    and the Gaussian draw of its random measurement basis.
-
-    Every draw a trial's checks consume is taken here, in their order, so
-    that its densities can be built in a block with other trials'.
-    """
-    for t in range(trials):
-        dim, n_states = 2 + t % 3, 2 + t % 3
-        trial_seed = derive_seed(seed, 20, t)
-        e_stream = Stream(trial_seed)
-        e_specs = [
-            (dim, 1 + e_stream.integer(dim), derive_seed(trial_seed, i))
-            for i in range(n_states)
-        ]
-        priors = _weights(e_stream, n_states)
-        stream = Stream(derive_seed(seed, 21, t))
-        k = d = 2 + t % 2
-        p = _weights(stream, k)
-        sigma_specs = [
-            (d, 1 + stream.integer(d), derive_seed(trial_seed, 30 + i)) for i in range(k)
-        ]
-        joint = _weights(stream, 8, 1e-3).reshape(2, 2, 2)
-        yz_specs = [
-            (4, 1 + stream.integer(4), derive_seed(trial_seed, 40 + i)) for i in range(4)
-        ]
-        ws = _weights(stream, 3)
-        part_specs = [
-            (3, 1 + stream.integer(3), derive_seed(trial_seed, 50 + i)) for i in range(3)
-        ]
-        ab_spec = (4, 1 + stream.integer(4), derive_seed(trial_seed, 60))
-        yield (
-            (trial_seed, priors, p, joint, ws),
-            (*e_specs, *sigma_specs, *yz_specs, *part_specs, ab_spec),
-            [(dim, dim, derive_seed(trial_seed, 1))],
-        )
+    """Per info trial, its key ``(priors, p, joint, ws)`` of stream draws, the
+    specs of its random densities and the Gaussian draw of its measurement
+    basis, a batch at a time and in it a shape (t mod 6) at a time, as no
+    check depends on their order; the rows of a stream draw side by side."""
+    for t in _batches(trials, 6 * CHUNK_TRIALS):  # up to a chunk of each shape
+        for r in range(6):
+            n, k = 2 + r % 3, 2 + r % 2  # the ensemble's states and dim; the sigmas' count and dim
+            trial_seeds = derive_seeds(seed, 20, t[t % 6 == r])
+            e, s = StreamRows(trial_seeds), StreamRows(derive_seeds(seed, 21, t[t % 6 == r]))
+            e_ranks, u_e = e.integer(n, n), e.uniform(n) + 0.05
+            u_p, sigma_ranks = s.uniform(k) + 0.05, s.integer(k, k)
+            u_j, yz_ranks = s.uniform(8) + 1e-3, s.integer(4, 4)
+            u_w, rest = s.uniform(3) + 0.05, [s.integer(3, 3), s.integer(4)]
+            priors, p, joint, ws = (u / u.sum(axis=-1, keepdims=True) for u in (u_e, u_p, u_j, u_w))
+            ranks = [e_ranks, sigma_ranks, yz_ranks, *rest]
+            tags = [*range(n), *range(30, 30 + k), *range(40, 44), *range(50, 53), 60, 1]
+            seeds = derive_seeds(trial_seeds[:, None], tags).tolist()
+            dims = [n] * n + [k] * k + [4] * 4 + [3] * 3 + [4]
+            for j, rank in enumerate((1 + np.hstack(ranks)).tolist()):
+                key = priors[j], p[j], joint[j].reshape(2, 2, 2), ws[j]
+                yield key, list(zip(dims, rank, seeds[j])), [(n, n, seeds[j][-1])]
 
 
-def _info_derived(key, mats) -> list[tuple[np.ndarray, float]]:
-    """An info trial's derived matrices and the tolerance each is certified
-    at: the block matrix of the p-weighted sigmas, the partial traces of the
-    yz states, the averages of the three ensembles and of the parts, and
-    both reductions of rho_ab."""
-    _, priors, p, _, ws = key
-    n_states, k = len(priors), len(p)
-    e_mats, mats = mats[:n_states], mats[n_states:]
-    sigmas, yz, parts, ab = mats[:k], mats[k : k + 4], mats[k + 4 : k + 7], mats[-1]
-    d = sigmas[0].shape[0]
-    blockmat = np.zeros((k * d, k * d), dtype=np.complex128)
-    for i, s in enumerate(sigmas):
-        blockmat[i * d : (i + 1) * d, i * d : (i + 1) * d] = p[i] * s
-    traced = [np.asarray(linalg.partial_trace(s, 2, 2, "H")) for s in yz]
-    quarter = np.full(4, 0.25)
-    averages = [
-        mixture_matrix(priors, e_mats),
-        mixture_matrix(quarter, yz),
-        mixture_matrix(quarter, traced),
-        mixture_matrix(ws, parts),
-    ]
-    reductions = [linalg.partial_trace(ab, 2, 2, keep) for keep in "HK"]
-    return [
-        *((m, 1e-8) for m in (blockmat, *traced)),
-        *((m, linalg.DEFAULT_TOL) for m in averages),
-        *((m, 1e-8) for m in reductions),
-    ]
+def _runs(trials) -> list[list]:
+    """Consecutive info trials ``(key, ...)`` of one shape, as lists."""
+    return [list(run) for _, run in groupby(trials, lambda trial: tuple(map(len, trial[0][:2])))]
+
+
+def _info_derived(keys, mats_by_trial) -> list[list[tuple[np.ndarray, float]]]:
+    """Per info trial, its derived matrices and their tolerances: the block matrix
+    of the p-weighted sigmas, the traced yz states, the averages of the three
+    ensembles and of the parts, and both reductions of rho_ab, a run at a time."""
+    out = []
+    for run in _runs(zip(keys, mats_by_trial)):
+        priors, p, _, ws = (np.array(x) for x in zip(*(key for key, _ in run)))
+        (g, n), k = priors.shape, p.shape[1]
+        stacks = [np.array(mats) for mats in zip(*(mats for _, mats in run))]  # one per position
+        b = np.zeros((g, k * k, k * k), dtype=np.complex128)
+        for j, sigma in enumerate(stacks[n : n + k]):
+            b[:, j * k : (j + 1) * k, j * k : (j + 1) * k] = p[:, j, None, None] * sigma
+        yz, parts, ab = stacks[n + k : n + k + 4], stacks[n + k + 4 : n + k + 7], stacks[-1]
+        traced = linalg.partial_trace(np.array(yz), 2, 2, "H")
+        quarter = np.full((g, 4), 0.25)
+        mixtures = [(priors, stacks[:n]), (quarter, yz), (quarter, traced), (ws, parts)]
+        derived = [
+            *((m, 1e-8) for m in (b, *traced)),
+            *((mixture_matrix(w, mats), linalg.DEFAULT_TOL) for w, mats in mixtures),
+            *((linalg.partial_trace(ab, 2, 2, keep), 1e-8) for keep in "HK"),
+        ]
+        out += [[(m[i], tol) for m, tol in derived] for i in range(g)]
+    return out
+
+
+def _info_chunk(chunk, holevo, block, mono, concave, subadd) -> None:
+    """Tally a chunk of info trials, a run of one shape at a time from stacked
+    entropy rows; each sum over a trial's states runs left to right."""
+    for run in _runs(chunk):
+        keys, dens, draws = zip(*run)
+        priors, p, _, ws = (np.array(x) for x in zip(*keys))
+        n, k = priors.shape[1], p.shape[1]
+        ent = np.array([[rho.entropy for rho in d] for d in dens])
+        # after the n + k states: yz 0-3, parts 4-6, rho_ab 7, the block matrix 8,
+        # the traced yz 9-12, the four averages 13-16, rho_a 17 and rho_b 18
+        tail = ent[:, n + k :].T
+        quarter = np.full((len(run), 4), 0.25)
+        labels, avg = list(map(str, range(n))), n + k + 13  # the ensemble's average
+        ensembles = [make_ensemble(labels, w, d[:n], average=d[avg]) for w, d in zip(priors, dens)]
+        us = unitaries_from_gauss([z for (z,) in draws])
+        # the projectors onto each unitary's columns, measured in stacked calls
+        projs = [u.T[:, :, None] * np.conj(u.T)[:, None, :] for u in us]
+        mis = measured_mutual_infos(zip(ensembles, projs))
+        block_rhs = shannon_entropy(p) + conditional_entropies(p, ent[:, n : n + k])
+        full = holevo_informations(quarter, tail[:4].T, tail[14])
+        for tally, slacks in (
+            (block, block.tol - np.abs(tail[8] - block_rhs)),
+            (mono, full - holevo_informations(quarter, tail[9:13].T, tail[15])),
+            (concave, tail[16] - conditional_entropies(ws, tail[4:7].T)),
+            (subadd, tail[17] + tail[18] - tail[7]),
+            (holevo, holevo_informations(priors, ent[:, :n], tail[13]) - mis),
+        ):
+            for slack in slacks:
+                tally.add(slack)
 
 
 def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
@@ -261,49 +280,16 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
     mono = _Tally("mi_monotonicity", _tol(cfg, 1e-10))
     concave = _Tally("entropy_concavity", _tol(cfg, 1e-9))
     subadd = _Tally("entropy_subadditivity", _tol(cfg, 1e-9))
-    joints = []
-    ensembles, gauss = [], []  # per trial not yet measured: its ensemble and its unitary's draw
-    trial_densities = random_densities_by_trial(_info_trials(cfg.seed, trials), _info_derived)
-    for t, ((_, priors, p, joint, ws), dens, (z,)) in enumerate(trial_densities, 1):
-        n_states, k = len(priors), len(p)
-        e_states, dens = dens[:n_states], dens[n_states:]
-        sigmas, yz, parts, rho_ab = dens[:k], dens[k : k + 4], dens[k + 4 : k + 7], dens[k + 7]
-        blocked, *traced = dens[k + 8 : k + 13]
-        e_avg, full_avg, red_avg, mixed, rho_a, rho_b = dens[k + 13 :]
-        ensembles.append(make_ensemble(map(str, range(n_states)), priors, e_states, average=e_avg))
-        gauss.append(z)
-
-        lhs = von_neumann_entropy(blocked)
-        rhs = shannon_entropy(p) + sum(w * von_neumann_entropy(s) for w, s in zip(p, sigmas))
-        block.add(block.tol - abs(lhs - rhs))
-
-        joints.append(joint)
-
-        full = uniform_cube_ensemble(yz, average=full_avg)
-        red = uniform_cube_ensemble(traced, average=red_avg)
-        mono.add(holevo_information(full) - holevo_information(red))
-
-        parts_entropy = sum(w * von_neumann_entropy(s) for w, s in zip(ws, parts))
-        concave.add(von_neumann_entropy(mixed) - parts_entropy)
-
-        s_ab = von_neumann_entropy(rho_ab)
-        subadd.add(von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - s_ab)
-        if len(gauss) == CHUNK_TRIALS or t == trials:
-            # the projectors onto each unitary's columns, measured in stacked calls
-            projs = [u.T[:, :, None] * np.conj(u.T)[:, None, :] for u in unitaries_from_gauss(gauss)]
-            for e, mi in zip(ensembles, measured_mutual_infos(zip(ensembles, projs))):
-                holevo.add(holevo_information(e) - mi)
-            ensembles.clear()
-            gauss.clear()
-
-    # the chain rule I(X:YZ) = I(X:Y) + I(XY:Z) - I(Y:Z), over every trial's table at once
-    joints = np.array(joints)
-    i_x_yz = classical_mutual_information(joints.reshape(-1, 2, 4))
-    i_x_y = classical_mutual_information(joints.sum(axis=3))
-    i_xy_z = classical_mutual_information(joints.reshape(-1, 4, 2))
-    i_y_z = classical_mutual_information(joints.sum(axis=1))
-    for slack in chain.tol - np.abs(i_x_yz - (i_x_y + i_xy_z - i_y_z)):
-        chain.add(slack)
+    for chunk in random_density_chunks(_info_trials(cfg.seed, trials), _info_derived):
+        _info_chunk(chunk, holevo, block, mono, concave, subadd)
+        # the chain rule I(X:YZ) = I(X:Y) + I(XY:Z) - I(Y:Z), over the chunk's tables at once
+        joints = np.array([key[2] for key, *_ in chunk])
+        i_x_yz = classical_mutual_information(joints.reshape(-1, 2, 4))
+        i_x_y = classical_mutual_information(joints.sum(axis=3))
+        i_xy_z = classical_mutual_information(joints.reshape(-1, 4, 2))
+        i_y_z = classical_mutual_information(joints.sum(axis=1))
+        for slack in chain.tol - np.abs(i_x_yz - (i_x_y + i_xy_z - i_y_z)):
+            chain.add(slack)
 
     gap = _Tally("binary_entropy_gap", _tol(cfg, 1e-12))
     deltas = [k / 1000.0 for k in range(501)]
@@ -328,19 +314,29 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
 
 def _cube_trials(cases):
-    """Per ``(m, dim, seed)`` case, the specs of its cube's 2^m random densities."""
-    for m, dim, seed in cases:
-        yield (m, seed), [_spec(dim, derive_seed(seed, x)) for x in range(2**m)]
+    """Per ``(m, dim, seed)`` case, the specs of its cube's 2^m random
+    densities, drawn a batch of cases at a time."""
+    cases = iter(cases)
+    while batch := list(islice(cases, CHUNK_TRIALS)):
+        m, dims, seeds = zip(*batch)
+        sizes = [2**k for k in m]
+        x = np.concatenate([np.arange(size) for size in sizes])
+        state_seeds = derive_seeds(np.repeat(np.array(seeds, dtype=np.uint64), sizes), x)
+        specs = iter(_specs(np.repeat(dims, sizes), state_seeds))
+        for k, seed, size in zip(m, seeds, sizes):
+            yield (k, seed), list(islice(specs, size))
 
 
-def _encoding_derived(key, mats) -> list[tuple[np.ndarray, float]]:
-    """An encoding trial's derived matrices, certified at the default
+def _encoding_derived(keys, mats_by_trial) -> list[list[tuple[np.ndarray, float]]]:
+    """Per encoding trial, its derived matrices, certified at the default
     tolerance: the cube average, then for m <= 4 its prefix mixtures."""
-    m, _ = key
-    derived = [mixture_matrix(np.full(len(mats), 1.0 / len(mats)), mats)]
-    if m <= 4:
-        derived += enc.prefix_mixtures(mats, m)
-    return [(mat, linalg.DEFAULT_TOL) for mat in derived]
+    out = []
+    for (m, _), mats in zip(keys, mats_by_trial):
+        derived = [mixture_matrix(np.full(len(mats), 1.0 / len(mats)), mats)]
+        if m <= 4:
+            derived += enc.prefix_mixtures(mats, m)
+        out.append([(mat, linalg.DEFAULT_TOL) for mat in derived])
+    return out
 
 
 def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
@@ -405,11 +401,13 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
     agree = _Tally("overlap_matches_fidelity", _tol(cfg, 1e-8))
     bound = _Tally("transition_bound", _tol(cfg, 1e-8))
     chain = _Tally("fidelity_trace_chain", _tol(cfg, 1e-9))
-    specs = (
-        (t, [_spec(2 + t % 3, derive_seed(cfg.seed, 40, t, i)) for i in (0, 1)])
-        for t in range(trials)
-    )
-    for chunk in random_density_chunks(specs):
+
+    def pair_trials():
+        for t in _batches(trials):
+            specs = _specs(2 + t[:, None] % 3, derive_seeds(cfg.seed, 40, t[:, None], [0, 1]))
+            yield from zip(t.tolist(), zip(specs[::2], specs[1::2]))
+
+    for chunk in random_density_chunks(pair_trials()):
         aligned = transition.aligned_trials(chunk, lambda t, rho: rho.dim + t % (7 - rho.dim))
         for _, res, dist, f in aligned:
             agree.add(agree.tol - abs(res.achieved_overlap_sq - f))
@@ -420,10 +418,11 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
     def exact_trials():
         # a density on H, purified into K, and a Gaussian for a unitary on K
-        for t in range(max(trials // 5, 50)):
-            seed = derive_seed(cfg.seed, 41, t)
-            dim_h, dim_k = 2 + t % 3, 2 + 2 * (t % 3)
-            yield t, [_spec(dim_h, seed)], [(dim_k, dim_k, derive_seed(seed, 1))]
+        for t in _batches(max(trials // 5, 50)):
+            seeds = derive_seeds(cfg.seed, 41, t)
+            specs, zs = _specs(2 + t % 3, seeds), derive_seeds(seeds, 1).tolist()
+            for i, spec, dim_k, z in zip(t.tolist(), specs, (2 + 2 * (t % 3)).tolist(), zs):
+                yield i, [spec], [(dim_k, dim_k, z)]
 
     for chunk in random_density_chunks(exact_trials()):
         zs = [z for *_, (z,) in chunk]

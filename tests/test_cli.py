@@ -78,6 +78,9 @@ def test_bad_flags_exit_two(capsys):
         ["--tol", "inf"],
         ["--tol", "-inf"],
         ["--suite", "metrics", "--trials", "3", "--tol", "-1"],  # used to report 15 violations
+        # used to run as seeds 0 and 2**64 - 1 while the report echoed them
+        ["--suite", "metrics", "--trials", "3", "--seed", "18446744073709551616"],
+        ["--suite", "metrics", "--trials", "3", "--seed", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -351,3 +351,109 @@ def test_projective_validation_checks_each_list_of_a_stack():
         info.validate_projective([np.array([[1.0, 1.0], [0.0, 0.0]]), np.diag([0.0, 1.0])], 2)
     with pytest.raises(SizeError):
         info.validate_projective([good], 3)
+
+
+def _old_info_trials(seed, trials):
+    """The info suite's trials as each was drawn before, through one Stream per stream."""
+
+    def weights(stream, n, floor=0.05):
+        raw = np.array([stream.uniform() + floor for _ in range(n)])
+        return raw / raw.sum()
+
+    for t in range(trials):
+        dim, k = 2 + t % 3, 2 + t % 2
+        trial_seed = derive_seed(seed, 20, t)
+        e_stream, stream = Stream(trial_seed), Stream(derive_seed(seed, 21, t))
+        specs = [(dim, 1 + e_stream.integer(dim), derive_seed(trial_seed, i)) for i in range(dim)]
+        priors, p = weights(e_stream, dim), weights(stream, k)
+        specs += [(k, 1 + stream.integer(k), derive_seed(trial_seed, 30 + i)) for i in range(k)]
+        joint = weights(stream, 8, 1e-3).reshape(2, 2, 2)
+        specs += [(4, 1 + stream.integer(4), derive_seed(trial_seed, 40 + i)) for i in range(4)]
+        ws = weights(stream, 3)
+        specs += [(3, 1 + stream.integer(3), derive_seed(trial_seed, 50 + i)) for i in range(3)]
+        specs.append((4, 1 + stream.integer(4), derive_seed(trial_seed, 60)))
+        yield (priors, p, joint, ws), specs, [(dim, dim, derive_seed(trial_seed, 1))]
+
+
+def _old_info_derived(key, mats):
+    priors, p, _, ws = key
+    n, k = len(priors), len(p)
+    e_mats, sigmas, yz, parts, ab = mats[:n], mats[n : n + k], mats[n + k : n + k + 4], mats[-4:-1], mats[-1]
+    blockmat = np.zeros((k * k, k * k), dtype=np.complex128)
+    for i, s in enumerate(sigmas):
+        blockmat[i * k : (i + 1) * k, i * k : (i + 1) * k] = p[i] * s
+    traced = [linalg.partial_trace(s, 2, 2, "H") for s in yz]
+    quarter = np.full(4, 0.25)
+    averages = [
+        states.mixture_matrix(priors, e_mats),
+        states.mixture_matrix(quarter, yz),
+        states.mixture_matrix(quarter, traced),
+        states.mixture_matrix(ws, parts),
+    ]
+    return [
+        *((m, 1e-8) for m in (blockmat, *traced)),
+        *((m, linalg.DEFAULT_TOL) for m in averages),
+        *((linalg.partial_trace(ab, 2, 2, keep), 1e-8) for keep in "HK"),
+    ]
+
+
+def _old_info_checks(seed, trials):
+    """The info suite's trial checks as they were tallied one trial at a time."""
+    from qilab.suites import _Tally
+
+    names = ("holevo_dominance", "block_entropy_identity", "chain_identity")
+    names += ("mi_monotonicity", "entropy_concavity", "entropy_subadditivity")
+    tols = (1e-9, 1e-9, 1e-10, 1e-10, 1e-9, 1e-9)
+    holevo, block, chain, mono, concave, subadd = map(_Tally, names, tols)
+    joints = []
+    ensembles, gauss = [], []
+    S = info.von_neumann_entropy
+
+    def derive(keys, mats_by_trial):
+        return [_old_info_derived(key, mats) for key, mats in zip(keys, mats_by_trial)]
+
+    trial_densities = states.random_densities_by_trial(_old_info_trials(seed, trials), derive)
+    for t, ((priors, p, joint, ws), dens, (z,)) in enumerate(trial_densities, 1):
+        n, k = len(priors), len(p)
+        e_states, dens = dens[:n], dens[n:]
+        sigmas, yz, parts, rho_ab = dens[:k], dens[k : k + 4], dens[k + 4 : k + 7], dens[k + 7]
+        blocked, *traced = dens[k + 8 : k + 13]
+        e_avg, full_avg, red_avg, mixed, rho_a, rho_b = dens[k + 13 :]
+        ensembles.append(info.make_ensemble(map(str, range(n)), priors, e_states, average=e_avg))
+        gauss.append(z)
+        rhs = info.shannon_entropy(p) + sum(w * S(s) for w, s in zip(p, sigmas))
+        block.add(block.tol - abs(S(blocked) - rhs))
+        joints.append(joint)
+        full = info.uniform_cube_ensemble(yz, average=full_avg)
+        red = info.uniform_cube_ensemble(traced, average=red_avg)
+        mono.add(info.holevo_information(full) - info.holevo_information(red))
+        concave.add(S(mixed) - sum(w * S(s) for w, s in zip(ws, parts)))
+        subadd.add(S(rho_a) + S(rho_b) - S(rho_ab))
+        if len(gauss) == 64 or t == trials:
+            us = states.unitaries_from_gauss(gauss)
+            projs = [u.T[:, :, None] * np.conj(u.T)[:, None, :] for u in us]
+            for e, mi in zip(ensembles, info.measured_mutual_infos(zip(ensembles, projs))):
+                holevo.add(info.holevo_information(e) - mi)
+            ensembles.clear()
+            gauss.clear()
+    joints = np.array(joints)
+    i_x_yz = info.classical_mutual_information(joints.reshape(-1, 2, 4))
+    i_x_y = info.classical_mutual_information(joints.sum(axis=3))
+    i_xy_z = info.classical_mutual_information(joints.reshape(-1, 4, 2))
+    i_y_z = info.classical_mutual_information(joints.sum(axis=1))
+    for slack in chain.tol - np.abs(i_x_yz - (i_x_y + i_xy_z - i_y_z)):
+        chain.add(slack)
+    return [t.result() for t in (holevo, block, chain, mono, concave, subadd)]
+
+
+@pytest.mark.parametrize("seed, trials", [(1, 130), (2, 130), (1, 400)])
+def test_info_suite_chunks_match_the_per_trial_loop(seed, trials):
+    # 130 trials: one batch of draws, densities in two blocks and three chunks,
+    # and runs of one shape cut short by a chunk's end; 400: two batches of draws
+    from qilab.suites import SuiteConfig, run_suite
+
+    got = {c.name: c for c in run_suite("info", SuiteConfig(seed=seed, trials=trials))}
+    for want in _old_info_checks(seed, trials):
+        check = got[want.name]
+        assert (check.trials, check.violations) == (want.trials, want.violations) == (trials, 0)
+        assert check.min_slack == want.min_slack, want.name

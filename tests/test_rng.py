@@ -160,3 +160,55 @@ def test_complex_gauss_stack_matches_per_seed_matrices(rows, cols):
     got = rng.complex_gauss_stack(_ROW_SEEDS, rows, cols)
     assert got.shape == (len(_ROW_SEEDS), rows, cols)
     assert got.tobytes() == want.tobytes()
+
+
+# 2**63 and -1 reach the top bit and the wrap of (index + 1) * GAMMA
+_INDICES = [0, 1, 2**32, 2**63, -1]
+
+
+@pytest.mark.parametrize("seed", [1, -5, 2**64 - 1])
+def test_derive_seeds_match_derive_seed_over_broadcast_shapes(seed):
+    got = rng.derive_seeds(seed, 7, np.arange(3)[:, None], _INDICES)
+    assert got.dtype == np.uint64 and got.shape == (3, len(_INDICES))
+    assert got.tolist() == [[derive_seed(seed, 7, t, i) for i in _INDICES] for t in range(3)]
+    # uint64 parents, one per row, as a batch of trials derives its states' seeds
+    parents = got[:, :1]
+    want = [[derive_seed(p, i) for i in _INDICES] for (p,) in parents.tolist()]
+    assert rng.derive_seeds(parents, _INDICES).tolist() == want
+    assert rng.derive_seeds(seed).tolist() == [derive_seed(seed)]
+
+
+@pytest.mark.parametrize("bound", range(1, 9))
+def test_stream_rows_match_each_seeds_stream(bound):
+    # power-of-two bounds have no rejection limit; a row's bounds may differ
+    rows = rng.StreamRows(_ROW_SEEDS)
+    draws = [rows.uniform(3), rows.integer(bound, 4), rows.integer([1, 2, 3, 5, 8]), rows.uniform(2)]
+    for i, seed in enumerate(_ROW_SEEDS):
+        s = Stream(seed)
+        want = [
+            [s.uniform() for _ in range(3)],
+            [s.integer(bound) for _ in range(4)],
+            [s.integer([1, 2, 3, 5, 8][i])],
+            [s.uniform() for _ in range(2)],
+        ]
+        assert [d[i].tolist() for d in draws] == want
+        assert int(rows.counters[i]) == s.counter
+    assert rng.StreamRows([]).integer(3, 2).shape == (0, 2)
+    with pytest.raises(ValueError):
+        rng.StreamRows([1]).integer(0)
+
+
+def test_a_rejected_integer_draw_shifts_its_row_only():
+    # this seed's first draw is 2**64 - 1, at integer(3)'s rejection limit
+    seed = 0x31628AF67B2131AB
+    assert Stream(seed).next_u64() == 2**64 - 1
+    s = Stream(seed)
+    assert s.integer(3) == 1 and s.counter == 2
+    rows = rng.StreamRows([seed, 1])
+    draws = [rows.integer(3, 2), rows.uniform(2)]
+    assert rows.counters.tolist() == [5, 4]
+    for i, seed in enumerate([seed, 1]):
+        s = Stream(seed)
+        want = [[s.integer(3) for _ in range(2)], [s.uniform() for _ in range(2)]]
+        assert [d[i].tolist() for d in draws] == want
+        assert int(rows.counters[i]) == s.counter

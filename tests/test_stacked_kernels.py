@@ -12,7 +12,7 @@ whose leading entry is zero.
 import numpy as np
 import pytest
 
-from qilab import info, metrics, protocol, states, transition
+from qilab import info, linalg, metrics, protocol, states, transition
 from qilab.errors import HermiticityError, NormalizationError, QilabError, RankError
 from qilab.linalg import DEFAULT_TOL, dagger, hermitian_eig
 from qilab.rng import Stream, derive_seed
@@ -204,6 +204,61 @@ def test_measured_mutual_infos_name_the_failing_item():
     ):
         with pytest.raises(ValueError, match=rf"^matrix \(?2\b.*({what})"):
             info.measured_mutual_infos([(e, good), (e, good[::-1]), (e, bad)])
+
+
+def _random_mats(dim, count, seed):
+    specs = [(dim, 1 + i % dim, derive_seed(seed, i)) for i in range(count)]
+    return np.array([rho.mat for rho in states.random_densities(specs)])
+
+
+@pytest.mark.parametrize("dim_h, dim_k", [(2, 2), (2, 3), (3, 2), (4, 4)])
+def test_stacked_partial_traces_match_the_one_matrix_calls(dim_h, dim_k):
+    mats = _random_mats(dim_h * dim_k, 12, 60 + dim_h).reshape(3, 4, dim_h * dim_k, -1)
+    for keep in "HK":
+        got = linalg.partial_trace(mats, dim_h, dim_k, keep)
+        assert got.shape[:2] == (3, 4)
+        for i, j in np.ndindex(3, 4):
+            assert np.array_equal(got[i, j], linalg.partial_trace(mats[i, j], dim_h, dim_k, keep))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_weight_rows_mix_each_stacked_matrix_as_its_one_row_call(n):
+    stacks = _random_mats(3, 5 * n, 70 + n).reshape(n, 5, 3, 3)
+    raw = np.array([[Stream(derive_seed(71, i)).uniform() + 0.05 for _ in range(n)] for i in range(5)])
+    w = raw / raw.sum(axis=-1, keepdims=True)
+    got = states.mixture_matrix(w, stacks)
+    for i in range(5):
+        assert np.array_equal(got[i], states.mixture_matrix(w[i], stacks[:, i]))
+
+
+@pytest.mark.parametrize("bad", [-0.5, np.nan])
+def test_a_bad_weight_row_is_named(bad):
+    stacks = _random_mats(2, 6, 72).reshape(2, 3, 2, 2)
+    w = np.full((3, 2), 0.5)
+    w[2] = [bad, 1.0 - bad]
+    with pytest.raises(NormalizationError, match="in row 2 "):
+        states.mixture_matrix(w, stacks)
+    with pytest.raises(NormalizationError, match="in row 2 "):
+        info.holevo_informations(w, np.ones((3, 2)), np.ones(3))
+    with pytest.raises(NormalizationError, match="^mixture weights must"):
+        states.mixture_matrix(w[2], stacks[:, 2])
+
+
+def test_stacked_holevo_informations_match_holevo_information_bitwise():
+    rows = []
+    for n in (2, 3, 4):
+        for t in range(6):
+            raw = np.array([Stream(derive_seed(73, n, t)).uniform() + 0.05 for _ in range(n)])
+            dens = states.random_densities([(n, 1 + (t + i) % n, derive_seed(74, n, t, i)) for i in range(n)])
+            rows.append(info.make_ensemble(map(str, range(n)), raw / raw.sum(), dens))
+    for n in (2, 3, 4):
+        es = [e for e in rows if len(e.states) == n]
+        priors = np.array([e.priors for e in es])
+        entropies = np.array([[s.entropy for s in e.states] for e in es])
+        got = info.holevo_informations(priors, entropies, [e.average_state.entropy for e in es])
+        assert got.tolist() == [info.holevo_information(e) for e in es]
+        want = [info.conditional_entropy(e) for e in es]
+        assert info.conditional_entropies(priors, entropies).tolist() == want
 
 
 def test_pure_stacks_match_the_old_constructors_bitwise():

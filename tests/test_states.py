@@ -345,14 +345,16 @@ def test_by_trial_derived_densities_match_make_density(monkeypatch):
     monkeypatch.setattr(states, "BLOCK_ENTRIES", 64)
     calls = []
 
-    def derive(key, mats):
-        calls.append(key)
-        (rho,) = mats
-        return [(linalg.partial_trace(rho, 2, 2, "H"), 1e-8), (rho @ rho / np.trace(rho @ rho), 1e-10)]
+    def derive(keys, mats_by_trial):
+        calls.append(list(keys))
+        return [
+            [(linalg.partial_trace(rho, 2, 2, "H"), 1e-8), (rho @ rho / np.trace(rho @ rho), 1e-10)]
+            for (rho,) in mats_by_trial
+        ]
 
     trials = ((t, [(4, 1 + t % 4, 40 + t)]) for t in range(6))
     for t, (rho, reduced, squared) in states.random_densities_by_trial(trials, derive):
-        assert calls == list(range(min(4 * (t // 4 + 1), 6)))
+        assert calls == [[0, 1, 2, 3], [4, 5]][: t // 4 + 1]
         assert np.array_equal(rho.mat, states.random_density(4, 1 + t % 4, 40 + t).mat)
         wants = [
             states.make_density(linalg.partial_trace(rho.mat, 2, 2, "H"), tol=1e-8),

@@ -18,6 +18,11 @@ Haar unitaries and measured informations a chunk at a time too: they make
 no single-matrix ``hermitian_eig`` or ``np.linalg.qr`` call, and a seed-1
 sweep pass makes at most 520 ``hermitian_eig`` calls.
 
+The metrics and info suites draw their trials' seeds, ranks and weights as
+arrays (``rng.derive_seeds``, ``rng.StreamRows``) and make no ``derive_seed``
+call and no ``Stream``; transition and encoding make a few hundred, each
+under a ceiling.
+
 The exact-transition checks read the residuals that
 ``transition.exact_local_transitions`` measures and do not apply its
 unitaries again.
@@ -29,13 +34,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qilab import linalg, rng, states, transition
+from qilab import linalg, rng, states, suites, transition
 from qilab.suites import SuiteConfig, run_suite
 
 # hermitian_eig calls per seed-1 suite, each one stacked call per chunk and
 # shape: the metrics suite certifies its random densities in 175 and takes
 # its optimal measurements in 133; the three sum to the sweep pass's 520
 EIG_BUDGET = {"metrics": 320, "info": 100, "transition": 100}
+# (derive_seed calls, Stream constructions) per seed-1 suite: the metrics and
+# info suites draw every seed, rank and weight as arrays; transition keeps
+# derive_seed for transition_bound_sweep's pairs, and encoding for its cubes'
+# and pairings' seeds and a Stream per pairing's shuffle (6000/2000,
+# 8249/1000, 2801/2200 and 2980/2770 when each trial drew through Streams)
+SEED_BUDGET = {"metrics": (0, 0), "info": (0, 0), "transition": (401, 0), "encoding": (420, 210)}
 # apply_k_unitaries calls per seed-1 suite: 4 scrambles and 4 alignments in
 # the transition suite's exact chunks, one alignment per drop_first_message
 APPLY_BUDGET = {"transition": 8, "reduction": 8}
@@ -145,3 +156,27 @@ def test_exact_transitions_apply_each_unitary_once(monkeypatch, suite):
             monkeypatch.setattr(module, "apply_k_unitaries", counting)
     run_suite(suite, SuiteConfig(seed=1))
     assert 0 < len(calls) <= APPLY_BUDGET[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(SEED_BUDGET))
+def test_sweep_suites_draw_their_seeds_as_arrays(monkeypatch, suite):
+    calls = {"derive_seed": 0, "Stream": 0}
+    derive_seed, stream_init = rng.derive_seed, rng.Stream.__init__
+
+    def counting_derive_seed(*args):
+        calls["derive_seed"] += 1
+        return derive_seed(*args)
+
+    def counting_init(self, *args):
+        calls["Stream"] += 1
+        stream_init(self, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qilab" and getattr(module, "derive_seed", None) is derive_seed:
+            monkeypatch.setattr(module, "derive_seed", counting_derive_seed)
+    monkeypatch.setattr(rng.Stream, "__init__", counting_init)
+    run_suite(suite, SuiteConfig(seed=1))
+    seed_calls, streams = calls["derive_seed"], calls["Stream"]
+    assert seed_calls <= SEED_BUDGET[suite][0] and streams <= SEED_BUDGET[suite][1]
+    suites.derive_seed(1, 2), rng.Stream(1)  # the counters see a single call
+    assert (calls["derive_seed"], calls["Stream"]) == (seed_calls + 1, streams + 1)
