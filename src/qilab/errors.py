@@ -51,7 +51,3 @@ class ProtocolError(QilabError):
 
 class ReductionError(QilabError):
     """A step of the message-reduction pipeline failed its contract."""
-
-
-class BoundViolationError(QilabError):
-    """A certified inequality failed beyond its tolerance."""

@@ -104,9 +104,7 @@ def make_ensemble(labels, priors, states, average=None) -> CQEnsemble:
     dims = {s.dim for s in states}
     if len(dims) != 1:
         raise SizeError("all encoded states must share one dimension")
-    frozen = np.array(priors, copy=True)
-    frozen.setflags(write=False)
-    e = CQEnsemble(labels, frozen, states)
+    e = CQEnsemble(labels, _frozen(priors), states)
     if average is not None:
         e.__dict__["average_state"] = average
     return e
@@ -115,11 +113,15 @@ def make_ensemble(labels, priors, states, average=None) -> CQEnsemble:
 def uniform_cube_ensemble(states, average=None) -> CQEnsemble:
     """Uniform ensemble labeled by all m-bit strings; ``average`` as for make_ensemble."""
     n = len(states)
+    return make_ensemble(_cube_labels(n)[1], np.full(n, 1.0 / n), states, average)
+
+
+def _cube_labels(n: int) -> tuple[int, list[str]]:
+    """``(m, labels)`` for a cube of ``n`` states: the m-bit strings in binary order."""
     m = n.bit_length() - 1
     if 2**m != n:
         raise SizeError(f"need a power-of-two state count, got {n}")
-    labels = [format(x, f"0{m}b") if m > 0 else "" for x in range(n)]
-    return make_ensemble(labels, np.full(n, 1.0 / n), states, average)
+    return m, [format(x, f"0{m}b") if m > 0 else "" for x in range(n)]
 
 
 def conditional_entropy(e: CQEnsemble) -> float:
@@ -128,25 +130,32 @@ def conditional_entropy(e: CQEnsemble) -> float:
 
 
 def conditional_entropies(priors, entropies):
-    """:func:`conditional_entropy`'s sum over the last axis of priors and entropies."""
+    """:func:`conditional_entropy`'s sum over the last axis of priors and
+    entropies, which must have one shape."""
+    priors, entropies = np.asarray(priors), np.asarray(entropies)
+    if priors.shape != entropies.shape:
+        raise SizeError(f"priors of shape {priors.shape} but entropies {entropies.shape}")
     out = 0.0
-    for p, s in zip(np.asarray(priors).T, np.asarray(entropies).T):
+    for p, s in zip(priors.T, entropies.T):
         out = out + p * s
     return out
 
 
 def holevo_information(e: CQEnsemble) -> float:
-    """S(mean state) - sum_x p_x S(sigma_x); bounds extractable bits."""
-    chi = von_neumann_entropy(e.average_state) - conditional_entropy(e)
-    return float(max(chi, 0.0))
+    """S(mean state) - sum_x p_x S(sigma_x), which bounds the extractable bits:
+    the one-row :func:`holevo_informations`."""
+    ent, avg = [von_neumann_entropy(s) for s in e.states], von_neumann_entropy(e.average_state)
+    return float(holevo_informations([e.priors], [ent], [avg])[0])
 
 
 def holevo_informations(priors, entropies, average_entropies) -> np.ndarray:
-    """:func:`holevo_information` of each ensemble of a stack, bit for bit, from its
-    row of priors (checked once per stack), its states' and its average's entropies."""
-    priors = np.asarray(priors, dtype=np.float64)
+    """Per ensemble of a stack, :func:`holevo_information` from its row of priors
+    (checked once per stack), its states' and its average's entropies."""
+    priors, avg = np.asarray(priors, dtype=np.float64), np.asarray(average_entropies)
     linalg.check_weights(priors, 1e-12, 1e-9, "priors")
-    chi = np.asarray(average_entropies) - conditional_entropies(priors, entropies)
+    if avg.shape != priors.shape[:-1]:
+        raise SizeError(f"priors of shape {priors.shape} but average entropies {avg.shape}")
+    chi = avg - conditional_entropies(priors, entropies)
     return np.where(chi < 0.0, 0.0, chi)  # max(chi, 0.0), NaN and -0.0 kept
 
 

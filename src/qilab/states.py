@@ -107,19 +107,14 @@ class BipartitePureState:
 
 
 def make_density(mat, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Validate Hermiticity, unit trace and, on the cached ``eig``, positivity.
-
-    ``make_densities([mat], tol)[0]`` bit for bit, for one-off states: a stack
-    of one costs about 15% more per call (numpy 2.4.6, x86-64). Seed-1 suite
-    passes make few: 31 in protocol, none in sweep, encoding or large-d.
-    """
-    mat = _frozen(_matrix(mat))
-    return _density(mat, *_read_only(*_validated(mat, tol)))
+    """Validate Hermiticity, unit trace and, on the cached ``eig``, positivity:
+    the one-matrix :func:`make_densities`, so an error names "matrix 0"."""
+    return make_densities([mat], tol)[0]
 
 
 def make_densities(mats, tol=DEFAULT_TOL) -> list[DensityMatrix]:
-    """``[make_density(mat, t) for mat, t in zip(mats, tols)]`` bit for bit,
-    with one certified stacked validation per matrix shape and tolerance.
+    """Per matrix, a validated density with its certified ``eig``, from one
+    stacked validation per matrix shape and tolerance.
 
     ``tol`` is one tolerance or one per matrix. A failing matrix's error
     names its index in ``mats``.
@@ -146,16 +141,10 @@ def _certified_stacks(mats, tol) -> list[tuple[tuple, int]]:
 
 
 def _certified(mats: np.ndarray, tol: float) -> tuple:
-    """``(mats, eigenvalues, eigenvectors, memo)`` of a validated stack; the
-    memo keeps its entropies once one is read."""
-    vals, vecs = _validated(mats, tol)
-    return (*_read_only(mats, vals, vecs), {})
-
-
-def _validated(mats: np.ndarray, tol: float) -> linalg.EigDecomposition:
-    """Check each matrix of ``mats`` (one, or a stack) is a density matrix;
-    return the certified decomposition the checks were judged on."""
-    dec = linalg.hermitian_eig(mats, tol)
+    """``(mats, eigenvalues, eigenvectors, memo)`` of a stack checked to hold
+    density matrices, read-only and judged on the certified decomposition;
+    the memo keeps its entropies once one is read."""
+    vals, vecs = linalg.hermitian_eig(mats, tol)
     tr = np.trace(mats, axis1=-2, axis2=-1)
     linalg.check_each(
         np.abs(tr - 1.0) > max(tol, 1e-12) * mats.shape[-1],
@@ -163,22 +152,14 @@ def _validated(mats: np.ndarray, tol: float) -> linalg.EigDecomposition:
         "{name} has trace {value} differing from 1 beyond tolerance",
         tr,
     )
-    lowest = dec.eigenvalues[..., 0]
+    lowest = vals[..., 0]
     linalg.check_each(
         lowest < -tol,
         NotPositiveError,
         "{name} has eigenvalue {value:.3e} below -tol",
         lowest,
     )
-    return dec
-
-
-def _density(mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> DensityMatrix:
-    """A validated density with its ``eig`` cache seeded, from read-only
-    arrays that no caller can write through."""
-    rho = DensityMatrix(mat)
-    rho.__dict__["eig"] = linalg.EigDecomposition(vals, vecs)
-    return rho
+    return (*_read_only(mats, vals, vecs), {})
 
 
 def pure_density(vec) -> DensityMatrix:
@@ -501,8 +482,10 @@ def _random_stacks(specs) -> list[tuple[tuple, int]]:
 
 
 def _density_at(stack: tuple, j: int) -> DensityMatrix:
+    """Density ``j`` of a certified stack, ``eig`` seeded from its read-only arrays."""
     mats, vals, vecs, memo = stack
-    rho = _density(mats[j], vals[j], vecs[j])
+    rho = DensityMatrix(mats[j])
+    rho.__dict__["eig"] = linalg.EigDecomposition(vals[j], vecs[j])
     rho.__dict__["_row"] = (vals, j, memo)
     return rho
 

@@ -98,11 +98,13 @@ def test_criterion_4_encoding_chain(encoding_checks):
         c["delta_prime_le_delta"].trials >= 200
         and c["delta_prime_le_delta"].min_slack >= -1e-8
         and c["delta_le_two_sqrt_info"].min_slack >= -1e-8
+        and c["info_floor_quarter"].min_slack >= -1e-8
+        and c["info_floor_half"].details["violations_at_m1"] == 0
         and c["pairing_bound"].min_slack >= -1e-10
         and c["pairing_vs_exhaustive"].min_slack >= -1e-10
         and c["info_decomposition"].min_slack >= -1e-9
     )
-    assert _verdict("criterion 4: encoding chain, pairing, decomposition", ok)
+    assert _verdict("criterion 4: encoding chain, floors, pairing, decomposition", ok)
 
 
 def test_criterion_4_average_distance_information_floor(encoding_checks):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qilab import cli, suites
+from qilab import encoding as enc
 from qilab.errors import SizeError
 
 
@@ -44,6 +45,17 @@ def test_exit_code_matches_violations(capsys):
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["info_floor_quarter"]["violations"] == 0
     assert by_name["delta_le_two_sqrt_info"]["violations"] == 0
+
+
+def test_a_defect_in_the_information_is_reported_not_raised(capsys, monkeypatch):
+    # the suite is the one judge of the encoding bounds: an information 50
+    # times too small shows as violations in a full report, with exit 1
+    holevo = enc.holevo_information
+    monkeypatch.setattr(enc, "holevo_information", lambda e: holevo(e) / 50)
+    code, out = run_cli(["--suite", "encoding", "--trials", "5", "--format", "json"], capsys)
+    by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert by_name["delta_le_two_sqrt_info"]["violations"] == 5
 
 
 def test_violation_count_does_not_wrap_exit_status(capsys, monkeypatch):

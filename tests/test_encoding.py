@@ -131,9 +131,9 @@ def test_encoding_stats_builds_one_distance_matrix(monkeypatch):
 @pytest.mark.parametrize("batch", [None, 3 * 8**2])
 def test_stacked_distances_match_per_pair_loop_bit_for_bit(batch, monkeypatch):
     # reference: one trace_distance call per pair, as the loop computed it;
-    # a small batch size splits the pairs over several SVD calls
+    # a small batch size splits the pairs over several eigvalsh calls
     if batch is not None:
-        monkeypatch.setattr(enc, "_BATCH_ENTRIES", batch)
+        monkeypatch.setattr(states, "BLOCK_ENTRIES", batch)
     for m in range(6):
         for dim in range(2, 9):
             e = cube(derive_seed(114, m, dim), m, dim)

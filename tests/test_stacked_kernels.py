@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qilab import info, linalg, metrics, protocol, states, transition
-from qilab.errors import HermiticityError, NormalizationError, QilabError, RankError
+from qilab.errors import HermiticityError, NormalizationError, QilabError, RankError, SizeError
 from qilab.linalg import DEFAULT_TOL, dagger, hermitian_eig
 from qilab.rng import Stream, derive_seed
 
@@ -259,6 +259,23 @@ def test_stacked_holevo_informations_match_holevo_information_bitwise():
         assert got.tolist() == [info.holevo_information(e) for e in es]
         want = [info.conditional_entropy(e) for e in es]
         assert info.conditional_entropies(priors, entropies).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # a third prior with no entropy of its own
+        lambda: info.holevo_informations([[0.5, 0.25, 0.25]], [[1.0, 0.0]], [1.0]),
+        # a third entropy with no prior
+        lambda: info.conditional_entropies([0.5, 0.5], [1.0, 0.3, 0.7]),
+        # one average entropy for two rows of priors
+        lambda: info.holevo_informations([[0.5, 0.5]] * 2, [[1.0, 0.0]] * 2, [1.0]),
+    ],
+    ids=["extra_prior", "extra_entropy", "one_average_for_two_rows"],
+)
+def test_stacked_entropy_helpers_reject_mismatched_shapes(call):
+    with pytest.raises(SizeError):
+        call()
 
 
 def test_pure_stacks_match_the_old_constructors_bitwise():

@@ -94,7 +94,7 @@ def test_the_counters_see_single_calls(counted):
     states.reduced_state(states.random_pure(2, 2, 1), "H")
     linalg.svd(np.eye(2))
     linalg.singular_values(np.eye(2)[None])
-    linalg.hermitian_eig(np.eye(2)[None])
+    linalg.hermitian_eig(np.eye(2))  # make_density's own is a stack of one
     np.linalg.qr(np.eye(2))
     np.linalg.qr(np.eye(2)[None])
     assert counted == {
