@@ -13,18 +13,16 @@ from qilab import (
     encoding_stats,
     find_pairing,
     holevo_information,
-    make_ensemble,
-    prefix_ensemble,
     pure_density,
     random_density,
     uniform_cube_ensemble,
 )
 from qilab.encoding import (
     enumerate_pairings,
-    info_decomposition_check,
     information_floor,
     pairing_average,
     pairwise_distance_matrix,
+    prefix_information,
 )
 
 print("== one-bit encodings: orthogonal states saturate everything ==")
@@ -61,10 +59,7 @@ print(f"chosen pairs           : {pairing}")
 
 print()
 print("== information splits across bit positions ==")
-lhs, rhs = info_decomposition_check(e)
-print(f"sum of per-prefix bit informations: {lhs:.5f}")
-print(f"whole-ensemble information        : {rhs:.5f}  (never smaller)")
-first_bit = make_ensemble(
-    ["0", "1"], [0.5, 0.5], [prefix_ensemble(e, "0"), prefix_ensemble(e, "1")]
-)
-print(f"I of the first bit alone          : {holevo_information(first_bit):.5f}")
+table = prefix_information(e)
+print(f"sum of per-prefix bit informations: {sum(np.mean(row) for row in table):.5f}")
+print(f"whole-ensemble information        : {holevo_information(e):.5f}  (never smaller)")
+print(f"I of the first bit alone          : {table[0][0]:.5f}")

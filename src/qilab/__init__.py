@@ -10,7 +10,7 @@ calculators (:mod:`qilab.info`), purification alignment
 seeded verification suites (:mod:`qilab.suites`, ``qilab`` CLI).
 """
 
-from .encoding import EncodingStats, encoding_stats, find_pairing, prefix_ensemble
+from .encoding import EncodingStats, encoding_stats, find_pairing
 from .info import (
     CQEnsemble,
     binary_entropy,
@@ -94,7 +94,6 @@ __all__ = [
     "mixture",
     "optimal_measurement",
     "partial_trace",
-    "prefix_ensemble",
     "pure_density",
     "pure_trace_distance",
     "random_densities",

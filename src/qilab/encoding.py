@@ -40,7 +40,7 @@ from .info import (
 )
 from .metrics import trace_distance, trace_norm  # noqa: F401 (perfbench rebinds trace_distance here)
 from .rng import Stream
-from .states import DensityMatrix, make_densities, make_density, mixture_matrix
+from .states import make_densities, mixture_matrix
 
 
 @dataclass(frozen=True)
@@ -165,17 +165,6 @@ def encoding_stats(e: CQEnsemble, seed: int = 7) -> EncodingStats:
     return EncodingStats(delta, delta_mean, info, find_pairing(d, seed), d)
 
 
-def prefix_ensemble(e: CQEnsemble, prefix: str) -> DensityMatrix:
-    """Uniform mixture of the states whose label extends ``prefix``."""
-    m = _cube_m(e)
-    if len(prefix) > m or any(c not in "01" for c in prefix):
-        raise ValueError(f"bad prefix {prefix!r} for m={m}")
-    # the states of the prefix k (read as a number) are the k-th run of
-    # ``span`` consecutive labels in binary order
-    span, k = 2 ** (m - len(prefix)), int(prefix or "0", 2)
-    return make_density(_run_means(e.mats[k * span : (k + 1) * span], span)[0])
-
-
 def _run_means(mats: np.ndarray, span: int) -> np.ndarray:
     """The uniform mixture of each run of ``span`` consecutive matrices of the
     stack ``mats``, all runs in one :func:`mixture_matrix` pass."""
@@ -210,14 +199,3 @@ def prefix_information(e: CQEnsemble) -> list[list[float]]:
     i-bit prefixes y in binary order, that of the bit after y."""
     m = _cube_m(e)
     return prefix_table(make_densities(prefix_mixtures(e.mats, m)), m)
-
-
-def info_decomposition_check(e: CQEnsemble) -> tuple[float, float]:
-    """Prefix-wise information sum versus the full ensemble information.
-
-    Returns (lhs, rhs) with lhs = sum over bit positions of the average
-    conditional bit information, and rhs the Holevo information of the
-    whole ensemble; lhs <= rhs up to numerics.
-    """
-    lhs = sum(float(np.mean(row)) for row in prefix_information(e))
-    return lhs, holevo_information(e)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NormalizationError, SizeError
-from .states import DensityMatrix, _frozen, entropy_rows, make_densities, mixture, stacked
+from .states import DensityMatrix, _frozen, entropy_rows, make_densities, mixture
 
 
 def _within(x, lo: float, hi: float, message: str) -> np.ndarray:
@@ -190,29 +190,28 @@ def classical_mutual_information(joint: np.ndarray) -> float | np.ndarray:
 
 
 def measured_mutual_info(e: CQEnsemble, measurement) -> float:
-    """The one-item :func:`measured_mutual_infos`."""
-    return measured_mutual_infos([(e, measurement)])[0]
+    """The one-item :func:`measured_mutual_infos` of an ensemble and a list of
+    projectors (a TwoOutcomeMeasurement is one)."""
+    projs = np.asarray(list(measurement), dtype=np.complex128)
+    return float(measured_mutual_infos(e.priors[None], e.mats[None], projs[None])[0])
 
 
-def measured_mutual_infos(items) -> list[float]:
-    """Per ``(ensemble, measurement)``, the classical I(X:Y) between labels and
-    the outcomes of a list of orthogonal projectors summing to the identity (a
-    TwoOutcomeMeasurement is one), at most the Holevo information. One
-    validation, product and trace per (states, dim, outcomes) shape; errors
-    name the item's index."""
-    items = [(e, np.asarray(list(m), dtype=np.complex128)) for e, m in items]
-
-    def build(key, members):
-        projs = np.array([items[i][1] for i in members])
-        validate_projective(projs, key[1])
-        mats = np.array([items[i][0].mats for i in members])
-        traces = np.trace(projs[:, None] @ mats[:, :, None], axis1=-2, axis2=-1).real
-        joint = np.array([items[i][0].priors for i in members])[..., None] * np.maximum(traces, 0.0)
-        return (classical_mutual_information(joint / joint.sum(axis=(-2, -1), keepdims=True)),)
-
-    keys = [(len(e.states), e.dim, p.shape) for e, p in items]
-    out = stacked(keys, build, lambda key: key[0] * np.prod(key[2]))
-    return [float(mi[j]) for (mi,), j in out]
+def measured_mutual_infos(priors, states, projectors) -> np.ndarray:
+    """Per row of a stack, the classical I(X:Y) between labels drawn with the
+    priors ``(rows, n)`` and the outcomes of measuring their states ``(rows,
+    n, dim, dim)`` with orthogonal projectors ``(rows, outcomes, dim, dim)``
+    summing to the identity: at most the Holevo information. One validation,
+    product and trace for the stack; errors name the failing row."""
+    priors = np.asarray(priors, dtype=np.float64)
+    # C-contiguous: the products' last bits depend on the layout
+    mats, projs = (np.ascontiguousarray(a, dtype=np.complex128) for a in (states, projectors))
+    if mats.shape[:2] != priors.shape or projs.shape[:1] != priors.shape[:1]:
+        raise SizeError(f"priors {priors.shape}, states {mats.shape} and projectors {projs.shape}")
+    linalg.check_weights(priors, 1e-12, 1e-9, "priors")
+    validate_projective(projs, mats.shape[-1])
+    traces = np.trace(projs[:, None] @ mats[:, :, None], axis1=-2, axis2=-1).real
+    joint = priors[..., None] * np.maximum(traces, 0.0)
+    return classical_mutual_information(joint / joint.sum(axis=(-2, -1), keepdims=True))
 
 
 def bipartite_mutual_info(rho_ab: DensityMatrix, dim_a: int, dim_b: int) -> float:

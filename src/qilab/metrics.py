@@ -50,18 +50,25 @@ def trace_norms(mats, hermitian: bool = False) -> list[float]:
     return [float(norms[j]) for (norms,), j in stacked([a.shape for a in mats], build, np.prod)]
 
 
-def _checked_pairs(pairs) -> list[tuple[DensityMatrix, DensityMatrix]]:
+def _checked_pairs(pairs) -> list[tuple[tuple, tuple]]:
+    """The pairs of densities, each a ``(stack, j)`` row of a certified stack
+    (a :class:`~qilab.states.DensityMatrix` is one), of equal dimensions."""
     pairs = list(pairs)
-    for i, (r1, r2) in enumerate(pairs):
-        if r1.dim != r2.dim:
-            raise SizeError(f"pair {i}: dimension mismatch: {r1.dim} vs {r2.dim}")
+    for i, ((s1, _), (s2, _)) in enumerate(pairs):
+        d1, d2 = s1.mats.shape[-1], s2.mats.shape[-1]
+        if d1 != d2:
+            raise SizeError(f"pair {i}: dimension mismatch: {d1} vs {d2}")
     return pairs
+
+
+def _differences(pairs) -> list[np.ndarray]:
+    return [s1.mats[j1] - s2.mats[j2] for (s1, j1), (s2, j2) in _checked_pairs(pairs)]
 
 
 def trace_distances(pairs) -> list[float]:
     """|| r1 - r2 ||_t, in [0, 2], of each pair ``(r1, r2)``, by :func:`trace_norms`
     on the Hermitian route."""
-    return trace_norms([r1.mat - r2.mat for r1, r2 in _checked_pairs(pairs)], hermitian=True)
+    return trace_norms(_differences(pairs), hermitian=True)
 
 
 def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
@@ -85,11 +92,11 @@ def pure_trace_distance(phi1, phi2) -> float:
     return 2.0 * float(np.sqrt(max(1.0 - overlap_sq, 0.0)))
 
 
-def _sqrt_factor(rho: DensityMatrix) -> np.ndarray:
+def _sqrt_factor(stack, j: int) -> np.ndarray:
     # Columns V_i sqrt(l_i) with noise-level eigenvalues dropped: keeping
     # them would inject sqrt(eps)-sized spurious directions into the
     # product below.
-    vals, vecs = rho.eig
+    vals, vecs = stack.eigenvalues[j], stack.eigenvectors[j]
     keep = vals > 1e-14
     return vecs[:, keep] * np.sqrt(vals[keep])
 
@@ -102,7 +109,7 @@ def fidelities(pairs) -> list[float]:
     singular values of sqrt(r1) sqrt(r2). The cross matrices' trace norms
     go through :func:`trace_norms`.
     """
-    crosses = [dagger(_sqrt_factor(r1)) @ _sqrt_factor(r2) for r1, r2 in _checked_pairs(pairs)]
+    crosses = [dagger(_sqrt_factor(*r1)) @ _sqrt_factor(*r2) for r1, r2 in _checked_pairs(pairs)]
     return [float(min(max(norm**2, 0.0), 1.0)) for norm in trace_norms(crosses)]
 
 
@@ -124,7 +131,7 @@ def optimal_measurements(pairs) -> list[tuple[TwoOutcomeMeasurement, float]]:
     distance, the best any measurement can do. Eigenvalues within DEFAULT_TOL of
     zero go to P+. One certified stacked eigendecomposition per dimension; its
     errors name the pair's index."""
-    diffs = [r1.mat - r2.mat for r1, r2 in _checked_pairs(pairs)]
+    diffs = _differences(pairs)
 
     def build(shape, members):  # a lone pair's difference as a view: at large d a copy faults
         diff = [diffs[i] for i in members]

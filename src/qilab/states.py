@@ -1,17 +1,20 @@
 """Validated quantum state types and seeded generators.
 
-Density matrices and bipartite pure states are thin frozen wrappers
-around numpy arrays; construction goes through the ``make_*`` functions
-which validate the defining invariants. Random generators take explicit
-seeds and are bit-reproducible (see :mod:`qilab.rng`).
+Density matrices are certified a stack at a time: a :class:`CertifiedStack`
+holds the matrices with their eigendecomposition and entropies, a density is
+its ``(stack, j)`` row, and a :class:`DensityMatrix` is a one-item view of
+that row. Bipartite pure states are thin frozen wrappers around numpy arrays.
+Construction goes through the ``make_*`` functions, which validate the
+defining invariants. Random generators take explicit seeds and are
+bit-reproducible (see :mod:`qilab.rng`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,30 +51,43 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix representing a mixed state."""
+class CertifiedStack(NamedTuple):
+    """Matrices checked together to be density matrices, read-only: the
+    matrices, their certified eigendecomposition (eigenvalues ascending) and
+    their von Neumann entropies in bits, each computed once for the stack."""
 
-    mat: np.ndarray
+    mats: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    entropies: np.ndarray
+
+
+class DensityMatrix(NamedTuple):
+    """Hermitian, PSD, unit-trace matrix representing a mixed state: a
+    read-only one-item view of row ``j`` of a certified stack. As a tuple it
+    is the ``(stack, j)`` row the stacked kernels read."""
+
+    stack: CertifiedStack
+    j: int
+
+    @property
+    def mat(self) -> np.ndarray:
+        return self.stack.mats[self.j]
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.stack.mats.shape[-1]
 
-    @cached_property
+    @property
     def eig(self) -> linalg.EigDecomposition:
-        """Certified eigendecomposition, read-only; make_density seeds it."""
-        vals, vecs = linalg.hermitian_eig(self.mat)
-        return linalg.EigDecomposition(*_read_only(vals, vecs))
+        """Certified eigendecomposition, read-only."""
+        stack, j = self
+        return linalg.EigDecomposition(stack.eigenvalues[j], stack.eigenvectors[j])
 
-    @cached_property
+    @property
     def entropy(self) -> float:
-        """Von Neumann entropy in bits. A density certified in a stack reads
-        its row of the stack's entropies, computed together at the first read."""
-        vals, j, memo = self.__dict__.get("_row") or (self.eig.eigenvalues, (), {})
-        if "rows" not in memo:
-            memo["rows"] = entropy_rows(np.clip(vals, 0.0, 1.0))
-        return float(memo["rows"][j])
+        """Von Neumann entropy in bits: the stack's entropy row ``j``."""
+        return float(self.stack.entropies[self.j])
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:
@@ -119,7 +135,7 @@ def make_densities(mats, tol=DEFAULT_TOL) -> list[DensityMatrix]:
     ``tol`` is one tolerance or one per matrix. A failing matrix's error
     names its index in ``mats``.
     """
-    return [_density_at(*row) for row in _certified_stacks(mats, tol)]
+    return [DensityMatrix(*row) for row in _certified_stacks(mats, tol)]
 
 
 def _matrix(mat) -> np.ndarray:
@@ -129,7 +145,8 @@ def _matrix(mat) -> np.ndarray:
     return mat
 
 
-def _certified_stacks(mats, tol) -> list[tuple[tuple, int]]:
+def _certified_stacks(mats, tol) -> list[tuple[CertifiedStack, int]]:
+    """:func:`make_densities`' ``(stack, j)`` rows, unwrapped."""
     mats = [_matrix(mat) for mat in mats]
 
     def build(key, members):
@@ -140,10 +157,9 @@ def _certified_stacks(mats, tol) -> list[tuple[tuple, int]]:
     return stacked(keys, build, lambda key: key[0][0] * key[0][1])
 
 
-def _certified(mats: np.ndarray, tol: float) -> tuple:
-    """``(mats, eigenvalues, eigenvectors, memo)`` of a stack checked to hold
-    density matrices, read-only and judged on the certified decomposition;
-    the memo keeps its entropies once one is read."""
+def _certified(mats: np.ndarray, tol: float) -> CertifiedStack:
+    """The stack ``mats`` checked to hold density matrices, judged on its
+    certified decomposition."""
     vals, vecs = linalg.hermitian_eig(mats, tol)
     tr = np.trace(mats, axis1=-2, axis2=-1)
     linalg.check_each(
@@ -159,7 +175,7 @@ def _certified(mats: np.ndarray, tol: float) -> tuple:
         "{name} has eigenvalue {value:.3e} below -tol",
         lowest,
     )
-    return (*_read_only(mats, vals, vecs), {})
+    return CertifiedStack(*_read_only(mats, vals, vecs, entropy_rows(np.clip(vals, 0.0, 1.0))))
 
 
 def pure_density(vec) -> DensityMatrix:
@@ -168,15 +184,16 @@ def pure_density(vec) -> DensityMatrix:
 
 
 def pure_densities(vecs) -> list[DensityMatrix]:
-    """Per unit vector v, |v><v|, stacked per length; a failing vector names its index."""
+    """Per unit vector v, |v><v|, certified in stacks per length (the trace
+    within the norm's tolerance); a failing vector names its index."""
     vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vecs]
 
     def build(n, members):
         v = np.array([vecs[i] for i in members])
         _unit_norms(v)
-        return _read_only(v[:, :, None] * np.conj(v)[:, None, :])
+        return _certified(v[:, :, None] * np.conj(v)[:, None, :], 1e-8)
 
-    return [DensityMatrix(m[j]) for (m,), j in stacked([len(v) for v in vecs], build, np.square)]
+    return [DensityMatrix(*row) for row in stacked([len(v) for v in vecs], build, np.square)]
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -188,7 +205,8 @@ def _unit_norms(v: np.ndarray) -> np.ndarray:
     """:func:`_norms`, each checked to be 1 within :data:`NORM_TOL` (NaN fails)."""
     nrm = _norms(v)
     bad = ~(np.abs(nrm - 1.0) <= NORM_TOL)
-    linalg.check_each(bad, NormalizationError, "{name} has norm {value}, not 1 within tol", nrm)
+    # the norm rounded: its last bits differ between BLAS kernels
+    linalg.check_each(bad, NormalizationError, "{name} has norm {value:.12g}, not 1 within tol", nrm)
     return nrm
 
 
@@ -254,19 +272,21 @@ def canonical_purification(rho: DensityMatrix, dim_k: int) -> BipartitePureState
 
 
 def canonical_purifications(rhos, dim_ks) -> list[BipartitePureState]:
-    """Per density and ``dim_k``, the purification sum_i sqrt(l_i) |e_i>_H |i>_K
-    over a fresh K register, one stacked pass per (dim, dim_k) group.
+    """Per density (a ``(stack, j)`` row) and ``dim_k``, the purification
+    sum_i sqrt(l_i) |e_i>_H |i>_K over a fresh K register, one stacked pass
+    per (dim, dim_k) group.
 
     Eigenvalues descend, the K side in that order. Each eigenvector's phase
     makes its first entry above 1e-12 in modulus real positive, and ties are
     broken by that entry's modulus. A RankError names the item's index.
     """
     rhos = list(rhos)
-    keys = [(rho.dim, int(k)) for rho, k in zip(rhos, dim_ks)]
+    keys = [(s.mats.shape[-1], int(k)) for (s, _), k in zip(rhos, dim_ks)]
 
     def build(key, members):
         dim, dim_k = key
-        vals, vecs = (np.array([rhos[i].eig[k] for i in members]) for k in (0, 1))
+        vals = np.array([rhos[i][0].eigenvalues[rhos[i][1]] for i in members])
+        vecs = np.array([rhos[i][0].eigenvectors[rhos[i][1]] for i in members])
         rows, ix = np.arange(len(members))[:, None], np.arange(dim)
         first = vecs[rows, _first_rows(vecs), ix]
         cols = vecs * (np.conj(first) / np.hypot(first.real, first.imag))[:, None, :]
@@ -351,15 +371,15 @@ def random_densities(specs) -> list[DensityMatrix]:
     blocks of at most :data:`BLOCK_ENTRIES` matrix entries. Each density's
     arrays are read-only views into its block's stacks.
     """
-    return [_density_at(*row) for row in _random_stacks(specs)]
+    return [DensityMatrix(*row) for row in _random_stacks(specs)]
 
 
 def random_densities_by_trial(trials, derive=None):
     """For each ``(key, specs)`` in ``trials``, yield ``(key, densities)``:
-    the random densities of its ``(dim, rank, seed)`` specs, in order. A
-    trial ``(key, specs, draws)`` yields ``(key, densities, gaussians)``,
-    with ``Stream(seed).complex_gauss_matrix(rows, cols)``, bit for bit and
-    read-only, for each ``(rows, cols, seed)`` of ``draws``.
+    the random densities of its ``(dim, rank, seed)`` specs, in order, as
+    :class:`DensityMatrix` views. A trial ``(key, specs, draws)`` yields
+    ``(key, densities, gaussians)``, with ``Stream(seed).complex_gauss_matrix(rows,
+    cols)``, bit for bit and read-only, for each ``(rows, cols, seed)`` of ``draws``.
 
     Trials are read lazily and built together in blocks of at most
     :data:`BLOCK_ENTRIES` matrix entries, densities and draws alike (a
@@ -374,13 +394,15 @@ def random_densities_by_trial(trials, derive=None):
     block. Densities are wrapped only as their trial is yielded.
     """
     for block in _blocks(trials):
-        yield from _block_trials(block, derive)
+        for key, rows, *draws in _block_trials(block, derive):
+            yield key, tuple(DensityMatrix(*row) for row in rows), *draws
 
 
 def random_density_chunks(trials, derive=None):
     """:func:`random_densities_by_trial`'s trials in lists of at most
     :data:`CHUNK_TRIALS` from one block, each emptied when the next is asked
-    for: a spent block is freed before the next is built."""
+    for: a spent block is freed before the next is built. Each density is
+    its ``(stack, j)`` row of a :class:`CertifiedStack`, not wrapped."""
     for block in _blocks(trials):
         built = _block_trials(block, derive)
         while chunk := list(islice(built, CHUNK_TRIALS)):
@@ -397,17 +419,16 @@ def _block_trials(block: list, derive):
     if derive is not None:
         _add_derived(block, rows, derive)
     for (key, _, draws), r in zip(block, rows):
-        densities = tuple(_density_at(*row) for row in r)
         if draws is None:
-            yield key, densities
+            yield key, tuple(r)
         else:
-            yield key, densities, tuple(g[j] for (g,), j in islice(drawn, len(draws)))
+            yield key, tuple(r), tuple(g[j] for (g,), j in islice(drawn, len(draws)))
 
 
 def _add_derived(block: list, rows: list, derive) -> None:
     """Extend each trial's rows with those of its derived densities (the raw
     matrices are freed on return, before the block's trials run)."""
-    pairs = derive([key for key, *_ in block], [[s[0][j] for s, j in r] for r in rows])
+    pairs = derive([key for key, *_ in block], [[s.mats[j] for s, j in r] for r in rows])
     flat = [pair for trial in pairs for pair in trial]
     stacks = iter(_certified_stacks([m for m, _ in flat], [t for _, t in flat]))
     for r, trial in zip(rows, pairs):
@@ -464,9 +485,8 @@ def _gauss_stacks(draws) -> list[tuple[tuple, int]]:
     return stacked([(int(r), int(c)) for r, c, _ in draws], build, lambda rc: rc[0] * rc[1])
 
 
-def _random_stacks(specs) -> list[tuple[tuple, int]]:
-    """Per ``(dim, rank, seed)`` spec, ``(stack, j)`` with ``stack = (mats,
-    eigenvalues, eigenvectors)`` of its density and certified decomposition."""
+def _random_stacks(specs) -> list[tuple[CertifiedStack, int]]:
+    """Per ``(dim, rank, seed)`` spec, the ``(stack, j)`` row of its density."""
     for dim, rank, _ in specs:
         if not 1 <= rank <= dim:
             raise RankError(f"rank must be in [1, {dim}], got {rank}")
@@ -479,15 +499,6 @@ def _random_stacks(specs) -> list[tuple[tuple, int]]:
 
     keys = [(int(dim), int(rank)) for dim, rank, _ in specs]
     return stacked(keys, build, lambda shape: shape[0] ** 2)
-
-
-def _density_at(stack: tuple, j: int) -> DensityMatrix:
-    """Density ``j`` of a certified stack, ``eig`` seeded from its read-only arrays."""
-    mats, vals, vecs, memo = stack
-    rho = DensityMatrix(mats[j])
-    rho.__dict__["eig"] = linalg.EigDecomposition(vals[j], vecs[j])
-    rho.__dict__["_row"] = (vals, j, memo)
-    return rho
 
 
 def random_pure(dim_h: int, dim_k: int, seed: int) -> BipartitePureState:

@@ -3,7 +3,8 @@
 A check runs a seeded sweep and reports the worst slack seen together
 with the number of violations of its tolerance. Slack conventions:
 inequality checks report rhs - lhs (so negative means violated);
-agreement checks report tol - |difference|.
+agreement checks report tol - |difference| and pass only at
+|difference| <= tol.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .info import (
     classical_mutual_information,
     conditional_entropies,
     holevo_informations,
-    make_ensemble,
     measured_mutual_infos,
     shannon_entropy,
     uniform_cube_ensemble,
@@ -34,7 +34,6 @@ from .states import (
     canonical_purifications,
     make_pures,
     mixture_matrix,
-    pure_densities,
     random_densities_by_trial,
     random_density_chunks,
     unitaries_from_gauss,
@@ -100,6 +99,11 @@ class _Tally:
         passed = ok and slack >= -self.tol
         self.violations += not passed
         return passed
+
+    def agree(self, error: float, seed: int | None = None) -> bool:
+        """Record slack tol - |error|, passing only if |error| <= tol (NaN fails)."""
+        error = abs(float(error))
+        return self.add(self.tol - error, seed, ok=error <= self.tol)
 
     def result(self) -> CheckResult:
         # A check that ran no trial certified nothing: it must not read PASS.
@@ -168,20 +172,22 @@ def _metrics_chunk(chunk, fvg_lower, fvg_upper, tight, pure_agree, tensor_mult) 
         lo, up = metrics.fidelity_distance_bounds(f, dist)
         fvg_lower.add(lo)
         fvg_upper.add(up)
-        tight.add(tight.tol - abs(achieved - dist))
+        tight.agree(achieved - dist)
 
     gauss = [(len(g), 1, g) for *_, draws in chunk for g in draws[:2]]
     pures = [phi.vec for phi in make_pures(gauss, rescale=True)]
-    rhos = pure_densities(pures)
-    dens_dists = metrics.trace_distances(zip(rhos[::2], rhos[1::2]))
-    for v1, v2, dist in zip(pures[::2], pures[1::2], dens_dists):
-        pure_agree.add(pure_agree.tol - abs(metrics.pure_trace_distance(v1, v2) - dist))
+    # the trace distances of the pure densities |v><v|, from their differences
+    outers = [np.outer(v, np.conj(v)) for v in pures]
+    diffs = [a - b for a, b in zip(outers[::2], outers[1::2])]
+    for v1, v2, dist in zip(pures[::2], pures[1::2], metrics.trace_norms(diffs, hermitian=True)):
+        pure_agree.agree(metrics.pure_trace_distance(v1, v2) - dist)
 
-    factors = [draws[2:] for *_, draws in chunk]
-    norms = iter(metrics.trace_norms([m for a, b in factors for m in (np.kron(a, b), a, b)]))
-    for lhs, na, nb in zip(norms, norms, norms):
-        rhs = na * nb
-        tensor_mult.add(tensor_mult.tol - abs(lhs - rhs) / max(rhs, 1.0))
+    # each trial's Kronecker product a (x) b, all of the chunk's in one product
+    a, b = (np.array([draws[k] for *_, draws in chunk]) for k in (2, 3))
+    kron = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), 6, 6)
+    lhs, rhs = metrics.trace_norm(kron), metrics.trace_norm(a) * metrics.trace_norm(b)
+    for error in (lhs - rhs) / np.maximum(rhs, 1.0):
+        tensor_mult.agree(error)
 
 
 # ---------------------------------------------------------------------------
@@ -242,27 +248,26 @@ def _info_derived(keys, mats_by_trial) -> list[list[tuple[np.ndarray, float]]]:
 
 
 def _info_chunk(chunk, holevo, block, mono, concave, subadd) -> None:
-    """Tally a chunk of info trials, a run of one shape at a time from stacked
-    entropy rows; each sum over a trial's states runs left to right."""
+    """Tally a chunk of info trials, a run of one shape at a time from the
+    stacks' entropy rows; each sum over a trial's states runs left to right."""
     for run in _runs(chunk):
         keys, dens, draws = zip(*run)
         priors, p, _, ws = (np.array(x) for x in zip(*keys))
         n, k = priors.shape[1], p.shape[1]
-        ent = np.array([[rho.entropy for rho in d] for d in dens])
+        ent = np.array([[s.entropies[j] for s, j in d] for d in dens])
         # after the n + k states: yz 0-3, parts 4-6, rho_ab 7, the block matrix 8,
         # the traced yz 9-12, the four averages 13-16, rho_a 17 and rho_b 18
         tail = ent[:, n + k :].T
         quarter = np.full((len(run), 4), 0.25)
-        labels, avg = list(map(str, range(n))), n + k + 13  # the ensemble's average
-        ensembles = [make_ensemble(labels, w, d[:n], average=d[avg]) for w, d in zip(priors, dens)]
-        us = unitaries_from_gauss([z for (z,) in draws])
-        # the projectors onto each unitary's columns, measured in stacked calls
-        projs = [u.T[:, :, None] * np.conj(u.T)[:, None, :] for u in us]
-        mis = measured_mutual_infos(zip(ensembles, projs))
+        # the ensemble's states, measured onto the columns of each trial's unitary
+        mats = np.array([[s.mats[j] for s, j in d[:n]] for d in dens])
+        u = np.swapaxes(unitaries_from_gauss([z for (z,) in draws]), -1, -2)
+        mis = measured_mutual_infos(priors, mats, u[..., :, None] * np.conj(u)[..., None, :])
         block_rhs = shannon_entropy(p) + conditional_entropies(p, ent[:, n : n + k])
         full = holevo_informations(quarter, tail[:4].T, tail[14])
+        for error in tail[8] - block_rhs:
+            block.agree(error)
         for tally, slacks in (
-            (block, block.tol - np.abs(tail[8] - block_rhs)),
             (mono, full - holevo_informations(quarter, tail[9:13].T, tail[15])),
             (concave, tail[16] - conditional_entropies(ws, tail[4:7].T)),
             (subadd, tail[17] + tail[18] - tail[7]),
@@ -288,8 +293,8 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
         i_x_y = classical_mutual_information(joints.sum(axis=3))
         i_xy_z = classical_mutual_information(joints.reshape(-1, 4, 2))
         i_y_z = classical_mutual_information(joints.sum(axis=1))
-        for slack in chain.tol - np.abs(i_x_yz - (i_x_y + i_xy_z - i_y_z)):
-            chain.add(slack)
+        for error in i_x_yz - (i_x_y + i_xy_z - i_y_z):
+            chain.agree(error)
 
     gap = _Tally("binary_entropy_gap", _tol(cfg, 1e-12))
     deltas = [k / 1000.0 for k in range(501)]
@@ -408,9 +413,9 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
             yield from zip(t.tolist(), zip(specs[::2], specs[1::2]))
 
     for chunk in random_density_chunks(pair_trials()):
-        aligned = transition.aligned_trials(chunk, lambda t, rho: rho.dim + t % (7 - rho.dim))
+        aligned = transition.aligned_trials(chunk, lambda t, dim: dim + t % (7 - dim))
         for _, res, dist, f in aligned:
-            agree.add(agree.tol - abs(res.achieved_overlap_sq - f))
+            agree.agree(res.achieved_overlap_sq - f)
             bound.add(res.bound - res.pure_distance)
             chain.add(dist - (1.0 - f))
 
@@ -429,7 +434,7 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
         phis = canonical_purifications([rho for _, (rho,), _ in chunk], map(len, zs))
         pairs = zip(phis, transition.apply_k_unitaries(zip(phis, unitaries_from_gauss(zs))))
         for _, residual in transition.exact_local_transitions(pairs):
-            exact.add(exact.tol - residual)
+            exact.agree(residual)
 
     # The alignment bound on canonical purifications of rank-varied pairs on
     # H = C^3 into K = C^4; a trial that breaks the chain 1 - F <= T or the
@@ -440,7 +445,7 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
     seeds = ([derive_seed(sweep_seed, t, i) for i in (0, 1)] for t in range(max(trials // 5, 50)))
     specs = ((pair[0], [(3, 1 + mix64(s) % 3, s) for s in pair]) for pair in seeds)
     for chunk in random_density_chunks(specs):
-        for s1, res, dist, f in transition.aligned_trials(chunk, lambda key, rho: 4):
+        for s1, res, dist, f in transition.aligned_trials(chunk, lambda key, dim: 4):
             sweep.add(res.bound - res.pure_distance, s1, ok=sweep_chain.add(dist - (1.0 - f)))
     sweep.details["min_chain_slack"] = float(sweep_chain.min_slack)
     return [agree.result(), bound.result(), chain.result(), exact.result(), sweep.result()]
@@ -457,8 +462,8 @@ def rac_suite(cfg: SuiteConfig) -> list[CheckResult]:
     report2 = rac.rac_lower_bound_check(spec2, 2)
     protocol_success = 1.0 - report2.eps
     found = _Tally("rac_n2_success", _tol(cfg, 1e-3))
-    found.add(found.tol - abs(protocol_success - success_target))
-    found.add(found.tol - abs(oracle_success - success_target))
+    found.agree(protocol_success - success_target)
+    found.agree(oracle_success - success_target)
     found.details = {
         "oracle_success": float(oracle_success),
         "protocol_success": float(protocol_success),
@@ -491,8 +496,8 @@ def rac_suite(cfg: SuiteConfig) -> list[CheckResult]:
     copy_spec = rac.classical_copy_protocol(cfg.n)
     copy_rep = rac.rac_lower_bound_check(copy_spec, cfg.n)
     equality = _Tally("classical_copy_equality", _tol(cfg, 1e-9))
-    equality.add(equality.tol - abs(copy_rep.slack))
-    equality.add(equality.tol - copy_rep.eps)
+    equality.agree(copy_rep.slack)
+    equality.agree(copy_rep.eps)
     equality.details = {"eps": float(copy_rep.eps), "m": copy_rep.m, "n": cfg.n}
     out.append(equality.result())
     return out
@@ -515,10 +520,10 @@ def reduction_suite(cfg: SuiteConfig) -> list[CheckResult]:
     residual = _Tally("transition_residual", _tol(cfg, 1e-8))
     for style in _PIPELINE_STYLES:
         for rep in reduction.run_pipeline(style):
-            independence.add(independence.tol - rep.first.mu_j_prime)
+            independence.agree(rep.first.mu_j_prime)
             align_bound.add(rep.first.alignment_bound_slack)
             info_bound.add(rep.info_bound_slack)
-            sim_equiv.add(sim_equiv.tol - rep.drop.max_outcome_tv)
+            sim_equiv.agree(rep.drop.max_outcome_tv)
             rounds.add(
                 0.0
                 if rep.drop.rounds_after == rep.drop.rounds_before - 1
@@ -528,10 +533,8 @@ def reduction_suite(cfg: SuiteConfig) -> list[CheckResult]:
             info_budget.add(rep.ell1 - sum(rep.mus))
             info_budget.add(rep.joint_info - sum(rep.mus))
             info_budget.add(rep.ell1 - rep.joint_info)
-            sup_cls.add(
-                sup_cls.tol - abs(rep.first.eps_j - rep.classical_error)
-            )
-            residual.add(residual.tol - rep.drop.max_transition_residual)
+            sup_cls.agree(rep.first.eps_j - rep.classical_error)
+            residual.agree(rep.drop.max_transition_residual)
     return [
         t.result()
         for t in (

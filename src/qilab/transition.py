@@ -18,9 +18,9 @@ from .errors import ReductionError, SizeError
 from .linalg import dagger
 from .states import (
     BipartitePureState,
+    _certified_stacks,
     canonical_purifications,
     distance_up_to_phase,
-    make_densities,
     make_pures,
     stacked,
 )
@@ -72,8 +72,8 @@ def uhlmann_aligns(pairs) -> list[TransitionResult]:
     phase is fixed so the achieved overlap is real and non-negative.
 
     Pairs of one shape share one certified stacked SVD, whose errors name
-    the pair's index; all reduced states (2i, 2i + 1 for pair i) go to one
-    ``make_densities`` call.
+    the pair's index; all reduced states (2i, 2i + 1 for pair i) are
+    certified in one call, as ``make_densities`` certifies them.
     """
     coeffs = [(phi1.coefficient_matrix(), phi2.coefficient_matrix()) for phi1, phi2 in pairs]
     for i, (a1, a2) in enumerate(coeffs):
@@ -93,7 +93,7 @@ def uhlmann_aligns(pairs) -> list[TransitionResult]:
         return u, overlap, a1 @ dagger(a1), a2 @ dagger(a2)
 
     aligned = stacked([a.shape for a, _ in coeffs], build, np.prod)
-    reduced = make_densities([g[j] for (_, _, *grams), j in aligned for g in grams], tol=1e-8)
+    reduced = _certified_stacks([g[j] for (_, _, *grams), j in aligned for g in grams], tol=1e-8)
     ts = metrics.trace_distances(zip(reduced[::2], reduced[1::2]))
     out = []
     for ((u, overlap, *_), j), t in zip(aligned, ts):
@@ -140,12 +140,13 @@ def exact_local_transition(phi1: BipartitePureState, phi2: BipartitePureState) -
 
 
 def aligned_trials(chunk, dim_k) -> list[tuple]:
-    """Per trial ``(key, (rho1, rho2))`` of ``chunk``: ``(key, alignment,
-    trace distance, fidelity)``, the alignment of the states' canonical
-    purifications into ``dim_k(key, rho1)`` and the pair's distance and
-    fidelity, each kind in stacked calls. The result holds no state."""
+    """Per trial ``(key, (rho1, rho2))`` of ``chunk``, each density a ``(stack,
+    j)`` row: ``(key, alignment, trace distance, fidelity)``, the alignment of
+    the states' canonical purifications into ``dim_k(key, dim)`` and the
+    pair's distance and fidelity, each kind in stacked calls. The result
+    holds no state."""
     pairs = [dens for _, dens in chunk]
-    dim_ks = [dim_k(key, r1) for key, (r1, _) in chunk]
+    dim_ks = [dim_k(key, s.mats.shape[-1]) for key, ((s, _), _) in chunk]
     purified = canonical_purifications([r for pair in pairs for r in pair], np.repeat(dim_ks, 2))
     aligned = uhlmann_aligns(zip(purified[::2], purified[1::2]))
     keys = [key for key, _ in chunk]

@@ -158,22 +158,31 @@ def test_enumerate_pairings_count():
     assert sum(1 for _ in enc.enumerate_pairings(4)) == 3
 
 
-def test_prefix_ensemble_cases():
+def test_prefix_mixture_cases():
     e = cube(108, 2, 3)
-    full = enc.prefix_ensemble(e, "")
-    assert np.allclose(full.mat, e.average_state.mat, atol=1e-12)
-    assert np.allclose(enc.prefix_ensemble(e, "01").mat, e.states[1].mat)
+    # prefixes "0", "1", "" and then "00", "01", "0", "10", "11", "1"
+    zero, _, full, _, zero_one, *_ = enc.prefix_mixtures(e.mats, 2)
+    assert np.allclose(full, e.average_state.mat, atol=1e-12)
+    assert np.allclose(zero_one, e.states[1].mat)
     # oracle: direct two-term mixture
     direct = (e.states[0].mat + e.states[1].mat) / 2
-    assert np.allclose(enc.prefix_ensemble(e, "0").mat, direct, atol=1e-12)
+    assert np.allclose(zero, direct, atol=1e-12)
 
 
-def test_prefix_ensemble_validation():
-    e = cube(109, 2, 2)
+def test_prefix_information_validation():
+    rho = states.random_density(2, 2, 109)
     with pytest.raises(ValueError):
-        enc.prefix_ensemble(e, "012")
+        enc.prefix_information(info.make_ensemble(["a", "b"], [0.5, 0.5], [rho, rho]))
     with pytest.raises(ValueError):
-        enc.prefix_ensemble(e, "x")
+        enc.prefix_information(info.make_ensemble(["0", "1"], [0.6, 0.4], [rho, rho]))
+
+
+def _prefix_density(e, m, prefix):
+    # the uniform mixture of the states whose label extends the prefix: the
+    # run of 2^(m - len(prefix)) consecutive states it reads as a number
+    span, k = 2 ** (m - len(prefix)), int(prefix or "0", 2)
+    runs = list(e.mats[k * span : (k + 1) * span])
+    return states.make_density(states.mixture_matrix(np.full(span, 1.0 / span), runs))
 
 
 def _per_prefix_information(e, m):
@@ -184,7 +193,7 @@ def _per_prefix_information(e, m):
                 info.make_ensemble(
                     ["0", "1"],
                     [0.5, 0.5],
-                    [enc.prefix_ensemble(e, y + "0"), enc.prefix_ensemble(e, y + "1")],
+                    [_prefix_density(e, m, y + "0"), _prefix_density(e, m, y + "1")],
                 )
             )
             for y in (format(k, f"0{i}b") if i else "" for k in range(2**i))
@@ -222,10 +231,17 @@ def test_encoding_suite_seeds_the_average_and_table_bitwise():
             assert len(dens) == 2**m + 1
 
 
+def _decomposition(e):
+    # the prefix-wise information sum, as the encoding suite forms it, and
+    # the whole ensemble's information
+    lhs = sum(float(np.mean(row)) for row in enc.prefix_information(e))
+    return lhs, info.holevo_information(e)
+
+
 def test_info_decomposition_identical():
     rho = states.random_density(2, 1, 110)
     e = info.uniform_cube_ensemble([rho] * 4)
-    lhs, rhs = enc.info_decomposition_check(e)
+    lhs, rhs = _decomposition(e)
     assert lhs == pytest.approx(0.0, abs=1e-10)
     assert rhs == pytest.approx(0.0, abs=1e-10)
 
@@ -236,7 +252,7 @@ def test_info_decomposition_orthogonal_two_bits():
     for i in range(4):
         basis[i][i] = 1.0
     e = info.uniform_cube_ensemble([states.pure_density(b) for b in basis])
-    lhs, rhs = enc.info_decomposition_check(e)
+    lhs, rhs = _decomposition(e)
     assert lhs == pytest.approx(2.0, abs=1e-9)
     assert rhs == pytest.approx(2.0, abs=1e-9)
 
@@ -245,7 +261,7 @@ def test_info_decomposition_sweep():
     for t in range(30):
         m = 1 + t % 4
         e = cube(derive_seed(111, t), m, 2 + t % 3)
-        lhs, rhs = enc.info_decomposition_check(e)
+        lhs, rhs = _decomposition(e)
         assert lhs <= rhs + 1e-9
 
 

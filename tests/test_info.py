@@ -432,8 +432,8 @@ def _old_info_checks(seed, trials):
         if len(gauss) == 64 or t == trials:
             us = states.unitaries_from_gauss(gauss)
             projs = [u.T[:, :, None] * np.conj(u.T)[:, None, :] for u in us]
-            for e, mi in zip(ensembles, info.measured_mutual_infos(zip(ensembles, projs))):
-                holevo.add(info.holevo_information(e) - mi)
+            for e, proj in zip(ensembles, projs):
+                holevo.add(info.holevo_information(e) - info.measured_mutual_info(e, proj))
             ensembles.clear()
             gauss.clear()
     joints = np.array(joints)

@@ -160,7 +160,9 @@ def test_optimal_measurements_match_the_old_projectors_bitwise():
 
 def test_optimal_measurements_name_the_failing_pair():
     rho = states.random_density(2, 2, 159)
-    skew = states.DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=np.complex128))
+    # a stack that skipped certification, so the kernel's own check must catch it
+    mats = np.array([[[0.5, 1.0], [0.0, 0.5]]], dtype=np.complex128)
+    skew = states.DensityMatrix(states.CertifiedStack(mats, None, None, None), 0)
     with pytest.raises(HermiticityError, match="^matrix 1 is not Hermitian"):
         metrics.optimal_measurements([(rho, rho), (skew, rho)])
 
@@ -188,9 +190,16 @@ def _ensembles_and_measurements():
 
 def test_measured_mutual_infos_match_the_old_product_bitwise():
     items = _ensembles_and_measurements()
-    for i, ((e, meas), got) in enumerate(zip(items, info.measured_mutual_infos(items))):
-        want = _old_measured_mutual_info(e, meas)
-        assert got == want and info.measured_mutual_info(e, meas) == want, f"item {i}"
+    stacks = {}  # the items of one (states, projectors) shape, stacked
+    for i, (e, meas) in enumerate(items):
+        projs = np.asarray(list(meas), dtype=np.complex128)
+        stacks.setdefault((e.mats.shape, projs.shape), []).append((i, e, projs))
+    for stack in stacks.values():
+        index, es, projs = zip(*stack)
+        got = info.measured_mutual_infos([e.priors for e in es], [e.mats for e in es], projs)
+        for i, e, mi in zip(index, es, got):
+            want = _old_measured_mutual_info(e, items[i][1])
+            assert mi == want and info.measured_mutual_info(e, items[i][1]) == want, f"item {i}"
 
 
 def test_measured_mutual_infos_name_the_failing_item():
@@ -203,7 +212,7 @@ def test_measured_mutual_infos_name_the_failing_item():
         ([good[0], np.full((2, 2), np.nan)], "non-finite|not Hermitian"),
     ):
         with pytest.raises(ValueError, match=rf"^matrix \(?2\b.*({what})"):
-            info.measured_mutual_infos([(e, good), (e, good[::-1]), (e, bad)])
+            info.measured_mutual_infos([e.priors] * 3, [e.mats] * 3, [good, good[::-1], bad])
 
 
 def _random_mats(dim, count, seed):

@@ -26,6 +26,11 @@ under a ceiling.
 The exact-transition checks read the residuals that
 ``transition.exact_local_transitions`` measures and do not apply its
 unitaries again.
+
+The sweep suites read their densities as ``(stack, j)`` rows of certified
+stacks and build no ``DensityMatrix`` view (a seed-1 pass built 2,000, 12,249
+and 5,400 of them through per-density wrappers); each stacked read is bit
+for bit the one-item view's.
 """
 
 import sys
@@ -34,7 +39,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qilab import linalg, rng, states, suites, transition
+from qilab import info, linalg, rng, states, suites, transition
 from qilab.suites import SuiteConfig, run_suite
 
 # hermitian_eig calls per seed-1 suite, each one stacked call per chunk and
@@ -50,6 +55,8 @@ SEED_BUDGET = {"metrics": (0, 0), "info": (0, 0), "transition": (401, 0), "encod
 # apply_k_unitaries calls per seed-1 suite: 4 scrambles and 4 alignments in
 # the transition suite's exact chunks, one alignment per drop_first_message
 APPLY_BUDGET = {"transition": 8, "reduction": 8}
+# DensityMatrix views built per seed-1 suite
+VIEW_BUDGET = {"metrics": 0, "info": 0, "transition": 0}
 
 
 @pytest.fixture
@@ -180,3 +187,44 @@ def test_sweep_suites_draw_their_seeds_as_arrays(monkeypatch, suite):
     assert seed_calls <= SEED_BUDGET[suite][0] and streams <= SEED_BUDGET[suite][1]
     suites.derive_seed(1, 2), rng.Stream(1)  # the counters see a single call
     assert (calls["derive_seed"], calls["Stream"]) == (seed_calls + 1, streams + 1)
+
+
+@pytest.mark.parametrize("suite", sorted(VIEW_BUDGET))
+def test_sweep_suites_build_no_density_view(monkeypatch, suite):
+    built = []
+    new = states.DensityMatrix.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(states.DensityMatrix, "__new__", counting)
+    run_suite(suite, SuiteConfig(seed=1))
+    assert len(built) <= VIEW_BUDGET[suite]
+    states.random_density(2, 1, 1)  # the counter sees a one-item build
+    assert len(built) == VIEW_BUDGET[suite] + 1
+
+
+def test_stacked_reads_are_their_one_item_views_bitwise():
+    # the info suite's rows, random and derived (ranks mixed, d up to 16 with
+    # the block matrices, so entropies with dropped eigenvalues at d >= 8)
+    chunks = states.random_density_chunks(suites._info_trials(5, 60), suites._info_derived)
+    for chunk in chunks:
+        measured = {}  # per ensemble size: its trials' ensembles and projectors
+        for (priors, *_), rows, (z,) in chunk:
+            for stack, j in rows:
+                view = states.DensityMatrix(stack, j)
+                alone = states.make_density(stack.mats[j], 1e-8)  # a stack of one
+                for rho in (view, alone):
+                    assert stack.entropies[j] == info.von_neumann_entropy(rho) == rho.entropy
+                    assert stack.eigenvalues[j].tobytes() == rho.eig.eigenvalues.tobytes()
+                    assert stack.eigenvectors[j].tobytes() == rho.eig.eigenvectors.tobytes()
+                    assert stack.mats[j].tobytes() == rho.mat.tobytes()
+            n = len(priors)
+            e = info.make_ensemble(map(str, range(n)), priors, [states.DensityMatrix(*r) for r in rows[:n]])
+            u = states.unitary_from_gauss(z)
+            measured.setdefault(n, []).append((e, [np.outer(u[:, c], np.conj(u[:, c])) for c in range(n)]))
+        for items in measured.values():
+            es, projs = zip(*items)
+            stacked = info.measured_mutual_infos([e.priors for e in es], [e.mats for e in es], projs)
+            assert stacked.tolist() == [info.measured_mutual_info(e, p) for e, p in items]

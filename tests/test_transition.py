@@ -181,6 +181,30 @@ def test_first_nan_slack_stays_the_minimum_with_its_seed():
     assert check.details["worst_instance_seed"] == 1
 
 
+def test_an_agreement_passes_only_within_its_tolerance():
+    # slack tol - |error|, judged at >= 0: an error between tol and 2 tol fails
+    tally = suites._Tally("x", 1e-8)
+    errors = (0.0, -1e-8, 1e-8, 1.5e-8, -1.9e-8, np.nan)
+    assert [tally.agree(e, seed) for seed, e in enumerate(errors)] == [True] * 3 + [False] * 3
+    check = tally.result()
+    assert check.violations == 3 and np.isnan(check.min_slack)
+    assert check.details["worst_instance_seed"] == 5
+    tally = suites._Tally("y", 1e-8)
+    tally.agree(-1.5e-8)
+    assert tally.result().min_slack == 1e-8 - 1.5e-8
+
+
+def test_a_fidelity_off_by_less_than_twice_the_tolerance_is_a_violation(monkeypatch):
+    # every fidelity x (1 - 1.9e-8) moves overlap_matches_fidelity by up to
+    # 1.9e-8, within 2 tol but not within its tol of 1e-8
+    real = metrics.fidelities
+    monkeypatch.setattr(metrics, "fidelities", lambda pairs: [f * (1 - 1.9e-8) for f in real(pairs)])
+    checks = {c.name: c for c in suites.run_suite("transition", suites.SuiteConfig(trials=100))}
+    agree = checks["overlap_matches_fidelity"]
+    assert agree.details["tolerance"] == 1e-8
+    assert agree.violations > 0 and -1e-8 < agree.min_slack < 0.0
+
+
 def test_a_sweep_trial_breaking_the_chain_the_bound_or_both_is_one_violation(monkeypatch):
     # trial 0 breaks the bound by 1, trial 1 the chain 1 - F <= T, trial 2 both
     sweep_seed = derive_seed(1, 42)
