@@ -36,7 +36,6 @@ from .info import (
     binary_entropy,
     holevo_information,
     holevo_informations,
-    von_neumann_entropy,
 )
 from .metrics import trace_distance, trace_norm  # noqa: F401 (perfbench rebinds trace_distance here)
 from .rng import Stream
@@ -185,11 +184,13 @@ def prefix_mixtures(mats, m: int) -> list[np.ndarray]:
     return out
 
 
-def prefix_table(densities, m: int) -> list[list[float]]:
-    """:func:`prefix_information`'s table from the certified
-    ``prefix_mixtures(mats, m)``: each triple's bit information, all from one
-    :func:`~qilab.info.holevo_informations` over the triples' entropies."""
-    ent = np.array([von_neumann_entropy(rho) for rho in densities]).reshape(-1, 3)
+def prefix_table(entropies, m: int) -> list[list[float]]:
+    """:func:`prefix_information`'s table from the entropies of the certified
+    ``prefix_mixtures(mats, m)``, 3(2^m - 1) of them: each triple's bit
+    information, all from one :func:`~qilab.info.holevo_informations`."""
+    if np.shape(entropies) != (3 * (2**m - 1),):
+        raise SizeError(f"need 3(2^m - 1) entropies at m = {m}, got shape {np.shape(entropies)}")
+    ent = np.reshape(entropies, (-1, 3))
     infos = holevo_informations(np.full((len(ent), 2), 0.5), ent[:, :2], ent[:, 2]).tolist()
     return [infos[2**i - 1 : 2 ** (i + 1) - 1] for i in range(m)]
 
@@ -198,4 +199,4 @@ def prefix_information(e: CQEnsemble) -> list[list[float]]:
     """The information of each bit given each prefix: row i lists, for the
     i-bit prefixes y in binary order, that of the bit after y."""
     m = _cube_m(e)
-    return prefix_table(make_densities(prefix_mixtures(e.mats, m)), m)
+    return prefix_table([rho.entropy for rho in make_densities(prefix_mixtures(e.mats, m))], m)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NormalizationError, SizeError
-from .states import DensityMatrix, _frozen, entropy_rows, make_densities, mixture
+from .states import CertifiedStack, DensityMatrix, _frozen, entropy_rows, make_densities, mixture
 
 
 def _within(x, lo: float, hi: float, message: str) -> np.ndarray:
@@ -89,13 +89,20 @@ class CQEnsemble:
         return mixture(self.priors, self.states)
 
 
+def _view(row, name: str) -> DensityMatrix:
+    """A ``(CertifiedStack, j)`` row (a view is one) as its view; TypeError names any other item."""
+    if not (isinstance(row, tuple) and len(row) == 2 and isinstance(row[0], CertifiedStack)):
+        raise TypeError(f"{name} is a {type(row).__name__}, not a (CertifiedStack, j) row")
+    return DensityMatrix(*row)
+
+
 def make_ensemble(labels, priors, states, average=None) -> CQEnsemble:
-    """A validated ensemble. ``average``, if given, seeds ``average_state``;
-    it must be ``mixture(priors, states)`` certified, as
-    :func:`~qilab.states.make_densities` certifies it."""
+    """A validated ensemble of ``(CertifiedStack, j)`` rows, held as views.
+    ``average``, a row, seeds ``average_state``; it must be ``mixture(priors,
+    states)`` certified, as :func:`~qilab.states.make_densities` certifies it."""
     labels = tuple(str(x) for x in labels)
     priors = np.asarray(priors, dtype=np.float64)
-    states = tuple(states)
+    states = tuple(_view(row, f"state {i}") for i, row in enumerate(states))
     if not (len(labels) == len(priors) == len(states)):
         raise SizeError("labels, priors and states must have equal length")
     if len(set(labels)) != len(labels):
@@ -106,12 +113,12 @@ def make_ensemble(labels, priors, states, average=None) -> CQEnsemble:
         raise SizeError("all encoded states must share one dimension")
     e = CQEnsemble(labels, _frozen(priors), states)
     if average is not None:
-        e.__dict__["average_state"] = average
+        e.__dict__["average_state"] = _view(average, "average")
     return e
 
 
 def uniform_cube_ensemble(states, average=None) -> CQEnsemble:
-    """Uniform ensemble labeled by all m-bit strings; ``average`` as for make_ensemble."""
+    """Uniform ensemble labeled by all m-bit strings; rows and ``average`` as for make_ensemble."""
     n = len(states)
     return make_ensemble(_cube_labels(n)[1], np.full(n, 1.0 / n), states, average)
 

@@ -374,35 +374,27 @@ def random_densities(specs) -> list[DensityMatrix]:
     return [DensityMatrix(*row) for row in _random_stacks(specs)]
 
 
-def random_densities_by_trial(trials, derive=None):
-    """For each ``(key, specs)`` in ``trials``, yield ``(key, densities)``:
-    the random densities of its ``(dim, rank, seed)`` specs, in order, as
-    :class:`DensityMatrix` views. A trial ``(key, specs, draws)`` yields
-    ``(key, densities, gaussians)``, with ``Stream(seed).complex_gauss_matrix(rows,
-    cols)``, bit for bit and read-only, for each ``(rows, cols, seed)`` of ``draws``.
+def random_density_chunks(trials, derive=None):
+    """For each trial ``(key, specs)`` or ``(key, specs, draws)`` of
+    ``trials``, ``(key, rows, gaussians)``, in lists of at most
+    :data:`CHUNK_TRIALS`. ``rows`` holds the ``(stack, j)`` row of a
+    :class:`CertifiedStack` of each ``(dim, rank, seed)`` spec's random
+    density, in order, as :func:`random_densities` builds it; ``gaussians``
+    holds ``Stream(seed).complex_gauss_matrix(rows, cols)``, bit for bit and
+    read-only, for each ``(rows, cols, seed)`` of ``draws`` (none without).
 
     Trials are read lazily and built together in blocks of at most
     :data:`BLOCK_ENTRIES` matrix entries, densities and draws alike (a
-    larger trial is a block of its own): its densities as
-    :func:`random_densities` builds them, and one
-    :func:`~qilab.rng.complex_gauss_stack` per draw shape.
+    larger trial is a block of its own), with one
+    :func:`~qilab.rng.complex_gauss_stack` per draw shape. Each list is
+    emptied when the next is asked for: a spent block is freed before the
+    next is built.
 
     With ``derive``, ``derive(keys, mats_by_trial)`` maps a block's trial
     keys and each trial's density matrices to one list of ``(matrix, tol)``
-    pairs per trial, and each trial's densities go on with those matrices
-    made densities, as :func:`make_densities` makes them for the whole
-    block. Densities are wrapped only as their trial is yielded.
+    pairs per trial, and each trial's rows go on with those matrices made
+    densities, as :func:`make_densities` makes them for the whole block.
     """
-    for block in _blocks(trials):
-        for key, rows, *draws in _block_trials(block, derive):
-            yield key, tuple(DensityMatrix(*row) for row in rows), *draws
-
-
-def random_density_chunks(trials, derive=None):
-    """:func:`random_densities_by_trial`'s trials in lists of at most
-    :data:`CHUNK_TRIALS` from one block, each emptied when the next is asked
-    for: a spent block is freed before the next is built. Each density is
-    its ``(stack, j)`` row of a :class:`CertifiedStack`, not wrapped."""
     for block in _blocks(trials):
         built = _block_trials(block, derive)
         while chunk := list(islice(built, CHUNK_TRIALS)):
@@ -413,16 +405,13 @@ def random_density_chunks(trials, derive=None):
 def _block_trials(block: list, derive):
     # a generator of its own, so that a spent block's arrays are freed
     # before the next block is built
-    drawn = iter(_gauss_stacks([draw for *_, draws in block for draw in draws or ()]))
+    drawn = iter(_gauss_stacks([draw for *_, draws in block for draw in draws]))
     stacks = iter(_random_stacks([spec for _, specs, _ in block for spec in specs]))
     rows = [list(islice(stacks, len(specs))) for _, specs, _ in block]
     if derive is not None:
         _add_derived(block, rows, derive)
     for (key, _, draws), r in zip(block, rows):
-        if draws is None:
-            yield key, tuple(r)
-        else:
-            yield key, tuple(r), tuple(g[j] for (g,), j in islice(drawn, len(draws)))
+        yield key, tuple(r), tuple(g[j] for (g,), j in islice(drawn, len(draws)))
 
 
 def _add_derived(block: list, rows: list, derive) -> None:
@@ -436,15 +425,15 @@ def _add_derived(block: list, rows: list, derive) -> None:
 
 
 def _blocks(trials):
-    """Consecutive trials as ``(key, specs, draws or None)``, in lists of at
-    most :data:`BLOCK_ENTRIES` matrix entries (a larger trial is a list of
-    its own); trials are read only as a list is filled."""
+    """Consecutive trials as ``(key, specs, draws)``, in lists of at most
+    :data:`BLOCK_ENTRIES` matrix entries (a larger trial is a list of its
+    own); trials are read only as a list is filled."""
     block: list[tuple] = []
     size = 0
     for key, specs, *draws in trials:
         specs = tuple(specs)
-        draws = tuple(draws[0]) if draws else None
-        n = sum(dim * dim for dim, _, _ in specs) + sum(r * c for r, c, _ in draws or ())
+        draws = tuple(draws[0]) if draws else ()
+        n = sum(dim * dim for dim, _, _ in specs) + sum(r * c for r, c, _ in draws)
         if block and size + n > BLOCK_ENTRIES:
             yield block
             block, size = [], 0

@@ -34,7 +34,6 @@ from .states import (
     canonical_purifications,
     make_pures,
     mixture_matrix,
-    random_densities_by_trial,
     random_density_chunks,
     unitaries_from_gauss,
 )
@@ -358,27 +357,28 @@ def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
     cubes = _cube_trials(
         (1 + t % cfg.m, _dim_cycle(cfg, t), derive_seed(cfg.seed, 30, t)) for t in range(trials)
     )
-    for (m, seed), dens in random_densities_by_trial(cubes, _encoding_derived):
-        e = uniform_cube_ensemble(dens[: 2**m], average=dens[2**m])
-        stats = enc.encoding_stats(e, seed=derive_seed(seed, 99))
-        delta = stats.delta_pairwise
-        prime_le.add(delta - stats.delta_to_mean)
-        two_sqrt.add(2.0 * np.sqrt(stats.info) - delta)
-        floor_quarter.add(stats.info - enc.information_floor(delta, m=2))
-        if delta <= 1.0:
-            # The half-argument floor 1 - H((1 + Delta)/2) is provable only
-            # for single-bit ensembles; multi-bit ensembles violate it and
-            # the violations below are expected, not numerical defects.
-            half = 1.0 - binary_entropy((1.0 + delta) / 2.0)
-            if not floor_half.add(stats.info - half) and m == 1:
-                half_violations_m1 += 1
-            quarter.add(half - delta**2 / 4.0)
-        else:
-            skipped_half += 1
-        pair_bound.add(enc.pairing_average(stats.distances, stats.pairing) - delta)
-        if m <= 4:
-            table = enc.prefix_table(dens[2**m + 1 :], m)
-            decomp.add(stats.info - sum(float(np.mean(row)) for row in table))
+    for chunk in random_density_chunks(cubes, _encoding_derived):
+        for (m, seed), rows, _ in chunk:
+            e = uniform_cube_ensemble(rows[: 2**m], average=rows[2**m])
+            stats = enc.encoding_stats(e, seed=derive_seed(seed, 99))
+            delta = stats.delta_pairwise
+            prime_le.add(delta - stats.delta_to_mean)
+            two_sqrt.add(2.0 * np.sqrt(stats.info) - delta)
+            floor_quarter.add(stats.info - enc.information_floor(delta, m=2))
+            if delta <= 1.0:
+                # The half-argument floor 1 - H((1 + Delta)/2) is provable only
+                # for single-bit ensembles; multi-bit ensembles violate it and
+                # the violations below are expected, not numerical defects.
+                half = 1.0 - binary_entropy((1.0 + delta) / 2.0)
+                if not floor_half.add(stats.info - half) and m == 1:
+                    half_violations_m1 += 1
+                quarter.add(half - delta**2 / 4.0)
+            else:
+                skipped_half += 1
+            pair_bound.add(enc.pairing_average(stats.distances, stats.pairing) - delta)
+            if m <= 4:
+                table = enc.prefix_table([s.entropies[j] for s, j in rows[2**m + 1 :]], m)
+                decomp.add(stats.info - sum(float(np.mean(row)) for row in table))
     floor_half.details["not_applicable"] = skipped_half
     floor_half.details["violations_at_m1"] = half_violations_m1
     floor_half.details["note"] = (
@@ -388,12 +388,13 @@ def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
     exhaustive = _Tally("pairing_vs_exhaustive", _tol(cfg, 1e-10))
     cubes = _cube_trials((3, 2 + t % 3, derive_seed(cfg.seed, 31, t)) for t in range(10))
-    for (_, seed), dens in random_densities_by_trial(cubes):
-        d = enc.pairwise_distance_matrix(uniform_cube_ensemble(dens))
-        found = enc.pairing_average(d, enc.find_pairing(d, derive_seed(seed, 98)))
-        best = max(enc.pairing_average(d, p) for p in enc.enumerate_pairings(8))
-        exhaustive.add(best - found)
-        exhaustive.add(found - float(np.sum(d)) / 64.0)
+    for chunk in random_density_chunks(cubes):
+        for (_, seed), rows, _ in chunk:
+            d = enc.pairwise_distance_matrix(uniform_cube_ensemble(rows))
+            found = enc.pairing_average(d, enc.find_pairing(d, derive_seed(seed, 98)))
+            best = max(enc.pairing_average(d, p) for p in enc.enumerate_pairings(8))
+            exhaustive.add(best - found)
+            exhaustive.add(found - float(np.sum(d)) / 64.0)
     checks = (prime_le, two_sqrt, floor_quarter, floor_half, quarter, pair_bound, decomp)
     return [t.result() for t in (*checks, exhaustive)]
 

@@ -140,14 +140,13 @@ def exact_local_transition(phi1: BipartitePureState, phi2: BipartitePureState) -
 
 
 def aligned_trials(chunk, dim_k) -> list[tuple]:
-    """Per trial ``(key, (rho1, rho2))`` of ``chunk``, each density a ``(stack,
+    """Per trial ``(key, (rho1, rho2), _)`` of ``chunk``, each density a ``(stack,
     j)`` row: ``(key, alignment, trace distance, fidelity)``, the alignment of
     the states' canonical purifications into ``dim_k(key, dim)`` and the
     pair's distance and fidelity, each kind in stacked calls. The result
     holds no state."""
-    pairs = [dens for _, dens in chunk]
-    dim_ks = [dim_k(key, s.mats.shape[-1]) for key, ((s, _), _) in chunk]
+    keys, pairs, _ = zip(*chunk)
+    dim_ks = [dim_k(key, s.mats.shape[-1]) for key, ((s, _), _) in zip(keys, pairs)]
     purified = canonical_purifications([r for pair in pairs for r in pair], np.repeat(dim_ks, 2))
     aligned = uhlmann_aligns(zip(purified[::2], purified[1::2]))
-    keys = [key for key, _ in chunk]
     return list(zip(keys, aligned, metrics.trace_distances(pairs), metrics.fidelities(pairs)))

@@ -169,6 +169,15 @@ def test_prefix_mixture_cases():
     assert np.allclose(zero, direct, atol=1e-12)
 
 
+def test_prefix_table_takes_one_entropy_triple_per_prefix():
+    # 3(2^m - 1) = 9 entropies at m = 2; any other count raises, as 3 would
+    # make a table of the wrong shape and 12 would drop a triple unread
+    assert enc.prefix_table([0.0, 0.0, 1.0] * 3, 2) == [[1.0], [1.0, 1.0]]
+    for n in (0, 3, 8, 12):
+        with pytest.raises(SizeError, match=r"^need 3\(2\^m - 1\) entropies at m = 2, got shape"):
+            enc.prefix_table([0.0] * n, 2)
+
+
 def test_prefix_information_validation():
     rho = states.random_density(2, 2, 109)
     with pytest.raises(ValueError):
@@ -219,16 +228,17 @@ def test_encoding_suite_seeds_the_average_and_table_bitwise():
     from qilab import suites
 
     cubes = suites._cube_trials((1 + t % 5, 2 + t % 7, derive_seed(113, t)) for t in range(20))
-    for (m, _), dens in states.random_densities_by_trial(cubes, suites._encoding_derived):
-        cube_states, average = dens[: 2**m], dens[2**m]
-        e = info.uniform_cube_ensemble(cube_states)
-        direct = states.mixture(e.priors, cube_states)
+    chunks = states.random_density_chunks(cubes, suites._encoding_derived)
+    for (m, _), rows, _ in (trial for chunk in chunks for trial in chunk):
+        e, average = info.uniform_cube_ensemble(rows[: 2**m]), states.DensityMatrix(*rows[2**m])
+        direct = states.mixture(e.priors, e.states)
         assert np.array_equal(average.mat, direct.mat)
         assert np.array_equal(average.eig.eigenvalues, direct.eig.eigenvalues)
         if m <= 4:
-            assert enc.prefix_table(dens[2**m + 1 :], m) == _per_prefix_information(e, m)
+            entropies = [s.entropies[j] for s, j in rows[2**m + 1 :]]
+            assert enc.prefix_table(entropies, m) == _per_prefix_information(e, m)
         else:
-            assert len(dens) == 2**m + 1
+            assert len(rows) == 2**m + 1
 
 
 def _decomposition(e):

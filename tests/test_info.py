@@ -412,9 +412,10 @@ def _old_info_checks(seed, trials):
     def derive(keys, mats_by_trial):
         return [_old_info_derived(key, mats) for key, mats in zip(keys, mats_by_trial)]
 
-    trial_densities = states.random_densities_by_trial(_old_info_trials(seed, trials), derive)
-    for t, ((priors, p, joint, ws), dens, (z,)) in enumerate(trial_densities, 1):
+    chunks = states.random_density_chunks(_old_info_trials(seed, trials), derive)
+    for t, ((priors, p, joint, ws), rows, (z,)) in enumerate((x for c in chunks for x in c), 1):
         n, k = len(priors), len(p)
+        dens = [states.DensityMatrix(*row) for row in rows]
         e_states, dens = dens[:n], dens[n:]
         sigmas, yz, parts, rho_ab = dens[:k], dens[k : k + 4], dens[k + 4 : k + 7], dens[k + 7]
         blocked, *traced = dens[k + 8 : k + 13]
@@ -444,6 +445,18 @@ def _old_info_checks(seed, trials):
     for slack in chain.tol - np.abs(i_x_yz - (i_x_y + i_xy_z - i_y_z)):
         chain.add(slack)
     return [t.result() for t in (holevo, block, chain, mono, concave, subadd)]
+
+
+def test_make_ensemble_holds_certified_rows_as_views_and_names_any_other_item():
+    rho = states.random_density(2, 1, 5)
+    row = (rho.stack, rho.j)  # a row, as random_density_chunks hands it out
+    e = info.make_ensemble(["0", "1"], [0.5, 0.5], [rho, row], average=row)
+    assert all(type(s) is states.DensityMatrix for s in (*e.states, e.average_state))
+    assert np.array_equal(e.mats, [rho.mat, rho.mat]) and e.average_state == rho
+    with pytest.raises(TypeError, match="^state 1 is a ndarray, not a"):
+        info.make_ensemble(["0", "1"], [0.5, 0.5], [rho, rho.mat])
+    with pytest.raises(TypeError, match="^average is a tuple, not a"):
+        info.uniform_cube_ensemble([rho, rho], average=(rho.mat, 0))
 
 
 @pytest.mark.parametrize("seed, trials", [(1, 130), (2, 130), (1, 400)])

@@ -239,7 +239,7 @@ def test_random_densities_match_per_matrix_loop_bit_for_bit(specs):
         assert not rho.mat.flags.writeable and not rho.eig.eigenvectors.flags.writeable
 
 
-def test_random_densities_by_trial_reads_lazily_in_blocks(monkeypatch):
+def test_random_density_chunks_read_lazily_in_blocks(monkeypatch):
     # a block of 2 trials of two 2x2 states each; the third trial is read
     # only once the first block is spent
     monkeypatch.setattr(states, "BLOCK_ENTRIES", 16)
@@ -250,14 +250,15 @@ def test_random_densities_by_trial_reads_lazily_in_blocks(monkeypatch):
             read.append(t)
             yield t, [(2, 1 + t % 2, 10 * t), (2, 2, 10 * t + 1)]
 
-    out = states.random_densities_by_trial(trials())
-    key, (r1, r2) = next(out)
-    assert key == 0 and read == [0, 1, 2]
-    rest = list(out)
-    assert [k for k, _ in rest] == [1, 2, 3, 4] and read == [0, 1, 2, 3, 4]
-    for t, pair in [(0, (r1, r2))] + rest:
+    out = states.random_density_chunks(trials())
+    first = list(next(out))  # a chunk is emptied when the next is asked for
+    assert [k for k, *_ in first] == [0, 1] and read == [0, 1, 2]
+    rest = [trial for chunk in out for trial in chunk]
+    assert [k for k, *_ in rest] == [2, 3, 4] and read == [0, 1, 2, 3, 4]
+    for t, rows, gaussians in first + rest:
         want = states.random_densities([(2, 1 + t % 2, 10 * t), (2, 2, 10 * t + 1)])
-        assert all(np.array_equal(a.mat, b.mat) for a, b in zip(pair, want))
+        assert all(np.array_equal(s.mats[j], b.mat) for (s, j), b in zip(rows, want))
+        assert gaussians == ()
 
 
 def test_random_densities_validate_every_rank():
@@ -323,7 +324,7 @@ def test_by_trial_draws_match_per_seed_generators(monkeypatch):
         for t, (d, e, s) in specs.items():
             yield t, [], [(d, 1, s), (2 * e, 1, s + 1), (d, d, s + 2), (d, e, s + 3)]
 
-    out = list(states.random_densities_by_trial(trials()))
+    out = [trial for chunk in states.random_density_chunks(trials()) for trial in chunk]
     assert [key for key, *_ in out] == list(specs)
     for t, dens, (g, h, z, m) in out:
         d, e, s = specs[t]
@@ -341,7 +342,7 @@ def test_by_trial_draws_match_per_seed_generators(monkeypatch):
 
 def test_by_trial_derived_densities_match_make_density(monkeypatch):
     # one derived density per trial at each of two tolerances, certified a
-    # block at a time and wrapped as the trial runs
+    # block at a time
     monkeypatch.setattr(states, "BLOCK_ENTRIES", 64)
     calls = []
 
@@ -353,7 +354,9 @@ def test_by_trial_derived_densities_match_make_density(monkeypatch):
         ]
 
     trials = ((t, [(4, 1 + t % 4, 40 + t)]) for t in range(6))
-    for t, (rho, reduced, squared) in states.random_densities_by_trial(trials, derive):
+    out = (trial for chunk in states.random_density_chunks(trials, derive) for trial in chunk)
+    for t, rows, _ in out:
+        rho, reduced, squared = (states.DensityMatrix(*row) for row in rows)
         assert calls == [[0, 1, 2, 3], [4, 5]][: t // 4 + 1]
         assert np.array_equal(rho.mat, states.random_density(4, 1 + t % 4, 40 + t).mat)
         wants = [

@@ -5,7 +5,7 @@ At default flags the metrics, info, transition and encoding suites make
 no single ``make_density`` call and no ``Stream.gauss_array`` call: their
 random and derived densities (the encoding suite's cube averages and
 prefix mixtures among them) go through ``make_densities`` and
-``random_densities_by_trial``, and their Gaussians through
+``random_density_chunks``, and their Gaussians through
 ``rng.complex_gauss_stack``. Per-call counters at those two names (as in
 perfbench's tracer) see none of that batched work.
 
@@ -30,7 +30,9 @@ unitaries again.
 The sweep suites read their densities as ``(stack, j)`` rows of certified
 stacks and build no ``DensityMatrix`` view (a seed-1 pass built 2,000, 12,249
 and 5,400 of them through per-density wrappers); each stacked read is bit
-for bit the one-item view's.
+for bit the one-item view's. The encoding suite reads rows too, and builds
+views only for the states and averages its ensembles hold (its prefix
+mixtures' views brought a seed-1 pass to 5,880).
 """
 
 import sys
@@ -55,8 +57,9 @@ SEED_BUDGET = {"metrics": (0, 0), "info": (0, 0), "transition": (401, 0), "encod
 # apply_k_unitaries calls per seed-1 suite: 4 scrambles and 4 alignments in
 # the transition suite's exact chunks, one alignment per drop_first_message
 APPLY_BUDGET = {"transition": 8, "reduction": 8}
-# DensityMatrix views built per seed-1 suite
-VIEW_BUDGET = {"metrics": 0, "info": 0, "transition": 0}
+# DensityMatrix views built per seed-1 suite: the encoding suite's ensembles
+# hold 2,680 states and averages, and its exhaustive pairings 80 states
+VIEW_BUDGET = {"metrics": 0, "info": 0, "transition": 0, "encoding": 2760}
 
 
 @pytest.fixture
