@@ -106,10 +106,11 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigDecomposition:
     stack ``(..., d, d)`` in one batched LAPACK call.
 
     Each matrix is certified on its own, against its own Frobenius scale:
-    HermiticityError if it is not Hermitian within ``tol`` (relative), and
-    ConvergenceError if the solver fails, or the reconstruction residual or
-    the eigenvectors' distance from orthonormal is above the certification
-    tolerance. For a stack, the message names the first failing matrix.
+    HermiticityError if it is not Hermitian within ``tol`` (relative; an
+    array holds one per matrix), and ConvergenceError if the solver fails,
+    or the reconstruction residual or the eigenvectors' distance from
+    orthonormal is above the certification tolerance. For a stack, the
+    message names the first failing matrix.
     """
     a = as_matrix(a, stack=True)
     dim = a.shape[-1]

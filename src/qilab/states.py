@@ -34,7 +34,6 @@ from .rng import Stream, complex_gauss_stack
 # memory flat; a matrix above it is built on its own.
 BLOCK_ENTRIES = 2**14
 NORM_TOL = 1e-9  # how far from 1 a vector's norm or a mixture's weight sum may be
-CHUNK_TRIALS = 64  # trials per stacked chunk: few enough to keep the working set flat
 ZERO_CUT = 1e-12  # probabilities and eigenvalues at or below it count as 0 in entropies
 
 
@@ -130,7 +129,7 @@ def make_density(mat, tol: float = DEFAULT_TOL) -> DensityMatrix:
 
 def make_densities(mats, tol=DEFAULT_TOL) -> list[DensityMatrix]:
     """Per matrix, a validated density with its certified ``eig``, from one
-    stacked validation per matrix shape and tolerance.
+    stacked validation per matrix shape, each matrix judged at its tolerance.
 
     ``tol`` is one tolerance or one per matrix. A failing matrix's error
     names its index in ``mats``.
@@ -148,22 +147,21 @@ def _matrix(mat) -> np.ndarray:
 def _certified_stacks(mats, tol) -> list[tuple[CertifiedStack, int]]:
     """:func:`make_densities`' ``(stack, j)`` rows, unwrapped."""
     mats = [_matrix(mat) for mat in mats]
+    tols = np.ones(len(mats)) * tol  # one per matrix
 
-    def build(key, members):
-        return _certified(np.array([mats[i] for i in members]), key[1])
+    def build(shape, members):
+        return _certified(np.array([mats[i] for i in members]), tols[members])
 
-    tols = [tol] * len(mats) if isinstance(tol, (int, float)) else list(tol)
-    keys = [(mat.shape, float(t)) for mat, t in zip(mats, tols)]
-    return stacked(keys, build, lambda key: key[0][0] * key[0][1])
+    return stacked([mat.shape for mat in mats], build, lambda shape: shape[0] * shape[1])
 
 
-def _certified(mats: np.ndarray, tol: float) -> CertifiedStack:
+def _certified(mats: np.ndarray, tol: float | np.ndarray) -> CertifiedStack:
     """The stack ``mats`` checked to hold density matrices, judged on its
-    certified decomposition."""
+    certified decomposition at ``tol``, one for all or one per matrix."""
     vals, vecs = linalg.hermitian_eig(mats, tol)
     tr = np.trace(mats, axis1=-2, axis2=-1)
     linalg.check_each(
-        np.abs(tr - 1.0) > max(tol, 1e-12) * mats.shape[-1],
+        np.abs(tr - 1.0) > np.maximum(tol, 1e-12) * mats.shape[-1],
         TraceError,
         "{name} has trace {value} differing from 1 beyond tolerance",
         tr,
@@ -366,74 +364,72 @@ def random_densities(specs) -> list[DensityMatrix]:
     """``[random_density(dim, rank, seed) for dim, rank, seed in specs]``,
     bit for bit, built in stacks.
 
-    Specs of one ``(dim, rank)`` share one batched draw, one stacked
-    product and trace and one stacked certified eigendecomposition, in
-    blocks of at most :data:`BLOCK_ENTRIES` matrix entries. Each density's
-    arrays are read-only views into its block's stacks.
+    Specs of one ``(dim, rank)`` share one batched draw and one stacked
+    product; specs of one dim share one stacked trace and one certified
+    eigendecomposition, in blocks of at most :data:`BLOCK_ENTRIES` matrix
+    entries. Each density's arrays are read-only views into its block's stacks.
     """
     return [DensityMatrix(*row) for row in _random_stacks(specs)]
 
 
 def random_density_chunks(trials, derive=None):
     """For each trial ``(key, specs)`` or ``(key, specs, draws)`` of
-    ``trials``, ``(key, rows, gaussians)``, in lists of at most
-    :data:`CHUNK_TRIALS`. ``rows`` holds the ``(stack, j)`` row of a
-    :class:`CertifiedStack` of each ``(dim, rank, seed)`` spec's random
-    density, in order, as :func:`random_densities` builds it; ``gaussians``
-    holds ``Stream(seed).complex_gauss_matrix(rows, cols)``, bit for bit and
-    read-only, for each ``(rows, cols, seed)`` of ``draws`` (none without).
+    ``trials``, ``(key, rows, gaussians)``, in one list per block. ``rows``
+    holds the ``(stack, j)`` row of a :class:`CertifiedStack` of each ``(dim,
+    rank, seed)`` spec's random density, in order, as :func:`random_densities`
+    builds it; ``gaussians`` holds ``Stream(seed).complex_gauss_matrix(rows,
+    cols)``, bit for bit and read-only, for each ``(rows, cols, seed)`` of
+    ``draws`` (none without).
 
     Trials are read lazily and built together in blocks of at most
-    :data:`BLOCK_ENTRIES` matrix entries, densities and draws alike (a
-    larger trial is a block of its own), with one
-    :func:`~qilab.rng.complex_gauss_stack` per draw shape. Each list is
-    emptied when the next is asked for: a spent block is freed before the
+    :data:`BLOCK_ENTRIES` matrix entries, densities and draws alike, a trial
+    counting at least a 256th of them (a larger trial is a block of its own),
+    with one :func:`~qilab.rng.complex_gauss_stack` per draw shape. Each list
+    is emptied when the next is asked for: a spent block is freed before the
     next is built.
 
     With ``derive``, ``derive(keys, mats_by_trial)`` maps a block's trial
     keys and each trial's density matrices to one list of ``(matrix, tol)``
-    pairs per trial, and each trial's rows go on with those matrices made
-    densities, as :func:`make_densities` makes them for the whole block.
+    pairs per trial (any other count raises :class:`SizeError`), and each
+    trial's rows go on with those matrices made densities, as
+    :func:`make_densities` makes them for the whole block.
     """
     for block in _blocks(trials):
-        built = _block_trials(block, derive)
-        while chunk := list(islice(built, CHUNK_TRIALS)):
-            yield chunk
-            chunk.clear()
+        chunk = list(_block_trials(block, derive))
+        yield chunk
+        chunk.clear()
 
 
 def _block_trials(block: list, derive):
-    # a generator of its own, so that a spent block's arrays are freed
-    # before the next block is built
+    """The block's trials built: densities a certified stack per dim, draws a stack per shape."""
     drawn = iter(_gauss_stacks([draw for *_, draws in block for draw in draws]))
     stacks = iter(_random_stacks([spec for _, specs, _ in block for spec in specs]))
     rows = [list(islice(stacks, len(specs))) for _, specs, _ in block]
     if derive is not None:
-        _add_derived(block, rows, derive)
+        pairs = derive([key for key, *_ in block], [[s.mats[j] for s, j in r] for r in rows])
+        if len(pairs) != len(block):
+            raise SizeError(f"derive returned {len(pairs)} lists for {len(block)} trials")
+        flat = [pair for trial in pairs for pair in trial]
+        derived = iter(_certified_stacks([m for m, _ in flat], [t for _, t in flat]))
+        for r, trial in zip(rows, pairs):
+            r.extend(islice(derived, len(trial)))
     for (key, _, draws), r in zip(block, rows):
         yield key, tuple(r), tuple(g[j] for (g,), j in islice(drawn, len(draws)))
-
-
-def _add_derived(block: list, rows: list, derive) -> None:
-    """Extend each trial's rows with those of its derived densities (the raw
-    matrices are freed on return, before the block's trials run)."""
-    pairs = derive([key for key, *_ in block], [[s.mats[j] for s, j in r] for r in rows])
-    flat = [pair for trial in pairs for pair in trial]
-    stacks = iter(_certified_stacks([m for m, _ in flat], [t for _, t in flat]))
-    for r, trial in zip(rows, pairs):
-        r.extend(islice(stacks, len(trial)))
 
 
 def _blocks(trials):
     """Consecutive trials as ``(key, specs, draws)``, in lists of at most
     :data:`BLOCK_ENTRIES` matrix entries (a larger trial is a list of its
-    own); trials are read only as a list is filled."""
+    own); trials are read only as a list is filled. A trial counts as at
+    least ``BLOCK_ENTRIES // 256`` entries, as its consumers build kilobytes
+    of objects per trial however small its matrices."""
     block: list[tuple] = []
     size = 0
     for key, specs, *draws in trials:
         specs = tuple(specs)
         draws = tuple(draws[0]) if draws else ()
         n = sum(dim * dim for dim, _, _ in specs) + sum(r * c for r, c, _ in draws)
+        n = max(n, BLOCK_ENTRIES // 256)
         if block and size + n > BLOCK_ENTRIES:
             yield block
             block, size = [], 0
@@ -480,14 +476,17 @@ def _random_stacks(specs) -> list[tuple[CertifiedStack, int]]:
         if not 1 <= rank <= dim:
             raise RankError(f"rank must be in [1, {dim}], got {rank}")
 
-    def build(shape, members):
-        g = complex_gauss_stack([specs[i][2] for i in members], *shape)
-        rho = g @ dagger(g)
-        rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    def build(dim, members):
+        rho = np.empty((len(members), dim, dim), dtype=np.complex128)  # the dim's one stack
+        ranks = np.array([specs[i][1] for i in members])
+        for rank in set(ranks.tolist()):
+            at = np.flatnonzero(ranks == rank)
+            g = complex_gauss_stack([specs[members[j]][2] for j in at], dim, rank)
+            rho[at] = g @ dagger(g)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
         return _certified(rho, 1e-9)
 
-    keys = [(int(dim), int(rank)) for dim, rank, _ in specs]
-    return stacked(keys, build, lambda shape: shape[0] ** 2)
+    return stacked([int(dim) for dim, _, _ in specs], build, np.square)
 
 
 def random_pure(dim_h: int, dim_k: int, seed: int) -> BipartitePureState:

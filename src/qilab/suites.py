@@ -30,7 +30,6 @@ from .info import (
 )
 from .rng import StreamRows, derive_seed, derive_seeds, mix64
 from .states import (
-    CHUNK_TRIALS,
     canonical_purifications,
     make_pures,
     mixture_matrix,
@@ -40,6 +39,7 @@ from .states import (
 
 
 MAX_ENCODING_M = 5  # widest cube the encoding suite draws: 32 states
+CHUNK_TRIALS = 64  # trials whose seeds, ranks and weights are drawn as one batch of arrays
 
 
 @dataclass(frozen=True)

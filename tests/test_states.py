@@ -261,6 +261,45 @@ def test_random_density_chunks_read_lazily_in_blocks(monkeypatch):
         assert gaussians == ()
 
 
+def test_random_densities_certify_one_stack_per_dimension(monkeypatch):
+    # every rank at d = 5 and d = 3, interleaved: one draw per (dim, rank),
+    # but one certified eigendecomposition per dimension
+    specs = Stream(6).shuffled([(dim, 1 + k % dim, 500 + k) for dim in (5, 3) for k in range(12)])
+    want = [states.random_density(*spec) for spec in specs]
+    calls = []
+    original = linalg.hermitian_eig
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermitian_eig", counted)
+    got = states.random_densities(specs)
+    assert sorted(calls) == [(12, 3, 3), (12, 5, 5)]
+    for rho, one in zip(got, want):
+        assert rho.mat.tobytes() == one.mat.tobytes()
+        assert rho.eig.eigenvalues.tobytes() == one.eig.eigenvalues.tobytes()
+        assert rho.eig.eigenvectors.tobytes() == one.eig.eigenvectors.tobytes()
+        assert rho.entropy == one.entropy
+
+
+def test_random_density_chunks_hand_out_one_list_per_block(monkeypatch):
+    # blocks of 100 trials of one 2x2 state each, each handed out as one list
+    monkeypatch.setattr(states, "BLOCK_ENTRIES", 400)
+    trials = ((t, [(2, 1 + t % 2, 7 * t)]) for t in range(250))
+    keys = [[key for key, *_ in chunk] for chunk in states.random_density_chunks(trials)]
+    assert keys == [list(range(0, 100)), list(range(100, 200)), list(range(200, 250))]
+
+
+def test_random_density_chunks_name_a_derive_that_skips_trials():
+    def derive(keys, mats_by_trial):  # a derived density for the first trial only
+        return [[(mats_by_trial[0][0], 1e-10)]]
+
+    trials = ((t, [(2, 1, t)]) for t in range(3))
+    with pytest.raises(SizeError, match="^derive returned 1 lists for 3 trials$"):
+        list(states.random_density_chunks(trials, derive))
+
+
 def test_random_densities_validate_every_rank():
     with pytest.raises(RankError):
         states.random_densities([(3, 1, 1), (3, 4, 2)])
@@ -298,6 +337,29 @@ def test_make_densities_match_make_density_loop_bit_for_bit():
     one_tol = states.make_densities(mats[:6], 1e-8)
     assert all(np.array_equal(a.mat, b.mat) for a, b in zip(one_tol, batched))
     assert states.make_densities([]) == []
+
+
+def test_make_densities_judge_mixed_tolerances_in_one_stack_per_shape(monkeypatch):
+    # a skew part that only the looser tolerance accepts, beside untouched
+    # matrices at the strict one: one certified stack, each matrix at its tol
+    rho = states.random_density(3, 3, 71).mat
+    skew = rho.copy()
+    skew[0, 1] += 1e-9j
+    calls = []
+    original = linalg.hermitian_eig
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermitian_eig", counted)
+    got = states.make_densities([rho, skew, rho], [linalg.DEFAULT_TOL, 1e-8, linalg.DEFAULT_TOL])
+    assert calls == [(3, 3, 3)]
+    assert [r.mat.tobytes() for r in got] == [m.tobytes() for m in (rho, skew, rho)]
+    with pytest.raises(HermiticityError, match="^matrix 2 "):
+        states.make_densities([rho, skew, skew], [linalg.DEFAULT_TOL, 1e-8, linalg.DEFAULT_TOL])
+    with pytest.raises(ValueError):  # a matrix without a tolerance is not dropped
+        states.make_densities([rho, skew, rho], [1e-8, 1e-8])
 
 
 def test_make_densities_name_the_failing_matrix_by_its_index():

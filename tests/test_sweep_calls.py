@@ -10,13 +10,14 @@ prefix mixtures among them) go through ``make_densities`` and
 perfbench's tracer) see none of that batched work.
 
 The metrics and transition suites also take their trace norms, Uhlmann
-alignments and reduced states a chunk of trials at a time, and the encoding
+alignments and reduced states a block of trials at a time, and the encoding
 suite each ensemble's distances in stacked calls: none of the three makes a
 single-matrix ``singular_values`` or ``svd`` call. The sweep suites (metrics,
 info, transition) take their optimal measurements, canonical purifications,
-Haar unitaries and measured informations a chunk at a time too: they make
-no single-matrix ``hermitian_eig`` or ``np.linalg.qr`` call, and a seed-1
-sweep pass makes at most 520 ``hermitian_eig`` calls.
+Haar unitaries and measured informations a block at a time too: they, and
+the encoding suite, make no single-matrix ``hermitian_eig`` or
+``np.linalg.qr`` call, and a seed-1 sweep pass makes at most 157
+``hermitian_eig`` calls.
 
 The metrics and info suites draw their trials' seeds, ranks and weights as
 arrays (``rng.derive_seeds``, ``rng.StreamRows``) and make no ``derive_seed``
@@ -44,18 +45,20 @@ import pytest
 from qilab import info, linalg, rng, states, suites, transition
 from qilab.suites import SuiteConfig, run_suite
 
-# hermitian_eig calls per seed-1 suite, each one stacked call per chunk and
-# shape: the metrics suite certifies its random densities in 175 and takes
-# its optimal measurements in 133; the three sum to the sweep pass's 520
-EIG_BUDGET = {"metrics": 320, "info": 100, "transition": 100}
+# hermitian_eig calls per seed-1 suite, each one stacked call per block and
+# dimension: the metrics suite certifies its random densities in 42 and
+# takes its optimal measurements in 42 (308 with a stack per rank and a
+# chunk of 64 trials); the three sweep suites sum to the sweep pass's 157
+EIG_BUDGET = {"metrics": 84, "info": 41, "transition": 32, "encoding": 73}
 # (derive_seed calls, Stream constructions) per seed-1 suite: the metrics and
 # info suites draw every seed, rank and weight as arrays; transition keeps
 # derive_seed for transition_bound_sweep's pairs, and encoding for its cubes'
 # and pairings' seeds and a Stream per pairing's shuffle (6000/2000,
 # 8249/1000, 2801/2200 and 2980/2770 when each trial drew through Streams)
 SEED_BUDGET = {"metrics": (0, 0), "info": (0, 0), "transition": (401, 0), "encoding": (420, 210)}
-# apply_k_unitaries calls per seed-1 suite: 4 scrambles and 4 alignments in
-# the transition suite's exact chunks, one alignment per drop_first_message
+# apply_k_unitaries calls per seed-1 suite: a scramble and an alignment per
+# block of the transition suite's exact trials (one block at seed 1), one
+# alignment per drop_first_message
 APPLY_BUDGET = {"transition": 8, "reduction": 8}
 # DensityMatrix views built per seed-1 suite: the encoding suite's ensembles
 # hold 2,680 states and averages, and its exhaustive pairings 80 states
@@ -203,9 +206,10 @@ def test_sweep_suites_build_no_density_view(monkeypatch, suite):
 
     monkeypatch.setattr(states.DensityMatrix, "__new__", counting)
     run_suite(suite, SuiteConfig(seed=1))
-    assert len(built) <= VIEW_BUDGET[suite]
+    views = len(built)
+    assert views <= VIEW_BUDGET[suite]
     states.random_density(2, 1, 1)  # the counter sees a one-item build
-    assert len(built) == VIEW_BUDGET[suite] + 1
+    assert len(built) == views + 1
 
 
 def test_stacked_reads_are_their_one_item_views_bitwise():
