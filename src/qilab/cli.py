@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--m", type=_int_range(1, MAX_ENCODING_M), help="max encoding width in bits, 1-5"
     )
-    parser.add_argument("--n", type=_int_range(1), default=None, help="index-problem size")
+    parser.add_argument("--n", type=_int_range(1), default=None, help="rac and reduction size")
     parser.add_argument(
         "--tol", type=_finite_float, default=None, help="override every check tolerance, >= 0"
     )

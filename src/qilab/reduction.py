@@ -1,10 +1,11 @@
 """Round reduction for two-round nested-index protocols.
 
-The problem family: Alice holds n inner strings x_1..x_n (each ``inner``
-bits) and a pointer a; Bob holds n inner indices y_1..y_n; the answer is
-bit y_a of x_a. With two messages and Bob (who lacks the pointer)
-speaking first, his opening message can carry little about any fixed
-slot y_j, and the pipeline makes that operational in three steps:
+The problem family, one for every n: Alice holds n inner strings
+x_0..x_{n-1} (each ``INNER`` = 2 bits) and a pointer a; Bob holds n inner
+indices y_0..y_{n-1}; the answer is bit y_a of x_a. With two messages and
+Bob (who lacks the pointer) speaking first, his opening message can carry
+little about any fixed slot y_j, and the pipeline makes that operational
+in three steps:
 
   P   the original protocol, scored on the slice distribution where the
       pointer is fixed to j, x's are uniform classical, y_j is uniform
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -58,73 +60,73 @@ from .transition import exact_local_transitions, uhlmann_aligns
 
 PLUS = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 ROTATION_THETA = 0.6 * np.pi  # the "rotation" style's angle
+INNER = 2  # bits per inner string x_i; y_i is one bit indexing into it
 
 
 @dataclass(frozen=True)
 class TwoRoundFamily:
-    """A two-round protocol for the n = 2, inner = 2 nested index problem.
+    """A two-round protocol for the size-n, inner = 2 nested index problem.
 
-    Register names are fixed: pointer "a", Alice blocks "x0"/"x1", Bob
-    blocks "y0"/"y1", message "m". The first move is Bob's.
+    Register names are fixed: pointer "a", Alice blocks "x0".."x{n-1}",
+    Bob blocks "y0".."y{n-1}", message "m". The first move is Bob's.
     """
 
     spec: ProtocolSpec
     style: str
     n: int = 2
-    inner_bits: int = 2
 
 
-def _decode_move(layout: RegisterLayout) -> Move:
+def _decode_move(layout: RegisterLayout, n: int) -> Move:
     # Answer bit is v[m] for the selected block v; a permutation decode
     # exists only when the two bits differ, otherwise flipping by the
-    # first bit is as good as any.
-    controls = tuple(q for name in ("a", "x0", "x1") for q in layout.register(name).qubits)
+    # first bit is as good as any. The x's read as one packed value, x0
+    # most significant, so x_j's first bit is bit INNER * (n - 1 - j) + 1.
+    names = ("a", *(f"x{i}" for i in range(n)))
+    controls = tuple(q for name in names for q in layout.register(name).qubits)
     m_w = layout.register("m").qubits
     blocks = {
-        (j << 4) | (v0 << 2) | v1: proto.X
-        for j in range(2)
-        for v0 in range(4)
-        for v1 in range(4)
-        if ((v0 if j == 0 else v1) >> 1) & 1
+        j << INNER * n | xs: proto.X
+        for j in range(n)
+        for xs in range(2 ** (INNER * n))
+        if (xs >> (INNER * (n - 1 - j) + 1)) & 1
     }
     return Move("alice", m_w, blocks, controls=controls, send=m_w)
 
 
-def two_round_family(style: str) -> TwoRoundFamily:
-    """Build a toy two-round protocol; ``style`` picks Bob's first message.
+def two_round_family(style: str, n: int = 2) -> TwoRoundFamily:
+    """Build a toy two-round protocol of size n; ``style`` picks Bob's first message.
 
     copy_first  -- the message is a copy of y0;
     constant    -- the message is a fixed |+>, independent of everything;
-    parity      -- the message is y0 XOR y1;
+    parity      -- the message is the XOR of y0..y{n-1};
     rotation    -- the message qubit is rotated by ROTATION_THETA when y0 = 1.
     """
     layout = make_layout(
         [
-            ("a", 1, "input", "alice"),
-            ("x0", 2, "input", "alice"),
-            ("x1", 2, "input", "alice"),
-            ("y0", 1, "input", "bob"),
-            ("y1", 1, "input", "bob"),
+            ("a", max(1, (n - 1).bit_length()), "input", "alice"),  # ceil(log2 n) bits
+            *((f"x{i}", INNER, "input", "alice") for i in range(n)),
+            *((f"y{i}", 1, "input", "bob") for i in range(n)),
             ("m", 1, "message", "bob"),
         ]
     )
     y0_w = layout.register("y0").qubits
-    y1_w = layout.register("y1").qubits
     m_w = layout.register("m").qubits
     if style == "copy_first":
         first = Move("bob", m_w, {1: proto.X}, controls=y0_w, send=m_w)
     elif style == "constant":
         first = Move("bob", m_w, {0: H}, send=m_w)
     elif style == "parity":
-        first = Move("bob", m_w, {1: proto.X, 2: proto.X}, controls=(*y0_w, *y1_w), send=m_w)
+        ys = tuple(q for i in range(n) for q in layout.register(f"y{i}").qubits)
+        odd = {k: proto.X for k in range(2**n) if k.bit_count() % 2}
+        first = Move("bob", m_w, odd, controls=ys, send=m_w)
     elif style == "rotation":
         first = Move("bob", m_w, {1: ry(ROTATION_THETA)}, controls=y0_w, send=m_w)
     else:
         raise ValueError(f"unknown style {style!r}")
     spec = ProtocolSpec(
-        layout, (first, _decode_move(layout)), Measurement("bob", m_w, {0: (P0, P1)})
+        layout, (first, _decode_move(layout, n)), Measurement("bob", m_w, {0: (P0, P1)})
     )
-    return TwoRoundFamily(spec, style)
+    return TwoRoundFamily(spec, style, n)
 
 
 # ---------------------------------------------------------------------------
@@ -139,32 +141,23 @@ def slice_distribution(
     uniform classical, remaining y registers in uniform superposition
     (or enumerated classically when ``superposed`` is False).
     """
-    n, inner = family.n, family.inner_bits
+    ys = _slot_assignments(family, j, superposed)
+    weight = 1.0 / (2 ** (INNER * family.n) * len(ys))  # a power of two, so exact
+    names = ("a", *(f"x{i}" for i in range(family.n)))
     instances = []
-    other = 1 - j
-    y_other_options = [(PLUS, 1.0)] if superposed else [(0, 0.5), (1, 0.5)]
-    base_w = 1.0 / (4**n * inner)
-    for v0 in range(4):
-        for v1 in range(4):
-            for z in range(inner):
-                for y_other_val, w_other in y_other_options:
-                    regs = {
-                        "a": j,
-                        "x0": v0,
-                        "x1": v1,
-                        f"y{j}": z,
-                        f"y{other}": y_other_val,
-                    }
-                    target = bit_of(v0 if j == 0 else v1, z, inner)
-                    instances.append(
-                        InputInstance(base_w * w_other, regs, target)
-                    )
+    for v in product(range(2**INNER), repeat=family.n):
+        xs = dict(zip(names, (j, *v)))
+        for y in ys:
+            instances.append(InputInstance(weight, {**xs, **y}, bit_of(v[j], y[f"y{j}"], INNER)))
     return InputEnsemble(tuple(instances))
 
 
-def _slot_assignments(family: TwoRoundFamily, j: int) -> list[dict]:
-    """One input assignment per value of y_j, the other y register in |+>."""
-    return [{f"y{j}": z, f"y{1 - j}": PLUS} for z in range(family.inner_bits)]
+def _slot_assignments(family: TwoRoundFamily, j: int, superposed: bool = True) -> list[dict]:
+    """Per value of y_j, the other y registers in |+> (or, when ``superposed``
+    is False, one assignment per classical fill of them)."""
+    others = [f"y{i}" for i in range(family.n) if i != j]
+    fills = list(product([PLUS] if superposed else range(2), repeat=len(others)))
+    return [{f"y{j}": z, **dict(zip(others, fill))} for z in range(INNER) for fill in fills]
 
 
 def slice_information(spec: ProtocolSpec, family: TwoRoundFamily, j: int) -> float:
@@ -187,8 +180,8 @@ def message_info_budget(
     I(M : Y_1..Y_n), which the message size ell_1 caps in turn.
     """
     mus = [slice_information(spec, family, j) for j in range(family.n)]
-    values = range(family.inner_bits)
-    joint_states = message_states(spec, [{"y0": z0, "y1": z1} for z0 in values for z1 in values])
+    values = product(range(INNER), repeat=family.n)
+    joint_states = message_states(spec, [{f"y{i}": z for i, z in enumerate(zs)} for zs in values])
     joint = holevo_information(uniform_cube_ensemble(joint_states))
     return mus, joint, spec.first_message_qubits
 
@@ -259,10 +252,11 @@ def modify_first_message(
     eps_j = run_protocol(spec, slice_distribution(family, j)).error_avg
 
     # The derived protocol solves the inner index problem on slot j, so
-    # the other y register stops being an input: it becomes workspace Bob
+    # the other y registers stop being inputs: they become workspace Bob
     # initializes himself.
     psi = [("psi", len(touched), "work", "bob")] if touched else []
-    layout = _relayout(spec.layout, kinds={f"y{1 - j}": "work"}, append=psi)
+    kinds = {f"y{i}": "work" for i in range(family.n) if i != j}
+    layout = _relayout(spec.layout, kinds=kinds, append=psi)
     if touched:
         psi_wires = layout.register("psi").qubits
         wire_map = dict(zip(touched, psi_wires))
@@ -284,7 +278,8 @@ def modify_first_message(
     align_distances = []
     corrective_blocks = {}
     for z, result in enumerate(uhlmann_aligns([(phi_z, phi_prime) for phi_z in phis])):
-        if result.pure_distance > result.bound + 1e-8:
+        # pure_distance <= bound squared (1 - F <= t): no sqrt to blow up a rounding of F
+        if 1.0 - result.achieved_overlap_sq > result.t + 1e-9:
             raise ReductionError("alignment distance exceeded its bound")
         t_values.append(result.t)
         align_distances.append(result.pure_distance)
@@ -370,7 +365,7 @@ def drop_first_message(
 
     # Alice's prepared message; y_j and Alice's inputs are classical, so
     # K is B'' followed by every other simulated wire.
-    prepared = evolve((prep,), initial_state(layout, {f"y{1 - j}": PLUS}))
+    prepared = evolve((prep,), initial_state(layout, assignments[0]))
     k_full = (*bp_wires, *(q for q in prepared.wires if q not in (*m_wires, *bp_wires)))
     xi = prepared.bipartite(m_wires, k_full)
 
@@ -426,14 +421,14 @@ class PipelineReport:
         return self.first.eps_j + 4.0 * self.mus[self.j] ** 0.25 - self.first.delta_j
 
 
-def run_pipeline(style: str) -> tuple[PipelineReport, ...]:
+def run_pipeline(style: str, n: int = 2) -> tuple[PipelineReport, ...]:
     """Run P -> P' -> P'' for one toy instance at each slot j and collect
     every check.
 
     The message-information budget does not depend on j and is computed
     once. P's error on the superposed slice is the first step's eps_j.
     """
-    family = two_round_family(style)
+    family = two_round_family(style, n)
     mus, joint, ell1 = message_info_budget(family.spec, family)
     reports = []
     for j in range(family.n):

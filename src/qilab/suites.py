@@ -17,7 +17,7 @@ import numpy as np
 
 from . import encoding as enc
 from . import info, linalg, metrics, rac, reduction, transition
-from .errors import ReductionError, SizeError
+from .errors import SizeError
 from .info import (
     binary_entropy,
     binary_entropy_gap,
@@ -28,6 +28,7 @@ from .info import (
     shannon_entropy,
     uniform_cube_ensemble,
 )
+from .protocol import MAX_QUBITS
 from .rng import StreamRows, derive_seed, derive_seeds, mix64
 from .states import (
     canonical_purifications,
@@ -520,7 +521,7 @@ def reduction_suite(cfg: SuiteConfig) -> list[CheckResult]:
     sup_cls = _Tally("superposed_vs_classical", _tol(cfg, 1e-12))
     residual = _Tally("transition_residual", _tol(cfg, 1e-8))
     for style in _PIPELINE_STYLES:
-        for rep in reduction.run_pipeline(style):
+        for rep in reduction.run_pipeline(style, cfg.n):
             independence.agree(rep.first.mu_j_prime)
             align_bound.add(rep.first.alignment_bound_slack)
             info_bound.add(rep.info_bound_slack)
@@ -567,11 +568,10 @@ def check_config(name: str, cfg: SuiteConfig) -> None:
     if not 1 <= cfg.m <= MAX_ENCODING_M:
         # no cube is drawn wider, and a report must not echo an m it did not use
         raise SizeError(f"m must be in 1..{MAX_ENCODING_M}, got {cfg.m}")
-    if name in ("reduction", "all") and cfg.n != 2:
-        # The reduction family is the n = 2 nested index problem; running
-        # it for another n would report a PASS for a check that never ran.
-        # Rejected here, before any suite of ``all`` has done its work.
-        raise ReductionError(f"the reduction suite runs n = 2 only, not n = {cfg.n}")
+    if name in ("reduction", "all") and cfg.n + 2 > MAX_QUBITS:
+        # P'' simulates m, psi, B'' and the n - 1 other y's; checked before `all` runs a suite
+        n = cfg.n
+        raise SizeError(f"reduction at n = {n} simulates {n + 2} qubits, over the cap {MAX_QUBITS}")
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> list[CheckResult]:

@@ -134,10 +134,10 @@ def test_five_bit_index_runs(capsys):
     assert code == 0
 
 
-def test_reduction_rejects_other_n(capsys, monkeypatch):
-    # the reduction suite runs the n = 2 family only; any other --n used
-    # to run n = 2 anyway and report a PASS, and --suite all used to run
-    # five suites before rejecting it
+def test_reduction_rejects_an_n_over_the_cap(capsys, monkeypatch):
+    # P'' simulates m, psi, B'' and the n - 1 other y's: n = 7 needs 9
+    # qubits, rejected before any suite of --suite all runs (it used to
+    # fail inside the reduction suite after the others had run)
     called = []
     monkeypatch.setattr(
         suites,
@@ -145,12 +145,21 @@ def test_reduction_rejects_other_n(capsys, monkeypatch):
         {name: (lambda cfg, name=name: called.append(name) or []) for name in suites.SUITES},
     )
     for suite in ("reduction", "all"):
-        code = cli.main(["--suite", suite, "--n", "3", "--trials", "1"])
+        code = cli.main(["--suite", suite, "--n", "7"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.count("\n") == 1 and "n = 2" in captured.err
+        assert captured.err.count("\n") == 1 and "cap 8" in captured.err
     assert called == []
+
+
+def test_reduction_runs_at_n_3(capsys):
+    code, out = run_cli(["--suite", "reduction", "--n", "3", "--format", "json"], capsys)
+    checks = json.loads(out)["checks"]
+    assert code == 0 and len(checks) == 9
+    for check in checks:
+        want = 36 if check["name"] == "message_info_budget" else 12
+        assert (check["trials"], check["violations"]) == (want, 0)
 
 
 def test_four_bit_index_runs(capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,14 +21,68 @@ def test_families_validate():
 
 
 def test_slice_distribution_weights_and_targets():
+    for n in (1, 2, 3):
+        fam = red.two_round_family("copy_first", n)
+        for j in range(n):
+            ens = red.slice_distribution(fam, j)
+            assert len(ens.instances) == 4**n * 2
+            assert sum(i.weight for i in ens.instances) == pytest.approx(1.0)
+            for inst in ens.instances:
+                regs = inst.register_states
+                assert regs["a"] == j
+                assert inst.target == bit_of(regs[f"x{j}"], regs[f"y{j}"], 2)
+                assert all(regs[f"y{i}"] is red.PLUS for i in range(n) if i != j)
+
+
+def _parent_slice(j, superposed):
+    """The n = 2 slice loop the general family replaced, kept literally."""
+    instances = []
+    other = 1 - j
+    y_other_options = [(red.PLUS, 1.0)] if superposed else [(0, 0.5), (1, 0.5)]
+    base_w = 1.0 / (4**2 * 2)
+    for v0 in range(4):
+        for v1 in range(4):
+            for z in range(2):
+                for y_other_val, w_other in y_other_options:
+                    regs = {"a": j, "x0": v0, "x1": v1, f"y{j}": z, f"y{other}": y_other_val}
+                    target = bit_of(v0 if j == 0 else v1, z, 2)
+                    instances.append((base_w * w_other, regs, target))
+    return instances
+
+
+@pytest.mark.parametrize("superposed", (True, False))
+@pytest.mark.parametrize("j", (0, 1))
+def test_n2_slice_is_the_old_loop_instance_by_instance(j, superposed):
+    # the weighted error sum runs in instance order, so order, weights and
+    # registers must match exactly for n = 2 reports to keep their bytes
+    got = red.slice_distribution(red.two_round_family("parity"), j, superposed).instances
+    want = _parent_slice(j, superposed)
+    assert len(got) == len(want)
+    for inst, (weight, regs, target) in zip(got, want):
+        assert (inst.weight, inst.target) == (weight, target)
+        assert list(inst.register_states) == list(regs)
+        for name, value in regs.items():
+            other = inst.register_states[name]
+            if isinstance(value, int):
+                assert type(other) is int and other == value
+            else:
+                assert other is value
+
+
+def test_n2_decode_blocks_are_the_old_keys():
     fam = red.two_round_family("copy_first")
-    ens = red.slice_distribution(fam, 0)
-    assert len(ens.instances) == 32
-    assert sum(i.weight for i in ens.instances) == pytest.approx(1.0)
-    for inst in ens.instances:
-        v0 = inst.register_states["x0"]
-        z = inst.register_states["y0"]
-        assert inst.target == bit_of(v0, z, 2)
+    decode = fam.spec.moves[1]
+    layout = fam.spec.layout
+    want = [
+        (j << 4) | (v0 << 2) | v1
+        for j in range(2)
+        for v0 in range(4)
+        for v1 in range(4)
+        if ((v0 if j == 0 else v1) >> 1) & 1
+    ]
+    assert list(decode.blocks) == want
+    assert decode.controls == (*layout.register("a").qubits, *layout.register("x0").qubits,
+                               *layout.register("x1").qubits)
 
 
 def test_unfixed_slot_acts_like_uniform_mixture():
@@ -48,9 +104,9 @@ def test_unfixed_slot_acts_like_uniform_mixture():
 
 
 def test_superposed_equals_classical_average():
-    for style in ("copy_first", "rotation"):
-        fam = red.two_round_family(style)
-        for j in (0, 1):
+    for style, n in (("copy_first", 2), ("rotation", 2), ("copy_first", 3), ("parity", 3)):
+        fam = red.two_round_family(style, n)
+        for j in range(n):
             sup = proto.run_protocol(fam.spec, red.slice_distribution(fam, j, True))
             cla = proto.run_protocol(fam.spec, red.slice_distribution(fam, j, False))
             assert sup.error_avg == pytest.approx(cla.error_avg, abs=1e-12)
@@ -223,16 +279,64 @@ def test_copy_first_slice_errors():
 
 
 def test_derived_protocol_keeps_the_family_layout():
-    # P' keeps every family wire and appends psi; only y1, m and psi are
-    # simulated, so 9 wires fit under the 8-qubit cap
-    fam = red.two_round_family("copy_first")
-    spec_prime, _ = red.modify_first_message(fam, 0)
-    layout = spec_prime.layout
-    assert layout.n_qubits == 9
-    assert layout.n_qubits - len(layout.input_qubits()) == 3
-    assert layout.register("y1").kind == "work"
-    report = proto.run_protocol(spec_prime, red.slice_distribution(fam, 0))
-    assert 0.0 <= report.error_avg <= 1.0
+    # P' keeps every family wire and appends psi where the opening reads
+    # y_j (copy_first reads y0 only); only the other y's, m and psi are
+    # simulated: at n = 2 and j = 0, 3 of 9 wires, at n = 3 (a 2-qubit
+    # pointer), 4 of 13
+    for n, wires in ((2, 8), (3, 12)):
+        fam = red.two_round_family("copy_first", n)
+        assert fam.spec.layout.n_qubits == wires
+        for j in range(n):
+            spec_prime, _ = red.modify_first_message(fam, j)
+            layout = spec_prime.layout
+            psi = 1 if j == 0 else 0
+            assert layout.n_qubits == wires + psi
+            assert layout.n_qubits - len(layout.input_qubits()) == n + psi
+            kinds = [layout.register(f"y{i}").kind for i in range(n)]
+            assert kinds == ["input" if i == j else "work" for i in range(n)]
+            report = proto.run_protocol(spec_prime, red.slice_distribution(fam, j))
+            assert 0.0 <= report.error_avg <= 1.0
+
+
+def test_drop_budget_at_n3_is_two_pointer_qubits():
+    fam = red.two_round_family("copy_first", 3)
+    spec_prime, first = red.modify_first_message(fam, 1)
+    _, rep = red.drop_first_message(fam, spec_prime, first)
+    assert rep.budget == spec_prime.message_qubits + 2
+    assert rep.message_qubits_after <= rep.budget
+
+
+def test_parity_reads_every_y():
+    fam = red.two_round_family("parity", 3)
+    first = fam.spec.moves[0]
+    ys = [q for i in range(3) for q in fam.spec.layout.register(f"y{i}").qubits]
+    assert first.controls == tuple(ys)
+    assert sorted(first.blocks) == [1, 2, 4, 7]
+    mus, joint, _ = red.message_info_budget(fam.spec, fam)
+    assert max(mus) <= 1e-10
+    assert joint == pytest.approx(1.0, abs=1e-9)
+
+
+def _with_alignment(monkeypatch, overlap_sq):
+    original = red.uhlmann_aligns
+
+    def faked(pairs):
+        return [replace(r, achieved_overlap_sq=overlap_sq, t=0.0) for r in original(pairs)]
+
+    monkeypatch.setattr(red, "uhlmann_aligns", faked)
+
+
+def test_alignment_guard_forgives_rounding_of_identical_states(monkeypatch):
+    # equal states can come back with overlap^2 one rounding below 1 and
+    # t = 0; 2 sqrt(1 - F) turns that 4.4e-16 into 4.2e-8
+    _with_alignment(monkeypatch, 1.0 - 4.4e-16)
+    red.modify_first_message(red.two_round_family("copy_first"), 0)
+
+
+def test_alignment_guard_still_catches_a_real_gap(monkeypatch):
+    _with_alignment(monkeypatch, 1.0 - 1e-6)
+    with pytest.raises(ReductionError, match="alignment distance exceeded its bound"):
+        red.modify_first_message(red.two_round_family("copy_first"), 0)
 
 
 def test_pipeline_report_fields():
@@ -303,9 +407,10 @@ def test_seed_one_protocol_pass_simulates_and_builds_each_spec_once(monkeypatch)
 
 @pytest.mark.parametrize("style", STYLES)
 def test_eps_j_is_the_superposed_slice_error_bit_for_bit(style):
-    # y_{1-j} re-kinded to work is still the same simulated |+> wire
-    fam = red.two_round_family(style)
-    for j in (0, 1):
-        _, rep = red.modify_first_message(fam, j)
-        sup = proto.run_protocol(fam.spec, red.slice_distribution(fam, j, superposed=True))
-        assert rep.eps_j == sup.error_avg
+    # every other y re-kinded to work is still the same simulated |+> wire
+    for n in (2, 3):
+        fam = red.two_round_family(style, n)
+        for j in range(n):
+            _, rep = red.modify_first_message(fam, j)
+            sup = proto.run_protocol(fam.spec, red.slice_distribution(fam, j, superposed=True))
+            assert rep.eps_j == sup.error_avg
