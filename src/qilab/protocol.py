@@ -18,7 +18,7 @@ significant index position, matching :func:`qilab.linalg.tensor`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -26,12 +26,12 @@ import numpy as np
 from .errors import ProtocolError, SizeError
 from .info import validate_projective
 from .linalg import dagger
-from .states import BipartitePureState, DensityMatrix, _norms, make_densities, make_pures, stacked
+from .states import BLOCK_ENTRIES, BipartitePureState, DensityMatrix, _frozen, _norms
+from .states import make_densities, make_pures
 
 Player = Literal["alice", "bob"]
 
 MAX_QUBITS = 8  # simulated wires and target wires cap at dimension 256
-BASIS_VALUE = (int, np.integer)  # a register value of these types is a basis state
 
 # Gate and projector constants.
 I2 = np.eye(2, dtype=np.complex128)
@@ -262,39 +262,75 @@ def reduced_density(state: np.ndarray, n_qubits: int, keep) -> np.ndarray:
     return m @ dagger(m)
 
 
-@dataclass(frozen=True)
-class InputInstance:
-    """One weighted protocol input: per-register value and target outcome.
+@dataclass(frozen=True, eq=False)
+class InputColumns:
+    """Protocol inputs as columns, one row per input (one row if no column).
 
-    ``register_states`` maps register names to either a basis value (int)
-    or a state vector on that register; unlisted registers start at
-    |0...0>.
+    ``values`` maps a register name to its column of basis values;
+    ``amplitudes`` maps a register name to the one state vector that every
+    row puts it in, normalized where it is read. A register in neither
+    starts at |0...0>. Columns and vectors are checked here, once; their
+    fit to a layout (names, value ranges, lengths) where
+    :func:`initial_states` reads them.
     """
 
-    weight: float
-    register_states: dict
-    target: int
-
-
-@dataclass(frozen=True)
-class InputEnsemble:
-    instances: tuple[InputInstance, ...]
+    values: dict[str, np.ndarray]
+    amplitudes: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not all(i.weight >= 0 for i in self.instances):  # NaN fails too
+        values = {name: np.asarray(col) for name, col in self.values.items()}
+        for name, col in values.items():
+            if col.ndim != 1 or col.dtype.kind not in "iu":
+                raise ValueError(f"register {name!r}: basis values must be a column of integers")
+        lengths = {len(col) for col in values.values()}
+        if len(lengths) > 1 or 0 in lengths:
+            raise ValueError(f"value columns must share one length of at least 1, got {lengths}")
+        amplitudes = {k: np.asarray(v, dtype=np.complex128) for k, v in self.amplitudes.items()}
+        for name, vec in amplitudes.items():
+            if name in values:
+                raise ValueError(f"register {name!r} has both basis values and amplitudes")
+            if not (vec.ndim == 1 and np.all(np.isfinite(vec)) and np.any(vec)):
+                raise ValueError(f"register {name!r}: amplitudes must be finite and not all zero")
+        values = {k: _frozen(v.astype(np.int64, copy=False)) for k, v in values.items()}
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "amplitudes", {k: _frozen(v) for k, v in amplitudes.items()})
+
+    def __len__(self) -> int:
+        return len(next(iter(self.values.values()), (0,)))
+
+
+@dataclass(frozen=True, eq=False)
+class InputEnsemble:
+    """Weighted protocol inputs: row i of ``inputs`` with weight
+    ``weights[i]`` and target outcome ``targets[i]``."""
+
+    inputs: InputColumns
+    weights: np.ndarray
+    targets: np.ndarray
+
+    def __post_init__(self):
+        weights, targets = np.asarray(self.weights, dtype=np.float64), np.asarray(self.targets)
+        if targets.dtype.kind not in "iu":
+            first = targets.reshape(-1)[:1].tolist()
+            raise ValueError(f"targets must be integers, got {targets.dtype} {first}")
+        if not weights.shape == targets.shape == (len(self.inputs),):
+            raise ValueError(f"{len(self.inputs)} inputs need as many weights and targets")
+        if not np.all(weights >= 0):  # NaN fails too
             raise ValueError("instance weights must be non-negative")
-        total = sum(i.weight for i in self.instances)
+        total = sum(weights.tolist())
         if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"instance weights sum to {total}, expected 1")
+        object.__setattr__(self, "weights", _frozen(weights))
+        object.__setattr__(self, "targets", _frozen(np.asarray(targets, dtype=np.int64)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunReport:
     """Exact run summary over an input ensemble."""
 
     error_avg: float
-    instance_errors: tuple[float, ...]
-    outcome_distributions: tuple[tuple[float, ...], ...]
+    instance_errors: np.ndarray  # one per input row
+    outcome_distributions: np.ndarray  # one row per input row, one column per outcome
     message_qubits: int
     first_message_qubits: int
     rounds: int
@@ -349,8 +385,7 @@ class Branch:
     def expectation(self, controls, targets, blocks) -> np.ndarray:
         """<psi|P|psi> of each input for the controlled operator P: exact
         because the classical bits are a basis state."""
-        applied = self.apply(controls, targets, blocks).vec
-        return np.array([np.vdot(v, w).real for v, w in zip(self.vec, applied)])
+        return np.vecdot(self.vec, self.apply(controls, targets, blocks).vec).real
 
     def density(self, wires) -> np.ndarray:
         """Each input's reduced density matrix on some simulated wires, in that order."""
@@ -365,75 +400,58 @@ class Branch:
         psi = psi.transpose(0, *(1 + p for p in self._positions(order)))
         return make_pures([(2 ** len(part_h), 2 ** len(part_k), v) for v in psi])
 
-    def bipartite(self, part_h, part_k) -> BipartitePureState:
-        """The one-input :meth:`bipartites`."""
-        (state,) = self.bipartites(part_h, part_k)
-        return state
 
+def initial_states(layout: RegisterLayout, inputs: InputColumns, rows=slice(None)) -> Branch:
+    """Product states over registers, one row per input in rows ``rows`` of ``inputs``.
 
-def initial_state(layout: RegisterLayout, register_states: dict) -> Branch:
-    """The one-input :func:`initial_states`."""
-    return initial_states(layout, [register_states])
-
-
-def initial_states(layout: RegisterLayout, assignments) -> Branch:
-    """Product states over registers, one row per ``register_states`` assignment.
-
-    Ints are basis values, arrays amplitudes; unlisted registers start at
-    |0...0>. An input register that every assignment gives a basis value
-    becomes classical bits (:func:`play` groups assignments so that one
-    batch shares them); every other register is a simulated wire.
+    An input register with a value column becomes classical bits, as
+    does one with neither values nor amplitudes (it reads 0); every other
+    register is a simulated wire.
     """
-    assignments = list(assignments)
+    unknown = (inputs.values.keys() | inputs.amplitudes.keys()) - {r.name for r in layout.registers}
+    if unknown:
+        raise ProtocolError(f"no registers named {sorted(unknown)} in the layout")
+    count = len(range(len(inputs))[rows])
     bits: dict[int, np.ndarray] = {}
     wires: list[int] = []
-    vec = np.ones((len(assignments), 1), dtype=np.complex128)
+    vec = np.ones((count, 1), dtype=np.complex128)
     for reg in layout.registers:
-        vals = [rs.get(reg.name, 0) for rs in assignments]
-        given = {i: v for i, v in enumerate(vals) if not isinstance(v, BASIS_VALUE)}
-        col = [0 if i in given else v for i, v in enumerate(vals)] if given else vals
-        if col and not (0 <= min(col) and max(col) < reg.dim):
-            bad = next(v for v in col if not 0 <= v < reg.dim)
-            raise SizeError(f"value {bad} out of range for register {reg.name}")
-        col = np.array(col, dtype=np.int64)  # the basis values, 0 where amplitudes are given
-        if reg.kind == "input" and not given:
-            shifts = np.arange(reg.n_qubits - 1, -1, -1)[:, None]
-            bits.update(zip(reg.qubits, (col >> shifts) & 1))
-            continue
-        piece = np.eye(reg.dim, dtype=np.complex128)[col]
-        if given:  # the amplitude rows, normalized as one stack
-            amps = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in given.values()]
-            if any(a.shape[0] != reg.dim for a in amps):
+        if reg.name in inputs.amplitudes:  # one row, which every input shares
+            amps = inputs.amplitudes[reg.name][None]
+            if amps.shape[1] != reg.dim:
                 raise SizeError(f"state length mismatch for register {reg.name}")
-            piece[list(given)] = amps / _norms(np.array(amps))[:, None]
+            piece = amps / _norms(amps)[:, None]
+        else:
+            given = reg.name in inputs.values
+            col = inputs.values[reg.name][rows] if given else np.zeros(count, dtype=np.int64)
+            if col.size and not (0 <= col.min() and col.max() < reg.dim):
+                bad = col[(col < 0) | (col >= reg.dim)][0]
+                raise SizeError(f"value {bad} out of range for register {reg.name}")
+            if reg.kind == "input":
+                shifts = np.arange(reg.n_qubits - 1, -1, -1)[:, None]
+                bits.update(zip(reg.qubits, (col >> shifts) & 1))
+                continue
+            piece = np.eye(reg.dim, dtype=np.complex128)[col]
         wires.extend(reg.qubits)
-        vec = (vec[:, :, None] * piece[:, None, :]).reshape(len(assignments), -1)
+        vec = (vec[:, :, None] * piece[:, None, :]).reshape(count, -1)
     if len(wires) > MAX_QUBITS:
         raise SizeError(f"{len(wires)} simulated qubits exceed the simulation cap {MAX_QUBITS}")
     return Branch(bits, tuple(wires), vec)
 
 
-def play(layout: RegisterLayout, assignments, finish) -> list:
-    """Per ``register_states`` assignment, its row of ``finish(batch)``.
+def play(layout: RegisterLayout, inputs: InputColumns, finish) -> np.ndarray:
+    """``finish(batch)`` of each batch of rows of ``inputs``, concatenated.
 
-    Assignments that give basis values to the same input registers share
-    a batch (a :class:`Branch` from :func:`initial_states`) of at most
+    A batch is a :class:`Branch` from :func:`initial_states` of at most
     :data:`~qilab.states.BLOCK_ENTRIES` state entries; ``finish`` returns
-    one row per input of its batch.
+    an array with one row per input of its batch.
     """
-    assignments = list(assignments)
-    inputs = [r for r in layout.registers if r.kind == "input"]
-    keys = [
-        tuple(r for r in inputs if isinstance(rs.get(r.name, 0), BASIS_VALUE)) for rs in assignments
-    ]
-
-    def build(key, members):
-        return (finish(initial_states(layout, [assignments[i] for i in members])),)
-
-    def entries(key) -> int:  # the amplitudes of one input's state
-        return 2 ** (layout.n_qubits - sum(r.n_qubits for r in key))
-
-    return [rows[j] for (rows,), j in stacked(keys, build, entries)]
+    simulated = sum(
+        r.n_qubits for r in layout.registers if r.kind != "input" or r.name in inputs.amplitudes
+    )
+    step = max(1, BLOCK_ENTRIES // 2**simulated)
+    rows = (slice(lo, lo + step) for lo in range(0, len(inputs), step))
+    return np.concatenate([finish(initial_states(layout, inputs, r)) for r in rows])
 
 
 def evolve(moves, state: Branch) -> Branch:
@@ -443,24 +461,23 @@ def evolve(moves, state: Branch) -> Branch:
     return state
 
 
-def message_states(spec: ProtocolSpec, assignments) -> list[DensityMatrix]:
-    """Certified density of the first message for each input assignment.
+def message_states(spec: ProtocolSpec, inputs: InputColumns) -> list[DensityMatrix]:
+    """Certified density of the first message for each row of ``inputs``.
 
-    The assignments are played in batches (:func:`play`) up to the move
-    that sends the first message. Reading an unset input before the send
+    The rows are played in batches (:func:`play`) up to the move that
+    sends the first message. Reading an unset input before the send
     raises ``ProtocolError``. An input those moves never read may stay
     unset: the message is the same for each of its values, so it is their
     average.
     """
-    assignments = list(assignments)
     moves = spec.moves[: spec.first_message_index() + 1]
     read = {q for move in moves for q in move.controls}
-    inputs = [r.name for r in spec.layout.registers if r.kind == "input" and read & set(r.qubits)]
-    for register_states in assignments:
-        unset = [name for name in inputs if name not in register_states]
-        if unset:
-            raise ProtocolError(f"the first message reads unset inputs {unset}")
-    mats = play(spec.layout, assignments, lambda s: evolve(moves, s).density(moves[-1].send))
+    given = inputs.values.keys() | inputs.amplitudes.keys()
+    unset = [r.name for r in spec.layout.registers
+             if r.kind == "input" and read & set(r.qubits) and r.name not in given]
+    if unset:
+        raise ProtocolError(f"the first message reads unset inputs {unset}")
+    mats = play(spec.layout, inputs, lambda s: evolve(moves, s).density(moves[-1].send))
     return make_densities(mats, tol=1e-8)
 
 
@@ -470,11 +487,11 @@ def run_protocol(spec: ProtocolSpec, ensemble: InputEnsemble) -> RunReport:
     Every instance error is 1 minus the exact probability of the target
     outcome; a target that is not an outcome raises ``ProtocolError``.
     """
-    instances = ensemble.instances
+    targets = ensemble.targets
     meas = spec.final_measurement
     per_outcome = [dict(zip(meas.blocks, p)) for p in zip(*meas.blocks.values())]
-    bad = [i.target for i in instances if not 0 <= i.target < len(per_outcome)]
-    if bad:
+    bad = targets[(targets < 0) | (targets >= len(per_outcome))]
+    if bad.size:
         raise ProtocolError(f"target {bad[0]} is not an outcome 0..{len(per_outcome) - 1}")
 
     def outcomes(state: Branch) -> np.ndarray:
@@ -482,20 +499,21 @@ def run_protocol(spec: ProtocolSpec, ensemble: InputEnsemble) -> RunReport:
         arr = np.stack([state.expectation(meas.controls, meas.targets, b) for b in per_outcome], -1)
         return arr / arr.sum(axis=-1, keepdims=True)
 
-    dists = np.array(play(spec.layout, [inst.register_states for inst in instances], outcomes))
-    errors = (1.0 - dists[np.arange(len(instances)), [i.target for i in instances]]).tolist()
-    error_avg = float(sum(w.weight * e for w, e in zip(instances, errors)))
+    dists = _frozen(play(spec.layout, ensemble.inputs, outcomes))
+    errors = _frozen(1.0 - dists[np.arange(len(targets)), targets])
     return RunReport(
-        error_avg=error_avg,
-        instance_errors=tuple(errors),
-        outcome_distributions=tuple(map(tuple, dists.tolist())),
+        error_avg=float(sum((ensemble.weights * errors).tolist())),  # Python's left-to-right sum
+        instance_errors=errors,
+        outcome_distributions=dists,
         message_qubits=spec.message_qubits,
         first_message_qubits=spec.first_message_qubits,
         rounds=spec.rounds,
     )
 
 
-def total_variation(p, q) -> float:
+def total_variation(p, q):
+    """Total-variation distance of two distributions, or of each pair of
+    rows of two stacks of them."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    return 0.5 * float(np.sum(np.abs(p - q)))
+    return 0.5 * np.sum(np.abs(p - q), axis=-1)

@@ -24,8 +24,8 @@ from .info import (
 )
 from .metrics import optimal_measurements
 from .protocol import (
+    InputColumns,
     InputEnsemble,
-    InputInstance,
     Measurement,
     P0,
     P1,
@@ -225,20 +225,15 @@ def trivial_index_protocol(n: int) -> ProtocolSpec:
 
 
 def index_ensemble(n: int) -> InputEnsemble:
-    """Uniform inputs (x, i) with target bit x_i."""
-    instances = []
-    w = 1.0 / (2**n * n)
-    for x in range(2**n):
-        for i in range(n):
-            instances.append(
-                InputInstance(w, {"x": x, "i": i}, bit_of(x, i, n))
-            )
-    return InputEnsemble(tuple(instances))
+    """Uniform inputs (x, i) with target bit x_i, in row x * n + i."""
+    x, i = np.indices((2**n, n)).reshape(2, -1)
+    weights = np.full(len(x), 1.0 / (2**n * n))
+    return InputEnsemble(InputColumns({"x": x, "i": i}), weights, bit_of(x, i, n))
 
 
 def message_encoding(spec: ProtocolSpec, n: int):
     """The ensemble x -> sigma_x carried by the one message."""
-    return uniform_cube_ensemble(proto.message_states(spec, [{"x": x} for x in range(2**n)]))
+    return uniform_cube_ensemble(proto.message_states(spec, InputColumns({"x": np.arange(2**n)})))
 
 
 @dataclass(frozen=True)
@@ -278,16 +273,10 @@ def rac_lower_bound_check(spec: ProtocolSpec, n: int) -> RacBoundReport:
     if len(sends) != 1 or spec.moves[sends[0]].player != "alice":
         raise ProtocolError("expected exactly one message, sent by alice")
     m = spec.first_message_qubits
-    inputs = index_ensemble(n)
-    report = run_protocol(spec, inputs)
+    report = run_protocol(spec, index_ensemble(n))
     eps = report.error_avg
     cost_floor = (1.0 - binary_entropy(eps)) * n
-
-    err = {}
-    for idx, inst in enumerate(inputs.instances):
-        err[(inst.register_states["x"], inst.register_states["i"])] = (
-            report.instance_errors[idx]
-        )
+    err = report.instance_errors.reshape(2**n, n)  # [x, i]
     ensemble = message_encoding(spec, n)
     table = prefix_information(ensemble)
     info = holevo_information(ensemble)
@@ -298,11 +287,7 @@ def rac_lower_bound_check(spec: ProtocolSpec, n: int) -> RacBoundReport:
     for j, row in enumerate(table):
         gaps = []
         for y, sub_info in enumerate(row):
-            suffix_count = 2 ** (n - j)
-            errs = [
-                err[((y << (n - j)) | suffix, j)] for suffix in range(suffix_count)
-            ]
-            eps_y = float(np.mean(errs))
+            eps_y = float(np.mean(err[y << (n - j) : (y + 1) << (n - j), j]))
             gap = 1.0 - binary_entropy(eps_y)
             gaps.append(gap)
             min_fano_slack = min(min_fano_slack, sub_info - gap)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import product
 
 import numpy as np
 
@@ -38,17 +37,16 @@ from .protocol import (
     H,
     P0,
     P1,
+    InputColumns,
     InputEnsemble,
-    InputInstance,
     Measurement,
     Move,
     ProtocolSpec,
     RegisterLayout,
     evolve,
-    initial_state,
+    initial_states,
     make_layout,
     message_states,
-    play,
     ry,
     run_protocol,
     state_prep_unitary,
@@ -142,22 +140,23 @@ def slice_distribution(
     (or enumerated classically when ``superposed`` is False).
     """
     ys = _slot_assignments(family, j, superposed)
-    weight = 1.0 / (2 ** (INNER * family.n) * len(ys))  # a power of two, so exact
-    names = ("a", *(f"x{i}" for i in range(family.n)))
-    instances = []
-    for v in product(range(2**INNER), repeat=family.n):
-        xs = dict(zip(names, (j, *v)))
-        for y in ys:
-            instances.append(InputInstance(weight, {**xs, **y}, bit_of(v[j], y[f"y{j}"], INNER)))
-    return InputEnsemble(tuple(instances))
+    n_x, n_y = 2 ** (INNER * family.n), len(ys)  # row x * n_y + y
+    xs = np.indices((2**INNER,) * family.n).reshape(family.n, -1).repeat(n_y, axis=1)
+    values = {name: np.tile(col, n_x) for name, col in ys.values.items()}
+    values.update({f"x{i}": col for i, col in enumerate(xs)}, a=np.full(n_x * n_y, j))
+    targets = bit_of(values[f"x{j}"], values[f"y{j}"], INNER)
+    weights = np.full(n_x * n_y, 1.0 / (n_x * n_y))  # a power of two, so exact
+    return InputEnsemble(InputColumns(values, ys.amplitudes), weights, targets)
 
 
-def _slot_assignments(family: TwoRoundFamily, j: int, superposed: bool = True) -> list[dict]:
+def _slot_assignments(family: TwoRoundFamily, j: int, superposed: bool = True) -> InputColumns:
     """Per value of y_j, the other y registers in |+> (or, when ``superposed``
-    is False, one assignment per classical fill of them)."""
+    is False, one row per classical fill of them)."""
     others = [f"y{i}" for i in range(family.n) if i != j]
-    fills = list(product([PLUS] if superposed else range(2), repeat=len(others)))
-    return [{f"y{j}": z, **dict(zip(others, fill))} for z in range(INNER) for fill in fills]
+    if superposed:
+        return InputColumns({f"y{j}": np.arange(INNER)}, dict.fromkeys(others, PLUS))
+    cols = np.indices((INNER,) + (2,) * len(others)).reshape(family.n, -1)
+    return InputColumns(dict(zip([f"y{j}", *others], cols)))
 
 
 def slice_information(spec: ProtocolSpec, family: TwoRoundFamily, j: int) -> float:
@@ -180,8 +179,8 @@ def message_info_budget(
     I(M : Y_1..Y_n), which the message size ell_1 caps in turn.
     """
     mus = [slice_information(spec, family, j) for j in range(family.n)]
-    values = product(range(INNER), repeat=family.n)
-    joint_states = message_states(spec, [{f"y{i}": z for i, z in enumerate(zs)} for zs in values])
+    values = np.indices((INNER,) * family.n).reshape(family.n, -1)
+    joint_states = message_states(spec, InputColumns({f"y{i}": z for i, z in enumerate(values)}))
     joint = holevo_information(uniform_cube_ensemble(joint_states))
     return mus, joint, spec.first_message_qubits
 
@@ -216,7 +215,7 @@ class FirstMessageReport:
     mu_j_prime: float
     t_values: tuple[float, ...]
     align_distances: tuple[float, ...]
-    prime_outcomes: tuple[tuple[float, ...], ...]  # P' on the slice, per instance
+    prime_outcomes: np.ndarray  # P' on the slice, one row per instance
     prime_messages: tuple[DensityMatrix, ...]  # P''s first message, per value of y_j
 
     @property
@@ -270,10 +269,10 @@ def modify_first_message(
     assignments = _slot_assignments(family, j)
 
     # y_j and Alice's inputs are classical, so K is every other wire.
-    rewired_state = evolve(opening, initial_state(layout, assignments[0]))
+    rewired_state = evolve(opening, initial_states(layout, assignments, slice(1)))
     k_wires = tuple(q for q in rewired_state.wires if q not in m_wires)
-    phi_prime = rewired_state.bipartite(m_wires, k_wires)
-    phis = play(layout, assignments, lambda s: evolve((first,), s).bipartites(m_wires, k_wires))
+    (phi_prime,) = rewired_state.bipartites(m_wires, k_wires)
+    phis = evolve((first,), initial_states(layout, assignments)).bipartites(m_wires, k_wires)
     t_values = []
     align_distances = []
     corrective_blocks = {}
@@ -365,14 +364,14 @@ def drop_first_message(
 
     # Alice's prepared message; y_j and Alice's inputs are classical, so
     # K is B'' followed by every other simulated wire.
-    prepared = evolve((prep,), initial_state(layout, assignments[0]))
+    prepared = evolve((prep,), initial_states(layout, assignments, slice(1)))
     k_full = (*bp_wires, *(q for q in prepared.wires if q not in (*m_wires, *bp_wires)))
-    xi = prepared.bipartite(m_wires, k_full)
+    (xi,) = prepared.bipartites(m_wires, k_full)
 
     # Target states: P' after its opening move and corrective, embedded
     # in the new register space (B'' spectator at |0>).
     bob_moves = spec_prime.moves[:first_alice]
-    chis = play(layout, assignments, lambda s: evolve(bob_moves, s).bipartites(m_wires, k_full))
+    chis = evolve(bob_moves, initial_states(layout, assignments)).bipartites(m_wires, k_full)
     found = exact_local_transitions([(chi, xi) for chi in chis])
     v_blocks = {z: v_z for z, (v_z, _) in enumerate(found)}
     max_residual = max([0.0] + [residual for _, residual in found])
@@ -384,10 +383,7 @@ def drop_first_message(
         spec_prime.final_measurement,
     )
     run_double = run_protocol(spec_double, slice_distribution(family, j))
-    max_tv = max(
-        total_variation(p, q)
-        for p, q in zip(first.prime_outcomes, run_double.outcome_distributions)
-    )
+    max_tv = np.max(total_variation(first.prime_outcomes, run_double.outcome_distributions))
     budget = spec_prime.message_qubits + int(np.ceil(np.log2(family.n)))
     report = DropReport(
         j=j,

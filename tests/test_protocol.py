@@ -1,6 +1,4 @@
 import tracemalloc
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -26,9 +24,7 @@ def copy_protocol():
 
 
 def uniform_bit_ensemble():
-    return proto.InputEnsemble(
-        tuple(proto.InputInstance(0.5, {"x": b}, b) for b in (0, 1))
-    )
+    return proto.InputEnsemble(proto.InputColumns({"x": [0, 1]}), [0.5, 0.5], [0, 1])
 
 
 def test_empty_protocol_fixed_work_qubit():
@@ -36,10 +32,8 @@ def test_empty_protocol_fixed_work_qubit():
     spec = proto.ProtocolSpec(
         layout, (), proto.Measurement("alice", (0,), {0: (P0, P1)})
     )
-    report = proto.run_protocol(
-        spec, proto.InputEnsemble((proto.InputInstance(1.0, {}, 0),))
-    )
-    assert report.outcome_distributions[0] == (1.0, 0.0)
+    report = proto.run_protocol(spec, proto.InputEnsemble(proto.InputColumns({}), [1.0], [0]))
+    assert report.outcome_distributions[0].tolist() == [1.0, 0.0]
     assert report.error_avg == 0.0
     assert report.message_qubits == 0 and report.rounds == 0
 
@@ -56,19 +50,71 @@ def test_ensemble_weights_must_be_non_negative():
     # 1.5 and -0.5 sum to 1, yet are no distribution
     for weights in ((1.5, -0.5), (float("nan"), 1.0)):
         with pytest.raises(ValueError, match="non-negative"):
-            proto.InputEnsemble(
-                tuple(proto.InputInstance(w, {"x": b}, b) for w, b in zip(weights, (0, 1)))
-            )
+            proto.InputEnsemble(proto.InputColumns({"x": [0, 1]}), weights, [0, 1])
 
 
 @pytest.mark.parametrize("target", (-1, 2))
 def test_target_outside_the_outcomes_is_rejected(target):
     # -1 would score the last outcome, 2 would index past the outcomes
     ensemble = rac.index_ensemble(2)
-    first, *rest = ensemble.instances
-    bad = proto.InputEnsemble((replace(first, target=target), *rest))
+    targets = [target, *ensemble.targets[1:]]
+    bad = proto.InputEnsemble(ensemble.inputs, ensemble.weights, targets)
     with pytest.raises(ProtocolError, match=f"target {target} is not an outcome 0..1"):
         proto.run_protocol(rac.classical_copy_protocol(2), bad)
+
+
+@pytest.mark.parametrize(
+    "amps", (np.zeros(2), [np.nan, 1.0], [np.inf, 0.0]), ids=("zero", "nan", "inf")
+)
+def test_bad_amplitude_vectors_are_rejected_when_built(amps):
+    # each used to run through to error_avg = nan and (nan, nan) outcomes
+    with pytest.raises(ValueError, match="'x': amplitudes must be finite and not all zero"):
+        proto.InputColumns({}, {"x": amps})
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    (
+        ({"x": np.array([], dtype=int)}, r"one length of at least 1, got \{0\}"),
+        ({"x": [0, 1], "y": [0]}, r"one length of at least 1, got \{1, 2\}"),
+        ({"x": [0.0, 1.0]}, "register 'x': basis values must be a column of integers"),
+        ({"x": [True, False]}, "register 'x': basis values must be a column of integers"),
+    ),
+    ids=("empty", "unequal", "float", "bool"),
+)
+def test_bad_value_columns_are_rejected_when_built(values, message):
+    with pytest.raises(ValueError, match=message):
+        proto.InputColumns(values)
+
+
+def test_float_target_is_rejected():
+    with pytest.raises(ValueError, match=r"targets must be integers, got float64 \[1.0\]"):
+        proto.InputEnsemble(proto.InputColumns({"x": [1]}), [1.0], [1.0])
+
+
+def test_bool_target_is_rejected():
+    with pytest.raises(ValueError, match=r"targets must be integers, got bool \[True\]"):
+        proto.InputEnsemble(proto.InputColumns({"x": [1]}), [1.0], [True])
+
+
+def test_unknown_register_name_is_rejected():
+    # it used to be ignored, so the run scored the all-zero input
+    ensemble = proto.InputEnsemble(proto.InputColumns({"nosuch": [1]}), [1.0], [0])
+    with pytest.raises(ProtocolError, match=r"no registers named \['nosuch'\] in the layout"):
+        proto.run_protocol(copy_protocol(), ensemble)
+
+
+@pytest.mark.parametrize(
+    "inputs, message",
+    (
+        (proto.InputColumns({"x": [0, 2]}), "value 2 out of range for register x"),
+        (proto.InputColumns({"x": [-1, 0]}), "value -1 out of range for register x"),
+        (proto.InputColumns({}, {"x": np.ones(4)}), "state length mismatch for register x"),
+    ),
+)
+def test_inputs_must_fit_the_layout(inputs, message):
+    with pytest.raises(SizeError, match=message):
+        proto.initial_states(copy_protocol().layout, inputs)
 
 
 def test_apply_unitary_matches_dense_kron():
@@ -190,37 +236,40 @@ def test_measurement_ownership_enforced():
 def test_exact_mode_is_deterministic():
     a = proto.run_protocol(copy_protocol(), uniform_bit_ensemble())
     b = proto.run_protocol(copy_protocol(), uniform_bit_ensemble())
-    assert a == b
+    assert a.error_avg == b.error_avg
+    assert a.instance_errors.tobytes() == b.instance_errors.tobytes()
+    assert a.outcome_distributions.tobytes() == b.outcome_distributions.tobytes()
 
 
 def test_superposed_input_distribution():
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    ens = proto.InputEnsemble((proto.InputInstance(1.0, {"x": plus}, 0),))
+    ens = proto.InputEnsemble(proto.InputColumns({}, {"x": plus}), [1.0], [0])
     report = proto.run_protocol(copy_protocol(), ens)
     assert report.outcome_distributions[0] == pytest.approx((0.5, 0.5))
 
 
 def test_basis_inputs_are_classical_bits():
     layout = copy_protocol().layout
-    state = proto.initial_state(layout, {"x": 1})
+    state = proto.initial_states(layout, proto.InputColumns({"x": [1]}))
     assert state.bits == {0: 1} and state.wires == (1,)
     assert np.allclose(state.vec, [1.0, 0.0])
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    state = proto.initial_state(layout, {"x": plus})
+    state = proto.initial_states(layout, proto.InputColumns({}, {"x": plus}))
     assert state.bits == {} and state.wires == (0, 1)
     # the classical control bits select the block
-    flipped = proto.initial_state(layout, {"x": 1}).apply((0,), (1,), {1: proto.X})
+    one, zero = (proto.initial_states(layout, proto.InputColumns({"x": [b]})) for b in (1, 0))
+    flipped = one.apply((0,), (1,), {1: proto.X})
     assert np.allclose(flipped.vec, [0.0, 1.0])
-    kept = proto.initial_state(layout, {"x": 0}).apply((0,), (1,), {1: proto.X})
+    kept = zero.apply((0,), (1,), {1: proto.X})
     assert np.allclose(kept.vec, [1.0, 0.0])
 
 
 def test_bipartite_orders_the_simulated_wires():
     layout = proto.make_layout([("a", 1, "work", "alice"), ("b", 1, "work", "bob")])
-    state = proto.initial_state(layout, {"a": 0, "b": 1})
-    assert np.allclose(state.bipartite((1,), (0,)).vec, [0.0, 0.0, 1.0, 0.0])
+    state = proto.initial_states(layout, proto.InputColumns({"a": [0], "b": [1]}))
+    assert np.allclose(state.bipartites((1,), (0,))[0].vec, [0.0, 0.0, 1.0, 0.0])
     with pytest.raises(ProtocolError):
-        state.bipartite((1,), ())
+        state.bipartites((1,), ())
 
 
 def test_state_prep_unitary():
@@ -243,6 +292,13 @@ def test_layout_validation():
 def test_total_variation():
     assert proto.total_variation([1, 0], [0, 1]) == pytest.approx(1.0)
     assert proto.total_variation([0.5, 0.5], [0.5, 0.5]) == 0.0
+    # a stack: one distance per pair of rows, each the 1-d call bit for bit
+    p = Stream(125).gauss_array(12).reshape(4, 3) ** 2
+    q = Stream(126).gauss_array(12).reshape(4, 3) ** 2
+    p, q = p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
+    got = proto.total_variation(p, q)
+    assert got.shape == (4,)
+    assert got.tolist() == [proto.total_variation(a, b) for a, b in zip(p, q)]
 
 
 def test_operator_cap():
@@ -307,11 +363,13 @@ def dense_distributions(spec, ensemble):
         _embed(meas.controls, meas.targets, {b: p[k] for b, p in meas.blocks.items()}, n)
         for k in range(len(meas.blocks[0]))
     ]
+    cols = {name: col.tolist() for name, col in ensemble.inputs.values.items()}
     out = []
-    for inst in ensemble.instances:
+    for row in range(len(ensemble.weights)):
+        register_states = {**{k: col[row] for k, col in cols.items()}, **ensemble.inputs.amplitudes}
         state = np.ones(1, dtype=complex)
         for reg in spec.layout.registers:
-            val = inst.register_states.get(reg.name, 0)
+            val = register_states.get(reg.name, 0)
             if isinstance(val, (int, np.integer)):
                 piece = np.eye(reg.dim)[val]
             else:
@@ -331,7 +389,7 @@ def assert_matches_dense(spec, ensemble):
 
 def test_dense_reference_index_protocols():
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    superposed = proto.InputEnsemble((proto.InputInstance(1.0, {"x": plus}, 0),))
+    superposed = proto.InputEnsemble(proto.InputColumns({}, {"x": plus}), [1.0], [0])
     assert_matches_dense(copy_protocol(), uniform_bit_ensemble())
     assert_matches_dense(copy_protocol(), superposed)
     _, bloch = rac.optimize_rac(2, seed=5, starts=2)

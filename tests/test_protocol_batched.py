@@ -20,6 +20,13 @@ from qilab.rng import Stream
 STYLES = ("copy_first", "constant", "parity", "rotation")
 
 
+def input_rows(inputs):
+    """Each row of ``inputs`` as a register -> basis value or amplitudes dict."""
+    cols = {name: col.tolist() for name, col in inputs.values.items()}
+    rows = range(len(inputs))
+    return [{**{k: col[i] for k, col in cols.items()}, **inputs.amplitudes} for i in rows]
+
+
 def _ref_initial(layout, register_states):
     bits, wires, vec = {}, [], np.ones(1, dtype=np.complex128)
     for reg in layout.registers:
@@ -70,22 +77,22 @@ def reference_run(spec, ensemble):
     meas = spec.final_measurement
     per_outcome = [dict(zip(meas.blocks, p)) for p in zip(*meas.blocks.values())]
     dists, errors = [], []
-    for inst in ensemble.instances:
-        bits, wires, vec = _ref_initial(spec.layout, inst.register_states)
+    for register_states, target in zip(input_rows(ensemble.inputs), ensemble.targets.tolist()):
+        bits, wires, vec = _ref_initial(spec.layout, register_states)
         vec = _ref_evolve(spec.moves, bits, wires, vec)
         projected = [_ref_apply(bits, wires, vec, meas.controls, meas.targets, b) for b in per_outcome]
         arr = np.array([float(np.vdot(vec, w).real) for w in projected])
         dist = arr / arr.sum()
         dists.append(tuple(float(p) for p in dist))
-        errors.append(1.0 - float(dist[inst.target]))
-    error_avg = float(sum(i.weight * e for i, e in zip(ensemble.instances, errors)))
+        errors.append(1.0 - float(dist[target]))
+    error_avg = float(sum(w * e for w, e in zip(ensemble.weights.tolist(), errors)))
     return error_avg, tuple(errors), tuple(dists)
 
 
-def reference_message_mats(spec, assignments):
+def reference_message_mats(spec, inputs):
     moves = spec.moves[: spec.first_message_index() + 1]
     mats = []
-    for register_states in assignments:
+    for register_states in input_rows(inputs):
         bits, wires, vec = _ref_initial(spec.layout, register_states)
         vec = _ref_evolve(moves, bits, wires, vec)
         keep = [wires.index(q) for q in moves[-1].send]
@@ -108,12 +115,12 @@ def assert_run_matches_reference(spec, ensemble):
     assert _bytes(report.outcome_distributions) == _bytes(dists)
 
 
-def assert_messages_match_reference(spec, assignments):
-    got = [rho.mat for rho in proto.message_states(spec, assignments)]
-    want = reference_message_mats(spec, assignments)
+def assert_messages_match_reference(spec, inputs):
+    got = [rho.mat for rho in proto.message_states(spec, inputs)]
+    want = reference_message_mats(spec, inputs)
     assert len(got) == len(want)
     for i, (a, b) in enumerate(zip(got, want)):
-        assert a.tobytes() == b.tobytes(), f"assignment {i}"
+        assert a.tobytes() == b.tobytes(), f"row {i}"
 
 
 def _random_kets(n: int, seed: int) -> list[np.ndarray]:
@@ -121,10 +128,10 @@ def _random_kets(n: int, seed: int) -> list[np.ndarray]:
     return [row / np.linalg.norm(row) for row in g]
 
 
-def _two_round_assignments(j):
-    slot = [{f"y{j}": z, f"y{1 - j}": red.PLUS} for z in (0, 1)]
-    joint = [{"y0": z0, "y1": z1} for z0 in (0, 1) for z1 in (0, 1)]
-    return slot + joint
+def _two_round_inputs(j):
+    slot = proto.InputColumns({f"y{j}": [0, 1]}, {f"y{1 - j}": red.PLUS})
+    joint = proto.InputColumns({"y0": [0, 0, 1, 1], "y1": [0, 1, 0, 1]})
+    return slot, joint
 
 
 @pytest.mark.parametrize("style", STYLES)
@@ -133,7 +140,8 @@ def test_two_round_family_matches_the_one_input_reference(style):
     for j in (0, 1):
         for superposed in (True, False):
             assert_run_matches_reference(fam.spec, red.slice_distribution(fam, j, superposed))
-        assert_messages_match_reference(fam.spec, _two_round_assignments(j))
+        for inputs in _two_round_inputs(j):
+            assert_messages_match_reference(fam.spec, inputs)
 
 
 @pytest.mark.parametrize("style", STYLES)
@@ -146,7 +154,8 @@ def test_derived_protocols_match_the_one_input_reference(style):
         for spec in (spec_prime, spec_double):
             for superposed in (True, False):
                 assert_run_matches_reference(spec, red.slice_distribution(fam, j, superposed))
-        assert_messages_match_reference(spec_prime, _two_round_assignments(j))
+        for inputs in _two_round_inputs(j):
+            assert_messages_match_reference(spec_prime, inputs)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
@@ -157,30 +166,16 @@ def test_index_protocols_match_the_one_input_reference(n):
     for spec in (code, rac.classical_copy_protocol(n), rac.trivial_index_protocol(n)):
         assert_run_matches_reference(spec, ensemble)
     for spec in (code, rac.classical_copy_protocol(n)):
-        assert_messages_match_reference(spec, [{"x": x} for x in range(2**n)])
-
-
-def test_mixed_inputs_are_grouped_and_returned_in_order(counted):
-    # superposed and classical values of one input register interleaved,
-    # each slice at half weight: two batches, each input's row in its place
-    fam = red.two_round_family("rotation")
-    sup = red.slice_distribution(fam, 0, True).instances
-    cla = red.slice_distribution(fam, 0, False).instances
-    mixed = [
-        proto.InputInstance(inst.weight / 2, inst.register_states, inst.target)
-        for pair in zip(sup, cla[::2], cla[1::2])
-        for inst in pair
-    ]
-    assert_run_matches_reference(fam.spec, proto.InputEnsemble(tuple(mixed)))
-    assert counted["batch_rows"] == [32, 64]
+        assert_messages_match_reference(spec, proto.InputColumns({"x": np.arange(2**n)}))
 
 
 def test_one_input_branch_is_the_one_row_batch():
     fam = red.two_round_family("parity")
-    rows = [inst.register_states for inst in red.slice_distribution(fam, 1).instances[:5]]
-    batch = proto.evolve(fam.spec.moves, proto.initial_states(fam.spec.layout, rows))
-    for i, register_states in enumerate(rows):
-        one = proto.evolve(fam.spec.moves, proto.initial_state(fam.spec.layout, register_states))
+    inputs = red.slice_distribution(fam, 1).inputs
+    batch = proto.evolve(fam.spec.moves, proto.initial_states(fam.spec.layout, inputs, slice(5)))
+    for i in range(5):
+        one = proto.initial_states(fam.spec.layout, inputs, slice(i, i + 1))
+        one = proto.evolve(fam.spec.moves, one)
         assert one.wires == batch.wires and one.vec.shape == (1, batch.vec.shape[1])
         assert one.vec[0].tobytes() == batch.vec[i].tobytes()
         assert {q: int(b[0]) for q, b in one.bits.items()} == {
@@ -215,8 +210,8 @@ def counted(monkeypatch):
         calls["apply_unitary"] += 1
         return apply_unitary(*args)
 
-    def counting_initial_states(layout, assignments):
-        out = initial_states(layout, assignments)
+    def counting_initial_states(layout, inputs, rows=slice(None)):
+        out = initial_states(layout, inputs, rows)
         calls["batch_rows"].append(len(out.vec))
         return out
 
@@ -232,7 +227,7 @@ def test_each_move_is_applied_once_per_batch(counted):
     proto.run_protocol(fam.spec, ensemble)
     outcomes = len(fam.spec.final_measurement.blocks[0])
     # the 32 slice inputs simulate the same wires: one batch
-    assert counted["batch_rows"] == [len(ensemble.instances)] == [32]
+    assert counted["batch_rows"] == [len(ensemble.weights)] == [32]
     assert counted["apply"] == len(fam.spec.moves) + outcomes
     assert counted["apply_unitary"] <= counted["apply"]
 

@@ -20,18 +20,24 @@ def test_families_validate():
         assert fam.spec.first_message_qubits == 1
 
 
+def _rows(inputs):
+    """Each row of ``inputs`` as a register -> basis value or amplitudes dict."""
+    cols = {name: col.tolist() for name, col in inputs.values.items()}
+    rows = range(len(inputs))
+    return [{**{k: col[i] for k, col in cols.items()}, **inputs.amplitudes} for i in rows]
+
+
 def test_slice_distribution_weights_and_targets():
     for n in (1, 2, 3):
         fam = red.two_round_family("copy_first", n)
         for j in range(n):
             ens = red.slice_distribution(fam, j)
-            assert len(ens.instances) == 4**n * 2
-            assert sum(i.weight for i in ens.instances) == pytest.approx(1.0)
-            for inst in ens.instances:
-                regs = inst.register_states
+            assert len(ens.weights) == 4**n * 2
+            assert sum(ens.weights.tolist()) == pytest.approx(1.0)
+            for regs, target in zip(_rows(ens.inputs), ens.targets.tolist()):
                 assert regs["a"] == j
-                assert inst.target == bit_of(regs[f"x{j}"], regs[f"y{j}"], 2)
-                assert all(regs[f"y{i}"] is red.PLUS for i in range(n) if i != j)
+                assert target == bit_of(regs[f"x{j}"], regs[f"y{j}"], 2)
+                assert all(np.array_equal(regs[f"y{i}"], red.PLUS) for i in range(n) if i != j)
 
 
 def _parent_slice(j, superposed):
@@ -55,18 +61,19 @@ def _parent_slice(j, superposed):
 def test_n2_slice_is_the_old_loop_instance_by_instance(j, superposed):
     # the weighted error sum runs in instance order, so order, weights and
     # registers must match exactly for n = 2 reports to keep their bytes
-    got = red.slice_distribution(red.two_round_family("parity"), j, superposed).instances
+    got = red.slice_distribution(red.two_round_family("parity"), j, superposed)
+    rows = zip(_rows(got.inputs), got.weights.tolist(), got.targets.tolist())
     want = _parent_slice(j, superposed)
-    assert len(got) == len(want)
-    for inst, (weight, regs, target) in zip(got, want):
-        assert (inst.weight, inst.target) == (weight, target)
-        assert list(inst.register_states) == list(regs)
+    assert len(got.weights) == len(want)
+    for (row, w, t), (weight, regs, target) in zip(rows, want):
+        assert (w, t) == (weight, target)
+        assert row.keys() == regs.keys()
         for name, value in regs.items():
-            other = inst.register_states[name]
+            other = row[name]
             if isinstance(value, int):
                 assert type(other) is int and other == value
             else:
-                assert other is value
+                assert other.tobytes() == value.tobytes()
 
 
 def test_n2_decode_blocks_are_the_old_keys():
@@ -91,12 +98,13 @@ def test_unfixed_slot_acts_like_uniform_mixture():
     fam = red.two_round_family("copy_first")
     layout = fam.spec.layout
     weights = {0: 0.0, 1: 0.0}
-    for inst in red.slice_distribution(fam, 0).instances:
-        weights[inst.register_states["y0"]] += inst.weight
+    ens0 = red.slice_distribution(fam, 0)
+    for z, w in zip(ens0.inputs.values["y0"].tolist(), ens0.weights.tolist()):
+        weights[z] += w
     assert weights == pytest.approx({0: 0.5, 1: 0.5}, abs=1e-12)
 
     ens1 = red.slice_distribution(fam, 1)
-    state = proto.initial_state(layout, ens1.instances[0].register_states)
+    state = proto.initial_states(layout, ens1.inputs, slice(1))
     y0 = layout.register("y0").qubits
     assert set(y0) <= set(state.wires)  # a superposed input stays a wire
     state = proto.evolve(fam.spec.moves[:1], state)
@@ -114,10 +122,10 @@ def test_superposed_equals_classical_average():
 
 def test_message_densities_copy_first():
     fam = red.two_round_family("copy_first")
-    rho = proto.message_states(fam.spec, [{"y0": z, "y1": red.PLUS} for z in (0, 1)])
+    rho = proto.message_states(fam.spec, proto.InputColumns({"y0": [0, 1]}, {"y1": red.PLUS}))
     assert np.allclose(rho[0].mat, np.diag([1.0, 0.0]), atol=1e-12)
     assert np.allclose(rho[1].mat, np.diag([0.0, 1.0]), atol=1e-12)
-    rho1 = proto.message_states(fam.spec, [{"y1": z, "y0": red.PLUS} for z in (0, 1)])
+    rho1 = proto.message_states(fam.spec, proto.InputColumns({"y1": [0, 1]}, {"y0": red.PLUS}))
     assert np.allclose(rho1[0].mat, np.eye(2) / 2, atol=1e-12)
     assert np.allclose(rho1[1].mat, np.eye(2) / 2, atol=1e-12)
     assert red.slice_information(fam.spec, fam, 0) == pytest.approx(1.0, abs=1e-10)
@@ -129,12 +137,12 @@ def _slice_average(spec, fam, j):
     one weighted run per instance, grouped by the value of y_j."""
     send = spec.first_message_index()
     acc, weight = {}, {}
-    for inst in red.slice_distribution(fam, j).instances:
-        z = inst.register_states[f"y{j}"]
-        state = proto.initial_state(spec.layout, inst.register_states)
+    ens = red.slice_distribution(fam, j)
+    for row, (z, w) in enumerate(zip(ens.inputs.values[f"y{j}"].tolist(), ens.weights.tolist())):
+        state = proto.initial_states(spec.layout, ens.inputs, slice(row, row + 1))
         rho = proto.evolve(spec.moves[: send + 1], state).density(spec.moves[send].send)
-        acc[z] = acc.get(z, 0.0) + inst.weight * rho
-        weight[z] = weight.get(z, 0.0) + inst.weight
+        acc[z] = acc.get(z, 0.0) + w * rho
+        weight[z] = weight.get(z, 0.0) + w
     return [acc[z] / weight[z] for z in sorted(acc)]
 
 
@@ -146,7 +154,8 @@ def test_message_states_equal_the_slice_average(style, j):
     fam = red.two_round_family(style)
     spec_prime, _ = red.modify_first_message(fam, j)
     for spec in (fam.spec, spec_prime):
-        got = proto.message_states(spec, [{f"y{j}": z, f"y{1 - j}": red.PLUS} for z in (0, 1)])
+        slot = proto.InputColumns({f"y{j}": [0, 1]}, {f"y{1 - j}": red.PLUS})
+        got = proto.message_states(spec, slot)
         want = _slice_average(spec, fam, j)
         assert len(got) == len(want) == 2
         for rho, ref in zip(got, want):
@@ -167,10 +176,10 @@ def test_message_states_reject_an_unset_input_the_sender_reads():
     fam = red.two_round_family("copy_first")
     flipped = _alice_first(fam)
     with pytest.raises(proto.ProtocolError, match=r"unset inputs \['a', 'x0', 'x1'\]"):
-        proto.message_states(flipped, [{"y0": 0, "y1": 1}])
+        proto.message_states(flipped, proto.InputColumns({"y0": [0], "y1": [1]}))
     with pytest.raises(proto.ProtocolError, match=r"unset inputs \['x1'\]"):
-        proto.message_states(flipped, [{"a": 1, "x0": 3}])
-    (rho,) = proto.message_states(flipped, [{"a": 1, "x0": 0, "x1": 2}])
+        proto.message_states(flipped, proto.InputColumns({"a": [1], "x0": [3]}))
+    (rho,) = proto.message_states(flipped, proto.InputColumns({"a": [1], "x0": [0], "x1": [2]}))
     assert np.allclose(rho.mat, np.diag([0.0, 1.0]), atol=1e-12)
 
 

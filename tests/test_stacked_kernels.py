@@ -342,7 +342,7 @@ NAN_CONSTRUCTORS = {
     "state_prep_unitary": lambda mp: protocol.state_prep_unitary([np.nan, 1.0]),
     "shannon_entropy": lambda mp: info.shannon_entropy([np.nan, 1.0]),
     "InputEnsemble": lambda mp: protocol.InputEnsemble(
-        (protocol.InputInstance(np.nan, {}, 0), protocol.InputInstance(1.0, {}, 0))
+        protocol.InputColumns({"x": [0, 1]}), [np.nan, 1.0], [0, 0]
     ),
 }
 
