@@ -13,7 +13,7 @@ from . import linalg
 from .errors import SizeError
 from .info import validate_projective
 from .linalg import DEFAULT_TOL, dagger
-from .states import BipartitePureState, DensityMatrix, stacked
+from .states import DensityMatrix, _eigenpairs, _unit_norms, stacked
 
 
 @dataclass(frozen=True)
@@ -76,41 +76,50 @@ def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
     return trace_distances([(r1, r2)])[0]
 
 
-def _as_vector(phi) -> np.ndarray:
-    if isinstance(phi, BipartitePureState):
-        return phi.vec
-    return np.asarray(phi, dtype=np.complex128).reshape(-1)
+def pure_trace_distances(pairs) -> list[float]:
+    """2 sqrt(1 - |<p1|p2>|^2) for each pair of unit vectors (or bipartite pure
+    states) ``(p1, p2)``, stacked per length; a SizeError (unequal lengths) or
+    NormalizationError (a norm not 1, or NaN) names the pair's index."""
+    pairs = [[np.asarray(getattr(p, "vec", p), dtype=complex).ravel() for p in pq] for pq in pairs]
+
+    def build(lengths, members):  # the first pair of unequal lengths is the first of its group
+        if lengths[0] != lengths[1]:
+            raise SizeError(f"pair {members[0]}: pure states must have equal dimension")
+        v = np.array([pairs[i] for i in members])
+        _unit_norms(v)  # names "matrix (i, side)": pair i
+        dot = np.vecdot(v[:, 0], v[:, 1])  # modulus by hypot and square by libm pow, as scalars
+        overlap_sq = np.float_power(np.hypot(dot.real, dot.imag), 2)
+        return (2.0 * np.sqrt(np.maximum(1.0 - overlap_sq, 0.0)),)
+
+    return [float(d[j]) for (d,), j in stacked([tuple(map(len, pq)) for pq in pairs], build, sum)]
 
 
 def pure_trace_distance(phi1, phi2) -> float:
-    """Trace distance between two pure states: 2 sqrt(1 - |<p1|p2>|^2)."""
-    v1 = _as_vector(phi1)
-    v2 = _as_vector(phi2)
-    if v1.shape != v2.shape:
-        raise SizeError("pure states must have equal dimension")
-    overlap_sq = abs(np.vdot(v1, v2)) ** 2
-    return 2.0 * float(np.sqrt(max(1.0 - overlap_sq, 0.0)))
-
-
-def _sqrt_factor(stack, j: int) -> np.ndarray:
-    # Columns V_i sqrt(l_i) with noise-level eigenvalues dropped: keeping
-    # them would inject sqrt(eps)-sized spurious directions into the
-    # product below.
-    vals, vecs = stack.eigenvalues[j], stack.eigenvectors[j]
-    keep = vals > 1e-14
-    return vecs[:, keep] * np.sqrt(vals[keep])
+    """The one-pair :func:`pure_trace_distances`."""
+    return pure_trace_distances([(phi1, phi2)])[0]
 
 
 def fidelities(pairs) -> list[float]:
-    """Squared-overlap fidelity of each pair ``(r1, r2)``, clamped to [0, 1].
+    """Squared-overlap fidelity of each pair ``(r1, r2)``, clamped to [0, 1]:
+    || sqrt(r1) sqrt(r2) ||_t^2, the trace norm of the cross matrix A_1^dag A_2
+    of the spectral factors A_i = V_i sqrt(L_i), one stacked SVD per dimension.
+    Eigenvalues at or below 1e-14 are zeroed (their roots would add spurious
+    directions) and each side is cut to its widest kept count in the stack,
+    so a lone pair's factors are exactly its kept columns."""
+    pairs = _checked_pairs(pairs)
 
-    Equals || sqrt(r1) sqrt(r2) ||_t^2; evaluated on the spectral factors
-    A_i = V_i sqrt(L_i), whose cross matrix A_1^dag A_2 has exactly the
-    singular values of sqrt(r1) sqrt(r2). The cross matrices' trace norms
-    go through :func:`trace_norms`.
-    """
-    crosses = [dagger(_sqrt_factor(*r1)) @ _sqrt_factor(*r2) for r1, r2 in _checked_pairs(pairs)]
-    return [float(min(max(norm**2, 0.0), 1.0)) for norm in trace_norms(crosses)]
+    def build(dim, members):
+        def factor(side):
+            vals, vecs = _eigenpairs([pairs[i][side] for i in members])
+            kept = vals > 1e-14
+            cut = dim - int(np.max(np.sum(kept, axis=-1)))  # eigenvalues ascend
+            return vecs[..., cut:] * np.sqrt(np.where(kept, vals, 0.0))[:, None, cut:]
+
+        # the factors are freed before the SVD: at large d they show in peak RSS
+        return (trace_norm(dagger(factor(0)) @ factor(1)),)
+
+    out = stacked([s.mats.shape[-1] for (s, _), _ in pairs], build, np.square)
+    return [float(min(max(float(norms[j]) ** 2, 0.0), 1.0)) for (norms,), j in out]
 
 
 def fidelity(r1: DensityMatrix, r2: DensityMatrix) -> float:

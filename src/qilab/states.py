@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
@@ -50,15 +51,19 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-class CertifiedStack(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class CertifiedStack:
     """Matrices checked together to be density matrices, read-only: the
     matrices, their certified eigendecomposition (eigenvalues ascending) and
-    their von Neumann entropies in bits, each computed once for the stack."""
+    their von Neumann entropies in bits, computed for the stack when first read."""
 
     mats: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    entropies: np.ndarray
+
+    @cached_property
+    def entropies(self) -> np.ndarray:
+        return _read_only(entropy_rows(np.clip(self.eigenvalues, 0.0, 1.0)))[0]
 
 
 class DensityMatrix(NamedTuple):
@@ -173,7 +178,7 @@ def _certified(mats: np.ndarray, tol: float | np.ndarray) -> CertifiedStack:
         "{name} has eigenvalue {value:.3e} below -tol",
         lowest,
     )
-    return CertifiedStack(*_read_only(mats, vals, vecs, entropy_rows(np.clip(vals, 0.0, 1.0))))
+    return CertifiedStack(*_read_only(mats, vals, vecs))
 
 
 def pure_density(vec) -> DensityMatrix:
@@ -271,38 +276,42 @@ def canonical_purification(rho: DensityMatrix, dim_k: int) -> BipartitePureState
 
 def canonical_purifications(rhos, dim_ks) -> list[BipartitePureState]:
     """Per density (a ``(stack, j)`` row) and ``dim_k``, the purification
-    sum_i sqrt(l_i) |e_i>_H |i>_K over a fresh K register, one stacked pass
-    per (dim, dim_k) group.
-
-    Eigenvalues descend, the K side in that order. Each eigenvector's phase
-    makes its first entry above 1e-12 in modulus real positive, and ties are
-    broken by that entry's modulus. A RankError names the item's index.
-    """
+    sum_i sqrt(l_i) |e_i>_H |i>_K over a fresh K register of :func:`_purified`,
+    one stacked pass per (dim, dim_k) group; a RankError names the item's index."""
     rhos = list(rhos)
     keys = [(s.mats.shape[-1], int(k)) for (s, _), k in zip(rhos, dim_ks)]
 
     def build(key, members):
-        dim, dim_k = key
-        vals = np.array([rhos[i][0].eigenvalues[rhos[i][1]] for i in members])
-        vecs = np.array([rhos[i][0].eigenvectors[rhos[i][1]] for i in members])
-        rows, ix = np.arange(len(members))[:, None], np.arange(dim)
-        first = vecs[rows, _first_rows(vecs), ix]
-        cols = vecs * (np.conj(first) / np.hypot(first.real, first.imag))[:, None, :]
-        lead = cols[rows, _first_rows(cols), ix]
-        order = np.lexsort((np.hypot(lead.real, lead.imag), -vals), axis=-1)
-        vals, cols = vals[rows, order], cols[rows[..., None], ix[:, None], order[:, None, :]]
-        rank = np.maximum(np.sum(vals > DEFAULT_TOL, axis=-1), 1)
-        message = f"{{name}} has rank {{value}} above dim_k={dim_k}"
-        linalg.check_each(rank > dim_k, RankError, message, rank)
-        n = min(dim, dim_k)
-        a = np.zeros((len(members), dim, dim_k), dtype=np.complex128)
-        scaled = cols[..., :n] * np.sqrt(np.maximum(vals[:, None, :n], 0.0))
-        a[..., :n] = np.where(ix[:n] < rank[:, None, None], scaled, 0.0)
-        vec = a.reshape(len(members), -1)
-        return _read_only(vec / _norms(vec)[:, None])
+        a = _purified(*_eigenpairs([rhos[i] for i in members]), key[1])
+        return _read_only(a.reshape(len(members), -1))
 
     out = zip(keys, stacked(keys, build, np.prod))
     return [BipartitePureState(*key, vec[j]) for key, ((vec,), j) in out]
+
+
+def _purified(vals: np.ndarray, vecs: np.ndarray, dim_k: int) -> np.ndarray:
+    """The unit coefficient matrices (..., dim, dim_k) of the canonical
+    purifications of the eigenpairs ``vals`` (..., dim), ascending, and ``vecs``
+    (..., dim, dim): eigenvalues descend, the K side in that order, and each
+    eigenvector's phase makes its first entry above 1e-12 in modulus real
+    positive, ties broken by that entry's modulus. A RankError names the matrix."""
+    lead, dim = vals.shape[:-1], vals.shape[-1]
+    vals, vecs = vals.reshape(-1, dim), vecs.reshape(-1, dim, dim)
+    rows, ix = np.arange(len(vals))[:, None], np.arange(dim)
+    first = vecs[rows, _first_rows(vecs), ix]
+    cols = vecs * (np.conj(first) / np.hypot(first.real, first.imag))[:, None, :]
+    top = cols[rows, _first_rows(cols), ix]
+    order = np.lexsort((np.hypot(top.real, top.imag), -vals), axis=-1)
+    vals, cols = vals[rows, order], cols[rows[..., None], ix[:, None], order[:, None, :]]
+    rank = np.maximum(np.sum(vals > DEFAULT_TOL, axis=-1), 1)
+    message = f"{{name}} has rank {{value}} above dim_k={dim_k}"
+    linalg.check_each(rank.reshape(lead) > dim_k, RankError, message, rank.reshape(lead))
+    n = min(dim, dim_k)
+    a = np.zeros((len(vals), dim, dim_k), dtype=np.complex128)
+    scaled = cols[..., :n] * np.sqrt(np.maximum(vals[:, None, :n], 0.0))
+    a[..., :n] = np.where(ix[:n] < rank[:, None, None], scaled, 0.0)
+    vec = a.reshape(len(vals), -1)
+    return (vec / _norms(vec)[:, None]).reshape(*lead, dim, dim_k)
 
 
 def _first_rows(vecs: np.ndarray) -> np.ndarray:
@@ -373,26 +382,17 @@ def random_densities(specs) -> list[DensityMatrix]:
 
 
 def random_density_chunks(trials, derive=None):
-    """For each trial ``(key, specs)`` or ``(key, specs, draws)`` of
-    ``trials``, ``(key, rows, gaussians)``, in one list per block. ``rows``
-    holds the ``(stack, j)`` row of a :class:`CertifiedStack` of each ``(dim,
-    rank, seed)`` spec's random density, in order, as :func:`random_densities`
-    builds it; ``gaussians`` holds ``Stream(seed).complex_gauss_matrix(rows,
-    cols)``, bit for bit and read-only, for each ``(rows, cols, seed)`` of
-    ``draws`` (none without).
-
-    Trials are read lazily and built together in blocks of at most
-    :data:`BLOCK_ENTRIES` matrix entries, densities and draws alike, a trial
-    counting at least a 256th of them (a larger trial is a block of its own),
-    with one :func:`~qilab.rng.complex_gauss_stack` per draw shape. Each list
-    is emptied when the next is asked for: a spent block is freed before the
-    next is built.
-
-    With ``derive``, ``derive(keys, mats_by_trial)`` maps a block's trial
-    keys and each trial's density matrices to one list of ``(matrix, tol)``
-    pairs per trial (any other count raises :class:`SizeError`), and each
-    trial's rows go on with those matrices made densities, as
-    :func:`make_densities` makes them for the whole block.
+    """For each trial ``(key, specs)`` or ``(key, specs, draws)`` of ``trials``,
+    ``(key, rows, gaussians)``, in one list per block of :func:`_blocks`:
+    ``rows`` holds the ``(stack, j)`` rows of the ``(dim, rank, seed)`` specs'
+    random densities as :func:`random_densities` builds them, a certified
+    stack per dim, and ``gaussians`` ``Stream(seed).complex_gauss_matrix(rows,
+    cols)`` per ``(rows, cols, seed)`` of ``draws``, bit for bit and read-only.
+    A list is emptied when the next is asked for, so a spent block is freed
+    first. With ``derive``, ``derive(keys, mats_by_trial)`` maps a block's
+    trial keys and each trial's matrices to one list of ``(matrix, tol)`` per
+    trial (another count raises :class:`SizeError`); each trial's rows go on
+    with them made densities, as :func:`make_densities` makes them.
     """
     for block in _blocks(trials):
         chunk = list(_block_trials(block, derive))
@@ -418,11 +418,12 @@ def _block_trials(block: list, derive):
 
 
 def _blocks(trials):
-    """Consecutive trials as ``(key, specs, draws)``, in lists of at most
-    :data:`BLOCK_ENTRIES` matrix entries (a larger trial is a list of its
-    own); trials are read only as a list is filled. A trial counts as at
-    least ``BLOCK_ENTRIES // 256`` entries, as its consumers build kilobytes
-    of objects per trial however small its matrices."""
+    """Consecutive trials as ``(key, specs, draws)``, read only as a list is
+    filled, in lists of at most :data:`BLOCK_ENTRIES` matrix entries (a larger
+    trial is a list of its own). A trial counts as at least ``BLOCK_ENTRIES //
+    256`` entries, however small its matrices: without the floor a block holds
+    hundreds of the sweep's d <= 4 trials, each with its own tuples and rows,
+    and a seed-1 sweep pass peaked about 2% higher in RSS."""
     block: list[tuple] = []
     size = 0
     for key, specs, *draws in trials:
@@ -461,6 +462,18 @@ def stacked(keys: list, build, entries) -> list[tuple[tuple, int]]:
             for j, i in enumerate(chunk):
                 out[i] = (stack, j)
     return out
+
+
+def _eigenpairs(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues and eigenvectors of the ``(stack, j)`` rows, stacked: by one
+    index when the rows share a stack, a lone row's as views (at large d a
+    copy shows in peak memory)."""
+    stack = rows[0][0]
+    if all(s is stack for s, _ in rows):
+        at = [j for _, j in rows] if len(rows) > 1 else slice(rows[0][1], rows[0][1] + 1)
+        return stack.eigenvalues[at], stack.eigenvectors[at]
+    vals, vecs = zip(*((s.eigenvalues[j], s.eigenvectors[j]) for s, j in rows))
+    return np.array(vals), np.array(vecs)
 
 
 def _gauss_stacks(draws) -> list[tuple[tuple, int]]:

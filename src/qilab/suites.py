@@ -176,11 +176,15 @@ def _metrics_chunk(chunk, fvg_lower, fvg_upper, tight, pure_agree, tensor_mult) 
 
     gauss = [(len(g), 1, g) for *_, draws in chunk for g in draws[:2]]
     pures = [phi.vec for phi in make_pures(gauss, rescale=True)]
-    # the trace distances of the pure densities |v><v|, from their differences
-    outers = [np.outer(v, np.conj(v)) for v in pures]
-    diffs = [a - b for a, b in zip(outers[::2], outers[1::2])]
-    for v1, v2, dist in zip(pures[::2], pures[1::2], metrics.trace_norms(diffs, hermitian=True)):
-        pure_agree.agree(metrics.pure_trace_distance(v1, v2) - dist)
+    by_length: dict = {}  # the pairs and the differences of their |v><v|, a stack per length
+    for pair in zip(pures[::2], pures[1::2]):
+        by_length.setdefault(len(pair[0]), []).append(pair)
+    for v in map(np.array, by_length.values()):
+        diffs = v[:, 0, :, None] * np.conj(v[:, 0, None, :])
+        diffs -= v[:, 1, :, None] * np.conj(v[:, 1, None, :])  # in place: large d shows in RSS
+        dists = metrics.trace_norm(diffs, hermitian=True)
+        for error in np.subtract(metrics.pure_trace_distances(v), dists):
+            pure_agree.agree(error)
 
     # each trial's Kronecker product a (x) b, all of the chunk's in one product
     a, b = (np.array([draws[k] for *_, draws in chunk]) for k in (2, 3))
@@ -416,9 +420,9 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
     for chunk in random_density_chunks(pair_trials()):
         aligned = transition.aligned_trials(chunk, lambda t, dim: dim + t % (7 - dim))
-        for _, res, dist, f in aligned:
-            agree.agree(res.achieved_overlap_sq - f)
-            bound.add(res.bound - res.pure_distance)
+        for _, overlap_sq, pure_distance, t, dist, f in aligned:
+            agree.agree(overlap_sq - f)
+            bound.add(2.0 * np.sqrt(t) - pure_distance)
             chain.add(dist - (1.0 - f))
 
     exact = _Tally("exact_transition", _tol(cfg, 1e-8))
@@ -447,8 +451,8 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
     seeds = ([derive_seed(sweep_seed, t, i) for i in (0, 1)] for t in range(max(trials // 5, 50)))
     specs = ((pair[0], [(3, 1 + mix64(s) % 3, s) for s in pair]) for pair in seeds)
     for chunk in random_density_chunks(specs):
-        for s1, res, dist, f in transition.aligned_trials(chunk, lambda key, dim: 4):
-            sweep.add(res.bound - res.pure_distance, s1, ok=sweep_chain.add(dist - (1.0 - f)))
+        for s1, _, distance, t, dist, f in transition.aligned_trials(chunk, lambda key, dim: 4):
+            sweep.add(2.0 * np.sqrt(t) - distance, s1, ok=sweep_chain.add(dist - (1.0 - f)))
     sweep.details["min_chain_slack"] = float(sweep_chain.min_slack)
     return [agree.result(), bound.result(), chain.result(), exact.result(), sweep.result()]
 

@@ -18,8 +18,9 @@ from .errors import ReductionError, SizeError
 from .linalg import dagger
 from .states import (
     BipartitePureState,
-    _certified_stacks,
-    canonical_purifications,
+    _certified,
+    _eigenpairs,
+    _purified,
     distance_up_to_phase,
     make_pures,
     stacked,
@@ -62,26 +63,32 @@ def apply_k_unitaries(pairs) -> list[BipartitePureState]:
 
 
 def uhlmann_aligns(pairs) -> list[TransitionResult]:
-    """Per pair ``(phi1, phi2)``: the K-side unitary rotating phi2 into the best match with phi1.
-
-    Writing each state as a dim_h x dim_k coefficient matrix A, the
-    overlap after applying I (x) U to phi2 is Tr(A1^dag A2 U^T). Its
-    maximum over unitaries is the trace norm of the cross matrix
-    C = A1^dag A2, attained at U = conj(P) Q^T for the SVD C = P S Q^dag;
-    the squared maximum equals the fidelity of the reduced states. The
-    phase is fixed so the achieved overlap is real and non-negative.
-
-    Pairs of one shape share one certified stacked SVD, whose errors name
-    the pair's index; all reduced states (2i, 2i + 1 for pair i) are
-    certified in one call, as ``make_densities`` certifies them.
-    """
+    """Per pair ``(phi1, phi2)``, the K-side unitary rotating phi2 into the best
+    match with phi1, by :func:`_alignments`; errors name the pair's index."""
     coeffs = [(phi1.coefficient_matrix(), phi2.coefficient_matrix()) for phi1, phi2 in pairs]
     for i, (a1, a2) in enumerate(coeffs):
         if a1.shape != a2.shape:
             raise SizeError(f"pair {i}: states must share the same (dim_h, dim_k) shape")
 
-    def build(shape, members):
-        a1, a2 = (np.array([coeffs[i][k] for i in members]) for k in (0, 1))
+    def stacks(shape, members):
+        return tuple(np.array([coeffs[i][k] for i in members]) for k in (0, 1))
+
+    aligned = _alignments([a.shape for a, _ in coeffs], stacks)
+    return [TransitionResult(u, float(o), float(d), t) for u, o, d, t in aligned]
+
+
+def _alignments(keys, stacks) -> list[tuple]:
+    """Per item, ``(U, overlap^2, pure distance, t)``: the Uhlmann alignment of
+    its coefficient matrices A1, A2, rows of the stacks ``stacks(key, members)``
+    of the items of one (dim_h, dim_k) key, one certified SVD a key, and the
+    trace distance t of its reduced states A A^dag, both sides certified in
+    one stack per dim_h. The overlap after I (x) U on phi2, Tr(A1^dag A2 U^T),
+    peaks at the trace norm of C = A1^dag A2 (squared: the reduced states'
+    fidelity), attained at U = conj(P) Q^T for the SVD C = P S Q^dag with a
+    non-negative overlap. Errors name the item's index."""
+
+    def build(key, members):
+        a1, a2 = stacks(key, members)
         p, s, q = linalg.svd(dagger(a1) @ a2)
         # Null directions of the cross matrix are completed to a unitary by
         # the SVD factors themselves; the overlap does not depend on them.
@@ -90,17 +97,19 @@ def uhlmann_aligns(pairs) -> list[TransitionResult]:
         realized = np.sum(np.conj(a1) * (a2 @ np.swapaxes(u, -1, -2)), axis=(-2, -1))
         bad = np.abs(realized - overlap) > linalg.CERT_TOL
         linalg.check_each(bad, ReductionError, "{name} has overlap {value} != trace norm", realized)
-        return u, overlap, a1 @ dagger(a1), a2 @ dagger(a2)
+        overlap_sq = np.minimum(np.float_power(overlap, 2), 1.0)  # libm pow, as float ** 2
+        distance = 2.0 * np.sqrt(np.maximum(1.0 - overlap_sq, 0.0))
+        return u, overlap_sq, distance, np.stack([a1 @ dagger(a1), a2 @ dagger(a2)], axis=1)
 
-    aligned = stacked([a.shape for a, _ in coeffs], build, np.prod)
-    reduced = _certified_stacks([g[j] for (_, _, *grams), j in aligned for g in grams], tol=1e-8)
-    ts = metrics.trace_distances(zip(reduced[::2], reduced[1::2]))
-    out = []
-    for ((u, overlap, *_), j), t in zip(aligned, ts):
-        overlap_sq = min(float(overlap[j]) ** 2, 1.0)
-        pure_distance = 2.0 * float(np.sqrt(max(1.0 - overlap_sq, 0.0)))
-        out.append(TransitionResult(u[j], overlap_sq, pure_distance, t))
-    return out
+    aligned = stacked(keys, build, np.prod)
+
+    def reduced(dim, members):
+        grams = np.array([s[3][j] for s, j in map(aligned.__getitem__, members)])
+        grams = _certified(grams, 1e-8).mats
+        return (metrics.trace_norm(grams[:, 0] - grams[:, 1], hermitian=True),)
+
+    ts = stacked([s[3].shape[-1] for s, _ in aligned], reduced, lambda dim: 2 * dim * dim)
+    return [(s[0][j], s[1][j], s[2][j], float(t[k])) for (s, j), ((t,), k) in zip(aligned, ts)]
 
 
 def uhlmann_align(phi1: BipartitePureState, phi2: BipartitePureState) -> TransitionResult:
@@ -141,12 +150,19 @@ def exact_local_transition(phi1: BipartitePureState, phi2: BipartitePureState) -
 
 def aligned_trials(chunk, dim_k) -> list[tuple]:
     """Per trial ``(key, (rho1, rho2), _)`` of ``chunk``, each density a ``(stack,
-    j)`` row: ``(key, alignment, trace distance, fidelity)``, the alignment of
-    the states' canonical purifications into ``dim_k(key, dim)`` and the
-    pair's distance and fidelity, each kind in stacked calls. The result
-    holds no state."""
+    j)`` row, ``(key, overlap_sq, pure_distance, t, dist, f)``: the numbers of a
+    :class:`TransitionResult` for the states' canonical purifications into
+    ``dim_k(key, dim)``, by one :func:`_purified` and :func:`_alignments` stack
+    per (dim, dim_k), then the pair's trace distance and fidelity."""
     keys, pairs, _ = zip(*chunk)
-    dim_ks = [dim_k(key, s.mats.shape[-1]) for key, ((s, _), _) in zip(keys, pairs)]
-    purified = canonical_purifications([r for pair in pairs for r in pair], np.repeat(dim_ks, 2))
-    aligned = uhlmann_aligns(zip(purified[::2], purified[1::2]))
-    return list(zip(keys, aligned, metrics.trace_distances(pairs), metrics.fidelities(pairs)))
+    dims = [s.mats.shape[-1] for (s, _), _ in pairs]
+    groups = [(dim, dim_k(key, dim)) for key, dim in zip(keys, dims)]
+
+    def stacks(group, members):  # both sides at once: matrix (i, side) names trial i
+        (dim, k), (vals, vecs) = group, _eigenpairs([rho for i in members for rho in pairs[i]])
+        a = _purified(vals.reshape(-1, 2, dim), vecs.reshape(-1, 2, dim, dim), k)
+        return a[:, 0], a[:, 1]
+
+    aligned = _alignments(groups, stacks)
+    out = zip(keys, aligned, metrics.trace_distances(pairs), metrics.fidelities(pairs))
+    return [(key, float(o), float(d), t, dist, f) for key, (_, o, d, t), dist, f in out]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qilab import linalg, metrics, states
-from qilab.errors import SizeError
+from qilab.errors import NormalizationError, SizeError
 from qilab.rng import Stream, derive_seed
 
 SQRT2 = np.sqrt(2.0)
@@ -79,6 +79,23 @@ def test_pure_trace_distance_edge_cases():
     assert metrics.pure_trace_distance([1, 0], [0, 1]) == pytest.approx(2.0)
     with pytest.raises(SizeError):
         metrics.pure_trace_distance([1, 0], [1, 0, 0])
+
+
+def test_pure_trace_distances_reject_bad_vectors():
+    # a non-unit vector used to read 2.0 and a NaN entry nan, silently
+    good = ([1, 0], [0, 1])
+    with pytest.raises(NormalizationError, match=r"^matrix \(1, 0\) has norm 0\.5,"):
+        metrics.pure_trace_distances([good, ([0.5, 0], [0, 1])])
+    with pytest.raises(NormalizationError, match=r"^matrix \(2, 1\) has norm nan,"):
+        metrics.pure_trace_distances([good, good, ([1, 0], [np.nan, 0])])
+    with pytest.raises(NormalizationError, match=r"^matrix \(0, 0\) "):
+        metrics.pure_trace_distance([0.5, 0], [0, 1])
+    with pytest.raises(SizeError, match="^pair 1: "):
+        metrics.pure_trace_distances([good, ([1, 0], [1, 0, 0])])
+    v = states.random_pure(4, 1, 45).vec
+    stacked = metrics.pure_trace_distances([(v, v), good, (v, v[::-1])])
+    assert stacked == [metrics.pure_trace_distance(*pair) for pair in [(v, v), good, (v, v[::-1])]]
+    assert stacked[1] == 2.0
 
 
 def test_fidelity_self_is_one():
@@ -259,16 +276,27 @@ def test_stacked_trace_norms_match_single_calls_bitwise():
         assert norms[i] == single == metrics.trace_norm(a), f"matrix {i}"
 
 
-def test_stacked_distances_and_fidelities_match_the_pair_formulas_bitwise():
+def _sliced_fidelity(r1, r2):
+    # the per-pair formula: each side's factor keeps only its eigenvalues above 1e-14
+    a1, a2 = (vecs[:, vals > 1e-14] * np.sqrt(vals[vals > 1e-14]) for vals, vecs in (r1.eig, r2.eig))
+    root_f = float(np.sum(np.linalg.svd(linalg.dagger(a1) @ a2, compute_uv=False)))
+    return float(min(max(root_f**2, 0.0), 1.0))
+
+
+def test_stacked_distances_and_fidelities_match_the_pair_formulas():
+    # a stack zeroes the noise-level eigenvalues a pair's own factor drops, so
+    # its SVD sees zero rows and columns: a fidelity may move by a few ulps
     pairs = [random_pair(derive_seed(131, t), 2 + t % 7) for t in range(80)]
     pairs += [(KET0, KET1), (KET0, KET0), (PLUS, KET1)]
     dists, fids = metrics.trace_distances(pairs), metrics.fidelities(pairs)
     for i, (r1, r2) in enumerate(pairs):
         diff = np.linalg.svd(r1.mat - r2.mat, compute_uv=False, hermitian=True)
-        a1, a2 = (vecs[:, vals > 1e-14] * np.sqrt(vals[vals > 1e-14]) for vals, vecs in (r1.eig, r2.eig))
-        root_f = float(np.sum(np.linalg.svd(linalg.dagger(a1) @ a2, compute_uv=False)))
         assert dists[i] == float(np.sum(diff)) == metrics.trace_distance(r1, r2), f"pair {i}"
-        assert fids[i] == float(min(max(root_f**2, 0.0), 1.0)) == metrics.fidelity(r1, r2), f"pair {i}"
+        assert abs(fids[i] - _sliced_fidelity(r1, r2)) <= 1e-15, f"pair {i}"
+        assert metrics.fidelity(r1, r2) == metrics.fidelities([(r1, r2)])[0], f"pair {i}"
+    # a lone pair of its dimension keeps exactly its own factors
+    r1, r2 = random_pair(136, 203)
+    assert metrics.fidelities([(KET0, KET1), (r1, r2)])[1] == _sliced_fidelity(r1, r2)
 
 
 def test_stacked_calls_name_the_failing_item_by_its_index():

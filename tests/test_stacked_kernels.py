@@ -162,7 +162,7 @@ def test_optimal_measurements_name_the_failing_pair():
     rho = states.random_density(2, 2, 159)
     # a stack that skipped certification, so the kernel's own check must catch it
     mats = np.array([[[0.5, 1.0], [0.0, 0.5]]], dtype=np.complex128)
-    skew = states.DensityMatrix(states.CertifiedStack(mats, None, None, None), 0)
+    skew = states.DensityMatrix(states.CertifiedStack(mats, None, None), 0)
     with pytest.raises(HermiticityError, match="^matrix 1 is not Hermitian"):
         metrics.optimal_measurements([(rho, rho), (skew, rho)])
 

@@ -12,7 +12,9 @@ perfbench's tracer) see none of that batched work.
 The metrics and transition suites also take their trace norms, Uhlmann
 alignments and reduced states a block of trials at a time, and the encoding
 suite each ensemble's distances in stacked calls: none of the three makes a
-single-matrix ``singular_values`` or ``svd`` call. The sweep suites (metrics,
+single-matrix ``singular_values`` or ``svd`` call, and the metrics and
+transition suites' ``np.linalg.svd`` calls stay under a ceiling: one per
+block and dimension (shape, for an alignment) for each kind. The sweep suites (metrics,
 info, transition) take their optimal measurements, canonical purifications,
 Haar unitaries and measured informations a block at a time too: they, and
 the encoding suite, make no single-matrix ``hermitian_eig`` or
@@ -50,6 +52,13 @@ from qilab.suites import SuiteConfig, run_suite
 # takes its optimal measurements in 42 (308 with a stack per rank and a
 # chunk of 64 trials); the three sweep suites sum to the sweep pass's 157
 EIG_BUDGET = {"metrics": 84, "info": 41, "transition": 32, "encoding": 73}
+# np.linalg.svd calls per seed-1 suite, stacked or single, trace norms'
+# eigvalsh route among them: one per block and dimension for each of the
+# metrics suite's distances, fidelities and pure pairs (371 with a fidelity
+# SVD per rank pair and a trace norm per pure pair's length), and the
+# transition suite's alignments per shape and reduced states, distances and
+# fidelities per dimension (145 with a fidelity SVD per rank pair)
+SVD_BUDGET = {"metrics": 144, "info": 0, "transition": 86}
 # (derive_seed calls, Stream constructions) per seed-1 suite: the metrics and
 # info suites draw every seed, rank and weight as arrays; transition keeps
 # derive_seed for transition_bound_sweep's pairs, and encoding for its cubes'
@@ -67,9 +76,8 @@ VIEW_BUDGET = {"metrics": 0, "info": 0, "transition": 0, "encoding": 2760}
 
 @pytest.fixture
 def counted(monkeypatch):
-    calls = dict.fromkeys(
-        ("make_density", "gauss_array", "hermitian_eig", "single_eig", "svd", "singular_values", "qr"), 0
-    )
+    names = ("make_density", "gauss_array", "hermitian_eig", "single_eig", "svd", "singular_values")
+    calls = dict.fromkeys((*names, "qr", "np_svd"), 0)
     make_density, gauss_array = states.make_density, rng.Stream.gauss_array
 
     def counting_make_density(*args, **kwargs):
@@ -100,6 +108,13 @@ def counted(monkeypatch):
     counting(linalg, "svd", single_only=True)  # the SVDs and QRs count only on a single matrix
     counting(linalg, "singular_values", single_only=True)
     counting(np.linalg, "qr", single_only=True)
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls["np_svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     return calls
 
 
@@ -118,6 +133,7 @@ def test_the_counters_see_single_calls(counted):
         "svd": 1,
         "singular_values": 0,
         "qr": 1,
+        "np_svd": 2,
     }
 
 
@@ -130,6 +146,23 @@ def test_sweep_suites_make_no_single_density_or_draw_call(counted, suite):
         assert counted["svd"] == counted["singular_values"] == 0
     if suite in EIG_BUDGET:
         assert counted["single_eig"] == counted["qr"] == 0
+    assert counted["np_svd"] <= SVD_BUDGET.get(suite, np.inf)
+
+
+def test_aligned_trials_build_no_state_or_result(monkeypatch):
+    built = []
+    for cls in (states.BipartitePureState, transition.TransitionResult):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, init=init: built.append(1) or init(self, *a))
+    specs = ((t, [(2 + t % 3, 1 + t % 2, 2 * t), (2 + t % 3, 2, 2 * t + 1)]) for t in range(40))
+    aligned = []
+    for chunk in states.random_density_chunks(specs):
+        aligned += transition.aligned_trials(chunk, lambda t, dim: dim + t % 2)
+    assert len(aligned) == 40 and not built
+    assert all(type(x) is float for row in aligned for x in row[1:])
+    phi = states.random_pure(2, 2, 1)
+    transition.uhlmann_align(phi, phi)
+    assert len(built) == 2  # the counters see a state and a result built
 
 
 def test_a_spent_block_is_freed_before_the_next_is_built(monkeypatch):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -213,12 +211,12 @@ def test_a_sweep_trial_breaking_the_chain_the_bound_or_both_is_one_violation(mon
 
     def broken(chunk, dim_k):
         out = []
-        for key, res, dist, f in real(chunk, dim_k):
+        for key, overlap_sq, pure_distance, t, dist, f in real(chunk, dim_k):
             if key in (firsts[0], firsts[2]):
-                res = replace(res, pure_distance=res.bound + 1.0 + (key == firsts[2]))
+                pure_distance = 2.0 * np.sqrt(t) + 1.0 + (key == firsts[2])
             if key in (firsts[1], firsts[2]):
                 dist = (1.0 - f) - 1.0
-            out.append((key, res, dist, f))
+            out.append((key, overlap_sq, pure_distance, t, dist, f))
         return out
 
     monkeypatch.setattr(transition, "aligned_trials", broken)
