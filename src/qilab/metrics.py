@@ -13,7 +13,7 @@ from . import linalg
 from .errors import SizeError
 from .info import validate_projective
 from .linalg import DEFAULT_TOL, dagger
-from .states import DensityMatrix, _eigenpairs, _unit_norms, stacked
+from .states import DensityMatrix, _gathered, _unit_norms, stacked
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,26 @@ def _checked_pairs(pairs) -> list[tuple[tuple, tuple]]:
     return pairs
 
 
-def _differences(pairs) -> list[np.ndarray]:
-    return [s1.mats[j1] - s2.mats[j2] for (s1, j1), (s2, j2) in _checked_pairs(pairs)]
+def _per_difference(pairs, kernel) -> list[tuple[object, int]]:
+    """Per pair ``(r1, r2)``, ``(kernel(diffs), j)``: ``diffs`` stacks r1 - r2 of
+    the pairs of one dimension, made by one indexed subtraction of their
+    certified stacks, and row ``j`` is this pair's; an error names its index."""
+    pairs = _checked_pairs(pairs)
+
+    def build(dim, at):
+        (m1,), (m2,) = (_gathered([pairs[i][side] for i in at], "mats") for side in (0, 1))
+        if len(at) == 1:  # a lone pair: its (d, d) difference of two views, as a stack of one
+            return kernel((m1[0] - m2[0])[None])
+        m1 -= m2  # a copy, so in place
+        return kernel(m1)
+
+    return stacked([s.mats.shape[-1] for (s, _), _ in pairs], build, np.square)
 
 
 def trace_distances(pairs) -> list[float]:
-    """|| r1 - r2 ||_t, in [0, 2], of each pair ``(r1, r2)``, by :func:`trace_norms`
-    on the Hermitian route."""
-    return trace_norms(_differences(pairs), hermitian=True)
+    """|| r1 - r2 ||_t, in [0, 2], of each pair ``(r1, r2)``: a stacked
+    :func:`trace_norm` per dimension on the Hermitian route."""
+    return [float(n[j]) for n, j in _per_difference(pairs, lambda d: trace_norm(d, hermitian=True))]
 
 
 def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
@@ -110,7 +122,7 @@ def fidelities(pairs) -> list[float]:
 
     def build(dim, members):
         def factor(side):
-            vals, vecs = _eigenpairs([pairs[i][side] for i in members])
+            vals, vecs = _gathered([pairs[i][side] for i in members], "eigenvalues", "eigenvectors")
             kept = vals > 1e-14
             cut = dim - int(np.max(np.sum(kept, axis=-1)))  # eigenvalues ascend
             return vecs[..., cut:] * np.sqrt(np.where(kept, vals, 0.0))[:, None, cut:]
@@ -140,28 +152,28 @@ def optimal_measurements(pairs) -> list[tuple[TwoOutcomeMeasurement, float]]:
     distance, the best any measurement can do. Eigenvalues within DEFAULT_TOL of
     zero go to P+. One certified stacked eigendecomposition per dimension; its
     errors name the pair's index."""
-    diffs = _differences(pairs)
-
-    def build(shape, members):  # a lone pair's difference as a view: at large d a copy faults
-        diff = [diffs[i] for i in members]
-        diff = diff[0][None] if len(diff) == 1 else np.array(diff)
-        vals, vecs = linalg.hermitian_eig(diff, tol=1e-8)
-        kept = np.sum(vals >= -DEFAULT_TOL, axis=-1)  # ascending: the last ``kept`` columns
-        p_pos = np.empty_like(diff)
-        for k in set(kept.tolist()):
-            rows = kept == k
-            if rows.all():  # one count for the stack: no masked copies, the product in place
-                cols = vecs[..., shape[0] - k :]
-                np.matmul(cols, dagger(cols), out=p_pos)
-            else:
-                cols = vecs[rows][..., shape[0] - k :]
-                p_pos[rows] = cols @ dagger(cols)
-        p_neg = np.eye(shape[0]) - p_pos
-        traces = [np.abs(np.trace(p @ diff, axis1=-2, axis2=-1).real) for p in (p_pos, p_neg)]
-        return p_pos, p_neg, traces[0] + traces[1]
-
-    out = stacked([a.shape for a in diffs], build, np.prod)
+    out = _per_difference(pairs, _helstrom)
     return [(TwoOutcomeMeasurement(pos[j], neg[j]), float(val[j])) for (pos, neg, val), j in out]
+
+
+def _helstrom(diffs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`optimal_measurements`' P+, P- and l1 distance of each difference D
+    of the stack ``diffs``; each Tr P D is the elementwise sum of P * D^T, O(d^2)."""
+    dim = diffs.shape[-1]
+    vals, vecs = linalg.hermitian_eig(diffs, tol=1e-8)
+    kept = np.sum(vals >= -DEFAULT_TOL, axis=-1)  # ascending: the last ``kept`` columns
+    p_pos = np.empty_like(diffs)
+    for k in set(kept.tolist()):
+        rows = kept == k
+        if rows.all():  # one count for the stack: no masked copies, the product in place
+            cols = vecs[..., dim - k :]
+            np.matmul(cols, dagger(cols), out=p_pos)
+        else:
+            cols = vecs[rows][..., dim - k :]
+            p_pos[rows] = cols @ dagger(cols)
+    p_neg = np.eye(dim) - p_pos
+    traces = [np.abs(np.sum(p * diffs.mT, axis=(-2, -1)).real) for p in (p_pos, p_neg)]
+    return p_pos, p_neg, traces[0] + traces[1]
 
 
 def bayes_success(r1: DensityMatrix, r2: DensityMatrix) -> float:

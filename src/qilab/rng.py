@@ -5,18 +5,16 @@ with the standard constants below. It is stateless apart from the counter,
 so any language can reproduce the exact stream from the seed alone.
 Gaussian variates use the Box-Muller transform on the uniform stream.
 
-:meth:`Stream.gauss` is the definition of the Gaussian stream.
-:meth:`Stream.gauss_array` is its batched form and must equal
-``[s.gauss() for _ in range(n)]`` bit for bit, leaving the same counter
-and spare variate behind, so that a seed names the same states whichever
-function drew them. :func:`gauss_rows` draws for many fresh seeds at once and
-equals a per-seed ``gauss_array`` loop bit for bit; both run one kernel,
-:func:`_gauss_pairs`. It draws SplitMix64 from the row kernel :func:`_u64_rows`
-and runs the IEEE-exact steps (scaling, ``sqrt``, products) on numpy arrays,
-but takes ``log``, ``cos`` and ``sin`` from libm through :mod:`math`, as
-:meth:`Stream.gauss` does. numpy's vectorized ``np.log`` differs from libm by
-one ulp on about 0.3% of arguments (numpy 2.4 on x86-64), which moves about
-0.16% of draws; its ``cos`` and ``sin`` agree there, but no numpy build promises it.
+:meth:`Stream.gauss_array` defines the Gaussian stream and :meth:`Stream.gauss`
+is its one-value form. :func:`gauss_rows` draws for many fresh seeds at once
+and equals a per-seed ``gauss_array`` loop bit for bit; both run one kernel,
+:func:`_gauss_pairs`, on numpy arrays, with SplitMix64 from the row kernel
+:func:`_u64_rows`. Only ``log`` is libm's through :mod:`math`: ``np.log``
+differs from it by one ulp on about 0.3% of arguments (numpy 2.4 on x86-64),
+which would move about 0.16% of draws. There numpy's float64 ``np.cos`` and
+``np.sin`` call glibc's ``cos`` and ``sin`` and matched ``math.cos`` and
+``math.sin`` on 8 M Box-Muller angles 2 pi k 2**-53; ``tests/test_rng.py``'s
+``test_gauss_rows_match_the_libm_box_muller_bitwise`` guards it.
 
 The seed draws have batched forms under the same contract: :func:`derive_seeds`
 is :func:`derive_seed` broadcast over integer arrays, masked alike, and row ``i``
@@ -83,34 +81,19 @@ class Stream:
                 return x % bound
 
     def gauss(self) -> float:
-        """Standard normal via Box-Muller, consuming uniforms in pairs."""
-        if self._spare_gauss is not None:
-            z = self._spare_gauss
-            self._spare_gauss = None
-            return z
-        u1 = self.uniform_open()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        self._spare_gauss = r * math.sin(2.0 * math.pi * u2)
-        return r * math.cos(2.0 * math.pi * u2)
+        """Standard normal: the one-value :meth:`gauss_array`."""
+        return float(self.gauss_array(1)[0])
 
     def gauss_array(self, n: int) -> np.ndarray:
-        """The next ``n`` values of :meth:`gauss`, as a float64 array."""
-        out = np.empty(n, dtype=np.float64)
-        start = 0
-        if n and self._spare_gauss is not None:
-            out[0] = self._spare_gauss
-            self._spare_gauss = None
-            start = 1
-        rest = n - start
-        pairs = (rest + 1) // 2
-        r, cos, sin = _gauss_pairs(np.array([self.seed], dtype=np.uint64), self.counter, pairs)
+        """The next ``n`` standard normals (Box-Muller), as a float64 array."""
+        spare = [self._spare_gauss] if n and self._spare_gauss is not None else []
+        pairs = (n - len(spare) + 1) // 2
+        drawn = _gauss_pairs(np.array([self.seed], dtype=np.uint64), self.counter, pairs)
         self.counter += 2 * pairs
-        np.multiply(r[0], cos[0], out=out[start::2])
-        np.multiply(r[0, : rest // 2], sin[0, : rest // 2], out=out[start + 1 :: 2])
-        if rest % 2:
-            self._spare_gauss = float(r[0, -1] * sin[0, -1])
-        return out
+        out = np.concatenate([spare, drawn[0]])
+        if n:  # a pair's unread r * sin is the next call's first value
+            self._spare_gauss = float(out[n]) if len(out) > n else None
+        return out[:n]
 
     def complex_gauss_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Matrix of standard complex Gaussians, row-major fill order.
@@ -201,39 +184,32 @@ def _u64_rows(seeds: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return _mixed(draws + seeds[:, None])
 
 
-def _gauss_pairs(seeds: np.ndarray, counter: int, pairs: int) -> tuple[np.ndarray, ...]:
-    """The Box-Muller factors ``(r, cos, sin)`` of each seed's next pairs.
-
-    Row ``i`` of the three ``(len(seeds), pairs)`` arrays comes from
-    uniform draws ``counter + 1 ... counter + 2 * pairs`` of
-    ``Stream(seeds[i])``: :meth:`Stream.gauss` returns ``r * cos`` of a
-    pair first and keeps ``r * sin`` as its spare.
-    """
+def _gauss_pairs(seeds: np.ndarray, counter: int, pairs: int) -> np.ndarray:
+    """Each seed's next ``pairs`` Box-Muller pairs, ``r * cos`` then ``r * sin``:
+    row ``i`` of the ``(len(seeds), 2 * pairs)`` array comes from uniform draws
+    ``counter + 1 ... counter + 2 * pairs`` of ``Stream(seeds[i])``."""
     z = _u64_rows(seeds, np.arange(counter + 1, counter + 2 * pairs + 1, dtype=np.uint64))
     z >>= _U11
     # Draws 1, 3, 5, ... are uniform_open() and 2, 4, 6, ... uniform().
-    u1 = ((z[:, 0::2] + _U1) * 2.0**-53).ravel()
-    u2 = (z[:, 1::2] * 2.0**-53).ravel()
+    u1 = (z[:, 0::2] + _U1) * 2.0**-53
+    theta = z[:, 1::2] * 2.0**-53
     del z
-    size = u1.size
-    log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, size)
-    r = np.sqrt(-2.0 * log_u1)
-    theta = ((2.0 * math.pi) * u2).tolist()
-    cos = np.fromiter(map(math.cos, theta), np.float64, size)
-    sin = np.fromiter(map(math.sin, theta), np.float64, size)
-    shape = (len(seeds), pairs)
-    return r.reshape(shape), cos.reshape(shape), sin.reshape(shape)
+    theta *= 2.0 * math.pi  # in place: at large d each temporary shows in peak RSS
+    r = np.fromiter(map(math.log, u1.ravel().tolist()), np.float64, u1.size).reshape(u1.shape)
+    del u1
+    np.sqrt(np.multiply(r, -2.0, out=r), out=r)
+    r_cos = np.cos(theta)
+    r_cos *= r
+    r_sin = np.sin(theta, out=theta)
+    r_sin *= r
+    del r, theta
+    return np.stack((r_cos, r_sin), axis=-1).reshape(len(seeds), 2 * pairs)
 
 
 def gauss_rows(seeds, n: int) -> np.ndarray:
     """``[Stream(s).gauss_array(n) for s in seeds]`` as one ``(len(seeds), n)``
     array, drawn in one batch with the same bits."""
-    seeds = _u64(seeds)
-    out = np.empty((len(seeds), n), dtype=np.float64)
-    r, cos, sin = _gauss_pairs(seeds, 0, (n + 1) // 2)
-    np.multiply(r, cos, out=out[:, 0::2])
-    np.multiply(r[:, : n // 2], sin[:, : n // 2], out=out[:, 1::2])
-    return out
+    return np.ascontiguousarray(_gauss_pairs(_u64(seeds), 0, (n + 1) // 2)[:, :n])
 
 
 def complex_gauss_stack(seeds, rows: int, cols: int) -> np.ndarray:

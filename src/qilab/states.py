@@ -282,7 +282,7 @@ def canonical_purifications(rhos, dim_ks) -> list[BipartitePureState]:
     keys = [(s.mats.shape[-1], int(k)) for (s, _), k in zip(rhos, dim_ks)]
 
     def build(key, members):
-        a = _purified(*_eigenpairs([rhos[i] for i in members]), key[1])
+        a = _purified(*_gathered([rhos[i] for i in members], "eigenvalues", "eigenvectors"), key[1])
         return _read_only(a.reshape(len(members), -1))
 
     out = zip(keys, stacked(keys, build, np.prod))
@@ -464,16 +464,15 @@ def stacked(keys: list, build, entries) -> list[tuple[tuple, int]]:
     return out
 
 
-def _eigenpairs(rows) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues and eigenvectors of the ``(stack, j)`` rows, stacked: by one
-    index when the rows share a stack, a lone row's as views (at large d a
-    copy shows in peak memory)."""
+def _gathered(rows, *fields: str) -> list[np.ndarray]:
+    """Each named field (``mats``, ``eigenvalues``, ...) of the ``(stack, j)``
+    rows, stacked: by one index when the rows share a stack, a lone row's as
+    a view (at large d a copy shows in peak memory)."""
     stack = rows[0][0]
     if all(s is stack for s, _ in rows):
         at = [j for _, j in rows] if len(rows) > 1 else slice(rows[0][1], rows[0][1] + 1)
-        return stack.eigenvalues[at], stack.eigenvectors[at]
-    vals, vecs = zip(*((s.eigenvalues[j], s.eigenvectors[j]) for s, j in rows))
-    return np.array(vals), np.array(vecs)
+        return [getattr(stack, name)[at] for name in fields]
+    return [np.array([getattr(s, name)[j] for s, j in rows]) for name in fields]
 
 
 def _gauss_stacks(draws) -> list[tuple[tuple, int]]:

@@ -31,8 +31,9 @@ from .info import (
 from .protocol import MAX_QUBITS
 from .rng import StreamRows, derive_seed, derive_seeds, mix64
 from .states import (
+    _norms,
+    _unit_norms,
     canonical_purifications,
-    make_pures,
     mixture_matrix,
     random_density_chunks,
     unitaries_from_gauss,
@@ -165,21 +166,24 @@ def metrics_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
 def _metrics_chunk(chunk, fvg_lower, fvg_upper, tight, pure_agree, tensor_mult) -> None:
     """Tally one chunk of metrics trials, its trace norms in stacked calls."""
+
+    def distances(diffs):  # both kernels read each stack of differences r1 - r2
+        return metrics.trace_norm(diffs, hermitian=True), metrics._helstrom(diffs)[2]
+
     pairs = [dens for _, dens, _ in chunk]
-    dists = metrics.trace_distances(pairs)
-    measured = metrics.optimal_measurements(pairs)
-    for dist, f, (_, achieved) in zip(dists, metrics.fidelities(pairs), measured):
-        lo, up = metrics.fidelity_distance_bounds(f, dist)
+    measured = metrics._per_difference(pairs, distances)
+    for ((dists, achieved), j), f in zip(measured, metrics.fidelities(pairs)):
+        lo, up = metrics.fidelity_distance_bounds(f, float(dists[j]))
         fvg_lower.add(lo)
         fvg_upper.add(up)
-        tight.agree(achieved - dist)
+        tight.agree(float(achieved[j]) - float(dists[j]))
 
-    gauss = [(len(g), 1, g) for *_, draws in chunk for g in draws[:2]]
-    pures = [phi.vec for phi in make_pures(gauss, rescale=True)]
-    by_length: dict = {}  # the pairs and the differences of their |v><v|, a stack per length
-    for pair in zip(pures[::2], pures[1::2]):
-        by_length.setdefault(len(pair[0]), []).append(pair)
-    for v in map(np.array, by_length.values()):
+    by_length: dict = {}  # the pure pairs' Gaussian columns, a stack per length
+    for *_, draws in chunk:
+        by_length.setdefault(len(draws[0]), []).append(draws[:2])
+    for g in map(np.array, by_length.values()):
+        v = g[..., 0] / _norms(g[..., 0])[..., None]  # made states as make_pures(rescale=True) does
+        v /= _unit_norms(v)[..., None]
         diffs = v[:, 0, :, None] * np.conj(v[:, 0, None, :])
         diffs -= v[:, 1, :, None] * np.conj(v[:, 1, None, :])  # in place: large d shows in RSS
         dists = metrics.trace_norm(diffs, hermitian=True)

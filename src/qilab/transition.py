@@ -19,7 +19,7 @@ from .linalg import dagger
 from .states import (
     BipartitePureState,
     _certified,
-    _eigenpairs,
+    _gathered,
     _purified,
     distance_up_to_phase,
     make_pures,
@@ -159,7 +159,8 @@ def aligned_trials(chunk, dim_k) -> list[tuple]:
     groups = [(dim, dim_k(key, dim)) for key, dim in zip(keys, dims)]
 
     def stacks(group, members):  # both sides at once: matrix (i, side) names trial i
-        (dim, k), (vals, vecs) = group, _eigenpairs([rho for i in members for rho in pairs[i]])
+        rows = [rho for i in members for rho in pairs[i]]
+        (dim, k), (vals, vecs) = group, _gathered(rows, "eigenvalues", "eigenvectors")
         a = _purified(vals.reshape(-1, 2, dim), vecs.reshape(-1, 2, dim, dim), k)
         return a[:, 0], a[:, 1]
 

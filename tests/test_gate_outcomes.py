@@ -3,8 +3,8 @@
 ``perfbench/reference.json`` holds, per workload and seed, each check's
 trial count, violation count and ``min_slack`` as the benchmark's gate
 expects them. The sweep workload (metrics, info and transition at default
-flags) at seeds 1 and 2 and the large-d workload (metrics at d = 192..203,
-12 trials) at seed 1 must repeat the counts exactly and each ``min_slack``
+flags) and the large-d workload (metrics at d = 192..203, 12 trials) at
+seeds 1 and 2 must repeat the counts exactly and each ``min_slack``
 within the gate's 1e-12, so that a change which moves them shows here
 before the benchmark runs.
 """
@@ -24,7 +24,9 @@ WORKLOADS = {
 }
 
 
-@pytest.mark.parametrize("workload, seed", [("sweep", 1), ("sweep", 2), ("large-d", 1)])
+@pytest.mark.parametrize(
+    "workload, seed", [("sweep", 1), ("sweep", 2), ("large-d", 1), ("large-d", 2)]
+)
 def test_outcomes_match_the_benchmark_reference(workload, seed):
     with open(REFERENCE, encoding="utf-8") as handle:
         expected = {row[0]: row[1:] for row in json.load(handle)[workload][str(seed)]}

@@ -7,7 +7,10 @@ random and derived densities (the encoding suite's cube averages and
 prefix mixtures among them) go through ``make_densities`` and
 ``random_density_chunks``, and their Gaussians through
 ``rng.complex_gauss_stack``. Per-call counters at those two names (as in
-perfbench's tracer) see none of that batched work.
+perfbench's tracer) see none of that batched work. Box-Muller takes its
+``cos`` and ``sin`` as array ufuncs, so these suites make no ``math.cos``
+or ``math.sin`` call (a per-value kernel made about 1.0 M per seed-1
+large-d pass).
 
 The metrics and transition suites also take their trace norms, Uhlmann
 alignments and reduced states a block of trials at a time, and the encoding
@@ -38,6 +41,7 @@ views only for the states and averages its ensembles hold (its prefix
 mixtures' views brought a seed-1 pass to 5,880).
 """
 
+import math
 import sys
 import tracemalloc
 
@@ -77,7 +81,7 @@ VIEW_BUDGET = {"metrics": 0, "info": 0, "transition": 0, "encoding": 2760}
 @pytest.fixture
 def counted(monkeypatch):
     names = ("make_density", "gauss_array", "hermitian_eig", "single_eig", "svd", "singular_values")
-    calls = dict.fromkeys((*names, "qr", "np_svd"), 0)
+    calls = dict.fromkeys((*names, "qr", "np_svd", "cos", "sin"), 0)
     make_density, gauss_array = states.make_density, rng.Stream.gauss_array
 
     def counting_make_density(*args, **kwargs):
@@ -108,6 +112,8 @@ def counted(monkeypatch):
     counting(linalg, "svd", single_only=True)  # the SVDs and QRs count only on a single matrix
     counting(linalg, "singular_values", single_only=True)
     counting(np.linalg, "qr", single_only=True)
+    counting(math, "cos", single_only=False)  # Box-Muller's per-value libm calls
+    counting(math, "sin", single_only=False)
     svd = np.linalg.svd
 
     def counting_svd(*args, **kwargs):
@@ -125,6 +131,7 @@ def test_the_counters_see_single_calls(counted):
     linalg.hermitian_eig(np.eye(2))  # make_density's own is a stack of one
     np.linalg.qr(np.eye(2))
     np.linalg.qr(np.eye(2)[None])
+    math.cos(0.0), math.sin(0.0)
     assert counted == {
         "make_density": 1,
         "gauss_array": 1,
@@ -134,6 +141,8 @@ def test_the_counters_see_single_calls(counted):
         "singular_values": 0,
         "qr": 1,
         "np_svd": 2,
+        "cos": 1,
+        "sin": 1,
     }
 
 
@@ -141,6 +150,7 @@ def test_the_counters_see_single_calls(counted):
 def test_sweep_suites_make_no_single_density_or_draw_call(counted, suite):
     run_suite(suite, SuiteConfig(seed=1))
     assert counted["make_density"] == counted["gauss_array"] == 0
+    assert counted["cos"] == counted["sin"] == 0
     assert counted["hermitian_eig"] <= EIG_BUDGET.get(suite, np.inf)
     if suite in ("metrics", "transition", "encoding"):
         assert counted["svd"] == counted["singular_values"] == 0
