@@ -172,31 +172,41 @@ def _run_means(mats: np.ndarray, span: int) -> np.ndarray:
 
 
 def prefix_mixtures(mats, m: int) -> list[np.ndarray]:
-    """For each prefix y of fewer than ``m`` bits, by length and then in
-    binary order: the matrices of the uniform mixtures of the cube states
-    ``mats`` extending y0 and y1, then of their even mixture, uncertified."""
+    """The uncertified uniform mixtures of the cube states ``mats`` extending
+    each prefix of 1 to m - 1 bits, by length and then in binary order;
+    then, for each prefix y of fewer than m - 1 bits, the even mixture of
+    those extending y0 and y1 (at m = 1, of the two states). An (m - 1)-bit
+    prefix's mixture is also the even mixture of its two cube states, so
+    it is listed once."""
     mats = np.asarray(mats)
-    out = []
-    for i in range(m):
-        pairs = _run_means(mats, 2 ** (m - i - 1))
-        for y, mean in enumerate(_run_means(pairs, 2)):
-            out += [pairs[2 * y], pairs[2 * y + 1], mean]
-    return out
+    pairs = [_run_means(mats, 2**k) for k in range(m - 1, 0, -1)]
+    means = [_run_means(p, 2) for p in pairs] if pairs else [_run_means(mats, 2)]
+    return list(np.concatenate([*pairs, *means]))
 
 
-def prefix_table(entropies, m: int) -> list[list[float]]:
-    """:func:`prefix_information`'s table from the entropies of the certified
-    ``prefix_mixtures(mats, m)``, 3(2^m - 1) of them: each triple's bit
-    information, all from one :func:`~qilab.info.holevo_informations`."""
-    if np.shape(entropies) != (3 * (2**m - 1),):
-        raise SizeError(f"need 3(2^m - 1) entropies at m = {m}, got shape {np.shape(entropies)}")
-    ent = np.reshape(entropies, (-1, 3))
-    infos = holevo_informations(np.full((len(ent), 2), 0.5), ent[:, :2], ent[:, 2]).tolist()
+def prefix_table(state_entropies, entropies, m: int) -> list[list[float]]:
+    """:func:`prefix_information`'s table from the entropies of the 2^m cube
+    states and of the certified ``prefix_mixtures(mats, m)``, all from one
+    :func:`~qilab.info.holevo_informations`."""
+    n_pairs = 2**m - 2  # the mixtures of the prefixes of 1 to m - 1 bits
+    want = (2**m,), (n_pairs + max(2 ** (m - 1) - 1, 1),)
+    shapes = np.shape(state_entropies), np.shape(entropies)
+    if shapes != want:
+        raise SizeError(f"need entropies of shapes {want} at m = {m}, got {shapes}")
+    entropies = np.asarray(entropies)
+    pairs = np.concatenate([entropies[:n_pairs], state_entropies]).reshape(-1, 2)
+    # an (m - 1)-bit prefix's even mixture is its own, among the pairs (at m = 1, listed last)
+    last = entropies[max(n_pairs - 2 ** (m - 1), 0) : n_pairs]
+    means = np.concatenate([entropies[n_pairs:], last])
+    infos = holevo_informations(np.full(pairs.shape, 0.5), pairs, means).tolist()
     return [infos[2**i - 1 : 2 ** (i + 1) - 1] for i in range(m)]
 
 
 def prefix_information(e: CQEnsemble) -> list[list[float]]:
     """The information of each bit given each prefix: row i lists, for the
-    i-bit prefixes y in binary order, that of the bit after y."""
+    i-bit prefixes y in binary order, that of the bit after y (none for one state)."""
     m = _cube_m(e)
-    return prefix_table([rho.entropy for rho in make_densities(prefix_mixtures(e.mats, m))], m)
+    if not m:
+        return []
+    mixtures = make_densities(prefix_mixtures(e.mats, m))
+    return prefix_table([s.entropy for s in e.states], [rho.entropy for rho in mixtures], m)

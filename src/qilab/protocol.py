@@ -19,6 +19,7 @@ significant index position, matching :func:`qilab.linalg.tensor`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import ProtocolError, SizeError
 from .info import validate_projective
 from .linalg import dagger
-from .states import BLOCK_ENTRIES, BipartitePureState, DensityMatrix, _frozen, _norms
+from .states import BLOCK_ENTRIES, BipartitePureState, DensityMatrix, _frozen, _norms, _read_only
 from .states import make_densities, make_pures
 
 Player = Literal["alice", "bob"]
@@ -126,6 +127,14 @@ class Move:
     controls: tuple[int, ...] = ()
     send: tuple[int, ...] = ()
 
+    @property
+    def table(self) -> BlockTable:
+        """``blocks`` stacked, once: from the first read on, ``blocks`` is
+        this table, which a copy made by :func:`dataclasses.replace` shares."""
+        if not isinstance(self.blocks, BlockTable):
+            object.__setattr__(self, "blocks", BlockTable(self.blocks, len(self.targets)))
+        return self.blocks
+
 
 @dataclass(frozen=True)
 class Measurement:
@@ -139,6 +148,31 @@ class Measurement:
     targets: tuple[int, ...]
     blocks: dict[int, tuple[np.ndarray, ...]]
     controls: tuple[int, ...] = ()
+
+    @cached_property
+    def tables(self) -> tuple[BlockTable, ...]:
+        """Each outcome's projectors as a :class:`BlockTable`, once per measurement."""
+        per_outcome = [dict(zip(self.blocks, p)) for p in zip(*self.blocks.values())]
+        return tuple(BlockTable(b, len(self.targets)) for b in per_outcome)
+
+
+class BlockTable(dict):
+    """Blocks keyed by control value, each distinct block stored once in
+    one read-only stack, the identity last. ``index`` holds the values
+    sorted, then one above every value, and ``slots`` where each one's
+    block is in ``stack`` (the identity for the one above). As a dict,
+    each value maps to a view into ``stack``, one view per distinct block."""
+
+    def __init__(self, blocks: dict, n_targets: int):
+        listed = sorted(blocks)
+        distinct = {id(blocks[k]): blocks[k] for k in listed}  # a shared block stacks once
+        slot = {ident: s for s, ident in enumerate(distinct)}
+        stack = np.asarray([*distinct.values(), np.eye(2**n_targets)])
+        slots = np.array([*(slot[id(blocks[k])] for k in listed), len(distinct)])
+        index = np.array([*listed, np.iinfo(np.int64).max], dtype=np.int64)
+        self.index, self.slots, self.stack = _read_only(index, slots, stack)
+        views = list(stack)
+        super().__init__((k, views[s]) for k, s in zip(listed, slots.tolist()))
 
 
 @dataclass(frozen=True)
@@ -180,8 +214,8 @@ class ProtocolSpec:
                 d = 2 ** len(move.targets)
                 if {np.shape(b) for b in move.blocks.values()} != {(d, d)}:
                     raise ProtocolError(f"{what}: blocks must be {d}x{d}")
-                u = np.asarray(list(move.blocks.values()), dtype=np.complex128)
-                gram = np.conj(np.swapaxes(u, 1, 2)) @ u - np.eye(d)
+                u = move.table.stack[:-1]
+                gram = np.conj(u.mT) @ u - np.eye(d)
                 # written so that a NaN entry fails too
                 if not np.max(np.linalg.norm(gram, axis=(1, 2))) <= 1e-8:
                     raise ProtocolError(f"{what}: a block is not unitary")
@@ -355,8 +389,9 @@ class Branch:
             raise ProtocolError(f"wires {missing} are classical in this run")
         return [self.wires.index(q) for q in wires]
 
-    def apply(self, controls, targets, blocks) -> Branch:
-        """Apply ``blocks[b]`` on ``targets``, b the value of ``controls``.
+    def apply(self, controls, targets, table) -> Branch:
+        """Apply the block of ``table`` (a :class:`BlockTable`) for b on
+        ``targets``, b the value of ``controls``.
 
         Each input's classical control bits fix their part of b. Simulated
         control wires take every value, each slice getting its own block.
@@ -370,22 +405,21 @@ class Branch:
         value = np.zeros((len(self.vec), 1), dtype=np.int64)
         for k, q in enumerate(controls):
             value = value | bit[q] << (len(controls) - 1 - k)
-        keys = np.array(sorted(blocks), dtype=np.int64)
-        listed = np.isin(value, keys)
+        at = np.searchsorted(table.index, value)
+        listed = table.index[at] == value
         rows = np.flatnonzero(listed.any(axis=1))
         if not rows.size:
             return self
-        table = np.asarray([*(blocks[k] for k in keys.tolist()), np.eye(2 ** len(targets))])
-        stack = table[np.where(listed, np.searchsorted(keys, value), len(keys))[rows]]
+        stack = table.stack[table.slots[np.where(listed, at, -1)[rows]]]
         vec = self.vec.copy()
         positions = self._positions(targets), self._positions(free)
         vec[rows] = apply_unitary(self.vec[rows], len(self.wires), stack, *positions)
         return Branch(self.bits, self.wires, vec)
 
-    def expectation(self, controls, targets, blocks) -> np.ndarray:
-        """<psi|P|psi> of each input for the controlled operator P: exact
-        because the classical bits are a basis state."""
-        return np.vecdot(self.vec, self.apply(controls, targets, blocks).vec).real
+    def expectation(self, controls, targets, table) -> np.ndarray:
+        """<psi|P|psi> of each input for the controlled operator P in
+        ``table``: exact because the classical bits are a basis state."""
+        return np.vecdot(self.vec, self.apply(controls, targets, table).vec).real
 
     def density(self, wires) -> np.ndarray:
         """Each input's reduced density matrix on some simulated wires, in that order."""
@@ -457,7 +491,7 @@ def play(layout: RegisterLayout, inputs: InputColumns, finish) -> np.ndarray:
 def evolve(moves, state: Branch) -> Branch:
     """Play ``moves`` in order."""
     for move in moves:
-        state = state.apply(move.controls, move.targets, move.blocks)
+        state = state.apply(move.controls, move.targets, move.table)
     return state
 
 
@@ -489,14 +523,13 @@ def run_protocol(spec: ProtocolSpec, ensemble: InputEnsemble) -> RunReport:
     """
     targets = ensemble.targets
     meas = spec.final_measurement
-    per_outcome = [dict(zip(meas.blocks, p)) for p in zip(*meas.blocks.values())]
-    bad = targets[(targets < 0) | (targets >= len(per_outcome))]
+    bad = targets[(targets < 0) | (targets >= len(meas.tables))]
     if bad.size:
-        raise ProtocolError(f"target {bad[0]} is not an outcome 0..{len(per_outcome) - 1}")
+        raise ProtocolError(f"target {bad[0]} is not an outcome 0..{len(meas.tables) - 1}")
 
     def outcomes(state: Branch) -> np.ndarray:
         state = evolve(spec.moves, state)
-        arr = np.stack([state.expectation(meas.controls, meas.targets, b) for b in per_outcome], -1)
+        arr = np.stack([state.expectation(meas.controls, meas.targets, t) for t in meas.tables], -1)
         return arr / arr.sum(axis=-1, keepdims=True)
 
     dists = _frozen(play(spec.layout, ensemble.inputs, outcomes))

@@ -32,6 +32,7 @@ from .protocol import (
     SWAP,
     Move,
     ProtocolSpec,
+    RegisterLayout,
     make_layout,
     run_protocol,
     state_prep_unitary,
@@ -126,6 +127,12 @@ def _index_register_bits(n: int) -> int:
     return max(1, int(np.ceil(np.log2(n))))
 
 
+def _index_layout(n: int, *extra) -> RegisterLayout:
+    """Alice's n-bit string x, Bob's index i, then the ``extra`` registers."""
+    inputs = [("x", n, "input", "alice"), ("i", _index_register_bits(n), "input", "bob")]
+    return make_layout([*inputs, *extra])
+
+
 def _mixture_pair(kets, n: int, i: int) -> tuple[DensityMatrix, DensityMatrix]:
     groups: dict[int, list[np.ndarray]] = {0: [], 1: []}
     for x, ket in enumerate(kets):
@@ -144,13 +151,7 @@ def rac_protocol(n: int, kets) -> ProtocolSpec:
     if len(kets) != 2**n:
         raise ProtocolError(f"need {2**n} encoding states, got {len(kets)}")
     ib = _index_register_bits(n)
-    layout = make_layout(
-        [
-            ("x", n, "input", "alice"),
-            ("i", ib, "input", "bob"),
-            ("m", 1, "message", "alice"),
-        ]
-    )
+    layout = _index_layout(n, ("m", 1, "message", "alice"))
     x_wires = layout.register("x").qubits
     m_wire = layout.register("m").qubits
     encode = {x: state_prep_unitary(kets[x]) for x in range(2**n)}
@@ -176,14 +177,7 @@ def classical_copy_protocol(n: int) -> ProtocolSpec:
     Alice sends x through one CNOT per bit. Bob swaps m_i onto the first
     message wire, one controlled swap per index, and measures that wire.
     """
-    ib = _index_register_bits(n)
-    layout = make_layout(
-        [
-            ("x", n, "input", "alice"),
-            ("i", ib, "input", "bob"),
-            ("m", n, "message", "alice"),
-        ]
-    )
+    layout = _index_layout(n, ("m", n, "message", "alice"))
     x_wires = layout.register("x").qubits
     i_wires = layout.register("i").qubits
     m_wires = layout.register("m").qubits
@@ -202,14 +196,7 @@ def trivial_index_protocol(n: int) -> ProtocolSpec:
     for Bob to measure. Total cost is ceil(log2 n) + 1 qubits.
     """
     ib = _index_register_bits(n)
-    layout = make_layout(
-        [
-            ("x", n, "input", "alice"),
-            ("i", ib, "input", "bob"),
-            ("mi", ib, "message", "bob"),
-            ("ans", 1, "work", "alice"),
-        ]
-    )
+    layout = _index_layout(n, ("mi", ib, "message", "bob"), ("ans", 1, "work", "alice"))
     x_wires = layout.register("x").qubits
     i_wires = layout.register("i").qubits
     mi_wires = layout.register("mi").qubits

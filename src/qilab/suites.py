@@ -386,7 +386,8 @@ def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
                 skipped_half += 1
             pair_bound.add(enc.pairing_average(stats.distances, stats.pairing) - delta)
             if m <= 4:
-                table = enc.prefix_table([s.entropies[j] for s, j in rows[2**m + 1 :]], m)
+                ent = [s.entropies[j] for s, j in rows]  # the states, the average, the mixtures
+                table = enc.prefix_table(ent[: 2**m], ent[2**m + 1 :], m)
                 decomp.add(stats.info - sum(float(np.mean(row)) for row in table))
     floor_half.details["not_applicable"] = skipped_half
     floor_half.details["violations_at_m1"] = half_violations_m1

@@ -160,22 +160,34 @@ def test_enumerate_pairings_count():
 
 def test_prefix_mixture_cases():
     e = cube(108, 2, 3)
-    # prefixes "0", "1", "" and then "00", "01", "0", "10", "11", "1"
-    zero, _, full, _, zero_one, *_ = enc.prefix_mixtures(e.mats, 2)
+    # the mixtures over prefixes "0" and "1" (the pair of prefix ""), then
+    # their even mixture; those of "0" and "1" are their own mixtures, of
+    # the cube's states "00", "01" and "10", "11"
+    zero, one, full = enc.prefix_mixtures(e.mats, 2)
     assert np.allclose(full, e.average_state.mat, atol=1e-12)
-    assert np.allclose(zero_one, e.states[1].mat)
     # oracle: direct two-term mixture
     direct = (e.states[0].mat + e.states[1].mat) / 2
     assert np.allclose(zero, direct, atol=1e-12)
+    assert np.allclose(one, (e.states[2].mat + e.states[3].mat) / 2, atol=1e-12)
+    (only,) = enc.prefix_mixtures(e.mats[:2], 1)
+    assert np.array_equal(only, zero)
 
 
 def test_prefix_table_takes_one_entropy_triple_per_prefix():
-    # 3(2^m - 1) = 9 entropies at m = 2; any other count raises, as 3 would
-    # make a table of the wrong shape and 12 would drop a triple unread
-    assert enc.prefix_table([0.0, 0.0, 1.0] * 3, 2) == [[1.0], [1.0, 1.0]]
-    for n in (0, 3, 8, 12):
-        with pytest.raises(SizeError, match=r"^need 3\(2\^m - 1\) entropies at m = 2, got shape"):
-            enc.prefix_table([0.0] * n, 2)
+    # at m = 2, 4 state entropies and 3 mixture entropies, those of "0",
+    # "1" and "": the pair and the mixture of prefix "", and the mixtures
+    # of "0" and "1", whose pairs are the states; any other count raises,
+    # as it would make a table of the wrong shape or leave an entropy unread
+    assert enc.prefix_table([0.0] * 4, [1.0, 1.0, 1.0], 2) == [[0.0], [1.0, 1.0]]
+    table = enc.prefix_table([0.0, 1.0, 0.0, 0.0], [0.5, 1.0, 1.0], 2)
+    assert table == [[0.25], [0.0, 1.0]]
+    assert enc.prefix_table([0.0, 1.0], [1.0], 1) == [[0.5]]
+    match = r"^need entropies of shapes \(\(4,\), \(3,\)\) at m = 2, got"
+    for n_states, n_mixtures in ((4, 0), (4, 2), (4, 4), (4, 5), (3, 3), (8, 3)):
+        with pytest.raises(SizeError, match=match):
+            enc.prefix_table([0.0] * n_states, [0.0] * n_mixtures, 2)
+    with pytest.raises(SizeError, match=r"shapes \(\(2,\), \(1,\)\) at m = 1"):
+        enc.prefix_table([0.0, 1.0], [], 1)
 
 
 def test_prefix_information_validation():
@@ -235,8 +247,10 @@ def test_encoding_suite_seeds_the_average_and_table_bitwise():
         assert np.array_equal(average.mat, direct.mat)
         assert np.array_equal(average.eig.eigenvalues, direct.eig.eigenvalues)
         if m <= 4:
+            assert len(rows) == 2**m + 1 + 2**m - 2 + max(2 ** (m - 1) - 1, 1)
+            state_entropies = [s.entropies[j] for s, j in rows[: 2**m]]
             entropies = [s.entropies[j] for s, j in rows[2**m + 1 :]]
-            assert enc.prefix_table(entropies, m) == _per_prefix_information(e, m)
+            assert enc.prefix_table(state_entropies, entropies, m) == _per_prefix_information(e, m)
         else:
             assert len(rows) == 2**m + 1
 
@@ -289,13 +303,15 @@ def test_cube_validation():
 
 @pytest.mark.parametrize("m", range(1, 5))
 def test_prefix_mixtures_match_the_per_prefix_loop_bitwise(m):
-    # one mixture_matrix call per prefix mixture, as each was summed before
+    # one mixture_matrix call per prefix mixture, as each was summed before;
+    # the last length's pairs are copies of the states and its even
+    # mixtures copies of the pairs before it: neither is listed
     for dim in range(2, 9):
         mats = [
             states.random_density(dim, 1 + x % dim, derive_seed(114, m, dim, x)).mat
             for x in range(2**m)
         ]
-        loop = []
+        pairs, means, last = [], [], []
         for i in range(m):
             span = 2 ** (m - i - 1)
             for y in range(2**i):
@@ -303,8 +319,16 @@ def test_prefix_mixtures_match_the_per_prefix_loop_bitwise(m):
                     states.mixture_matrix(np.full(span, 1.0 / span), mats[k * span : (k + 1) * span])
                     for k in (2 * y, 2 * y + 1)
                 ]
-                loop += [*pair, states.mixture_matrix((0.5, 0.5), pair)]
+                mean = states.mixture_matrix((0.5, 0.5), pair)
+                if i < m - 1:
+                    pairs += pair
+                    means.append(mean)
+                else:
+                    assert all(np.array_equal(a, b) for a, b in zip(pair, mats[2 * y : 2 * y + 2]))
+                    last.append(mean)
+        assert all(np.array_equal(a, b) for a, b in zip(last, pairs[len(pairs) - len(last) :]))
+        loop = pairs + means if m > 1 else last
         stacked = enc.prefix_mixtures(mats, m)
-        assert len(stacked) == len(loop) == 3 * (2**m - 1)
+        assert len(stacked) == len(loop) == 2**m - 2 + max(2 ** (m - 1) - 1, 1)
         for k, (a, b) in enumerate(zip(stacked, loop)):
             assert np.array_equal(a, b), f"d={dim} mixture {k}"

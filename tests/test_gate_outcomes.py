@@ -2,11 +2,11 @@
 
 ``perfbench/reference.json`` holds, per workload and seed, each check's
 trial count, violation count and ``min_slack`` as the benchmark's gate
-expects them. The sweep workload (metrics, info and transition at default
-flags) and the large-d workload (metrics at d = 192..203, 12 trials) at
-seeds 1 and 2 must repeat the counts exactly and each ``min_slack``
-within the gate's 1e-12, so that a change which moves them shows here
-before the benchmark runs.
+expects them. Every workload (sweep: metrics, info and transition at
+default flags; encoding; protocol: rac and reduction; large-d: metrics at
+d = 192..203, 12 trials) at seeds 1 and 2 must repeat the counts exactly
+and each ``min_slack`` within the gate's 1e-12, so that a change which
+moves them shows here before the benchmark runs.
 """
 
 import json
@@ -20,13 +20,13 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 SLACK_TOL = 1e-12
 WORKLOADS = {
     "sweep": (("metrics", {}), ("info", {}), ("transition", {})),
+    "encoding": (("encoding", {}),),
+    "protocol": (("rac", {}), ("reduction", {})),
     "large-d": (("metrics", {"dims": (192, 256), "trials": 12}),),
 }
 
 
-@pytest.mark.parametrize(
-    "workload, seed", [("sweep", 1), ("sweep", 2), ("large-d", 1), ("large-d", 2)]
-)
+@pytest.mark.parametrize("workload, seed", [(w, s) for w in WORKLOADS for s in (1, 2)])
 def test_outcomes_match_the_benchmark_reference(workload, seed):
     with open(REFERENCE, encoding="utf-8") as handle:
         expected = {row[0]: row[1:] for row in json.load(handle)[workload][str(seed)]}

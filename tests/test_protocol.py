@@ -258,9 +258,10 @@ def test_basis_inputs_are_classical_bits():
     assert state.bits == {} and state.wires == (0, 1)
     # the classical control bits select the block
     one, zero = (proto.initial_states(layout, proto.InputColumns({"x": [b]})) for b in (1, 0))
-    flipped = one.apply((0,), (1,), {1: proto.X})
+    table = proto.BlockTable({1: proto.X}, 1)
+    flipped = one.apply((0,), (1,), table)
     assert np.allclose(flipped.vec, [0.0, 1.0])
-    kept = zero.apply((0,), (1,), {1: proto.X})
+    kept = zero.apply((0,), (1,), table)
     assert np.allclose(kept.vec, [1.0, 0.0])
 
 

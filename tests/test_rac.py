@@ -124,8 +124,10 @@ def test_message_encoding_states_are_the_kets():
 
 def test_rac_bound_certifies_each_prefix_mixture_once(monkeypatch):
     # the prefix-information table serves both the decomposition sum and
-    # the per-prefix Fano loop: one stacked certification of every prefix's
-    # (y0, y1, half-half) triple, each mixture built once
+    # the per-prefix Fano loop: one stacked certification of the mixture of
+    # every prefix of 1 to n - 1 bits and of every shorter prefix's even
+    # mixture, each built once; an (n - 1)-bit prefix's mixture is also its
+    # even mixture, and its y0 and y1 are message states, not certified again
     certified = []
     original = enc.make_densities
 
@@ -136,4 +138,4 @@ def test_rac_bound_certifies_each_prefix_mixture_once(monkeypatch):
     monkeypatch.setattr(enc, "make_densities", counting)
     n = 3
     rac.rac_lower_bound_check(rac.classical_copy_protocol(n), n)
-    assert certified == [3 * (2**n - 1)]
+    assert certified == [2**n - 2 + 2 ** (n - 1) - 1] == [9]

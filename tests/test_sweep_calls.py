@@ -37,8 +37,10 @@ The sweep suites read their densities as ``(stack, j)`` rows of certified
 stacks and build no ``DensityMatrix`` view (a seed-1 pass built 2,000, 12,249
 and 5,400 of them through per-density wrappers); each stacked read is bit
 for bit the one-item view's. The encoding suite reads rows too, and builds
-views only for the states and averages its ensembles hold (its prefix
-mixtures' views brought a seed-1 pass to 5,880).
+views only for the states and averages its ensembles hold (a view per
+prefix mixture would bring a seed-1 pass to 4,120, and brought it to 5,880
+while the prefix mixtures held copies of the cube states and of each
+other).
 """
 
 import math
