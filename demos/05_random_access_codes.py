@@ -26,7 +26,7 @@ spec = trivial_index_protocol(3)
 report = run_protocol(spec, index_ensemble(3))
 print(
     f"index-exchange protocol on 3 bits: error {report.error_avg:.4f}, "
-    f"{report.rounds} messages, {report.message_qubits} qubits total"
+    f"{spec.rounds} messages, {spec.message_qubits} qubits total"
 )
 
 print()

@@ -12,7 +12,7 @@ import numpy as np
 from . import linalg
 from .errors import SizeError
 from .info import validate_projective
-from .linalg import DEFAULT_TOL, dagger
+from .linalg import DEFAULT_TOL, EigDecomposition, dagger
 from .states import DensityMatrix, _gathered, _unit_norms, stacked
 
 
@@ -37,17 +37,6 @@ def trace_norm(a, hermitian: bool = False) -> float | np.ndarray:
     cross matrices and Kronecker factors are not Hermitian and keep the SVD."""
     norms = np.sum(linalg.singular_values(a, hermitian), axis=-1)
     return norms if norms.ndim else float(norms)
-
-
-def trace_norms(mats, hermitian: bool = False) -> list[float]:
-    """``[trace_norm(a, hermitian) for a in mats]`` bit for bit, with one batched
-    call per matrix shape; a failing matrix's error names its index in ``mats``."""
-
-    def build(shape, members):  # a lone matrix of its shape goes as a view, not a copy
-        stack = [mats[i] for i in members]
-        return (trace_norm(stack[0][None] if len(stack) == 1 else np.array(stack), hermitian),)
-
-    return [float(norms[j]) for (norms,), j in stacked([a.shape for a in mats], build, np.prod)]
 
 
 def _checked_pairs(pairs) -> list[tuple[tuple, tuple]]:
@@ -113,25 +102,36 @@ def pure_trace_distance(phi1, phi2) -> float:
 
 def fidelities(pairs) -> list[float]:
     """Squared-overlap fidelity of each pair ``(r1, r2)``, clamped to [0, 1]:
-    || sqrt(r1) sqrt(r2) ||_t^2, the trace norm of the cross matrix A_1^dag A_2
-    of the spectral factors A_i = V_i sqrt(L_i), one stacked SVD per dimension.
-    Eigenvalues at or below 1e-14 are zeroed (their roots would add spurious
-    directions) and each side is cut to its widest kept count in the stack,
-    so a lone pair's factors are exactly its kept columns."""
+    :func:`_fidelities` of the pairs of one dimension, one stacked SVD per dimension."""
     pairs = _checked_pairs(pairs)
 
     def build(dim, members):
-        def factor(side):
-            vals, vecs = _gathered([pairs[i][side] for i in members], "eigenvalues", "eigenvectors")
-            kept = vals > 1e-14
-            cut = dim - int(np.max(np.sum(kept, axis=-1)))  # eigenvalues ascend
-            return vecs[..., cut:] * np.sqrt(np.where(kept, vals, 0.0))[:, None, cut:]
-
-        # the factors are freed before the SVD: at large d they show in peak RSS
-        return (trace_norm(dagger(factor(0)) @ factor(1)),)
+        sides = ([pairs[i][side] for i in members] for side in (0, 1))
+        eigs = (EigDecomposition(*_gathered(rows, "eigenvalues", "eigenvectors")) for rows in sides)
+        return (_fidelities(*eigs),)
 
     out = stacked([s.mats.shape[-1] for (s, _), _ in pairs], build, np.square)
-    return [float(min(max(float(norms[j]) ** 2, 0.0), 1.0)) for (norms,), j in out]
+    return [float(f[j]) for (f,), j in out]
+
+
+def _fidelities(rho1, rho2) -> np.ndarray:
+    """The fidelity of each pair of rows of two stacks of one dimension, each
+    with its ``eigenvalues`` and ``eigenvectors``: || sqrt(r1) sqrt(r2) ||_t^2,
+    the trace norm of the cross matrix A_1^dag A_2 of the spectral factors A_i
+    = V_i sqrt(L_i), squared by libm pow as ``float ** 2`` and clamped to [0,
+    1], from one stacked SVD. Eigenvalues at or below 1e-14 are zeroed (their roots
+    would add spurious directions) and each side is cut to its widest kept
+    count in the stack, so a lone pair's factors are exactly its kept columns."""
+
+    def factor(rho):
+        vals, vecs = rho.eigenvalues, rho.eigenvectors
+        kept = vals > 1e-14
+        cut = vals.shape[-1] - int(np.max(np.sum(kept, axis=-1)))  # eigenvalues ascend
+        return vecs[..., cut:] * np.sqrt(np.where(kept, vals, 0.0))[:, None, cut:]
+
+    # the factors are freed before the SVD: at large d they show in peak RSS
+    norms = trace_norm(dagger(factor(rho1)) @ factor(rho2))
+    return np.minimum(np.maximum(np.float_power(norms, 2), 0.0), 1.0)
 
 
 def fidelity(r1: DensityMatrix, r2: DensityMatrix) -> float:

@@ -365,9 +365,6 @@ class RunReport:
     error_avg: float
     instance_errors: np.ndarray  # one per input row
     outcome_distributions: np.ndarray  # one row per input row, one column per outcome
-    message_qubits: int
-    first_message_qubits: int
-    rounds: int
 
 
 @dataclass(frozen=True)
@@ -538,9 +535,6 @@ def run_protocol(spec: ProtocolSpec, ensemble: InputEnsemble) -> RunReport:
         error_avg=float(sum((ensemble.weights * errors).tolist())),  # Python's left-to-right sum
         instance_errors=errors,
         outcome_distributions=dists,
-        message_qubits=spec.message_qubits,
-        first_message_qubits=spec.first_message_qubits,
-        rounds=spec.rounds,
     )
 
 

@@ -12,9 +12,10 @@ bit-reproducible (see :mod:`qilab.rng`).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
     TraceError,
 )
 from .linalg import DEFAULT_TOL, dagger
-from .rng import Stream, complex_gauss_stack
+from .rng import Stream, _u64, complex_gauss_stack
 
 # Most matrix entries one stacked build holds at once, so batching keeps
 # memory flat; a matrix above it is built on its own.
@@ -60,10 +61,17 @@ class CertifiedStack:
     mats: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    rows_of: tuple = ()  # (stack, rows) for stack[rows], which reads stack's entropies
 
     @cached_property
     def entropies(self) -> np.ndarray:
+        if self.rows_of:
+            return self.rows_of[0].entropies[self.rows_of[1]]
         return _read_only(entropy_rows(np.clip(self.eigenvalues, 0.0, 1.0)))[0]
+
+    def __getitem__(self, rows: slice) -> CertifiedStack:
+        views = (a[rows] for a in (self.mats, self.eigenvalues, self.eigenvectors))
+        return CertifiedStack(*views, (self, rows))
 
 
 class DensityMatrix(NamedTuple):
@@ -139,7 +147,7 @@ def make_densities(mats, tol=DEFAULT_TOL) -> list[DensityMatrix]:
     ``tol`` is one tolerance or one per matrix. A failing matrix's error
     names its index in ``mats``.
     """
-    return [DensityMatrix(*row) for row in _certified_stacks(mats, tol)]
+    return [DensityMatrix(*row) for row in _certified_stacks([_matrix(m)[None] for m in mats], tol)]
 
 
 def _matrix(mat) -> np.ndarray:
@@ -149,15 +157,15 @@ def _matrix(mat) -> np.ndarray:
     return mat
 
 
-def _certified_stacks(mats, tol) -> list[tuple[CertifiedStack, int]]:
-    """:func:`make_densities`' ``(stack, j)`` rows, unwrapped."""
-    mats = [_matrix(mat) for mat in mats]
-    tols = np.ones(len(mats)) * tol  # one per matrix
+def _certified_stacks(stacks, tol) -> list[tuple[CertifiedStack, int]]:
+    """Per stack of matrices (``tol`` for all or one each), its certified rows' ``(stack, j)``."""
+    tols = np.ones(len(stacks)) * tol
 
     def build(shape, members):
-        return _certified(np.array([mats[i] for i in members]), tols[members])
+        mats = np.concatenate([stacks[i] for i in members], dtype=np.complex128)
+        return _certified(mats, np.repeat(tols[members], [len(stacks[i]) for i in members]))
 
-    return stacked([mat.shape for mat in mats], build, lambda shape: shape[0] * shape[1])
+    return stacked([m.shape[1:] for m in stacks], build, np.prod, [len(m) for m in stacks])
 
 
 def _certified(mats: np.ndarray, tol: float | np.ndarray) -> CertifiedStack:
@@ -378,89 +386,109 @@ def random_densities(specs) -> list[DensityMatrix]:
     eigendecomposition, in blocks of at most :data:`BLOCK_ENTRIES` matrix
     entries. Each density's arrays are read-only views into its block's stacks.
     """
-    return [DensityMatrix(*row) for row in _random_stacks(specs)]
+    cols = [(int(dim), np.array([rank]), _u64(seed)) for dim, rank, seed in specs]
+    return [DensityMatrix(*row) for row in _random_stacks(cols)]
 
 
 def random_density_chunks(trials, derive=None):
-    """For each trial ``(key, specs)`` or ``(key, specs, draws)`` of ``trials``,
-    ``(key, rows, gaussians)``, in one list per block of :func:`_blocks`:
-    ``rows`` holds the ``(stack, j)`` rows of the ``(dim, rank, seed)`` specs'
-    random densities as :func:`random_densities` builds them, a certified
-    stack per dim, and ``gaussians`` ``Stream(seed).complex_gauss_matrix(rows,
-    cols)`` per ``(rows, cols, seed)`` of ``draws``, bit for bit and read-only.
-    A list is emptied when the next is asked for, so a spent block is freed
-    first. With ``derive``, ``derive(keys, mats_by_trial)`` maps a block's
-    trial keys and each trial's matrices to one list of ``(matrix, tol)`` per
-    trial (another count raises :class:`SizeError`); each trial's rows go on
-    with them made densities, as :func:`make_densities` makes them.
-    """
+    """The batches' trials ``(keys, specs)`` or ``(keys, specs, draws)`` as
+    columns: per block of :func:`_blocks`, a list of one ``(keys, stacks,
+    gaussians)`` per trial shape (its specs' and draws' dims), row ``i`` of each
+    array trial ``i``'s. ``keys`` is a tuple of arrays, ``specs`` a ``(trials,
+    P, 3)`` array of ``(dim, rank, seed)``, ``draws`` a ``(trials, Q, 3)`` one
+    of ``(rows, cols, seed)``; ``stacks[p]`` certifies spec ``p``'s densities as
+    :func:`random_densities` does, ``gaussians[q]`` holds draw ``q``'s read-only
+    ``Stream(seed).complex_gauss_matrix(rows, cols)``. A list is emptied when
+    the next is asked for. ``derive(keys, mats)`` maps a shape's keys and spec
+    stacks to one ``(stack, tol)`` per derived position, a row per trial (else
+    SizeError), certified onto ``stacks`` as :func:`make_densities` does."""
     for block in _blocks(trials):
-        chunk = list(_block_trials(block, derive))
+        chunk = _block_columns(block, derive)
         yield chunk
         chunk.clear()
 
 
-def _block_trials(block: list, derive):
-    """The block's trials built: densities a certified stack per dim, draws a stack per shape."""
-    drawn = iter(_gauss_stacks([draw for *_, draws in block for draw in draws]))
-    stacks = iter(_random_stacks([spec for _, specs, _ in block for spec in specs]))
-    rows = [list(islice(stacks, len(specs))) for _, specs, _ in block]
-    if derive is not None:
-        pairs = derive([key for key, *_ in block], [[s.mats[j] for s, j in r] for r in rows])
-        if len(pairs) != len(block):
-            raise SizeError(f"derive returned {len(pairs)} lists for {len(block)} trials")
-        flat = [pair for trial in pairs for pair in trial]
-        derived = iter(_certified_stacks([m for m, _ in flat], [t for _, t in flat]))
-        for r, trial in zip(rows, pairs):
-            r.extend(islice(derived, len(trial)))
-    for (key, _, draws), r in zip(block, rows):
-        yield key, tuple(r), tuple(g[j] for (g,), j in islice(drawn, len(draws)))
-
-
 def _blocks(trials):
-    """Consecutive trials as ``(key, specs, draws)``, read only as a list is
-    filled, in lists of at most :data:`BLOCK_ENTRIES` matrix entries (a larger
-    trial is a list of its own). A trial counts as at least ``BLOCK_ENTRIES //
-    256`` entries, however small its matrices: without the floor a block holds
-    hundreds of the sweep's d <= 4 trials, each with its own tuples and rows,
-    and a seed-1 sweep pass peaked about 2% higher in RSS."""
-    block: list[tuple] = []
-    size = 0
-    for key, specs, *draws in trials:
-        specs = tuple(specs)
-        draws = tuple(draws[0]) if draws else ()
-        n = sum(dim * dim for dim, _, _ in specs) + sum(r * c for r, c, _ in draws)
-        n = max(n, BLOCK_ENTRIES // 256)
-        if block and size + n > BLOCK_ENTRIES:
-            yield block
-            block, size = [], 0
-        block.append((key, specs, draws))
-        size += n
+    """Consecutive trials of the batches, each batch read only when a block
+    needs it, in lists of ``(keys, specs, draws)`` slices of at most
+    :data:`BLOCK_ENTRIES` matrix entries (a larger trial is a list of its own)."""
+    block, size = [], 0
+    for keys, specs, *draws in trials:
+        specs = np.asarray(specs, dtype=np.uint64)
+        draws = np.asarray(draws[0] if draws else np.zeros((len(specs), 0, 3)), dtype=np.uint64)
+        n = np.sum(specs[..., 0] ** 2, axis=-1) + np.sum(draws[..., 0] * draws[..., 1], axis=-1)
+        ends, lo = [0, *np.cumsum(n).tolist()], 0
+        while lo < len(specs):
+            hi = max(bisect_right(ends, ends[lo] + BLOCK_ENTRIES - size) - 1, lo + (not block))
+            if hi > lo:  # without a trial in the block, a larger one goes alone
+                block.append((tuple(k[lo:hi] for k in keys), specs[lo:hi], draws[lo:hi]))
+                size, lo = size + ends[hi] - ends[lo], hi
+            if lo < len(specs):
+                yield block
+                block, size = [], 0
     if block:
         yield block
 
 
-def stacked(keys: list, build, entries) -> list[tuple[tuple, int]]:
-    """Per item, ``(stack, j)``: its arrays are row ``j`` of the arrays of
-    ``stack = build(key, members)``, which items of equal ``key`` share, at
-    most :data:`BLOCK_ENTRIES` matrix entries (``entries(key)`` each) to a
-    stack. An error naming "matrix i" (or "matrix (i, ...)") of a stack names item i's index."""
+def _block_columns(block: list, derive) -> list[tuple]:
+    """The block's trials, a ``(keys, stacks, gaussians)`` per trial shape in
+    order of first appearance: densities certified a stack per dim for the whole
+    block, each column a run of a stack's rows, and draws a stack per column."""
+    shapes: dict = {}
+    for keys, specs, draws in block:
+        dims = np.concatenate([specs[..., 0], draws[..., :2].reshape(len(draws), -1)], axis=1)
+        found, first, which = np.unique(dims, axis=0, return_index=True, return_inverse=True)
+        for u in np.argsort(first):
+            part = (*(k[which == u] for k in keys), specs[which == u], draws[which == u])
+            shapes.setdefault((specs.shape[1], *found[u].tolist()), []).append(part)
+    groups = [[np.concatenate(x) for x in zip(*parts)] for parts in shapes.values()]
+    stacks = iter(_random_stacks(  # a column (dim, ranks, seeds) per spec position
+        [(int(s[0, p, 0]), *s[:, p, 1:].T) for *_, s, _ in groups for p in range(s.shape[1])]))
+    out = []
+    for *keys, s, d in groups:
+        cols = [stack[j : j + len(s)] for stack, j in islice(stacks, s.shape[1])]
+        drawn = (complex_gauss_stack(d[:, q, 2], *map(int, d[0, q, :2])) for q in range(d.shape[1]))
+        out.append((tuple(keys), cols, _read_only(*drawn)))
+    made = []  # per derived column: its stack, tolerance and shape's columns
+    for keys, cols, _ in out if derive is not None else ():
+        for m, tol in derive(keys, [c.mats for c in cols]):
+            if len(m) != len(keys[0]):
+                raise SizeError(f"derive returned {len(m)} rows for {len(keys[0])} trials")
+            made.append((m, tol, cols))
+    derived = _certified_stacks([m for m, _, _ in made], [tol for _, tol, _ in made])
+    for (m, _, cols), (stack, j) in zip(made, derived):
+        cols.append(stack[j : j + len(m)])
+    return [(keys, tuple(cols), gaussians) for keys, cols, gaussians in out]
+
+
+def stacked(keys: list, build, entries, sizes=None) -> list[tuple[tuple, int]]:
+    """Per item, ``(stack, j)``: its arrays are rows ``j ... j + sizes[i] - 1``
+    (one row by default) of the arrays of ``stack = build(key, members)``,
+    which items of equal ``key`` share in order, at most :data:`BLOCK_ENTRIES`
+    matrix entries (``entries(key)`` a row) to a stack unless one item alone
+    holds more. An error naming "matrix r" (or "matrix (r, ...)") of a stack
+    names the index of the item that holds row r."""
     groups: dict = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
     out: list = [None] * len(keys)
     for key, members in groups.items():
-        step = max(1, BLOCK_ENTRIES // entries(key))
-        for lo in range(0, len(members), step):
-            chunk = members[lo : lo + step]
+        cap = max(1, BLOCK_ENTRIES // entries(key))  # rows to a stack
+        ends = [0, *accumulate(sizes[i] for i in members)] if sizes else range(len(members) + 1)
+        lo = 0
+        while lo < len(members):
+            hi = max(lo + 1, bisect_right(ends, ends[lo] + cap) - 1)
+            chunk = members[lo:hi]
             try:
                 stack = build(key, chunk)
             except (QilabError, ValueError) as exc:
+                owner = np.repeat(chunk, np.diff(ends[lo : hi + 1]))
                 name = r"^(matrix \(?)(\d+)"
-                msg = re.sub(name, lambda m: m[1] + str(chunk[int(m[2])]), str(exc))
+                msg = re.sub(name, lambda m: m[1] + str(owner[int(m[2])]), str(exc))
                 raise type(exc)(msg) from None
-            for j, i in enumerate(chunk):
-                out[i] = (stack, j)
+            for k in range(lo, hi):
+                out[members[k]] = (stack, ends[k] - ends[lo])
+            lo = hi
     return out
 
 
@@ -475,30 +503,22 @@ def _gathered(rows, *fields: str) -> list[np.ndarray]:
     return [np.array([getattr(s, name)[j] for s, j in rows]) for name in fields]
 
 
-def _gauss_stacks(draws) -> list[tuple[tuple, int]]:
-    def build(shape, members):
-        return _read_only(complex_gauss_stack([draws[i][2] for i in members], *shape))
-
-    return stacked([(int(r), int(c)) for r, c, _ in draws], build, lambda rc: rc[0] * rc[1])
-
-
 def _random_stacks(specs) -> list[tuple[CertifiedStack, int]]:
-    """Per ``(dim, rank, seed)`` spec, the ``(stack, j)`` row of its density."""
-    for dim, rank, _ in specs:
-        if not 1 <= rank <= dim:
-            raise RankError(f"rank must be in [1, {dim}], got {rank}")
+    """Per column ``(dim, ranks, seeds)`` of specs of one dim, ``(stack, j)``:
+    its densities are rows ``j ... j + len(ranks) - 1`` of a certified stack per dim."""
 
     def build(dim, members):
-        rho = np.empty((len(members), dim, dim), dtype=np.complex128)  # the dim's one stack
-        ranks = np.array([specs[i][1] for i in members])
+        ranks, seeds = (np.concatenate([specs[i][k] for i in members]) for k in (1, 2))
+        if len(bad := ranks[(ranks < 1) | (ranks > dim)]):
+            raise RankError(f"rank must be in [1, {dim}], got {bad[0]}")
+        rho = np.empty((len(ranks), dim, dim), dtype=np.complex128)  # the dim's one stack
         for rank in set(ranks.tolist()):
-            at = np.flatnonzero(ranks == rank)
-            g = complex_gauss_stack([specs[members[j]][2] for j in at], dim, rank)
-            rho[at] = g @ dagger(g)
+            g = complex_gauss_stack(seeds[ranks == rank], dim, rank)
+            rho[ranks == rank] = g @ dagger(g)
         rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
         return _certified(rho, 1e-9)
 
-    return stacked([int(dim) for dim, _, _ in specs], build, np.square)
+    return stacked([dim for dim, _, _ in specs], build, np.square, [len(r) for _, r, _ in specs])
 
 
 def random_pure(dim_h: int, dim_k: int, seed: int) -> BipartitePureState:

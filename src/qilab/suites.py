@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby, islice
+from itertools import islice
 
 import numpy as np
 
@@ -130,25 +130,29 @@ def _batches(trials: int, size: int = CHUNK_TRIALS):
         yield np.arange(lo, min(lo + size, trials))
 
 
-def _specs(dims, seeds) -> list[tuple[int, int, int]]:
-    """Per seed, flat, ``(dim, 1 + Stream(seed).integer(dim), seed)``; dims broadcast."""
-    dims, seeds = (a.ravel() for a in np.broadcast_arrays(dims, seeds))
-    ranks = 1 + StreamRows(seeds).integer(dims)[:, 0]
-    return list(zip(dims.tolist(), ranks.tolist(), seeds.tolist()))
+def _triples(*columns) -> np.ndarray:
+    """A batch's ``(dim, rank, seed)`` specs or ``(rows, cols, seed)`` draws, as uint64."""
+    return np.stack(np.broadcast_arrays(*(np.asarray(c).astype(np.uint64) for c in columns)), -1)
+
+
+def _specs(dims, seeds) -> np.ndarray:
+    """Per seed, ``(dim, 1 + Stream(seed).integer(dim), seed)``; dims broadcast."""
+    dims, seeds = np.broadcast_arrays(dims, seeds)
+    return _triples(dims, 1 + StreamRows(seeds).integer(dims.ravel()).reshape(dims.shape), seeds)
 
 
 # ---------------------------------------------------------------------------
 
 
 def _metrics_trials(cfg: SuiteConfig, trials: int):
-    """Per metrics trial, its two random densities and its Gaussian draws:
-    two pure columns, then the 2x2 and 3x3 factors of a Kronecker product."""
+    """Per batch of metrics trials, their two random densities and Gaussian
+    draws: two pure columns, then the 2x2 and 3x3 factors of a Kronecker product."""
     for t in _batches(trials):
         dims = _dim_cycle(cfg, t)
         specs = _specs(dims[:, None], derive_seeds(cfg.seed, 10, t[:, None], [0, 1]))
-        pure, kron = (derive_seeds(cfg.seed, tag, t[:, None], [0, 1]).tolist() for tag in (11, 12))
-        for j, (d, (p0, p1), (k0, k1)) in enumerate(zip(dims.tolist(), pure, kron)):
-            yield t[j], specs[2 * j : 2 * j + 2], [(d, 1, p0), (d, 1, p1), (2, 2, k0), (3, 3, k1)]
+        seeds = np.hstack([derive_seeds(cfg.seed, tag, t[:, None], [0, 1]) for tag in (11, 12)])
+        rows = np.stack(np.broadcast_arrays(dims, dims, 2, 3), axis=-1)
+        yield (t,), specs, _triples(rows, [1, 1, 2, 3], seeds)
 
 
 def metrics_suite(cfg: SuiteConfig) -> list[CheckResult]:
@@ -165,23 +169,18 @@ def metrics_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
 
 def _metrics_chunk(chunk, fvg_lower, fvg_upper, tight, pure_agree, tensor_mult) -> None:
-    """Tally one chunk of metrics trials, its trace norms in stacked calls."""
+    """Tally one chunk of metrics trials, a shape (dim) at a time in stacked calls."""
+    for _, (r1, r2), (g1, g2, _, _) in chunk:
+        diffs = r1.mats - r2.mats  # both kernels read each stack of differences r1 - r2
+        dists, achieved = metrics.trace_norm(diffs, hermitian=True), metrics._helstrom(diffs)[2]
+        del diffs
+        for d, a, f in zip(dists.tolist(), achieved.tolist(), metrics._fidelities(r1, r2).tolist()):
+            lo, up = metrics.fidelity_distance_bounds(f, d)
+            fvg_lower.add(lo)
+            fvg_upper.add(up)
+            tight.agree(a - d)
 
-    def distances(diffs):  # both kernels read each stack of differences r1 - r2
-        return metrics.trace_norm(diffs, hermitian=True), metrics._helstrom(diffs)[2]
-
-    pairs = [dens for _, dens, _ in chunk]
-    measured = metrics._per_difference(pairs, distances)
-    for ((dists, achieved), j), f in zip(measured, metrics.fidelities(pairs)):
-        lo, up = metrics.fidelity_distance_bounds(f, float(dists[j]))
-        fvg_lower.add(lo)
-        fvg_upper.add(up)
-        tight.agree(float(achieved[j]) - float(dists[j]))
-
-    by_length: dict = {}  # the pure pairs' Gaussian columns, a stack per length
-    for *_, draws in chunk:
-        by_length.setdefault(len(draws[0]), []).append(draws[:2])
-    for g in map(np.array, by_length.values()):
+        g = np.stack([g1, g2], axis=1)  # the pure pairs' Gaussian columns
         v = g[..., 0] / _norms(g[..., 0])[..., None]  # made states as make_pures(rescale=True) does
         v /= _unit_norms(v)[..., None]
         diffs = v[:, 0, :, None] * np.conj(v[:, 0, None, :])
@@ -191,7 +190,7 @@ def _metrics_chunk(chunk, fvg_lower, fvg_upper, tight, pure_agree, tensor_mult) 
             pure_agree.agree(error)
 
     # each trial's Kronecker product a (x) b, all of the chunk's in one product
-    a, b = (np.array([draws[k] for *_, draws in chunk]) for k in (2, 3))
+    a, b = (np.concatenate([gaussians[k] for *_, gaussians in chunk]) for k in (2, 3))
     kron = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), 6, 6)
     lhs, rhs = metrics.trace_norm(kron), metrics.trace_norm(a) * metrics.trace_norm(b)
     for error in (lhs - rhs) / np.maximum(rhs, 1.0):
@@ -202,7 +201,7 @@ def _metrics_chunk(chunk, fvg_lower, fvg_upper, tight, pure_agree, tensor_mult) 
 
 
 def _info_trials(seed: int, trials: int):
-    """Per info trial, its key ``(priors, p, joint, ws)`` of stream draws, the
+    """Per info batch, its keys ``(priors, p, joint, ws)`` of stream draws, the
     specs of its random densities and the Gaussian draw of its measurement
     basis, a batch at a time and in it a shape (t mod 6) at a time, as no
     check depends on their order; the rows of a stream draw side by side."""
@@ -216,65 +215,56 @@ def _info_trials(seed: int, trials: int):
             u_j, yz_ranks = s.uniform(8) + 1e-3, s.integer(4, 4)
             u_w, rest = s.uniform(3) + 0.05, [s.integer(3, 3), s.integer(4)]
             priors, p, joint, ws = (u / u.sum(axis=-1, keepdims=True) for u in (u_e, u_p, u_j, u_w))
-            ranks = [e_ranks, sigma_ranks, yz_ranks, *rest]
+            ranks = 1 + np.hstack([e_ranks, sigma_ranks, yz_ranks, *rest])
             tags = [*range(n), *range(30, 30 + k), *range(40, 44), *range(50, 53), 60, 1]
-            seeds = derive_seeds(trial_seeds[:, None], tags).tolist()
-            dims = [n] * n + [k] * k + [4] * 4 + [3] * 3 + [4]
-            for j, rank in enumerate((1 + np.hstack(ranks)).tolist()):
-                key = priors[j], p[j], joint[j].reshape(2, 2, 2), ws[j]
-                yield key, list(zip(dims, rank, seeds[j])), [(n, n, seeds[j][-1])]
+            seeds = derive_seeds(trial_seeds[:, None], tags)
+            specs = _triples([n] * n + [k] * k + [4] * 4 + [3] * 3 + [4], ranks, seeds[:, :-1])
+            yield (priors, p, joint.reshape(-1, 2, 2, 2), ws), specs, _triples(n, n, seeds[:, -1:])
 
 
-def _runs(trials) -> list[list]:
-    """Consecutive info trials ``(key, ...)`` of one shape, as lists."""
-    return [list(run) for _, run in groupby(trials, lambda trial: tuple(map(len, trial[0][:2])))]
+def _info_derived(keys, mats) -> list[tuple[np.ndarray, float]]:
+    """The derived matrices of a shape's info trials, a stack per position, and
+    their tolerances: the block matrix of the p-weighted sigmas, the traced yz
+    states, the averages of the three ensembles and of the parts, and both
+    reductions of rho_ab."""
+    priors, p, _, ws = keys
+    (g, n), k = priors.shape, p.shape[1]
+    b = np.zeros((g, k * k, k * k), dtype=np.complex128)
+    for j, sigma in enumerate(mats[n : n + k]):
+        b[:, j * k : (j + 1) * k, j * k : (j + 1) * k] = p[:, j, None, None] * sigma
+    yz, parts, ab = mats[n + k : n + k + 4], mats[n + k + 4 : n + k + 7], mats[-1]
+    traced = linalg.partial_trace(np.array(yz), 2, 2, "H")
+    quarter = np.full((g, 4), 0.25)
+    mixtures = [(priors, mats[:n]), (quarter, yz), (quarter, traced), (ws, parts)]
+    return [
+        *((m, 1e-8) for m in (b, *traced)),
+        *((mixture_matrix(w, ms), linalg.DEFAULT_TOL) for w, ms in mixtures),
+        *((linalg.partial_trace(ab, 2, 2, keep), 1e-8) for keep in "HK"),
+    ]
 
 
-def _info_derived(keys, mats_by_trial) -> list[list[tuple[np.ndarray, float]]]:
-    """Per info trial, its derived matrices and their tolerances: the block matrix
-    of the p-weighted sigmas, the traced yz states, the averages of the three
-    ensembles and of the parts, and both reductions of rho_ab, a run at a time."""
-    out = []
-    for run in _runs(zip(keys, mats_by_trial)):
-        priors, p, _, ws = (np.array(x) for x in zip(*(key for key, _ in run)))
-        (g, n), k = priors.shape, p.shape[1]
-        stacks = [np.array(mats) for mats in zip(*(mats for _, mats in run))]  # one per position
-        b = np.zeros((g, k * k, k * k), dtype=np.complex128)
-        for j, sigma in enumerate(stacks[n : n + k]):
-            b[:, j * k : (j + 1) * k, j * k : (j + 1) * k] = p[:, j, None, None] * sigma
-        yz, parts, ab = stacks[n + k : n + k + 4], stacks[n + k + 4 : n + k + 7], stacks[-1]
-        traced = linalg.partial_trace(np.array(yz), 2, 2, "H")
-        quarter = np.full((g, 4), 0.25)
-        mixtures = [(priors, stacks[:n]), (quarter, yz), (quarter, traced), (ws, parts)]
-        derived = [
-            *((m, 1e-8) for m in (b, *traced)),
-            *((mixture_matrix(w, mats), linalg.DEFAULT_TOL) for w, mats in mixtures),
-            *((linalg.partial_trace(ab, 2, 2, keep), 1e-8) for keep in "HK"),
-        ]
-        out += [[(m[i], tol) for m, tol in derived] for i in range(g)]
-    return out
-
-
-def _info_chunk(chunk, holevo, block, mono, concave, subadd) -> None:
-    """Tally a chunk of info trials, a run of one shape at a time from the
-    stacks' entropy rows; each sum over a trial's states runs left to right."""
-    for run in _runs(chunk):
-        keys, dens, draws = zip(*run)
-        priors, p, _, ws = (np.array(x) for x in zip(*keys))
+def _info_chunk(chunk, holevo, block, chain, mono, concave, subadd) -> None:
+    """Tally a chunk of info trials, a shape at a time from the stacks' entropy
+    rows; each sum over a trial's states runs left to right."""
+    for (priors, p, joints, ws), stacks, (z,) in chunk:
         n, k = priors.shape[1], p.shape[1]
-        ent = np.array([[s.entropies[j] for s, j in d] for d in dens])
+        ent = np.stack([s.entropies for s in stacks], axis=1)
         # after the n + k states: yz 0-3, parts 4-6, rho_ab 7, the block matrix 8,
         # the traced yz 9-12, the four averages 13-16, rho_a 17 and rho_b 18
         tail = ent[:, n + k :].T
-        quarter = np.full((len(run), 4), 0.25)
+        quarter = np.full((len(priors), 4), 0.25)
         # the ensemble's states, measured onto the columns of each trial's unitary
-        mats = np.array([[s.mats[j] for s, j in d[:n]] for d in dens])
-        u = np.swapaxes(unitaries_from_gauss([z for (z,) in draws]), -1, -2)
+        mats = np.stack([s.mats for s in stacks[:n]], axis=1)
+        u = np.swapaxes(unitaries_from_gauss(z), -1, -2)
         mis = measured_mutual_infos(priors, mats, u[..., :, None] * np.conj(u)[..., None, :])
         block_rhs = shannon_entropy(p) + conditional_entropies(p, ent[:, n : n + k])
         full = holevo_informations(quarter, tail[:4].T, tail[14])
-        for error in tail[8] - block_rhs:
-            block.agree(error)
+        # the chain rule I(X:YZ) = I(X:Y) + I(XY:Z) - I(Y:Z), over the tables at once
+        x_yz, xy_z = (classical_mutual_information(joints.reshape(-1, s, 8 // s)) for s in (2, 4))
+        x_y, y_z = (classical_mutual_information(joints.sum(axis=a)) for a in (3, 1))
+        for tally, errors in ((block, tail[8] - block_rhs), (chain, x_yz - (x_y + xy_z - y_z))):
+            for error in errors:
+                tally.agree(error)
         for tally, slacks in (
             (mono, full - holevo_informations(quarter, tail[9:13].T, tail[15])),
             (concave, tail[16] - conditional_entropies(ws, tail[4:7].T)),
@@ -294,15 +284,7 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
     concave = _Tally("entropy_concavity", _tol(cfg, 1e-9))
     subadd = _Tally("entropy_subadditivity", _tol(cfg, 1e-9))
     for chunk in random_density_chunks(_info_trials(cfg.seed, trials), _info_derived):
-        _info_chunk(chunk, holevo, block, mono, concave, subadd)
-        # the chain rule I(X:YZ) = I(X:Y) + I(XY:Z) - I(Y:Z), over the chunk's tables at once
-        joints = np.array([key[2] for key, *_ in chunk])
-        i_x_yz = classical_mutual_information(joints.reshape(-1, 2, 4))
-        i_x_y = classical_mutual_information(joints.sum(axis=3))
-        i_xy_z = classical_mutual_information(joints.reshape(-1, 4, 2))
-        i_y_z = classical_mutual_information(joints.sum(axis=1))
-        for error in i_x_yz - (i_x_y + i_xy_z - i_y_z):
-            chain.agree(error)
+        _info_chunk(chunk, holevo, block, chain, mono, concave, subadd)
 
     gap = _Tally("binary_entropy_gap", _tol(cfg, 1e-12))
     deltas = [k / 1000.0 for k in range(501)]
@@ -327,29 +309,27 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
 
 def _cube_trials(cases):
-    """Per ``(m, dim, seed)`` case, the specs of its cube's 2^m random
-    densities, drawn a batch of cases at a time."""
+    """Per batch of ``(m, dim, seed)`` cases, a batch per m, its cases sorted by
+    dim, as no check depends on their order: keys ``(m, seed)`` and the specs
+    of each cube's 2^m random densities."""
     cases = iter(cases)
-    while batch := list(islice(cases, CHUNK_TRIALS)):
-        m, dims, seeds = zip(*batch)
-        sizes = [2**k for k in m]
-        x = np.concatenate([np.arange(size) for size in sizes])
-        state_seeds = derive_seeds(np.repeat(np.array(seeds, dtype=np.uint64), sizes), x)
-        specs = iter(_specs(np.repeat(dims, sizes), state_seeds))
-        for k, seed, size in zip(m, seeds, sizes):
-            yield (k, seed), list(islice(specs, size))
+    while batch := list(islice(cases, 6 * CHUNK_TRIALS)):  # up to a chunk of each m
+        ms, dims, seeds = (np.array(x, dtype=np.uint64) for x in zip(*batch))
+        for m in dict.fromkeys(ms.tolist()):
+            at = np.flatnonzero(ms == m)
+            at = at[np.argsort(dims[at], kind="stable")]
+            state_seeds = derive_seeds(seeds[at, None], np.arange(2**m))
+            yield (ms[at], seeds[at]), _specs(dims[at, None], state_seeds)
 
 
-def _encoding_derived(keys, mats_by_trial) -> list[list[tuple[np.ndarray, float]]]:
-    """Per encoding trial, its derived matrices, certified at the default
-    tolerance: the cube average, then for m <= 4 its prefix mixtures."""
-    out = []
-    for (m, _), mats in zip(keys, mats_by_trial):
-        derived = [mixture_matrix(np.full(len(mats), 1.0 / len(mats)), mats)]
-        if m <= 4:
-            derived += enc.prefix_mixtures(mats, m)
-        out.append([(mat, linalg.DEFAULT_TOL) for mat in derived])
-    return out
+def _encoding_derived(keys, mats) -> list[tuple[np.ndarray, float]]:
+    """The derived matrices of a shape's encoding trials, a stack per position,
+    certified at the default tolerance: the cube average, then for m <= 4 its
+    prefix mixtures."""
+    derived = [mixture_matrix(np.full(len(mats), 1.0 / len(mats)), mats)]
+    if len(mats) <= 16:  # m <= 4
+        derived += enc.prefix_mixtures(mats, len(mats).bit_length() - 1)
+    return [(mat, linalg.DEFAULT_TOL) for mat in derived]
 
 
 def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
@@ -367,28 +347,31 @@ def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
         (1 + t % cfg.m, _dim_cycle(cfg, t), derive_seed(cfg.seed, 30, t)) for t in range(trials)
     )
     for chunk in random_density_chunks(cubes, _encoding_derived):
-        for (m, seed), rows, _ in chunk:
-            e = uniform_cube_ensemble(rows[: 2**m], average=rows[2**m])
-            stats = enc.encoding_stats(e, seed=derive_seed(seed, 99))
-            delta = stats.delta_pairwise
-            prime_le.add(delta - stats.delta_to_mean)
-            two_sqrt.add(2.0 * np.sqrt(stats.info) - delta)
-            floor_quarter.add(stats.info - enc.information_floor(delta, m=2))
-            if delta <= 1.0:
-                # The half-argument floor 1 - H((1 + Delta)/2) is provable only
-                # for single-bit ensembles; multi-bit ensembles violate it and
-                # the violations below are expected, not numerical defects.
-                half = 1.0 - binary_entropy((1.0 + delta) / 2.0)
-                if not floor_half.add(stats.info - half) and m == 1:
-                    half_violations_m1 += 1
-                quarter.add(half - delta**2 / 4.0)
-            else:
-                skipped_half += 1
-            pair_bound.add(enc.pairing_average(stats.distances, stats.pairing) - delta)
-            if m <= 4:
-                ent = [s.entropies[j] for s, j in rows]  # the states, the average, the mixtures
-                table = enc.prefix_table(ent[: 2**m], ent[2**m + 1 :], m)
-                decomp.add(stats.info - sum(float(np.mean(row)) for row in table))
+        for (ms, seeds), stacks, _ in chunk:
+            m = int(ms[0])
+            ent = np.stack([s.entropies for s in stacks], axis=1)  # states, average, mixtures
+            for i, seed in enumerate(seeds.tolist()):
+                rows = [(s, i) for s in stacks]
+                e = uniform_cube_ensemble(rows[: 2**m], average=rows[2**m])
+                stats = enc.encoding_stats(e, seed=derive_seed(seed, 99))
+                delta = stats.delta_pairwise
+                prime_le.add(delta - stats.delta_to_mean)
+                two_sqrt.add(2.0 * np.sqrt(stats.info) - delta)
+                floor_quarter.add(stats.info - enc.information_floor(delta, m=2))
+                if delta <= 1.0:
+                    # The half-argument floor 1 - H((1 + Delta)/2) is provable only
+                    # for single-bit ensembles; multi-bit ensembles violate it and
+                    # the violations below are expected, not numerical defects.
+                    half = 1.0 - binary_entropy((1.0 + delta) / 2.0)
+                    if not floor_half.add(stats.info - half) and m == 1:
+                        half_violations_m1 += 1
+                    quarter.add(half - delta**2 / 4.0)
+                else:
+                    skipped_half += 1
+                pair_bound.add(enc.pairing_average(stats.distances, stats.pairing) - delta)
+                if m <= 4:
+                    table = enc.prefix_table(ent[i, : 2**m], ent[i, 2**m + 1 :], m)
+                    decomp.add(stats.info - sum(float(np.mean(row)) for row in table))
     floor_half.details["not_applicable"] = skipped_half
     floor_half.details["violations_at_m1"] = half_violations_m1
     floor_half.details["note"] = (
@@ -399,12 +382,13 @@ def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
     exhaustive = _Tally("pairing_vs_exhaustive", _tol(cfg, 1e-10))
     cubes = _cube_trials((3, 2 + t % 3, derive_seed(cfg.seed, 31, t)) for t in range(10))
     for chunk in random_density_chunks(cubes):
-        for (_, seed), rows, _ in chunk:
-            d = enc.pairwise_distance_matrix(uniform_cube_ensemble(rows))
-            found = enc.pairing_average(d, enc.find_pairing(d, derive_seed(seed, 98)))
-            best = max(enc.pairing_average(d, p) for p in enc.enumerate_pairings(8))
-            exhaustive.add(best - found)
-            exhaustive.add(found - float(np.sum(d)) / 64.0)
+        for (_, seeds), stacks, _ in chunk:
+            for i, seed in enumerate(seeds.tolist()):
+                d = enc.pairwise_distance_matrix(uniform_cube_ensemble([(s, i) for s in stacks]))
+                found = enc.pairing_average(d, enc.find_pairing(d, derive_seed(seed, 98)))
+                best = max(enc.pairing_average(d, p) for p in enc.enumerate_pairings(8))
+                exhaustive.add(best - found)
+                exhaustive.add(found - float(np.sum(d)) / 64.0)
     checks = (prime_le, two_sqrt, floor_quarter, floor_half, quarter, pair_bound, decomp)
     return [t.result() for t in (*checks, exhaustive)]
 
@@ -420,32 +404,33 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
     def pair_trials():
         for t in _batches(trials):
-            specs = _specs(2 + t[:, None] % 3, derive_seeds(cfg.seed, 40, t[:, None], [0, 1]))
-            yield from zip(t.tolist(), zip(specs[::2], specs[1::2]))
+            yield (t,), _specs(2 + t[:, None] % 3, derive_seeds(cfg.seed, 40, t[:, None], [0, 1]))
 
     for chunk in random_density_chunks(pair_trials()):
-        aligned = transition.aligned_trials(chunk, lambda t, dim: dim + t % (7 - dim))
-        for _, overlap_sq, pure_distance, t, dist, f in aligned:
-            agree.agree(overlap_sq - f)
-            bound.add(2.0 * np.sqrt(t) - pure_distance)
-            chain.add(dist - (1.0 - f))
+        for group in chunk:
+            (ts,), stacks, _ = group
+            dim = stacks[0].mats.shape[-1]
+            aligned = transition.aligned_trials(group, dim + ts % (7 - dim))
+            for overlap_sq, pure_distance, t, dist, f in zip(*(a.tolist() for a in aligned)):
+                agree.agree(overlap_sq - f)
+                bound.add(2.0 * np.sqrt(t) - pure_distance)
+                chain.add(dist - (1.0 - f))
 
     exact = _Tally("exact_transition", _tol(cfg, 1e-8))
 
     def exact_trials():
         # a density on H, purified into K, and a Gaussian for a unitary on K
         for t in _batches(max(trials // 5, 50)):
-            seeds = derive_seeds(cfg.seed, 41, t)
-            specs, zs = _specs(2 + t % 3, seeds), derive_seeds(seeds, 1).tolist()
-            for i, spec, dim_k, z in zip(t.tolist(), specs, (2 + 2 * (t % 3)).tolist(), zs):
-                yield i, [spec], [(dim_k, dim_k, z)]
+            seeds, dim_k = derive_seeds(cfg.seed, 41, t), 2 + 2 * (t % 3)
+            draws = _triples(dim_k, dim_k, derive_seeds(seeds, 1))[:, None]
+            yield (t,), _specs(2 + t[:, None] % 3, seeds[:, None]), draws
 
     for chunk in random_density_chunks(exact_trials()):
-        zs = [z for *_, (z,) in chunk]
-        phis = canonical_purifications([rho for _, (rho,), _ in chunk], map(len, zs))
-        pairs = zip(phis, transition.apply_k_unitaries(zip(phis, unitaries_from_gauss(zs))))
-        for _, residual in transition.exact_local_transitions(pairs):
-            exact.agree(residual)
+        for _, (rho,), (z,) in chunk:
+            phis = canonical_purifications([(rho, i) for i in range(len(z))], [len(z[0])] * len(z))
+            pairs = zip(phis, transition.apply_k_unitaries(zip(phis, unitaries_from_gauss(z))))
+            for _, residual in transition.exact_local_transitions(pairs):
+                exact.agree(residual)
 
     # The alignment bound on canonical purifications of rank-varied pairs on
     # H = C^3 into K = C^4; a trial that breaks the chain 1 - F <= T or the
@@ -453,11 +438,18 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
     sweep = _Tally("transition_bound_sweep", _tol(cfg, 1e-8))
     sweep_chain = _Tally("min_chain_slack", _tol(cfg, 1e-9))
     sweep_seed = derive_seed(cfg.seed, 42)
-    seeds = ([derive_seed(sweep_seed, t, i) for i in (0, 1)] for t in range(max(trials // 5, 50)))
-    specs = ((pair[0], [(3, 1 + mix64(s) % 3, s) for s in pair]) for pair in seeds)
-    for chunk in random_density_chunks(specs):
-        for s1, _, distance, t, dist, f in transition.aligned_trials(chunk, lambda key, dim: 4):
-            sweep.add(2.0 * np.sqrt(t) - distance, s1, ok=sweep_chain.add(dist - (1.0 - f)))
+
+    def sweep_trials():
+        for t in _batches(max(trials // 5, 50)):
+            pairs = [[derive_seed(sweep_seed, i, side) for side in (0, 1)] for i in t.tolist()]
+            seeds = np.array(pairs, dtype=np.uint64)
+            yield (seeds[:, 0],), _triples(3, [[1 + mix64(s) % 3 for s in p] for p in pairs], seeds)
+
+    for chunk in random_density_chunks(sweep_trials()):
+        for group in chunk:
+            _, *aligned = transition.aligned_trials(group, 4)
+            for s1, distance, t, dist, f in zip(*(a.tolist() for a in (group[0][0], *aligned))):
+                sweep.add(2.0 * np.sqrt(t) - distance, s1, ok=sweep_chain.add(dist - (1.0 - f)))
     sweep.details["min_chain_slack"] = float(sweep_chain.min_slack)
     return [agree.result(), bound.result(), chain.result(), exact.result(), sweep.result()]
 

@@ -19,7 +19,6 @@ from .linalg import dagger
 from .states import (
     BipartitePureState,
     _certified,
-    _gathered,
     _purified,
     distance_up_to_phase,
     make_pures,
@@ -64,52 +63,47 @@ def apply_k_unitaries(pairs) -> list[BipartitePureState]:
 
 def uhlmann_aligns(pairs) -> list[TransitionResult]:
     """Per pair ``(phi1, phi2)``, the K-side unitary rotating phi2 into the best
-    match with phi1, by :func:`_alignments`; errors name the pair's index."""
+    match with phi1, by :func:`_alignments` and :func:`_reduced_distances` per
+    (dim_h, dim_k) shape; errors name the pair's index."""
     coeffs = [(phi1.coefficient_matrix(), phi2.coefficient_matrix()) for phi1, phi2 in pairs]
-    for i, (a1, a2) in enumerate(coeffs):
-        if a1.shape != a2.shape:
-            raise SizeError(f"pair {i}: states must share the same (dim_h, dim_k) shape")
 
-    def stacks(shape, members):
-        return tuple(np.array([coeffs[i][k] for i in members]) for k in (0, 1))
+    def build(shapes, members):  # the first pair of unequal shapes is the first of its group
+        if shapes[0] != shapes[1]:
+            raise SizeError(f"pair {members[0]}: states must share the same (dim_h, dim_k) shape")
+        a1, a2 = (np.array([coeffs[i][k] for i in members]) for k in (0, 1))
+        u, overlap_sq, distance, grams = _alignments(a1, a2)
+        return u, overlap_sq, distance, _reduced_distances(grams)
 
-    aligned = _alignments([a.shape for a, _ in coeffs], stacks)
-    return [TransitionResult(u, float(o), float(d), t) for u, o, d, t in aligned]
+    aligned = stacked([(a1.shape, a2.shape) for a1, a2 in coeffs], build, lambda s: np.prod(s[0]))
+    return [TransitionResult(u[j], *map(float, (o[j], d[j], t[j]))) for (u, o, d, t), j in aligned]
 
 
-def _alignments(keys, stacks) -> list[tuple]:
-    """Per item, ``(U, overlap^2, pure distance, t)``: the Uhlmann alignment of
-    its coefficient matrices A1, A2, rows of the stacks ``stacks(key, members)``
-    of the items of one (dim_h, dim_k) key, one certified SVD a key, and the
-    trace distance t of its reduced states A A^dag, both sides certified in
-    one stack per dim_h. The overlap after I (x) U on phi2, Tr(A1^dag A2 U^T),
-    peaks at the trace norm of C = A1^dag A2 (squared: the reduced states'
-    fidelity), attained at U = conj(P) Q^T for the SVD C = P S Q^dag with a
-    non-negative overlap. Errors name the item's index."""
+def _alignments(a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(U, overlap^2, pure distance, grams)`` of each pair of coefficient
+    matrices A1, A2, rows of the stacks ``a1``, ``a2`` (n, dim_h, dim_k): the
+    Uhlmann alignment by one certified SVD, and the reduced states' uncertified
+    Gram pair (A1 A1^dag, A2 A2^dag). The overlap after I (x) U on phi2, Tr(A1^dag
+    A2 U^T), peaks at the trace norm of C = A1^dag A2 (squared: the fidelity),
+    attained at U = conj(P) Q^T for the SVD C = P S Q^dag. Errors name the row."""
+    p, s, q = linalg.svd(dagger(a1) @ a2)
+    # Null directions of the cross matrix are completed to a unitary by
+    # the SVD factors themselves; the overlap does not depend on them.
+    u = np.conj(p) @ np.swapaxes(q, -1, -2)
+    del p, q  # at the peak of the transition suite's memory
+    overlap = np.sum(s, axis=-1)
+    realized = np.sum(np.conj(a1) * (a2 @ np.swapaxes(u, -1, -2)), axis=(-2, -1))
+    bad = np.abs(realized - overlap) > linalg.CERT_TOL
+    linalg.check_each(bad, ReductionError, "{name} has overlap {value} != trace norm", realized)
+    overlap_sq = np.minimum(np.float_power(overlap, 2), 1.0)  # libm pow, as float ** 2
+    distance = 2.0 * np.sqrt(np.maximum(1.0 - overlap_sq, 0.0))
+    return u, overlap_sq, distance, np.stack([a1 @ dagger(a1), a2 @ dagger(a2)], axis=1)
 
-    def build(key, members):
-        a1, a2 = stacks(key, members)
-        p, s, q = linalg.svd(dagger(a1) @ a2)
-        # Null directions of the cross matrix are completed to a unitary by
-        # the SVD factors themselves; the overlap does not depend on them.
-        u = np.conj(p) @ np.swapaxes(q, -1, -2)
-        overlap = np.sum(s, axis=-1)
-        realized = np.sum(np.conj(a1) * (a2 @ np.swapaxes(u, -1, -2)), axis=(-2, -1))
-        bad = np.abs(realized - overlap) > linalg.CERT_TOL
-        linalg.check_each(bad, ReductionError, "{name} has overlap {value} != trace norm", realized)
-        overlap_sq = np.minimum(np.float_power(overlap, 2), 1.0)  # libm pow, as float ** 2
-        distance = 2.0 * np.sqrt(np.maximum(1.0 - overlap_sq, 0.0))
-        return u, overlap_sq, distance, np.stack([a1 @ dagger(a1), a2 @ dagger(a2)], axis=1)
 
-    aligned = stacked(keys, build, np.prod)
-
-    def reduced(dim, members):
-        grams = np.array([s[3][j] for s, j in map(aligned.__getitem__, members)])
-        grams = _certified(grams, 1e-8).mats
-        return (metrics.trace_norm(grams[:, 0] - grams[:, 1], hermitian=True),)
-
-    ts = stacked([s[3].shape[-1] for s, _ in aligned], reduced, lambda dim: 2 * dim * dim)
-    return [(s[0][j], s[1][j], s[2][j], float(t[k])) for (s, j), ((t,), k) in zip(aligned, ts)]
+def _reduced_distances(grams: np.ndarray) -> np.ndarray:
+    """The trace distance t of each Gram pair of the stack ``grams`` (n, 2, d,
+    d), both sides certified as one stack at 1e-8: the reduced states'."""
+    grams = _certified(grams, 1e-8).mats
+    return metrics.trace_norm(grams[:, 0] - grams[:, 1], hermitian=True)
 
 
 def uhlmann_align(phi1: BipartitePureState, phi2: BipartitePureState) -> TransitionResult:
@@ -148,22 +142,21 @@ def exact_local_transition(phi1: BipartitePureState, phi2: BipartitePureState) -
     return exact_local_transitions([(phi1, phi2)])[0][0]
 
 
-def aligned_trials(chunk, dim_k) -> list[tuple]:
-    """Per trial ``(key, (rho1, rho2), _)`` of ``chunk``, each density a ``(stack,
-    j)`` row, ``(key, overlap_sq, pure_distance, t, dist, f)``: the numbers of a
-    :class:`TransitionResult` for the states' canonical purifications into
-    ``dim_k(key, dim)``, by one :func:`_purified` and :func:`_alignments` stack
-    per (dim, dim_k), then the pair's trace distance and fidelity."""
-    keys, pairs, _ = zip(*chunk)
-    dims = [s.mats.shape[-1] for (s, _), _ in pairs]
-    groups = [(dim, dim_k(key, dim)) for key, dim in zip(keys, dims)]
-
-    def stacks(group, members):  # both sides at once: matrix (i, side) names trial i
-        rows = [rho for i in members for rho in pairs[i]]
-        (dim, k), (vals, vecs) = group, _gathered(rows, "eigenvalues", "eigenvectors")
-        a = _purified(vals.reshape(-1, 2, dim), vecs.reshape(-1, 2, dim, dim), k)
-        return a[:, 0], a[:, 1]
-
-    aligned = _alignments(groups, stacks)
-    out = zip(keys, aligned, metrics.trace_distances(pairs), metrics.fidelities(pairs))
-    return [(key, float(o), float(d), t, dist, f) for key, (_, o, d, t), dist, f in out]
+def aligned_trials(trials, dim_ks) -> tuple[np.ndarray, ...]:
+    """``(overlap_sq, pure_distance, t, dist, f)`` arrays, a row per trial of the
+    ``(keys, stacks, gaussians)`` columns ``trials`` whose first two stacks are
+    pairs of densities of one dim: a :class:`TransitionResult`'s numbers for
+    their purifications into ``dim_ks`` (one per trial, or one), by a
+    :func:`_purified` and :func:`_alignments` stack per dim_k, the reduced states
+    certified where they lie, then the pair's trace distance and fidelity."""
+    rho1, rho2 = trials[1][:2]
+    n, dim = rho1.mats.shape[:2]
+    dim_ks = np.broadcast_to(dim_ks, n)
+    overlap_sq, distance = np.empty(n), np.empty(n)
+    grams = np.empty((n, 2, dim, dim), dtype=np.complex128)
+    for k in set(dim_ks.tolist()):
+        at = np.flatnonzero(dim_ks == k)
+        a1, a2 = (_purified(rho.eigenvalues[at], rho.eigenvectors[at], k) for rho in (rho1, rho2))
+        _, overlap_sq[at], distance[at], grams[at] = _alignments(a1, a2)
+    dist = metrics.trace_norm(rho1.mats - rho2.mats, hermitian=True)
+    return overlap_sq, distance, _reduced_distances(grams), dist, metrics._fidelities(rho1, rho2)

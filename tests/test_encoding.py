@@ -241,18 +241,21 @@ def test_encoding_suite_seeds_the_average_and_table_bitwise():
 
     cubes = suites._cube_trials((1 + t % 5, 2 + t % 7, derive_seed(113, t)) for t in range(20))
     chunks = states.random_density_chunks(cubes, suites._encoding_derived)
-    for (m, _), rows, _ in (trial for chunk in chunks for trial in chunk):
-        e, average = info.uniform_cube_ensemble(rows[: 2**m]), states.DensityMatrix(*rows[2**m])
-        direct = states.mixture(e.priors, e.states)
-        assert np.array_equal(average.mat, direct.mat)
-        assert np.array_equal(average.eig.eigenvalues, direct.eig.eigenvalues)
-        if m <= 4:
-            assert len(rows) == 2**m + 1 + 2**m - 2 + max(2 ** (m - 1) - 1, 1)
-            state_entropies = [s.entropies[j] for s, j in rows[: 2**m]]
-            entropies = [s.entropies[j] for s, j in rows[2**m + 1 :]]
-            assert enc.prefix_table(state_entropies, entropies, m) == _per_prefix_information(e, m)
-        else:
-            assert len(rows) == 2**m + 1
+    for (ms, _), stacks, _ in (group for chunk in chunks for group in chunk):
+        m = int(ms[0])
+        for i in range(len(ms)):
+            rows = [(s, i) for s in stacks]
+            e, average = info.uniform_cube_ensemble(rows[: 2**m]), states.DensityMatrix(*rows[2**m])
+            direct = states.mixture(e.priors, e.states)
+            assert np.array_equal(average.mat, direct.mat)
+            assert np.array_equal(average.eig.eigenvalues, direct.eig.eigenvalues)
+            if m <= 4:
+                assert len(rows) == 2**m + 1 + 2**m - 2 + max(2 ** (m - 1) - 1, 1)
+                state_entropies = [s.entropies[j] for s, j in rows[: 2**m]]
+                entropies = [s.entropies[j] for s, j in rows[2**m + 1 :]]
+                assert enc.prefix_table(state_entropies, entropies, m) == _per_prefix_information(e, m)
+            else:
+                assert len(rows) == 2**m + 1
 
 
 def _decomposition(e):

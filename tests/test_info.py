@@ -409,11 +409,22 @@ def _old_info_checks(seed, trials):
     ensembles, gauss = [], []
     S = info.von_neumann_entropy
 
-    def derive(keys, mats_by_trial):
-        return [_old_info_derived(key, mats) for key, mats in zip(keys, mats_by_trial)]
+    def batches():  # each trial a batch of its own
+        for key, specs, draws in _old_info_trials(seed, trials):
+            yield tuple(np.array([x]) for x in key), [specs], [draws]
 
-    chunks = states.random_density_chunks(_old_info_trials(seed, trials), derive)
-    for t, ((priors, p, joint, ws), rows, (z,)) in enumerate((x for c in chunks for x in c), 1):
+    def derive(keys, mats):  # the per-trial matrices, stacked per position
+        per_trial = [_old_info_derived([k[i] for k in keys], [m[i] for m in mats]) for i in range(len(keys[0]))]
+        return [(np.array([m for m, _ in position]), position[0][1]) for position in zip(*per_trial)]
+
+    chunks = states.random_density_chunks(batches(), derive)
+    by_trial = (
+        (tuple(k[i] for k in keys), [(s, i) for s in stacks], z[i])
+        for chunk in chunks
+        for keys, stacks, (z,) in chunk
+        for i in range(len(z))
+    )
+    for t, ((priors, p, joint, ws), rows, z) in enumerate(by_trial, 1):
         n, k = len(priors), len(p)
         dens = [states.DensityMatrix(*row) for row in rows]
         e_states, dens = dens[:n], dens[n:]

@@ -35,15 +35,16 @@ def test_empty_protocol_fixed_work_qubit():
     report = proto.run_protocol(spec, proto.InputEnsemble(proto.InputColumns({}), [1.0], [0]))
     assert report.outcome_distributions[0].tolist() == [1.0, 0.0]
     assert report.error_avg == 0.0
-    assert report.message_qubits == 0 and report.rounds == 0
+    assert spec.message_qubits == 0 and spec.rounds == 0
 
 
 def test_copy_protocol_counts_and_error():
-    report = proto.run_protocol(copy_protocol(), uniform_bit_ensemble())
+    spec = copy_protocol()
+    report = proto.run_protocol(spec, uniform_bit_ensemble())
     assert report.error_avg == pytest.approx(0.0, abs=1e-12)
-    assert report.message_qubits == 1
-    assert report.first_message_qubits == 1
-    assert report.rounds == 1
+    assert spec.message_qubits == 1
+    assert spec.first_message_qubits == 1
+    assert spec.rounds == 1
 
 
 def test_ensemble_weights_must_be_non_negative():

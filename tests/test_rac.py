@@ -62,7 +62,7 @@ def test_protocol_matches_oracle_two_bits():
     report = run_protocol(spec, rac.index_ensemble(2))
     assert 1.0 - report.error_avg == pytest.approx(val, abs=1e-9)
     assert 1.0 - report.error_avg == pytest.approx(COS2_PI8, abs=1e-3)
-    assert report.message_qubits == 1 and report.rounds == 1
+    assert spec.message_qubits == 1 and spec.rounds == 1
 
 
 def test_lower_bound_chain_two_bits():
@@ -103,8 +103,8 @@ def test_trivial_index_protocol():
         spec = rac.trivial_index_protocol(n)
         report = run_protocol(spec, rac.index_ensemble(n))
         assert report.error_avg == pytest.approx(0.0, abs=1e-12)
-        assert report.rounds == 2
-        assert report.message_qubits == int(np.ceil(np.log2(n))) + 1
+        assert spec.rounds == 2
+        assert spec.message_qubits == int(np.ceil(np.log2(n))) + 1
 
 
 def test_lower_bound_check_rejects_multi_message():

@@ -284,7 +284,7 @@ def test_copy_first_slice_errors():
         proto.run_protocol(fam.spec, red.slice_distribution(fam, j)) for j in range(2)
     ]
     assert [r.error_avg for r in reps] == pytest.approx([0.25, 0.5], abs=1e-12)
-    assert all(r.rounds == 2 and r.first_message_qubits == 1 for r in reps)
+    assert fam.spec.rounds == 2 and fam.spec.first_message_qubits == 1
 
 
 def test_derived_protocol_keeps_the_family_layout():

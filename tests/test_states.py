@@ -240,7 +240,7 @@ def test_random_densities_match_per_matrix_loop_bit_for_bit(specs):
 
 
 def test_random_density_chunks_read_lazily_in_blocks(monkeypatch):
-    # a block of 2 trials of two 2x2 states each; the third trial is read
+    # a block of 2 trials of two 2x2 states each; the third batch is read
     # only once the first block is spent
     monkeypatch.setattr(states, "BLOCK_ENTRIES", 16)
     read = []
@@ -248,16 +248,17 @@ def test_random_density_chunks_read_lazily_in_blocks(monkeypatch):
     def trials():
         for t in range(5):
             read.append(t)
-            yield t, [(2, 1 + t % 2, 10 * t), (2, 2, 10 * t + 1)]
+            yield (np.array([t]),), [[(2, 1 + t % 2, 10 * t), (2, 2, 10 * t + 1)]]
 
     out = states.random_density_chunks(trials())
     first = list(next(out))  # a chunk is emptied when the next is asked for
-    assert [k for k, *_ in first] == [0, 1] and read == [0, 1, 2]
-    rest = [trial for chunk in out for trial in chunk]
-    assert [k for k, *_ in rest] == [2, 3, 4] and read == [0, 1, 2, 3, 4]
-    for t, rows, gaussians in first + rest:
-        want = states.random_densities([(2, 1 + t % 2, 10 * t), (2, 2, 10 * t + 1)])
-        assert all(np.array_equal(s.mats[j], b.mat) for (s, j), b in zip(rows, want))
+    assert [k.tolist() for (k,), *_ in first] == [[0, 1]] and read == [0, 1, 2]
+    rest = [group for chunk in out for group in chunk]
+    assert [k.tolist() for (k,), *_ in rest] == [[2, 3], [4]] and read == [0, 1, 2, 3, 4]
+    for (k,), stacks, gaussians in first + rest:
+        for i, t in enumerate(k.tolist()):
+            want = states.random_densities([(2, 1 + t % 2, 10 * t), (2, 2, 10 * t + 1)])
+            assert all(np.array_equal(s.mats[i], b.mat) for s, b in zip(stacks, want))
         assert gaussians == ()
 
 
@@ -283,20 +284,81 @@ def test_random_densities_certify_one_stack_per_dimension(monkeypatch):
         assert rho.entropy == one.entropy
 
 
+def _one_state_trials(dims, lo=0):
+    """Batches of 64 trials of one random density each, of the given dims in turn."""
+    t = np.arange(lo, lo + len(dims))
+    specs = np.stack([dims, 1 + t % 2, 7 * t], axis=-1)[:, None]
+    return [((t[i : i + 64],), specs[i : i + 64]) for i in range(0, len(t), 64)]
+
+
 def test_random_density_chunks_hand_out_one_list_per_block(monkeypatch):
     # blocks of 100 trials of one 2x2 state each, each handed out as one list
+    # whose one shape gathers the trials of two or three batches
     monkeypatch.setattr(states, "BLOCK_ENTRIES", 400)
-    trials = ((t, [(2, 1 + t % 2, 7 * t)]) for t in range(250))
-    keys = [[key for key, *_ in chunk] for chunk in states.random_density_chunks(trials)]
-    assert keys == [list(range(0, 100)), list(range(100, 200)), list(range(200, 250))]
+    chunks = states.random_density_chunks(_one_state_trials(np.full(250, 2)))
+    keys = [[k.tolist() for (k,), *_ in chunk] for chunk in chunks]
+    assert keys == [[list(range(0, 100))], [list(range(100, 200))], [list(range(200, 250))]]
+
+
+def test_a_block_holds_small_trials_up_to_its_entries():
+    # 4 entries a trial: a block holds BLOCK_ENTRIES // 4 trials, not a
+    # floor's 256, and never more than BLOCK_ENTRIES entries
+    trials = _one_state_trials(np.full(2 * states.BLOCK_ENTRIES // 4 + 10, 2))
+    sizes = [len(k) for chunk in states.random_density_chunks(trials) for (k,), *_ in chunk]
+    assert sizes == [states.BLOCK_ENTRIES // 4] * 2 + [10] and sizes[0] > 256
+
+
+def test_a_block_mixing_shapes_hands_out_one_group_per_shape(monkeypatch):
+    # dims 2, 3, 2, 4, ... interleaved across batches: per block one group per
+    # dim, in order of first appearance, each keeping its trials' order
+    monkeypatch.setattr(states, "BLOCK_ENTRIES", 600)
+    dims = np.array([2, 3, 2, 4])[np.arange(200) % 4]
+    for chunk in states.random_density_chunks(_one_state_trials(dims)):
+        firsts = [int(k[0]) for (k,), *_ in chunk]
+        assert firsts == sorted(firsts) and len({int(dims[t]) for t in firsts}) == len(chunk) == 3
+        for (k,), (stack,), _ in chunk:
+            assert (np.diff(k) > 0).all() and (dims[k] == stack.mats.shape[-1]).all()
+        assert sum(int(dims[t]) ** 2 for (k,), *_ in chunk for t in k) <= states.BLOCK_ENTRIES
+
+
+def test_every_column_row_is_its_one_item_result(monkeypatch):
+    # mixed shapes, ranks, draws and derived densities, over blocks of a few
+    # trials: row i of each column is trial i's one-item result, bit for bit
+    monkeypatch.setattr(states, "BLOCK_ENTRIES", 200)
+    t = np.arange(30)
+    dims, seeds = 2 + t % 3, 1000 + 10 * t
+    specs = np.stack([np.stack([dims, 1 + (t + p) % dims, seeds + p], -1) for p in (0, 1)], axis=1)
+    draws = np.stack([np.stack([dims, 1 + t % 2, seeds + 2], -1)], axis=1)
+
+    def derive(keys, mats):
+        return [((mats[0] + mats[1]) / 2, 1e-10)]
+
+    batches = [((t[i : i + 7],), specs[i : i + 7], draws[i : i + 7]) for i in range(0, 30, 7)]
+    seen = []
+    for chunk in states.random_density_chunks(batches, derive):
+        for (k,), stacks, (g,) in chunk:
+            for i, trial in enumerate(k.tolist()):
+                seen.append(trial)
+                (dim, r0, s0), (_, r1, s1) = specs[trial].tolist()
+                rhos = states.random_densities([(dim, r0, s0), (dim, r1, s1)])
+                rhos += states.make_densities([(rhos[0].mat + rhos[1].mat) / 2])
+                for stack, rho in zip(stacks, rhos):
+                    row = states.DensityMatrix(stack, i)
+                    assert row.mat.tobytes() == rho.mat.tobytes()
+                    assert row.eig.eigenvalues.tobytes() == rho.eig.eigenvalues.tobytes()
+                    assert row.eig.eigenvectors.tobytes() == rho.eig.eigenvectors.tobytes()
+                    assert row.entropy == rho.entropy
+                want = Stream(seeds[trial] + 2).complex_gauss_matrix(dim, 1 + trial % 2)
+                assert g[i].tobytes() == want.tobytes() and not g.flags.writeable
+    assert sorted(seen) == list(range(30))
 
 
 def test_random_density_chunks_name_a_derive_that_skips_trials():
-    def derive(keys, mats_by_trial):  # a derived density for the first trial only
-        return [[(mats_by_trial[0][0], 1e-10)]]
+    def derive(keys, mats):  # a derived density for the first trial only
+        return [(mats[0][:1], 1e-10)]
 
-    trials = ((t, [(2, 1, t)]) for t in range(3))
-    with pytest.raises(SizeError, match="^derive returned 1 lists for 3 trials$"):
+    trials = [((np.arange(3),), [[(2, 1, t)] for t in range(3)])]
+    with pytest.raises(SizeError, match="^derive returned 1 rows for 3 trials$"):
         list(states.random_density_chunks(trials, derive))
 
 
@@ -381,50 +443,49 @@ def test_by_trial_draws_match_per_seed_generators(monkeypatch):
     # blocks of 64 entries hold one to three of these trials
     monkeypatch.setattr(states, "BLOCK_ENTRIES", 64)
     specs = {t: (2 + t % 3, 3 + t % 2, 7 * t) for t in range(9)}
-
-    def trials():
-        for t, (d, e, s) in specs.items():
-            yield t, [], [(d, 1, s), (2 * e, 1, s + 1), (d, d, s + 2), (d, e, s + 3)]
-
-    out = [trial for chunk in states.random_density_chunks(trials()) for trial in chunk]
-    assert [key for key, *_ in out] == list(specs)
-    for t, dens, (g, h, z, m) in out:
-        d, e, s = specs[t]
-        assert dens == ()
-        pairs = [
-            (states.pure_from_gauss(d, 1, g).vec, states.random_pure(d, 1, s).vec),
-            (states.pure_from_gauss(2, e, h).vec, states.random_pure(2, e, s + 1).vec),
-            (states.unitary_from_gauss(z), states.random_unitary(d, s + 2)),
-            (m, Stream(s + 3).complex_gauss_matrix(d, e)),
-        ]
-        for got, want in pairs:
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert not any(x.flags.writeable for x in (g, h, z, m))
+    draws = [[(d, 1, s), (2 * e, 1, s + 1), (d, d, s + 2), (d, e, s + 3)] for d, e, s in specs.values()]
+    batch = ((np.arange(9),), np.zeros((9, 0, 3)), draws)
+    out = [group for chunk in states.random_density_chunks([batch]) for group in chunk]
+    assert sorted(t for (k,), *_ in out for t in k.tolist()) == list(specs)
+    for (k,), dens, gaussians in out:
+        assert dens == () and not any(x.flags.writeable for x in gaussians)
+        for i, t in enumerate(k.tolist()):
+            d, e, s = specs[t]
+            g, h, z, m = (x[i] for x in gaussians)
+            pairs = [
+                (states.pure_from_gauss(d, 1, g).vec, states.random_pure(d, 1, s).vec),
+                (states.pure_from_gauss(2, e, h).vec, states.random_pure(2, e, s + 1).vec),
+                (states.unitary_from_gauss(z), states.random_unitary(d, s + 2)),
+                (m, Stream(s + 3).complex_gauss_matrix(d, e)),
+            ]
+            for got, want in pairs:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_by_trial_derived_densities_match_make_density(monkeypatch):
-    # one derived density per trial at each of two tolerances, certified a
+    # per trial one derived density at each of two tolerances, certified a
     # block at a time
     monkeypatch.setattr(states, "BLOCK_ENTRIES", 64)
     calls = []
 
-    def derive(keys, mats_by_trial):
-        calls.append(list(keys))
-        return [
-            [(linalg.partial_trace(rho, 2, 2, "H"), 1e-8), (rho @ rho / np.trace(rho @ rho), 1e-10)]
-            for (rho,) in mats_by_trial
-        ]
+    def derive(keys, mats):
+        (rho,) = mats
+        calls.append(keys[0].tolist())
+        squared = rho @ rho
+        squared /= np.trace(squared, axis1=-2, axis2=-1)[:, None, None]
+        return [(linalg.partial_trace(rho, 2, 2, "H"), 1e-8), (squared, 1e-10)]
 
-    trials = ((t, [(4, 1 + t % 4, 40 + t)]) for t in range(6))
-    out = (trial for chunk in states.random_density_chunks(trials, derive) for trial in chunk)
-    for t, rows, _ in out:
-        rho, reduced, squared = (states.DensityMatrix(*row) for row in rows)
-        assert calls == [[0, 1, 2, 3], [4, 5]][: t // 4 + 1]
-        assert np.array_equal(rho.mat, states.random_density(4, 1 + t % 4, 40 + t).mat)
-        wants = [
-            states.make_density(linalg.partial_trace(rho.mat, 2, 2, "H"), tol=1e-8),
-            states.make_density(rho.mat @ rho.mat / np.trace(rho.mat @ rho.mat)),
-        ]
-        for got, want in zip((reduced, squared), wants):
-            assert np.array_equal(got.mat, want.mat)
-            assert np.array_equal(got.eig.eigenvectors, want.eig.eigenvectors)
+    trials = [((np.arange(6),), [[(4, 1 + t % 4, 40 + t)] for t in range(6)])]
+    for b, chunk in enumerate(states.random_density_chunks(trials, derive)):
+        assert calls == [[0, 1, 2, 3], [4, 5]][: b + 1]
+        for (k,), stacks, _ in chunk:
+            for i, t in enumerate(k.tolist()):
+                rho, reduced, squared = (states.DensityMatrix(s, i) for s in stacks)
+                assert np.array_equal(rho.mat, states.random_density(4, 1 + t % 4, 40 + t).mat)
+                wants = [
+                    states.make_density(linalg.partial_trace(rho.mat, 2, 2, "H"), tol=1e-8),
+                    states.make_density(rho.mat @ rho.mat / np.trace(rho.mat @ rho.mat)),
+                ]
+                for got, want in zip((reduced, squared), wants):
+                    assert np.array_equal(got.mat, want.mat)
+                    assert np.array_equal(got.eig.eigenvectors, want.eig.eigenvectors)

@@ -21,7 +21,7 @@ block and dimension (shape, for an alignment) for each kind. The sweep suites (m
 info, transition) take their optimal measurements, canonical purifications,
 Haar unitaries and measured informations a block at a time too: they, and
 the encoding suite, make no single-matrix ``hermitian_eig`` or
-``np.linalg.qr`` call, and a seed-1 sweep pass makes at most 157
+``np.linalg.qr`` call, and a seed-1 sweep pass makes at most 131
 ``hermitian_eig`` calls.
 
 The metrics and info suites draw their trials' seeds, ranks and weights as
@@ -54,17 +54,17 @@ from qilab import info, linalg, rng, states, suites, transition
 from qilab.suites import SuiteConfig, run_suite
 
 # hermitian_eig calls per seed-1 suite, each one stacked call per block and
-# dimension: the metrics suite certifies its random densities in 42 and
-# takes its optimal measurements in 42 (308 with a stack per rank and a
-# chunk of 64 trials); the three sweep suites sum to the sweep pass's 157
-EIG_BUDGET = {"metrics": 84, "info": 41, "transition": 32, "encoding": 73}
+# dimension: the metrics suite certifies its random densities in 35 and
+# takes its optimal measurements in 35 (308 with a stack per rank and a
+# chunk of 64 trials); the three sweep suites sum to the sweep pass's 131
+EIG_BUDGET = {"metrics": 70, "info": 41, "transition": 20, "encoding": 49}
 # np.linalg.svd calls per seed-1 suite, stacked or single, trace norms'
 # eigvalsh route among them: one per block and dimension for each of the
 # metrics suite's distances, fidelities and pure pairs (371 with a fidelity
 # SVD per rank pair and a trace norm per pure pair's length), and the
 # transition suite's alignments per shape and reduced states, distances and
 # fidelities per dimension (145 with a fidelity SVD per rank pair)
-SVD_BUDGET = {"metrics": 144, "info": 0, "transition": 86}
+SVD_BUDGET = {"metrics": 120, "info": 0, "transition": 48}
 # (derive_seed calls, Stream constructions) per seed-1 suite: the metrics and
 # info suites draw every seed, rank and weight as arrays; transition keeps
 # derive_seed for transition_bound_sweep's pairs, and encoding for its cubes'
@@ -166,12 +166,16 @@ def test_aligned_trials_build_no_state_or_result(monkeypatch):
     for cls in (states.BipartitePureState, transition.TransitionResult):
         init = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda self, *a, init=init: built.append(1) or init(self, *a))
-    specs = ((t, [(2 + t % 3, 1 + t % 2, 2 * t), (2 + t % 3, 2, 2 * t + 1)]) for t in range(40))
+    t = np.arange(40)
+    sides = [(1 + t % 2, 2 * t), (np.full(40, 2), 2 * t + 1)]
+    specs = np.stack([np.stack([2 + t % 3, rank, seed], -1) for rank, seed in sides], axis=1)
     aligned = []
-    for chunk in states.random_density_chunks(specs):
-        aligned += transition.aligned_trials(chunk, lambda t, dim: dim + t % 2)
+    for chunk in states.random_density_chunks([((t,), specs)]):
+        for group in chunk:
+            (k,), (rho, _), _ = group
+            aligned += zip(*transition.aligned_trials(group, rho.mats.shape[-1] + k % 2))
     assert len(aligned) == 40 and not built
-    assert all(type(x) is float for row in aligned for x in row[1:])
+    assert all(type(x) is np.float64 for row in aligned for x in row)
     phi = states.random_pure(2, 2, 1)
     transition.uhlmann_align(phi, phi)
     assert len(built) == 2  # the counters see a state and a result built
@@ -181,13 +185,13 @@ def test_a_spent_block_is_freed_before_the_next_is_built(monkeypatch):
     # at d = 203 every metrics trial is a block of its own; when the next one
     # is built, no spent trial's densities (2 x 1.3 MB) may still be alive
     alive = []
-    block_trials = states._block_trials
+    block_columns = states._block_columns
 
     def noting(*args):
         alive.append(tracemalloc.get_traced_memory()[0])
-        return block_trials(*args)
+        return block_columns(*args)
 
-    monkeypatch.setattr(states, "_block_trials", noting)
+    monkeypatch.setattr(states, "_block_columns", noting)
     cfg = SuiteConfig(dims=(203, 203), trials=3)
     run_suite("metrics", cfg)  # numpy's and LAPACK's one-off allocations
     alive.clear()
@@ -263,19 +267,22 @@ def test_stacked_reads_are_their_one_item_views_bitwise():
     chunks = states.random_density_chunks(suites._info_trials(5, 60), suites._info_derived)
     for chunk in chunks:
         measured = {}  # per ensemble size: its trials' ensembles and projectors
-        for (priors, *_), rows, (z,) in chunk:
-            for stack, j in rows:
-                view = states.DensityMatrix(stack, j)
-                alone = states.make_density(stack.mats[j], 1e-8)  # a stack of one
-                for rho in (view, alone):
-                    assert stack.entropies[j] == info.von_neumann_entropy(rho) == rho.entropy
-                    assert stack.eigenvalues[j].tobytes() == rho.eig.eigenvalues.tobytes()
-                    assert stack.eigenvectors[j].tobytes() == rho.eig.eigenvectors.tobytes()
-                    assert stack.mats[j].tobytes() == rho.mat.tobytes()
-            n = len(priors)
-            e = info.make_ensemble(map(str, range(n)), priors, [states.DensityMatrix(*r) for r in rows[:n]])
-            u = states.unitary_from_gauss(z)
-            measured.setdefault(n, []).append((e, [np.outer(u[:, c], np.conj(u[:, c])) for c in range(n)]))
+        for (priors, *_), stacks, (z,) in chunk:
+            for stack in stacks:
+                for j in range(len(stack.mats)):
+                    view = states.DensityMatrix(stack, j)
+                    alone = states.make_density(stack.mats[j], 1e-8)  # a stack of one
+                    for rho in (view, alone):
+                        assert stack.entropies[j] == info.von_neumann_entropy(rho) == rho.entropy
+                        assert stack.eigenvalues[j].tobytes() == rho.eig.eigenvalues.tobytes()
+                        assert stack.eigenvectors[j].tobytes() == rho.eig.eigenvectors.tobytes()
+                        assert stack.mats[j].tobytes() == rho.mat.tobytes()
+            n = priors.shape[1]
+            for i, u in enumerate(map(states.unitary_from_gauss, z)):
+                rows = [states.DensityMatrix(s, i) for s in stacks[:n]]
+                e = info.make_ensemble(map(str, range(n)), priors[i], rows)
+                projs = [np.outer(u[:, c], np.conj(u[:, c])) for c in range(n)]
+                measured.setdefault(n, []).append((e, projs))
         for items in measured.values():
             es, projs = zip(*items)
             stacked = info.measured_mutual_infos([e.priors for e in es], [e.mats for e in es], projs)

@@ -195,8 +195,8 @@ def test_an_agreement_passes_only_within_its_tolerance():
 def test_a_fidelity_off_by_less_than_twice_the_tolerance_is_a_violation(monkeypatch):
     # every fidelity x (1 - 1.9e-8) moves overlap_matches_fidelity by up to
     # 1.9e-8, within 2 tol but not within its tol of 1e-8
-    real = metrics.fidelities
-    monkeypatch.setattr(metrics, "fidelities", lambda pairs: [f * (1 - 1.9e-8) for f in real(pairs)])
+    real = metrics._fidelities
+    monkeypatch.setattr(metrics, "_fidelities", lambda r1, r2: real(r1, r2) * (1 - 1.9e-8))
     checks = {c.name: c for c in suites.run_suite("transition", suites.SuiteConfig(trials=100))}
     agree = checks["overlap_matches_fidelity"]
     assert agree.details["tolerance"] == 1e-8
@@ -209,15 +209,14 @@ def test_a_sweep_trial_breaking_the_chain_the_bound_or_both_is_one_violation(mon
     firsts = [derive_seed(sweep_seed, t, 0) for t in range(3)]
     real = transition.aligned_trials
 
-    def broken(chunk, dim_k):
-        out = []
-        for key, overlap_sq, pure_distance, t, dist, f in real(chunk, dim_k):
+    def broken(trials, dim_ks):
+        overlap_sq, pure_distance, t, dist, f = real(trials, dim_ks)
+        for i, key in enumerate(trials[0][0].tolist()):
             if key in (firsts[0], firsts[2]):
-                pure_distance = 2.0 * np.sqrt(t) + 1.0 + (key == firsts[2])
+                pure_distance[i] = 2.0 * np.sqrt(t[i]) + 1.0 + (key == firsts[2])
             if key in (firsts[1], firsts[2]):
-                dist = (1.0 - f) - 1.0
-            out.append((key, overlap_sq, pure_distance, t, dist, f))
-        return out
+                dist[i] = (1.0 - f[i]) - 1.0
+        return overlap_sq, pure_distance, t, dist, f
 
     monkeypatch.setattr(transition, "aligned_trials", broken)
     checks = {c.name: c for c in suites.run_suite("transition", suites.SuiteConfig(trials=10))}

@@ -16,12 +16,16 @@ odd pairs the working tree, and pairs cycle through the seeds. A speed
 claim needs at least 10 pairs per workload, the default. ``BENCH_<label>.json`` keeps every run's
 final JSON line, the run order and, per workload and end-to-end metric,
 the medians, the parent's quartiles and how many pairs the working tree
-won (lower is better for every end-to-end metric).
+won (lower is better for every end-to-end metric). For each side and seed it
+also keeps the SHA-256 and exit status of ``qilab --suite all --seed S
+--format json``, so a claim that the reports stay byte-identical sits beside
+the timing pairs.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -88,6 +92,14 @@ def run_once(command: list[str], cwd: Path, workload: str, seed: int, seconds: f
     except (IndexError, json.JSONDecodeError):
         tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
         return {"correct": False, "error": f"exit {proc.returncode}: {tail}"}
+
+
+def report_hash(cwd: Path, seed: int) -> dict:
+    """SHA-256 and exit status of the tree's ``qilab --suite all --seed S --format json``."""
+    argv = [sys.executable, "-m", "qilab", "--suite", "all", "--seed", str(seed), "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
+    proc = subprocess.run(argv, cwd=cwd, capture_output=True, env=env)
+    return {"sha256": hashlib.sha256(proc.stdout).hexdigest(), "exit": proc.returncode}
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -163,6 +175,8 @@ def main(argv=None) -> int:
     trees["child"].mkdir(parents=True)
     export_working_tree(trees["child"])
 
+    reports = {side: {str(s): report_hash(trees[side], s) for s in seeds} for side in SIDES}
+    identical = all(reports["parent"][str(s)] == reports["child"][str(s)] for s in seeds)
     runs = []
     for workload in workloads:
         for pair in range(counts[workload]):
@@ -189,6 +203,8 @@ def main(argv=None) -> int:
             "child then parent; seeds cycle by pair; both sides ran from exports in sibling "
             f"directories named {DIRS['parent']!r} and {DIRS['child']!r} (equal length)"
         ),
+        "reports": {"command": "qilab --suite all --seed S --format json", **reports},
+        "reports_identical": identical,
         "summary": summarize(runs),
         "runs": runs,
     }
