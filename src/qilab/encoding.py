@@ -30,13 +30,7 @@ import numpy as np
 
 from . import states
 from .errors import PairingSearchError, SizeError
-from .info import (
-    CQEnsemble,
-    _cube_labels,
-    binary_entropy,
-    holevo_information,
-    holevo_informations,
-)
+from .info import CQEnsemble, _cube_labels, binary_entropy, holevo_information, holevo_informations
 from .metrics import trace_distance, trace_norm  # noqa: F401 (perfbench rebinds trace_distance here)
 from .rng import Stream
 from .states import make_densities, mixture_matrix
@@ -66,24 +60,48 @@ PAIRING_TRIES = 200  # random pairings find_pairing draws before it gives up
 PAIRING_TOL = 1e-10  # how far below Delta a found pairing's average may fall
 
 
-def pairwise_distance_matrix(e: CQEnsemble) -> np.ndarray:
-    """Trace distances of all pairs, from batched ``eigvalsh`` calls on the
-    differences of at most :data:`~qilab.states.BLOCK_ENTRIES` entries each:
-    they are Hermitian, so no general SVD is needed."""
-    n = len(e.states)
+def pairwise_distances(mats) -> np.ndarray:
+    """Trace distances of all pairs of each cube's states, ``(cubes, n, dim,
+    dim)`` to ``(cubes, n, n)``: per cube, batched ``eigvalsh`` calls on the
+    differences of at most :data:`~qilab.states.BLOCK_ENTRIES` entries each
+    (they are Hermitian, so no general SVD is needed)."""
+    mats = np.asarray(mats)
+    cubes, n, _, dim = mats.shape
     rows, cols = np.triu_indices(n, 1)
-    step = max(1, states.BLOCK_ENTRIES // e.dim**2)
-    d = np.zeros((n, n))
-    for k in range(0, len(rows), step):
-        i, j = rows[k : k + step], cols[k : k + step]
-        d[i, j] = d[j, i] = trace_norm(e.mats[i] - e.mats[j], hermitian=True)
+    step = max(1, states.BLOCK_ENTRIES // dim**2)
+    d = np.zeros((cubes, n, n))
+    for cube, out in zip(mats, d):
+        for k in range(0, len(rows), step):
+            i, j = rows[k : k + step], cols[k : k + step]
+            out[i, j] = out[j, i] = trace_norm(cube[i] - cube[j], hermitian=True)
     return d
 
 
-def pairing_average(d: np.ndarray, pairing) -> float:
-    """(2 / 2^m) * sum of paired distances."""
-    n = d.shape[0]
-    return 2.0 / n * float(sum(d[i, j] for i, j in pairing))
+def pairwise_distance_matrix(e: CQEnsemble) -> np.ndarray:
+    """The ensemble's distance matrix: the one-cube :func:`pairwise_distances`."""
+    return pairwise_distances(e.mats[None])[0]
+
+
+def distances_to_mean(mats, averages) -> np.ndarray:
+    """Delta', the mean trace distance of each cube's states ``(cubes, n, dim,
+    dim)`` to its average state ``(cubes, dim, dim)``, in one stacked call."""
+    diffs = np.asarray(averages)[:, None] - np.asarray(mats)
+    return np.mean(trace_norm(diffs, hermitian=True), axis=-1)
+
+
+def pairing_average(d, pairing) -> float | np.ndarray:
+    """(2 / n) * the sum of the paired distances, added left to right, of a
+    distance matrix ``d`` and a pairing (k, 2); of a stack (..., n, n) and
+    pairings (..., k, 2) of as many axes, broadcast, an array."""
+    d, p = np.asarray(d), np.asarray(pairing)
+    n = d.shape[-1]
+    flat, at = d.reshape(*d.shape[:-2], n * n), p[..., 0] * n + p[..., 1]
+    paired = flat[at] if d.ndim == 2 else np.take_along_axis(flat, at, axis=-1)
+    total = 0.0
+    for k in range(paired.shape[-1]):
+        total = total + paired[..., k]
+    out = 2.0 / n * np.asarray(total)
+    return out if out.ndim else float(out)
 
 
 def find_pairing(d: np.ndarray, seed: int) -> tuple[tuple[int, int], ...]:
@@ -98,70 +116,59 @@ def find_pairing(d: np.ndarray, seed: int) -> tuple[tuple[int, int], ...]:
     n = d.shape[0]
     if d.shape != (n, n) or n < 2 or n & (n - 1):
         raise SizeError(f"need a square power-of-two side >= 2, got {d.shape}")
-    delta = float(np.sum(d)) / n**2
+    delta = float(np.mean(d))
     stream = Stream(seed)
     best: tuple[tuple[int, int], ...] = ()
     best_avg = -np.inf
     for _ in range(PAIRING_TRIES):
         order = stream.shuffled(list(range(n)))
-        pairing = tuple(
-            (min(order[2 * i], order[2 * i + 1]), max(order[2 * i], order[2 * i + 1]))
-            for i in range(n // 2)
-        )
+        pairing = tuple(tuple(sorted(order[i : i + 2])) for i in range(0, n, 2))
         avg = pairing_average(d, pairing)
         if avg > best_avg:
             best_avg = avg
             best = pairing
         if best_avg >= delta - PAIRING_TOL:
             return best
-    raise PairingSearchError(
-        f"no pairing reached Delta={delta} in {PAIRING_TRIES} tries "
-        f"(best {best_avg})",
-        best,
-        best_avg,
-    )
+    message = f"no pairing reached Delta={delta} in {PAIRING_TRIES} tries (best {best_avg})"
+    raise PairingSearchError(message, best, best_avg)
 
 
 def enumerate_pairings(n: int):
     """All perfect pairings of range(n); (n-1)!! of them, use n <= 8."""
-    yield from _pairings_of(list(range(n)))
+    yield from _pairings_of(tuple(range(n)))
 
 
 def _pairings_of(items):
     if not items:
         yield ()
-        return
-    first = items[0]
     for k in range(1, len(items)):
-        partner = items[k]
-        rest = items[1:k] + items[k + 1 :]
-        for sub in _pairings_of(rest):
-            yield ((first, partner),) + sub
+        for sub in _pairings_of(items[1:k] + items[k + 1 :]):
+            yield ((items[0], items[k]),) + sub
 
 
-def information_floor(delta: float, m: int = 2) -> float:
+def information_floor(delta, m: int = 2) -> float | np.ndarray:
     """Provable lower bound on I(X:Q) given the average distance Delta.
 
     The pairing argument yields 1 - H(1/2 + Delta/4) for every m; a
     single-bit ensemble additionally satisfies the stronger
-    1 - H(1/2 + Delta/2).
+    1 - H(1/2 + Delta/2). Elementwise on an array.
     """
     if m == 1:
-        return 1.0 - binary_entropy(0.5 + min(delta, 1.0) / 2.0)
-    return 1.0 - binary_entropy(0.5 + min(delta, 2.0) / 4.0)
+        return 1.0 - binary_entropy(0.5 + np.minimum(delta, 1.0) / 2.0)
+    return 1.0 - binary_entropy(0.5 + np.minimum(delta, 2.0) / 4.0)
 
 
 def encoding_stats(e: CQEnsemble, seed: int = 7) -> EncodingStats:
     """Delta, Delta', Holevo information and a witnessing pairing, computed
-    only: the encoding suite judges the chain Delta' <= Delta <= 2 sqrt(info)
-    and the floor info >= information_floor(Delta, m) on them."""
-    n = 2 ** _cube_m(e)
+    only: the one-cube case of the encoding suite's column formulas, which
+    judges the chain Delta' <= Delta <= 2 sqrt(info) and the floor
+    info >= information_floor(Delta, m) on them."""
+    _cube_m(e)
     d = pairwise_distance_matrix(e)
-    delta = float(np.sum(d)) / n**2
-    mean = e.average_state
-    delta_mean = float(np.mean(trace_norm(mean.mat - e.mats, hermitian=True)))
-    info = holevo_information(e)
-    return EncodingStats(delta, delta_mean, info, find_pairing(d, seed), d)
+    to_mean = distances_to_mean(e.mats[None], e.average_state.mat[None])
+    return EncodingStats(
+        float(np.mean(d)), float(to_mean[0]), holevo_information(e), find_pairing(d, seed), d
+    )
 
 
 def _run_means(mats: np.ndarray, span: int) -> np.ndarray:
@@ -184,22 +191,26 @@ def prefix_mixtures(mats, m: int) -> list[np.ndarray]:
     return list(np.concatenate([*pairs, *means]))
 
 
-def prefix_table(state_entropies, entropies, m: int) -> list[list[float]]:
+def prefix_table(state_entropies, entropies, m: int) -> list:
     """:func:`prefix_information`'s table from the entropies of the 2^m cube
     states and of the certified ``prefix_mixtures(mats, m)``, all from one
-    :func:`~qilab.info.holevo_informations`."""
+    :func:`~qilab.info.holevo_informations`. Of stacks (..., 2^m) and (..., k)
+    of cubes, row i is an array (..., 2^i)."""
+    state_entropies, entropies = np.asarray(state_entropies), np.asarray(entropies)
     n_pairs = 2**m - 2  # the mixtures of the prefixes of 1 to m - 1 bits
-    want = (2**m,), (n_pairs + max(2 ** (m - 1) - 1, 1),)
-    shapes = np.shape(state_entropies), np.shape(entropies)
+    lead = state_entropies.shape[:-1]
+    want = (*lead, 2**m), (*lead, n_pairs + max(2 ** (m - 1) - 1, 1))
+    shapes = state_entropies.shape, entropies.shape
     if shapes != want:
         raise SizeError(f"need entropies of shapes {want} at m = {m}, got {shapes}")
-    entropies = np.asarray(entropies)
-    pairs = np.concatenate([entropies[:n_pairs], state_entropies]).reshape(-1, 2)
+    pairs = np.concatenate([entropies[..., :n_pairs], state_entropies], axis=-1)
     # an (m - 1)-bit prefix's even mixture is its own, among the pairs (at m = 1, listed last)
-    last = entropies[max(n_pairs - 2 ** (m - 1), 0) : n_pairs]
-    means = np.concatenate([entropies[n_pairs:], last])
-    infos = holevo_informations(np.full(pairs.shape, 0.5), pairs, means).tolist()
-    return [infos[2**i - 1 : 2 ** (i + 1) - 1] for i in range(m)]
+    last = entropies[..., max(n_pairs - 2 ** (m - 1), 0) : n_pairs]
+    means = np.concatenate([entropies[..., n_pairs:], last], axis=-1)
+    pairs = pairs.reshape(*lead, -1, 2)
+    infos = holevo_informations(np.full(pairs.shape, 0.5), pairs, means)
+    rows = np.split(infos, 2 ** np.arange(1, m) - 1, axis=-1)
+    return rows if lead else [row.tolist() for row in rows]
 
 
 def prefix_information(e: CQEnsemble) -> list[list[float]]:

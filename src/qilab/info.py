@@ -143,7 +143,7 @@ def conditional_entropies(priors, entropies):
     if priors.shape != entropies.shape:
         raise SizeError(f"priors of shape {priors.shape} but entropies {entropies.shape}")
     out = 0.0
-    for p, s in zip(priors.T, entropies.T):
+    for p, s in zip(np.moveaxis(priors, -1, 0), np.moveaxis(entropies, -1, 0)):
         out = out + p * s
     return out
 
@@ -224,15 +224,9 @@ def measured_mutual_infos(priors, states, projectors) -> np.ndarray:
 def bipartite_mutual_info(rho_ab: DensityMatrix, dim_a: int, dim_b: int) -> float:
     """S(A) + S(B) - S(AB) from the reduced states, PSD up to rounding noise."""
     if dim_a * dim_b != rho_ab.dim:
-        raise SizeError(
-            f"dims ({dim_a}, {dim_b}) do not multiply to {rho_ab.dim}"
-        )
+        raise SizeError(f"dims ({dim_a}, {dim_b}) do not multiply to {rho_ab.dim}")
     rho_a, rho_b = make_densities(
         [linalg.partial_trace(rho_ab.mat, dim_a, dim_b, keep) for keep in "HK"], tol=1e-8
     )
-    return (
-        von_neumann_entropy(rho_a)
-        + von_neumann_entropy(rho_b)
-        - von_neumann_entropy(rho_ab)
-    )
+    return von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - von_neumann_entropy(rho_ab)
 

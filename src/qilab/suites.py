@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .info import (
     holevo_informations,
     measured_mutual_infos,
     shannon_entropy,
-    uniform_cube_ensemble,
 )
 from .protocol import MAX_QUBITS
 from .rng import StreamRows, derive_seed, derive_seeds, mix64
@@ -299,10 +297,7 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
     joints = 0.5 * np.stack([pa, 1.0 - pa, 1.0 - pb, pb], axis=-1).reshape(-1, 2, 2)
     for slack in classical_mutual_information(joints) - info.fano_bound(agreement - 0.5):
         fano.add(slack)
-    return [
-        t.result()
-        for t in (holevo, block, chain, mono, concave, subadd, gap, fano)
-    ]
+    return [t.result() for t in (holevo, block, chain, mono, concave, subadd, gap, fano)]
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +307,10 @@ def _cube_trials(cases):
     """Per batch of ``(m, dim, seed)`` cases, a batch per m, its cases sorted by
     dim, as no check depends on their order: keys ``(m, seed)`` and the specs
     of each cube's 2^m random densities."""
-    cases = iter(cases)
-    while batch := list(islice(cases, 6 * CHUNK_TRIALS)):  # up to a chunk of each m
-        ms, dims, seeds = (np.array(x, dtype=np.uint64) for x in zip(*batch))
-        for m in dict.fromkeys(ms.tolist()):
-            at = np.flatnonzero(ms == m)
+    ms, dims, seeds = np.array(list(cases), dtype=np.uint64).reshape(-1, 3).T
+    for t in _batches(len(ms), 6 * CHUNK_TRIALS):  # up to a chunk of each m
+        for m in dict.fromkeys(ms[t].tolist()):
+            at = t[ms[t] == m]
             at = at[np.argsort(dims[at], kind="stable")]
             state_seeds = derive_seeds(seeds[at, None], np.arange(2**m))
             yield (ms[at], seeds[at]), _specs(dims[at, None], state_seeds)
@@ -332,65 +326,80 @@ def _encoding_derived(keys, mats) -> list[tuple[np.ndarray, float]]:
     return [(mat, linalg.DEFAULT_TOL) for mat in derived]
 
 
+def _encoding_slacks(ms, seeds, stacks) -> dict[str, np.ndarray]:
+    """Per check, the slacks of a column of cubes of one (m, dim), a row per
+    cube of ``stacks``: the 2^m states, the average and, at m <= 4, the prefix
+    mixtures. The half-argument floor and the entropy-gap quarter take the
+    cubes at Delta <= 1 only."""
+    m = int(ms[0])
+    n = 2**m
+    ent = np.stack([s.entropies for s in stacks], axis=1)
+    mats = np.stack([s.mats for s in stacks[:n]], axis=1)
+    d = enc.pairwise_distances(mats)
+    delta = np.mean(d, axis=(1, 2))
+    chi = holevo_informations(np.full((len(ms), n), 1.0 / n), ent[:, :n], ent[:, n])
+    pairings = [enc.find_pairing(x, s) for x, s in zip(d, derive_seeds(seeds, 99).tolist())]
+    near = delta <= 1.0
+    half = 1.0 - binary_entropy((1.0 + delta[near]) / 2.0)
+    squares = np.array([x**2 for x in delta[near].tolist()])  # Python's pow, not numpy's x * x
+    slacks = {
+        "delta_prime_le_delta": delta - enc.distances_to_mean(mats, stacks[n].mats),
+        "delta_le_two_sqrt_info": 2.0 * np.sqrt(chi) - delta,
+        "info_floor_quarter": chi - enc.information_floor(delta, m=2),
+        "info_floor_half": chi[near] - half,
+        "entropy_gap_quarter": half - squares / 4.0,
+        "pairing_bound": enc.pairing_average(d, pairings) - delta,
+    }
+    if m <= 4:
+        total = 0.0  # the means of the table's rows, added in order
+        for row in enc.prefix_table(ent[:, :n], ent[:, n + 1 :], m):
+            total = total + np.mean(row, axis=-1)
+        slacks["info_decomposition"] = chi - total
+    return slacks
+
+
 def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
     trials = cfg.trials or 200
-    prime_le = _Tally("delta_prime_le_delta", _tol(cfg, 1e-8))
-    two_sqrt = _Tally("delta_le_two_sqrt_info", _tol(cfg, 1e-8))
-    floor_quarter = _Tally("info_floor_quarter", _tol(cfg, 1e-8))
-    floor_half = _Tally("info_floor_half", _tol(cfg, 1e-8))
-    quarter = _Tally("entropy_gap_quarter", _tol(cfg, 1e-10))
-    pair_bound = _Tally("pairing_bound", _tol(cfg, 1e-10))
-    decomp = _Tally("info_decomposition", _tol(cfg, 1e-9))
-    skipped_half = 0
-    half_violations_m1 = 0
-    cubes = _cube_trials(
-        (1 + t % cfg.m, _dim_cycle(cfg, t), derive_seed(cfg.seed, 30, t)) for t in range(trials)
+    defaults = (  # the checks in report order, with their default tolerances
+        ("delta_prime_le_delta", 1e-8), ("delta_le_two_sqrt_info", 1e-8),
+        ("info_floor_quarter", 1e-8), ("info_floor_half", 1e-8), ("entropy_gap_quarter", 1e-10),
+        ("pairing_bound", 1e-10), ("info_decomposition", 1e-9),
     )
-    for chunk in random_density_chunks(cubes, _encoding_derived):
+    checks = {name: _Tally(name, _tol(cfg, tol)) for name, tol in defaults}
+    skipped_half = half_violations_m1 = 0
+    t = np.arange(trials)
+    cases = zip(1 + t % cfg.m, _dim_cycle(cfg, t), derive_seeds(cfg.seed, 30, t).tolist())
+    for chunk in random_density_chunks(_cube_trials(cases), _encoding_derived):
         for (ms, seeds), stacks, _ in chunk:
-            m = int(ms[0])
-            ent = np.stack([s.entropies for s in stacks], axis=1)  # states, average, mixtures
-            for i, seed in enumerate(seeds.tolist()):
-                rows = [(s, i) for s in stacks]
-                e = uniform_cube_ensemble(rows[: 2**m], average=rows[2**m])
-                stats = enc.encoding_stats(e, seed=derive_seed(seed, 99))
-                delta = stats.delta_pairwise
-                prime_le.add(delta - stats.delta_to_mean)
-                two_sqrt.add(2.0 * np.sqrt(stats.info) - delta)
-                floor_quarter.add(stats.info - enc.information_floor(delta, m=2))
-                if delta <= 1.0:
-                    # The half-argument floor 1 - H((1 + Delta)/2) is provable only
-                    # for single-bit ensembles; multi-bit ensembles violate it and
-                    # the violations below are expected, not numerical defects.
-                    half = 1.0 - binary_entropy((1.0 + delta) / 2.0)
-                    if not floor_half.add(stats.info - half) and m == 1:
-                        half_violations_m1 += 1
-                    quarter.add(half - delta**2 / 4.0)
-                else:
-                    skipped_half += 1
-                pair_bound.add(enc.pairing_average(stats.distances, stats.pairing) - delta)
-                if m <= 4:
-                    table = enc.prefix_table(ent[i, : 2**m], ent[i, 2**m + 1 :], m)
-                    decomp.add(stats.info - sum(float(np.mean(row)) for row in table))
-    floor_half.details["not_applicable"] = skipped_half
-    floor_half.details["violations_at_m1"] = half_violations_m1
-    floor_half.details["note"] = (
-        "holds for single-bit ensembles only; the provable general floor "
-        "is info_floor_quarter"
+            slacks = _encoding_slacks(ms, seeds, stacks)
+            skipped_half += len(ms) - len(slacks["info_floor_half"])
+            for name, column in slacks.items():
+                failed = sum(not checks[name].add(slack) for slack in column)
+                if name == "info_floor_half" and ms[0] == 1:
+                    half_violations_m1 += failed
+    # The half-argument floor 1 - H((1 + Delta)/2) is provable only for single-bit
+    # ensembles; multi-bit ensembles violate it, as expected, not as numerical defects.
+    checks["info_floor_half"].details.update(
+        not_applicable=skipped_half,
+        violations_at_m1=half_violations_m1,
+        note="holds for single-bit ensembles only; the provable general floor "
+        "is info_floor_quarter",
     )
 
     exhaustive = _Tally("pairing_vs_exhaustive", _tol(cfg, 1e-10))
-    cubes = _cube_trials((3, 2 + t % 3, derive_seed(cfg.seed, 31, t)) for t in range(10))
+    every = np.array(list(enc.enumerate_pairings(8)))  # the 105 pairings of a 3-bit cube
+    t = np.arange(10)
+    cubes = _cube_trials(zip([3] * 10, 2 + t % 3, derive_seeds(cfg.seed, 31, t).tolist()))
     for chunk in random_density_chunks(cubes):
         for (_, seeds), stacks, _ in chunk:
-            for i, seed in enumerate(seeds.tolist()):
-                d = enc.pairwise_distance_matrix(uniform_cube_ensemble([(s, i) for s in stacks]))
-                found = enc.pairing_average(d, enc.find_pairing(d, derive_seed(seed, 98)))
-                best = max(enc.pairing_average(d, p) for p in enc.enumerate_pairings(8))
-                exhaustive.add(best - found)
-                exhaustive.add(found - float(np.sum(d)) / 64.0)
-    checks = (prime_le, two_sqrt, floor_quarter, floor_half, quarter, pair_bound, decomp)
-    return [t.result() for t in (*checks, exhaustive)]
+            d = enc.pairwise_distances(np.stack([s.mats for s in stacks], axis=1))
+            pairings = [enc.find_pairing(x, s) for x, s in zip(d, derive_seeds(seeds, 98).tolist())]
+            found = enc.pairing_average(d, pairings)
+            best = np.max(enc.pairing_average(d[:, None], every[None]), axis=-1)
+            for b, f, delta in zip(best, found, np.mean(d, axis=(1, 2))):
+                exhaustive.add(b - f)
+                exhaustive.add(f - delta)
+    return [t.result() for t in (*checks.values(), exhaustive)]
 
 
 # ---------------------------------------------------------------------------
@@ -527,31 +536,15 @@ def reduction_suite(cfg: SuiteConfig) -> list[CheckResult]:
             align_bound.add(rep.first.alignment_bound_slack)
             info_bound.add(rep.info_bound_slack)
             sim_equiv.agree(rep.drop.max_outcome_tv)
-            rounds.add(
-                0.0
-                if rep.drop.rounds_after == rep.drop.rounds_before - 1
-                else -1.0
-            )
+            rounds.add(0.0 if rep.drop.rounds_after == rep.drop.rounds_before - 1 else -1.0)
             budget.add(rep.drop.budget - rep.drop.message_qubits_after)
             info_budget.add(rep.ell1 - sum(rep.mus))
             info_budget.add(rep.joint_info - sum(rep.mus))
             info_budget.add(rep.ell1 - rep.joint_info)
             sup_cls.agree(rep.first.eps_j - rep.classical_error)
             residual.agree(rep.drop.max_transition_residual)
-    return [
-        t.result()
-        for t in (
-            independence,
-            align_bound,
-            info_bound,
-            sim_equiv,
-            rounds,
-            budget,
-            info_budget,
-            sup_cls,
-            residual,
-        )
-    ]
+    checks = (independence, align_bound, info_bound, sim_equiv, rounds, budget, info_budget)
+    return [t.result() for t in (*checks, sup_cls, residual)]
 
 
 SUITES = {

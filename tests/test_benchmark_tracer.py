@@ -1,15 +1,17 @@
 """The benchmark's tracer against the encoding suite.
 
-``perfbench/tracing.py`` wraps qilab's public functions and reads the
-ensembles that ``encoding.pairwise_distance_matrix`` gets (their priors
-and each state's ``.mat``). Here the tracer is installed around a short
-encoding pass: the report must be byte-identical to the untraced one, and
-the hook must see each of the pass's ensembles once. The file is only
-read, loaded by its path.
+``perfbench/tracing.py`` wraps qilab's public functions and records a span
+per call. Here the tracer is installed around a short encoding pass: the
+report must be byte-identical to the untraced one, and the spans must show
+the suite's distances taken a column of cubes at a time, one
+``encoding.pairwise_distances`` call per column of one ``(m, dim)``. The
+file is only read, loaded by its path.
 """
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 from qilab import cli
 from qilab.suites import SuiteConfig, run_suite
@@ -29,7 +31,8 @@ def _report(cfg):
 
 
 def test_a_traced_encoding_pass_is_byte_identical_and_sees_every_ensemble():
-    # 10 cubes of the main loop and 10 of the exhaustive pairings
+    # 10 cubes of the main loop, of 10 distinct (m, dim), and 10 of the
+    # exhaustive pairings, at m = 3 and dims 2-4: 13 columns of 20 cubes
     cfg = SuiteConfig(seed=1, trials=10)
     untraced = _report(cfg)
     tracer = _tracer()
@@ -39,4 +42,5 @@ def test_a_traced_encoding_pass_is_byte_identical_and_sees_every_ensemble():
     finally:
         tracer.uninstall()
     assert traced == untraced
-    assert tracer.layer_metrics()["encoding.ensembles"] == 20
+    spans = tracer.arrays()
+    assert np.sum(spans["names"][spans["fn"]] == "encoding.pairwise_distances") == 13

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from qilab import cli, suites
-from qilab import encoding as enc
 from qilab.errors import SizeError
 
 
@@ -50,8 +49,8 @@ def test_exit_code_matches_violations(capsys):
 def test_a_defect_in_the_information_is_reported_not_raised(capsys, monkeypatch):
     # the suite is the one judge of the encoding bounds: an information 50
     # times too small shows as violations in a full report, with exit 1
-    holevo = enc.holevo_information
-    monkeypatch.setattr(enc, "holevo_information", lambda e: holevo(e) / 50)
+    holevo = suites.holevo_informations  # the suite's I, a column of cubes at a time
+    monkeypatch.setattr(suites, "holevo_informations", lambda *a: holevo(*a) / 50)
     code, out = run_cli(["--suite", "encoding", "--trials", "5", "--format", "json"], capsys)
     by_name = {c["name"]: c for c in json.loads(out)["checks"]}
     assert code == 1

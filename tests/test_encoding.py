@@ -258,6 +258,100 @@ def test_encoding_suite_seeds_the_average_and_table_bitwise():
                 assert len(rows) == 2**m + 1
 
 
+def _per_cube_slacks(stats, m, state_entropies, entropies):
+    # the encoding suite's slacks of one cube, as it formed them from its
+    # EncodingStats, Python floats, before it read columns of cubes
+    delta, d = stats.delta_pairwise, stats.distances
+    paired = 2.0 / len(d) * float(sum(d[i, j] for i, j in stats.pairing))  # left to right
+    slacks = {
+        "delta_prime_le_delta": delta - stats.delta_to_mean,
+        "delta_le_two_sqrt_info": 2.0 * np.sqrt(stats.info) - delta,
+        "info_floor_quarter": stats.info - enc.information_floor(delta, m=2),
+        "pairing_bound": paired - delta,
+    }
+    if delta <= 1.0:
+        half = 1.0 - info.binary_entropy((1.0 + delta) / 2.0)
+        slacks.update(info_floor_half=stats.info - half, entropy_gap_quarter=half - delta**2 / 4.0)
+    if m <= 4:
+        table = enc.prefix_table(state_entropies, entropies, m)
+        slacks["info_decomposition"] = stats.info - sum(float(np.mean(row)) for row in table)
+    return slacks
+
+
+def test_the_column_formulas_are_encoding_stats_per_cube_bitwise():
+    # every (m, dim) column of a seed-1 encoding pass, then five lone cubes
+    # (m = 1...5), a column each: the column formulas and the suite's slacks
+    # equal encoding_stats and the per-cube slacks on each cube's ensemble,
+    # bit for bit (Python's x**2 and numpy's array square differ in the last bit)
+    from qilab import suites
+    from qilab.rng import derive_seeds
+
+    t = np.arange(200)
+    passes = [
+        zip(1 + t % 5, 2 + t % 7, derive_seeds(1, 30, t).tolist()),
+        [(m, 1 + m, derive_seed(115, m)) for m in range(1, 6)],
+    ]
+    half = ("info_floor_half", "entropy_gap_quarter")  # of the cubes at Delta <= 1 only
+    every = np.array(list(enc.enumerate_pairings(8)))
+    seen = set()
+    for cases in passes:
+        chunks = states.random_density_chunks(suites._cube_trials(cases), suites._encoding_derived)
+        for (ms, seeds), stacks, _ in (group for chunk in chunks for group in chunk):
+            m, c = int(ms[0]), len(ms)
+            n = 2**m
+            seen.add((m, c == 1))
+            mats = np.stack([s.mats for s in stacks[:n]], axis=1)
+            d = enc.pairwise_distances(mats)
+            delta, to_mean = np.mean(d, axis=(1, 2)), enc.distances_to_mean(mats, stacks[n].mats)
+            ent = np.stack([s.entropies for s in stacks], axis=1)
+            chi = info.holevo_informations(np.full((c, n), 1.0 / n), ent[:, :n], ent[:, n])
+            slacks = suites._encoding_slacks(ms, seeds, stacks)
+            near = 0  # cubes at Delta <= 1 so far
+            for i, seed in enumerate(seeds.tolist()):
+                rows = [(s, i) for s in stacks]
+                e = info.uniform_cube_ensemble(rows[:n], average=rows[n])
+                stats = enc.encoding_stats(e, seed=derive_seed(seed, 99))
+                assert stats.distances.tobytes() == d[i].tobytes()
+                assert (stats.delta_pairwise, stats.delta_to_mean, stats.info) == (
+                    delta[i], to_mean[i], chi[i]
+                )
+                stacked = enc.pairing_average(d, [stats.pairing] * c)[i]
+                assert stacked == enc.pairing_average(d[i], stats.pairing)
+                want = _per_cube_slacks(stats, m, ent[i, :n], ent[i, n + 1 :])
+                assert {k: slacks[k][near if k in half else i] for k in want} == want
+                near += stats.delta_pairwise <= 1.0
+                if m == 3:
+                    exhaustive = [enc.pairing_average(d[i], p) for p in enc.enumerate_pairings(8)]
+                    assert enc.pairing_average(d[:, None], every[None])[i].tolist() == exhaustive
+            lengths = {k: len(v) for k, v in slacks.items()}
+            assert lengths == {k: near if k in half else c for k in slacks}
+            assert ("info_decomposition" in slacks) == (m <= 4) and len(slacks) == 6 + (m <= 4)
+    assert seen == {(m, lone) for m in range(1, 6) for lone in (False, True)}
+
+
+def test_the_gap_quarter_and_root_slacks_round_as_their_scalar_forms(monkeypatch):
+    # Deltas at which Python's x**2 and numpy's array square differ in the last
+    # bit stand in for a column's: its slacks must read as the scalar forms do
+    from qilab import suites
+
+    x = np.random.default_rng(5).random(100_000)
+    odd = x[x**2 != np.array([v**2 for v in x.tolist()])]
+    cubes = suites._cube_trials((1, 2, derive_seed(116, k)) for k in range(40))
+    (((ms, seeds), stacks, _),) = next(states.random_density_chunks(cubes, suites._encoding_derived))
+    # each single-bit cube's distances [[0, 2x], [2x, 0]], whose mean is x exactly
+    fake = 2.0 * odd[:40, None, None] * (1.0 - np.eye(2))
+    assert len(ms) == 40 and np.mean(fake, axis=(1, 2)).tolist() == odd[:40].tolist()
+    monkeypatch.setattr(enc, "pairwise_distances", lambda mats: fake)
+    slacks = suites._encoding_slacks(ms, seeds, stacks)
+    ent = np.stack([s.entropies for s in stacks], axis=1)
+    chi = info.holevo_informations(np.full((40, 2), 0.5), ent[:, :2], ent[:, 2]).tolist()
+    for i, (delta, chi_i) in enumerate(zip(odd.tolist(), chi)):
+        half = 1.0 - info.binary_entropy((1.0 + delta) / 2.0)
+        assert slacks["entropy_gap_quarter"][i] == half - delta**2 / 4.0
+        assert slacks["info_floor_half"][i] == chi_i - half
+        assert slacks["delta_le_two_sqrt_info"][i] == 2.0 * np.sqrt(chi_i) - delta
+
+
 def _decomposition(e):
     # the prefix-wise information sum, as the encoding suite forms it, and
     # the whole ensemble's information

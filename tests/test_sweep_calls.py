@@ -14,7 +14,7 @@ large-d pass).
 
 The metrics and transition suites also take their trace norms, Uhlmann
 alignments and reduced states a block of trials at a time, and the encoding
-suite each ensemble's distances in stacked calls: none of the three makes a
+suite each column of cubes' distances in stacked calls: none of the three makes a
 single-matrix ``singular_values`` or ``svd`` call, and the metrics and
 transition suites' ``np.linalg.svd`` calls stay under a ceiling: one per
 block and dimension (shape, for an alignment) for each kind. The sweep suites (metrics,
@@ -24,10 +24,11 @@ the encoding suite, make no single-matrix ``hermitian_eig`` or
 ``np.linalg.qr`` call, and a seed-1 sweep pass makes at most 131
 ``hermitian_eig`` calls.
 
-The metrics and info suites draw their trials' seeds, ranks and weights as
-arrays (``rng.derive_seeds``, ``rng.StreamRows``) and make no ``derive_seed``
-call and no ``Stream``; transition and encoding make a few hundred, each
-under a ceiling.
+The metrics, info and encoding suites draw their trials' seeds, ranks and
+weights as arrays (``rng.derive_seeds``, ``rng.StreamRows``) and make no
+``derive_seed`` call; the metrics and info suites make no ``Stream`` either.
+Transition makes a few hundred ``derive_seed`` calls and encoding a
+``Stream`` per pairing search, each under a ceiling.
 
 The exact-transition checks read the residuals that
 ``transition.exact_local_transitions`` measures and do not apply its
@@ -36,11 +37,9 @@ unitaries again.
 The sweep suites read their densities as ``(stack, j)`` rows of certified
 stacks and build no ``DensityMatrix`` view (a seed-1 pass built 2,000, 12,249
 and 5,400 of them through per-density wrappers); each stacked read is bit
-for bit the one-item view's. The encoding suite reads rows too, and builds
-views only for the states and averages its ensembles hold (a view per
-prefix mixture would bring a seed-1 pass to 4,120, and brought it to 5,880
-while the prefix mixtures held copies of the cube states and of each
-other).
+for bit the one-item view's. The encoding suite reads columns of cubes as
+stacks too and builds none (2,760 while it held each cube as an ensemble of
+views, 5,880 while a view per prefix mixture held copies of the cube states).
 """
 
 import math
@@ -65,19 +64,19 @@ EIG_BUDGET = {"metrics": 70, "info": 41, "transition": 20, "encoding": 49}
 # transition suite's alignments per shape and reduced states, distances and
 # fidelities per dimension (145 with a fidelity SVD per rank pair)
 SVD_BUDGET = {"metrics": 120, "info": 0, "transition": 48}
-# (derive_seed calls, Stream constructions) per seed-1 suite: the metrics and
-# info suites draw every seed, rank and weight as arrays; transition keeps
-# derive_seed for transition_bound_sweep's pairs, and encoding for its cubes'
-# and pairings' seeds and a Stream per pairing's shuffle (6000/2000,
-# 8249/1000, 2801/2200 and 2980/2770 when each trial drew through Streams)
-SEED_BUDGET = {"metrics": (0, 0), "info": (0, 0), "transition": (401, 0), "encoding": (420, 210)}
+# (derive_seed calls, Stream constructions) per seed-1 suite: the metrics,
+# info and encoding suites draw every seed as arrays; transition keeps
+# derive_seed for transition_bound_sweep's pairs, and encoding a Stream per
+# pairing's shuffle (6000/2000, 8249/1000, 2801/2200 and 2980/2770 when each
+# trial drew through Streams; encoding 420/210 with a derive_seed per cube)
+SEED_BUDGET = {"metrics": (0, 0), "info": (0, 0), "transition": (401, 0), "encoding": (0, 210)}
 # apply_k_unitaries calls per seed-1 suite: a scramble and an alignment per
 # block of the transition suite's exact trials (one block at seed 1), one
 # alignment per drop_first_message
 APPLY_BUDGET = {"transition": 8, "reduction": 8}
-# DensityMatrix views built per seed-1 suite: the encoding suite's ensembles
-# hold 2,680 states and averages, and its exhaustive pairings 80 states
-VIEW_BUDGET = {"metrics": 0, "info": 0, "transition": 0, "encoding": 2760}
+# DensityMatrix views built per seed-1 suite (encoding 2,760 while it built an
+# ensemble per cube)
+VIEW_BUDGET = {"metrics": 0, "info": 0, "transition": 0, "encoding": 0}
 
 
 @pytest.fixture
