@@ -15,6 +15,7 @@ import numpy as np
 from . import linalg
 from .errors import NormalizationError, SizeError
 from .states import CertifiedStack, DensityMatrix, _frozen, entropy_rows, make_densities, mixture
+from .states import mixture_matrix
 
 
 def _within(x, lo: float, hi: float, message: str) -> np.ndarray:
@@ -164,6 +165,34 @@ def holevo_informations(priors, entropies, average_entropies) -> np.ndarray:
         raise SizeError(f"priors of shape {priors.shape} but average entropies {avg.shape}")
     chi = avg - conditional_entropies(priors, entropies)
     return np.where(chi < 0.0, 0.0, chi)  # max(chi, 0.0), NaN and -0.0 kept
+
+
+def uniform_cube_informations(cubes) -> list[float]:
+    """Per list of ``(stack, j)`` rows, ``holevo_information(uniform_cube_ensemble(
+    rows))`` bit for bit: the averages of every list certified in one
+    :func:`~qilab.states.make_densities` call, then one :func:`holevo_informations`
+    per list length and dim."""
+    cubes = [[_view(row, f"state {i}") for i, row in enumerate(c)] for c in cubes]
+    groups: dict = {}
+    for k, states in enumerate(cubes):
+        _cube_labels(len(states))  # a power-of-two count, as uniform_cube_ensemble needs
+        dims = {s.dim for s in states}
+        if len(dims) != 1:
+            raise SizeError("all encoded states must share one dimension")
+        groups.setdefault((len(states), dims.pop()), []).append(k)
+    priors = {n: np.full(n, 1.0 / n) for n, _ in groups}
+    averages = [  # one stack per group, the cubes' i-th states mixed entry by entry
+        mixture_matrix(priors[n], [np.array([cubes[k][i].mat for k in ks]) for i in range(n)])
+        for (n, _), ks in groups.items()
+    ]
+    certified = iter(make_densities([m for stack in averages for m in stack]))
+    out = [0.0] * len(cubes)
+    for (n, _), ks in groups.items():
+        avg = [next(certified).entropy for _ in ks]
+        ent = [[s.entropy for s in cubes[k]] for k in ks]
+        for k, chi in zip(ks, holevo_informations(np.tile(priors[n], (len(ks), 1)), ent, avg)):
+            out[k] = float(chi)
+    return out
 
 
 def validate_projective(projectors, dim: int) -> None:

@@ -73,8 +73,9 @@ def check_weights(w: np.ndarray, neg_tol: float, sum_tol: float, what: str) -> N
     """Check that ``w``, or each row of a stack, is a distribution; name a failing row."""
     ok = (w >= -neg_tol).all(axis=-1) & (abs(w.sum(axis=-1) - 1.0) <= sum_tol)
     if not ok.all():
-        where, got = (f" in row {np.argmin(ok)}", w[np.argmin(ok)]) if ok.ndim else ("", w)
-        raise NormalizationError(f"{what}{where} must be non-negative and sum to 1, got {got}")
+        at = tuple(int(i) for i in np.argwhere(~ok)[0])  # as check_each names a matrix
+        where = "" if not at else f" in row {at[0] if len(at) == 1 else at}"
+        raise NormalizationError(f"{what}{where} must be non-negative and sum to 1, got {w[at]}")
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Literal
 
 import numpy as np
@@ -155,6 +156,13 @@ class Measurement:
         per_outcome = [dict(zip(self.blocks, p)) for p in zip(*self.blocks.values())]
         return tuple(BlockTable(b, len(self.targets)) for b in per_outcome)
 
+    @cached_property
+    def projective(self) -> bool:
+        """True once :func:`~qilab.info.validate_projective` passes on the
+        blocks, which it raises for otherwise: judged once per measurement."""
+        validate_projective(list(self.blocks.values()), 2 ** len(self.targets))
+        return True
+
 
 class BlockTable(dict):
     """Blocks keyed by control value, each distinct block stored once in
@@ -173,6 +181,14 @@ class BlockTable(dict):
         self.index, self.slots, self.stack = _read_only(index, slots, stack)
         views = list(stack)
         super().__init__((k, views[s]) for k, s in zip(listed, slots.tolist()))
+
+    @cached_property
+    def unitary(self) -> bool:
+        """Whether every listed block is unitary within 1e-8 (a NaN entry
+        fails): judged once per table, which copies of a move share."""
+        u = self.stack[:-1]
+        gram = np.conj(u.mT) @ u - np.eye(u.shape[-1])
+        return bool(np.max(np.linalg.norm(gram, axis=(1, 2))) <= 1e-8)
 
 
 @dataclass(frozen=True)
@@ -214,10 +230,7 @@ class ProtocolSpec:
                 d = 2 ** len(move.targets)
                 if {np.shape(b) for b in move.blocks.values()} != {(d, d)}:
                     raise ProtocolError(f"{what}: blocks must be {d}x{d}")
-                u = move.table.stack[:-1]
-                gram = np.conj(u.mT) @ u - np.eye(d)
-                # written so that a NaN entry fails too
-                if not np.max(np.linalg.norm(gram, axis=(1, 2))) <= 1e-8:
+                if not move.table.unitary:
                     raise ProtocolError(f"{what}: a block is not unitary")
             for q in move.send:
                 if owner[q] != move.player:
@@ -231,7 +244,7 @@ class ProtocolSpec:
             raise ProtocolError("final measurement must list every control value")
         if len({len(p) for p in meas.blocks.values()}) != 1:
             raise ProtocolError("every control value needs the same outcomes")
-        validate_projective(list(meas.blocks.values()), 2 ** len(meas.targets))
+        meas.projective  # raises unless each value's projectors are projective
 
 
 def _check_wires(op, owner: dict, inputs: frozenset, what: str) -> None:
@@ -493,23 +506,35 @@ def evolve(moves, state: Branch) -> Branch:
 
 
 def message_states(spec: ProtocolSpec, inputs: InputColumns) -> list[DensityMatrix]:
-    """Certified density of the first message for each row of ``inputs``.
+    """Certified density of the first message for each row of ``inputs``:
+    the one-run :func:`message_states_of`."""
+    return message_states_of([(spec, inputs)])[0]
 
-    The rows are played in batches (:func:`play`) up to the move that
-    sends the first message. Reading an unset input before the send
-    raises ``ProtocolError``. An input those moves never read may stay
+
+def message_states_of(runs) -> list[list[DensityMatrix]]:
+    """Per ``(spec, inputs)`` run, the certified density of the first message
+    for each row of ``inputs``; every run's densities are certified in one
+    :func:`~qilab.states.make_densities` call, so an error names a density's
+    index among all runs' rows.
+
+    Each run is played on its own, in batches (:func:`play`), up to the
+    move that sends the first message. Reading an unset input before the
+    send raises ``ProtocolError``. An input those moves never read may stay
     unset: the message is the same for each of its values, so it is their
     average.
     """
-    moves = spec.moves[: spec.first_message_index() + 1]
-    read = {q for move in moves for q in move.controls}
-    given = inputs.values.keys() | inputs.amplitudes.keys()
-    unset = [r.name for r in spec.layout.registers
-             if r.kind == "input" and read & set(r.qubits) and r.name not in given]
-    if unset:
-        raise ProtocolError(f"the first message reads unset inputs {unset}")
-    mats = play(spec.layout, inputs, lambda s: evolve(moves, s).density(moves[-1].send))
-    return make_densities(mats, tol=1e-8)
+    played = []
+    for spec, inputs in runs:
+        moves = spec.moves[: spec.first_message_index() + 1]
+        read = {q for move in moves for q in move.controls}
+        given = inputs.values.keys() | inputs.amplitudes.keys()
+        unset = [r.name for r in spec.layout.registers
+                 if r.kind == "input" and read & set(r.qubits) and r.name not in given]
+        if unset:
+            raise ProtocolError(f"the first message reads unset inputs {unset}")
+        played.append(play(spec.layout, inputs, lambda s: evolve(moves, s).density(moves[-1].send)))
+    rows = iter(make_densities([m for mats in played for m in mats], tol=1e-8))
+    return [list(islice(rows, len(mats))) for mats in played]
 
 
 def run_protocol(spec: ProtocolSpec, ensemble: InputEnsemble) -> RunReport:

@@ -61,20 +61,22 @@ def _signs(n: int) -> np.ndarray:
     )
 
 
-def bloch_success(bloch: np.ndarray, n: int) -> float:
-    """Average success of the best per-index measurement for an encoding.
+def bloch_success(bloch: np.ndarray, n: int):
+    """Average success of the best per-index measurement for an encoding;
+    of each encoding of a stack ``(..., 2^n, 3)``, one per encoding.
 
     ``bloch`` holds one unit Bloch vector b_x per x. For index i the two
     candidate mixtures differ by d_i = (s @ b)_i / 2^(n-1), the optimal
     measurement succeeds with 1/2 + |d_i| / 4, and indices are uniform.
     """
     d = _signs(n) @ bloch
-    return 0.5 + float(np.linalg.norm(d, axis=1).sum()) / (2 ** (n - 1) * 4.0 * n)
+    out = 0.5 + np.linalg.norm(d, axis=-1).sum(axis=-1) / (2 ** (n - 1) * 4.0 * n)
+    return out if out.ndim else float(out)
 
 
 def _unit_rows(v: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """Normalize each row of ``v``; a zero row keeps the row of ``prev``."""
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    """Normalize each row (last axis) of ``v``; a zero row keeps the row of ``prev``."""
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
     return np.divide(v, norms, out=prev.copy(), where=norms > 1e-12)
 
 
@@ -86,25 +88,21 @@ def optimize_rac(n: int, seed: int = 5, starts: int = 6) -> tuple[float, np.ndar
     best u_i is proportional to sum_x s_i(x) b_x; with u fixed the best b_x
     is proportional to sum_i s_i(x) u_i. Each half-step maximizes over one
     side with the other held, so the success never decreases. Each start
-    draws random unit vectors from ``Stream(seed)`` and alternates for
-    ``SEESAW_ROUNDS`` rounds; the best start wins. Returns the achieved
-    average success and the Bloch vectors found.
+    draws random unit vectors from ``Stream(seed)``, in turn, and alternates
+    for ``SEESAW_ROUNDS`` rounds; the starts run together as one stack, and
+    the first best start wins. Returns the achieved average success and the
+    Bloch vectors found.
     """
     s = _signs(n)
-    stream = Stream(seed)
-    best_val = -1.0
-    best = None
-    for _ in range(starts):
-        g = stream.gauss_array(3 * (2**n + n)).reshape(-1, 3)
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        bloch, u = g[: 2**n], g[2**n :]
-        for _ in range(SEESAW_ROUNDS):
-            u = _unit_rows(s @ bloch, u)
-            bloch = _unit_rows(s.T @ u, bloch)
-        val = bloch_success(bloch, n)
-        if val > best_val:
-            best_val, best = val, bloch
-    return best_val, best
+    g = Stream(seed).gauss_array(starts * 3 * (2**n + n)).reshape(starts, -1, 3)
+    g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    bloch, u = g[:, : 2**n], g[:, 2**n :]
+    for _ in range(SEESAW_ROUNDS):
+        u = _unit_rows(s @ bloch, u)
+        bloch = _unit_rows(s.T @ u, bloch)
+    vals = bloch_success(bloch, n)
+    best = int(np.argmax(vals))
+    return float(vals[best]), bloch[best]
 
 
 def bloch_to_ket(b: np.ndarray) -> np.ndarray:

@@ -25,14 +25,16 @@ Every inequality along the way is measured exactly and reported.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import islice
 
 import numpy as np
 
 from . import protocol as proto
 from .errors import ReductionError
-from .info import holevo_information, uniform_cube_ensemble
+from .info import uniform_cube_informations
 from .protocol import (
     H,
     P0,
@@ -43,17 +45,18 @@ from .protocol import (
     Move,
     ProtocolSpec,
     RegisterLayout,
+    RunReport,
     evolve,
     initial_states,
     make_layout,
-    message_states,
+    message_states_of,
     ry,
     run_protocol,
     state_prep_unitary,
     total_variation,
 )
 from .rac import bit_of
-from .states import DensityMatrix, canonical_purification
+from .states import BLOCK_ENTRIES, DensityMatrix, canonical_purifications
 from .transition import exact_local_transitions, uhlmann_aligns
 
 PLUS = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
@@ -165,23 +168,28 @@ def slice_information(spec: ProtocolSpec, family: TwoRoundFamily, j: int) -> flo
     The message's sender cannot read Alice's x's, so one run per value of
     y_j gives the slice average exactly.
     """
-    return holevo_information(
-        uniform_cube_ensemble(message_states(spec, _slot_assignments(family, j)))
-    )
+    (states,) = message_states_of([(spec, _slot_assignments(family, j))])
+    return uniform_cube_informations([states])[0]
+
+
+def _budget_runs(spec: ProtocolSpec, family: TwoRoundFamily) -> list[tuple]:
+    """The message runs of the budget: one per slot j, as for
+    :func:`slice_information`, then one over every value of y_0..y_{n-1}."""
+    values = np.indices((INNER,) * family.n).reshape(family.n, -1)
+    joint = InputColumns({f"y{i}": z for i, z in enumerate(values)})
+    return [*((spec, _slot_assignments(family, j)) for j in range(family.n)), (spec, joint)]
 
 
 def message_info_budget(
     spec: ProtocolSpec, family: TwoRoundFamily
 ) -> tuple[list[float], float, int]:
-    """Per-slot message information, the joint information, and ell_1.
+    """Per-slot message information, the joint information, and ell_1: the
+    one-family budget of :func:`run_pipelines`.
 
     The per-slot values mu_i = I(M : Y_i) sum to at most the joint
     I(M : Y_1..Y_n), which the message size ell_1 caps in turn.
     """
-    mus = [slice_information(spec, family, j) for j in range(family.n)]
-    values = np.indices((INNER,) * family.n).reshape(family.n, -1)
-    joint_states = message_states(spec, InputColumns({f"y{i}": z for i, z in enumerate(values)}))
-    joint = holevo_information(uniform_cube_ensemble(joint_states))
+    *mus, joint = uniform_cube_informations(message_states_of(_budget_runs(spec, family)))
     return mus, joint, spec.first_message_qubits
 
 
@@ -228,79 +236,102 @@ class FirstMessageReport:
         return self.eps_j + 2.0 * self.mean_sqrt_t - self.delta_j
 
 
-def modify_first_message(
-    family: TwoRoundFamily, j: int
-) -> tuple[ProtocolSpec, FirstMessageReport]:
-    """Derive P' whose first message ignores y_j, plus the certificate.
+def _prime_specs(cases) -> list[tuple[ProtocolSpec, tuple[float, ...], tuple[float, ...]]]:
+    """Per ``(family, j)``, P' and its alignments' t values and pure
+    distances, one per value of y_j: every case's alignments in one
+    :func:`uhlmann_aligns` call.
 
     Bob's opening becomes two moves: a Hadamard puts a fresh ancilla psi
     in the uniform superposition, and the original blocks then read psi
     in the control slot of y_j, which forces I(M : Y_j) = 0. A corrective
     unitary on his remaining qubits, controlled on y_j and built by
     purification alignment, brings the global state back toward the
-    original one; the error increase is bounded by twice the mean
-    square-root alignment distance.
+    original one.
     """
-    spec = family.spec
-    first = spec.moves[0]
-    if first.player != "bob":
-        raise ReductionError("the first move must belong to the player without the pointer")
-    yj_wires = spec.layout.register(f"y{j}").qubits
-    touched = tuple(q for q in yj_wires if q in first.controls)
+    built, pairs = [], []
+    for family, j in cases:
+        spec = family.spec
+        first = spec.moves[0]
+        if first.player != "bob":
+            raise ReductionError("the first move must belong to the player without the pointer")
+        yj_wires = spec.layout.register(f"y{j}").qubits
+        touched = tuple(q for q in yj_wires if q in first.controls)
 
-    eps_j = run_protocol(spec, slice_distribution(family, j)).error_avg
+        # The derived protocol solves the inner index problem on slot j, so
+        # the other y registers stop being inputs: they become workspace Bob
+        # initializes himself.
+        psi = [("psi", len(touched), "work", "bob")] if touched else []
+        kinds = {f"y{i}": "work" for i in range(family.n) if i != j}
+        layout = _relayout(spec.layout, kinds=kinds, append=psi)
+        if touched:
+            psi_wires = layout.register("psi").qubits
+            wire_map = dict(zip(touched, psi_wires))
+            hadamards = Move("bob", psi_wires, {0: reduce(np.kron, [H] * len(psi_wires))})
+            rewired = replace(first, controls=tuple(wire_map.get(q, q) for q in first.controls))
+            opening = (hadamards, rewired)
+        else:
+            opening = (first,)
 
-    # The derived protocol solves the inner index problem on slot j, so
-    # the other y registers stop being inputs: they become workspace Bob
-    # initializes himself.
-    psi = [("psi", len(touched), "work", "bob")] if touched else []
-    kinds = {f"y{i}": "work" for i in range(family.n) if i != j}
-    layout = _relayout(spec.layout, kinds=kinds, append=psi)
-    if touched:
-        psi_wires = layout.register("psi").qubits
-        wire_map = dict(zip(touched, psi_wires))
-        hadamards = Move("bob", psi_wires, {0: reduce(np.kron, [H] * len(psi_wires))})
-        rewired = replace(first, controls=tuple(wire_map.get(q, q) for q in first.controls))
-        opening = (hadamards, rewired)
-    else:
-        opening = (first,)
+        m_wires = tuple(first.send)
+        assignments = _slot_assignments(family, j)
 
-    m_wires = tuple(first.send)
-    assignments = _slot_assignments(family, j)
+        # y_j and Alice's inputs are classical, so K is every other wire.
+        rewired_state = evolve(opening, initial_states(layout, assignments, slice(1)))
+        k_wires = tuple(q for q in rewired_state.wires if q not in m_wires)
+        (phi_prime,) = rewired_state.bipartites(m_wires, k_wires)
+        phis = evolve((first,), initial_states(layout, assignments)).bipartites(m_wires, k_wires)
+        built.append((spec, layout, opening, k_wires, yj_wires))
+        pairs.append([(phi_z, phi_prime) for phi_z in phis])
 
-    # y_j and Alice's inputs are classical, so K is every other wire.
-    rewired_state = evolve(opening, initial_states(layout, assignments, slice(1)))
-    k_wires = tuple(q for q in rewired_state.wires if q not in m_wires)
-    (phi_prime,) = rewired_state.bipartites(m_wires, k_wires)
-    phis = evolve((first,), initial_states(layout, assignments)).bipartites(m_wires, k_wires)
-    t_values = []
-    align_distances = []
-    corrective_blocks = {}
-    for z, result in enumerate(uhlmann_aligns([(phi_z, phi_prime) for phi_z in phis])):
-        # pure_distance <= bound squared (1 - F <= t): no sqrt to blow up a rounding of F
-        if 1.0 - result.achieved_overlap_sq > result.t + 1e-9:
-            raise ReductionError("alignment distance exceeded its bound")
-        t_values.append(result.t)
-        align_distances.append(result.pure_distance)
-        corrective_blocks[z] = result.unitary_k
+    results = iter(uhlmann_aligns([pair for group in pairs for pair in group]))
+    out = []
+    for (spec, layout, opening, k_wires, yj_wires), group in zip(built, pairs):
+        t_values = []
+        align_distances = []
+        corrective_blocks = {}
+        for z, result in enumerate(islice(results, len(group))):
+            # pure_distance <= bound squared (1 - F <= t): no sqrt to blow up a rounding of F
+            if 1.0 - result.achieved_overlap_sq > result.t + 1e-9:
+                raise ReductionError("alignment distance exceeded its bound")
+            t_values.append(result.t)
+            align_distances.append(result.pure_distance)
+            corrective_blocks[z] = result.unitary_k
+        corrective = Move("bob", k_wires, corrective_blocks, controls=yj_wires)
+        spec_prime = ProtocolSpec(
+            layout, (*opening, corrective, *spec.moves[1:]), spec.final_measurement
+        )
+        out.append((spec_prime, tuple(t_values), tuple(align_distances)))
+    return out
 
-    corrective = Move("bob", k_wires, corrective_blocks, controls=yj_wires)
-    spec_prime = ProtocolSpec(
-        layout, (*opening, corrective, *spec.moves[1:]), spec.final_measurement
-    )
-    run_prime = run_protocol(spec_prime, slice_distribution(family, j))
-    prime_messages = message_states(spec_prime, assignments)
-    report = FirstMessageReport(
-        j=j,
-        eps_j=eps_j,
-        delta_j=run_prime.error_avg,
-        mu_j_prime=holevo_information(uniform_cube_ensemble(prime_messages)),
-        t_values=tuple(t_values),
-        align_distances=tuple(align_distances),
-        prime_outcomes=run_prime.outcome_distributions,
-        prime_messages=tuple(prime_messages),
-    )
-    return spec_prime, report
+
+def _slice_runs(family: TwoRoundFamily, j: int, specs, superposed: bool = True) -> list[RunReport]:
+    """Each spec run on slot j's slice distribution, built once for them all."""
+    ensemble = slice_distribution(family, j, superposed)
+    return [run_protocol(spec, ensemble) for spec in specs]
+
+
+def _first_report(j, aligned, messages, mu_j_prime, run, run_prime) -> FirstMessageReport:
+    """The P -> P' certificate from P's and P''s runs on the slice."""
+    outcomes = run_prime.outcome_distributions
+    return FirstMessageReport(j, run.error_avg, run_prime.error_avg, mu_j_prime, *aligned,
+                              outcomes, tuple(messages))
+
+
+def modify_first_message(
+    family: TwoRoundFamily, j: int
+) -> tuple[ProtocolSpec, FirstMessageReport]:
+    """Derive P' whose first message ignores y_j, plus the certificate: the
+    one-case P -> P' step of :func:`run_pipelines`.
+
+    The first message of P' carries zero information about y_j; the error
+    increase over P is bounded by twice the mean square-root alignment
+    distance (see :func:`_prime_specs`).
+    """
+    ((spec_prime, *aligned),) = _prime_specs([(family, j)])
+    (messages,) = message_states_of([(spec_prime, _slot_assignments(family, j))])
+    (mu_j_prime,) = uniform_cube_informations([messages])
+    run, run_prime = _slice_runs(family, j, (family.spec, spec_prime))
+    return spec_prime, _first_report(j, aligned, messages, mu_j_prime, run, run_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -322,80 +353,108 @@ class DropReport:
     max_transition_residual: float
 
 
-def drop_first_message(
-    family: TwoRoundFamily, spec_prime: ProtocolSpec, first: FirstMessageReport
-) -> tuple[ProtocolSpec, DropReport]:
-    """Derive P'': Alice opens the protocol with the message prepared
-    herself, purified across an extra register that rides along with her
-    own message; Bob restores his side with an exact local transition.
+def _double_specs(items) -> list[tuple[ProtocolSpec, float]]:
+    """Per ``(family, spec_prime, j, prime_messages)``, P'' and its largest
+    exact-transition residual: every item's purification in one
+    :func:`canonical_purifications` call, and its transitions in one
+    :func:`exact_local_transitions` call.
 
-    The outcome distribution matches P' on every slice input, with one
-    round fewer and at most ceil(log2 n) extra message qubits. ``first``
-    is :func:`modify_first_message`'s report on ``spec_prime``: its
-    first messages and outcome distributions on the slice are reused.
+    Alice opens the protocol with the message prepared herself, purified
+    across an extra register that rides along with her own message; Bob
+    restores his side with an exact local transition. ``prime_messages``
+    are P''s first messages per value of y_j.
     """
-    j = first.j
-    m_wires = tuple(spec_prime.moves[spec_prime.first_message_index()].send)
-
-    assignments = _slot_assignments(family, j)
-    rho_m, *others = first.prime_messages
-    for other in others:
-        if np.max(np.abs(other.mat - rho_m.mat)) > 1e-9:
+    rhos = []
+    for *_, (rho_m, *others) in items:
+        if any(np.max(np.abs(other.mat - rho_m.mat)) > 1e-9 for other in others):
             raise ReductionError("first message still depends on y_j")
-    rank = int(np.sum(rho_m.eig.eigenvalues > 1e-9))
-    n_b = max(int(np.ceil(np.log2(max(rank, 1)))), 0)
+        rhos.append(rho_m)
+    ranks = [max(int(np.sum(rho.eig.eigenvalues > 1e-9)), 1) for rho in rhos]
+    purifications = canonical_purifications(rhos, [2 ** int(np.ceil(np.log2(r))) for r in ranks])
+    staged, pairs = [], []
+    for (family, spec_prime, j, _), purification in zip(items, purifications):
+        m_wires = tuple(spec_prime.moves[spec_prime.first_message_index()].send)
+        n_b = purification.dim_k.bit_length() - 1
+        # New layout: message register now belongs to Alice; purification
+        # partner B'' is appended when the message state is mixed.
+        append = [("bp", n_b, "work", "alice")] if n_b > 0 else []
+        layout = _relayout(spec_prime.layout, owners={"m": "alice"}, append=append)
+        bp_wires = layout.register("bp").qubits if n_b > 0 else ()
+        prep = Move("alice", (*m_wires, *bp_wires), {0: state_prep_unitary(purification.vec)})
 
-    # New layout: message register now belongs to Alice; purification
-    # partner B'' is appended when the message state is mixed.
-    append = [("bp", n_b, "work", "alice")] if n_b > 0 else []
-    layout = _relayout(spec_prime.layout, owners={"m": "alice"}, append=append)
-    bp_wires = layout.register("bp").qubits if n_b > 0 else ()
+        # Bob plays every move of P' before Alice's first one: his opening
+        # and the corrective. Alice's own move now also carries B''.
+        first_alice = next(i for i, mv in enumerate(spec_prime.moves) if mv.player == "alice")
+        alice_move = spec_prime.moves[first_alice]
+        alice_move = replace(alice_move, send=(*alice_move.send, *bp_wires))
 
-    purification = canonical_purification(rho_m, max(2**n_b, 1))
-    prep = Move("alice", (*m_wires, *bp_wires), {0: state_prep_unitary(purification.vec)})
+        yj_wires = layout.register(f"y{j}").qubits
+        assignments = _slot_assignments(family, j)
 
-    # Bob plays every move of P' before Alice's first one: his opening
-    # and the corrective. Alice's own move now also carries B''.
-    first_alice = next(i for i, mv in enumerate(spec_prime.moves) if mv.player == "alice")
-    alice_move = spec_prime.moves[first_alice]
-    alice_move = replace(alice_move, send=(*alice_move.send, *bp_wires))
+        # Alice's prepared message; y_j and Alice's inputs are classical, so
+        # K is B'' followed by every other simulated wire.
+        prepared = evolve((prep,), initial_states(layout, assignments, slice(1)))
+        k_full = (*bp_wires, *(q for q in prepared.wires if q not in (*m_wires, *bp_wires)))
+        (xi,) = prepared.bipartites(m_wires, k_full)
 
-    yj_wires = layout.register(f"y{j}").qubits
+        # Target states: P' after its opening move and corrective, embedded
+        # in the new register space (B'' spectator at |0>).
+        bob_moves = spec_prime.moves[:first_alice]
+        chis = evolve(bob_moves, initial_states(layout, assignments)).bipartites(m_wires, k_full)
+        staged.append((spec_prime, layout, prep, alice_move, first_alice, k_full, yj_wires))
+        pairs.append([(chi, xi) for chi in chis])
 
-    # Alice's prepared message; y_j and Alice's inputs are classical, so
-    # K is B'' followed by every other simulated wire.
-    prepared = evolve((prep,), initial_states(layout, assignments, slice(1)))
-    k_full = (*bp_wires, *(q for q in prepared.wires if q not in (*m_wires, *bp_wires)))
-    (xi,) = prepared.bipartites(m_wires, k_full)
+    found = iter(exact_local_transitions([pair for group in pairs for pair in group]))
+    out = []
+    for (spec_prime, layout, prep, alice_move, first_alice, k_full, yj_wires), group in zip(
+        staged, pairs
+    ):
+        transitions = list(islice(found, len(group)))
+        v_blocks = {z: v_z for z, (v_z, _) in enumerate(transitions)}
+        max_residual = max([0.0] + [residual for _, residual in transitions])
+        restore = Move("bob", k_full, v_blocks, controls=yj_wires)
+        spec_double = ProtocolSpec(
+            layout,
+            (prep, alice_move, restore, *spec_prime.moves[first_alice + 1 :]),
+            spec_prime.final_measurement,
+        )
+        out.append((spec_double, max_residual))
+    return out
 
-    # Target states: P' after its opening move and corrective, embedded
-    # in the new register space (B'' spectator at |0>).
-    bob_moves = spec_prime.moves[:first_alice]
-    chis = evolve(bob_moves, initial_states(layout, assignments)).bipartites(m_wires, k_full)
-    found = exact_local_transitions([(chi, xi) for chi in chis])
-    v_blocks = {z: v_z for z, (v_z, _) in enumerate(found)}
-    max_residual = max([0.0] + [residual for _, residual in found])
 
-    restore = Move("bob", k_full, v_blocks, controls=yj_wires)
-    spec_double = ProtocolSpec(
-        layout,
-        (prep, alice_move, restore, *spec_prime.moves[first_alice + 1 :]),
-        spec_prime.final_measurement,
-    )
-    run_double = run_protocol(spec_double, slice_distribution(family, j))
+def _drop_report(family, spec_prime, spec_double, first, residual, run_double) -> DropReport:
+    """The P' -> P'' certificate from P'''s run on the slice, against the
+    outcomes of P' in ``first``."""
     max_tv = np.max(total_variation(first.prime_outcomes, run_double.outcome_distributions))
     budget = spec_prime.message_qubits + int(np.ceil(np.log2(family.n)))
-    report = DropReport(
-        j=j,
+    return DropReport(
+        j=first.j,
         rounds_before=spec_prime.rounds,
         rounds_after=spec_double.rounds,
         message_qubits_before=spec_prime.message_qubits,
         message_qubits_after=spec_double.message_qubits,
         budget=budget,
         max_outcome_tv=float(max_tv),
-        max_transition_residual=float(max_residual),
+        max_transition_residual=float(residual),
     )
-    return spec_double, report
+
+
+def drop_first_message(
+    family: TwoRoundFamily, spec_prime: ProtocolSpec, first: FirstMessageReport
+) -> tuple[ProtocolSpec, DropReport]:
+    """Derive P'' (see :func:`_double_specs`): the one-item P' -> P'' step
+    of :func:`run_pipelines`.
+
+    The outcome distribution matches P' on every slice input, with one
+    round fewer and at most ceil(log2 n) extra message qubits. ``first``
+    is :func:`modify_first_message`'s report on ``spec_prime``: its
+    first messages and outcome distributions on the slice are reused.
+    """
+    ((spec_double, residual),) = _double_specs(
+        [(family, spec_prime, first.j, first.prime_messages)]
+    )
+    (run_double,) = _slice_runs(family, first.j, (spec_double,))
+    return spec_double, _drop_report(family, spec_prime, spec_double, first, residual, run_double)
 
 
 @dataclass(frozen=True)
@@ -417,30 +476,58 @@ class PipelineReport:
         return self.first.eps_j + 4.0 * self.mus[self.j] ** 0.25 - self.first.delta_j
 
 
+def _slot_reports(family, j, prime, double, messages, mu_j_prime) -> tuple:
+    """Slot j's P -> P' and P' -> P'' certificates, as the one-case steps
+    report them, from P, P' and P'' run on one superposed slice."""
+    (spec_prime, *aligned), (spec_double, residual) = prime, double
+    specs = (family.spec, spec_prime, spec_double)
+    run, run_prime, run_double = _slice_runs(family, j, specs)
+    first = _first_report(j, aligned, messages, mu_j_prime, run, run_prime)
+    return first, _drop_report(family, spec_prime, spec_double, first, residual, run_double)
+
+
 def run_pipeline(style: str, n: int = 2) -> tuple[PipelineReport, ...]:
     """Run P -> P' -> P'' for one toy instance at each slot j and collect
-    every check.
+    every check: the one-style :func:`run_pipelines`."""
+    return next(run_pipelines((style,), n))
 
-    The message-information budget does not depend on j and is computed
-    once. P's error on the superposed slice is the first step's eps_j.
+
+def run_pipelines(styles, n: int = 2) -> Iterator[tuple[PipelineReport, ...]]:
+    """:func:`run_pipeline` per style, yielded in turn, the (style, j)
+    instances taken through each stage together.
+
+    A stage certifies a group's instances in one stacked call each: the
+    P -> P' alignments, the first messages of P' and of the group's
+    budgets and their Holevo informations, and the P' -> P'' purifications
+    and exact transitions. A group holds the instances whose derived
+    blocks and stage matrices, under 4^(n + 3) entries each (dim_k <=
+    2^(n + 1)), fit in BLOCK_ENTRIES: all of them at n = 2, four at
+    n = 3, one from n = 4 on. Each slot's superposed slice is built once
+    for P, P' and P''.
     """
-    family = two_round_family(style, n)
-    mus, joint, ell1 = message_info_budget(family.spec, family)
-    reports = []
-    for j in range(family.n):
-        spec_prime, first_report = modify_first_message(family, j)
-        _, drop_report = drop_first_message(family, spec_prime, first_report)
-        cla = run_protocol(family.spec, slice_distribution(family, j, superposed=False))
-        reports.append(
-            PipelineReport(
-                style=style,
-                j=j,
-                first=first_report,
-                drop=drop_report,
-                mus=tuple(mus),
-                joint_info=joint,
-                ell1=ell1,
-                classical_error=cla.error_avg,
+    cases = ((f, j) for f in (two_round_family(style, n) for style in styles) for j in range(n))
+    step = max(1, BLOCK_ENTRIES // 4 ** (n + 3))
+    budgets, reports = [], []
+    while group := list(islice(cases, step)):  # a family is built with its first group
+        budget_runs = [run for f, j in group if j == 0 for run in _budget_runs(f.spec, f)]
+        primes = _prime_specs(group)
+        prime_runs = [(p[0], _slot_assignments(f, j)) for (f, j), p in zip(group, primes)]
+        messages = message_states_of([*budget_runs, *prime_runs])
+        infos = uniform_cube_informations(messages)
+        budgets += [infos[i : i + n + 1] for i in range(0, len(budget_runs), n + 1)]
+        del messages[: len(budget_runs)], infos[: len(budget_runs)]
+        doubles = _double_specs([(f, p[0], j, m) for (f, j), p, m in zip(group, primes, messages)])
+        for (family, j), *stages in zip(group, primes, doubles, messages, infos):
+            first, drop = _slot_reports(family, j, *stages)
+            # P on the classical slice, the largest allocation, after the
+            # superposed runs' arrays are freed; only its error is kept
+            cla = _slice_runs(family, j, (family.spec,), superposed=False)[0].error_avg
+            if j == 0:  # the family's budget, computed with its first slot
+                *mus, joint = budgets.pop(0)
+            ell1 = family.spec.first_message_qubits
+            reports.append(
+                PipelineReport(family.style, j, first, drop, tuple(mus), joint, ell1, cla)
             )
-        )
-    return tuple(reports)
+            if len(reports) == n:
+                yield tuple(reports)
+                reports = []

@@ -530,8 +530,8 @@ def reduction_suite(cfg: SuiteConfig) -> list[CheckResult]:
     info_budget = _Tally("message_info_budget", _tol(cfg, 1e-9))
     sup_cls = _Tally("superposed_vs_classical", _tol(cfg, 1e-12))
     residual = _Tally("transition_residual", _tol(cfg, 1e-8))
-    for style in _PIPELINE_STYLES:
-        for rep in reduction.run_pipeline(style, cfg.n):
+    for reports in reduction.run_pipelines(_PIPELINE_STYLES, cfg.n):
+        for rep in reports:
             independence.agree(rep.first.mu_j_prime)
             align_bound.add(rep.first.alignment_bound_slack)
             info_bound.add(rep.info_bound_slack)

@@ -1,4 +1,6 @@
 import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,31 @@ def test_non_unitary_move_rejected():
             (proto.Move("alice", (0,), {0: np.array([[1.0, 0.0], [0.0, 0.5]])}),),
             proto.Measurement("alice", (0,), {0: (P0, P1)}),
         )
+
+
+def test_a_failed_verdict_raises_in_every_spec_built_with_it(monkeypatch):
+    # the unitarity verdict is kept on the move's table, which a copy by
+    # replace shares, and the projective one on the measurement: a failing
+    # object raises wherever it is built in, a passing one is judged once
+    layout = proto.make_layout([("w", 1, "work", "alice"), ("v", 1, "work", "alice")])
+    meas = proto.Measurement("alice", (0,), {0: (P0, P1)})
+    bad = proto.Move("alice", (0,), {0: np.array([[1.0, 0.0], [0.0, 0.5]])})
+    good = proto.Move("alice", (1,), {0: proto.H})
+    for moves in ((bad,), (bad,), (good, replace(bad, send=())), (replace(bad, targets=(0,)),)):
+        with pytest.raises(ProtocolError, match=f"move {len(moves) - 1}: a block is not unitary"):
+            proto.ProtocolSpec(layout, moves, meas)
+    assert replace(bad).table is bad.table and bad.table.unitary is False
+
+    judged = []
+    validate = proto.validate_projective
+    monkeypatch.setattr(proto, "validate_projective", lambda *a: judged.append(a) or validate(*a))
+    not_projective = proto.Measurement("alice", (0,), {0: (P0, P0)})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="do not sum to the identity"):
+            proto.ProtocolSpec(layout, (good,), not_projective)
+    for _ in range(3):
+        proto.ProtocolSpec(layout, (good,), meas)
+    assert len(judged) == 2 + 1
 
 
 def test_measurement_ownership_enforced():

@@ -43,6 +43,61 @@ def test_bloch_success_cube_vertices():
     assert rac.bloch_success(bloch, 3) == pytest.approx(THREE_BIT_OPTIMUM, abs=1e-14)
 
 
+def _per_start_oracle(n, seed, starts):
+    """The see-saw one start at a time, each drawing from the shared stream
+    in turn; the first start of the highest success wins."""
+    s = rac._signs(n)
+    stream = Stream(seed)
+    best_val, best = -1.0, None
+    for _ in range(starts):
+        g = stream.gauss_array(3 * (2**n + n)).reshape(-1, 3)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        bloch, u = g[: 2**n], g[2**n :]
+        for _ in range(rac.SEESAW_ROUNDS):
+            norms = np.linalg.norm(s @ bloch, axis=1, keepdims=True)
+            u = np.divide(s @ bloch, norms, out=u.copy(), where=norms > 1e-12)
+            norms = np.linalg.norm(s.T @ u, axis=1, keepdims=True)
+            bloch = np.divide(s.T @ u, norms, out=bloch.copy(), where=norms > 1e-12)
+        val = 0.5 + float(np.linalg.norm(s @ bloch, axis=1).sum()) / (2 ** (n - 1) * 4.0 * n)
+        if val > best_val:
+            best_val, best = val, bloch
+    return best_val, best
+
+
+@pytest.mark.parametrize("n, starts", [(2, 2), (3, 3), (3, 6), (1, 1), (4, 5)])
+def test_oracle_starts_in_lockstep_equal_the_per_start_loop(n, starts):
+    # 3 (2^n + n) draws per start: odd at n = 3, so a start's last Gaussian
+    # is the spare of a Box-Muller pair whose first value the start before drew
+    for seed in (5, 7, 91):
+        val, bloch = rac.optimize_rac(n, seed=seed, starts=starts)
+        want_val, want = _per_start_oracle(n, seed, starts)
+        assert type(val) is float and val == want_val
+        assert bloch.shape == want.shape and bloch.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("starts", (1, 2, 6))
+def test_oracle_normalizes_all_starts_in_one_call_per_half_step(monkeypatch, starts):
+    calls = []
+    unit_rows = rac._unit_rows
+
+    def counting(v, prev):
+        calls.append(v.shape)
+        return unit_rows(v, prev)
+
+    monkeypatch.setattr(rac, "_unit_rows", counting)
+    rac.optimize_rac(2, seed=5, starts=starts)
+    assert len(calls) == 2 * rac.SEESAW_ROUNDS
+    assert set(calls) == {(starts, 2, 3), (starts, 4, 3)}
+
+
+def test_bloch_success_of_a_stack_is_each_encoding_s():
+    g = Stream(44).gauss_array(5 * 8 * 3).reshape(5, 8, 3)
+    bloch = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    got = rac.bloch_success(bloch, 3)
+    assert got.shape == (5,)
+    assert got.tolist() == [rac.bloch_success(b, 3) for b in bloch]
+
+
 def test_oracle_finds_two_bit_optimum():
     val, bloch = rac.optimize_rac(2, seed=5, starts=2)
     assert val == pytest.approx(COS2_PI8, abs=1e-12)

@@ -1,8 +1,10 @@
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
+from qilab import info, linalg, states, transition
 from qilab import protocol as proto
 from qilab import reduction as red
 from qilab.errors import ReductionError
@@ -357,61 +359,144 @@ def test_pipeline_report_fields():
     assert rep.first.eps_j == pytest.approx(rep.classical_error, abs=1e-12)
 
 
+def _count_simulations(monkeypatch):
+    """Lists that grow by one per protocol run, slice distribution, spec built
+    and first-message ensemble simulated, in every module that binds them."""
+    counts = {"runs": [], "slices": [], "built": [], "messages": []}
+    run, slices = red.run_protocol, red.slice_distribution
+    messages, init = proto.message_states_of, proto.ProtocolSpec.__post_init__
+
+    def counting_run(spec, ensemble):
+        counts["runs"].append(spec)
+        return run(spec, ensemble)
+
+    def counting_slices(*args, **kwargs):
+        counts["slices"].append(args)
+        return slices(*args, **kwargs)
+
+    def counting_messages(runs):
+        runs = list(runs)
+        counts["messages"].extend(spec for spec, _ in runs)
+        return messages(runs)
+
+    def counting_init(self):
+        counts["built"].append(self)
+        init(self)
+
+    monkeypatch.setattr(red, "run_protocol", counting_run)
+    monkeypatch.setattr(red, "slice_distribution", counting_slices)
+    for module in (proto, red):
+        monkeypatch.setattr(module, "message_states_of", counting_messages)
+    monkeypatch.setattr(proto.ProtocolSpec, "__post_init__", counting_init)
+    return counts
+
+
 def test_pipeline_makes_four_protocol_runs_per_slot(monkeypatch):
-    # four runs per slot: P and P' on the superposed slice, once each, by
-    # modify_first_message (run_pipeline reads eps_j and drop_first_message
-    # reuses P''s outcomes), P'' on it by drop_first_message, and P on the
-    # classical slice; the message-information budget is computed once.
-    # Five first-message simulations per pipeline: the budget's two slots
-    # and joint ensemble, and P''s slot ensemble once per slot, which
-    # drop_first_message reuses
-    runs, budgets, messages = [], [], []
-    original_run, original_budget = red.run_protocol, red.message_info_budget
-    original_messages = red.message_states
-
-    def counting(spec, ensemble):
-        runs.append(spec)
-        return original_run(spec, ensemble)
-
-    def counting_budget(spec, family):
-        budgets.append(spec)
-        return original_budget(spec, family)
-
-    def counting_messages(spec, assignments):
-        messages.append(spec)
-        return original_messages(spec, assignments)
-
-    monkeypatch.setattr(red, "run_protocol", counting)
-    monkeypatch.setattr(red, "message_info_budget", counting_budget)
-    monkeypatch.setattr(red, "message_states", counting_messages)
+    # four runs per slot: P, P' and P'' on the superposed slice, which is
+    # built once for the three, and P on the classical slice. Five
+    # first-message ensembles simulated per pipeline: the budget's two slots
+    # and joint ensemble, computed once, and P''s slot ensemble once per
+    # slot, which the P'' step reuses. Five specs built: the family, and P'
+    # and P'' per slot
+    counts = _count_simulations(monkeypatch)
     reports = red.run_pipeline("rotation")
     assert [rep.j for rep in reports] == [0, 1]
-    assert len(runs) == 4 * len(reports) and len(budgets) == 1
-    assert len(messages) == 5
+    assert len(counts["runs"]) == 4 * len(reports)
+    assert len(counts["slices"]) == 2 * len(reports)
+    assert len(counts["messages"]) == 5 and len(counts["built"]) == 5
 
 
 def test_seed_one_protocol_pass_simulates_and_builds_each_spec_once(monkeypatch):
     # the rac suite builds and simulates 3 specs; each reduction pipeline
     # builds its family, P' and P'' per slot (5 specs) and simulates 5
     # first-message ensembles, over 4 styles
-    messages, built = [], []
-    original_messages = proto.message_states
-    original_init = proto.ProtocolSpec.__post_init__
-
-    def counting_messages(spec, assignments):
-        messages.append(spec)
-        return original_messages(spec, assignments)
-
-    def counting_init(self):
-        built.append(self)
-        original_init(self)
-
-    for module in (proto, red):
-        monkeypatch.setattr(module, "message_states", counting_messages)
-    monkeypatch.setattr(proto.ProtocolSpec, "__post_init__", counting_init)
+    counts = _count_simulations(monkeypatch)
     for suite in ("rac", "reduction"):
         run_suite(suite, SuiteConfig(seed=1))
-    assert len(messages) <= 23 and len(built) <= 23
+    assert len(counts["messages"]) <= 23 and len(counts["built"]) <= 23
+
+
+def _same_report(got, want) -> None:
+    """Two reports equal field for field with ==, arrays and the first
+    messages' matrices bit for bit."""
+    assert type(got) is type(want)
+    for field in fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if is_dataclass(b):
+            _same_report(a, b)
+        elif isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+        elif field.name == "prime_messages":
+            assert [m.mat.tobytes() for m in a] == [m.mat.tobytes() for m in b]
+            assert [m.entropy for m in a] == [m.entropy for m in b]
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_pipelines_in_lockstep_equal_the_per_instance_stages(n):
+    # the reference takes each (style, j) through its own stages: the
+    # one-family budget, the one-case P -> P' and P' -> P'' steps, and P on
+    # the classical slice, each with its own kernel calls. At n = 2 one
+    # group holds every instance, at n = 3 groups of four cross families,
+    # and at n = 4 each instance is a group of its own
+    got = list(red.run_pipelines(STYLES, n))
+    assert len(got) == len(STYLES)
+    for style, reports in zip(STYLES, got):
+        fam = red.two_round_family(style, n)
+        mus, joint, ell1 = red.message_info_budget(fam.spec, fam)
+        assert [rep.j for rep in reports] == list(range(n))
+        for j, rep in enumerate(reports):
+            spec_prime, first = red.modify_first_message(fam, j)
+            _, drop = red.drop_first_message(fam, spec_prime, first)
+            cla = proto.run_protocol(fam.spec, red.slice_distribution(fam, j, superposed=False))
+            want = red.PipelineReport(style, j, first, drop, tuple(mus), joint, ell1, cla.error_avg)
+            _same_report(rep, want)
+
+
+def test_a_group_holds_the_instances_whose_blocks_fit_block_entries(monkeypatch):
+    # at n = 3 an instance takes under 4^6 entries, so a group holds
+    # BLOCK_ENTRIES // 4^6 = 4 instances: the 6 slots of two families make
+    # one P -> P' alignment call of 4 x 2 pairs, then one of 2 x 2
+    sizes = []
+    aligns = red.uhlmann_aligns
+
+    def counting(pairs):
+        sizes.append(len(pairs))
+        return aligns(pairs)
+
+    monkeypatch.setattr(red, "uhlmann_aligns", counting)
+    assert [len(reports) for reports in red.run_pipelines(STYLES[:2], 3)] == [3, 3]
+    assert sizes == [8, 4]
+
+
+def test_seed_one_reduction_suite_stacks_each_stage(monkeypatch):
+    # at n = 2 the 8 (style, slot) instances share one alignment call per
+    # step, one purification call and one Holevo call per cube size (2 and
+    # 4 messages); each slot's superposed slice serves P, P' and P''
+    calls = Counter()
+    bound = {  # every module binding each counted function
+        "uhlmann_aligns": (transition, red),
+        "canonical_purifications": (states, red),
+        "holevo_informations": (info,),
+        "hermitian_eig": (linalg,),
+        "slice_distribution": (red,),
+        "run_protocol": (red,),
+    }
+    for name, modules in bound.items():
+        real = getattr(modules[0], name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            assert getattr(module, name) is real
+            monkeypatch.setattr(module, name, counting)
+    run_suite("reduction", SuiteConfig(seed=1, n=2))
+    assert calls["uhlmann_aligns"] <= 2 and calls["canonical_purifications"] == 1
+    assert calls["holevo_informations"] <= 4 and calls["hermitian_eig"] <= 28
+    assert calls["slice_distribution"] <= 16 and calls["run_protocol"] == 32
 
 
 @pytest.mark.parametrize("style", STYLES)

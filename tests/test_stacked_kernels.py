@@ -256,6 +256,17 @@ def test_a_bad_weight_row_is_named(bad):
         states.mixture_matrix(w[2], stacks[:, 2])
 
 
+@pytest.mark.parametrize("at", [(1, 2), (0, 1)])
+def test_a_bad_weight_row_of_a_deep_stack_is_named_by_its_index(at):
+    # a flat index into (2, 3) rows was out of range at (1, 2) and named the
+    # wrong row at (0, 1)
+    w = np.full((2, 3, 2), 0.5)
+    w[at] = [0.9, 0.3]
+    named = rf"^priors in row \({at[0]}, {at[1]}\) must .* got \[0.9 0.3\]$"
+    with pytest.raises(NormalizationError, match=named):
+        info.holevo_informations(w, np.ones((2, 3, 2)), np.ones((2, 3)))
+
+
 def test_stacked_holevo_informations_match_holevo_information_bitwise():
     rows = []
     for n in (2, 3, 4):

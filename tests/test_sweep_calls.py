@@ -72,8 +72,9 @@ SVD_BUDGET = {"metrics": 120, "info": 0, "transition": 48}
 SEED_BUDGET = {"metrics": (0, 0), "info": (0, 0), "transition": (401, 0), "encoding": (0, 210)}
 # apply_k_unitaries calls per seed-1 suite: a scramble and an alignment per
 # block of the transition suite's exact trials (one block at seed 1), one
-# alignment per drop_first_message
-APPLY_BUDGET = {"transition": 8, "reduction": 8}
+# alignment for all of the reduction's P' -> P'' steps (8 while each step
+# aligned its own)
+APPLY_BUDGET = {"transition": 8, "reduction": 1}
 # DensityMatrix views built per seed-1 suite (encoding 2,760 while it built an
 # ensemble per cube)
 VIEW_BUDGET = {"metrics": 0, "info": 0, "transition": 0, "encoding": 0}

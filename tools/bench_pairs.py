@@ -20,6 +20,15 @@ won (lower is better for every end-to-end metric). For each side and seed it
 also keeps the SHA-256 and exit status of ``qilab --suite all --seed S
 --format json``, so a claim that the reports stay byte-identical sits beside
 the timing pairs.
+
+Each ``--cli "ARGS"`` adds whole-CLI pairs, after the workloads' and from the
+same exports: both sides run ``python -m qilab ARGS`` in alternating order, and
+each run keeps its wall time, the child's own peak RSS (``ru_maxrss``) and the
+SHA-256 and exit status of its report, summarized as a workload named
+``qilab ARGS``. ``--pairs "ARGS=N"`` sets one such entry's pair count:
+
+    python3 tools/bench_pairs.py --parent c81421a --label lockstep --workloads "" \
+        --cli "--suite reduction --n 5 --format json" --pairs 3
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import hashlib
 import json
 import os
 import platform
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -94,6 +104,34 @@ def run_once(command: list[str], cwd: Path, workload: str, seed: int, seconds: f
         return {"correct": False, "error": f"exit {proc.returncode}: {tail}"}
 
 
+def run_cli(args: str, cwd: Path) -> dict:
+    """One ``python -m qilab ARGS`` run in the tree: its wall time, the peak RSS
+    of that child alone (from its own ``wait4``), and its report's SHA-256."""
+    argv = [sys.executable, "-m", "qilab", *shlex.split(args)]
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=err)
+        with proc.stdout:
+            out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        err.seek(0)
+        tail = (err.read().decode(errors="replace").strip().splitlines() or [""])[-1]
+    return {
+        "metrics": {
+            "wall_s": {"value": wall, "unit": "s"},
+            "peak_rss_mb": {"value": usage.ru_maxrss / 1024.0, "unit": "MiB"},  # KiB on Linux
+        },
+        # exit 1 is a report with violations; a crash leaves no report
+        "failed": int(not out or proc.returncode not in (0, 1)),
+        "exit": proc.returncode,
+        "sha256": hashlib.sha256(out).hexdigest(),
+        **({"stderr_tail": tail} if tail else {}),
+    }
+
+
 def report_hash(cwd: Path, seed: int) -> dict:
     """SHA-256 and exit status of the tree's ``qilab --suite all --seed S --format json``."""
     argv = [sys.executable, "-m", "qilab", "--suite", "all", "--seed", str(seed), "--format", "json"]
@@ -109,6 +147,9 @@ def summarize(runs: list[dict]) -> dict:
         mine = [r for r in runs if r["workload"] == workload]
         failed = [r for r in mine if "metrics" not in r["result"] or r["result"]["failed"]]
         out[f"{workload}.failed_runs"] = len(failed)
+        reports = {(r["result"].get("sha256"), r["result"].get("exit")) for r in mine}
+        if any("sha256" in r["result"] for r in mine):  # whole-CLI runs: one report for all
+            out[f"{workload}.reports_identical"] = len(reports) == 1
         by_pair: dict[int, dict] = {}
         for r in mine:
             if "metrics" in r["result"]:
@@ -151,7 +192,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default="sweep,encoding,protocol,large-d")
     parser.add_argument("--seeds", default="1,2")
     parser.add_argument("--pairs", action="append", default=[], metavar="[W=]N",
-                        help="pairs per workload, seeds cycling (default 10); W=N sets one workload's")
+                        help="pairs per workload or --cli entry, seeds cycling (default 10); "
+                        "W=N sets one's")
+    parser.add_argument("--cli", action="append", default=[], metavar="ARGS",
+                        help="also pair whole `python -m qilab ARGS` runs (repeatable)")
     parser.add_argument("--workdir", type=Path, default=None,
                         help="where the two exports go (default: a new temporary directory)")
     parser.add_argument("--claim", default="", help="the claim the pairs test, kept in the file")
@@ -160,9 +204,9 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
-    workloads = args.workloads.split(",")
+    workloads = [w for w in args.workloads.split(",") if w]
     seeds = [int(s) for s in args.seeds.split(",")]
-    counts = parse_pairs(args.pairs, workloads)
+    counts = parse_pairs(args.pairs, [*workloads, *args.cli])
     parent = git("rev-parse", "--short", args.parent, text=True).stdout.strip()
     head = git("rev-parse", "--short", "HEAD", text=True).stdout.strip()
 
@@ -178,13 +222,18 @@ def main(argv=None) -> int:
     reports = {side: {str(s): report_hash(trees[side], s) for s in seeds} for side in SIDES}
     identical = all(reports["parent"][str(s)] == reports["child"][str(s)] for s in seeds)
     runs = []
-    for workload in workloads:
-        for pair in range(counts[workload]):
-            seed = seeds[pair % len(seeds)]
+    for name in [*workloads, *args.cli]:
+        cli = name in args.cli
+        for pair in range(counts[name]):
+            seed = None if cli else seeds[pair % len(seeds)]  # a --cli entry sets its own
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for k, side in enumerate(order):
                 start = time.time()
-                result = run_once(bench["command"], trees[side], workload, seed, seconds)
+                if cli:
+                    result = run_cli(name, trees[side])
+                else:
+                    result = run_once(bench["command"], trees[side], name, seed, seconds)
+                workload = f"qilab {name}" if cli else name
                 runs.append({
                     "workload": workload, "pair": pair, "seed": seed, "side": side,
                     "ran_first": k == 0, "started": round(start, 1), "result": result,
@@ -195,6 +244,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "claim": args.claim,
         "command": f"{' '.join(bench['command'])} --workload W --seed S --seconds {seconds:g} --trace 0",
+        "cli": [f"python -m qilab {a}" for a in args.cli],
         "parent": parent,
         "child": f"working tree on {head}",
         "host": host(),
