@@ -401,7 +401,9 @@ def random_density_chunks(trials, derive=None):
     ``Stream(seed).complex_gauss_matrix(rows, cols)``. A list is emptied when
     the next is asked for. ``derive(keys, mats)`` maps a shape's keys and spec
     stacks to one ``(stack, tol)`` per derived position, a row per trial (else
-    SizeError), certified onto ``stacks`` as :func:`make_densities` does."""
+    SizeError), certified onto ``stacks`` as :func:`make_densities` does.
+    Trials keep the batches' order, the caller's to choose: a block makes its
+    stacked calls once per shape in it, so batches sorted by shape make few."""
     for block in _blocks(trials):
         chunk = _block_columns(block, derive)
         yield chunk

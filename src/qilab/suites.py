@@ -5,6 +5,11 @@ with the number of violations of its tolerance. Slack conventions:
 inequality checks report rhs - lhs (so negative means violated);
 agreement checks report tol - |difference| and pass only at
 |difference| <= tol.
+
+Trials may reach a check in any order: each suite hands them over sorted by
+shape (:func:`_batches`). A tally keeps only its trial and violation counts and
+its least slack, which do not depend on the order; a tie keeps the first trial,
+its seed and, at a 0.0 / -0.0 tie, its sign of ``min_slack``.
 """
 
 from __future__ import annotations
@@ -122,10 +127,15 @@ def _dim_cycle(cfg: SuiteConfig, t: int) -> int:
     return lo + t % (hi - lo + 1)
 
 
-def _batches(trials: int, size: int = CHUNK_TRIALS):
-    """Trial indices ``0 ... trials - 1`` in arrays of at most ``size``."""
-    for lo in range(0, trials, size):
-        yield np.arange(lo, min(lo + size, trials))
+def _batches(trials: int, *keys: np.ndarray):
+    """Trial indices ``0 ... trials - 1``, sorted stably by the shape ``keys``
+    (arrays over the indices, the first most significant), in arrays of at
+    most :data:`CHUNK_TRIALS` that each hold one value of the first key."""
+    keys = keys or (np.zeros(trials),)  # no key: one shape, in index order
+    t = np.lexsort(keys[::-1])
+    for run in np.split(t, np.flatnonzero(np.diff(keys[0][t])) + 1):
+        for lo in range(0, len(run), CHUNK_TRIALS):
+            yield run[lo : lo + CHUNK_TRIALS]
 
 
 def _triples(*columns) -> np.ndarray:
@@ -145,7 +155,7 @@ def _specs(dims, seeds) -> np.ndarray:
 def _metrics_trials(cfg: SuiteConfig, trials: int):
     """Per batch of metrics trials, their two random densities and Gaussian
     draws: two pure columns, then the 2x2 and 3x3 factors of a Kronecker product."""
-    for t in _batches(trials):
+    for t in _batches(trials, _dim_cycle(cfg, np.arange(trials))):
         dims = _dim_cycle(cfg, t)
         specs = _specs(dims[:, None], derive_seeds(cfg.seed, 10, t[:, None], [0, 1]))
         seeds = np.hstack([derive_seeds(cfg.seed, tag, t[:, None], [0, 1]) for tag in (11, 12)])
@@ -201,23 +211,22 @@ def _metrics_chunk(chunk, fvg_lower, fvg_upper, tight, pure_agree, tensor_mult) 
 def _info_trials(seed: int, trials: int):
     """Per info batch, its keys ``(priors, p, joint, ws)`` of stream draws, the
     specs of its random densities and the Gaussian draw of its measurement
-    basis, a batch at a time and in it a shape (t mod 6) at a time, as no
-    check depends on their order; the rows of a stream draw side by side."""
-    for t in _batches(trials, 6 * CHUNK_TRIALS):  # up to a chunk of each shape
-        for r in range(6):
-            n, k = 2 + r % 3, 2 + r % 2  # the ensemble's states and dim; the sigmas' count and dim
-            trial_seeds = derive_seeds(seed, 20, t[t % 6 == r])
-            e, s = StreamRows(trial_seeds), StreamRows(derive_seeds(seed, 21, t[t % 6 == r]))
-            e_ranks, u_e = e.integer(n, n), e.uniform(n) + 0.05
-            u_p, sigma_ranks = s.uniform(k) + 0.05, s.integer(k, k)
-            u_j, yz_ranks = s.uniform(8) + 1e-3, s.integer(4, 4)
-            u_w, rest = s.uniform(3) + 0.05, [s.integer(3, 3), s.integer(4)]
-            priors, p, joint, ws = (u / u.sum(axis=-1, keepdims=True) for u in (u_e, u_p, u_j, u_w))
-            ranks = 1 + np.hstack([e_ranks, sigma_ranks, yz_ranks, *rest])
-            tags = [*range(n), *range(30, 30 + k), *range(40, 44), *range(50, 53), 60, 1]
-            seeds = derive_seeds(trial_seeds[:, None], tags)
-            specs = _triples([n] * n + [k] * k + [4] * 4 + [3] * 3 + [4], ranks, seeds[:, :-1])
-            yield (priors, p, joint.reshape(-1, 2, 2, 2), ws), specs, _triples(n, n, seeds[:, -1:])
+    basis, a batch of one shape (t mod 6) at a time; the rows of a stream draw
+    side by side."""
+    for t in _batches(trials, np.arange(trials) % 6):
+        n, k = 2 + int(t[0]) % 3, 2 + int(t[0]) % 2  # ensemble size and dim, sigma count and dim
+        trial_seeds = derive_seeds(seed, 20, t)
+        e, s = StreamRows(trial_seeds), StreamRows(derive_seeds(seed, 21, t))
+        e_ranks, u_e = e.integer(n, n), e.uniform(n) + 0.05
+        u_p, sigma_ranks = s.uniform(k) + 0.05, s.integer(k, k)
+        u_j, yz_ranks = s.uniform(8) + 1e-3, s.integer(4, 4)
+        u_w, rest = s.uniform(3) + 0.05, [s.integer(3, 3), s.integer(4)]
+        priors, p, joint, ws = (u / u.sum(axis=-1, keepdims=True) for u in (u_e, u_p, u_j, u_w))
+        ranks = 1 + np.hstack([e_ranks, sigma_ranks, yz_ranks, *rest])
+        tags = [*range(n), *range(30, 30 + k), *range(40, 44), *range(50, 53), 60, 1]
+        seeds = derive_seeds(trial_seeds[:, None], tags)
+        specs = _triples([n] * n + [k] * k + [4] * 4 + [3] * 3 + [4], ranks, seeds[:, :-1])
+        yield (priors, p, joint.reshape(-1, 2, 2, 2), ws), specs, _triples(n, n, seeds[:, -1:])
 
 
 def _info_derived(keys, mats) -> list[tuple[np.ndarray, float]]:
@@ -304,16 +313,12 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
 
 def _cube_trials(cases):
-    """Per batch of ``(m, dim, seed)`` cases, a batch per m, its cases sorted by
-    dim, as no check depends on their order: keys ``(m, seed)`` and the specs
-    of each cube's 2^m random densities."""
+    """Per batch of ``(m, dim, seed)`` cases of one m, sorted by dim: keys
+    ``(m, seed)`` and the specs of each cube's 2^m random densities."""
     ms, dims, seeds = np.array(list(cases), dtype=np.uint64).reshape(-1, 3).T
-    for t in _batches(len(ms), 6 * CHUNK_TRIALS):  # up to a chunk of each m
-        for m in dict.fromkeys(ms[t].tolist()):
-            at = t[ms[t] == m]
-            at = at[np.argsort(dims[at], kind="stable")]
-            state_seeds = derive_seeds(seeds[at, None], np.arange(2**m))
-            yield (ms[at], seeds[at]), _specs(dims[at, None], state_seeds)
+    for at in _batches(len(ms), ms, dims):
+        state_seeds = derive_seeds(seeds[at, None], np.arange(2 ** int(ms[at[0]])))
+        yield (ms[at], seeds[at]), _specs(dims[at, None], state_seeds)
 
 
 def _encoding_derived(keys, mats) -> list[tuple[np.ndarray, float]]:
@@ -412,7 +417,8 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
     chain = _Tally("fidelity_trace_chain", _tol(cfg, 1e-9))
 
     def pair_trials():
-        for t in _batches(trials):
+        dims = 2 + np.arange(trials) % 3
+        for t in _batches(trials, dims, dims + np.arange(trials) % (7 - dims)):  # (dim, dim_k)
             yield (t,), _specs(2 + t[:, None] % 3, derive_seeds(cfg.seed, 40, t[:, None], [0, 1]))
 
     for chunk in random_density_chunks(pair_trials()):
@@ -426,10 +432,11 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
                 chain.add(dist - (1.0 - f))
 
     exact = _Tally("exact_transition", _tol(cfg, 1e-8))
+    few = max(trials // 5, 50)  # the exact and sweep trials
 
     def exact_trials():
         # a density on H, purified into K, and a Gaussian for a unitary on K
-        for t in _batches(max(trials // 5, 50)):
+        for t in _batches(few, np.arange(few) % 3):
             seeds, dim_k = derive_seeds(cfg.seed, 41, t), 2 + 2 * (t % 3)
             draws = _triples(dim_k, dim_k, derive_seeds(seeds, 1))[:, None]
             yield (t,), _specs(2 + t[:, None] % 3, seeds[:, None]), draws
@@ -449,7 +456,7 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
     sweep_seed = derive_seed(cfg.seed, 42)
 
     def sweep_trials():
-        for t in _batches(max(trials // 5, 50)):
+        for t in _batches(few):
             pairs = [[derive_seed(sweep_seed, i, side) for side in (0, 1)] for i in t.tolist()]
             seeds = np.array(pairs, dtype=np.uint64)
             yield (seeds[:, 0],), _triples(3, [[1 + mix64(s) % 3 for s in p] for p in pairs], seeds)

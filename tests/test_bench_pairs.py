@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,34 @@ def test_cli_pairs_record_time_peak_memory_and_report_hash(tmp_path, monkeypatch
     assert summary[f"qilab {args}.reports_identical"] is True
     assert summary[f"qilab {args}.wall_s"]["pairs"] == 2
     assert summary[f"qilab {args}.peak_rss_mb"]["pairs"] == 2
+
+
+def test_a_run_records_its_pass_count_and_the_summary_gives_it_per_side(monkeypatch):
+    tool = _tool()
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))
+    checks = len(reference["sweep"]["1"])
+    assert tool.checks_per_pass(ROOT, "sweep") == checks == 18
+
+    def fake_run(argv, **kwargs):  # run.py's final line after 3 passes
+        line = json.dumps({"correct": True, "attempted": 3 * checks, "failed": 0, "metrics": {}})
+        return subprocess.CompletedProcess(argv, 0, stdout=f"qilab benchmark\n{line}\n", stderr="")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    result = tool.run_once(["python3", "perfbench/run.py"], ROOT, "sweep", 1, 20)
+    assert result["passes"] == 3
+
+    def run(pair, side, passes, rss):
+        metrics = {"peak_rss_mb": {"value": rss, "unit": "MiB"}}
+        result = {"failed": 0, "attempted": passes * checks, "passes": passes, "metrics": metrics}
+        return {"workload": "sweep", "pair": pair, "side": side, "result": result}
+
+    runs = [run(0, "parent", 60, 40.0), run(0, "child", 66, 40.5), run(1, "child", 68, 40.6),
+            run(1, "parent", 61, 40.1), run(2, "parent", 59, 40.0), run(2, "child", 70, 40.4)]
+    summary = tool.summarize(runs)
+    assert summary["sweep.passes"] == {
+        "parent": {"median": 60, "range": [59, 61]},
+        "child": {"median": 68, "range": [66, 70]},
+    }
+    assert summary["sweep.peak_rss_mb"]["child_wins"] == "0/3"
+    crashed = [{**r, "result": {"failed": 1}} if r["side"] == "child" else r for r in runs]
+    assert "sweep.passes" not in tool.summarize(crashed)  # a side without passes: no comparison

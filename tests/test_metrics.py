@@ -98,6 +98,31 @@ def test_pure_trace_distances_reject_bad_vectors():
     assert stacked[1] == 2.0
 
 
+@pytest.mark.parametrize("dim", [2, 5, 8])
+def test_pure_trace_distances_take_a_stack_of_pairs_as_it_is(dim):
+    # the metrics suite's pure pairs as one (pairs, 2, d) array, as its kernel
+    # makes them: bit for bit the per-pair list form, as an array
+    g = np.stack([states.random_pure(dim, 1, derive_seed(47, i)).vec for i in range(60)])
+    v = g.reshape(30, 2, dim)
+    v[3, 1] = v[3, 0]  # a pair at distance 0
+    stacked = metrics.pure_trace_distances(v)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (30,)
+    assert stacked.tolist() == metrics.pure_trace_distances(list(v))
+    assert stacked.tolist() == [metrics.pure_trace_distance(p, q) for p, q in v]
+    real = np.zeros((2, 2, dim))
+    real[:, 0, 0] = real[:, 1, 1] = 1.0
+    assert metrics.pure_trace_distances(real).tolist() == [2.0, 2.0]
+    v[17, 0, 0] = np.nan
+    with pytest.raises(NormalizationError, match=r"^matrix \(17, 0\) has norm nan,"):
+        metrics.pure_trace_distances(v)
+    v[4, 1] *= 2.0
+    with pytest.raises(NormalizationError, match=r"^matrix \(4, 1\) has norm 2,"):
+        metrics.pure_trace_distances(v)
+    for shape in [(3, dim), (4, 3, dim), (2, 2, 2, dim)]:
+        with pytest.raises(SizeError, match=r"\(pairs, 2, d\)"):
+            metrics.pure_trace_distances(np.zeros(shape, dtype=complex))
+
+
 def test_fidelity_self_is_one():
     rho = states.random_density(4, 3, 44)
     assert metrics.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)

@@ -21,8 +21,8 @@ block and dimension (shape, for an alignment) for each kind. The sweep suites (m
 info, transition) take their optimal measurements, canonical purifications,
 Haar unitaries and measured informations a block at a time too: they, and
 the encoding suite, make no single-matrix ``hermitian_eig`` or
-``np.linalg.qr`` call, and a seed-1 sweep pass makes at most 131
-``hermitian_eig`` calls.
+``np.linalg.qr`` call, and a seed-1 sweep pass makes at most 79
+``hermitian_eig`` calls (131 while each batch of trials held every shape).
 
 The metrics, info and encoding suites draw their trials' seeds, ranks and
 weights as arrays (``rng.derive_seeds``, ``rng.StreamRows``) and make no
@@ -49,21 +49,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qilab import info, linalg, rng, states, suites, transition
+from qilab import info, linalg, metrics, rng, states, suites, transition
 from qilab.suites import SuiteConfig, run_suite
 
 # hermitian_eig calls per seed-1 suite, each one stacked call per block and
-# dimension: the metrics suite certifies its random densities in 35 and
-# takes its optimal measurements in 35 (308 with a stack per rank and a
-# chunk of 64 trials); the three sweep suites sum to the sweep pass's 131
-EIG_BUDGET = {"metrics": 70, "info": 41, "transition": 20, "encoding": 49}
+# dimension: with its trials shape-major, the metrics suite certifies its
+# random densities in 11 and takes its optimal measurements in 11 (70 while
+# each batch held every dim, 308 with a stack per rank and a chunk of 64
+# trials); transition 20 before its trials were shape-major; the three sweep
+# suites sum to the sweep pass's 79
+EIG_BUDGET = {"metrics": 22, "info": 41, "transition": 16, "encoding": 49}
 # np.linalg.svd calls per seed-1 suite, stacked or single, trace norms'
 # eigvalsh route among them: one per block and dimension for each of the
-# metrics suite's distances, fidelities and pure pairs (371 with a fidelity
-# SVD per rank pair and a trace norm per pure pair's length), and the
-# transition suite's alignments per shape and reduced states, distances and
-# fidelities per dimension (145 with a fidelity SVD per rank pair)
-SVD_BUDGET = {"metrics": 120, "info": 0, "transition": 48}
+# metrics suite's distances, fidelities and pure pairs (120 while each batch
+# held every dim, 371 with a fidelity SVD per rank pair and a trace norm per
+# pure pair's length), and the transition suite's alignments per shape and
+# reduced states, distances and fidelities per dimension (48 while each batch
+# held every shape, 145 with a fidelity SVD per rank pair)
+SVD_BUDGET = {"metrics": 48, "info": 0, "transition": 33}
 # (derive_seed calls, Stream constructions) per seed-1 suite: the metrics,
 # info and encoding suites draw every seed as arrays; transition keeps
 # derive_seed for transition_bound_sweep's pairs, and encoding a Stream per
@@ -179,6 +182,16 @@ def test_aligned_trials_build_no_state_or_result(monkeypatch):
     phi = states.random_pure(2, 2, 1)
     transition.uhlmann_align(phi, phi)
     assert len(built) == 2  # the counters see a state and a result built
+
+
+def test_the_metrics_suite_hands_its_pure_pairs_over_as_stacks(monkeypatch):
+    # a (pairs, 2, d) array per block and dim, not a list of 1,000 pairs a pass
+    handed = []
+    real = metrics.pure_trace_distances
+    monkeypatch.setattr(metrics, "pure_trace_distances", lambda v: handed.append(v) or real(v))
+    run_suite("metrics", SuiteConfig(seed=1, trials=65))
+    assert all(isinstance(v, np.ndarray) and v.shape[1] == 2 for v in handed)
+    assert sum(map(len, handed)) == 65 and len(handed) == 7
 
 
 def test_a_spent_block_is_freed_before_the_next_is_built(monkeypatch):

@@ -14,9 +14,12 @@ command of ``BENCHMARK.json`` for its ``run_seconds``, untraced
 (``--trace 0``), one after the other: even pairs run the parent first,
 odd pairs the working tree, and pairs cycle through the seeds. A speed
 claim needs at least 10 pairs per workload, the default. ``BENCH_<label>.json`` keeps every run's
-final JSON line, the run order and, per workload and end-to-end metric,
-the medians, the parent's quartiles and how many pairs the working tree
-won (lower is better for every end-to-end metric). For each side and seed it
+final JSON line with its pass count (run.py's ``attempted`` over the
+workload's checks per pass in ``perfbench/reference.json``), the run order
+and, per workload and end-to-end metric, the medians, the parent's quartiles
+and how many pairs the working tree won (lower is better for every end-to-end
+metric); per workload and side, the pass counts' median and range, since a
+fixed-time run's ``peak_rss_mb`` grows with its passes. For each side and seed it
 also keeps the SHA-256 and exit status of ``qilab --suite all --seed S
 --format json``, so a claim that the reports stay byte-identical sits beside
 the timing pairs.
@@ -98,10 +101,21 @@ def run_once(command: list[str], cwd: Path, workload: str, seed: int, seconds: f
     proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
         return {"correct": False, "error": f"exit {proc.returncode}: {tail}"}
+    if "attempted" in result:
+        result["passes"] = result["attempted"] / checks_per_pass(cwd, workload)
+    return result
+
+
+def checks_per_pass(cwd: Path, workload: str) -> int:
+    """The checks one pass of ``workload`` runs: its rows at seed 1 in the
+    tree's ``perfbench/reference.json``. A fixed-time run's ``attempted`` over
+    this is its pass count, which its ``peak_rss_mb`` grows with."""
+    reference = json.loads((cwd / "perfbench" / "reference.json").read_text(encoding="utf-8"))
+    return len(reference[workload]["1"])
 
 
 def run_cli(args: str, cwd: Path) -> dict:
@@ -150,6 +164,15 @@ def summarize(runs: list[dict]) -> dict:
         reports = {(r["result"].get("sha256"), r["result"].get("exit")) for r in mine}
         if any("sha256" in r["result"] for r in mine):  # whole-CLI runs: one report for all
             out[f"{workload}.reports_identical"] = len(reports) == 1
+        passes = {side: [] for side in SIDES}  # a faster tree runs more in the same seconds
+        for r in mine:
+            if "passes" in r["result"]:
+                passes[r["side"]].append(r["result"]["passes"])
+        if all(passes.values()):
+            out[f"{workload}.passes"] = {
+                side: {"median": statistics.median(n), "range": [min(n), max(n)]}
+                for side, n in passes.items()
+            }
         by_pair: dict[int, dict] = {}
         for r in mine:
             if "metrics" in r["result"]:
