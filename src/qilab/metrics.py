@@ -190,14 +190,13 @@ def bayes_success(r1: DensityMatrix, r2: DensityMatrix) -> float:
     return 0.5 + trace_distance(r1, r2) / 4.0
 
 
-def fidelity_distance_bounds(f: float, t: float) -> tuple[float, float]:
+def fidelity_distance_bounds(f, t):
     """Slack of the two-sided bound 1 - sqrt(F) <= t/2 <= sqrt(1 - F).
 
-    Takes the fidelity ``f`` and the trace distance ``t`` of one pair of
-    states and returns (lower_slack, upper_slack); both are non-negative
-    up to numerics when the pair are valid density matrices.
+    Takes the fidelities ``f`` and trace distances ``t`` of pairs of states
+    (scalars, or arrays that broadcast) and returns (lower_slack,
+    upper_slack); both are non-negative up to numerics when the pairs are
+    valid density matrices.
     """
     half_dist = t / 2.0
-    lower_slack = half_dist - (1.0 - np.sqrt(f))
-    upper_slack = np.sqrt(max(1.0 - f, 0.0)) - half_dist
-    return float(lower_slack), float(upper_slack)
+    return half_dist - (1.0 - np.sqrt(f)), np.sqrt(np.maximum(1.0 - f, 0.0)) - half_dist

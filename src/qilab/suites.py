@@ -7,9 +7,10 @@ agreement checks report tol - |difference| and pass only at
 |difference| <= tol.
 
 Trials may reach a check in any order: each suite hands them over sorted by
-shape (:func:`_batches`). A tally keeps only its trial and violation counts and
-its least slack, which do not depend on the order; a tie keeps the first trial,
-its seed and, at a 0.0 / -0.0 tie, its sign of ``min_slack``.
+shape (:func:`_batches`), a column of slacks at a time. A tally keeps only its
+trial and violation counts and its least slack, which do not depend on the
+order; a tie keeps the first trial (the first row of the first column handed
+over), its seed and, at a 0.0 / -0.0 tie, its sign of ``min_slack``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .info import (
     shannon_entropy,
 )
 from .protocol import MAX_QUBITS
-from .rng import StreamRows, derive_seed, derive_seeds, mix64
+from .rng import StreamRows, _mixed, derive_seed, derive_seeds
 from .states import (
     _norms,
     _unit_norms,
@@ -76,7 +77,7 @@ class CheckResult:
 
 
 class _Tally:
-    """Accumulates per-trial slacks against a tolerance."""
+    """Accumulates columns of per-trial slacks against a tolerance."""
 
     def __init__(self, name: str, tol: float):
         self.name = name
@@ -86,28 +87,34 @@ class _Tally:
         self.trials = 0
         self.details: dict = {}
 
-    def add(self, slack: float, seed: int | None = None, ok: bool = True) -> bool:
-        """Record one trial; return whether it passed. ``ok=False`` counts it
-        violated whatever its slack; ``seed`` names the worst trial."""
-        self.trials += 1
-        slack = float(slack)
-        if not math.isfinite(slack):
-            # A non-finite slack certified nothing: it is a violation, and as
-            # NaN it stays the minimum (``x < nan`` is False), written null,
-            # with the seed of the first trial that made it.
-            slack = math.nan
-        if slack < self.min_slack or (math.isnan(slack) and not math.isnan(self.min_slack)):
-            self.min_slack = slack
-            if seed is not None:
-                self.details["worst_instance_seed"] = seed
-        passed = ok and slack >= -self.tol
-        self.violations += not passed
+    def add(self, slacks, seed=None, ok=True) -> np.ndarray:
+        """Record a column of trials (a scalar is a column of one, an array is
+        read in C order); return each one's pass. ``ok`` (one flag, or one per
+        trial) False counts a trial violated whatever its slack; ``seed`` (one,
+        or one per trial) names the worst trial."""
+        slacks = np.ravel(np.asarray(slacks, dtype=float))
+        # A non-finite slack certified nothing: it is a violation, and as NaN
+        # it stays the minimum (``x < nan`` is False), written null, with the
+        # seed of the first trial that made it. np.argmin finds the first NaN,
+        # else the first least slack, so a tie keeps the first trial.
+        slacks = np.where(np.isfinite(slacks), slacks, np.nan)
+        passed = np.ravel(ok) & (slacks >= -self.tol)
+        self.trials += len(slacks)
+        self.violations += len(slacks) - int(np.count_nonzero(passed))
+        if len(slacks):
+            i = int(np.argmin(slacks))
+            least = float(slacks[i])
+            if least < self.min_slack or (math.isnan(least) and not math.isnan(self.min_slack)):
+                self.min_slack = least
+                if seed is not None:
+                    seeds = np.broadcast_to(seed, slacks.shape)
+                    self.details["worst_instance_seed"] = seeds[i].item()
         return passed
 
-    def agree(self, error: float, seed: int | None = None) -> bool:
-        """Record slack tol - |error|, passing only if |error| <= tol (NaN fails)."""
-        error = abs(float(error))
-        return self.add(self.tol - error, seed, ok=error <= self.tol)
+    def agree(self, errors, seed=None) -> np.ndarray:
+        """Record slacks tol - |error|, passing only where |error| <= tol (NaN fails)."""
+        errors = np.abs(np.ravel(np.asarray(errors, dtype=float)))
+        return self.add(self.tol - errors, seed, ok=errors <= self.tol)
 
     def result(self) -> CheckResult:
         # A check that ran no trial certified nothing: it must not read PASS.
@@ -182,11 +189,10 @@ def _metrics_chunk(chunk, fvg_lower, fvg_upper, tight, pure_agree, tensor_mult) 
         diffs = r1.mats - r2.mats  # both kernels read each stack of differences r1 - r2
         dists, achieved = metrics.trace_norm(diffs, hermitian=True), metrics._helstrom(diffs)[2]
         del diffs
-        for d, a, f in zip(dists.tolist(), achieved.tolist(), metrics._fidelities(r1, r2).tolist()):
-            lo, up = metrics.fidelity_distance_bounds(f, d)
-            fvg_lower.add(lo)
-            fvg_upper.add(up)
-            tight.agree(a - d)
+        lo, up = metrics.fidelity_distance_bounds(metrics._fidelities(r1, r2), dists)
+        fvg_lower.add(lo)
+        fvg_upper.add(up)
+        tight.agree(achieved - dists)
 
         g = np.stack([g1, g2], axis=1)  # the pure pairs' Gaussian columns
         v = g[..., 0] / _norms(g[..., 0])[..., None]  # made states as make_pures(rescale=True) does
@@ -194,15 +200,13 @@ def _metrics_chunk(chunk, fvg_lower, fvg_upper, tight, pure_agree, tensor_mult) 
         diffs = v[:, 0, :, None] * np.conj(v[:, 0, None, :])
         diffs -= v[:, 1, :, None] * np.conj(v[:, 1, None, :])  # in place: large d shows in RSS
         dists = metrics.trace_norm(diffs, hermitian=True)
-        for error in np.subtract(metrics.pure_trace_distances(v), dists):
-            pure_agree.agree(error)
+        pure_agree.agree(metrics.pure_trace_distances(v) - dists)
 
     # each trial's Kronecker product a (x) b, all of the chunk's in one product
     a, b = (np.concatenate([gaussians[k] for *_, gaussians in chunk]) for k in (2, 3))
     kron = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), 6, 6)
     lhs, rhs = metrics.trace_norm(kron), metrics.trace_norm(a) * metrics.trace_norm(b)
-    for error in (lhs - rhs) / np.maximum(rhs, 1.0):
-        tensor_mult.agree(error)
+    tensor_mult.agree((lhs - rhs) / np.maximum(rhs, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +273,12 @@ def _info_chunk(chunk, holevo, block, chain, mono, concave, subadd) -> None:
         # the chain rule I(X:YZ) = I(X:Y) + I(XY:Z) - I(Y:Z), over the tables at once
         x_yz, xy_z = (classical_mutual_information(joints.reshape(-1, s, 8 // s)) for s in (2, 4))
         x_y, y_z = (classical_mutual_information(joints.sum(axis=a)) for a in (3, 1))
-        for tally, errors in ((block, tail[8] - block_rhs), (chain, x_yz - (x_y + xy_z - y_z))):
-            for error in errors:
-                tally.agree(error)
-        for tally, slacks in (
-            (mono, full - holevo_informations(quarter, tail[9:13].T, tail[15])),
-            (concave, tail[16] - conditional_entropies(ws, tail[4:7].T)),
-            (subadd, tail[17] + tail[18] - tail[7]),
-            (holevo, holevo_informations(priors, ent[:, :n], tail[13]) - mis),
-        ):
-            for slack in slacks:
-                tally.add(slack)
+        block.agree(tail[8] - block_rhs)
+        chain.agree(x_yz - (x_y + xy_z - y_z))
+        mono.add(full - holevo_informations(quarter, tail[9:13].T, tail[15]))
+        concave.add(tail[16] - conditional_entropies(ws, tail[4:7].T))
+        subadd.add(tail[17] + tail[18] - tail[7])
+        holevo.add(holevo_informations(priors, ent[:, :n], tail[13]) - mis)
 
 
 def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
@@ -295,8 +294,8 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
     gap = _Tally("binary_entropy_gap", _tol(cfg, 1e-12))
     deltas = [k / 1000.0 for k in range(501)]
-    for delta, g in zip(deltas, binary_entropy_gap(np.array(deltas))):
-        gap.add(g - delta**2)
+    squares = np.array([x**2 for x in deltas])  # Python's pow, not numpy's x * x
+    gap.add(binary_entropy_gap(np.array(deltas)) - squares)
 
     fano = _Tally("fano_channel", _tol(cfg, 1e-9))
     grid = np.linspace(0.0, 1.0, 41)
@@ -304,8 +303,7 @@ def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
     agreement = (pa + pb) / 2.0
     pa, pb, agreement = (x[agreement >= 0.5] for x in (pa, pb, agreement))
     joints = 0.5 * np.stack([pa, 1.0 - pa, 1.0 - pb, pb], axis=-1).reshape(-1, 2, 2)
-    for slack in classical_mutual_information(joints) - info.fano_bound(agreement - 0.5):
-        fano.add(slack)
+    fano.add(classical_mutual_information(joints) - info.fano_bound(agreement - 0.5))
     return [t.result() for t in (holevo, block, chain, mono, concave, subadd, gap, fano)]
 
 
@@ -378,10 +376,9 @@ def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
         for (ms, seeds), stacks, _ in chunk:
             slacks = _encoding_slacks(ms, seeds, stacks)
             skipped_half += len(ms) - len(slacks["info_floor_half"])
-            for name, column in slacks.items():
-                failed = sum(not checks[name].add(slack) for slack in column)
-                if name == "info_floor_half" and ms[0] == 1:
-                    half_violations_m1 += failed
+            passed = {name: checks[name].add(column) for name, column in slacks.items()}
+            if ms[0] == 1:
+                half_violations_m1 += int(np.count_nonzero(~passed["info_floor_half"]))
     # The half-argument floor 1 - H((1 + Delta)/2) is provable only for single-bit
     # ensembles; multi-bit ensembles violate it, as expected, not as numerical defects.
     checks["info_floor_half"].details.update(
@@ -401,9 +398,7 @@ def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
             pairings = [enc.find_pairing(x, s) for x, s in zip(d, derive_seeds(seeds, 98).tolist())]
             found = enc.pairing_average(d, pairings)
             best = np.max(enc.pairing_average(d[:, None], every[None]), axis=-1)
-            for b, f, delta in zip(best, found, np.mean(d, axis=(1, 2))):
-                exhaustive.add(b - f)
-                exhaustive.add(f - delta)
+            exhaustive.add(np.stack([best - found, found - np.mean(d, axis=(1, 2))], axis=1))
     return [t.result() for t in (*checks.values(), exhaustive)]
 
 
@@ -425,11 +420,11 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
         for group in chunk:
             (ts,), stacks, _ = group
             dim = stacks[0].mats.shape[-1]
-            aligned = transition.aligned_trials(group, dim + ts % (7 - dim))
-            for overlap_sq, pure_distance, t, dist, f in zip(*(a.tolist() for a in aligned)):
-                agree.agree(overlap_sq - f)
-                bound.add(2.0 * np.sqrt(t) - pure_distance)
-                chain.add(dist - (1.0 - f))
+            dim_ks = dim + ts % (7 - dim)
+            overlap_sq, pure_distance, t, dist, f = transition.aligned_trials(group, dim_ks)
+            agree.agree(overlap_sq - f)
+            bound.add(2.0 * np.sqrt(t) - pure_distance)
+            chain.add(dist - (1.0 - f))
 
     exact = _Tally("exact_transition", _tol(cfg, 1e-8))
     few = max(trials // 5, 50)  # the exact and sweep trials
@@ -445,27 +440,26 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
         for _, (rho,), (z,) in chunk:
             phis = canonical_purifications([(rho, i) for i in range(len(z))], [len(z[0])] * len(z))
             pairs = zip(phis, transition.apply_k_unitaries(zip(phis, unitaries_from_gauss(z))))
-            for _, residual in transition.exact_local_transitions(pairs):
-                exact.agree(residual)
+            exact.agree([residual for _, residual in transition.exact_local_transitions(pairs)])
 
     # The alignment bound on canonical purifications of rank-varied pairs on
     # H = C^3 into K = C^4; a trial that breaks the chain 1 - F <= T or the
     # bound is one violation, reported under the worst trial's seed.
     sweep = _Tally("transition_bound_sweep", _tol(cfg, 1e-8))
     sweep_chain = _Tally("min_chain_slack", _tol(cfg, 1e-9))
-    sweep_seed = derive_seed(cfg.seed, 42)
 
     def sweep_trials():
         for t in _batches(few):
-            pairs = [[derive_seed(sweep_seed, i, side) for side in (0, 1)] for i in t.tolist()]
-            seeds = np.array(pairs, dtype=np.uint64)
-            yield (seeds[:, 0],), _triples(3, [[1 + mix64(s) % 3 for s in p] for p in pairs], seeds)
+            seeds = derive_seeds(cfg.seed, 42, t[:, None], [0, 1])
+            # each seed's rank rule 1 + mix64(seed) % 3, the % on Python ints
+            ranks = [[1 + z % 3 for z in row] for row in _mixed(seeds.copy()).tolist()]
+            yield (seeds[:, 0],), _triples(3, ranks, seeds)
 
     for chunk in random_density_chunks(sweep_trials()):
         for group in chunk:
-            _, *aligned = transition.aligned_trials(group, 4)
-            for s1, distance, t, dist, f in zip(*(a.tolist() for a in (group[0][0], *aligned))):
-                sweep.add(2.0 * np.sqrt(t) - distance, s1, ok=sweep_chain.add(dist - (1.0 - f)))
+            _, distance, t, dist, f = transition.aligned_trials(group, 4)
+            passed = sweep_chain.add(dist - (1.0 - f))
+            sweep.add(2.0 * np.sqrt(t) - distance, group[0][0], ok=passed)
     sweep.details["min_chain_slack"] = float(sweep_chain.min_slack)
     return [agree.result(), bound.result(), chain.result(), exact.result(), sweep.result()]
 
@@ -481,8 +475,7 @@ def rac_suite(cfg: SuiteConfig) -> list[CheckResult]:
     report2 = rac.rac_lower_bound_check(spec2, 2)
     protocol_success = 1.0 - report2.eps
     found = _Tally("rac_n2_success", _tol(cfg, 1e-3))
-    found.agree(protocol_success - success_target)
-    found.agree(oracle_success - success_target)
+    found.agree([protocol_success - success_target, oracle_success - success_target])
     found.details = {
         "oracle_success": float(oracle_success),
         "protocol_success": float(protocol_success),
@@ -507,16 +500,13 @@ def rac_suite(cfg: SuiteConfig) -> list[CheckResult]:
         }
         out.append(tally.result())
         chain = _Tally(label.replace("bound", "chain"), _tol(cfg, 1e-9))
-        for slack in rep.chain_slacks():
-            chain.add(slack)
-        chain.add(rep.min_prefix_fano_slack)
+        chain.add([*rep.chain_slacks(), rep.min_prefix_fano_slack])
         out.append(chain.result())
 
     copy_spec = rac.classical_copy_protocol(cfg.n)
     copy_rep = rac.rac_lower_bound_check(copy_spec, cfg.n)
     equality = _Tally("classical_copy_equality", _tol(cfg, 1e-9))
-    equality.agree(copy_rep.slack)
-    equality.agree(copy_rep.eps)
+    equality.agree([copy_rep.slack, copy_rep.eps])
     equality.details = {"eps": float(copy_rep.eps), "m": copy_rep.m, "n": cfg.n}
     out.append(equality.result())
     return out
@@ -537,19 +527,19 @@ def reduction_suite(cfg: SuiteConfig) -> list[CheckResult]:
     info_budget = _Tally("message_info_budget", _tol(cfg, 1e-9))
     sup_cls = _Tally("superposed_vs_classical", _tol(cfg, 1e-12))
     residual = _Tally("transition_residual", _tol(cfg, 1e-8))
-    for reports in reduction.run_pipelines(_PIPELINE_STYLES, cfg.n):
-        for rep in reports:
-            independence.agree(rep.first.mu_j_prime)
-            align_bound.add(rep.first.alignment_bound_slack)
-            info_bound.add(rep.info_bound_slack)
-            sim_equiv.agree(rep.drop.max_outcome_tv)
-            rounds.add(0.0 if rep.drop.rounds_after == rep.drop.rounds_before - 1 else -1.0)
-            budget.add(rep.drop.budget - rep.drop.message_qubits_after)
-            info_budget.add(rep.ell1 - sum(rep.mus))
-            info_budget.add(rep.joint_info - sum(rep.mus))
-            info_budget.add(rep.ell1 - rep.joint_info)
-            sup_cls.agree(rep.first.eps_j - rep.classical_error)
-            residual.agree(rep.drop.max_transition_residual)
+    reps = [rep for reports in reduction.run_pipelines(_PIPELINE_STYLES, cfg.n) for rep in reports]
+    firsts, drops = [rep.first for rep in reps], [rep.drop for rep in reps]
+    independence.agree([first.mu_j_prime for first in firsts])
+    align_bound.add([first.alignment_bound_slack for first in firsts])
+    info_bound.add([rep.info_bound_slack for rep in reps])
+    sim_equiv.agree([drop.max_outcome_tv for drop in drops])
+    rounds.add([0.0 if drop.rounds_after == drop.rounds_before - 1 else -1.0 for drop in drops])
+    budget.add([drop.budget - drop.message_qubits_after for drop in drops])
+    info_budget.add(  # three slacks per report, in report order
+        [(r.ell1 - sum(r.mus), r.joint_info - sum(r.mus), r.ell1 - r.joint_info) for r in reps]
+    )
+    sup_cls.agree([rep.first.eps_j - rep.classical_error for rep in reps])
+    residual.agree([drop.max_transition_residual for drop in drops])
     checks = (independence, align_bound, info_bound, sim_equiv, rounds, budget, info_budget)
     return [t.result() for t in (*checks, sup_cls, residual)]
 

@@ -24,11 +24,16 @@ the encoding suite, make no single-matrix ``hermitian_eig`` or
 ``np.linalg.qr`` call, and a seed-1 sweep pass makes at most 79
 ``hermitian_eig`` calls (131 while each batch of trials held every shape).
 
-The metrics, info and encoding suites draw their trials' seeds, ranks and
-weights as arrays (``rng.derive_seeds``, ``rng.StreamRows``) and make no
-``derive_seed`` call; the metrics and info suites make no ``Stream`` either.
-Transition makes a few hundred ``derive_seed`` calls and encoding a
-``Stream`` per pairing search, each under a ceiling.
+The metrics, info, transition and encoding suites draw their trials' seeds,
+ranks and weights as arrays (``rng.derive_seeds``, ``rng.StreamRows``) and
+make no ``derive_seed`` call; only encoding makes a ``Stream``, one per
+pairing search, under a ceiling.
+
+Every suite hands its verdicts to a ``_Tally`` a column at a time: one
+``add`` (or ``agree``) per check and block, shape or column of cubes, and
+the reduction suite one per check over all its reports. A seed-1 pass of
+all six suites makes 416 such calls (14,164 when each trial's verdict was
+handed over as one float).
 
 The exact-transition checks read the residuals that
 ``transition.exact_local_transitions`` measures and do not apply its
@@ -67,12 +72,20 @@ EIG_BUDGET = {"metrics": 22, "info": 41, "transition": 16, "encoding": 49}
 # reduced states, distances and fidelities per dimension (48 while each batch
 # held every shape, 145 with a fidelity SVD per rank pair)
 SVD_BUDGET = {"metrics": 48, "info": 0, "transition": 33}
-# (derive_seed calls, Stream constructions) per seed-1 suite: the metrics,
-# info and encoding suites draw every seed as arrays; transition keeps
-# derive_seed for transition_bound_sweep's pairs, and encoding a Stream per
-# pairing's shuffle (6000/2000, 8249/1000, 2801/2200 and 2980/2770 when each
-# trial drew through Streams; encoding 420/210 with a derive_seed per cube)
-SEED_BUDGET = {"metrics": (0, 0), "info": (0, 0), "transition": (401, 0), "encoding": (0, 210)}
+# (derive_seed calls, Stream constructions) per seed-1 suite: every seed is
+# drawn as arrays, and encoding makes a Stream per pairing's shuffle
+# (6000/2000, 8249/1000, 2801/2200 and 2980/2770 when each trial drew
+# through Streams; encoding 420/210 with a derive_seed per cube, transition
+# 401/0 with one per transition_bound_sweep seed)
+SEED_BUDGET = {"metrics": (0, 0), "info": (0, 0), "transition": (0, 0), "encoding": (0, 210)}
+# _Tally.add calls (agree's among them) per seed-1 suite: one per check and
+# group of a block (its trials of one shape) or column of cubes, one per block
+# for the metrics' Kronecker check, one per check for info's two grids and for
+# rac, and for reduction one per check over all its reports (5000, 4362, 1098,
+# 3600, 16 and 88 with a call per trial, report or value)
+TALLY_BUDGET = {
+    "metrics": 49, "info": 68, "encoding": 267, "transition": 17, "rac": 6, "reduction": 9
+}
 # apply_k_unitaries calls per seed-1 suite: a scramble and an alignment per
 # block of the transition suite's exact trials (one block at seed 1), one
 # alignment for all of the reduction's P' -> P'' steps (8 while each step
@@ -255,6 +268,20 @@ def test_sweep_suites_draw_their_seeds_as_arrays(monkeypatch, suite):
     assert seed_calls <= SEED_BUDGET[suite][0] and streams <= SEED_BUDGET[suite][1]
     suites.derive_seed(1, 2), rng.Stream(1)  # the counters see a single call
     assert (calls["derive_seed"], calls["Stream"]) == (seed_calls + 1, streams + 1)
+
+
+@pytest.mark.parametrize("suite", sorted(TALLY_BUDGET))
+def test_suites_tally_their_verdicts_a_column_at_a_time(monkeypatch, suite):
+    calls = []
+    add = suites._Tally.add
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(suites._Tally, "add", counting)
+    run_suite(suite, SuiteConfig(seed=1))
+    assert 0 < len(calls) <= TALLY_BUDGET[suite]
 
 
 @pytest.mark.parametrize("suite", sorted(VIEW_BUDGET))

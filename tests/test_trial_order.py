@@ -9,6 +9,9 @@ one contiguous run, and every report must equal the one made from trials in
 index order: a tally keeps only counts and a least slack, so the order the
 trials arrive in does not show. ``transition_bound_sweep``, which records a
 worst seed, has one shape and keeps index order.
+
+``_Tally`` takes its trials a column at a time, and however a run of trials is
+cut into columns it counts them as the scalar rule fed one trial at a time.
 """
 
 import itertools
@@ -121,3 +124,90 @@ def test_a_tie_keeps_the_first_trial_and_its_zero_sign():
         tally.add(second, seed=2)
         assert math.copysign(1.0, tally.min_slack) == math.copysign(1.0, first)
         assert tally.details["worst_instance_seed"] == 1
+
+
+class _ScalarTally:
+    """The reference: a tally fed one trial at a time, as ``_Tally.add`` and
+    ``agree`` counted before they took columns."""
+
+    def __init__(self, tol):
+        self.tol, self.min_slack, self.worst = tol, math.inf, None
+        self.violations = self.trials = 0
+
+    def add(self, slack, seed=None, ok=True):
+        self.trials += 1
+        slack = float(slack)
+        if not math.isfinite(slack):
+            slack = math.nan
+        if slack < self.min_slack or (math.isnan(slack) and not math.isnan(self.min_slack)):
+            self.min_slack = slack
+            if seed is not None:
+                self.worst = seed
+        passed = ok and slack >= -self.tol
+        self.violations += not passed
+        return passed
+
+    def agree(self, error, seed=None):
+        error = abs(float(error))
+        return self.add(self.tol - error, seed, ok=error <= self.tol)
+
+
+def _column(gen, n, tol, pool):
+    """``n`` values drawn from ``pool``: "all" mixes NaN, +-inf, 0.0 / -0.0,
+    +-tol exactly, their neighbouring floats and repeated ordinary values;
+    "finite" leaves out NaN and +-inf; "zero ties" holds no negative value, so
+    its least slack is a 0.0 / -0.0 tie."""
+    ordinary = (gen.standard_normal(4) * 3 * tol).tolist()
+    if pool == "zero ties":
+        values = [0.0, -0.0, tol, 2 * tol, *map(abs, ordinary)]
+    else:
+        values = [0.0, -0.0, tol, -tol, 2 * tol, -2 * tol, *ordinary]
+        values += [np.nextafter(tol, 1.0), np.nextafter(-tol, -1.0), np.nextafter(tol, 0.0)]
+        values += [math.nan, math.inf, -math.inf] if pool == "all" else []
+    values = np.array(values)
+    return values[gen.integers(len(values), size=n)]
+
+
+@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("pool", ["all", "finite", "zero ties"])
+@pytest.mark.parametrize("kind", ["add", "agree"])
+def test_a_column_tally_counts_as_the_scalar_rule(kind, pool, case):
+    # columns cut at random points, empty pieces included, against the same
+    # trials fed one at a time
+    gen = np.random.default_rng([case, len(pool), len(kind)])
+    tol = [1e-9, 0.0, 0.25][case % 3]
+    n = int(gen.integers(1, 40)) if case else 0  # case 0: a check that ran no trial
+    values = _column(gen, n, tol, pool)
+    seeds = gen.integers(2**63, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
+    oks = gen.random(n) < 0.8
+    cuts = np.sort(gen.integers(0, n + 1, size=int(gen.integers(0, 5))))
+    tally, reference = suites._Tally("x", tol), _ScalarTally(tol)
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), n]):
+        column, seed = values[lo:hi], seeds[lo:hi]
+        if kind == "agree":
+            passed = tally.agree(column, seed)
+            expected = [reference.agree(e, s) for e, s in zip(column.tolist(), seed.tolist())]
+        elif (lo + case) % 2:  # ok one flag per column, no seed
+            ok = bool(oks[lo]) if hi > lo else True
+            passed = tally.add(column, ok=ok)
+            expected = [reference.add(x, ok=ok) for x in column.tolist()]
+        else:
+            passed = tally.add(column, seed, ok=oks[lo:hi])
+            rows = zip(column.tolist(), seed.tolist(), oks[lo:hi].tolist())
+            expected = [reference.add(x, s, ok) for x, s, ok in rows]
+        assert passed.dtype == bool and passed.tolist() == expected
+    assert (tally.trials, tally.violations) == (reference.trials, reference.violations)
+    got, want = tally.min_slack, reference.min_slack
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert tally.details.get("worst_instance_seed") == reference.worst
+    assert tally.result().violations == (reference.violations if n else 1)
+
+
+def test_a_scalar_is_a_column_of_one_and_an_array_is_read_in_c_order():
+    tally = suites._Tally("x", 1e-9)
+    assert tally.add(-0.5, seed=7).tolist() == [False]
+    passed = tally.add([[0.0, -2.0], [-2.0, 1.0]], seed=[1, 2, 3, 4])
+    assert passed.tolist() == [True, False, False, True]
+    assert (tally.trials, tally.violations, tally.min_slack) == (5, 3, -2.0)
+    assert tally.details["worst_instance_seed"] == 2
