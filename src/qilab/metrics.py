@@ -158,12 +158,14 @@ def optimal_measurements(pairs) -> list[tuple[TwoOutcomeMeasurement, float]]:
     zero go to P+. One certified stacked eigendecomposition per dimension; its
     errors name the pair's index."""
     out = _per_difference(pairs, _helstrom)
-    return [(TwoOutcomeMeasurement(pos[j], neg[j]), float(val[j])) for (pos, neg, val), j in out]
+    return [(TwoOutcomeMeasurement(pos[j], neg[j]), float(val[j])) for (pos, neg, val, _), j in out]
 
 
 def _helstrom(diffs: np.ndarray) -> tuple[np.ndarray, ...]:
     """:func:`optimal_measurements`' P+, P- and l1 distance of each difference D
-    of the stack ``diffs``; each Tr P D is the elementwise sum of P * D^T, O(d^2)."""
+    of the stack ``diffs``, each Tr P D the elementwise sum of P * D^T, O(d^2); and
+    ||D||_t, the sum of |eigenvalues| of the same certified spectrum, descending
+    as :func:`trace_norm` sums them."""
     dim = diffs.shape[-1]
     vals, vecs = linalg.hermitian_eig(diffs, tol=1e-8)
     kept = np.sum(vals >= -DEFAULT_TOL, axis=-1)  # ascending: the last ``kept`` columns
@@ -178,7 +180,7 @@ def _helstrom(diffs: np.ndarray) -> tuple[np.ndarray, ...]:
             p_pos[rows] = cols @ dagger(cols)
     p_neg = np.eye(dim) - p_pos
     traces = [np.abs(np.sum(p * diffs.mT, axis=(-2, -1)).real) for p in (p_pos, p_neg)]
-    return p_pos, p_neg, traces[0] + traces[1]
+    return p_pos, p_neg, traces[0] + traces[1], np.sum(np.sort(np.abs(vals))[..., ::-1], axis=-1)
 
 
 def bayes_success(r1: DensityMatrix, r2: DensityMatrix) -> float:

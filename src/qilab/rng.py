@@ -9,12 +9,12 @@ Gaussian variates use the Box-Muller transform on the uniform stream.
 is its one-value form. :func:`gauss_rows` draws for many fresh seeds at once
 and equals a per-seed ``gauss_array`` loop bit for bit; both run one kernel,
 :func:`_gauss_pairs`, on numpy arrays, with SplitMix64 from the row kernel
-:func:`_u64_rows`. Only ``log`` is libm's through :mod:`math`: ``np.log``
-differs from it by one ulp on about 0.3% of arguments (numpy 2.4 on x86-64),
-which would move about 0.16% of draws. There numpy's float64 ``np.cos`` and
-``np.sin`` call glibc's ``cos`` and ``sin`` and matched ``math.cos`` and
-``math.sin`` on 8 M Box-Muller angles 2 pi k 2**-53; ``tests/test_rng.py``'s
-``test_gauss_rows_match_the_libm_box_muller_bitwise`` guards it.
+:func:`_u64_rows`. Its ``log``, ``cos`` and ``sin`` are libm's, bit for bit, in
+array calls. numpy 2.4's SIMD ``np.log`` differs from glibc's by one ulp on 0.35%
+of arguments (x86-64), which would move 0.16% of draws; it runs only where input
+and output do not overlap, so :func:`_log` writes one element behind its input,
+where numpy's scalar loop calls libm. ``np.cos`` and ``np.sin`` call glibc's and
+matched ``math`` on 8 M angles 2 pi k 2**-53; ``tests/test_rng.py`` guards both.
 
 The seed draws have batched forms under the same contract: :func:`derive_seeds`
 is :func:`derive_seed` broadcast over integer arrays, masked alike, and row ``i``
@@ -195,7 +195,7 @@ def _gauss_pairs(seeds: np.ndarray, counter: int, pairs: int) -> np.ndarray:
     theta = z[:, 1::2] * 2.0**-53
     del z
     theta *= 2.0 * math.pi  # in place: at large d each temporary shows in peak RSS
-    r = np.fromiter(map(math.log, u1.ravel().tolist()), np.float64, u1.size).reshape(u1.shape)
+    r = _log(u1)
     del u1
     np.sqrt(np.multiply(r, -2.0, out=r), out=r)
     r_cos = np.cos(theta)
@@ -204,6 +204,15 @@ def _gauss_pairs(seeds: np.ndarray, counter: int, pairs: int) -> np.ndarray:
     r_sin *= r
     del r, theta
     return np.stack((r_cos, r_sin), axis=-1).reshape(len(seeds), 2 * pairs)
+
+
+def _log(u: np.ndarray) -> np.ndarray:
+    """``math.log`` of each entry of ``u``, bit for bit: an output one element behind
+    its input keeps ``np.log`` off numpy's SIMD kernel, on its scalar loop of libm's
+    ``log``; the padding 1.0 keeps a one-value call overlapping."""
+    buf = np.empty(u.size + 2)
+    buf[1:-1], buf[-1] = u.ravel(), 1.0
+    return np.log(buf[1:], out=buf[:-1])[:-1].reshape(u.shape)
 
 
 def gauss_rows(seeds, n: int) -> np.ndarray:

@@ -75,3 +75,19 @@ def test_a_run_records_its_pass_count_and_the_summary_gives_it_per_side(monkeypa
     assert summary["sweep.peak_rss_mb"]["child_wins"] == "0/3"
     crashed = [{**r, "result": {"failed": 1}} if r["side"] == "child" else r for r in runs]
     assert "sweep.passes" not in tool.summarize(crashed)  # a side without passes: no comparison
+
+
+def test_the_host_names_the_kernels_behind_the_bytes():
+    import numpy as np
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    record = _tool().host()
+    assert f"numpy {np.__version__}" in record["machine"]
+    features = record["numpy_cpu_features"]
+    assert features and all(__cpu_features__[name] for name in features)
+    assert set(features) == {name for name, enabled in __cpu_features__.items() if enabled}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    core = record["openblas_core"]
+    if "openblas" in blas:
+        assert isinstance(core, str) and core
+    json.dumps(record)

@@ -1,7 +1,10 @@
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
-from qilab import linalg, metrics, states
+from qilab import linalg, metrics, states, suites
 from qilab.errors import NormalizationError, SizeError
 from qilab.rng import Stream, derive_seed
 
@@ -378,3 +381,45 @@ def test_an_asymmetric_density_moves_its_trace_distance_by_at_most_d_eps(dim):
 def test_a_general_matrix_keeps_the_svd():
     # its lower triangle is zero: eigenvalues would read a trace norm of 0
     assert metrics.trace_norm([[0, 1], [0, 0]]) == 1.0
+
+
+def test_the_helstrom_l1_value_agrees_with_the_trace_distance():
+    # optimal_measurements reads eigh's spectrum, trace_distances eigvalsh's
+    pairs = [random_pair(derive_seed(140, t), 2 + t % 7) for t in range(70)]
+    pairs += [random_pair(141, 64), random_pair(142, 203), (KET0, KET1), (KET0, KET0)]
+    dists = metrics.trace_distances(pairs)
+    for i, ((_, l1), dist) in enumerate(zip(metrics.optimal_measurements(pairs), dists)):
+        assert abs(l1 - dist) <= 1e-12, f"pair {i}"
+
+
+def _mutant(func, old, new):
+    """``func`` compiled from its source with ``old`` replaced by ``new``, in its module."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert old in source
+    namespace = dict(vars(inspect.getmodule(func)))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"), namespace)
+    return namespace[func.__name__]
+
+
+# the metrics suite reads ||r1 - r2||_t and the measurement attaining it from
+# one certified spectrum per difference: a mutant of that step still fails
+_HELSTROM_MUTANTS = {
+    "P+ missing its top eigenvector": ("dim - k :]", "dim - k : -1]", {"measurement_tightness"}),
+    "sum |eigenvalues| x (1 + 1e-6)": (
+        "[..., ::-1], axis=-1)", "[..., ::-1], axis=-1) * (1 + 1e-6)",
+        {"fvg_upper", "measurement_tightness"},
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", [None, *_HELSTROM_MUTANTS])
+def test_the_checks_on_the_shared_spectrum_can_fail(monkeypatch, mutant):
+    if mutant is not None:
+        old, new, _ = _HELSTROM_MUTANTS[mutant]
+        monkeypatch.setattr(metrics, "_helstrom", _mutant(metrics._helstrom, old, new))
+    checks = suites.run_suite("metrics", suites.SuiteConfig(seed=1, trials=100))
+    failed = {c.name for c in checks if c.violations}
+    if mutant is None:
+        assert failed == set()
+    else:
+        assert failed and failed <= _HELSTROM_MUTANTS[mutant][2]

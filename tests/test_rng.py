@@ -181,6 +181,47 @@ def test_gauss_rows_match_the_libm_box_muller_bitwise():
     assert Stream(seeds[0]).gauss() == want[0, 0]
 
 
+def _math_log(u):
+    return np.array([math.log(x) for x in np.ravel(u).tolist()]).reshape(np.shape(u))
+
+
+# Box-Muller log arguments (k + 1) 2**-53 where numpy's own (SIMD) float64
+# log rounds otherwise than libm's (about 0.35% of them with numpy 2.4 on
+# x86-64): at every length the log route must take libm's path, not numpy's
+# kernel, even for a single value
+_UNIFORMS = (np.random.default_rng(53).integers(0, 2**53, 2**20, dtype=np.uint64) + 1) * 2.0**-53
+_HARD = _UNIFORMS[np.log(_UNIFORMS) != _math_log(_UNIFORMS)]
+_HARD = _HARD if _HARD.size else _UNIFORMS[:4096]  # a numpy whose own log is libm's
+
+
+@pytest.mark.parametrize("n", range(1, 71))
+def test_the_log_route_is_libms_bitwise_at_every_length(n):
+    hard, edges = np.resize(_HARD, 3 * n), np.resize([2.0**-53, 1.0, *_HARD[:5]], 3 * n)
+    for arg in (hard[:n], edges[:n], hard.reshape(3, n), edges.reshape(n, 3)[:, 1:]):
+        got = rng._log(arg)
+        assert got.dtype == np.float64 and got.shape == arg.shape
+        assert got.tobytes() == _math_log(arg).tobytes(), arg.shape
+    assert rng._log(np.array([2.0**-53, 1.0])).tolist() == [math.log(2.0**-53), 0.0]
+
+
+@pytest.mark.parametrize("shape", [(2**20,), (1000, 1001)])
+def test_the_log_route_is_libms_bitwise_at_a_million_values(shape):
+    u = np.resize(_UNIFORMS, shape)
+    assert rng._log(u).tobytes() == _math_log(u).tobytes()
+
+
+def test_gaussian_draws_make_no_per_value_python_log(monkeypatch):
+    seeds = [derive_seed(171, i) for i in range(5)]
+    want = rng.complex_gauss_stack(seeds, 9, 7).tobytes()
+
+    def no_log(x):
+        raise AssertionError("per-value math.log")
+
+    monkeypatch.setattr(math, "log", no_log)
+    assert rng.complex_gauss_stack(seeds, 9, 7).tobytes() == want
+    assert Stream(seeds[0]).gauss_array(1).tobytes() == rng.gauss_rows(seeds[:1], 1)[0].tobytes()
+
+
 # 2**63 and -1 reach the top bit and the wrap of (index + 1) * GAMMA
 _INDICES = [0, 1, 2**32, 2**63, -1]
 

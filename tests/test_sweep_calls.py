@@ -66,12 +66,14 @@ from qilab.suites import SuiteConfig, run_suite
 EIG_BUDGET = {"metrics": 22, "info": 41, "transition": 16, "encoding": 49}
 # np.linalg.svd calls per seed-1 suite, stacked or single, trace norms'
 # eigvalsh route among them: one per block and dimension for each of the
-# metrics suite's distances, fidelities and pure pairs (120 while each batch
-# held every dim, 371 with a fidelity SVD per rank pair and a trace norm per
-# pure pair's length), and the transition suite's alignments per shape and
-# reduced states, distances and fidelities per dimension (48 while each batch
-# held every shape, 145 with a fidelity SVD per rank pair)
-SVD_BUDGET = {"metrics": 48, "info": 0, "transition": 33}
+# metrics suite's fidelities and pure pairs, whose density distances are read
+# from the optimal measurements' spectra (48 with an eigvalsh per difference
+# as well, 120 while each batch held every dim, 371 with a fidelity SVD per
+# rank pair and a trace norm per pure pair's length), and the transition
+# suite's alignments per shape and reduced states, distances and fidelities
+# per dimension (48 while each batch held every shape, 145 with a fidelity SVD
+# per rank pair)
+SVD_BUDGET = {"metrics": 37, "info": 0, "transition": 33}
 # (derive_seed calls, Stream constructions) per seed-1 suite: every seed is
 # drawn as arrays, and encoding makes a Stream per pairing's shuffle
 # (6000/2000, 8249/1000, 2801/2200 and 2980/2770 when each trial drew
@@ -175,6 +177,24 @@ def test_sweep_suites_make_no_single_density_or_draw_call(counted, suite):
     if suite in EIG_BUDGET:
         assert counted["single_eig"] == counted["qr"] == 0
     assert counted["np_svd"] <= SVD_BUDGET.get(suite, np.inf)
+
+
+def test_large_d_decomposes_each_difference_once(monkeypatch):
+    # the large-d workload's metrics pass: each stack of differences r1 - r2
+    # goes to one certified eigendecomposition, which gives both its trace
+    # norms and its optimal measurements (72 singular_values calls with an
+    # eigvalsh per difference as well)
+    calls = {"singular_values": 0, "hermitian_eig": 0}
+    for name in calls:
+        real = getattr(linalg, name)
+
+        def count(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, count)
+    run_suite("metrics", SuiteConfig(seed=1, dims=(192, 256), trials=12))
+    assert calls == {"singular_values": 60, "hermitian_eig": 36}
 
 
 def test_aligned_trials_build_no_state_or_result(monkeypatch):

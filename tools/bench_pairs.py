@@ -22,7 +22,9 @@ metric); per workload and side, the pass counts' median and range, since a
 fixed-time run's ``peak_rss_mb`` grows with its passes. For each side and seed it
 also keeps the SHA-256 and exit status of ``qilab --suite all --seed S
 --format json``, so a claim that the reports stay byte-identical sits beside
-the timing pairs.
+the timing pairs, and under ``host`` the CPU features numpy dispatches on and
+the OpenBLAS core, which pick the log, cos, sin and BLAS kernels behind those
+bytes.
 
 Each ``--cli "ARGS"`` adds whole-CLI pairs, after the workloads' and from the
 same exports: both sides run ``python -m qilab ARGS`` in alternating order, and
@@ -37,6 +39,7 @@ SHA-256 and exit status of its report, summarized as a workload named
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -198,14 +201,35 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
-def host() -> str:
+def host() -> dict:
+    """The machine, and what picks the kernels behind a report's bytes: the CPU
+    features numpy dispatches its SIMD loops on (log, cos and sin among them)
+    and the core OpenBLAS chose."""
     import numpy
+    from numpy._core._multiarray_umath import __cpu_features__
 
     bytecode = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "unset"
-    return (
-        f"{os.cpu_count()} cores, {platform.machine()}, Python {platform.python_version()}, "
-        f"numpy {numpy.__version__}; PYTHONDONTWRITEBYTECODE {bytecode}"
-    )
+    return {
+        "machine": f"{os.cpu_count()} cores, {platform.machine()}, Python "
+        f"{platform.python_version()}, numpy {numpy.__version__}; PYTHONDONTWRITEBYTECODE {bytecode}",
+        "numpy_cpu_features": [name for name, enabled in __cpu_features__.items() if enabled],
+        "openblas_core": openblas_core(),
+    }
+
+
+def openblas_core() -> str | None:
+    """The core name of the OpenBLAS library numpy loaded, if any, read through
+    ctypes as ``perfbench/worker.py`` reads its thread count."""
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        libs = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(handle, symbol):
+                corename = getattr(handle, symbol)
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 def main(argv=None) -> int:
