@@ -10,22 +10,34 @@ little about the slot that ends up mattering, so the pipeline
 (3) hands the now input-independent message to the other player, who
     prepares its purification herself and opens the protocol instead:
     one round fewer, identical outcome statistics.
+
+Bob, the player without the pointer, gives his opening as a block set:
+the y registers his move reads and one unitary on the message qubit per
+value of them. The table ``openings(n)`` holds four hand-built ones; any
+other block set, such as the random one below, goes through the same
+constructor.
 """
 
 import numpy as np
 
-from qilab.reduction import run_pipeline, two_round_family
 from qilab.protocol import run_protocol
-from qilab.reduction import slice_distribution
+from qilab.reduction import message_info_budget, openings, run_pipeline, slice_distribution
+from qilab.reduction import two_round_family
+from qilab.states import random_unitary
 
 print("== the toy protocols ==")
-for style in ("copy_first", "constant", "parity", "rotation"):
-    fam = two_round_family(style)
+for style, (reads, blocks) in openings(2).items():
+    fam = two_round_family(reads, blocks)
     errs = []
     for j in (0, 1):
         r = run_protocol(fam.spec, slice_distribution(fam, j))
         errs.append(r.error_avg)
-    print(f"{style:10s}: slice errors {errs[0]:.4f} / {errs[1]:.4f}")
+    shown = ", ".join(reads) or "nothing"
+    print(f"{style:10s}: reads {shown:8s}, slice errors {errs[0]:.4f} / {errs[1]:.4f}")
+
+random_blocks = {v: random_unitary(2, 7 + v) for v in range(4)}
+mus, joint, ell1 = message_info_budget(two_round_family(("y0", "y1"), random_blocks))
+print(f"random    : reads y0, y1  , per-slot informations {np.round(mus, 4)}, joint {joint:.4f}")
 
 print()
 print("== full pipeline on the rotation instance, slot 0 ==")

@@ -73,8 +73,11 @@ class TwoRoundFamily:
     """
 
     spec: ProtocolSpec
-    style: str
-    n: int = 2
+
+    @property
+    def n(self) -> int:
+        """The number of slots: the layout's x registers."""
+        return sum(r.name.startswith("x") for r in self.spec.layout.registers)
 
 
 def _decode_move(layout: RegisterLayout, n: int) -> Move:
@@ -94,14 +97,28 @@ def _decode_move(layout: RegisterLayout, n: int) -> Move:
     return Move("alice", m_w, blocks, controls=controls, send=m_w)
 
 
-def two_round_family(style: str, n: int = 2) -> TwoRoundFamily:
-    """Build a toy two-round protocol of size n; ``style`` picks Bob's first message.
+def openings(n: int) -> dict[str, tuple[tuple[str, ...], dict[int, np.ndarray]]]:
+    """Bob's hand-built openings at size n, by style, as the ``(reads,
+    blocks)`` that :func:`two_round_family` takes.
 
     copy_first  -- the message is a copy of y0;
     constant    -- the message is a fixed |+>, independent of everything;
     parity      -- the message is the XOR of y0..y{n-1};
     rotation    -- the message qubit is rotated by ROTATION_THETA when y0 = 1.
     """
+    odd = {k: proto.X for k in range(2**n) if k.bit_count() % 2}
+    return {
+        "copy_first": (("y0",), {1: proto.X}),
+        "constant": ((), {0: H}),
+        "parity": (tuple(f"y{i}" for i in range(n)), odd),
+        "rotation": (("y0",), {1: ry(ROTATION_THETA)}),
+    }
+
+
+def two_round_family(reads, blocks, n: int = 2) -> TwoRoundFamily:
+    """Build the size-n protocol whose opening is Bob's block set: he applies
+    ``blocks[v]`` to m (the identity where v is missing) and sends it, with v
+    the value of the y registers named in ``reads``, first most significant."""
     layout = make_layout(
         [
             ("a", max(1, (n - 1).bit_length()), "input", "alice"),  # ceil(log2 n) bits
@@ -110,24 +127,13 @@ def two_round_family(style: str, n: int = 2) -> TwoRoundFamily:
             ("m", 1, "message", "bob"),
         ]
     )
-    y0_w = layout.register("y0").qubits
+    ys = tuple(q for name in reads for q in layout.register(name).qubits)
     m_w = layout.register("m").qubits
-    if style == "copy_first":
-        first = Move("bob", m_w, {1: proto.X}, controls=y0_w, send=m_w)
-    elif style == "constant":
-        first = Move("bob", m_w, {0: H}, send=m_w)
-    elif style == "parity":
-        ys = tuple(q for i in range(n) for q in layout.register(f"y{i}").qubits)
-        odd = {k: proto.X for k in range(2**n) if k.bit_count() % 2}
-        first = Move("bob", m_w, odd, controls=ys, send=m_w)
-    elif style == "rotation":
-        first = Move("bob", m_w, {1: ry(ROTATION_THETA)}, controls=y0_w, send=m_w)
-    else:
-        raise ValueError(f"unknown style {style!r}")
+    first = Move("bob", m_w, blocks, controls=ys, send=m_w)
     spec = ProtocolSpec(
         layout, (first, _decode_move(layout, n)), Measurement("bob", m_w, {0: (P0, P1)})
     )
-    return TwoRoundFamily(spec, style, n)
+    return TwoRoundFamily(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -162,35 +168,25 @@ def _slot_assignments(family: TwoRoundFamily, j: int, superposed: bool = True) -
     return InputColumns(dict(zip([f"y{j}", *others], cols)))
 
 
-def slice_information(spec: ProtocolSpec, family: TwoRoundFamily, j: int) -> float:
-    """I(M : Y_j) of the first message under the slice distribution.
-
-    The message's sender cannot read Alice's x's, so one run per value of
-    y_j gives the slice average exactly.
-    """
-    (states,) = message_states_of([(spec, _slot_assignments(family, j))])
-    return uniform_cube_informations([states])[0]
-
-
-def _budget_runs(spec: ProtocolSpec, family: TwoRoundFamily) -> list[tuple]:
-    """The message runs of the budget: one per slot j, as for
-    :func:`slice_information`, then one over every value of y_0..y_{n-1}."""
+def _budget_runs(family: TwoRoundFamily) -> list[tuple]:
+    """The message runs of the budget: per slot j, one per value of y_j with
+    the other y's in |+> (the slice average exactly, as Bob's opening reads
+    no x), then one over every value of y_0..y_{n-1}."""
     values = np.indices((INNER,) * family.n).reshape(family.n, -1)
     joint = InputColumns({f"y{i}": z for i, z in enumerate(values)})
+    spec = family.spec
     return [*((spec, _slot_assignments(family, j)) for j in range(family.n)), (spec, joint)]
 
 
-def message_info_budget(
-    spec: ProtocolSpec, family: TwoRoundFamily
-) -> tuple[list[float], float, int]:
+def message_info_budget(family: TwoRoundFamily) -> tuple[list[float], float, int]:
     """Per-slot message information, the joint information, and ell_1: the
     one-family budget of :func:`run_pipelines`.
 
     The per-slot values mu_i = I(M : Y_i) sum to at most the joint
     I(M : Y_1..Y_n), which the message size ell_1 caps in turn.
     """
-    *mus, joint = uniform_cube_informations(message_states_of(_budget_runs(spec, family)))
-    return mus, joint, spec.first_message_qubits
+    *mus, joint = uniform_cube_informations(message_states_of(_budget_runs(family)))
+    return mus, joint, family.spec.first_message_qubits
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +484,15 @@ def _slot_reports(family, j, prime, double, messages, mu_j_prime) -> tuple:
 
 def run_pipeline(style: str, n: int = 2) -> tuple[PipelineReport, ...]:
     """Run P -> P' -> P'' for one toy instance at each slot j and collect
-    every check: the one-style :func:`run_pipelines`."""
+    every check: the one-style :func:`run_pipelines`, ``style`` a key of
+    :func:`openings`."""
     return next(run_pipelines((style,), n))
 
 
 def run_pipelines(styles, n: int = 2) -> Iterator[tuple[PipelineReport, ...]]:
     """:func:`run_pipeline` per style, yielded in turn, the (style, j)
-    instances taken through each stage together.
+    instances taken through each stage together. ``styles`` holds keys of
+    :func:`openings`, which label the reports.
 
     A stage certifies a group's instances in one stacked call each: the
     P -> P' alignments, the first messages of P' and of the group's
@@ -505,11 +503,12 @@ def run_pipelines(styles, n: int = 2) -> Iterator[tuple[PipelineReport, ...]]:
     n = 3, one from n = 4 on. Each slot's superposed slice is built once
     for P, P' and P''.
     """
-    cases = ((f, j) for f in (two_round_family(style, n) for style in styles) for j in range(n))
+    table, labels = openings(n), iter(styles)
+    cases = ((f, j) for f in (two_round_family(*table[s], n) for s in styles) for j in range(n))
     step = max(1, BLOCK_ENTRIES // 4 ** (n + 3))
     budgets, reports = [], []
     while group := list(islice(cases, step)):  # a family is built with its first group
-        budget_runs = [run for f, j in group if j == 0 for run in _budget_runs(f.spec, f)]
+        budget_runs = [run for f, j in group if j == 0 for run in _budget_runs(f)]
         primes = _prime_specs(group)
         prime_runs = [(p[0], _slot_assignments(f, j)) for (f, j), p in zip(group, primes)]
         messages = message_states_of([*budget_runs, *prime_runs])
@@ -522,12 +521,10 @@ def run_pipelines(styles, n: int = 2) -> Iterator[tuple[PipelineReport, ...]]:
             # P on the classical slice, the largest allocation, after the
             # superposed runs' arrays are freed; only its error is kept
             cla = _slice_runs(family, j, (family.spec,), superposed=False)[0].error_avg
-            if j == 0:  # the family's budget, computed with its first slot
-                *mus, joint = budgets.pop(0)
+            if j == 0:  # the family's style and budget, taken with its first slot
+                style, (*mus, joint) = next(labels), budgets.pop(0)
             ell1 = family.spec.first_message_qubits
-            reports.append(
-                PipelineReport(family.style, j, first, drop, tuple(mus), joint, ell1, cla)
-            )
+            reports.append(PipelineReport(style, j, first, drop, tuple(mus), joint, ell1, cla))
             if len(reports) == n:
                 yield tuple(reports)
                 reports = []

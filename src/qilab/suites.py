@@ -513,9 +513,6 @@ def rac_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
 # ---------------------------------------------------------------------------
 
-_PIPELINE_STYLES = ("copy_first", "constant", "parity", "rotation")
-
-
 def reduction_suite(cfg: SuiteConfig) -> list[CheckResult]:
     independence = _Tally("first_message_independence", _tol(cfg, 1e-9))
     align_bound = _Tally("alignment_error_bound", _tol(cfg, 1e-8))
@@ -526,7 +523,8 @@ def reduction_suite(cfg: SuiteConfig) -> list[CheckResult]:
     info_budget = _Tally("message_info_budget", _tol(cfg, 1e-9))
     sup_cls = _Tally("superposed_vs_classical", _tol(cfg, 1e-12))
     residual = _Tally("transition_residual", _tol(cfg, 1e-8))
-    reps = [rep for reports in reduction.run_pipelines(_PIPELINE_STYLES, cfg.n) for rep in reports]
+    pipelines = reduction.run_pipelines(reduction.openings(cfg.n), cfg.n)
+    reps = [rep for reports in pipelines for rep in reports]
     firsts, drops = [rep.first for rep in reps], [rep.drop for rep in reps]
     independence.agree([first.mu_j_prime for first in firsts])
     align_bound.add([first.alignment_bound_slack for first in firsts])

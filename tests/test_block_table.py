@@ -106,7 +106,7 @@ def test_a_batch_with_no_listed_value_is_left_as_it_is():
 
 
 def test_every_move_of_the_reduction_reads_as_the_dict_path():
-    fam = red.two_round_family("parity", 3)
+    fam = red.two_round_family(*red.openings(3)["parity"], 3)
     inputs = red.slice_distribution(fam, 1).inputs
     state = proto.initial_states(fam.spec.layout, inputs)
     for move in fam.spec.moves:

@@ -434,8 +434,8 @@ def test_dense_reference_index_protocols():
 
 
 def test_dense_reference_two_round_family():
-    for style in ("copy_first", "constant", "parity", "rotation"):
-        fam = red.two_round_family(style)
+    for reads, blocks in red.openings(2).values():
+        fam = red.two_round_family(reads, blocks)
         for j in (0, 1):
             for superposed in (True, False):
                 ensemble = red.slice_distribution(fam, j, superposed)
@@ -445,7 +445,7 @@ def test_dense_reference_two_round_family():
 def test_dense_reference_derived_parity_protocol():
     # P' of parity reads the superposed ancilla psi in the control slot of
     # y_j, next to the other y register, now a simulated work wire
-    fam = red.two_round_family("parity")
+    fam = red.two_round_family(*red.openings(2)["parity"])
     for j in (0, 1):
         spec_prime, _ = red.modify_first_message(fam, j)
         assert spec_prime.layout.n_qubits == 9

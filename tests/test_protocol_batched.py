@@ -17,7 +17,7 @@ from qilab import reduction as red
 from qilab import states
 from qilab.rng import Stream
 
-STYLES = ("copy_first", "constant", "parity", "rotation")
+STYLES = tuple(red.openings(2))
 
 
 def input_rows(inputs):
@@ -136,7 +136,7 @@ def _two_round_inputs(j):
 
 @pytest.mark.parametrize("style", STYLES)
 def test_two_round_family_matches_the_one_input_reference(style):
-    fam = red.two_round_family(style)
+    fam = red.two_round_family(*red.openings(2)[style])
     for j in (0, 1):
         for superposed in (True, False):
             assert_run_matches_reference(fam.spec, red.slice_distribution(fam, j, superposed))
@@ -147,7 +147,7 @@ def test_two_round_family_matches_the_one_input_reference(style):
 @pytest.mark.parametrize("style", STYLES)
 def test_derived_protocols_match_the_one_input_reference(style):
     # P' and P'' as run_pipeline builds them, on both slices of each slot
-    fam = red.two_round_family(style)
+    fam = red.two_round_family(*red.openings(2)[style])
     for j in (0, 1):
         spec_prime, first = red.modify_first_message(fam, j)
         spec_double, _ = red.drop_first_message(fam, spec_prime, first)
@@ -170,7 +170,7 @@ def test_index_protocols_match_the_one_input_reference(n):
 
 
 def test_one_input_branch_is_the_one_row_batch():
-    fam = red.two_round_family("parity")
+    fam = red.two_round_family(*red.openings(2)["parity"])
     inputs = red.slice_distribution(fam, 1).inputs
     batch = proto.evolve(fam.spec.moves, proto.initial_states(fam.spec.layout, inputs, slice(5)))
     for i in range(5):
@@ -222,7 +222,7 @@ def counted(monkeypatch):
 
 
 def test_each_move_is_applied_once_per_batch(counted):
-    fam = red.two_round_family("copy_first")
+    fam = red.two_round_family(*red.openings(2)["copy_first"])
     ensemble = red.slice_distribution(fam, 0)
     proto.run_protocol(fam.spec, ensemble)
     outcomes = len(fam.spec.final_measurement.blocks[0])

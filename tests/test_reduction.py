@@ -11,12 +11,17 @@ from qilab.errors import ReductionError
 from qilab.rac import bit_of
 from qilab.suites import SuiteConfig, run_suite
 
-STYLES = ("copy_first", "constant", "parity", "rotation")
+STYLES = tuple(red.openings(2))
+
+
+def _family(style, n=2):
+    """The size-n family that opens with ``style``'s entry of the table."""
+    return red.two_round_family(*red.openings(n)[style], n)
 
 
 def test_families_validate():
-    for style in ("copy_first", "constant", "parity", "rotation"):
-        fam = red.two_round_family(style)
+    for style in STYLES:
+        fam = _family(style)
         assert fam.spec.rounds == 2
         assert fam.spec.message_qubits == 2
         assert fam.spec.first_message_qubits == 1
@@ -31,7 +36,7 @@ def _rows(inputs):
 
 def test_slice_distribution_weights_and_targets():
     for n in (1, 2, 3):
-        fam = red.two_round_family("copy_first", n)
+        fam = _family("copy_first", n)
         for j in range(n):
             ens = red.slice_distribution(fam, j)
             assert len(ens.weights) == 4**n * 2
@@ -63,7 +68,7 @@ def _parent_slice(j, superposed):
 def test_n2_slice_is_the_old_loop_instance_by_instance(j, superposed):
     # the weighted error sum runs in instance order, so order, weights and
     # registers must match exactly for n = 2 reports to keep their bytes
-    got = red.slice_distribution(red.two_round_family("parity"), j, superposed)
+    got = red.slice_distribution(_family("parity"), j, superposed)
     rows = zip(_rows(got.inputs), got.weights.tolist(), got.targets.tolist())
     want = _parent_slice(j, superposed)
     assert len(got.weights) == len(want)
@@ -79,7 +84,7 @@ def test_n2_slice_is_the_old_loop_instance_by_instance(j, superposed):
 
 
 def test_n2_decode_blocks_are_the_old_keys():
-    fam = red.two_round_family("copy_first")
+    fam = _family("copy_first")
     decode = fam.spec.moves[1]
     layout = fam.spec.layout
     want = [
@@ -97,7 +102,7 @@ def test_n2_decode_blocks_are_the_old_keys():
 def test_unfixed_slot_acts_like_uniform_mixture():
     # slice inputs: the fixed slot is a uniform classical bit, and once the
     # protocol reads the superposed slot it decoheres to I/2
-    fam = red.two_round_family("copy_first")
+    fam = _family("copy_first")
     layout = fam.spec.layout
     weights = {0: 0.0, 1: 0.0}
     ens0 = red.slice_distribution(fam, 0)
@@ -115,7 +120,7 @@ def test_unfixed_slot_acts_like_uniform_mixture():
 
 def test_superposed_equals_classical_average():
     for style, n in (("copy_first", 2), ("rotation", 2), ("copy_first", 3), ("parity", 3)):
-        fam = red.two_round_family(style, n)
+        fam = _family(style, n)
         for j in range(n):
             sup = proto.run_protocol(fam.spec, red.slice_distribution(fam, j, True))
             cla = proto.run_protocol(fam.spec, red.slice_distribution(fam, j, False))
@@ -123,15 +128,15 @@ def test_superposed_equals_classical_average():
 
 
 def test_message_densities_copy_first():
-    fam = red.two_round_family("copy_first")
+    fam = _family("copy_first")
     rho = proto.message_states(fam.spec, proto.InputColumns({"y0": [0, 1]}, {"y1": red.PLUS}))
     assert np.allclose(rho[0].mat, np.diag([1.0, 0.0]), atol=1e-12)
     assert np.allclose(rho[1].mat, np.diag([0.0, 1.0]), atol=1e-12)
     rho1 = proto.message_states(fam.spec, proto.InputColumns({"y1": [0, 1]}, {"y0": red.PLUS}))
     assert np.allclose(rho1[0].mat, np.eye(2) / 2, atol=1e-12)
     assert np.allclose(rho1[1].mat, np.eye(2) / 2, atol=1e-12)
-    assert red.slice_information(fam.spec, fam, 0) == pytest.approx(1.0, abs=1e-10)
-    assert red.slice_information(fam.spec, fam, 1) == pytest.approx(0.0, abs=1e-10)
+    mus, _, _ = red.message_info_budget(fam)
+    assert mus == pytest.approx([1.0, 0.0], abs=1e-10)
 
 
 def _slice_average(spec, fam, j):
@@ -153,7 +158,7 @@ def _slice_average(spec, fam, j):
 def test_message_states_equal_the_slice_average(style, j):
     # Bob's opening cannot read Alice's x's, so one run per value of y_j
     # gives the average over the 16 x values of the slice
-    fam = red.two_round_family(style)
+    fam = _family(style)
     spec_prime, _ = red.modify_first_message(fam, j)
     for spec in (fam.spec, spec_prime):
         slot = proto.InputColumns({f"y{j}": [0, 1]}, {f"y{1 - j}": red.PLUS})
@@ -175,7 +180,7 @@ def _alice_first(fam):
 
 
 def test_message_states_reject_an_unset_input_the_sender_reads():
-    fam = red.two_round_family("copy_first")
+    fam = _family("copy_first")
     flipped = _alice_first(fam)
     with pytest.raises(proto.ProtocolError, match=r"unset inputs \['a', 'x0', 'x1'\]"):
         proto.message_states(flipped, proto.InputColumns({"y0": [0], "y1": [1]}))
@@ -186,42 +191,62 @@ def test_message_states_reject_an_unset_input_the_sender_reads():
 
 
 def test_modify_first_message_zeroes_information():
-    for style in ("copy_first", "parity", "rotation"):
-        fam = red.two_round_family(style)
+    for style in STYLES:
+        fam = _family(style)
+        mus, _, _ = red.message_info_budget(fam)
         for j in (0, 1):
             spec_prime, rep = red.modify_first_message(fam, j)
             assert rep.mu_j_prime <= 1e-9
             assert spec_prime.rounds == 2
             assert spec_prime.message_qubits == fam.spec.message_qubits
             assert rep.delta_j <= rep.eps_j + 2.0 * rep.mean_sqrt_t + 1e-8
-            mu_j = red.slice_information(fam.spec, fam, j)
-            assert rep.delta_j <= rep.eps_j + 4.0 * mu_j**0.25 + 1e-8
+            assert rep.delta_j <= rep.eps_j + 4.0 * mus[j] ** 0.25 + 1e-8
             for t_z, dist in zip(rep.t_values, rep.align_distances):
                 assert dist <= 2.0 * np.sqrt(t_z) + 1e-8
 
 
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("style", STYLES)
+def test_the_corrective_leaves_p_prime_at_the_aligned_distance(style, n):
+    # no later move of these families reads Bob's K wires, so P''s outcomes
+    # cannot tell whether the corrective ran; its global state after Bob's
+    # moves can: per value of y_j, it sits at the alignment's pure distance
+    # 2 sqrt(1 - F) from P's state after the opening
+    fam = _family(style, n)
+    for j in range(n):
+        spec_prime, rep = red.modify_first_message(fam, j)
+        others = {f"y{i}": red.PLUS for i in range(n) if i != j}
+        slot = proto.InputColumns({f"y{j}": [0, 1]}, others)
+        start = proto.initial_states(spec_prime.layout, slot)
+        original = proto.evolve(fam.spec.moves[:1], start).vec
+        corrected = proto.evolve(spec_prime.moves[:-1], start).vec
+        overlaps = np.abs(np.vecdot(original, corrected)) ** 2
+        want = [1.0 - (d / 2.0) ** 2 for d in rep.align_distances]
+        assert overlaps == pytest.approx(want, abs=1e-9)
+
+
 def test_independent_first_message_needs_no_correction():
-    fam = red.two_round_family("constant")
+    fam = _family("constant")
     spec_prime, rep = red.modify_first_message(fam, 0)
-    assert red.slice_information(fam.spec, fam, 0) == pytest.approx(0.0, abs=1e-10)
+    assert red.message_info_budget(fam)[0][0] == pytest.approx(0.0, abs=1e-10)
     assert max(rep.t_values) <= 1e-9
     assert max(rep.align_distances) <= 1e-6
     assert rep.delta_j == pytest.approx(rep.eps_j, abs=1e-9)
 
 
 def test_copy_first_slice_zero_numbers():
-    fam = red.two_round_family("copy_first")
+    fam = _family("copy_first")
     _, rep = red.modify_first_message(fam, 0)
     assert rep.eps_j == pytest.approx(0.25, abs=1e-12)
-    assert red.slice_information(fam.spec, fam, 0) == pytest.approx(1.0, abs=1e-10)
+    assert red.message_info_budget(fam)[0][0] == pytest.approx(1.0, abs=1e-10)
     assert rep.t_values == pytest.approx((1.0, 1.0), abs=1e-10)
     # message replaced by half of a maximally entangled pair: fidelity 1/2
     assert rep.align_distances == pytest.approx((np.sqrt(2.0),) * 2, abs=1e-9)
 
 
 def test_drop_first_message_matches_and_saves_a_round():
-    for style in ("copy_first", "constant", "parity", "rotation"):
-        fam = red.two_round_family(style)
+    for style in STYLES:
+        fam = _family(style)
         for j in (0, 1):
             spec_prime, first = red.modify_first_message(fam, j)
             spec_double, rep = red.drop_first_message(fam, spec_prime, first)
@@ -233,55 +258,57 @@ def test_drop_first_message_matches_and_saves_a_round():
 
 
 def test_message_info_budget():
-    fam = red.two_round_family("copy_first")
-    mus, joint, ell1 = red.message_info_budget(fam.spec, fam)
+    fam = _family("copy_first")
+    mus, joint, ell1 = red.message_info_budget(fam)
     assert mus[0] == pytest.approx(1.0, abs=1e-10)
     assert mus[1] == pytest.approx(0.0, abs=1e-10)
     assert ell1 == 1
     assert sum(mus) <= joint + 1e-9
     assert joint <= ell1 + 1e-9
 
-    fam2 = red.two_round_family("parity")
-    mus2, joint2, _ = red.message_info_budget(fam2.spec, fam2)
+    fam2 = _family("parity")
+    mus2, joint2, _ = red.message_info_budget(fam2)
     # parity of two uniform bits tells nothing about either alone
     assert max(mus2) <= 1e-10
     assert joint2 == pytest.approx(1.0, abs=1e-9)
 
 
-def test_random_first_messages_respect_budget():
-    # randomized sweep over first moves on m controlled by (y0, y1)
-    from qilab.protocol import Move, ProtocolSpec
-    from qilab.states import random_unitary
+@pytest.mark.parametrize("n", (2, 3))
+def test_random_first_messages_respect_budget(n):
+    # randomized sweep over openings on m that read every y: 2^n Haar
+    # blocks each, built through the block-set constructor
     from qilab.rng import derive_seed
+    from qilab.states import random_unitary
 
-    base = red.two_round_family("copy_first")
-    layout = base.spec.layout
-    y0 = layout.register("y0").qubits
-    y1 = layout.register("y1").qubits
-    m = layout.register("m").qubits
+    reads = tuple(f"y{i}" for i in range(n))
     for trial in range(12):
-        blocks = {
-            b: random_unitary(2, derive_seed(130, trial, b)) for b in range(4)
-        }
-        first = Move("bob", m, blocks, controls=(*y0, *y1), send=m)
-        spec = ProtocolSpec(
-            layout, (first, base.spec.moves[1]), base.spec.final_measurement
-        )
-        fam = red.TwoRoundFamily(spec, f"random{trial}")
-        mus, joint, ell1 = red.message_info_budget(spec, fam)
+        blocks = {b: random_unitary(2, derive_seed(130, trial, b)) for b in range(2**n)}
+        fam = red.two_round_family(reads, blocks, n)
+        mus, joint, ell1 = red.message_info_budget(fam)
+        assert len(mus) == n and ell1 == 1
         assert sum(mus) <= joint + 1e-9
         assert joint <= ell1 + 1e-9
 
 
+def test_a_hand_wrapped_spec_takes_its_n_from_the_layout():
+    # a family wrapped around an n = 3 spec by hand is sized from its
+    # registers: 4^3 x values times 2 of y_0 per slice, one value per slot
+    fam = red.TwoRoundFamily(_family("copy_first", 3).spec)
+    assert fam.n == 3
+    assert len(red.slice_distribution(fam, 0).weights) == 4**3 * 2
+    mus, _, _ = red.message_info_budget(fam)
+    assert len(mus) == 3
+
+
 def test_modify_requires_bob_start():
-    fam = red.two_round_family("copy_first")
-    flipped = red.TwoRoundFamily(_alice_first(fam), "alice_first")
+    fam = _family("copy_first")
+    flipped = red.TwoRoundFamily(_alice_first(fam))
     with pytest.raises(ReductionError, match="player without the pointer"):
         red.modify_first_message(flipped, 0)
 
 
 def test_copy_first_slice_errors():
-    fam = red.two_round_family("copy_first")
+    fam = _family("copy_first")
     reps = [
         proto.run_protocol(fam.spec, red.slice_distribution(fam, j)) for j in range(2)
     ]
@@ -295,7 +322,7 @@ def test_derived_protocol_keeps_the_family_layout():
     # simulated: at n = 2 and j = 0, 3 of 9 wires, at n = 3 (a 2-qubit
     # pointer), 4 of 13
     for n, wires in ((2, 8), (3, 12)):
-        fam = red.two_round_family("copy_first", n)
+        fam = _family("copy_first", n)
         assert fam.spec.layout.n_qubits == wires
         for j in range(n):
             spec_prime, _ = red.modify_first_message(fam, j)
@@ -310,7 +337,7 @@ def test_derived_protocol_keeps_the_family_layout():
 
 
 def test_drop_budget_at_n3_is_two_pointer_qubits():
-    fam = red.two_round_family("copy_first", 3)
+    fam = _family("copy_first", 3)
     spec_prime, first = red.modify_first_message(fam, 1)
     _, rep = red.drop_first_message(fam, spec_prime, first)
     assert rep.budget == spec_prime.message_qubits + 2
@@ -318,12 +345,12 @@ def test_drop_budget_at_n3_is_two_pointer_qubits():
 
 
 def test_parity_reads_every_y():
-    fam = red.two_round_family("parity", 3)
+    fam = _family("parity", 3)
     first = fam.spec.moves[0]
     ys = [q for i in range(3) for q in fam.spec.layout.register(f"y{i}").qubits]
     assert first.controls == tuple(ys)
     assert sorted(first.blocks) == [1, 2, 4, 7]
-    mus, joint, _ = red.message_info_budget(fam.spec, fam)
+    mus, joint, _ = red.message_info_budget(fam)
     assert max(mus) <= 1e-10
     assert joint == pytest.approx(1.0, abs=1e-9)
 
@@ -341,13 +368,13 @@ def test_alignment_guard_forgives_rounding_of_identical_states(monkeypatch):
     # equal states can come back with overlap^2 one rounding below 1 and
     # t = 0; 2 sqrt(1 - F) turns that 4.4e-16 into 4.2e-8
     _with_alignment(monkeypatch, 1.0 - 4.4e-16)
-    red.modify_first_message(red.two_round_family("copy_first"), 0)
+    red.modify_first_message(_family("copy_first"), 0)
 
 
 def test_alignment_guard_still_catches_a_real_gap(monkeypatch):
     _with_alignment(monkeypatch, 1.0 - 1e-6)
     with pytest.raises(ReductionError, match="alignment distance exceeded its bound"):
-        red.modify_first_message(red.two_round_family("copy_first"), 0)
+        red.modify_first_message(_family("copy_first"), 0)
 
 
 def test_pipeline_report_fields():
@@ -443,8 +470,8 @@ def test_pipelines_in_lockstep_equal_the_per_instance_stages(n):
     got = list(red.run_pipelines(STYLES, n))
     assert len(got) == len(STYLES)
     for style, reports in zip(STYLES, got):
-        fam = red.two_round_family(style, n)
-        mus, joint, ell1 = red.message_info_budget(fam.spec, fam)
+        fam = _family(style, n)
+        mus, joint, ell1 = red.message_info_budget(fam)
         assert [rep.j for rep in reports] == list(range(n))
         for j, rep in enumerate(reports):
             spec_prime, first = red.modify_first_message(fam, j)
@@ -503,7 +530,7 @@ def test_seed_one_reduction_suite_stacks_each_stage(monkeypatch):
 def test_eps_j_is_the_superposed_slice_error_bit_for_bit(style):
     # every other y re-kinded to work is still the same simulated |+> wire
     for n in (2, 3):
-        fam = red.two_round_family(style, n)
+        fam = _family(style, n)
         for j in range(n):
             _, rep = red.modify_first_message(fam, j)
             sup = proto.run_protocol(fam.spec, red.slice_distribution(fam, j, superposed=True))
