@@ -29,7 +29,6 @@ from .linalg import (
     hermitian_eig,
     partial_trace,
     svd,
-    tensor,
 )
 from .metrics import (
     TwoOutcomeMeasurement,
@@ -37,7 +36,6 @@ from .metrics import (
     fidelity,
     fidelity_distance_bounds,
     optimal_measurement,
-    pure_trace_distance,
     trace_distance,
     trace_norm,
 )
@@ -48,7 +46,6 @@ from .states import (
     distance_up_to_phase,
     make_densities,
     make_density,
-    make_pure,
     mixture,
     pure_density,
     random_densities,
@@ -89,20 +86,17 @@ __all__ = [
     "make_densities",
     "make_density",
     "make_ensemble",
-    "make_pure",
     "measured_mutual_info",
     "mixture",
     "optimal_measurement",
     "partial_trace",
     "pure_density",
-    "pure_trace_distance",
     "random_densities",
     "random_density",
     "random_pure",
     "random_unitary",
     "shannon_entropy",
     "svd",
-    "tensor",
     "trace_distance",
     "trace_norm",
     "uhlmann_align",

@@ -31,7 +31,8 @@ import numpy as np
 from . import states
 from .errors import PairingSearchError, SizeError
 from .info import CQEnsemble, _cube_labels, binary_entropy, holevo_information, holevo_informations
-from .metrics import trace_distance, trace_norm  # noqa: F401 (perfbench rebinds trace_distance here)
+# trace_distance is unused here, but perfbench/tests/test_tracing.py asserts it
+from .metrics import trace_distance, trace_norm  # noqa: F401
 from .rng import Stream
 from .states import make_densities, mixture_matrix
 

@@ -76,10 +76,6 @@ class CQEnsemble:
     priors: np.ndarray
     states: tuple[DensityMatrix, ...]
 
-    @property
-    def dim(self) -> int:
-        return self.states[0].dim
-
     @cached_property
     def mats(self) -> np.ndarray:
         """The states' matrices as one read-only (n, dim, dim) stack."""
@@ -132,14 +128,9 @@ def _cube_labels(n: int) -> tuple[int, list[str]]:
     return m, [format(x, f"0{m}b") if m > 0 else "" for x in range(n)]
 
 
-def conditional_entropy(e: CQEnsemble) -> float:
-    """Average encoded-state entropy sum_x p_x S(sigma_x)."""
-    return float(conditional_entropies(e.priors, [von_neumann_entropy(s) for s in e.states]))
-
-
 def conditional_entropies(priors, entropies):
-    """:func:`conditional_entropy`'s sum over the last axis of priors and
-    entropies, which must have one shape."""
+    """Average encoded-state entropy sum_x p_x S(sigma_x), summed over the
+    last axis of priors and entropies, which must have one shape."""
     priors, entropies = np.asarray(priors), np.asarray(entropies)
     if priors.shape != entropies.shape:
         raise SizeError(f"priors of shape {priors.shape} but entropies {entropies.shape}")
@@ -200,7 +191,7 @@ def validate_projective(projectors, dim: int) -> None:
     each list of a stack of them (..., outcomes, dim, dim), in one pass; a
     failing list of a stack is named "matrix i"."""
     tol = linalg.CERT_TOL
-    p = linalg.as_matrix(projectors, stack=True)
+    p = linalg.as_matrix(projectors)
     if p.shape[-2:] != (dim, dim):
         raise SizeError(f"projector shape {p.shape[-2:]} does not match dim {dim}")
     for off, what in (

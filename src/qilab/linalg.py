@@ -2,8 +2,8 @@
 
 All other modules sit on top of these operations. Matrices are plain
 ``numpy.ndarray`` objects with ``complex128`` entries. The tensor-product
-index convention is fixed here once: the FIRST factor occupies the most
-significant index positions, i.e. ``tensor(a, b)[ia*rows_b + ib,
+index convention is ``np.kron``'s: the FIRST factor occupies the most
+significant index positions, i.e. ``np.kron(a, b)[ia*rows_b + ib,
 ja*cols_b + jb] == a[ia, ja] * b[ib, jb]``. Register/qubit 0 throughout
 the package is therefore the most significant position.
 """
@@ -38,12 +38,12 @@ class EigDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def as_matrix(a, stack: bool = False) -> np.ndarray:
-    """Coerce to a 2-d complex array, or with ``stack`` to any stack of
-    matrices (ndim >= 2), rejecting non-finite entries."""
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a complex matrix or stack of matrices (ndim >= 2),
+    rejecting non-finite entries."""
     mat = np.asarray(a, dtype=np.complex128)
-    if mat.ndim != 2 and not (stack and mat.ndim > 2):
-        raise SizeError(f"expected a 2-d matrix, got shape {mat.shape}")
+    if mat.ndim < 2:
+        raise SizeError(f"expected a matrix or a stack of matrices, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         check_each(
             ~np.isfinite(mat).all(axis=(-2, -1)),
@@ -89,19 +89,6 @@ def frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat).real)
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the first factor most significant."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > MAX_DIM:
-        raise SizeError(
-            f"tensor product would be {rows}x{cols}, above the cap {MAX_DIM}"
-        )
-    return np.kron(a, b)
-
-
 def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a
     stack ``(..., d, d)`` in one batched LAPACK call.
@@ -113,7 +100,7 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigDecomposition:
     orthonormal is above the certification tolerance. For a stack, the
     message names the first failing matrix.
     """
-    a = as_matrix(a, stack=True)
+    a = as_matrix(a)
     dim = a.shape[-1]
     if a.shape[-2] != dim:
         raise SizeError(f"expected square matrices, got shape {a.shape}")
@@ -152,7 +139,7 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (U, s, V) with orthonormal columns in U and V and ``s``
     non-negative descending. Each matrix is certified on its own.
     """
-    a = as_matrix(a, stack=True)
+    a = as_matrix(a)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -169,7 +156,7 @@ def singular_values(a, hermitian: bool = False) -> np.ndarray:
     numpy's ``hermitian`` flag they are the |eigenvalues| of one batched
     ``eigvalsh``, 1.6-2.4x faster at d = 2..8; it reads the lower triangle
     only, so set it only for matrices Hermitian by construction."""
-    return np.linalg.svd(as_matrix(a, stack=True), compute_uv=False, hermitian=hermitian)
+    return np.linalg.svd(as_matrix(a), compute_uv=False, hermitian=hermitian)
 
 
 def partial_trace(
@@ -177,10 +164,10 @@ def partial_trace(
 ) -> np.ndarray:
     """Partial trace of an operator on H (x) K, or of each of a stack.
 
-    ``a`` must be square of dimension ``dim_h * dim_k`` under the tensor
-    convention of :func:`tensor` (H most significant).
+    ``a`` must be square of dimension ``dim_h * dim_k`` under ``np.kron``'s
+    index convention (H most significant).
     """
-    a = as_matrix(a, stack=True)
+    a = as_matrix(a)
     dim = dim_h * dim_k
     if a.shape[-2:] != (dim, dim):
         raise SizeError(

@@ -11,7 +11,6 @@ import numpy as np
 
 from . import linalg
 from .errors import SizeError
-from .info import validate_projective
 from .linalg import DEFAULT_TOL, EigDecomposition, dagger
 from .states import DensityMatrix, _gathered, _unit_norms, stacked
 
@@ -25,9 +24,6 @@ class TwoOutcomeMeasurement:
 
     def __iter__(self):  # the projector list (P+, P-)
         return iter((self.projector_pos, self.projector_neg))
-
-    def validate(self) -> None:
-        validate_projective(list(self), self.projector_pos.shape[0])
 
 
 def trace_norm(a, hermitian: bool = False) -> float | np.ndarray:
@@ -77,32 +73,17 @@ def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
     return trace_distances([(r1, r2)])[0]
 
 
-def pure_trace_distances(pairs) -> list[float] | np.ndarray:
-    """2 sqrt(1 - |<p1|p2>|^2) for each pair of unit vectors (or bipartite pure
-    states) ``(p1, p2)``, stacked per length, or as an array for each row of a
-    ``(pairs, 2, d)`` array, taken as it is; a SizeError (unequal lengths) or
-    NormalizationError (a norm not 1, or NaN) names the pair's index."""
-    if isinstance(pairs, np.ndarray):
-        if pairs.ndim != 3 or pairs.shape[1] != 2:
-            raise SizeError(f"a stack of pairs has shape (pairs, 2, d), got {pairs.shape}")
-        v = pairs.astype(complex, copy=False)
-        _unit_norms(v)  # names "matrix (i, side)": pair i
-        dot = np.vecdot(v[:, 0], v[:, 1])  # modulus by hypot and square by libm pow, as scalars
-        overlap_sq = np.float_power(np.hypot(dot.real, dot.imag), 2)
-        return 2.0 * np.sqrt(np.maximum(1.0 - overlap_sq, 0.0))
-    pairs = [[np.asarray(getattr(p, "vec", p), dtype=complex).ravel() for p in pq] for pq in pairs]
-
-    def build(lengths, members):  # the first pair of unequal lengths is the first of its group
-        if lengths[0] != lengths[1]:
-            raise SizeError(f"pair {members[0]}: pure states must have equal dimension")
-        return (pure_trace_distances(np.array([pairs[i] for i in members])),)
-
-    return [float(d[j]) for (d,), j in stacked([tuple(map(len, pq)) for pq in pairs], build, sum)]
-
-
-def pure_trace_distance(phi1, phi2) -> float:
-    """The one-pair :func:`pure_trace_distances`."""
-    return pure_trace_distances([(phi1, phi2)])[0]
+def pure_trace_distances(pairs: np.ndarray) -> np.ndarray:
+    """2 sqrt(1 - |<p1|p2>|^2) for each row ``(p1, p2)`` of a ``(pairs, 2, d)``
+    array of unit vectors, taken as it is; a NormalizationError (a norm not
+    1, or NaN) names the pair's index."""
+    if pairs.ndim != 3 or pairs.shape[1] != 2:
+        raise SizeError(f"a stack of pairs has shape (pairs, 2, d), got {pairs.shape}")
+    v = pairs.astype(complex, copy=False)
+    _unit_norms(v)  # names "matrix (i, side)": pair i
+    dot = np.vecdot(v[:, 0], v[:, 1])  # modulus by hypot and square by libm pow, as scalars
+    overlap_sq = np.float_power(np.hypot(dot.real, dot.imag), 2)
+    return 2.0 * np.sqrt(np.maximum(1.0 - overlap_sq, 0.0))
 
 
 def fidelities(pairs) -> list[float]:

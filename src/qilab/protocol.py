@@ -13,7 +13,7 @@ wire (an input given a superposition, a work or a message qubit) applies
 each block to its own slice. ``MAX_QUBITS`` bounds the simulated wires of
 one run and the targets of every move and measurement, not the layout's
 total wire count nor the number of controls. Qubit 0 is the most
-significant index position, matching :func:`qilab.linalg.tensor`.
+significant index position, as the first factor of ``np.kron``.
 """
 
 from __future__ import annotations
@@ -82,10 +82,6 @@ class RegisterLayout:
             raise SizeError(
                 f"{simulated} non-input qubits exceed the simulation cap {MAX_QUBITS}"
             )
-
-    @property
-    def n_qubits(self) -> int:
-        return sum(r.n_qubits for r in self.registers)
 
     def register(self, name: str) -> Register:
         for reg in self.registers:

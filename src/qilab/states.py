@@ -122,7 +122,7 @@ class BipartitePureState:
     """Unit vector on H (x) K with the factor dimensions recorded.
 
     The amplitude of |i>_H |j>_K sits at index ``i * dim_k + j`` (H most
-    significant), matching :func:`qilab.linalg.tensor`.
+    significant), the index ``np.kron`` gives |i> (x) |j>.
     """
 
     dim_h: int
@@ -243,15 +243,9 @@ def mixture_matrix(weights, mats) -> np.ndarray:
     return acc
 
 
-def make_pure(dim_h: int, dim_k: int, vec) -> BipartitePureState:
-    """``vec`` as a state on H (x) K: the one-state :func:`make_pures`."""
-    return make_pures([(dim_h, dim_k, vec)])[0]
-
-
-def make_pures(items, rescale: bool = False) -> list[BipartitePureState]:
+def make_pures(items) -> list[BipartitePureState]:
     """Per ``(dim_h, dim_k, vec)``, ``vec`` over its norm, which must be 1 within
-    :data:`NORM_TOL` (``rescale`` first divides it by its norm: a Gaussian made
-    a state), stacked per shape; a failing vector's error names its index."""
+    :data:`NORM_TOL`, stacked per shape; a failing vector's error names its index."""
     items = [(int(h), int(k), np.asarray(v, dtype=np.complex128).reshape(-1)) for h, k, v in items]
 
     def build(key, members):
@@ -259,22 +253,11 @@ def make_pures(items, rescale: bool = False) -> list[BipartitePureState]:
         if n != h * k:
             raise SizeError(f"vector length {n} does not match {h}x{k}")
         v = np.array([items[i][2] for i in members])
-        v = v / _norms(v)[:, None] if rescale else v
         return _read_only(v / _unit_norms(v)[:, None])
 
     keys = [(h, k, len(v)) for h, k, v in items]
     out = zip(keys, stacked(keys, build, lambda key: key[2]))
     return [BipartitePureState(h, k, v[j]) for (h, k, _), ((v,), j) in out]
-
-
-def reduced_state(psi: BipartitePureState, keep: str = "H") -> DensityMatrix:
-    """Reduced density matrix of a bipartite pure state."""
-    a = psi.coefficient_matrix()
-    if keep == "H":
-        return make_density(a @ dagger(a), tol=1e-8)
-    if keep == "K":
-        return make_density(a.T @ np.conj(a), tol=1e-8)
-    raise ValueError(f"keep must be 'H' or 'K', got {keep!r}")
 
 
 def canonical_purification(rho: DensityMatrix, dim_k: int) -> BipartitePureState:
@@ -524,10 +507,6 @@ def _random_stacks(specs) -> list[tuple[CertifiedStack, int]]:
 
 
 def random_pure(dim_h: int, dim_k: int, seed: int) -> BipartitePureState:
-    """Uniformly random unit vector on H (x) K."""
-    return pure_from_gauss(dim_h, dim_k, Stream(seed).complex_gauss_matrix(dim_h * dim_k, 1))
-
-
-def pure_from_gauss(dim_h: int, dim_k: int, g: np.ndarray) -> BipartitePureState:
-    """The state :func:`random_pure` makes of the complex Gaussian column ``g``."""
-    return make_pures([(dim_h, dim_k, g)], rescale=True)[0]
+    """Uniformly random unit vector on H (x) K: a complex Gaussian over its norm."""
+    g = Stream(seed).complex_gauss_matrix(dim_h * dim_k, 1).T
+    return make_pures([(dim_h, dim_k, g / _norms(g)[:, None])])[0]

@@ -194,7 +194,7 @@ def _metrics_chunk(chunk, fvg_lower, fvg_upper, tight, pure_agree, tensor_mult) 
         tight.agree(achieved - dists)
 
         g = np.stack([g1, g2], axis=1)  # the pure pairs' Gaussian columns
-        v = g[..., 0] / _norms(g[..., 0])[..., None]  # made states as make_pures(rescale=True) does
+        v = g[..., 0] / _norms(g[..., 0])[..., None]  # made states as random_pure makes one
         v /= _unit_norms(v)[..., None]
         diffs = v[:, 0, :, None] * np.conj(v[:, 0, None, :])
         diffs -= v[:, 1, :, None] * np.conj(v[:, 1, None, :])  # in place: large d shows in RSS
@@ -552,10 +552,18 @@ SUITES = {
 
 
 def check_config(name: str, cfg: SuiteConfig) -> None:
-    """Raise for a config that ``run_suite(name, cfg)`` cannot honour."""
+    """Raise SizeError for a config that ``run_suite(name, cfg)`` cannot honour."""
+    if cfg.trials is not None and cfg.trials < 1:  # 0 would run the default count
+        raise SizeError(f"trials must be >= 1, got {cfg.trials}")
+    if not 1 <= cfg.dims[0] <= cfg.dims[1] <= linalg.MAX_DIM:
+        raise SizeError(f"dims must satisfy 1 <= lo <= hi <= {linalg.MAX_DIM}, got {cfg.dims}")
     if not 1 <= cfg.m <= MAX_ENCODING_M:
         # no cube is drawn wider, and a report must not echo an m it did not use
         raise SizeError(f"m must be in 1..{MAX_ENCODING_M}, got {cfg.m}")
+    if cfg.n < 1:
+        raise SizeError(f"n must be >= 1, got {cfg.n}")
+    if cfg.tol is not None and not 0.0 <= cfg.tol < math.inf:  # NaN fails too
+        raise SizeError(f"tol must be finite and >= 0, got {cfg.tol}")
     if name in ("reduction", "all") and cfg.n + 2 > MAX_QUBITS:
         # P'' simulates m, psi, B'' and the n - 1 other y's; checked before `all` runs a suite
         n = cfg.n

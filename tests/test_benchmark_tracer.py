@@ -6,6 +6,12 @@ report must be byte-identical to the untraced one, and the spans must show
 the suite's distances taken a column of cubes at a time, one
 ``encoding.pairwise_distances`` call per column of one ``(m, dim)``. The
 file is only read, loaded by its path.
+
+The benchmark also reads qilab by name: ``Tracer.layer_metrics`` looks up
+its functions' spans by key, and perfbench's own tests call a few more
+names. The traced pass ends with ``layer_metrics``, and each of those
+names must exist, so that deleting one fails here and not first in a
+``--trace 1`` run.
 """
 
 import importlib.util
@@ -13,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from qilab import cli
+import qilab
+from qilab import cli, encoding, rng, states
 from qilab.suites import SuiteConfig, run_suite
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -44,3 +51,14 @@ def test_a_traced_encoding_pass_is_byte_identical_and_sees_every_ensemble():
     assert traced == untraced
     spans = tracer.arrays()
     assert np.sum(spans["names"][spans["fn"]] == "encoding.pairwise_distances") == 13
+    layers = tracer.layer_metrics()  # a KeyError if a name it looks up is gone
+    assert layers["suites.encoding.total_s"] > 0.0
+    # the names perfbench/tests/test_tracing.py reads
+    for owner, name in (
+        (rng.Stream, "gauss"),
+        (rng.Stream, "gauss_array"),
+        (encoding, "trace_distance"),
+        (qilab, "trace_distance"),
+        (states, "random_density"),
+    ):
+        assert callable(getattr(owner, name, None)), name

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -113,6 +114,27 @@ def test_m_outside_the_encoding_widths_is_rejected(capsys):
     for m in (0, 6):
         with pytest.raises(SizeError):
             suites.run_suite("encoding", suites.SuiteConfig(m=m, trials=1))
+
+
+@pytest.mark.parametrize(
+    "suite, flags",
+    [
+        ("metrics", {"trials": 0}),  # used to run the default 1000 trials
+        ("info", {"trials": -3}),
+        ("metrics", {"dims": (5, 2)}),  # used to run d in {5, 4}
+        ("metrics", {"dims": (0, 0)}),  # used to raise a bare ValueError from the RNG
+        ("encoding", {"dims": (2, 257)}),
+        ("rac", {"n": 0}),  # used to raise OverflowError
+        ("reduction", {"n": 0}),  # used to raise KeyError
+        ("transition", {"tol": -1e-9}),
+        ("metrics", {"tol": math.nan}),
+        ("info", {"tol": math.inf}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()),
+)
+def test_a_config_outside_the_library_boundary_is_rejected(suite, flags):
+    with pytest.raises(SizeError):
+        suites.run_suite(suite, suites.SuiteConfig(**flags))
 
 
 def test_library_size_error_exits_two(capsys):

@@ -11,40 +11,11 @@ def random_complex(rows, cols, seed):
     return Stream(seed).complex_gauss_matrix(rows, cols)
 
 
-def test_tensor_identity():
-    assert np.array_equal(linalg.tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_basis_case():
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    out = linalg.tensor(p0, p1)
-    expected = np.zeros((4, 4))
-    expected[1, 1] = 1.0
-    assert np.allclose(out, expected)
-
-
-def test_tensor_index_convention():
-    a = random_complex(2, 2, 1)
-    b = random_complex(3, 3, 2)
-    out = linalg.tensor(a, b)
-    for ia, ja, ib, jb in [(0, 1, 2, 0), (1, 0, 1, 2)]:
-        assert out[ia * 3 + ib, ja * 3 + jb] == pytest.approx(a[ia, ja] * b[ib, jb])
-
-
-def test_tensor_trace_product_oracle():
-    # oracle: compute both traces directly and multiply
-    a = random_complex(2, 2, 3)
-    b = random_complex(3, 3, 4)
-    lhs = np.trace(linalg.tensor(a, b))
-    rhs = np.trace(a) * np.trace(b)
-    assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
-
-
-def test_tensor_size_cap():
-    big = np.eye(32)
+def test_as_matrix_takes_matrices_and_stacks_but_not_vectors():
+    assert linalg.as_matrix(np.eye(2)).shape == (2, 2)
+    assert linalg.as_matrix(np.zeros((3, 2, 2))).dtype == np.complex128
     with pytest.raises(SizeError):
-        linalg.tensor(big, np.eye(16))
+        linalg.as_matrix(np.ones(4))
 
 
 def test_rejects_non_finite():
@@ -134,7 +105,7 @@ def test_partial_trace_product_state():
     rho_a /= np.trace(rho_a).real
     rho_b = gb @ gb.conj().T
     rho_b /= np.trace(rho_b).real
-    joint = linalg.tensor(rho_a, rho_b)
+    joint = np.kron(rho_a, rho_b)
     assert np.allclose(linalg.partial_trace(joint, 2, 3, "H"), rho_a, atol=1e-12)
     assert np.allclose(linalg.partial_trace(joint, 2, 3, "K"), rho_b, atol=1e-12)
 

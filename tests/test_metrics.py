@@ -4,7 +4,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from qilab import linalg, metrics, states, suites
+from qilab import info, linalg, metrics, states, suites
 from qilab.errors import NormalizationError, SizeError
 from qilab.rng import Stream, derive_seed
 
@@ -65,53 +65,46 @@ def test_trace_norm_multiplicative():
     )
 
 
-def test_pure_trace_distance_matches_density_route():
-    for seed in range(10):
-        v1 = states.random_pure(3, 1, derive_seed(42, seed, 0)).vec
-        v2 = states.random_pure(3, 1, derive_seed(42, seed, 1)).vec
-        direct = metrics.pure_trace_distance(v1, v2)
-        via_density = metrics.trace_distance(
-            states.pure_density(v1), states.pure_density(v2)
-        )
-        assert direct == pytest.approx(via_density, abs=1e-9)
+def _density_route(pairs):
+    """The trace distances of the pure densities of each pair: the independent reference."""
+    return metrics.trace_distances([tuple(states.pure_densities(pq)) for pq in pairs])
 
 
-def test_pure_trace_distance_edge_cases():
+def test_pure_trace_distances_match_the_density_route():
+    pairs = np.array(
+        [[states.random_pure(3, 1, derive_seed(42, seed, side)).vec for side in (0, 1)] for seed in range(10)]
+    )
+    np.testing.assert_allclose(metrics.pure_trace_distances(pairs), _density_route(pairs), atol=1e-9)
+
+
+def test_pure_trace_distances_edge_cases():
     v = states.random_pure(4, 1, 43).vec
-    assert metrics.pure_trace_distance(v, v) == pytest.approx(0.0, abs=1e-7)
-    assert metrics.pure_trace_distance([1, 0], [0, 1]) == pytest.approx(2.0)
-    with pytest.raises(SizeError):
-        metrics.pure_trace_distance([1, 0], [1, 0, 0])
+    assert metrics.pure_trace_distances(np.array([[v, v]]))[0] == pytest.approx(0.0, abs=1e-7)
+    assert metrics.pure_trace_distances(np.array([[[1, 0], [0, 1]]]))[0] == pytest.approx(2.0)
 
 
 def test_pure_trace_distances_reject_bad_vectors():
     # a non-unit vector used to read 2.0 and a NaN entry nan, silently
     good = ([1, 0], [0, 1])
     with pytest.raises(NormalizationError, match=r"^matrix \(1, 0\) has norm 0\.5,"):
-        metrics.pure_trace_distances([good, ([0.5, 0], [0, 1])])
+        metrics.pure_trace_distances(np.array([good, ([0.5, 0], [0, 1])]))
     with pytest.raises(NormalizationError, match=r"^matrix \(2, 1\) has norm nan,"):
-        metrics.pure_trace_distances([good, good, ([1, 0], [np.nan, 0])])
+        metrics.pure_trace_distances(np.array([good, good, ([1, 0], [np.nan, 0])]))
     with pytest.raises(NormalizationError, match=r"^matrix \(0, 0\) "):
-        metrics.pure_trace_distance([0.5, 0], [0, 1])
-    with pytest.raises(SizeError, match="^pair 1: "):
-        metrics.pure_trace_distances([good, ([1, 0], [1, 0, 0])])
-    v = states.random_pure(4, 1, 45).vec
-    stacked = metrics.pure_trace_distances([(v, v), good, (v, v[::-1])])
-    assert stacked == [metrics.pure_trace_distance(*pair) for pair in [(v, v), good, (v, v[::-1])]]
-    assert stacked[1] == 2.0
+        metrics.pure_trace_distances(np.array([([0.5, 0], [0, 1])]))
 
 
 @pytest.mark.parametrize("dim", [2, 5, 8])
 def test_pure_trace_distances_take_a_stack_of_pairs_as_it_is(dim):
     # the metrics suite's pure pairs as one (pairs, 2, d) array, as its kernel
-    # makes them: bit for bit the per-pair list form, as an array
+    # makes them: each row bit for bit its one-pair stack
     g = np.stack([states.random_pure(dim, 1, derive_seed(47, i)).vec for i in range(60)])
     v = g.reshape(30, 2, dim)
     v[3, 1] = v[3, 0]  # a pair at distance 0
     stacked = metrics.pure_trace_distances(v)
     assert isinstance(stacked, np.ndarray) and stacked.shape == (30,)
-    assert stacked.tolist() == metrics.pure_trace_distances(list(v))
-    assert stacked.tolist() == [metrics.pure_trace_distance(p, q) for p, q in v]
+    assert stacked.tolist() == [metrics.pure_trace_distances(pq[None])[0] for pq in v]
+    np.testing.assert_allclose(stacked, _density_route(v), atol=1e-9)
     real = np.zeros((2, 2, dim))
     real[:, 0, 0] = real[:, 1, 1] = 1.0
     assert metrics.pure_trace_distances(real).tolist() == [2.0, 2.0]
@@ -186,14 +179,14 @@ def test_fidelity_against_purification_oracle():
 def test_optimal_measurement_identical_states():
     rho = states.random_density(3, 2, 49)
     meas, achieved = metrics.optimal_measurement(rho, rho)
-    meas.validate()
+    info.validate_projective(list(meas), 3)
     assert achieved == pytest.approx(0.0, abs=1e-10)
 
 
-def test_measurement_validate_rejects_non_projector():
+def test_a_non_projector_measurement_fails_validate_projective():
     meas = metrics.TwoOutcomeMeasurement(np.diag([0.5, 0.0]), np.diag([0.5, 1.0]))
     with pytest.raises(ValueError):
-        meas.validate()
+        info.validate_projective(list(meas), 2)
 
 
 def test_optimal_measurement_orthogonal_states():
@@ -206,7 +199,7 @@ def test_optimal_measurement_achieves_trace_distance():
     for seed in range(20):
         r1, r2 = random_pair(derive_seed(50, seed), 2 + seed % 5)
         meas, achieved = metrics.optimal_measurement(r1, r2)
-        meas.validate()
+        info.validate_projective(list(meas), r1.dim)
         assert achieved == pytest.approx(
             metrics.trace_distance(r1, r2), abs=1e-9
         )

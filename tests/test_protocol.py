@@ -382,7 +382,7 @@ def _embed(controls, targets, blocks, n, default=None):
 
 
 def dense_distributions(spec, ensemble):
-    n = spec.layout.n_qubits
+    n = len(spec.layout.initial_owner())
     moves = [
         _embed(m.controls, m.targets, m.blocks, n, np.eye(2 ** len(m.targets)))
         for m in spec.moves
@@ -448,7 +448,7 @@ def test_dense_reference_derived_parity_protocol():
     fam = red.two_round_family(*red.openings(2)["parity"])
     for j in (0, 1):
         spec_prime, _ = red.modify_first_message(fam, j)
-        assert spec_prime.layout.n_qubits == 9
+        assert len(spec_prime.layout.initial_owner()) == 9
         for superposed in (True, False):
             assert_matches_dense(spec_prime, red.slice_distribution(fam, j, superposed))
 

@@ -10,8 +10,10 @@ runs.
 
 ``tests/reference_outcomes.json``, written by
 ``tools/make_outcome_references.py``, holds rows of the same form for the
-runs no workload makes: reduction at n = 1, 3, 4 and 5 and rac at n = 3
-and 5. They are judged the same way. Both files are only read.
+runs no workload makes, each entry with the ``SuiteConfig`` flags it ran
+at: reduction at n = 1, 3, 4 and 5, rac at n = 3 and 5, the metrics,
+info, transition and encoding suites at 7 and 65 trials, and encoding at
+m = 1 and 3. They are judged the same way. Both files are only read.
 """
 
 import json
@@ -70,9 +72,12 @@ def test_encoding_suite_repeats_the_reference(seed):
     _repeats_the_reference("encoding", seed)
 
 
-@pytest.mark.parametrize(
-    "entry", OUTCOMES, ids=lambda e: f"{e['suite']}-n{e['n']}-seed{e['seed']}"
-)
+def _entry_id(entry):
+    """``suite-n3-seed1``: the flags beyond the seed, then the seed."""
+    flags = sorted(entry["flags"].items(), key=lambda kv: kv[0] == "seed")
+    return "-".join([entry["suite"], *(f"{k}{v}" for k, v in flags)])
+
+
+@pytest.mark.parametrize("entry", OUTCOMES, ids=_entry_id)
 def test_unbenchmarked_sizes_repeat_their_outcomes(entry):
-    cfg = SuiteConfig(seed=entry["seed"], n=entry["n"])
-    _repeats(entry["outcomes"], [(entry["suite"], cfg)])
+    _repeats(entry["outcomes"], [(entry["suite"], SuiteConfig(**entry["flags"]))])

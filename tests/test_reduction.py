@@ -323,13 +323,13 @@ def test_derived_protocol_keeps_the_family_layout():
     # pointer), 4 of 13
     for n, wires in ((2, 8), (3, 12)):
         fam = _family("copy_first", n)
-        assert fam.spec.layout.n_qubits == wires
+        assert len(fam.spec.layout.initial_owner()) == wires
         for j in range(n):
             spec_prime, _ = red.modify_first_message(fam, j)
             layout = spec_prime.layout
             psi = 1 if j == 0 else 0
-            assert layout.n_qubits == wires + psi
-            assert layout.n_qubits - len(layout.input_qubits()) == n + psi
+            assert len(layout.initial_owner()) == wires + psi
+            assert len(layout.initial_owner()) - len(layout.input_qubits()) == n + psi
             kinds = [layout.register(f"y{i}").kind for i in range(n)]
             assert kinds == ["input" if i == j else "work" for i in range(n)]
             report = proto.run_protocol(spec_prime, red.slice_distribution(fam, j))

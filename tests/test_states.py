@@ -119,8 +119,8 @@ def test_canonical_purification_pure_state():
 
 def test_canonical_purification_maximally_mixed():
     psi = states.canonical_purification(states.make_density(np.eye(2) / 2), 2)
-    reduced = states.reduced_state(psi, "H")
-    assert np.allclose(reduced.mat, np.eye(2) / 2, atol=1e-12)
+    reduced = linalg.partial_trace(np.outer(psi.vec, psi.vec.conj()), 2, 2, "H")
+    assert np.allclose(reduced, np.eye(2) / 2, atol=1e-12)
     # K side is used in descending-eigenvalue computational order
     a = psi.coefficient_matrix()
     assert np.allclose(a.conj().T @ a, np.eye(2) / 2, atol=1e-12)
@@ -141,15 +141,17 @@ def test_canonical_purification_rank_error():
 
 def test_purification_of_reduction_recovers_density():
     psi = states.random_pure(3, 5, 24)
-    rho = states.reduced_state(psi, "H")
+    rho = states.make_density(linalg.partial_trace(np.outer(psi.vec, psi.vec.conj()), 3, 5, "H"))
     again = states.canonical_purification(rho, 5)
-    assert np.linalg.norm(states.reduced_state(again, "H").mat - rho.mat) <= 1e-9
+    reduced = linalg.partial_trace(np.outer(again.vec, again.vec.conj()), 3, 5, "H")
+    assert np.linalg.norm(reduced - rho.mat) <= 1e-9
 
 
 def test_random_pure_equal_spectra():
     psi = states.random_pure(3, 4, 25)
-    spec_h = np.linalg.eigvalsh(states.reduced_state(psi, "H").mat)
-    spec_k = np.linalg.eigvalsh(states.reduced_state(psi, "K").mat)
+    joint = np.outer(psi.vec, psi.vec.conj())
+    spec_h = np.linalg.eigvalsh(linalg.partial_trace(joint, 3, 4, "H"))
+    spec_k = np.linalg.eigvalsh(linalg.partial_trace(joint, 3, 4, "K"))
     spec_h = np.sort(spec_h[spec_h > 1e-11])
     spec_k = np.sort(spec_k[spec_k > 1e-11])
     assert np.allclose(spec_h, spec_k, atol=1e-9)
@@ -196,11 +198,11 @@ def test_distance_up_to_phase():
     assert states.distance_up_to_phase(v, w) == pytest.approx(direct, abs=1e-6)
 
 
-def test_make_pure_validation():
+def test_make_pures_validation():
     with pytest.raises(SizeError):
-        states.make_pure(2, 2, np.ones(3))
+        states.make_pures([(2, 2, np.ones(3))])
     with pytest.raises(NormalizationError):
-        states.make_pure(2, 2, np.array([2.0, 0, 0, 0]))
+        states.make_pures([(2, 2, np.array([2.0, 0, 0, 0]))])
 
 
 def _per_matrix_reference(dim, rank, seed):
@@ -453,8 +455,8 @@ def test_by_trial_draws_match_per_seed_generators(monkeypatch):
             d, e, s = specs[t]
             g, h, z, m = (x[i] for x in gaussians)
             pairs = [
-                (states.pure_from_gauss(d, 1, g).vec, states.random_pure(d, 1, s).vec),
-                (states.pure_from_gauss(2, e, h).vec, states.random_pure(2, e, s + 1).vec),
+                (g, Stream(s).complex_gauss_matrix(d, 1)),
+                (h, Stream(s + 1).complex_gauss_matrix(2 * e, 1)),
                 (states.unitary_from_gauss(z), states.random_unitary(d, s + 2)),
                 (m, Stream(s + 3).complex_gauss_matrix(d, e)),
             ]

@@ -145,7 +145,8 @@ def counted(monkeypatch):
 
 
 def test_the_counters_see_single_calls(counted):
-    states.reduced_state(states.random_pure(2, 2, 1), "H")
+    v = states.random_pure(2, 2, 1).vec
+    states.make_density(linalg.partial_trace(np.outer(v, v.conj()), 2, 2, "H"))
     linalg.svd(np.eye(2))
     linalg.singular_values(np.eye(2)[None])
     linalg.hermitian_eig(np.eye(2))  # make_density's own is a stack of one

@@ -49,7 +49,7 @@ def test_align_matches_fidelity_sweep():
         assert res.pure_distance <= res.bound + 1e-8
         # realized distance agrees with the overlap formula
         aligned = transition.apply_k_unitary(phi2, res.unitary_k)
-        realized = metrics.pure_trace_distance(phi1.vec, aligned.vec)
+        realized = metrics.pure_trace_distances(np.array([[phi1.vec, aligned.vec]]))[0]
         assert realized == pytest.approx(res.pure_distance, abs=1e-7)
 
 
@@ -119,8 +119,7 @@ def test_exact_transition_identity_case():
 
 
 def test_exact_transition_bell_permutation():
-    bell = states.make_pure(2, 2, np.array([1, 0, 0, 1]) / np.sqrt(2))
-    swapped = states.make_pure(2, 2, np.array([0, 1, 1, 0]) / np.sqrt(2))
+    bell, swapped = states.make_pures([(2, 2, np.array(v) / np.sqrt(2)) for v in ([1, 0, 0, 1], [0, 1, 1, 0])])
     u = transition.exact_local_transition(bell, swapped)
     aligned = transition.apply_k_unitary(swapped, u)
     assert states.distance_up_to_phase(aligned.vec, bell.vec) <= 1e-10
