@@ -21,27 +21,28 @@ constructor.
 import numpy as np
 
 from qilab.protocol import run_protocol
-from qilab.reduction import message_info_budget, openings, run_pipeline, slice_distribution
+from qilab.reduction import message_info_budget, openings, run_pipelines, slice_distribution
 from qilab.reduction import two_round_family
 from qilab.states import random_unitary
 
 print("== the toy protocols ==")
 for style, (reads, blocks) in openings(2).items():
-    fam = two_round_family(reads, blocks)
+    spec = two_round_family(reads, blocks)
     errs = []
     for j in (0, 1):
-        r = run_protocol(fam.spec, slice_distribution(fam, j))
+        r = run_protocol(spec, slice_distribution(spec, j))
         errs.append(r.error_avg)
     shown = ", ".join(reads) or "nothing"
     print(f"{style:10s}: reads {shown:8s}, slice errors {errs[0]:.4f} / {errs[1]:.4f}")
 
 random_blocks = {v: random_unitary(2, 7 + v) for v in range(4)}
-mus, joint, ell1 = message_info_budget(two_round_family(("y0", "y1"), random_blocks))
+spec = two_round_family(("y0", "y1"), random_blocks)
+mus, joint, ell1 = message_info_budget([spec])[0]
 print(f"random    : reads y0, y1  , per-slot informations {np.round(mus, 4)}, joint {joint:.4f}")
 
 print()
 print("== full pipeline on the rotation instance, slot 0 ==")
-rep = run_pipeline("rotation")[0]
+rep = next(run_pipelines(("rotation",)))[0]
 f, d = rep.first, rep.drop
 print(f"slice error of the original protocol   eps_0  = {f.eps_j:.4f}")
 print(f"first-message information about slot 0 mu_0   = {rep.mus[0]:.4f}")

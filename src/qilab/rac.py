@@ -122,7 +122,7 @@ def bloch_to_ket(b: np.ndarray) -> np.ndarray:
 
 
 def _index_register_bits(n: int) -> int:
-    return max(1, int(np.ceil(np.log2(n))))
+    return max(1, (n - 1).bit_length())  # ceil(log2 n) bits, at least one
 
 
 def _index_layout(n: int, *extra) -> RegisterLayout:

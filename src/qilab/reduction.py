@@ -45,7 +45,6 @@ from .protocol import (
     Move,
     ProtocolSpec,
     RegisterLayout,
-    RunReport,
     evolve,
     initial_states,
     make_layout,
@@ -62,22 +61,6 @@ from .transition import exact_local_transitions, uhlmann_aligns
 PLUS = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 ROTATION_THETA = 0.6 * np.pi  # the "rotation" style's angle
 INNER = 2  # bits per inner string x_i; y_i is one bit indexing into it
-
-
-@dataclass(frozen=True)
-class TwoRoundFamily:
-    """A two-round protocol for the size-n, inner = 2 nested index problem.
-
-    Register names are fixed: pointer "a", Alice blocks "x0".."x{n-1}",
-    Bob blocks "y0".."y{n-1}", message "m". The first move is Bob's.
-    """
-
-    spec: ProtocolSpec
-
-    @property
-    def n(self) -> int:
-        """The number of slots: the layout's x registers."""
-        return sum(r.name.startswith("x") for r in self.spec.layout.registers)
 
 
 def _decode_move(layout: RegisterLayout, n: int) -> Move:
@@ -115,10 +98,15 @@ def openings(n: int) -> dict[str, tuple[tuple[str, ...], dict[int, np.ndarray]]]
     }
 
 
-def two_round_family(reads, blocks, n: int = 2) -> TwoRoundFamily:
-    """Build the size-n protocol whose opening is Bob's block set: he applies
+def two_round_family(reads, blocks, n: int = 2) -> ProtocolSpec:
+    """The size-n protocol whose opening is Bob's block set: he applies
     ``blocks[v]`` to m (the identity where v is missing) and sends it, with v
-    the value of the y registers named in ``reads``, first most significant."""
+    the value of the y registers named in ``reads``, first most significant.
+
+    Register names are fixed: pointer "a", Alice blocks "x0".."x{n-1}", Bob
+    blocks "y0".."y{n-1}", message "m"; a family's n is read back from its
+    x registers.
+    """
     layout = make_layout(
         [
             ("a", max(1, (n - 1).bit_length()), "input", "alice"),  # ceil(log2 n) bits
@@ -130,10 +118,14 @@ def two_round_family(reads, blocks, n: int = 2) -> TwoRoundFamily:
     ys = tuple(q for name in reads for q in layout.register(name).qubits)
     m_w = layout.register("m").qubits
     first = Move("bob", m_w, blocks, controls=ys, send=m_w)
-    spec = ProtocolSpec(
+    return ProtocolSpec(
         layout, (first, _decode_move(layout, n)), Measurement("bob", m_w, {0: (P0, P1)})
     )
-    return TwoRoundFamily(spec)
+
+
+def _slots(spec: ProtocolSpec) -> int:
+    """The family's n: the layout's x registers."""
+    return sum(r.name.startswith("x") for r in spec.layout.registers)
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +133,15 @@ def two_round_family(reads, blocks, n: int = 2) -> TwoRoundFamily:
 # ---------------------------------------------------------------------------
 
 
-def slice_distribution(
-    family: TwoRoundFamily, j: int, superposed: bool = True
-) -> InputEnsemble:
+def slice_distribution(spec: ProtocolSpec, j: int, superposed: bool = True) -> InputEnsemble:
     """Inputs with the pointer fixed to j: x's uniform classical, y_j
     uniform classical, remaining y registers in uniform superposition
     (or enumerated classically when ``superposed`` is False).
     """
-    ys = _slot_assignments(family, j, superposed)
-    n_x, n_y = 2 ** (INNER * family.n), len(ys)  # row x * n_y + y
-    xs = np.indices((2**INNER,) * family.n).reshape(family.n, -1).repeat(n_y, axis=1)
+    n = _slots(spec)
+    ys = _slot_assignments(spec, j, superposed)
+    n_x, n_y = 2 ** (INNER * n), len(ys)  # row x * n_y + y
+    xs = np.indices((2**INNER,) * n).reshape(n, -1).repeat(n_y, axis=1)
     values = {name: np.tile(col, n_x) for name, col in ys.values.items()}
     values.update({f"x{i}": col for i, col in enumerate(xs)}, a=np.full(n_x * n_y, j))
     targets = bit_of(values[f"x{j}"], values[f"y{j}"], INNER)
@@ -158,35 +149,40 @@ def slice_distribution(
     return InputEnsemble(InputColumns(values, ys.amplitudes), weights, targets)
 
 
-def _slot_assignments(family: TwoRoundFamily, j: int, superposed: bool = True) -> InputColumns:
+def _slot_assignments(spec: ProtocolSpec, j: int, superposed: bool = True) -> InputColumns:
     """Per value of y_j, the other y registers in |+> (or, when ``superposed``
     is False, one row per classical fill of them)."""
-    others = [f"y{i}" for i in range(family.n) if i != j]
+    n = _slots(spec)
+    others = [f"y{i}" for i in range(n) if i != j]
     if superposed:
         return InputColumns({f"y{j}": np.arange(INNER)}, dict.fromkeys(others, PLUS))
-    cols = np.indices((INNER,) + (2,) * len(others)).reshape(family.n, -1)
+    cols = np.indices((INNER,) + (2,) * len(others)).reshape(n, -1)
     return InputColumns(dict(zip([f"y{j}", *others], cols)))
 
 
-def _budget_runs(family: TwoRoundFamily) -> list[tuple]:
-    """The message runs of the budget: per slot j, one per value of y_j with
-    the other y's in |+> (the slice average exactly, as Bob's opening reads
-    no x), then one over every value of y_0..y_{n-1}."""
-    values = np.indices((INNER,) * family.n).reshape(family.n, -1)
-    joint = InputColumns({f"y{i}": z for i, z in enumerate(values)})
-    spec = family.spec
-    return [*((spec, _slot_assignments(family, j)) for j in range(family.n)), (spec, joint)]
-
-
-def message_info_budget(family: TwoRoundFamily) -> tuple[list[float], float, int]:
-    """Per-slot message information, the joint information, and ell_1: the
-    one-family budget of :func:`run_pipelines`.
+def message_info_budget(families) -> list[tuple[list[float], float, int]]:
+    """Per family spec, the per-slot message informations, the joint
+    information and ell_1, every family's message runs simulated in one
+    :func:`message_states_of` call.
 
     The per-slot values mu_i = I(M : Y_i) sum to at most the joint
-    I(M : Y_1..Y_n), which the message size ell_1 caps in turn.
+    I(M : Y_1..Y_n), which the message size ell_1 caps in turn. Slot i's
+    run takes each value of y_i with the other y's in |+> (the slice
+    average exactly, as Bob's opening reads no x); the joint run takes
+    every value of y_0..y_{n-1}.
     """
-    *mus, joint = uniform_cube_informations(message_states_of(_budget_runs(family)))
-    return mus, joint, family.spec.first_message_qubits
+    families, runs = list(families), []  # read twice: a generator would give []
+    for spec in families:
+        n = _slots(spec)
+        values = np.indices((INNER,) * n).reshape(n, -1)
+        joint = InputColumns({f"y{i}": z for i, z in enumerate(values)})
+        runs += [*((spec, _slot_assignments(spec, i)) for i in range(n)), (spec, joint)]
+    infos = iter(uniform_cube_informations(message_states_of(runs)))
+    out = []
+    for spec in families:
+        *mus, joint = islice(infos, _slots(spec) + 1)
+        out.append((mus, joint, spec.first_message_qubits))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +217,7 @@ class FirstMessageReport:
     align_distances: tuple[float, ...]
     prime_outcomes: np.ndarray  # P' on the slice, one row per instance
     prime_messages: tuple[DensityMatrix, ...]  # P''s first message, per value of y_j
+    ensemble: InputEnsemble  # slot j's superposed slice, which P and P' ran on
 
     @property
     def mean_sqrt_t(self) -> float:
@@ -232,21 +229,23 @@ class FirstMessageReport:
         return self.eps_j + 2.0 * self.mean_sqrt_t - self.delta_j
 
 
-def _prime_specs(cases) -> list[tuple[ProtocolSpec, tuple[float, ...], tuple[float, ...]]]:
-    """Per ``(family, j)``, P' and its alignments' t values and pure
-    distances, one per value of y_j: every case's alignments in one
-    :func:`uhlmann_aligns` call.
+def modify_first_message(cases) -> list[tuple[ProtocolSpec, FirstMessageReport]]:
+    """Per ``(spec, j)``, P' whose first message ignores y_j, plus the
+    certificate: every case's alignments in one :func:`uhlmann_aligns`
+    call, and the first messages of P' in one :func:`message_states_of`
+    call.
 
     Bob's opening becomes two moves: a Hadamard puts a fresh ancilla psi
     in the uniform superposition, and the original blocks then read psi
     in the control slot of y_j, which forces I(M : Y_j) = 0. A corrective
     unitary on his remaining qubits, controlled on y_j and built by
     purification alignment, brings the global state back toward the
-    original one.
+    original one, so the error increase over P is bounded by twice the
+    mean square-root alignment distance. P and P' are scored on slot j's
+    superposed slice, which the report keeps.
     """
-    built, pairs = [], []
-    for family, j in cases:
-        spec = family.spec
+    cases, built, assigned, pairs = list(cases), [], [], []
+    for spec, j in cases:
         first = spec.moves[0]
         if first.player != "bob":
             raise ReductionError("the first move must belong to the player without the pointer")
@@ -257,7 +256,7 @@ def _prime_specs(cases) -> list[tuple[ProtocolSpec, tuple[float, ...], tuple[flo
         # the other y registers stop being inputs: they become workspace Bob
         # initializes himself.
         psi = [("psi", len(touched), "work", "bob")] if touched else []
-        kinds = {f"y{i}": "work" for i in range(family.n) if i != j}
+        kinds = {f"y{i}": "work" for i in range(_slots(spec)) if i != j}
         layout = _relayout(spec.layout, kinds=kinds, append=psi)
         if touched:
             psi_wires = layout.register("psi").qubits
@@ -269,65 +268,46 @@ def _prime_specs(cases) -> list[tuple[ProtocolSpec, tuple[float, ...], tuple[flo
             opening = (first,)
 
         m_wires = tuple(first.send)
-        assignments = _slot_assignments(family, j)
+        assignments = _slot_assignments(spec, j)
 
         # y_j and Alice's inputs are classical, so K is every other wire.
         rewired_state = evolve(opening, initial_states(layout, assignments, slice(1)))
         k_wires = tuple(q for q in rewired_state.wires if q not in m_wires)
         (phi_prime,) = rewired_state.bipartites(m_wires, k_wires)
         phis = evolve((first,), initial_states(layout, assignments)).bipartites(m_wires, k_wires)
-        built.append((spec, layout, opening, k_wires, yj_wires))
+        built.append((layout, opening, k_wires, yj_wires))
+        assigned.append(assignments)
         pairs.append([(phi_z, phi_prime) for phi_z in phis])
 
     results = iter(uhlmann_aligns([pair for group in pairs for pair in group]))
-    out = []
-    for (spec, layout, opening, k_wires, yj_wires), group in zip(built, pairs):
-        t_values = []
-        align_distances = []
-        corrective_blocks = {}
-        for z, result in enumerate(islice(results, len(group))):
+    primes = []
+    for (spec, _), (layout, opening, k_wires, yj_wires), group in zip(cases, built, pairs):
+        aligned = list(islice(results, len(group)))
+        for result in aligned:
             # pure_distance <= bound squared (1 - F <= t): no sqrt to blow up a rounding of F
             if 1.0 - result.achieved_overlap_sq > result.t + 1e-9:
                 raise ReductionError("alignment distance exceeded its bound")
-            t_values.append(result.t)
-            align_distances.append(result.pure_distance)
-            corrective_blocks[z] = result.unitary_k
+        corrective_blocks = {z: result.unitary_k for z, result in enumerate(aligned)}
         corrective = Move("bob", k_wires, corrective_blocks, controls=yj_wires)
         spec_prime = ProtocolSpec(
             layout, (*opening, corrective, *spec.moves[1:]), spec.final_measurement
         )
-        out.append((spec_prime, tuple(t_values), tuple(align_distances)))
+        primes.append((spec_prime, aligned))
+
+    messages = message_states_of([(p, a) for (p, _), a in zip(primes, assigned)])
+    out = []
+    for (spec, j), (spec_prime, aligned), rhos, mu_j_prime in zip(
+        cases, primes, messages, uniform_cube_informations(messages)
+    ):
+        ensemble = slice_distribution(spec, j)
+        run, run_prime = run_protocol(spec, ensemble), run_protocol(spec_prime, ensemble)
+        t_values = tuple(result.t for result in aligned)
+        distances = tuple(result.pure_distance for result in aligned)
+        report = FirstMessageReport(j, run.error_avg, run_prime.error_avg, mu_j_prime, t_values,
+                                    distances, run_prime.outcome_distributions, tuple(rhos),
+                                    ensemble)
+        out.append((spec_prime, report))
     return out
-
-
-def _slice_runs(family: TwoRoundFamily, j: int, specs, superposed: bool = True) -> list[RunReport]:
-    """Each spec run on slot j's slice distribution, built once for them all."""
-    ensemble = slice_distribution(family, j, superposed)
-    return [run_protocol(spec, ensemble) for spec in specs]
-
-
-def _first_report(j, aligned, messages, mu_j_prime, run, run_prime) -> FirstMessageReport:
-    """The P -> P' certificate from P's and P''s runs on the slice."""
-    outcomes = run_prime.outcome_distributions
-    return FirstMessageReport(j, run.error_avg, run_prime.error_avg, mu_j_prime, *aligned,
-                              outcomes, tuple(messages))
-
-
-def modify_first_message(
-    family: TwoRoundFamily, j: int
-) -> tuple[ProtocolSpec, FirstMessageReport]:
-    """Derive P' whose first message ignores y_j, plus the certificate: the
-    one-case P -> P' step of :func:`run_pipelines`.
-
-    The first message of P' carries zero information about y_j; the error
-    increase over P is bounded by twice the mean square-root alignment
-    distance (see :func:`_prime_specs`).
-    """
-    ((spec_prime, *aligned),) = _prime_specs([(family, j)])
-    (messages,) = message_states_of([(spec_prime, _slot_assignments(family, j))])
-    (mu_j_prime,) = uniform_cube_informations([messages])
-    run, run_prime = _slice_runs(family, j, (family.spec, spec_prime))
-    return spec_prime, _first_report(j, aligned, messages, mu_j_prime, run, run_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -349,26 +329,29 @@ class DropReport:
     max_transition_residual: float
 
 
-def _double_specs(items) -> list[tuple[ProtocolSpec, float]]:
-    """Per ``(family, spec_prime, j, prime_messages)``, P'' and its largest
-    exact-transition residual: every item's purification in one
-    :func:`canonical_purifications` call, and its transitions in one
-    :func:`exact_local_transitions` call.
+def drop_first_message(items) -> list[tuple[ProtocolSpec, DropReport]]:
+    """Per ``(spec, spec_prime, first)``, P'' and its certificate: every
+    item's purification in one :func:`canonical_purifications` call, and
+    its transitions in one :func:`exact_local_transitions` call.
 
     Alice opens the protocol with the message prepared herself, purified
     across an extra register that rides along with her own message; Bob
-    restores his side with an exact local transition. ``prime_messages``
-    are P''s first messages per value of y_j.
+    restores his side with an exact local transition. The outcome
+    distribution matches P' on every slice input, with one round fewer and
+    at most ceil(log2 n) extra message qubits. ``first`` is
+    :func:`modify_first_message`'s report on ``spec_prime``: its first
+    messages, its slice and P''s outcomes on that slice are reused.
     """
-    rhos = []
-    for *_, (rho_m, *others) in items:
+    items, rhos = list(items), []
+    for *_, first in items:
+        rho_m, *others = first.prime_messages
         if any(np.max(np.abs(other.mat - rho_m.mat)) > 1e-9 for other in others):
             raise ReductionError("first message still depends on y_j")
         rhos.append(rho_m)
     ranks = [max(int(np.sum(rho.eig.eigenvalues > 1e-9)), 1) for rho in rhos]
-    purifications = canonical_purifications(rhos, [2 ** int(np.ceil(np.log2(r))) for r in ranks])
+    purifications = canonical_purifications(rhos, [1 << (r - 1).bit_length() for r in ranks])
     staged, pairs = [], []
-    for (family, spec_prime, j, _), purification in zip(items, purifications):
+    for (spec, spec_prime, first), purification in zip(items, purifications):
         m_wires = tuple(spec_prime.moves[spec_prime.first_message_index()].send)
         n_b = purification.dim_k.bit_length() - 1
         # New layout: message register now belongs to Alice; purification
@@ -384,8 +367,8 @@ def _double_specs(items) -> list[tuple[ProtocolSpec, float]]:
         alice_move = spec_prime.moves[first_alice]
         alice_move = replace(alice_move, send=(*alice_move.send, *bp_wires))
 
-        yj_wires = layout.register(f"y{j}").qubits
-        assignments = _slot_assignments(family, j)
+        yj_wires = layout.register(f"y{first.j}").qubits
+        assignments = _slot_assignments(spec, first.j)
 
         # Alice's prepared message; y_j and Alice's inputs are classical, so
         # K is B'' followed by every other simulated wire.
@@ -397,60 +380,35 @@ def _double_specs(items) -> list[tuple[ProtocolSpec, float]]:
         # in the new register space (B'' spectator at |0>).
         bob_moves = spec_prime.moves[:first_alice]
         chis = evolve(bob_moves, initial_states(layout, assignments)).bipartites(m_wires, k_full)
-        staged.append((spec_prime, layout, prep, alice_move, first_alice, k_full, yj_wires))
+        staged.append((layout, prep, alice_move, first_alice, k_full, yj_wires))
         pairs.append([(chi, xi) for chi in chis])
 
     found = iter(exact_local_transitions([pair for group in pairs for pair in group]))
     out = []
-    for (spec_prime, layout, prep, alice_move, first_alice, k_full, yj_wires), group in zip(
-        staged, pairs
-    ):
+    for (spec, spec_prime, first), stage, group in zip(items, staged, pairs):
+        layout, prep, alice_move, first_alice, k_full, yj_wires = stage
         transitions = list(islice(found, len(group)))
         v_blocks = {z: v_z for z, (v_z, _) in enumerate(transitions)}
-        max_residual = max([0.0] + [residual for _, residual in transitions])
         restore = Move("bob", k_full, v_blocks, controls=yj_wires)
         spec_double = ProtocolSpec(
             layout,
             (prep, alice_move, restore, *spec_prime.moves[first_alice + 1 :]),
             spec_prime.final_measurement,
         )
-        out.append((spec_double, max_residual))
+        run_double = run_protocol(spec_double, first.ensemble)
+        max_tv = np.max(total_variation(first.prime_outcomes, run_double.outcome_distributions))
+        report = DropReport(
+            j=first.j,
+            rounds_before=spec_prime.rounds,
+            rounds_after=spec_double.rounds,
+            message_qubits_before=spec_prime.message_qubits,
+            message_qubits_after=spec_double.message_qubits,
+            budget=spec_prime.message_qubits + (_slots(spec) - 1).bit_length(),
+            max_outcome_tv=float(max_tv),
+            max_transition_residual=float(max([0.0] + [res for _, res in transitions])),
+        )
+        out.append((spec_double, report))
     return out
-
-
-def _drop_report(family, spec_prime, spec_double, first, residual, run_double) -> DropReport:
-    """The P' -> P'' certificate from P'''s run on the slice, against the
-    outcomes of P' in ``first``."""
-    max_tv = np.max(total_variation(first.prime_outcomes, run_double.outcome_distributions))
-    budget = spec_prime.message_qubits + int(np.ceil(np.log2(family.n)))
-    return DropReport(
-        j=first.j,
-        rounds_before=spec_prime.rounds,
-        rounds_after=spec_double.rounds,
-        message_qubits_before=spec_prime.message_qubits,
-        message_qubits_after=spec_double.message_qubits,
-        budget=budget,
-        max_outcome_tv=float(max_tv),
-        max_transition_residual=float(residual),
-    )
-
-
-def drop_first_message(
-    family: TwoRoundFamily, spec_prime: ProtocolSpec, first: FirstMessageReport
-) -> tuple[ProtocolSpec, DropReport]:
-    """Derive P'' (see :func:`_double_specs`): the one-item P' -> P'' step
-    of :func:`run_pipelines`.
-
-    The outcome distribution matches P' on every slice input, with one
-    round fewer and at most ceil(log2 n) extra message qubits. ``first``
-    is :func:`modify_first_message`'s report on ``spec_prime``: its
-    first messages and outcome distributions on the slice are reused.
-    """
-    ((spec_double, residual),) = _double_specs(
-        [(family, spec_prime, first.j, first.prime_messages)]
-    )
-    (run_double,) = _slice_runs(family, first.j, (spec_double,))
-    return spec_double, _drop_report(family, spec_prime, spec_double, first, residual, run_double)
 
 
 @dataclass(frozen=True)
@@ -472,58 +430,33 @@ class PipelineReport:
         return self.first.eps_j + 4.0 * self.mus[self.j] ** 0.25 - self.first.delta_j
 
 
-def _slot_reports(family, j, prime, double, messages, mu_j_prime) -> tuple:
-    """Slot j's P -> P' and P' -> P'' certificates, as the one-case steps
-    report them, from P, P' and P'' run on one superposed slice."""
-    (spec_prime, *aligned), (spec_double, residual) = prime, double
-    specs = (family.spec, spec_prime, spec_double)
-    run, run_prime, run_double = _slice_runs(family, j, specs)
-    first = _first_report(j, aligned, messages, mu_j_prime, run, run_prime)
-    return first, _drop_report(family, spec_prime, spec_double, first, residual, run_double)
-
-
-def run_pipeline(style: str, n: int = 2) -> tuple[PipelineReport, ...]:
-    """Run P -> P' -> P'' for one toy instance at each slot j and collect
-    every check: the one-style :func:`run_pipelines`, ``style`` a key of
-    :func:`openings`."""
-    return next(run_pipelines((style,), n))
-
-
 def run_pipelines(styles, n: int = 2) -> Iterator[tuple[PipelineReport, ...]]:
-    """:func:`run_pipeline` per style, yielded in turn, the (style, j)
-    instances taken through each stage together. ``styles`` holds keys of
-    :func:`openings`, which label the reports.
+    """Run P -> P' -> P'' for each style's toy instance at every slot j and
+    collect every check, one tuple of n reports per style, yielded in turn.
+    ``styles`` holds keys of :func:`openings`, which label the reports.
 
-    A stage certifies a group's instances in one stacked call each: the
-    P -> P' alignments, the first messages of P' and of the group's
-    budgets and their Holevo informations, and the P' -> P'' purifications
-    and exact transitions. A group holds the instances whose derived
-    blocks and stage matrices, under 4^(n + 3) entries each (dim_k <=
-    2^(n + 1)), fit in BLOCK_ENTRIES: all of them at n = 2, four at
-    n = 3, one from n = 4 on. Each slot's superposed slice is built once
-    for P, P' and P''.
+    The (style, j) instances go through the stages in groups: per group,
+    one :func:`message_info_budget` call for the families it starts, one
+    :func:`modify_first_message` and one :func:`drop_first_message` call,
+    then P on each classical slice. A group holds the instances whose
+    derived blocks and stage matrices, under 4^(n + 3) entries each (dim_k
+    <= 2^(n + 1)), fit in BLOCK_ENTRIES: all of them at n = 2, four at
+    n = 3, one from n = 4 on.
     """
     table, labels = openings(n), iter(styles)
     cases = ((f, j) for f in (two_round_family(*table[s], n) for s in styles) for j in range(n))
     step = max(1, BLOCK_ENTRIES // 4 ** (n + 3))
     budgets, reports = [], []
     while group := list(islice(cases, step)):  # a family is built with its first group
-        budget_runs = [run for f, j in group if j == 0 for run in _budget_runs(f)]
-        primes = _prime_specs(group)
-        prime_runs = [(p[0], _slot_assignments(f, j)) for (f, j), p in zip(group, primes)]
-        messages = message_states_of([*budget_runs, *prime_runs])
-        infos = uniform_cube_informations(messages)
-        budgets += [infos[i : i + n + 1] for i in range(0, len(budget_runs), n + 1)]
-        del messages[: len(budget_runs)], infos[: len(budget_runs)]
-        doubles = _double_specs([(f, p[0], j, m) for (f, j), p, m in zip(group, primes, messages)])
-        for (family, j), *stages in zip(group, primes, doubles, messages, infos):
-            first, drop = _slot_reports(family, j, *stages)
+        budgets += message_info_budget([spec for spec, j in group if j == 0])
+        primes = modify_first_message(group)
+        doubles = drop_first_message([(s, *prime) for (s, _), prime in zip(group, primes)])
+        for (spec, j), (_, first), (_, drop) in zip(group, primes, doubles):
             # P on the classical slice, the largest allocation, after the
             # superposed runs' arrays are freed; only its error is kept
-            cla = _slice_runs(family, j, (family.spec,), superposed=False)[0].error_avg
+            cla = run_protocol(spec, slice_distribution(spec, j, superposed=False)).error_avg
             if j == 0:  # the family's style and budget, taken with its first slot
-                style, (*mus, joint) = next(labels), budgets.pop(0)
-            ell1 = family.spec.first_message_qubits
+                style, (mus, joint, ell1) = next(labels), budgets.pop(0)
             reports.append(PipelineReport(style, j, first, drop, tuple(mus), joint, ell1, cla))
             if len(reports) == n:
                 yield tuple(reports)

@@ -108,10 +108,10 @@ def test_a_batch_with_no_listed_value_is_left_as_it_is():
 def test_every_move_of_the_reduction_reads_as_the_dict_path():
     fam = red.two_round_family(*red.openings(3)["parity"], 3)
     inputs = red.slice_distribution(fam, 1).inputs
-    state = proto.initial_states(fam.spec.layout, inputs)
-    for move in fam.spec.moves:
+    state = proto.initial_states(fam.layout, inputs)
+    for move in fam.moves:
         state = assert_table_matches_the_dict_path(state, move.controls, move.targets, move.blocks)
-    meas = fam.spec.final_measurement
+    meas = fam.final_measurement
     for k, table in enumerate(meas.tables):
         blocks = {v: p[k] for v, p in meas.blocks.items()}
         want = _old_apply(state, meas.controls, meas.targets, blocks)

@@ -439,7 +439,7 @@ def test_dense_reference_two_round_family():
         for j in (0, 1):
             for superposed in (True, False):
                 ensemble = red.slice_distribution(fam, j, superposed)
-                assert_matches_dense(fam.spec, ensemble)
+                assert_matches_dense(fam, ensemble)
 
 
 def test_dense_reference_derived_parity_protocol():
@@ -447,7 +447,7 @@ def test_dense_reference_derived_parity_protocol():
     # y_j, next to the other y register, now a simulated work wire
     fam = red.two_round_family(*red.openings(2)["parity"])
     for j in (0, 1):
-        spec_prime, _ = red.modify_first_message(fam, j)
+        spec_prime, _ = red.modify_first_message([(fam, j)])[0]
         assert len(spec_prime.layout.initial_owner()) == 9
         for superposed in (True, False):
             assert_matches_dense(spec_prime, red.slice_distribution(fam, j, superposed))

@@ -139,18 +139,18 @@ def test_two_round_family_matches_the_one_input_reference(style):
     fam = red.two_round_family(*red.openings(2)[style])
     for j in (0, 1):
         for superposed in (True, False):
-            assert_run_matches_reference(fam.spec, red.slice_distribution(fam, j, superposed))
+            assert_run_matches_reference(fam, red.slice_distribution(fam, j, superposed))
         for inputs in _two_round_inputs(j):
-            assert_messages_match_reference(fam.spec, inputs)
+            assert_messages_match_reference(fam, inputs)
 
 
 @pytest.mark.parametrize("style", STYLES)
 def test_derived_protocols_match_the_one_input_reference(style):
-    # P' and P'' as run_pipeline builds them, on both slices of each slot
+    # P' and P'' as run_pipelines builds them, on both slices of each slot
     fam = red.two_round_family(*red.openings(2)[style])
     for j in (0, 1):
-        spec_prime, first = red.modify_first_message(fam, j)
-        spec_double, _ = red.drop_first_message(fam, spec_prime, first)
+        spec_prime, first = red.modify_first_message([(fam, j)])[0]
+        spec_double, _ = red.drop_first_message([(fam, spec_prime, first)])[0]
         for spec in (spec_prime, spec_double):
             for superposed in (True, False):
                 assert_run_matches_reference(spec, red.slice_distribution(fam, j, superposed))
@@ -172,10 +172,10 @@ def test_index_protocols_match_the_one_input_reference(n):
 def test_one_input_branch_is_the_one_row_batch():
     fam = red.two_round_family(*red.openings(2)["parity"])
     inputs = red.slice_distribution(fam, 1).inputs
-    batch = proto.evolve(fam.spec.moves, proto.initial_states(fam.spec.layout, inputs, slice(5)))
+    batch = proto.evolve(fam.moves, proto.initial_states(fam.layout, inputs, slice(5)))
     for i in range(5):
-        one = proto.initial_states(fam.spec.layout, inputs, slice(i, i + 1))
-        one = proto.evolve(fam.spec.moves, one)
+        one = proto.initial_states(fam.layout, inputs, slice(i, i + 1))
+        one = proto.evolve(fam.moves, one)
         assert one.wires == batch.wires and one.vec.shape == (1, batch.vec.shape[1])
         assert one.vec[0].tobytes() == batch.vec[i].tobytes()
         assert {q: int(b[0]) for q, b in one.bits.items()} == {
@@ -224,11 +224,11 @@ def counted(monkeypatch):
 def test_each_move_is_applied_once_per_batch(counted):
     fam = red.two_round_family(*red.openings(2)["copy_first"])
     ensemble = red.slice_distribution(fam, 0)
-    proto.run_protocol(fam.spec, ensemble)
-    outcomes = len(fam.spec.final_measurement.blocks[0])
+    proto.run_protocol(fam, ensemble)
+    outcomes = len(fam.final_measurement.blocks[0])
     # the 32 slice inputs simulate the same wires: one batch
     assert counted["batch_rows"] == [len(ensemble.weights)] == [32]
-    assert counted["apply"] == len(fam.spec.moves) + outcomes
+    assert counted["apply"] == len(fam.moves) + outcomes
     assert counted["apply_unitary"] <= counted["apply"]
 
 

@@ -22,9 +22,9 @@ def _family(style, n=2):
 def test_families_validate():
     for style in STYLES:
         fam = _family(style)
-        assert fam.spec.rounds == 2
-        assert fam.spec.message_qubits == 2
-        assert fam.spec.first_message_qubits == 1
+        assert fam.rounds == 2
+        assert fam.message_qubits == 2
+        assert fam.first_message_qubits == 1
 
 
 def _rows(inputs):
@@ -85,8 +85,8 @@ def test_n2_slice_is_the_old_loop_instance_by_instance(j, superposed):
 
 def test_n2_decode_blocks_are_the_old_keys():
     fam = _family("copy_first")
-    decode = fam.spec.moves[1]
-    layout = fam.spec.layout
+    decode = fam.moves[1]
+    layout = fam.layout
     want = [
         (j << 4) | (v0 << 2) | v1
         for j in range(2)
@@ -103,7 +103,7 @@ def test_unfixed_slot_acts_like_uniform_mixture():
     # slice inputs: the fixed slot is a uniform classical bit, and once the
     # protocol reads the superposed slot it decoheres to I/2
     fam = _family("copy_first")
-    layout = fam.spec.layout
+    layout = fam.layout
     weights = {0: 0.0, 1: 0.0}
     ens0 = red.slice_distribution(fam, 0)
     for z, w in zip(ens0.inputs.values["y0"].tolist(), ens0.weights.tolist()):
@@ -114,7 +114,7 @@ def test_unfixed_slot_acts_like_uniform_mixture():
     state = proto.initial_states(layout, ens1.inputs, slice(1))
     y0 = layout.register("y0").qubits
     assert set(y0) <= set(state.wires)  # a superposed input stays a wire
-    state = proto.evolve(fam.spec.moves[:1], state)
+    state = proto.evolve(fam.moves[:1], state)
     assert np.allclose(state.density(y0), np.eye(2) / 2, atol=1e-12)
 
 
@@ -122,20 +122,20 @@ def test_superposed_equals_classical_average():
     for style, n in (("copy_first", 2), ("rotation", 2), ("copy_first", 3), ("parity", 3)):
         fam = _family(style, n)
         for j in range(n):
-            sup = proto.run_protocol(fam.spec, red.slice_distribution(fam, j, True))
-            cla = proto.run_protocol(fam.spec, red.slice_distribution(fam, j, False))
+            sup = proto.run_protocol(fam, red.slice_distribution(fam, j, True))
+            cla = proto.run_protocol(fam, red.slice_distribution(fam, j, False))
             assert sup.error_avg == pytest.approx(cla.error_avg, abs=1e-12)
 
 
 def test_message_densities_copy_first():
     fam = _family("copy_first")
-    rho = proto.message_states(fam.spec, proto.InputColumns({"y0": [0, 1]}, {"y1": red.PLUS}))
+    rho = proto.message_states(fam, proto.InputColumns({"y0": [0, 1]}, {"y1": red.PLUS}))
     assert np.allclose(rho[0].mat, np.diag([1.0, 0.0]), atol=1e-12)
     assert np.allclose(rho[1].mat, np.diag([0.0, 1.0]), atol=1e-12)
-    rho1 = proto.message_states(fam.spec, proto.InputColumns({"y1": [0, 1]}, {"y0": red.PLUS}))
+    rho1 = proto.message_states(fam, proto.InputColumns({"y1": [0, 1]}, {"y0": red.PLUS}))
     assert np.allclose(rho1[0].mat, np.eye(2) / 2, atol=1e-12)
     assert np.allclose(rho1[1].mat, np.eye(2) / 2, atol=1e-12)
-    mus, _, _ = red.message_info_budget(fam)
+    mus, _, _ = red.message_info_budget([fam])[0]
     assert mus == pytest.approx([1.0, 0.0], abs=1e-10)
 
 
@@ -159,8 +159,8 @@ def test_message_states_equal_the_slice_average(style, j):
     # Bob's opening cannot read Alice's x's, so one run per value of y_j
     # gives the average over the 16 x values of the slice
     fam = _family(style)
-    spec_prime, _ = red.modify_first_message(fam, j)
-    for spec in (fam.spec, spec_prime):
+    spec_prime, _ = red.modify_first_message([(fam, j)])[0]
+    for spec in (fam, spec_prime):
         slot = proto.InputColumns({f"y{j}": [0, 1]}, {f"y{1 - j}": red.PLUS})
         got = proto.message_states(spec, slot)
         want = _slice_average(spec, fam, j)
@@ -174,9 +174,9 @@ def _alice_first(fam):
     opening: a valid spec whose first message reads a, x0 and x1."""
     layout = proto.make_layout(
         [(r.name, r.n_qubits, r.kind, "alice" if r.name == "m" else r.owner)
-         for r in fam.spec.layout.registers]
+         for r in fam.layout.registers]
     )
-    return proto.ProtocolSpec(layout, fam.spec.moves[1:], fam.spec.final_measurement)
+    return proto.ProtocolSpec(layout, fam.moves[1:], fam.final_measurement)
 
 
 def test_message_states_reject_an_unset_input_the_sender_reads():
@@ -193,12 +193,12 @@ def test_message_states_reject_an_unset_input_the_sender_reads():
 def test_modify_first_message_zeroes_information():
     for style in STYLES:
         fam = _family(style)
-        mus, _, _ = red.message_info_budget(fam)
+        mus, _, _ = red.message_info_budget([fam])[0]
         for j in (0, 1):
-            spec_prime, rep = red.modify_first_message(fam, j)
+            spec_prime, rep = red.modify_first_message([(fam, j)])[0]
             assert rep.mu_j_prime <= 1e-9
             assert spec_prime.rounds == 2
-            assert spec_prime.message_qubits == fam.spec.message_qubits
+            assert spec_prime.message_qubits == fam.message_qubits
             assert rep.delta_j <= rep.eps_j + 2.0 * rep.mean_sqrt_t + 1e-8
             assert rep.delta_j <= rep.eps_j + 4.0 * mus[j] ** 0.25 + 1e-8
             for t_z, dist in zip(rep.t_values, rep.align_distances):
@@ -214,11 +214,11 @@ def test_the_corrective_leaves_p_prime_at_the_aligned_distance(style, n):
     # 2 sqrt(1 - F) from P's state after the opening
     fam = _family(style, n)
     for j in range(n):
-        spec_prime, rep = red.modify_first_message(fam, j)
+        spec_prime, rep = red.modify_first_message([(fam, j)])[0]
         others = {f"y{i}": red.PLUS for i in range(n) if i != j}
         slot = proto.InputColumns({f"y{j}": [0, 1]}, others)
         start = proto.initial_states(spec_prime.layout, slot)
-        original = proto.evolve(fam.spec.moves[:1], start).vec
+        original = proto.evolve(fam.moves[:1], start).vec
         corrected = proto.evolve(spec_prime.moves[:-1], start).vec
         overlaps = np.abs(np.vecdot(original, corrected)) ** 2
         want = [1.0 - (d / 2.0) ** 2 for d in rep.align_distances]
@@ -227,8 +227,9 @@ def test_the_corrective_leaves_p_prime_at_the_aligned_distance(style, n):
 
 def test_independent_first_message_needs_no_correction():
     fam = _family("constant")
-    spec_prime, rep = red.modify_first_message(fam, 0)
-    assert red.message_info_budget(fam)[0][0] == pytest.approx(0.0, abs=1e-10)
+    spec_prime, rep = red.modify_first_message([(fam, 0)])[0]
+    mus, _, _ = red.message_info_budget([fam])[0]
+    assert mus[0] == pytest.approx(0.0, abs=1e-10)
     assert max(rep.t_values) <= 1e-9
     assert max(rep.align_distances) <= 1e-6
     assert rep.delta_j == pytest.approx(rep.eps_j, abs=1e-9)
@@ -236,9 +237,10 @@ def test_independent_first_message_needs_no_correction():
 
 def test_copy_first_slice_zero_numbers():
     fam = _family("copy_first")
-    _, rep = red.modify_first_message(fam, 0)
+    _, rep = red.modify_first_message([(fam, 0)])[0]
     assert rep.eps_j == pytest.approx(0.25, abs=1e-12)
-    assert red.message_info_budget(fam)[0][0] == pytest.approx(1.0, abs=1e-10)
+    mus, _, _ = red.message_info_budget([fam])[0]
+    assert mus[0] == pytest.approx(1.0, abs=1e-10)
     assert rep.t_values == pytest.approx((1.0, 1.0), abs=1e-10)
     # message replaced by half of a maximally entangled pair: fidelity 1/2
     assert rep.align_distances == pytest.approx((np.sqrt(2.0),) * 2, abs=1e-9)
@@ -248,8 +250,8 @@ def test_drop_first_message_matches_and_saves_a_round():
     for style in STYLES:
         fam = _family(style)
         for j in (0, 1):
-            spec_prime, first = red.modify_first_message(fam, j)
-            spec_double, rep = red.drop_first_message(fam, spec_prime, first)
+            spec_prime, first = red.modify_first_message([(fam, j)])[0]
+            spec_double, rep = red.drop_first_message([(fam, spec_prime, first)])[0]
             assert rep.rounds_after == rep.rounds_before - 1
             assert rep.message_qubits_after <= rep.budget
             assert rep.max_outcome_tv <= 1e-8
@@ -259,7 +261,7 @@ def test_drop_first_message_matches_and_saves_a_round():
 
 def test_message_info_budget():
     fam = _family("copy_first")
-    mus, joint, ell1 = red.message_info_budget(fam)
+    mus, joint, ell1 = red.message_info_budget([fam])[0]
     assert mus[0] == pytest.approx(1.0, abs=1e-10)
     assert mus[1] == pytest.approx(0.0, abs=1e-10)
     assert ell1 == 1
@@ -267,7 +269,7 @@ def test_message_info_budget():
     assert joint <= ell1 + 1e-9
 
     fam2 = _family("parity")
-    mus2, joint2, _ = red.message_info_budget(fam2)
+    mus2, joint2, _ = red.message_info_budget([fam2])[0]
     # parity of two uniform bits tells nothing about either alone
     assert max(mus2) <= 1e-10
     assert joint2 == pytest.approx(1.0, abs=1e-9)
@@ -284,36 +286,46 @@ def test_random_first_messages_respect_budget(n):
     for trial in range(12):
         blocks = {b: random_unitary(2, derive_seed(130, trial, b)) for b in range(2**n)}
         fam = red.two_round_family(reads, blocks, n)
-        mus, joint, ell1 = red.message_info_budget(fam)
+        mus, joint, ell1 = red.message_info_budget([fam])[0]
         assert len(mus) == n and ell1 == 1
         assert sum(mus) <= joint + 1e-9
         assert joint <= ell1 + 1e-9
 
 
+def test_each_stage_takes_any_iterable():
+    # each stage reads its argument more than once; a generator must give
+    # the list's results, not an empty list
+    fam = _family("rotation")
+    assert len(red.message_info_budget(iter([fam]))) == 1
+    ((spec_prime, first),) = red.modify_first_message(iter([(fam, 0)]))
+    assert len(red.drop_first_message(iter([(fam, spec_prime, first)]))) == 1
+
+
 def test_a_hand_wrapped_spec_takes_its_n_from_the_layout():
-    # a family wrapped around an n = 3 spec by hand is sized from its
-    # registers: 4^3 x values times 2 of y_0 per slice, one value per slot
-    fam = red.TwoRoundFamily(_family("copy_first", 3).spec)
-    assert fam.n == 3
+    # a bare n = 3 spec put together by hand is sized from its registers:
+    # 4^3 x values times 2 of y_0 per slice, one budget value per slot
+    built = _family("copy_first", 3)
+    fam = proto.ProtocolSpec(built.layout, built.moves, built.final_measurement)
+    assert red._slots(fam) == 3
     assert len(red.slice_distribution(fam, 0).weights) == 4**3 * 2
-    mus, _, _ = red.message_info_budget(fam)
+    mus, _, _ = red.message_info_budget([fam])[0]
     assert len(mus) == 3
 
 
 def test_modify_requires_bob_start():
     fam = _family("copy_first")
-    flipped = red.TwoRoundFamily(_alice_first(fam))
+    flipped = _alice_first(fam)
     with pytest.raises(ReductionError, match="player without the pointer"):
-        red.modify_first_message(flipped, 0)
+        red.modify_first_message([(flipped, 0)])
 
 
 def test_copy_first_slice_errors():
     fam = _family("copy_first")
     reps = [
-        proto.run_protocol(fam.spec, red.slice_distribution(fam, j)) for j in range(2)
+        proto.run_protocol(fam, red.slice_distribution(fam, j)) for j in range(2)
     ]
     assert [r.error_avg for r in reps] == pytest.approx([0.25, 0.5], abs=1e-12)
-    assert fam.spec.rounds == 2 and fam.spec.first_message_qubits == 1
+    assert fam.rounds == 2 and fam.first_message_qubits == 1
 
 
 def test_derived_protocol_keeps_the_family_layout():
@@ -323,9 +335,9 @@ def test_derived_protocol_keeps_the_family_layout():
     # pointer), 4 of 13
     for n, wires in ((2, 8), (3, 12)):
         fam = _family("copy_first", n)
-        assert len(fam.spec.layout.initial_owner()) == wires
+        assert len(fam.layout.initial_owner()) == wires
         for j in range(n):
-            spec_prime, _ = red.modify_first_message(fam, j)
+            spec_prime, _ = red.modify_first_message([(fam, j)])[0]
             layout = spec_prime.layout
             psi = 1 if j == 0 else 0
             assert len(layout.initial_owner()) == wires + psi
@@ -338,19 +350,19 @@ def test_derived_protocol_keeps_the_family_layout():
 
 def test_drop_budget_at_n3_is_two_pointer_qubits():
     fam = _family("copy_first", 3)
-    spec_prime, first = red.modify_first_message(fam, 1)
-    _, rep = red.drop_first_message(fam, spec_prime, first)
+    spec_prime, first = red.modify_first_message([(fam, 1)])[0]
+    _, rep = red.drop_first_message([(fam, spec_prime, first)])[0]
     assert rep.budget == spec_prime.message_qubits + 2
     assert rep.message_qubits_after <= rep.budget
 
 
 def test_parity_reads_every_y():
     fam = _family("parity", 3)
-    first = fam.spec.moves[0]
-    ys = [q for i in range(3) for q in fam.spec.layout.register(f"y{i}").qubits]
+    first = fam.moves[0]
+    ys = [q for i in range(3) for q in fam.layout.register(f"y{i}").qubits]
     assert first.controls == tuple(ys)
     assert sorted(first.blocks) == [1, 2, 4, 7]
-    mus, joint, _ = red.message_info_budget(fam)
+    mus, joint, _ = red.message_info_budget([fam])[0]
     assert max(mus) <= 1e-10
     assert joint == pytest.approx(1.0, abs=1e-9)
 
@@ -368,17 +380,17 @@ def test_alignment_guard_forgives_rounding_of_identical_states(monkeypatch):
     # equal states can come back with overlap^2 one rounding below 1 and
     # t = 0; 2 sqrt(1 - F) turns that 4.4e-16 into 4.2e-8
     _with_alignment(monkeypatch, 1.0 - 4.4e-16)
-    red.modify_first_message(_family("copy_first"), 0)
+    red.modify_first_message([(_family("copy_first"), 0)])
 
 
 def test_alignment_guard_still_catches_a_real_gap(monkeypatch):
     _with_alignment(monkeypatch, 1.0 - 1e-6)
     with pytest.raises(ReductionError, match="alignment distance exceeded its bound"):
-        red.modify_first_message(_family("copy_first"), 0)
+        red.modify_first_message([(_family("copy_first"), 0)])
 
 
 def test_pipeline_report_fields():
-    rep = red.run_pipeline("rotation")[0]
+    rep = next(red.run_pipelines(("rotation",)))[0]
     assert rep.style == "rotation"
     assert 0.0 < rep.mus[0] < 1.0
     assert rep.first.alignment_bound_slack >= -1e-8
@@ -426,7 +438,7 @@ def test_pipeline_makes_four_protocol_runs_per_slot(monkeypatch):
     # slot, which the P'' step reuses. Five specs built: the family, and P'
     # and P'' per slot
     counts = _count_simulations(monkeypatch)
-    reports = red.run_pipeline("rotation")
+    reports = next(red.run_pipelines(("rotation",)))
     assert [rep.j for rep in reports] == [0, 1]
     assert len(counts["runs"]) == 4 * len(reports)
     assert len(counts["slices"]) == 2 * len(reports)
@@ -444,12 +456,19 @@ def test_seed_one_protocol_pass_simulates_and_builds_each_spec_once(monkeypatch)
 
 
 def _same_report(got, want) -> None:
-    """Two reports equal field for field with ==, arrays and the first
-    messages' matrices bit for bit."""
+    """Two reports equal field for field with ==, arrays, the first
+    messages' matrices and the slice's columns bit for bit."""
     assert type(got) is type(want)
     for field in fields(want):
         a, b = getattr(got, field.name), getattr(want, field.name)
-        if is_dataclass(b):
+        if field.name == "ensemble":  # the slice: its columns, weights and targets
+            for cols in ("values", "amplitudes"):
+                x, y = getattr(a.inputs, cols), getattr(b.inputs, cols)
+                assert x.keys() == y.keys()
+                assert all(x[k].tobytes() == y[k].tobytes() for k in y), cols
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.targets.tobytes() == b.targets.tobytes()
+        elif is_dataclass(b):
             _same_report(a, b)
         elif isinstance(b, np.ndarray):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
@@ -462,21 +481,21 @@ def _same_report(got, want) -> None:
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_pipelines_in_lockstep_equal_the_per_instance_stages(n):
-    # the reference takes each (style, j) through its own stages: the
-    # one-family budget, the one-case P -> P' and P' -> P'' steps, and P on
-    # the classical slice, each with its own kernel calls. At n = 2 one
+    # the reference takes each (style, j) through its own stages: each
+    # stage called on a one-item list, and P on the classical slice, each
+    # with its own kernel calls. At n = 2 one
     # group holds every instance, at n = 3 groups of four cross families,
     # and at n = 4 each instance is a group of its own
     got = list(red.run_pipelines(STYLES, n))
     assert len(got) == len(STYLES)
     for style, reports in zip(STYLES, got):
         fam = _family(style, n)
-        mus, joint, ell1 = red.message_info_budget(fam)
+        mus, joint, ell1 = red.message_info_budget([fam])[0]
         assert [rep.j for rep in reports] == list(range(n))
         for j, rep in enumerate(reports):
-            spec_prime, first = red.modify_first_message(fam, j)
-            _, drop = red.drop_first_message(fam, spec_prime, first)
-            cla = proto.run_protocol(fam.spec, red.slice_distribution(fam, j, superposed=False))
+            spec_prime, first = red.modify_first_message([(fam, j)])[0]
+            _, drop = red.drop_first_message([(fam, spec_prime, first)])[0]
+            cla = proto.run_protocol(fam, red.slice_distribution(fam, j, superposed=False))
             want = red.PipelineReport(style, j, first, drop, tuple(mus), joint, ell1, cla.error_avg)
             _same_report(rep, want)
 
@@ -532,6 +551,6 @@ def test_eps_j_is_the_superposed_slice_error_bit_for_bit(style):
     for n in (2, 3):
         fam = _family(style, n)
         for j in range(n):
-            _, rep = red.modify_first_message(fam, j)
-            sup = proto.run_protocol(fam.spec, red.slice_distribution(fam, j, superposed=True))
+            _, rep = red.modify_first_message([(fam, j)])[0]
+            sup = proto.run_protocol(fam, red.slice_distribution(fam, j, superposed=True))
             assert rep.eps_j == sup.error_avg
