@@ -54,7 +54,7 @@ from .protocol import (
     state_prep_unitary,
     total_variation,
 )
-from .rac import bit_of
+from .rac import _index_register_bits, bit_of
 from .states import BLOCK_ENTRIES, DensityMatrix, canonical_purifications
 from .transition import exact_local_transitions, uhlmann_aligns
 
@@ -109,7 +109,7 @@ def two_round_family(reads, blocks, n: int = 2) -> ProtocolSpec:
     """
     layout = make_layout(
         [
-            ("a", max(1, (n - 1).bit_length()), "input", "alice"),  # ceil(log2 n) bits
+            ("a", _index_register_bits(n), "input", "alice"),
             *((f"x{i}", INNER, "input", "alice") for i in range(n)),
             *((f"y{i}", 1, "input", "bob") for i in range(n)),
             ("m", 1, "message", "bob"),

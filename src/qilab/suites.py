@@ -553,6 +553,8 @@ SUITES = {
 
 def check_config(name: str, cfg: SuiteConfig) -> None:
     """Raise SizeError for a config that ``run_suite(name, cfg)`` cannot honour."""
+    if not 0 <= cfg.seed < 2**64:  # streams mask a seed to 64 bits: it would run as another
+        raise SizeError(f"seed must be in 0..{2**64 - 1}, got {cfg.seed}")
     if cfg.trials is not None and cfg.trials < 1:  # 0 would run the default count
         raise SizeError(f"trials must be >= 1, got {cfg.trials}")
     if not 1 <= cfg.dims[0] <= cfg.dims[1] <= linalg.MAX_DIM:

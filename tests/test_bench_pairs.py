@@ -46,6 +46,22 @@ def test_cli_pairs_record_time_peak_memory_and_report_hash(tmp_path, monkeypatch
     assert summary[f"qilab {args}.peak_rss_mb"]["pairs"] == 2
 
 
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="resolves revisions with git")
+def test_out_is_a_directory_made_before_the_first_run(tmp_path, monkeypatch):
+    # a missing --out used to survive every pair, then lose the record to FileNotFoundError
+    tool = _tool()
+    made = []
+    monkeypatch.setattr(tool, "export_revision", lambda rev, dest: made.append(out.is_dir()))
+    monkeypatch.setattr(tool, "export_working_tree", lambda dest: None)
+    monkeypatch.setattr(tool, "report_hash", lambda cwd, seed: {"sha256": "", "exit": 0})
+    out = tmp_path / "not" / "yet"
+    argv = ["--parent", "HEAD", "--label", "tiny", "--workloads", "", "--seeds", "1",
+            "--workdir", str(tmp_path / "w"), "--out", str(out)]
+    assert tool.main(argv) == 0
+    assert made == [True]
+    assert json.loads((out / "BENCH_tiny.json").read_text(encoding="utf-8"))["runs"] == []
+
+
 def test_a_run_records_its_pass_count_and_the_summary_gives_it_per_side(monkeypatch):
     tool = _tool()
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))

@@ -78,36 +78,61 @@ def test_deterministic_bytes(tmp_path, capsys):
     assert code1 == code2
 
 
-def test_bad_flags_exit_two(capsys):
-    for argv in (
-        ["--suite", "nonsense"],
-        ["--dims", "9-3"],
-        ["--trials", "-3"],
-        ["--trials", "0"],
-        ["--m", "0"],
-        ["--n", "0"],
-        ["--tol", "nan"],
-        ["--tol", "inf"],
-        ["--tol", "-inf"],
-        ["--suite", "metrics", "--trials", "3", "--tol", "-1"],  # used to report 15 violations
-        # used to run as seeds 0 and 2**64 - 1 while the report echoed them
+def shell_status(argv) -> int:
+    """The exit status a shell sees: a parser error raises, a library error returns."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# each range error the CLI reports, with the run it names
+RANGE_ERRORS = [
+    (["--dims", "9-3"], "all", {"dims": (9, 3)}),
+    (["--trials", "-3"], "all", {"trials": -3}),
+    (["--trials", "0"], "all", {"trials": 0}),
+    (["--m", "0"], "all", {"m": 0}),
+    (["--n", "0"], "all", {"n": 0}),
+    (["--tol", "nan"], "all", {"tol": math.nan}),
+    (["--tol", "inf"], "all", {"tol": math.inf}),
+    # used to report 15 violations
+    (["--suite", "metrics", "--trials", "3", "--tol", "-1"], "metrics", {"trials": 3, "tol": -1.0}),
+    # used to run as seeds 0 and 2**64 - 1 while the report echoed them
+    (
         ["--suite", "metrics", "--trials", "3", "--seed", "18446744073709551616"],
-        ["--suite", "metrics", "--trials", "3", "--seed", "-1"],
-    ):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
+        "metrics",
+        {"trials": 3, "seed": 2**64},
+    ),
+    (["--suite", "metrics", "--trials", "3", "--seed", "-1"], "metrics", {"trials": 3, "seed": -1}),
+]
+
+
+def test_bad_flags_exit_two(capsys):
+    # "-inf" reads as an option, so --tol is missing its argument
+    parser_errors = [["--suite", "nonsense"], ["--tol", "-inf"]]
+    for argv in parser_errors + [argv for argv, _, _ in RANGE_ERRORS]:
+        assert shell_status(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("qilab: error:")
 
 
+@pytest.mark.parametrize(
+    "argv, suite, flags", RANGE_ERRORS, ids=[" ".join(argv) for argv, _, _ in RANGE_ERRORS]
+)
+def test_a_range_error_reads_as_the_library_words_it(argv, suite, flags, capsys):
+    # the CLI judges no range itself: run_suite's SizeError is its message
+    with pytest.raises(SizeError) as exc:
+        suites.run_suite(suite, suites.SuiteConfig(**flags))
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"qilab: error: {exc.value}\n"
+
+
 def test_m_outside_the_encoding_widths_is_rejected(capsys):
     # --m 8 used to run the encoding suite as m = 5 and echo "m": 8
     for m in ("6", "8"):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["--suite", "encoding", "--m", m, "--trials", "10"])
-        assert exc.value.code == 2
+        assert shell_status(["--suite", "encoding", "--m", m, "--trials", "10"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "1..5" in captured.err
@@ -129,6 +154,8 @@ def test_m_outside_the_encoding_widths_is_rejected(capsys):
         ("transition", {"tol": -1e-9}),
         ("metrics", {"tol": math.nan}),
         ("info", {"tol": math.inf}),
+        ("metrics", {"seed": -1}),  # used to run as seed 2**64 - 1
+        ("metrics", {"seed": 2**64}),  # used to run as seed 0
     ],
     ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()),
 )
@@ -222,9 +249,7 @@ def test_dims_reach_max_dim(capsys):
     assert json.loads(out)["checks"] == json.loads(
         cli.canonical_json([c.to_json() for c in direct])
     )
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--dims", "8-257"])
-    assert exc.value.code == 2
+    assert shell_status(["--dims", "8-257"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
 

@@ -246,8 +246,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workdir", type=Path, default=None,
                         help="where the two exports go (default: a new temporary directory)")
     parser.add_argument("--claim", default="", help="the claim the pairs test, kept in the file")
-    parser.add_argument("--out", type=Path, default=ROOT)
+    parser.add_argument("--out", type=Path, default=ROOT,
+                        help="directory that receives BENCH_<label>.json, made if missing "
+                        "(default: the repository root)")
     args = parser.parse_args(argv)
+    args.out.mkdir(parents=True, exist_ok=True)  # before any pair, so the record is not lost
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
