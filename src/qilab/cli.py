@@ -55,7 +55,10 @@ def canonical_json(obj) -> str:
 
 def _parse_dims(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("-")
-    return int(lo), int(hi or lo)
+    try:
+        return int(lo), int(hi or lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO or LO-HI integers, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,7 +104,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = build_report(args)
-    except (KeyError, QilabError) as exc:
+    except QilabError as exc:
         print(f"qilab: error: {exc}", file=sys.stderr)
         return 2
     text = canonical_json(report) + "\n"

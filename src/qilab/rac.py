@@ -17,11 +17,7 @@ import numpy as np
 from . import protocol as proto
 from .encoding import prefix_information
 from .errors import ProtocolError
-from .info import (
-    binary_entropy,
-    holevo_information,
-    uniform_cube_ensemble,
-)
+from .info import binary_entropy, holevo_information, uniform_cube_ensemble
 from .metrics import optimal_measurements
 from .protocol import (
     InputColumns,
@@ -38,7 +34,7 @@ from .protocol import (
     state_prep_unitary,
 )
 from .rng import Stream
-from .states import DensityMatrix, make_densities
+from .states import make_densities, mixture_matrix
 
 OPTIMAL_TWO_BIT_SUCCESS = (2.0 + np.sqrt(2.0)) / 4.0  # cos^2(pi/8)
 SEESAW_ROUNDS = 100  # alternations per start of optimize_rac
@@ -56,9 +52,7 @@ def bit_of(value: int, i: int, n: int) -> int:
 
 def _signs(n: int) -> np.ndarray:
     """Sign matrix s[i, x] = +1 if bit i of x is 0, else -1."""
-    return np.array(
-        [[1.0 - 2.0 * bit_of(x, i, n) for x in range(2**n)] for i in range(n)]
-    )
+    return 1.0 - 2.0 * bit_of(np.arange(2**n), np.arange(n)[:, None], n)
 
 
 def bloch_success(bloch: np.ndarray, n: int):
@@ -131,21 +125,15 @@ def _index_layout(n: int, *extra) -> RegisterLayout:
     return make_layout([*inputs, *extra])
 
 
-def _mixture_pair(kets, n: int, i: int) -> tuple[DensityMatrix, DensityMatrix]:
-    groups: dict[int, list[np.ndarray]] = {0: [], 1: []}
-    for x, ket in enumerate(kets):
-        groups[bit_of(x, i, n)].append(np.outer(ket, np.conj(ket)))
-    return tuple(make_densities([sum(g) / len(g) for g in groups.values()], tol=1e-8))
-
-
 def rac_protocol(n: int, kets) -> ProtocolSpec:
     """One-qubit random access code with per-index optimal decoding.
 
     Alice prepares the ket chosen by her string on the message qubit and
     sends it; Bob measures it in the basis that best distinguishes the
-    two index-conditional mixtures.
+    two index-conditional mixtures: for index i, the even mixtures of the
+    encodings of the x with bit i at 0 and at 1, all 2n certified at once.
     """
-    kets = [np.asarray(k, dtype=np.complex128) for k in kets]
+    kets = np.asarray(kets, dtype=np.complex128)
     if len(kets) != 2**n:
         raise ProtocolError(f"need {2**n} encoding states, got {len(kets)}")
     ib = _index_register_bits(n)
@@ -154,7 +142,12 @@ def rac_protocol(n: int, kets) -> ProtocolSpec:
     m_wire = layout.register("m").qubits
     encode = {x: state_prep_unitary(kets[x]) for x in range(2**n)}
     move = Move("alice", m_wire, encode, controls=x_wires, send=m_wire)
-    measured = optimal_measurements([_mixture_pair(kets, n, i) for i in range(n)])
+    # row 2i + b lists the x whose bit i is b, in increasing order
+    rows = np.argsort(_signs(n) < 0, kind="stable").reshape(2 * n, -1)
+    terms = (kets[:, :, None] * kets[:, None, :].conj())[rows].swapaxes(0, 1)
+    weights = np.full(len(terms), 1.0 / len(terms))
+    mixed = make_densities(mixture_matrix(weights, terms), tol=1e-8)
+    measured = optimal_measurements(list(zip(mixed[::2], mixed[1::2])))
     decode = {i: tuple(meas) for i, (meas, _) in enumerate(measured)}
     decode.update({i: (proto.I2, np.zeros((2, 2), dtype=np.complex128)) for i in range(n, 2**ib)})
     i_wires = layout.register("i").qubits
@@ -216,11 +209,6 @@ def index_ensemble(n: int) -> InputEnsemble:
     return InputEnsemble(InputColumns({"x": x, "i": i}), weights, bit_of(x, i, n))
 
 
-def message_encoding(spec: ProtocolSpec, n: int):
-    """The ensemble x -> sigma_x carried by the one message."""
-    return uniform_cube_ensemble(proto.message_states(spec, InputColumns({"x": np.arange(2**n)})))
-
-
 @dataclass(frozen=True)
 class RacBoundReport:
     """All links of the one-message lower-bound chain, measured.
@@ -254,28 +242,24 @@ def rac_lower_bound_check(spec: ProtocolSpec, n: int) -> RacBoundReport:
     Requires a one-message protocol: Alice's moves, the last of them
     sending the whole message, then Bob's moves and measurement.
     """
-    sends = [i for i, mv in enumerate(spec.moves) if mv.send]
-    if len(sends) != 1 or spec.moves[sends[0]].player != "alice":
+    if spec.rounds != 1 or spec.moves[spec.first_message_index()].player != "alice":
         raise ProtocolError("expected exactly one message, sent by alice")
     m = spec.first_message_qubits
     report = run_protocol(spec, index_ensemble(n))
     eps = report.error_avg
     cost_floor = (1.0 - binary_entropy(eps)) * n
     err = report.instance_errors.reshape(2**n, n)  # [x, i]
-    ensemble = message_encoding(spec, n)
-    table = prefix_information(ensemble)
+    cube = proto.message_states(spec, InputColumns({"x": np.arange(2**n)}))
+    ensemble = uniform_cube_ensemble(cube)
     info = holevo_information(ensemble)
 
     fano_sum = 0.0
     decomposition_lhs = 0.0
     min_fano_slack = np.inf
-    for j, row in enumerate(table):
-        gaps = []
-        for y, sub_info in enumerate(row):
-            eps_y = float(np.mean(err[y << (n - j) : (y + 1) << (n - j), j]))
-            gap = 1.0 - binary_entropy(eps_y)
-            gaps.append(gap)
-            min_fano_slack = min(min_fano_slack, sub_info - gap)
+    for j, row in enumerate(prefix_information(ensemble)):
+        # row j: per j-bit prefix y, the error on bit j averaged over the x extending y
+        gaps = 1.0 - binary_entropy(err[:, j].reshape(2**j, -1).mean(axis=1))
+        min_fano_slack = min(min_fano_slack, float(np.min(np.subtract(row, gaps))))
         fano_sum += float(np.mean(gaps))
         decomposition_lhs += float(np.mean(row))
     return RacBoundReport(

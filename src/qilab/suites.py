@@ -24,7 +24,6 @@ from . import encoding as enc
 from . import info, linalg, metrics, rac, reduction, transition
 from .errors import SizeError
 from .info import (
-    binary_entropy,
     binary_entropy_gap,
     classical_mutual_information,
     conditional_entropies,
@@ -342,7 +341,7 @@ def _encoding_slacks(ms, seeds, stacks) -> dict[str, np.ndarray]:
     chi = holevo_informations(np.full((len(ms), n), 1.0 / n), ent[:, :n], ent[:, n])
     pairings = [enc.find_pairing(x, s) for x, s in zip(d, derive_seeds(seeds, 99).tolist())]
     near = delta <= 1.0
-    half = 1.0 - binary_entropy((1.0 + delta[near]) / 2.0)
+    half = enc.information_floor(delta[near], m=1)
     squares = np.array([x**2 for x in delta[near].tolist()])  # Python's pow, not numpy's x * x
     slacks = {
         "delta_prime_le_delta": delta - enc.distances_to_mean(mats, stacks[n].mats),
@@ -468,39 +467,26 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
 def rac_suite(cfg: SuiteConfig) -> list[CheckResult]:
     out = []
-    success_target = rac.OPTIMAL_TWO_BIT_SUCCESS
-    oracle_success, bloch = rac.optimize_rac(2, seed=derive_seed(cfg.seed, 50), starts=2)
-    spec2 = rac.rac_protocol(2, [rac.bloch_to_ket(b) for b in bloch])
-    report2 = rac.rac_lower_bound_check(spec2, 2)
-    protocol_success = 1.0 - report2.eps
-    found = _Tally("rac_n2_success", _tol(cfg, 1e-3))
-    found.agree([protocol_success - success_target, oracle_success - success_target])
-    found.details = {
-        "oracle_success": float(oracle_success),
-        "protocol_success": float(protocol_success),
-        "eps": float(report2.eps),
-        "target": float(success_target),
-    }
-    out.append(found.result())
-
-    oracle3, bloch3 = rac.optimize_rac(3, seed=derive_seed(cfg.seed, 51), starts=3)
-    spec3 = rac.rac_protocol(3, [rac.bloch_to_ket(b) for b in bloch3])
-    report3 = rac.rac_lower_bound_check(spec3, 3)
-    oracle_values = {"rac_bound_n2": oracle_success, "rac_bound_n3": oracle3}
-    for label, rep in (("rac_bound_n2", report2), ("rac_bound_n3", report3)):
-        tally = _Tally(label, 0.0)
-        tally.add(rep.slack)
-        tally.details = {
-            "eps": float(rep.eps),
-            "cost_floor": float(rep.cost_floor),
-            "m": rep.m,
-            "info": float(rep.info),
-            "oracle_success": float(oracle_values[label]),
-        }
-        out.append(tally.result())
-        chain = _Tally(label.replace("bound", "chain"), _tol(cfg, 1e-9))
+    target = float(rac.OPTIMAL_TWO_BIT_SUCCESS)
+    for n, tag in ((2, 50), (3, 51)):
+        oracle_success, bloch = rac.optimize_rac(n, seed=derive_seed(cfg.seed, tag), starts=n)
+        spec = rac.rac_protocol(n, [rac.bloch_to_ket(b) for b in bloch])
+        rep = rac.rac_lower_bound_check(spec, n)
+        details = {"eps": float(rep.eps), "oracle_success": float(oracle_success)}
+        if n == 2:
+            protocol_success = 1.0 - rep.eps
+            found = _Tally("rac_n2_success", _tol(cfg, 1e-3))
+            found.agree([protocol_success - target, oracle_success - target])
+            found.details = dict(details, protocol_success=float(protocol_success), target=target)
+            out.append(found.result())
+        bound = _Tally(f"rac_bound_n{n}", 0.0)
+        bound.add(rep.slack)
+        bound.details = dict(
+            details, cost_floor=float(rep.cost_floor), m=rep.m, info=float(rep.info)
+        )
+        chain = _Tally(f"rac_chain_n{n}", _tol(cfg, 1e-9))
         chain.add([*rep.chain_slacks(), rep.min_prefix_fano_slack])
-        out.append(chain.result())
+        out += [bound.result(), chain.result()]
 
     copy_spec = rac.classical_copy_protocol(cfg.n)
     copy_rep = rac.rac_lower_bound_check(copy_spec, cfg.n)

@@ -224,6 +224,26 @@ def test_dims_parsing():
     assert cli._parse_dims("3") == (3, 3)
 
 
+@pytest.mark.parametrize("dims", ["x", "3-x"])
+def test_a_malformed_dims_names_the_form_it_wants(dims, capsys):
+    # argparse used to word it by the type's name: "invalid _parse_dims value: 'x'"
+    assert shell_status(["--dims", dims]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    want = f"qilab: error: argument --dims: expected LO or LO-HI integers, got {dims!r}\n"
+    assert captured.err == want
+
+
+def test_a_defect_raises_instead_of_reading_as_a_bad_flag(monkeypatch):
+    # a KeyError inside a suite is a bug, not a usage error: no exit status 2
+    def broken(cfg):
+        return {}["missing"]
+
+    monkeypatch.setitem(suites.SUITES, "metrics", broken)
+    with pytest.raises(KeyError):
+        cli.main(["--suite", "metrics", "--trials", "1"])
+
+
 def test_canonical_json_formatting():
     text = cli.canonical_json({"b": 1.5, "a": [True, None, "x\"y"]})
     assert text == '{"a": [true, null, "x\\"y"], "b": 1.5}'

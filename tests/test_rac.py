@@ -4,8 +4,11 @@ import pytest
 from qilab import encoding as enc
 from qilab import rac
 from qilab.errors import ProtocolError
-from qilab.protocol import run_protocol
+from qilab.info import binary_entropy, uniform_cube_ensemble
+from qilab.metrics import optimal_measurements
+from qilab.protocol import InputColumns, message_states, run_protocol
 from qilab.rng import Stream
+from qilab.states import make_densities
 
 COS2_PI8 = (2.0 + np.sqrt(2.0)) / 4.0
 THREE_BIT_OPTIMUM = 0.5 + 1.0 / (2.0 * np.sqrt(3.0))
@@ -172,9 +175,68 @@ def test_message_encoding_states_are_the_kets():
     _, bloch = rac.optimize_rac(2, seed=5, starts=1)
     kets = [rac.bloch_to_ket(b) for b in bloch]
     spec = rac.rac_protocol(2, kets)
-    ensemble = rac.message_encoding(spec, 2)
-    for ket, sigma in zip(kets, ensemble.states):
+    states = message_states(spec, InputColumns({"x": np.arange(4)}))
+    for ket, sigma in zip(kets, states):
         assert np.allclose(sigma.mat, np.outer(ket, ket.conj()), atol=1e-10)
+
+
+def _bloch_code(n):
+    _, bloch = rac.optimize_rac(n, seed=60 + n, starts=2)
+    return rac.rac_protocol(n, [rac.bloch_to_ket(b) for b in bloch])
+
+
+def _per_prefix_fano_loop(spec, n):
+    """The chain's prefix links one prefix value at a time: the Fano gap of
+    bit j given each j-bit prefix y, from the error on bit j averaged over
+    the x extending y."""
+    err = run_protocol(spec, rac.index_ensemble(n)).instance_errors.reshape(2**n, n)
+    ensemble = uniform_cube_ensemble(message_states(spec, InputColumns({"x": np.arange(2**n)})))
+    fano_sum, decomposition_lhs, min_fano_slack = 0.0, 0.0, np.inf
+    for j, row in enumerate(enc.prefix_information(ensemble)):
+        gaps = []
+        for y, sub_info in enumerate(row):
+            eps_y = float(np.mean(err[y << (n - j) : (y + 1) << (n - j), j]))
+            gap = 1.0 - binary_entropy(eps_y)
+            gaps.append(gap)
+            min_fano_slack = min(min_fano_slack, sub_info - gap)
+        fano_sum += float(np.mean(gaps))
+        decomposition_lhs += float(np.mean(row))
+    return fano_sum, decomposition_lhs, float(min_fano_slack)
+
+
+@pytest.mark.parametrize("code", ["bloch-2", "bloch-3", "bloch-4", "bloch-5", "copy-4"])
+def test_prefix_rows_give_the_per_prefix_loops_bits(code):
+    kind, n = code.split("-")
+    n = int(n)
+    spec = _bloch_code(n) if kind == "bloch" else rac.classical_copy_protocol(n)
+    rep = rac.rac_lower_bound_check(spec, n)
+    if kind == "bloch":  # every error is nonzero, so no mean is an exact 0
+        err = run_protocol(spec, rac.index_ensemble(n)).instance_errors
+        assert np.all(err > 0.0)
+    got = (rep.fano_sum, rep.decomposition_lhs, rep.min_prefix_fano_slack)
+    assert got == _per_prefix_fano_loop(spec, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_decode_projectors_are_the_per_index_mixtures(n):
+    # reference: each index's two mixtures summed x by x, then divided by the
+    # count, certified one index at a time; rac_protocol groups the x by the
+    # sign table, so it is pinned to the per-bit comprehension first
+    assert np.array_equal(
+        rac._signs(n), [[1.0 - 2.0 * rac.bit_of(x, i, n) for x in range(2**n)] for i in range(n)]
+    )
+    _, bloch = rac.optimize_rac(n, seed=70 + n, starts=2)
+    kets = [rac.bloch_to_ket(b) for b in bloch]
+    pairs = []
+    for i in range(n):
+        groups = {0: [], 1: []}
+        for x, ket in enumerate(kets):
+            groups[rac.bit_of(x, i, n)].append(np.outer(ket, np.conj(ket)))
+        pairs.append(tuple(make_densities([sum(g) / len(g) for g in groups.values()], tol=1e-8)))
+    blocks = rac.rac_protocol(n, kets).final_measurement.blocks
+    for i, (meas, _) in enumerate(optimal_measurements(pairs)):
+        for got, want in zip(blocks[i], meas):
+            assert np.array_equal(got, want)
 
 
 def test_rac_bound_certifies_each_prefix_mixture_once(monkeypatch):

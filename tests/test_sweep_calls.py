@@ -348,3 +348,10 @@ def test_stacked_reads_are_their_one_item_views_bitwise():
             es, projs = zip(*items)
             stacked = info.measured_mutual_infos([e.priors for e in es], [e.mats for e in es], projs)
             assert stacked.tolist() == [info.measured_mutual_info(e, p) for e, p in items]
+
+
+def test_a_rac_code_certifies_its_index_mixtures_in_one_call(counted):
+    # one stacked certification of all 2n index-conditional mixtures per code
+    # (16 in a seed-1 pass while each index's pair was certified on its own)
+    run_suite("rac", SuiteConfig(seed=1))
+    assert counted["hermitian_eig"] == 13
