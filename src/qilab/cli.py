@@ -17,7 +17,7 @@ import math
 import sys
 
 from .errors import QilabError
-from .suites import MAX_ENCODING_M, SUITES, SuiteConfig, run_suite
+from .suites import CHECKS, MAX_ENCODING_M, SUITES, SuiteConfig, run_suite
 
 REPORT_SCHEMA = 1
 # flags a suite does not read: a report must not echo a value its checks ignored
@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dims", type=_parse_dims, metavar="LO-HI", help=f"default {lo}-{hi}")
     parser.add_argument("--m", type=int, help=f"max encoding width in bits, 1-{MAX_ENCODING_M}")
     parser.add_argument("--n", type=int, help="rac and reduction size")
-    parser.add_argument("--tol", type=float, help="override every check tolerance, >= 0")
+    fixed = ", ".join(c.name for c in CHECKS if c.fixed)  # the rows --tol does not reach
+    parser.add_argument("--tol", type=float, help=f"every check's tolerance but {fixed}, >= 0")
     parser.add_argument("--out", default=None, help="write the JSON report here")
     parser.add_argument("--format", choices=["json", "text"], default="text")
     return parser

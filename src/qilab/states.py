@@ -347,7 +347,8 @@ def unitaries_from_gauss(zs) -> list[np.ndarray]:
     def build(shape, members):
         q, r = np.linalg.qr(np.array([zs[i] for i in members]))
         d = np.diagonal(r, axis1=-2, axis2=-1)
-        u = q * (d / np.abs(d))[:, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):  # a singular z fails the check
+            u = q * (d / np.abs(d))[:, None, :]
         off = linalg.frobenius(dagger(u) @ u - np.eye(shape[0]))
         linalg.check_each(~(off <= 1e-10), NormalizationError, "{name} is not unitary")
         return (u,)

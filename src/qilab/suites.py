@@ -1,13 +1,14 @@
 """Named verification suites behind the command-line driver.
 
 A check runs a seeded sweep and reports the worst slack seen together
-with the number of violations of its tolerance. Slack conventions:
-inequality checks report rhs - lhs (so negative means violated);
-agreement checks report tol - |difference| and pass only at
-|difference| <= tol.
+with the number of violations of its tolerance. Every reported check is a
+row of :data:`CHECKS`, in ``--suite all`` order, whose rule sets its slack:
+``add`` (an inequality lhs <= rhs) reports rhs - lhs, so negative means
+violated; ``agree`` (lhs = rhs) reports tol - |lhs - rhs| and passes only at
+|lhs - rhs| <= tol. ``--tol`` overrides a row's tolerance unless it is fixed.
 
 Trials may reach a check in any order: each suite hands them over sorted by
-shape (:func:`_batches`), a column of slacks at a time. A tally keeps only its
+shape (:func:`_batches`), a column of values at a time. A tally keeps only its
 trial and violation counts and its least slack, which do not depend on the
 order; a tie keeps the first trial (the first row of the first column handed
 over), its seed and, at a 0.0 / -0.0 tie, its sign of ``min_slack``.
@@ -16,6 +17,7 @@ over), its seed and, at a 0.0 / -0.0 tie, its sign of ``min_slack``.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,57 @@ MAX_ENCODING_M = 5  # widest cube the encoding suite draws: 32 states
 CHUNK_TRIALS = 64  # trials whose seeds, ranks and weights are drawn as one batch of arrays
 
 
+# A row of CHECKS; README's check table defines the symbols of its statement.
+Check = namedtuple("Check", "suite name rule tol statement source fixed", defaults=[False])
+_FVG, _ANTV, _NAYAK, _NC = "quant-ph/9712042", "quant-ph/9804043", "quant-ph/9904093", "textbook"
+_ENC, _LT, _RE = "paper: average encoding", "paper: local transition", "paper: round elimination"
+CHECKS = (
+    Check("metrics", "fvg_lower", "add", 1e-9, "1 - sqrt(F) <= T/2", _FVG),
+    Check("metrics", "fvg_upper", "add", 1e-9, "T/2 <= sqrt(1 - F)", _FVG),
+    Check("metrics", "measurement_tightness", "agree", 1e-9, "Tr (P+ - P-)(r1 - r2) = T", _NC),
+    Check("metrics", "pure_state_distance_agreement", "agree", 1e-9, "pure T = 2 sqrt(1-F)", _NC),
+    Check("metrics", "trace_norm_multiplicative", "agree", 1e-10, "||a (x) b|| = ||a|| ||b||", _NC),
+    Check("info", "holevo_dominance", "add", 1e-9, "measured I(X:Y) <= chi", _NC),
+    Check("info", "block_entropy_identity", "agree", 1e-9, "S(+ p_j s_j) = H(p) + E_p S(s_j)", _NC),
+    Check("info", "chain_identity", "agree", 1e-10, "I(X:YZ) = I(X:Y) + I(XY:Z) - I(Y:Z)", _NC),
+    Check("info", "mi_monotonicity", "add", 1e-10, "chi(X:Y) <= chi(X:YZ)", _NC),
+    Check("info", "entropy_concavity", "add", 1e-9, "sum w_i S(r_i) <= S(sum w_i r_i)", _NC),
+    Check("info", "entropy_subadditivity", "add", 1e-9, "S(AB) <= S(A) + S(B)", _NC),
+    Check("info", "binary_entropy_gap", "add", 1e-12, "d^2 <= 1 - H(1/2 + d)", _ENC),
+    Check("info", "fano_channel", "add", 1e-9, "1 - H(1/2 + d) <= I(X:Y), success 1/2 + d", _NC),
+    Check("encoding", "delta_prime_le_delta", "add", 1e-8, "Delta' <= Delta", _ENC),
+    Check("encoding", "delta_le_two_sqrt_info", "add", 1e-8, "Delta <= 2 sqrt(chi)", _ENC),
+    Check("encoding", "info_floor_quarter", "add", 1e-8, "1 - H(1/2 + Delta/4) <= chi", _ENC),
+    Check("encoding", "info_floor_half", "add", 1e-8,
+          "1 - H(1/2 + Delta/2) <= chi: false at m >= 2, red by design", _ENC),
+    Check("encoding", "entropy_gap_quarter", "add", 1e-10, "Delta^2/4 <= 1 - H(1/2+Delta/2)", _ENC),
+    Check("encoding", "pairing_bound", "add", 1e-10, "Delta <= found pairing's mean", _ENC),
+    Check("encoding", "info_decomposition", "add", 1e-9, "sum of prefix informations <= chi", _ENC),
+    Check("encoding", "pairing_vs_exhaustive", "add", 1e-10, "Delta <= found <= exhaustive", _ENC),
+    Check("transition", "overlap_matches_fidelity", "agree", 1e-8, "aligned overlap^2 = F", _NC),
+    Check("transition", "transition_bound", "add", 1e-8, "aligned distance <= 2 sqrt(T)", _LT),
+    Check("transition", "fidelity_trace_chain", "add", 1e-9, "1 - F <= T", _FVG),
+    Check("transition", "exact_transition", "agree", 1e-8, "residual = 0, equal marginals", _LT),
+    Check("transition", "transition_bound_sweep", "add", 1e-8, "transition_bound, 1 - F <= T", _LT),
+    Check("rac", "rac_n2_success", "agree", 1e-3, "best success = cos^2(pi/8)", _ANTV),
+    Check("rac", "rac_bound_n2", "add", 0.0, "(1 - H(eps)) n <= m", _NAYAK, fixed=True),
+    Check("rac", "rac_chain_n2", "add", 1e-9, "each link of (1 - H(eps)) n <= chi <= m", _NAYAK),
+    Check("rac", "rac_bound_n3", "add", 0.0, "(1 - H(eps)) n <= m", _NAYAK, fixed=True),
+    Check("rac", "rac_chain_n3", "add", 1e-9, "each link of (1 - H(eps)) n <= chi <= m", _NAYAK),
+    Check("rac", "classical_copy_equality", "agree", 1e-9, "eps = 0 and (1-H(eps))n = m", _NAYAK),
+    Check("reduction", "first_message_independence", "agree", 1e-9, "I(M' : Y_j) = 0", _RE),
+    Check("reduction", "alignment_error_bound", "add", 1e-8, "delta_j <= eps_j + 2 E sqrt(t)", _RE),
+    Check("reduction", "info_error_bound", "add", 1e-8, "delta_j <= eps_j + 4 mu_j^(1/4)", _RE),
+    Check("reduction", "simulation_equivalence", "agree", 1e-8, "TV(P', P'' outcomes) = 0", _RE),
+    Check("reduction", "round_reduction", "add", 0.0, "rounds: P'' = P' - 1", _RE, fixed=True),
+    Check("reduction", "message_budget", "add", 0.0,
+          "P'' message qubits <= budget: cannot fail, slack ceil(log2 n)", _RE, fixed=True),
+    Check("reduction", "message_info_budget", "add", 1e-9, "sum mu_i <= I(M:Y) <= ell_1", _RE),
+    Check("reduction", "superposed_vs_classical", "agree", 1e-12, "eps_j = classical error", _RE),
+    Check("reduction", "transition_residual", "agree", 1e-8, "P'' transition residual = 0", _LT),
+)
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 1
@@ -66,32 +119,30 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "min_slack": float(self.min_slack),
-            "violations": self.violations,
-            "details": self.details,
-        }
+        return dict(vars(self))
 
 
+@dataclass
 class _Tally:
-    """Accumulates columns of per-trial slacks against a tolerance."""
+    """Accumulates columns of per-trial values against a tolerance, by a rule."""
 
-    def __init__(self, name: str, tol: float):
-        self.name = name
-        self.tol = tol
-        self.min_slack = np.inf
-        self.violations = 0
-        self.trials = 0
-        self.details: dict = {}
+    name: str
+    tol: float
+    rule: str = "add"
+    min_slack: float = np.inf
+    violations: int = 0
+    trials: int = 0
+    details: dict = field(default_factory=dict)
 
-    def add(self, slacks, seed=None, ok=True) -> np.ndarray:
-        """Record a column of trials (a scalar is a column of one, an array is
-        read in C order); return each one's pass. ``ok`` (one flag, or one per
-        trial) False counts a trial violated whatever its slack; ``seed`` (one,
-        or one per trial) names the worst trial."""
-        slacks = np.ravel(np.asarray(slacks, dtype=float))
+    def add(self, values, seed=None, ok=True) -> np.ndarray:
+        """Record a column of trials by the rule (a scalar is a column of one, an
+        array is read in C order; ``agree`` reads errors); return each one's pass.
+        ``ok`` (one flag, or one per trial) False counts a trial violated whatever
+        its slack; ``seed`` (one, or one per trial) names the worst trial."""
+        slacks = np.ravel(np.asarray(values, dtype=float))
+        if self.rule == "agree":
+            errors = np.abs(slacks)
+            slacks, ok = self.tol - errors, ok & (errors <= self.tol)
         # A non-finite slack certified nothing: it is a violation, and as NaN
         # it stays the minimum (``x < nan`` is False), written null, with the
         # seed of the first trial that made it. np.argmin finds the first NaN,
@@ -110,22 +161,18 @@ class _Tally:
                     self.details["worst_instance_seed"] = seeds[i].item()
         return passed
 
-    def agree(self, errors, seed=None) -> np.ndarray:
-        """Record slacks tol - |error|, passing only where |error| <= tol (NaN fails)."""
-        errors = np.abs(np.ravel(np.asarray(errors, dtype=float)))
-        return self.add(self.tol - errors, seed, ok=errors <= self.tol)
-
     def result(self) -> CheckResult:
         # A check that ran no trial certified nothing: it must not read PASS.
         violations = self.violations if self.trials else 1
-        out = CheckResult(self.name, self.trials, float(self.min_slack), violations)
-        out.details = dict(self.details)
-        out.details["tolerance"] = self.tol
-        return out
+        details = dict(self.details, tolerance=self.tol)
+        return CheckResult(self.name, self.trials, float(self.min_slack), violations, details)
 
 
-def _tol(cfg: SuiteConfig, default: float) -> float:
-    return cfg.tol if cfg.tol is not None else default
+def _tallies(cfg: SuiteConfig, suite: str) -> dict[str, _Tally]:
+    """The suite's tallies by name, in table order, each judged by its row."""
+    rows = [c for c in CHECKS if c.suite == suite]
+    tols = [c.tol if c.fixed or cfg.tol is None else cfg.tol for c in rows]
+    return {c.name: _Tally(c.name, tol, c.rule) for c, tol in zip(rows, tols)}
 
 
 def _dim_cycle(cfg: SuiteConfig, t: int) -> int:
@@ -170,27 +217,21 @@ def _metrics_trials(cfg: SuiteConfig, trials: int):
 
 
 def metrics_suite(cfg: SuiteConfig) -> list[CheckResult]:
-    trials = cfg.trials or 1000
-    fvg_lower = _Tally("fvg_lower", _tol(cfg, 1e-9))
-    fvg_upper = _Tally("fvg_upper", _tol(cfg, 1e-9))
-    tight = _Tally("measurement_tightness", _tol(cfg, 1e-9))
-    pure_agree = _Tally("pure_state_distance_agreement", _tol(cfg, 1e-9))
-    tensor_mult = _Tally("trace_norm_multiplicative", _tol(cfg, 1e-10))
-    tallies = (fvg_lower, fvg_upper, tight, pure_agree, tensor_mult)
-    for chunk in random_density_chunks(_metrics_trials(cfg, trials)):
-        _metrics_chunk(chunk, *tallies)
-    return [t.result() for t in tallies]
+    checks = _tallies(cfg, "metrics")
+    for chunk in random_density_chunks(_metrics_trials(cfg, cfg.trials or 1000)):
+        _metrics_chunk(chunk, checks)
+    return [check.result() for check in checks.values()]
 
 
-def _metrics_chunk(chunk, fvg_lower, fvg_upper, tight, pure_agree, tensor_mult) -> None:
+def _metrics_chunk(chunk, checks) -> None:
     """Tally one chunk of metrics trials, a shape (dim) at a time in stacked calls."""
     for _, (r1, r2), (g1, g2, _, _) in chunk:
         # one certified spectrum per difference r1 - r2: its ||D||_t, and P+- attaining it on D
         *_, achieved, dists = metrics._helstrom(r1.mats - r2.mats)
         lo, up = metrics.fidelity_distance_bounds(metrics._fidelities(r1, r2), dists)
-        fvg_lower.add(lo)
-        fvg_upper.add(up)
-        tight.agree(achieved - dists)
+        checks["fvg_lower"].add(lo)
+        checks["fvg_upper"].add(up)
+        checks["measurement_tightness"].add(achieved - dists)
 
         g = np.stack([g1, g2], axis=1)  # the pure pairs' Gaussian columns
         v = g[..., 0] / _norms(g[..., 0])[..., None]  # made states as random_pure makes one
@@ -198,13 +239,13 @@ def _metrics_chunk(chunk, fvg_lower, fvg_upper, tight, pure_agree, tensor_mult) 
         diffs = v[:, 0, :, None] * np.conj(v[:, 0, None, :])
         diffs -= v[:, 1, :, None] * np.conj(v[:, 1, None, :])  # in place: large d shows in RSS
         dists = metrics.trace_norm(diffs, hermitian=True)
-        pure_agree.agree(metrics.pure_trace_distances(v) - dists)
+        checks["pure_state_distance_agreement"].add(metrics.pure_trace_distances(v) - dists)
 
     # each trial's Kronecker product a (x) b, all of the chunk's in one product
     a, b = (np.concatenate([gaussians[k] for *_, gaussians in chunk]) for k in (2, 3))
     kron = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), 6, 6)
     lhs, rhs = metrics.trace_norm(kron), metrics.trace_norm(a) * metrics.trace_norm(b)
-    tensor_mult.agree((lhs - rhs) / np.maximum(rhs, 1.0))
+    checks["trace_norm_multiplicative"].add((lhs - rhs) / np.maximum(rhs, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +293,7 @@ def _info_derived(keys, mats) -> list[tuple[np.ndarray, float]]:
     ]
 
 
-def _info_chunk(chunk, holevo, block, chain, mono, concave, subadd) -> None:
+def _info_chunk(chunk, checks) -> None:
     """Tally a chunk of info trials, a shape at a time from the stacks' entropy
     rows; each sum over a trial's states runs left to right."""
     for (priors, p, joints, ws), stacks, (z,) in chunk:
@@ -271,38 +312,30 @@ def _info_chunk(chunk, holevo, block, chain, mono, concave, subadd) -> None:
         # the chain rule I(X:YZ) = I(X:Y) + I(XY:Z) - I(Y:Z), over the tables at once
         x_yz, xy_z = (classical_mutual_information(joints.reshape(-1, s, 8 // s)) for s in (2, 4))
         x_y, y_z = (classical_mutual_information(joints.sum(axis=a)) for a in (3, 1))
-        block.agree(tail[8] - block_rhs)
-        chain.agree(x_yz - (x_y + xy_z - y_z))
-        mono.add(full - holevo_informations(quarter, tail[9:13].T, tail[15]))
-        concave.add(tail[16] - conditional_entropies(ws, tail[4:7].T))
-        subadd.add(tail[17] + tail[18] - tail[7])
-        holevo.add(holevo_informations(priors, ent[:, :n], tail[13]) - mis)
+        checks["block_entropy_identity"].add(tail[8] - block_rhs)
+        checks["chain_identity"].add(x_yz - (x_y + xy_z - y_z))
+        checks["mi_monotonicity"].add(full - holevo_informations(quarter, tail[9:13].T, tail[15]))
+        checks["entropy_concavity"].add(tail[16] - conditional_entropies(ws, tail[4:7].T))
+        checks["entropy_subadditivity"].add(tail[17] + tail[18] - tail[7])
+        checks["holevo_dominance"].add(holevo_informations(priors, ent[:, :n], tail[13]) - mis)
 
 
 def info_suite(cfg: SuiteConfig) -> list[CheckResult]:
-    trials = cfg.trials or 500
-    holevo = _Tally("holevo_dominance", _tol(cfg, 1e-9))
-    block = _Tally("block_entropy_identity", _tol(cfg, 1e-9))
-    chain = _Tally("chain_identity", _tol(cfg, 1e-10))
-    mono = _Tally("mi_monotonicity", _tol(cfg, 1e-10))
-    concave = _Tally("entropy_concavity", _tol(cfg, 1e-9))
-    subadd = _Tally("entropy_subadditivity", _tol(cfg, 1e-9))
-    for chunk in random_density_chunks(_info_trials(cfg.seed, trials), _info_derived):
-        _info_chunk(chunk, holevo, block, chain, mono, concave, subadd)
+    checks = _tallies(cfg, "info")
+    for chunk in random_density_chunks(_info_trials(cfg.seed, cfg.trials or 500), _info_derived):
+        _info_chunk(chunk, checks)
 
-    gap = _Tally("binary_entropy_gap", _tol(cfg, 1e-12))
     deltas = [k / 1000.0 for k in range(501)]
     squares = np.array([x**2 for x in deltas])  # Python's pow, not numpy's x * x
-    gap.add(binary_entropy_gap(np.array(deltas)) - squares)
+    checks["binary_entropy_gap"].add(binary_entropy_gap(np.array(deltas)) - squares)
 
-    fano = _Tally("fano_channel", _tol(cfg, 1e-9))
     grid = np.linspace(0.0, 1.0, 41)
     pa, pb = (x.reshape(-1) for x in np.meshgrid(grid, grid, indexing="ij"))
-    agreement = (pa + pb) / 2.0
-    pa, pb, agreement = (x[agreement >= 0.5] for x in (pa, pb, agreement))
+    margin = (pa + pb) / 2.0 - 0.5  # the agreement's margin over 1/2
+    pa, pb, margin = (x[margin >= 0.0] for x in (pa, pb, margin))
     joints = 0.5 * np.stack([pa, 1.0 - pa, 1.0 - pb, pb], axis=-1).reshape(-1, 2, 2)
-    fano.add(classical_mutual_information(joints) - info.fano_bound(agreement - 0.5))
-    return [t.result() for t in (holevo, block, chain, mono, concave, subadd, gap, fano)]
+    checks["fano_channel"].add(classical_mutual_information(joints) - info.fano_bound(margin))
+    return [check.result() for check in checks.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +393,9 @@ def _encoding_slacks(ms, seeds, stacks) -> dict[str, np.ndarray]:
 
 
 def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
-    trials = cfg.trials or 200
-    defaults = (  # the checks in report order, with their default tolerances
-        ("delta_prime_le_delta", 1e-8), ("delta_le_two_sqrt_info", 1e-8),
-        ("info_floor_quarter", 1e-8), ("info_floor_half", 1e-8), ("entropy_gap_quarter", 1e-10),
-        ("pairing_bound", 1e-10), ("info_decomposition", 1e-9),
-    )
-    checks = {name: _Tally(name, _tol(cfg, tol)) for name, tol in defaults}
+    checks = _tallies(cfg, "encoding")
     skipped_half = half_violations_m1 = 0
-    t = np.arange(trials)
+    t = np.arange(cfg.trials or 200)
     cases = zip(1 + t % cfg.m, _dim_cycle(cfg, t), derive_seeds(cfg.seed, 30, t).tolist())
     for chunk in random_density_chunks(_cube_trials(cases), _encoding_derived):
         for (ms, seeds), stacks, _ in chunk:
@@ -386,7 +413,6 @@ def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
         "is info_floor_quarter",
     )
 
-    exhaustive = _Tally("pairing_vs_exhaustive", _tol(cfg, 1e-10))
     every = np.array(list(enc.enumerate_pairings(8)))  # the 105 pairings of a 3-bit cube
     t = np.arange(10)
     cubes = _cube_trials(zip([3] * 10, 2 + t % 3, derive_seeds(cfg.seed, 31, t).tolist()))
@@ -396,8 +422,9 @@ def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
             pairings = [enc.find_pairing(x, s) for x, s in zip(d, derive_seeds(seeds, 98).tolist())]
             found = enc.pairing_average(d, pairings)
             best = np.max(enc.pairing_average(d[:, None], every[None]), axis=-1)
-            exhaustive.add(np.stack([best - found, found - np.mean(d, axis=(1, 2))], axis=1))
-    return [t.result() for t in (*checks.values(), exhaustive)]
+            slacks = np.stack([best - found, found - np.mean(d, axis=(1, 2))], axis=1)
+            checks["pairing_vs_exhaustive"].add(slacks)
+    return [check.result() for check in checks.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +432,7 @@ def encoding_suite(cfg: SuiteConfig) -> list[CheckResult]:
 
 def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
     trials = cfg.trials or 1000
-    agree = _Tally("overlap_matches_fidelity", _tol(cfg, 1e-8))
-    bound = _Tally("transition_bound", _tol(cfg, 1e-8))
-    chain = _Tally("fidelity_trace_chain", _tol(cfg, 1e-9))
+    checks = _tallies(cfg, "transition")
 
     def pair_trials():
         dims = 2 + np.arange(trials) % 3
@@ -420,11 +445,10 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
             dim = stacks[0].mats.shape[-1]
             dim_ks = dim + ts % (7 - dim)
             overlap_sq, pure_distance, t, dist, f = transition.aligned_trials(group, dim_ks)
-            agree.agree(overlap_sq - f)
-            bound.add(2.0 * np.sqrt(t) - pure_distance)
-            chain.add(dist - (1.0 - f))
+            checks["overlap_matches_fidelity"].add(overlap_sq - f)
+            checks["transition_bound"].add(2.0 * np.sqrt(t) - pure_distance)
+            checks["fidelity_trace_chain"].add(dist - (1.0 - f))
 
-    exact = _Tally("exact_transition", _tol(cfg, 1e-8))
     few = max(trials // 5, 50)  # the exact and sweep trials
 
     def exact_trials():
@@ -438,13 +462,13 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
         for _, (rho,), (z,) in chunk:
             phis = canonical_purifications([(rho, i) for i in range(len(z))], [len(z[0])] * len(z))
             pairs = zip(phis, transition.apply_k_unitaries(zip(phis, unitaries_from_gauss(z))))
-            exact.agree([residual for _, residual in transition.exact_local_transitions(pairs)])
+            checks["exact_transition"].add([r for _, r in transition.exact_local_transitions(pairs)])
 
-    # The alignment bound on canonical purifications of rank-varied pairs on
-    # H = C^3 into K = C^4; a trial that breaks the chain 1 - F <= T or the
-    # bound is one violation, reported under the worst trial's seed.
-    sweep = _Tally("transition_bound_sweep", _tol(cfg, 1e-8))
-    sweep_chain = _Tally("min_chain_slack", _tol(cfg, 1e-9))
+    # The alignment bound on canonical purifications of rank-varied pairs on H = C^3
+    # into K = C^4; a trial that breaks the chain 1 - F <= T (fidelity_trace_chain's row)
+    # or the bound is one violation, reported under the worst trial's seed.
+    sweep = checks["transition_bound_sweep"]
+    sweep_chain = _tallies(cfg, "transition")["fidelity_trace_chain"]
 
     def sweep_trials():
         for t in _batches(few):
@@ -459,72 +483,56 @@ def transition_suite(cfg: SuiteConfig) -> list[CheckResult]:
             passed = sweep_chain.add(dist - (1.0 - f))
             sweep.add(2.0 * np.sqrt(t) - distance, group[0][0], ok=passed)
     sweep.details["min_chain_slack"] = float(sweep_chain.min_slack)
-    return [agree.result(), bound.result(), chain.result(), exact.result(), sweep.result()]
+    return [check.result() for check in checks.values()]
 
 
 # ---------------------------------------------------------------------------
 
 
 def rac_suite(cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
+    checks = _tallies(cfg, "rac")
     target = float(rac.OPTIMAL_TWO_BIT_SUCCESS)
     for n, tag in ((2, 50), (3, 51)):
         oracle_success, bloch = rac.optimize_rac(n, seed=derive_seed(cfg.seed, tag), starts=n)
         spec = rac.rac_protocol(n, [rac.bloch_to_ket(b) for b in bloch])
         rep = rac.rac_lower_bound_check(spec, n)
-        details = {"eps": float(rep.eps), "oracle_success": float(oracle_success)}
+        base = {"eps": float(rep.eps), "oracle_success": float(oracle_success)}
         if n == 2:
             protocol_success = 1.0 - rep.eps
-            found = _Tally("rac_n2_success", _tol(cfg, 1e-3))
-            found.agree([protocol_success - target, oracle_success - target])
-            found.details = dict(details, protocol_success=float(protocol_success), target=target)
-            out.append(found.result())
-        bound = _Tally(f"rac_bound_n{n}", 0.0)
+            found = checks["rac_n2_success"]
+            found.add([protocol_success - target, oracle_success - target])
+            found.details = dict(base, protocol_success=float(protocol_success), target=target)
+        bound = checks[f"rac_bound_n{n}"]
         bound.add(rep.slack)
-        bound.details = dict(
-            details, cost_floor=float(rep.cost_floor), m=rep.m, info=float(rep.info)
-        )
-        chain = _Tally(f"rac_chain_n{n}", _tol(cfg, 1e-9))
-        chain.add([*rep.chain_slacks(), rep.min_prefix_fano_slack])
-        out += [bound.result(), chain.result()]
+        bound.details = dict(base, cost_floor=float(rep.cost_floor), m=rep.m, info=float(rep.info))
+        checks[f"rac_chain_n{n}"].add([*rep.chain_slacks(), rep.min_prefix_fano_slack])
 
-    copy_spec = rac.classical_copy_protocol(cfg.n)
-    copy_rep = rac.rac_lower_bound_check(copy_spec, cfg.n)
-    equality = _Tally("classical_copy_equality", _tol(cfg, 1e-9))
-    equality.agree([copy_rep.slack, copy_rep.eps])
+    copy_rep = rac.rac_lower_bound_check(rac.classical_copy_protocol(cfg.n), cfg.n)
+    equality = checks["classical_copy_equality"]
+    equality.add([copy_rep.slack, copy_rep.eps])
     equality.details = {"eps": float(copy_rep.eps), "m": copy_rep.m, "n": cfg.n}
-    out.append(equality.result())
-    return out
+    return [check.result() for check in checks.values()]
 
 
 # ---------------------------------------------------------------------------
 
 def reduction_suite(cfg: SuiteConfig) -> list[CheckResult]:
-    independence = _Tally("first_message_independence", _tol(cfg, 1e-9))
-    align_bound = _Tally("alignment_error_bound", _tol(cfg, 1e-8))
-    info_bound = _Tally("info_error_bound", _tol(cfg, 1e-8))
-    sim_equiv = _Tally("simulation_equivalence", _tol(cfg, 1e-8))
-    rounds = _Tally("round_reduction", 0.0)
-    budget = _Tally("message_budget", 0.0)
-    info_budget = _Tally("message_info_budget", _tol(cfg, 1e-9))
-    sup_cls = _Tally("superposed_vs_classical", _tol(cfg, 1e-12))
-    residual = _Tally("transition_residual", _tol(cfg, 1e-8))
+    checks = _tallies(cfg, "reduction")
     pipelines = reduction.run_pipelines(reduction.openings(cfg.n), cfg.n)
     reps = [rep for reports in pipelines for rep in reports]
     firsts, drops = [rep.first for rep in reps], [rep.drop for rep in reps]
-    independence.agree([first.mu_j_prime for first in firsts])
-    align_bound.add([first.alignment_bound_slack for first in firsts])
-    info_bound.add([rep.info_bound_slack for rep in reps])
-    sim_equiv.agree([drop.max_outcome_tv for drop in drops])
-    rounds.add([0.0 if drop.rounds_after == drop.rounds_before - 1 else -1.0 for drop in drops])
-    budget.add([drop.budget - drop.message_qubits_after for drop in drops])
-    info_budget.add(  # three slacks per report, in report order
+    checks["first_message_independence"].add([first.mu_j_prime for first in firsts])
+    checks["alignment_error_bound"].add([first.alignment_bound_slack for first in firsts])
+    checks["info_error_bound"].add([rep.info_bound_slack for rep in reps])
+    checks["simulation_equivalence"].add([drop.max_outcome_tv for drop in drops])
+    checks["round_reduction"].add([float(d.rounds_after == d.rounds_before - 1) - 1 for d in drops])
+    checks["message_budget"].add([drop.budget - drop.message_qubits_after for drop in drops])
+    checks["message_info_budget"].add(  # three slacks per report, in report order
         [(r.ell1 - sum(r.mus), r.joint_info - sum(r.mus), r.ell1 - r.joint_info) for r in reps]
     )
-    sup_cls.agree([rep.first.eps_j - rep.classical_error for rep in reps])
-    residual.agree([drop.max_transition_residual for drop in drops])
-    checks = (independence, align_bound, info_bound, sim_equiv, rounds, budget, info_budget)
-    return [t.result() for t in (*checks, sup_cls, residual)]
+    checks["superposed_vs_classical"].add([rep.first.eps_j - rep.classical_error for rep in reps])
+    checks["transition_residual"].add([drop.max_transition_residual for drop in drops])
+    return [check.result() for check in checks.values()]
 
 
 SUITES = {

@@ -61,7 +61,7 @@ def test_a_defect_in_the_information_is_reported_not_raised(capsys, monkeypatch)
 def test_violation_count_does_not_wrap_exit_status(capsys, monkeypatch):
     # 1280 violations used to exit 1280 mod 256 = 0; --tol rejects a
     # negative value, so every check's tolerance is forced to -10 here
-    monkeypatch.setattr(suites, "_tol", lambda cfg, default: -10.0)
+    monkeypatch.setattr(suites, "CHECKS", [c._replace(tol=-10.0) for c in suites.CHECKS])
     code, out = run_cli(["--suite", "metrics", "--trials", "256"], capsys)
     assert code == 1
     assert "total violations: 1280" in out

@@ -180,14 +180,14 @@ def test_first_nan_slack_stays_the_minimum_with_its_seed():
 
 def test_an_agreement_passes_only_within_its_tolerance():
     # slack tol - |error|, judged at >= 0: an error between tol and 2 tol fails
-    tally = suites._Tally("x", 1e-8)
+    tally = suites._Tally("x", 1e-8, "agree")
     errors = (0.0, -1e-8, 1e-8, 1.5e-8, -1.9e-8, np.nan)
-    assert [tally.agree(e, seed) for seed, e in enumerate(errors)] == [True] * 3 + [False] * 3
+    assert [tally.add(e, seed) for seed, e in enumerate(errors)] == [True] * 3 + [False] * 3
     check = tally.result()
     assert check.violations == 3 and np.isnan(check.min_slack)
     assert check.details["worst_instance_seed"] == 5
-    tally = suites._Tally("y", 1e-8)
-    tally.agree(-1.5e-8)
+    tally = suites._Tally("y", 1e-8, "agree")
+    tally.add(-1.5e-8)
     assert tally.result().min_slack == 1e-8 - 1.5e-8
 
 

@@ -127,8 +127,8 @@ def test_a_tie_keeps_the_first_trial_and_its_zero_sign():
 
 
 class _ScalarTally:
-    """The reference: a tally fed one trial at a time, as ``_Tally.add`` and
-    ``agree`` counted before they took columns."""
+    """The reference: a tally fed one trial at a time, as ``_Tally.add`` counted
+    under each rule before it took columns."""
 
     def __init__(self, tol):
         self.tol, self.min_slack, self.worst = tol, math.inf, None
@@ -181,11 +181,11 @@ def test_a_column_tally_counts_as_the_scalar_rule(kind, pool, case):
     seeds = gen.integers(2**63, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
     oks = gen.random(n) < 0.8
     cuts = np.sort(gen.integers(0, n + 1, size=int(gen.integers(0, 5))))
-    tally, reference = suites._Tally("x", tol), _ScalarTally(tol)
+    tally, reference = suites._Tally("x", tol, kind), _ScalarTally(tol)
     for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), n]):
         column, seed = values[lo:hi], seeds[lo:hi]
         if kind == "agree":
-            passed = tally.agree(column, seed)
+            passed = tally.add(column, seed)
             expected = [reference.agree(e, s) for e, s in zip(column.tolist(), seed.tolist())]
         elif (lo + case) % 2:  # ok one flag per column, no seed
             ok = bool(oks[lo]) if hi > lo else True
