@@ -9,45 +9,47 @@ shows the prefix decomposition of the ensemble information.
 
 import numpy as np
 
-from qilab import (
-    encoding_stats,
-    find_pairing,
-    holevo_information,
-    pure_density,
-    random_density,
-    uniform_cube_ensemble,
-)
+from qilab import find_pairing, holevo_information, make_densities, pure_density, random_density
 from qilab.encoding import (
+    distances_to_mean,
     enumerate_pairings,
     information_floor,
     pairing_average,
     pairwise_distance_matrix,
-    prefix_information,
+    prefix_mixtures,
+    prefix_table,
 )
+from qilab.states import mixture_matrix
+
+
+def stats(states):
+    """Delta, Delta' and I(X:Q) of a uniform encoding of m-bit strings."""
+    mats, priors = np.array([s.mat for s in states]), np.full(len(states), 1.0 / len(states))
+    to_mean = distances_to_mean(mats[None], mixture_matrix(priors, mats)[None])[0]
+    return np.mean(pairwise_distance_matrix(mats)), to_mean, holevo_information(priors, states)
+
 
 print("== one-bit encodings: orthogonal states saturate everything ==")
-e1 = uniform_cube_ensemble([pure_density([1, 0]), pure_density([0, 1])])
-s1 = encoding_stats(e1)
-print(f"Delta = {s1.delta_pairwise:.4f}, Delta' = {s1.delta_to_mean:.4f}, I = {s1.info:.4f}")
-print(f"check: Delta <= 2 sqrt(I) -> {s1.delta_pairwise:.4f} <= {2 * np.sqrt(s1.info):.4f}")
+delta, to_mean, info = stats([pure_density([1, 0]), pure_density([0, 1])])
+print(f"Delta = {delta:.4f}, Delta' = {to_mean:.4f}, I = {info:.4f}")
+print(f"check: Delta <= 2 sqrt(I) -> {delta:.4f} <= {2 * np.sqrt(info):.4f}")
 
 print()
 print("== random three-bit encodings ==")
 for seed in (5, 6):
     states = [random_density(4, 1 + (seed + x) % 4, seed=50 * seed + x) for x in range(8)]
-    e = uniform_cube_ensemble(states)
-    s = encoding_stats(e, seed=seed)
-    floor = information_floor(s.delta_pairwise, m=3)
+    delta, to_mean, info = stats(states)
+    floor = information_floor(delta, m=3)
     print(
-        f"seed {seed}: Delta'={s.delta_to_mean:.4f} <= Delta={s.delta_pairwise:.4f} "
-        f"<= 2 sqrt(I)={2 * np.sqrt(s.info):.4f};  I={s.info:.4f} >= floor={floor:.4f}"
+        f"seed {seed}: Delta'={to_mean:.4f} <= Delta={delta:.4f} "
+        f"<= 2 sqrt(I)={2 * np.sqrt(info):.4f};  I={info:.4f} >= floor={floor:.4f}"
     )
 
 print()
 print("== the pairing behind the bound ==")
 states = [random_density(2, 1 + x % 2, seed=900 + x) for x in range(8)]
-e = uniform_cube_ensemble(states)
-d = pairwise_distance_matrix(e)
+mats = np.array([s.mat for s in states])
+d = pairwise_distance_matrix(mats)
 delta = float(np.sum(d)) / 64
 pairing = find_pairing(d, seed=3)
 found = pairing_average(d, pairing)
@@ -59,7 +61,9 @@ print(f"chosen pairs           : {pairing}")
 
 print()
 print("== information splits across bit positions ==")
-table = prefix_information(e)
+mixtures = make_densities(prefix_mixtures(mats, 3))
+table = prefix_table([s.entropy for s in states], [rho.entropy for rho in mixtures], 3)
 print(f"sum of per-prefix bit informations: {sum(np.mean(row) for row in table):.5f}")
-print(f"whole-ensemble information        : {holevo_information(e):.5f}  (never smaller)")
+info = holevo_information(np.full(8, 1 / 8), states)
+print(f"whole-ensemble information        : {info:.5f}  (never smaller)")
 print(f"I of the first bit alone          : {table[0][0]:.5f}")

@@ -10,18 +10,14 @@ calculators (:mod:`qilab.info`), purification alignment
 seeded verification suites (:mod:`qilab.suites`, ``qilab`` CLI).
 """
 
-from .encoding import EncodingStats, encoding_stats, find_pairing
+from .encoding import find_pairing
 from .info import (
-    CQEnsemble,
     binary_entropy,
     binary_entropy_gap,
     bipartite_mutual_info,
     fano_bound,
     holevo_information,
-    make_ensemble,
-    measured_mutual_info,
     shannon_entropy,
-    uniform_cube_ensemble,
     von_neumann_entropy,
 )
 from .linalg import (
@@ -46,7 +42,6 @@ from .states import (
     distance_up_to_phase,
     make_densities,
     make_density,
-    mixture,
     pure_density,
     random_densities,
     random_density,
@@ -63,10 +58,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartitePureState",
-    "CQEnsemble",
     "DensityMatrix",
     "EigDecomposition",
-    "EncodingStats",
     "TransitionResult",
     "TwoOutcomeMeasurement",
     "bayes_success",
@@ -75,7 +68,6 @@ __all__ = [
     "bipartite_mutual_info",
     "canonical_purification",
     "distance_up_to_phase",
-    "encoding_stats",
     "exact_local_transition",
     "fano_bound",
     "fidelity",
@@ -85,9 +77,6 @@ __all__ = [
     "holevo_information",
     "make_densities",
     "make_density",
-    "make_ensemble",
-    "measured_mutual_info",
-    "mixture",
     "optimal_measurement",
     "partial_trace",
     "pure_density",
@@ -100,6 +89,5 @@ __all__ = [
     "trace_distance",
     "trace_norm",
     "uhlmann_align",
-    "uniform_cube_ensemble",
     "von_neumann_entropy",
 ]

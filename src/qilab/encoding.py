@@ -24,37 +24,15 @@ decomposition of the ensemble information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import states
 from .errors import PairingSearchError, SizeError
-from .info import CQEnsemble, _cube_labels, binary_entropy, holevo_information, holevo_informations
+from .info import binary_entropy, holevo_informations
 # trace_distance is unused here, but perfbench/tests/test_tracing.py asserts it
 from .metrics import trace_distance, trace_norm  # noqa: F401
 from .rng import Stream
-from .states import make_densities, mixture_matrix
-
-
-@dataclass(frozen=True)
-class EncodingStats:
-    """Distances and information of a uniform cube ensemble."""
-
-    delta_pairwise: float
-    delta_to_mean: float
-    info: float
-    pairing: tuple[tuple[int, int], ...]
-    distances: np.ndarray
-
-
-def _cube_m(e: CQEnsemble) -> int:
-    m, labels = _cube_labels(len(e.labels))
-    if list(e.labels) != labels:
-        raise ValueError("labels must be the m-bit strings in binary order")
-    if np.max(np.abs(e.priors - 2.0**-m)) > 1e-9:
-        raise ValueError("prior must be uniform over the cube")
-    return m
+from .states import mixture_matrix
 
 
 PAIRING_TRIES = 200  # random pairings find_pairing draws before it gives up
@@ -78,9 +56,10 @@ def pairwise_distances(mats) -> np.ndarray:
     return d
 
 
-def pairwise_distance_matrix(e: CQEnsemble) -> np.ndarray:
-    """The ensemble's distance matrix: the one-cube :func:`pairwise_distances`."""
-    return pairwise_distances(e.mats[None])[0]
+def pairwise_distance_matrix(mats) -> np.ndarray:
+    """The distance matrix of one cube's states ``(n, dim, dim)``: the one-cube
+    :func:`pairwise_distances`."""
+    return pairwise_distances(np.asarray(mats)[None])[0]
 
 
 def distances_to_mean(mats, averages) -> np.ndarray:
@@ -159,19 +138,6 @@ def information_floor(delta, m: int = 2) -> float | np.ndarray:
     return 1.0 - binary_entropy(0.5 + np.minimum(delta, 2.0) / 4.0)
 
 
-def encoding_stats(e: CQEnsemble, seed: int = 7) -> EncodingStats:
-    """Delta, Delta', Holevo information and a witnessing pairing, computed
-    only: the one-cube case of the encoding suite's column formulas, which
-    judges the chain Delta' <= Delta <= 2 sqrt(info) and the floor
-    info >= information_floor(Delta, m) on them."""
-    _cube_m(e)
-    d = pairwise_distance_matrix(e)
-    to_mean = distances_to_mean(e.mats[None], e.average_state.mat[None])
-    return EncodingStats(
-        float(np.mean(d)), float(to_mean[0]), holevo_information(e), find_pairing(d, seed), d
-    )
-
-
 def _run_means(mats: np.ndarray, span: int) -> np.ndarray:
     """The uniform mixture of each run of ``span`` consecutive matrices of the
     stack ``mats``, all runs in one :func:`mixture_matrix` pass."""
@@ -187,16 +153,19 @@ def prefix_mixtures(mats, m: int) -> list[np.ndarray]:
     prefix's mixture is also the even mixture of its two cube states, so
     it is listed once."""
     mats = np.asarray(mats)
+    if m < 1 or len(mats) != 2**m:
+        raise SizeError(f"need a cube of 2^m states at m = {m}, got {len(mats)}")
     pairs = [_run_means(mats, 2**k) for k in range(m - 1, 0, -1)]
     means = [_run_means(p, 2) for p in pairs] if pairs else [_run_means(mats, 2)]
     return list(np.concatenate([*pairs, *means]))
 
 
 def prefix_table(state_entropies, entropies, m: int) -> list:
-    """:func:`prefix_information`'s table from the entropies of the 2^m cube
-    states and of the certified ``prefix_mixtures(mats, m)``, all from one
-    :func:`~qilab.info.holevo_informations`. Of stacks (..., 2^m) and (..., k)
-    of cubes, row i is an array (..., 2^i)."""
+    """The information of each bit given each prefix, from the entropies of
+    the 2^m cube states and of the certified ``prefix_mixtures(mats, m)``, all
+    from one :func:`~qilab.info.holevo_informations`: row i lists, for the
+    i-bit prefixes y in binary order, that of the bit after y. Of stacks
+    (..., 2^m) and (..., k) of cubes, row i is an array (..., 2^i)."""
     state_entropies, entropies = np.asarray(state_entropies), np.asarray(entropies)
     n_pairs = 2**m - 2  # the mixtures of the prefixes of 1 to m - 1 bits
     lead = state_entropies.shape[:-1]
@@ -212,13 +181,3 @@ def prefix_table(state_entropies, entropies, m: int) -> list:
     infos = holevo_informations(np.full(pairs.shape, 0.5), pairs, means)
     rows = np.split(infos, 2 ** np.arange(1, m) - 1, axis=-1)
     return rows if lead else [row.tolist() for row in rows]
-
-
-def prefix_information(e: CQEnsemble) -> list[list[float]]:
-    """The information of each bit given each prefix: row i lists, for the
-    i-bit prefixes y in binary order, that of the bit after y (none for one state)."""
-    m = _cube_m(e)
-    if not m:
-        return []
-    mixtures = make_densities(prefix_mixtures(e.mats, m))
-    return prefix_table([s.entropy for s in e.states], [rho.entropy for rho in mixtures], m)

@@ -7,15 +7,11 @@ exact zeros inside entropy sums to keep -x log x noise out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from . import linalg
 from .errors import NormalizationError, SizeError
-from .states import CertifiedStack, DensityMatrix, _frozen, entropy_rows, make_densities, mixture
-from .states import mixture_matrix
+from .states import CertifiedStack, DensityMatrix, entropy_rows, make_densities, mixture_matrix
 
 
 def _within(x, lo: float, hi: float, message: str) -> np.ndarray:
@@ -68,64 +64,11 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return rho.entropy
 
 
-@dataclass(frozen=True)
-class CQEnsemble:
-    """Classical-to-quantum encoding: a prior over labels, one state each."""
-
-    labels: tuple[str, ...]
-    priors: np.ndarray
-    states: tuple[DensityMatrix, ...]
-
-    @cached_property
-    def mats(self) -> np.ndarray:
-        """The states' matrices as one read-only (n, dim, dim) stack."""
-        return _frozen([s.mat for s in self.states])
-
-    @cached_property
-    def average_state(self) -> DensityMatrix:
-        return mixture(self.priors, self.states)
-
-
 def _view(row, name: str) -> DensityMatrix:
     """A ``(CertifiedStack, j)`` row (a view is one) as its view; TypeError names any other item."""
     if not (isinstance(row, tuple) and len(row) == 2 and isinstance(row[0], CertifiedStack)):
         raise TypeError(f"{name} is a {type(row).__name__}, not a (CertifiedStack, j) row")
     return DensityMatrix(*row)
-
-
-def make_ensemble(labels, priors, states, average=None) -> CQEnsemble:
-    """A validated ensemble of ``(CertifiedStack, j)`` rows, held as views.
-    ``average``, a row, seeds ``average_state``; it must be ``mixture(priors,
-    states)`` certified, as :func:`~qilab.states.make_densities` certifies it."""
-    labels = tuple(str(x) for x in labels)
-    priors = np.asarray(priors, dtype=np.float64)
-    states = tuple(_view(row, f"state {i}") for i, row in enumerate(states))
-    if not (len(labels) == len(priors) == len(states)):
-        raise SizeError("labels, priors and states must have equal length")
-    if len(set(labels)) != len(labels):
-        raise ValueError("labels must be distinct")
-    linalg.check_weights(priors, 1e-12, 1e-9, "priors")
-    dims = {s.dim for s in states}
-    if len(dims) != 1:
-        raise SizeError("all encoded states must share one dimension")
-    e = CQEnsemble(labels, _frozen(priors), states)
-    if average is not None:
-        e.__dict__["average_state"] = _view(average, "average")
-    return e
-
-
-def uniform_cube_ensemble(states, average=None) -> CQEnsemble:
-    """Uniform ensemble labeled by all m-bit strings; rows and ``average`` as for make_ensemble."""
-    n = len(states)
-    return make_ensemble(_cube_labels(n)[1], np.full(n, 1.0 / n), states, average)
-
-
-def _cube_labels(n: int) -> tuple[int, list[str]]:
-    """``(m, labels)`` for a cube of ``n`` states: the m-bit strings in binary order."""
-    m = n.bit_length() - 1
-    if 2**m != n:
-        raise SizeError(f"need a power-of-two state count, got {n}")
-    return m, [format(x, f"0{m}b") if m > 0 else "" for x in range(n)]
 
 
 def conditional_entropies(priors, entropies):
@@ -140,11 +83,13 @@ def conditional_entropies(priors, entropies):
     return out
 
 
-def holevo_information(e: CQEnsemble) -> float:
-    """S(mean state) - sum_x p_x S(sigma_x), which bounds the extractable bits:
-    the one-row :func:`holevo_informations`."""
-    ent, avg = [von_neumann_entropy(s) for s in e.states], von_neumann_entropy(e.average_state)
-    return float(holevo_informations([e.priors], [ent], [avg])[0])
+def holevo_information(priors, rows) -> float:
+    """S(mean state) - sum_x p_x S(sigma_x) of ``(CertifiedStack, j)`` rows drawn
+    with ``priors``, which bounds the extractable bits: the one-row
+    :func:`holevo_informations`, its mean certified from :func:`mixture_matrix`."""
+    states = [_view(row, f"state {i}") for i, row in enumerate(rows)]
+    (avg,) = make_densities([mixture_matrix(priors, [s.mat for s in states])])
+    return float(holevo_informations([priors], [[s.entropy for s in states]], [avg.entropy])[0])
 
 
 def holevo_informations(priors, entropies, average_entropies) -> np.ndarray:
@@ -159,14 +104,15 @@ def holevo_informations(priors, entropies, average_entropies) -> np.ndarray:
 
 
 def uniform_cube_informations(cubes) -> list[float]:
-    """Per list of ``(stack, j)`` rows, ``holevo_information(uniform_cube_ensemble(
-    rows))`` bit for bit: the averages of every list certified in one
-    :func:`~qilab.states.make_densities` call, then one :func:`holevo_informations`
-    per list length and dim."""
+    """Per list of ``(stack, j)`` rows, a power of two of them, their
+    :func:`holevo_information` at uniform priors bit for bit: the averages of
+    every list certified in one :func:`~qilab.states.make_densities` call, then
+    one :func:`holevo_informations` per list length and dim."""
     cubes = [[_view(row, f"state {i}") for i, row in enumerate(c)] for c in cubes]
     groups: dict = {}
     for k, states in enumerate(cubes):
-        _cube_labels(len(states))  # a power-of-two count, as uniform_cube_ensemble needs
+        if len(states) & (len(states) - 1) or not states:
+            raise SizeError(f"need a power-of-two state count, got {len(states)}")
         dims = {s.dim for s in states}
         if len(dims) != 1:
             raise SizeError("all encoded states must share one dimension")
@@ -214,13 +160,6 @@ def classical_mutual_information(joint: np.ndarray) -> float | np.ndarray:
         + shannon_entropy(py)
         - shannon_entropy(joint.reshape(joint.shape[:-2] + (-1,)))
     )
-
-
-def measured_mutual_info(e: CQEnsemble, measurement) -> float:
-    """The one-item :func:`measured_mutual_infos` of an ensemble and a list of
-    projectors (a TwoOutcomeMeasurement is one)."""
-    projs = np.asarray(list(measurement), dtype=np.complex128)
-    return float(measured_mutual_infos(e.priors[None], e.mats[None], projs[None])[0])
 
 
 def measured_mutual_infos(priors, states, projectors) -> np.ndarray:

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import protocol as proto
-from .encoding import prefix_information
+from .encoding import prefix_mixtures, prefix_table
 from .errors import ProtocolError
-from .info import binary_entropy, holevo_information, uniform_cube_ensemble
+from .info import binary_entropy, holevo_informations
 from .metrics import optimal_measurements
 from .protocol import (
     InputColumns,
@@ -250,13 +250,16 @@ def rac_lower_bound_check(spec: ProtocolSpec, n: int) -> RacBoundReport:
     cost_floor = (1.0 - binary_entropy(eps)) * n
     err = report.instance_errors.reshape(2**n, n)  # [x, i]
     cube = proto.message_states(spec, InputColumns({"x": np.arange(2**n)}))
-    ensemble = uniform_cube_ensemble(cube)
-    info = holevo_information(ensemble)
+    mats, priors = np.array([s.mat for s in cube]), np.full(2**n, 1.0 / 2**n)
+    # the cube's average and its prefix mixtures, certified in one call
+    average, *mixtures = make_densities([mixture_matrix(priors, mats), *prefix_mixtures(mats, n)])
+    entropies = [s.entropy for s in cube]
+    info = float(holevo_informations([priors], [entropies], [average.entropy])[0])
 
     fano_sum = 0.0
     decomposition_lhs = 0.0
     min_fano_slack = np.inf
-    for j, row in enumerate(prefix_information(ensemble)):
+    for j, row in enumerate(prefix_table(entropies, [rho.entropy for rho in mixtures], n)):
         # row j: per j-bit prefix y, the error on bit j averaged over the x extending y
         gaps = 1.0 - binary_entropy(err[:, j].reshape(2**j, -1).mean(axis=1))
         min_fano_slack = min(min_fano_slack, float(np.min(np.subtract(row, gaps))))

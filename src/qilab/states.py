@@ -221,15 +221,11 @@ def _unit_norms(v: np.ndarray) -> np.ndarray:
     return nrm
 
 
-def mixture(weights, states) -> DensityMatrix:
-    """Convex mixture sum_i w_i rho_i, revalidated."""
-    return make_density(mixture_matrix(weights, [s.mat for s in states]))
-
-
 def mixture_matrix(weights, mats) -> np.ndarray:
-    """sum_i w_i mats[i], after :func:`mixture`'s checks on the weights and
-    dimensions; certifying it is left to the caller. The ``mats[i]`` may be
-    equal-shape stacks, mixed entry by entry, with one row of weights each."""
+    """The convex mixture sum_i w_i mats[i] of matrices of one shape, its weights
+    checked to be a distribution; certifying it is left to the caller. The
+    ``mats[i]`` may be equal-shape stacks, mixed entry by entry, with one row
+    of weights each."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape[-1:] != (len(mats),):
         raise SizeError("one weight per state required")

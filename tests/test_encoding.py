@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -8,20 +10,39 @@ from qilab.rng import Stream, derive_seed
 
 
 def cube(seed, m, dim):
-    return info.uniform_cube_ensemble(
-        [
-            states.random_density(
-                dim, 1 + Stream(derive_seed(seed, x)).integer(dim), derive_seed(seed, x)
-            )
-            for x in range(2**m)
-        ]
-    )
+    return [
+        states.random_density(dim, 1 + Stream(derive_seed(seed, x)).integer(dim), derive_seed(seed, x))
+        for x in range(2**m)
+    ]
+
+
+def _mats(rows):
+    return np.array([states.DensityMatrix(*row).mat for row in rows])
+
+
+Stats = namedtuple("Stats", "delta_pairwise delta_to_mean info pairing distances")
+
+
+def _encoding_stats(rows, seed=7):
+    # Delta, Delta', I, a witnessing pairing and the distance matrix of one
+    # uniform cube of (stack, j) rows, each from its one-cube column form
+    mats, priors = _mats(rows), np.full(len(rows), 1.0 / len(rows))
+    d = enc.pairwise_distance_matrix(mats)
+    to_mean = enc.distances_to_mean(mats[None], states.mixture_matrix(priors, mats)[None])
+    chi = info.holevo_information(priors, rows)
+    return Stats(float(np.mean(d)), float(to_mean[0]), chi, enc.find_pairing(d, seed), d)
+
+
+def _prefix_information(rows, m):
+    # the prefix table of one cube of rows, its prefix mixtures certified in one call
+    mixtures = states.make_densities(enc.prefix_mixtures(_mats(rows), m))
+    entropies = [states.DensityMatrix(*row).entropy for row in rows]
+    return enc.prefix_table(entropies, [rho.entropy for rho in mixtures], m)
 
 
 def test_stats_identical_states():
     rho = states.random_density(2, 2, 100)
-    e = info.uniform_cube_ensemble([rho] * 4)
-    stats = enc.encoding_stats(e)
+    stats = _encoding_stats([rho] * 4)
     assert stats.delta_pairwise == pytest.approx(0.0, abs=1e-10)
     assert stats.delta_to_mean == pytest.approx(0.0, abs=1e-10)
     assert stats.info == pytest.approx(0.0, abs=1e-10)
@@ -29,10 +50,7 @@ def test_stats_identical_states():
 
 def test_stats_single_bit_orthogonal():
     # direct evaluation: Delta = (1/4)(0 + 2 + 2 + 0) = 1
-    e = info.uniform_cube_ensemble(
-        [states.pure_density([1, 0]), states.pure_density([0, 1])]
-    )
-    stats = enc.encoding_stats(e)
+    stats = _encoding_stats([states.pure_density([1, 0]), states.pure_density([0, 1])])
     assert stats.delta_pairwise == pytest.approx(1.0, abs=1e-12)
     assert stats.info == pytest.approx(1.0, abs=1e-12)
     assert stats.delta_pairwise <= 2 * np.sqrt(stats.info)
@@ -42,8 +60,7 @@ def test_stats_single_bit_orthogonal():
 def test_stats_randomized_chain():
     for t in range(40):
         m = 1 + t % 4
-        e = cube(derive_seed(101, t), m, 2 + t % 4)
-        stats = enc.encoding_stats(e)
+        stats = _encoding_stats(cube(derive_seed(101, t), m, 2 + t % 4))
         assert stats.delta_to_mean <= stats.delta_pairwise + 1e-8
         assert stats.delta_pairwise <= 2 * np.sqrt(stats.info) + 1e-8
         assert stats.info >= enc.information_floor(stats.delta_pairwise, m) - 1e-8
@@ -54,8 +71,7 @@ def test_stats_randomized_chain():
 
 def test_single_bit_floor_uses_stronger_form():
     for t in range(25):
-        e = cube(derive_seed(102, t), 1, 2 + t % 5)
-        stats = enc.encoding_stats(e)
+        stats = _encoding_stats(cube(derive_seed(102, t), 1, 2 + t % 5))
         floor = 1.0 - info.binary_entropy((1.0 + stats.delta_pairwise) / 2.0)
         assert stats.info >= floor - 1e-8
 
@@ -65,8 +81,7 @@ def test_multi_bit_violates_half_argument_floor():
     # instances break it while satisfying the provable quarter form
     found = False
     for t in range(60):
-        ens = cube(derive_seed(103, t), 2, 3)
-        stats = enc.encoding_stats(ens)
+        stats = _encoding_stats(cube(derive_seed(103, t), 2, 3))
         if stats.delta_pairwise <= 1.0:
             floor_half = 1.0 - info.binary_entropy(
                 (1.0 + stats.delta_pairwise) / 2.0
@@ -81,22 +96,19 @@ def test_multi_bit_violates_half_argument_floor():
 
 
 def test_find_pairing_single_bit():
-    e = cube(104, 1, 3)
-    d = enc.pairwise_distance_matrix(e)
+    d = enc.pairwise_distance_matrix(_mats(cube(104, 1, 3)))
     assert enc.find_pairing(d, seed=5) == ((0, 1),)
 
 
 def test_find_pairing_identical_states():
     rho = states.random_density(2, 1, 105)
-    e = info.uniform_cube_ensemble([rho] * 8)
-    pairing = enc.find_pairing(enc.pairwise_distance_matrix(e), seed=6)
+    pairing = enc.find_pairing(enc.pairwise_distance_matrix(_mats([rho] * 8)), seed=6)
     assert sorted(i for p in pairing for i in p) == list(range(8))
 
 
 def test_find_pairing_beats_delta_and_respects_optimum():
     for t in range(12):
-        e = cube(derive_seed(106, t), 3, 2 + t % 3)
-        d = enc.pairwise_distance_matrix(e)
+        d = enc.pairwise_distance_matrix(_mats(cube(derive_seed(106, t), 3, 2 + t % 3)))
         delta = float(np.sum(d)) / 64.0
         pairing = enc.find_pairing(d, seed=derive_seed(107, t))
         found = enc.pairing_average(d, pairing)
@@ -112,22 +124,6 @@ def test_find_pairing_rejects_bad_shapes():
         enc.find_pairing(np.zeros((4, 2)), seed=1)
 
 
-def test_encoding_stats_builds_one_distance_matrix(monkeypatch):
-    e = cube(113, 3, 3)
-    calls = []
-    original = enc.pairwise_distance_matrix
-
-    def counted(ens):
-        calls.append(ens)
-        return original(ens)
-
-    monkeypatch.setattr(enc, "pairwise_distance_matrix", counted)
-    stats = enc.encoding_stats(e)
-    assert len(calls) == 1
-    expected = original(e)
-    assert stats.distances.tobytes() == expected.tobytes()
-
-
 @pytest.mark.parametrize("batch", [None, 3 * 8**2])
 def test_stacked_distances_match_per_pair_loop_bit_for_bit(batch, monkeypatch):
     # reference: one trace_distance call per pair, as the loop computed it;
@@ -136,21 +132,20 @@ def test_stacked_distances_match_per_pair_loop_bit_for_bit(batch, monkeypatch):
         monkeypatch.setattr(states, "BLOCK_ENTRIES", batch)
     for m in range(6):
         for dim in range(2, 9):
-            e = cube(derive_seed(114, m, dim), m, dim)
-            n = 2**m
+            rows = cube(derive_seed(114, m, dim), m, dim)
+            n, mats = 2**m, _mats(rows)
             loop = np.zeros((n, n))
             for i in range(n):
                 for j in range(i + 1, n):
-                    loop[i, j] = loop[j, i] = metrics.trace_distance(
-                        e.states[i], e.states[j]
-                    )
-            assert np.array_equal(enc.pairwise_distance_matrix(e), loop)
+                    loop[i, j] = loop[j, i] = metrics.trace_distance(rows[i], rows[j])
+            assert np.array_equal(enc.pairwise_distance_matrix(mats), loop)
+            assert np.array_equal(enc.pairwise_distances(mats[None])[0], loop)
             if m == 0:
                 assert loop.shape == (1, 1)
                 continue
-            mean = e.average_state
-            to_mean = float(np.mean([metrics.trace_distance(mean, s) for s in e.states]))
-            assert enc.encoding_stats(e).delta_to_mean == to_mean
+            mean = states.make_density(states.mixture_matrix(np.full(n, 1.0 / n), mats))
+            to_mean = float(np.mean([metrics.trace_distance(mean, s) for s in rows]))
+            assert _encoding_stats(rows).delta_to_mean == to_mean
 
 
 def test_enumerate_pairings_count():
@@ -159,17 +154,16 @@ def test_enumerate_pairings_count():
 
 
 def test_prefix_mixture_cases():
-    e = cube(108, 2, 3)
+    mats = _mats(cube(108, 2, 3))
     # the mixtures over prefixes "0" and "1" (the pair of prefix ""), then
     # their even mixture; those of "0" and "1" are their own mixtures, of
     # the cube's states "00", "01" and "10", "11"
-    zero, one, full = enc.prefix_mixtures(e.mats, 2)
-    assert np.allclose(full, e.average_state.mat, atol=1e-12)
+    zero, one, full = enc.prefix_mixtures(mats, 2)
+    assert np.allclose(full, np.mean(mats, axis=0), atol=1e-12)
     # oracle: direct two-term mixture
-    direct = (e.states[0].mat + e.states[1].mat) / 2
-    assert np.allclose(zero, direct, atol=1e-12)
-    assert np.allclose(one, (e.states[2].mat + e.states[3].mat) / 2, atol=1e-12)
-    (only,) = enc.prefix_mixtures(e.mats[:2], 1)
+    assert np.allclose(zero, (mats[0] + mats[1]) / 2, atol=1e-12)
+    assert np.allclose(one, (mats[2] + mats[3]) / 2, atol=1e-12)
+    (only,) = enc.prefix_mixtures(mats[:2], 1)
     assert np.array_equal(only, zero)
 
 
@@ -191,31 +185,29 @@ def test_prefix_table_takes_one_entropy_triple_per_prefix():
 
 
 def test_prefix_information_validation():
-    rho = states.random_density(2, 2, 109)
-    with pytest.raises(ValueError):
-        enc.prefix_information(info.make_ensemble(["a", "b"], [0.5, 0.5], [rho, rho]))
-    with pytest.raises(ValueError):
-        enc.prefix_information(info.make_ensemble(["0", "1"], [0.6, 0.4], [rho, rho]))
+    # the prefix mixtures read a cube of exactly 2^m states: 8 states at
+    # m = 2 would give the mixtures of another cube's pairs, not m = 2's
+    mats = np.array([states.random_density(2, 2, 109).mat] * 8)
+    for n_states, m in ((8, 2), (4, 3), (2, 2), (4, 1), (1, 0)):
+        with pytest.raises(SizeError, match=rf"2\^m states at m = {m}, got {n_states}$"):
+            enc.prefix_mixtures(mats[:n_states], m)
+    assert len(enc.prefix_mixtures(mats[:4], 2)) == 3
 
 
-def _prefix_density(e, m, prefix):
+def _prefix_density(mats, m, prefix):
     # the uniform mixture of the states whose label extends the prefix: the
     # run of 2^(m - len(prefix)) consecutive states it reads as a number
     span, k = 2 ** (m - len(prefix)), int(prefix or "0", 2)
-    runs = list(e.mats[k * span : (k + 1) * span])
+    runs = list(mats[k * span : (k + 1) * span])
     return states.make_density(states.mixture_matrix(np.full(span, 1.0 / span), runs))
 
 
-def _per_prefix_information(e, m):
+def _per_prefix_information(mats, m):
     # the table as bit ensembles of single-density prefix mixtures
     return [
         [
             info.holevo_information(
-                info.make_ensemble(
-                    ["0", "1"],
-                    [0.5, 0.5],
-                    [_prefix_density(e, m, y + "0"), _prefix_density(e, m, y + "1")],
-                )
+                [0.5, 0.5], [_prefix_density(mats, m, y + "0"), _prefix_density(mats, m, y + "1")]
             )
             for y in (format(k, f"0{i}b") if i else "" for k in range(2**i))
         ]
@@ -227,13 +219,10 @@ def _per_prefix_information(e, m):
 def test_prefix_information_matches_the_per_prefix_path_bitwise(m):
     for dim in range(2, 9):
         # ranks cycle from 1, so every cube holds rank-1 members
-        e = info.uniform_cube_ensemble(
-            [
-                states.random_density(dim, 1 + x % dim, derive_seed(112, m, dim, x))
-                for x in range(2**m)
-            ]
-        )
-        assert enc.prefix_information(e) == _per_prefix_information(e, m)
+        rows = [
+            states.random_density(dim, 1 + x % dim, derive_seed(112, m, dim, x)) for x in range(2**m)
+        ]
+        assert _prefix_information(rows, m) == _per_prefix_information(_mats(rows), m)
 
 
 def test_encoding_suite_seeds_the_average_and_table_bitwise():
@@ -245,22 +234,22 @@ def test_encoding_suite_seeds_the_average_and_table_bitwise():
         m = int(ms[0])
         for i in range(len(ms)):
             rows = [(s, i) for s in stacks]
-            e, average = info.uniform_cube_ensemble(rows[: 2**m]), states.DensityMatrix(*rows[2**m])
-            direct = states.mixture(e.priors, e.states)
+            mats, average = _mats(rows[: 2**m]), states.DensityMatrix(*rows[2**m])
+            direct = states.make_density(states.mixture_matrix(np.full(2**m, 1.0 / 2**m), mats))
             assert np.array_equal(average.mat, direct.mat)
             assert np.array_equal(average.eig.eigenvalues, direct.eig.eigenvalues)
             if m <= 4:
                 assert len(rows) == 2**m + 1 + 2**m - 2 + max(2 ** (m - 1) - 1, 1)
                 state_entropies = [s.entropies[j] for s, j in rows[: 2**m]]
                 entropies = [s.entropies[j] for s, j in rows[2**m + 1 :]]
-                assert enc.prefix_table(state_entropies, entropies, m) == _per_prefix_information(e, m)
+                assert enc.prefix_table(state_entropies, entropies, m) == _per_prefix_information(mats, m)
             else:
                 assert len(rows) == 2**m + 1
 
 
 def _per_cube_slacks(stats, m, state_entropies, entropies):
     # the encoding suite's slacks of one cube, as it formed them from its
-    # EncodingStats, Python floats, before it read columns of cubes
+    # encoding stats, Python floats, before it read columns of cubes
     delta, d = stats.delta_pairwise, stats.distances
     paired = 2.0 / len(d) * float(sum(d[i, j] for i, j in stats.pairing))  # left to right
     slacks = {
@@ -281,7 +270,7 @@ def _per_cube_slacks(stats, m, state_entropies, entropies):
 def test_the_column_formulas_are_encoding_stats_per_cube_bitwise():
     # every (m, dim) column of a seed-1 encoding pass, then five lone cubes
     # (m = 1...5), a column each: the column formulas and the suite's slacks
-    # equal encoding_stats and the per-cube slacks on each cube's ensemble,
+    # equal the encoding stats and the per-cube slacks on each cube's rows,
     # bit for bit (Python's x**2 and numpy's array square differ in the last bit)
     from qilab import suites
     from qilab.rng import derive_seeds
@@ -309,8 +298,7 @@ def test_the_column_formulas_are_encoding_stats_per_cube_bitwise():
             near = 0  # cubes at Delta <= 1 so far
             for i, seed in enumerate(seeds.tolist()):
                 rows = [(s, i) for s in stacks]
-                e = info.uniform_cube_ensemble(rows[:n], average=rows[n])
-                stats = enc.encoding_stats(e, seed=derive_seed(seed, 99))
+                stats = _encoding_stats(rows[:n], seed=derive_seed(seed, 99))
                 assert stats.distances.tobytes() == d[i].tobytes()
                 assert (stats.delta_pairwise, stats.delta_to_mean, stats.info) == (
                     delta[i], to_mean[i], chi[i]
@@ -352,17 +340,16 @@ def test_the_gap_quarter_and_root_slacks_round_as_their_scalar_forms(monkeypatch
         assert slacks["delta_le_two_sqrt_info"][i] == 2.0 * np.sqrt(chi_i) - delta
 
 
-def _decomposition(e):
+def _decomposition(rows, m):
     # the prefix-wise information sum, as the encoding suite forms it, and
     # the whole ensemble's information
-    lhs = sum(float(np.mean(row)) for row in enc.prefix_information(e))
-    return lhs, info.holevo_information(e)
+    lhs = sum(float(np.mean(row)) for row in _prefix_information(rows, m))
+    return lhs, info.holevo_information(np.full(2**m, 1.0 / 2**m), rows)
 
 
 def test_info_decomposition_identical():
     rho = states.random_density(2, 1, 110)
-    e = info.uniform_cube_ensemble([rho] * 4)
-    lhs, rhs = _decomposition(e)
+    lhs, rhs = _decomposition([rho] * 4, 2)
     assert lhs == pytest.approx(0.0, abs=1e-10)
     assert rhs == pytest.approx(0.0, abs=1e-10)
 
@@ -372,8 +359,7 @@ def test_info_decomposition_orthogonal_two_bits():
     basis = [np.zeros(4) for _ in range(4)]
     for i in range(4):
         basis[i][i] = 1.0
-    e = info.uniform_cube_ensemble([states.pure_density(b) for b in basis])
-    lhs, rhs = _decomposition(e)
+    lhs, rhs = _decomposition([states.pure_density(b) for b in basis], 2)
     assert lhs == pytest.approx(2.0, abs=1e-9)
     assert rhs == pytest.approx(2.0, abs=1e-9)
 
@@ -381,21 +367,21 @@ def test_info_decomposition_orthogonal_two_bits():
 def test_info_decomposition_sweep():
     for t in range(30):
         m = 1 + t % 4
-        e = cube(derive_seed(111, t), m, 2 + t % 3)
-        lhs, rhs = _decomposition(e)
+        lhs, rhs = _decomposition(cube(derive_seed(111, t), m, 2 + t % 3), m)
         assert lhs <= rhs + 1e-9
 
 
 def test_cube_validation():
-    rho = states.random_density(2, 1, 112)
-    bad_prior = info.make_ensemble(["0", "1"], [0.6, 0.4], [rho, rho])
-    with pytest.raises(ValueError):
-        enc.encoding_stats(bad_prior)
-    bad_labels = info.make_ensemble(["a", "b"], [0.5, 0.5], [rho, rho])
-    with pytest.raises(ValueError):
-        enc.encoding_stats(bad_labels)
+    # a cube of 3 states is refused on each column route: its pairing, its
+    # information and its prefix mixtures
+    rows = cube(112, 1, 2) + [states.random_density(2, 1, 112)]
     with pytest.raises(SizeError):
-        enc.encoding_stats(info.make_ensemble(["0", "1", "2"], [1 / 3] * 3, [rho] * 3))
+        enc.find_pairing(enc.pairwise_distance_matrix(_mats(rows)), seed=1)
+    with pytest.raises(SizeError, match="power-of-two state count, got 3"):
+        info.uniform_cube_informations([rows])
+    for m in (1, 2):
+        with pytest.raises(SizeError):
+            enc.prefix_mixtures(_mats(rows), m)
 
 
 @pytest.mark.parametrize("m", range(1, 5))

@@ -99,39 +99,38 @@ def test_block_state_entropy_identity():
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
-def _basis_ensemble():
-    return info.uniform_cube_ensemble(
-        [states.pure_density([1, 0]), states.pure_density([0, 1])]
-    )
+BASIS = [states.pure_density([1, 0]), states.pure_density([0, 1])]
+
+
+def _measured(priors, rows, measurement):
+    # the one-item measured_mutual_infos of states drawn with priors and a
+    # list of projectors (a TwoOutcomeMeasurement is one)
+    mats, projs = np.array([rho.mat for rho in rows]), np.array(list(measurement))
+    return float(info.measured_mutual_infos([priors], mats[None], projs[None])[0])
 
 
 def test_holevo_examples():
     rho = states.random_density(3, 2, 62)
-    same = info.make_ensemble(["a", "b"], [0.5, 0.5], [rho, rho])
-    assert info.holevo_information(same) == pytest.approx(0.0, abs=1e-10)
-    assert info.holevo_information(_basis_ensemble()) == pytest.approx(1.0)
-    quad = info.uniform_cube_ensemble(
-        [
-            states.pure_density([1, 0]),
-            states.pure_density([0, 1]),
-            states.pure_density(np.array([1, 1]) / np.sqrt(2)),
-            states.pure_density(np.array([1, -1]) / np.sqrt(2)),
-        ]
-    )
-    assert info.holevo_information(quad) == pytest.approx(1.0, abs=1e-10)
-    conditional = info.conditional_entropies(quad.priors, [s.entropy for s in quad.states])
+    assert info.holevo_information([0.5, 0.5], [rho, rho]) == pytest.approx(0.0, abs=1e-10)
+    assert info.holevo_information([0.5, 0.5], BASIS) == pytest.approx(1.0)
+    quad = [
+        *BASIS,
+        states.pure_density(np.array([1, 1]) / np.sqrt(2)),
+        states.pure_density(np.array([1, -1]) / np.sqrt(2)),
+    ]
+    assert info.holevo_information(np.full(4, 0.25), quad) == pytest.approx(1.0, abs=1e-10)
+    conditional = info.conditional_entropies(np.full(4, 0.25), [s.entropy for s in quad])
     assert conditional == pytest.approx(0.0, abs=1e-10)
 
 
 def test_measured_mutual_info_examples():
-    e = _basis_ensemble()
-    assert info.measured_mutual_info(e, [np.eye(2)]) == pytest.approx(0.0, abs=1e-12)
+    assert _measured([0.5, 0.5], BASIS, [np.eye(2)]) == pytest.approx(0.0, abs=1e-12)
     comp = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    assert info.measured_mutual_info(e, comp) == pytest.approx(1.0, abs=1e-10)
+    assert _measured([0.5, 0.5], BASIS, comp) == pytest.approx(1.0, abs=1e-10)
     meas, _ = __import__("qilab.metrics", fromlist=["optimal_measurement"]).optimal_measurement(
-        e.states[0], e.states[1]
+        *BASIS
     )
-    assert info.measured_mutual_info(e, meas) == pytest.approx(1.0, abs=1e-10)
+    assert _measured([0.5, 0.5], BASIS, meas) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_holevo_dominates_measured_sweep():
@@ -145,12 +144,11 @@ def test_holevo_dominates_measured_sweep():
             for i in range(k)
         ]
         raw = np.array([stream.uniform() + 0.05 for _ in range(k)])
-        e = info.make_ensemble(
-            [str(i) for i in range(k)], raw / raw.sum(), ensemble_states
-        )
+        priors = raw / raw.sum()
         u = states.random_unitary(dim, derive_seed(seed, 99))
         meas = [np.outer(u[:, c], np.conj(u[:, c])) for c in range(dim)]
-        assert info.measured_mutual_info(e, meas) <= info.holevo_information(e) + 1e-9
+        chi = info.holevo_information(priors, ensemble_states)
+        assert _measured(priors, ensemble_states, meas) <= chi + 1e-9
 
 
 def test_bipartite_mutual_info_examples():
@@ -191,19 +189,13 @@ def test_mutual_info_monotone_under_discarding():
             states.random_density(4, 1 + stream.integer(4), derive_seed(seed, i))
             for i in range(4)
         ]
-        labels = [format(i, "02b") for i in range(4)]
-        full = info.make_ensemble(labels, np.full(4, 0.25), labeled)
-        reduced = info.make_ensemble(
-            labels,
-            np.full(4, 0.25),
-            [
-                states.make_density(linalg.partial_trace(s.mat, 2, 2, "H"), tol=1e-8)
-                for s in labeled
-            ],
-        )
+        reduced = [
+            states.make_density(linalg.partial_trace(s.mat, 2, 2, "H"), tol=1e-8)
+            for s in labeled
+        ]
         assert (
-            info.holevo_information(full)
-            >= info.holevo_information(reduced) - 1e-10
+            info.holevo_information(np.full(4, 0.25), labeled)
+            >= info.holevo_information(np.full(4, 0.25), reduced) - 1e-10
         )
 
 
@@ -216,7 +208,7 @@ def test_entropy_concavity_and_subadditivity():
             states.random_density(3, 1 + stream.integer(3), derive_seed(69, trial, i))
             for i in range(3)
         ]
-        mixed = states.mixture(ws, parts)
+        mixed = states.make_density(states.mixture_matrix(ws, [s.mat for s in parts]))
         avg = sum(w * info.von_neumann_entropy(s) for w, s in zip(ws, parts))
         assert info.von_neumann_entropy(mixed) >= avg - 1e-9
 
@@ -232,14 +224,12 @@ def test_entropy_concavity_and_subadditivity():
 
 def test_ensemble_validation():
     rho = states.random_density(2, 1, 71)
-    with pytest.raises(ValueError):
-        info.make_ensemble(["a", "a"], [0.5, 0.5], [rho, rho])
     with pytest.raises(NormalizationError):
-        info.make_ensemble(["a", "b"], [0.9, 0.5], [rho, rho])
+        info.holevo_information([0.9, 0.5], [rho, rho])
     with pytest.raises(SizeError):
-        info.make_ensemble(["a", "b"], [0.5, 0.5], [rho, states.random_density(3, 1, 72)])
-    with pytest.raises(SizeError):
-        info.uniform_cube_ensemble([rho, rho, rho])
+        info.holevo_information([0.5, 0.5], [rho, states.random_density(3, 1, 72)])
+    with pytest.raises(SizeError, match="power-of-two state count, got 3"):
+        info.uniform_cube_informations([[rho, rho], [rho, rho, rho]])
 
 
 def test_projective_validation():
@@ -320,7 +310,7 @@ def test_measured_mutual_info_matches_the_double_loop_bitwise():
             states.random_density(dim, 1 + stream.integer(dim), derive_seed(seed, i)) for i in range(k)
         ]
         raw = np.array([stream.uniform() + 0.05 for _ in range(k)])
-        e = info.make_ensemble([str(i) for i in range(k)], raw / raw.sum(), members)
+        priors = raw / raw.sum()
         u = states.random_unitary(dim, derive_seed(seed, 99))
         rank1 = [np.outer(u[:, c], np.conj(u[:, c])) for c in range(dim)]
         cut = 1 + trial % (dim - 1)
@@ -334,11 +324,11 @@ def test_measured_mutual_info_matches_the_double_loop_bitwise():
                 [meas.projector_pos, meas.projector_neg] if hasattr(meas, "projector_pos") else meas
             )
             joint = np.zeros((k, len(projs)))
-            for i, (p, s) in enumerate(zip(e.priors, e.states)):
+            for i, (p, s) in enumerate(zip(priors, members)):
                 for c, proj in enumerate(projs):
                     joint[i, c] = p * max(np.trace(proj @ s.mat).real, 0.0)
             want = info.classical_mutual_information(joint / joint.sum())
-            assert info.measured_mutual_info(e, meas) == want, f"trial {trial}"
+            assert _measured(priors, members, meas) == want, f"trial {trial}"
 
 
 def test_projective_validation_checks_each_list_of_a_stack():
@@ -431,22 +421,21 @@ def _old_info_checks(seed, trials):
         e_states, dens = dens[:n], dens[n:]
         sigmas, yz, parts, rho_ab = dens[:k], dens[k : k + 4], dens[k + 4 : k + 7], dens[k + 7]
         blocked, *traced = dens[k + 8 : k + 13]
-        e_avg, full_avg, red_avg, mixed, rho_a, rho_b = dens[k + 13 :]
-        ensembles.append(info.make_ensemble(map(str, range(n)), priors, e_states, average=e_avg))
+        mixed, rho_a, rho_b = dens[k + 16 :]  # after the averages, which holevo_information takes
+        ensembles.append((priors, e_states))
         gauss.append(z)
         rhs = info.shannon_entropy(p) + sum(w * S(s) for w, s in zip(p, sigmas))
         block.add(block.tol - abs(S(blocked) - rhs))
         joints.append(joint)
-        full = info.uniform_cube_ensemble(yz, average=full_avg)
-        red = info.uniform_cube_ensemble(traced, average=red_avg)
-        mono.add(info.holevo_information(full) - info.holevo_information(red))
+        quarter = np.full(4, 0.25)
+        mono.add(info.holevo_information(quarter, yz) - info.holevo_information(quarter, traced))
         concave.add(S(mixed) - sum(w * S(s) for w, s in zip(ws, parts)))
         subadd.add(S(rho_a) + S(rho_b) - S(rho_ab))
         if len(gauss) == 64 or t == trials:
             us = states.unitaries_from_gauss(gauss)
             projs = [u.T[:, :, None] * np.conj(u.T)[:, None, :] for u in us]
-            for e, proj in zip(ensembles, projs):
-                holevo.add(info.holevo_information(e) - info.measured_mutual_info(e, proj))
+            for (p_x, rows), proj in zip(ensembles, projs):
+                holevo.add(info.holevo_information(p_x, rows) - _measured(p_x, rows, proj))
             ensembles.clear()
             gauss.clear()
     joints = np.array(joints)
@@ -459,16 +448,16 @@ def _old_info_checks(seed, trials):
     return [t.result() for t in (holevo, block, chain, mono, concave, subadd)]
 
 
-def test_make_ensemble_holds_certified_rows_as_views_and_names_any_other_item():
+def test_holevo_information_reads_certified_rows_and_names_any_other_item():
     rho = states.random_density(2, 1, 5)
     row = (rho.stack, rho.j)  # a row, as random_density_chunks hands it out
-    e = info.make_ensemble(["0", "1"], [0.5, 0.5], [rho, row], average=row)
-    assert all(type(s) is states.DensityMatrix for s in (*e.states, e.average_state))
-    assert np.array_equal(e.mats, [rho.mat, rho.mat]) and e.average_state == rho
+    chi = info.holevo_information([0.5, 0.5], [rho, rho])
+    assert info.holevo_information([0.5, 0.5], [rho, row]) == chi
+    assert info.uniform_cube_informations([[row, rho]]) == [chi]
     with pytest.raises(TypeError, match="^state 1 is a ndarray, not a"):
-        info.make_ensemble(["0", "1"], [0.5, 0.5], [rho, rho.mat])
-    with pytest.raises(TypeError, match="^average is a tuple, not a"):
-        info.uniform_cube_ensemble([rho, rho], average=(rho.mat, 0))
+        info.holevo_information([0.5, 0.5], [rho, rho.mat])
+    with pytest.raises(TypeError, match="^state 0 is a tuple, not a"):
+        info.uniform_cube_informations([[rho, rho], [(rho.mat, 0), rho]])
 
 
 @pytest.mark.parametrize("seed, trials", [(1, 130), (2, 130), (1, 400)])

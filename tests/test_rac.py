@@ -4,7 +4,7 @@ import pytest
 from qilab import encoding as enc
 from qilab import rac
 from qilab.errors import ProtocolError
-from qilab.info import binary_entropy, uniform_cube_ensemble
+from qilab.info import binary_entropy
 from qilab.metrics import optimal_measurements
 from qilab.protocol import InputColumns, message_states, run_protocol
 from qilab.rng import Stream
@@ -190,9 +190,11 @@ def _per_prefix_fano_loop(spec, n):
     bit j given each j-bit prefix y, from the error on bit j averaged over
     the x extending y."""
     err = run_protocol(spec, rac.index_ensemble(n)).instance_errors.reshape(2**n, n)
-    ensemble = uniform_cube_ensemble(message_states(spec, InputColumns({"x": np.arange(2**n)})))
+    cube = message_states(spec, InputColumns({"x": np.arange(2**n)}))
+    mixtures = make_densities(enc.prefix_mixtures(np.array([s.mat for s in cube]), n))
+    table = enc.prefix_table([s.entropy for s in cube], [rho.entropy for rho in mixtures], n)
     fano_sum, decomposition_lhs, min_fano_slack = 0.0, 0.0, np.inf
-    for j, row in enumerate(enc.prefix_information(ensemble)):
+    for j, row in enumerate(table):
         gaps = []
         for y, sub_info in enumerate(row):
             eps_y = float(np.mean(err[y << (n - j) : (y + 1) << (n - j), j]))
@@ -241,18 +243,19 @@ def test_decode_projectors_are_the_per_index_mixtures(n):
 
 def test_rac_bound_certifies_each_prefix_mixture_once(monkeypatch):
     # the prefix-information table serves both the decomposition sum and
-    # the per-prefix Fano loop: one stacked certification of the mixture of
-    # every prefix of 1 to n - 1 bits and of every shorter prefix's even
-    # mixture, each built once; an (n - 1)-bit prefix's mixture is also its
-    # even mixture, and its y0 and y1 are message states, not certified again
+    # the per-prefix Fano loop: one stacked certification of the cube's
+    # average, then of the mixture of every prefix of 1 to n - 1 bits and of
+    # every shorter prefix's even mixture, each built once; an (n - 1)-bit
+    # prefix's mixture is also its even mixture, and its y0 and y1 are
+    # message states, not certified again
     certified = []
-    original = enc.make_densities
+    original = rac.make_densities
 
     def counting(mats, *args, **kwargs):
         certified.append(len(mats))
         return original(mats, *args, **kwargs)
 
-    monkeypatch.setattr(enc, "make_densities", counting)
+    monkeypatch.setattr(rac, "make_densities", counting)
     n = 3
     rac.rac_lower_bound_check(rac.classical_copy_protocol(n), n)
-    assert certified == [2**n - 2 + 2 ** (n - 1) - 1] == [9]
+    assert certified == [1 + 2**n - 2 + 2 ** (n - 1) - 1] == [1 + 9]

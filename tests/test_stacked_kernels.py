@@ -59,10 +59,10 @@ def _old_optimal_measurement(r1, r2):
     return p_pos, p_neg, float(achieved)
 
 
-def _old_measured_mutual_info(e, projs):
+def _old_measured_mutual_info(priors, mats, projs):
     projs = np.asarray(list(projs), dtype=np.complex128)
-    traces = np.trace(projs[None] @ e.mats[:, None], axis1=-2, axis2=-1).real
-    joint = e.priors[:, None] * np.maximum(traces, 0.0)
+    traces = np.trace(projs[None] @ mats[:, None], axis1=-2, axis2=-1).real
+    joint = priors[:, None] * np.maximum(traces, 0.0)
     return info.classical_mutual_information(joint / joint.sum())
 
 
@@ -182,7 +182,6 @@ def _ensembles_and_measurements():
         seeds = [derive_seed(160, t, i) for i in range(k)]
         members = [states.random_density(dim, 1 + stream.integer(dim), s) for s in seeds]
         raw = np.array([stream.uniform() + 0.05 for _ in range(k)])
-        e = info.make_ensemble(map(str, range(k)), raw / raw.sum(), members)
         u = states.random_unitary(dim, derive_seed(161, t))
         rank1 = [np.outer(u[:, c], np.conj(u[:, c])) for c in range(dim)]
         cut = 1 + t % (dim - 1)
@@ -191,26 +190,27 @@ def _ensembles_and_measurements():
             [sum(rank1[:cut]), sum(rank1[cut:])],
             metrics.optimal_measurement(members[0], members[1])[0],
         )[t % 3]
-        items.append((e, meas))
+        items.append((raw / raw.sum(), np.array([rho.mat for rho in members]), meas))
     return items
 
 
 def test_measured_mutual_infos_match_the_old_product_bitwise():
     items = _ensembles_and_measurements()
     stacks = {}  # the items of one (states, projectors) shape, stacked
-    for i, (e, meas) in enumerate(items):
+    for i, (priors, mats, meas) in enumerate(items):
         projs = np.asarray(list(meas), dtype=np.complex128)
-        stacks.setdefault((e.mats.shape, projs.shape), []).append((i, e, projs))
+        stacks.setdefault((mats.shape, projs.shape), []).append((i, priors, mats, projs))
     for stack in stacks.values():
-        index, es, projs = zip(*stack)
-        got = info.measured_mutual_infos([e.priors for e in es], [e.mats for e in es], projs)
-        for i, e, mi in zip(index, es, got):
-            want = _old_measured_mutual_info(e, items[i][1])
-            assert mi == want and info.measured_mutual_info(e, items[i][1]) == want, f"item {i}"
+        index, priors, mats, projs = zip(*stack)
+        got = info.measured_mutual_infos(priors, mats, projs)
+        for i, mi in zip(index, got):
+            p_x, m, meas = items[i]
+            want = _old_measured_mutual_info(p_x, m, meas)
+            one = info.measured_mutual_infos(p_x[None], m[None], np.asarray(list(meas))[None])[0]
+            assert mi == want and one == want, f"item {i}"
 
 
 def test_measured_mutual_infos_name_the_failing_item():
-    e = info.uniform_cube_ensemble([states.pure_density([1, 0]), states.pure_density([0, 1])])
     good = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     for bad, what in (
         ([np.array([[1.0, 1.0], [0.0, 0.0]]), np.diag([0.0, 1.0])], "not Hermitian"),
@@ -219,7 +219,7 @@ def test_measured_mutual_infos_name_the_failing_item():
         ([good[0], np.full((2, 2), np.nan)], "non-finite|not Hermitian"),
     ):
         with pytest.raises(ValueError, match=rf"^matrix \(?2\b.*({what})"):
-            info.measured_mutual_infos([e.priors] * 3, [e.mats] * 3, [good, good[::-1], bad])
+            info.measured_mutual_infos([[0.5, 0.5]] * 3, [good] * 3, [good, good[::-1], bad])
 
 
 def _random_mats(dim, count, seed):
@@ -272,19 +272,19 @@ def test_a_bad_weight_row_of_a_deep_stack_is_named_by_its_index(at):
 
 
 def test_stacked_holevo_informations_match_holevo_information_bitwise():
-    rows = []
+    # non-uniform priors, each ensemble's average certified on its own
     for n in (2, 3, 4):
+        es = []
         for t in range(6):
             raw = np.array([Stream(derive_seed(73, n, t)).uniform() + 0.05 for _ in range(n)])
             dens = states.random_densities([(n, 1 + (t + i) % n, derive_seed(74, n, t, i)) for i in range(n)])
-            rows.append(info.make_ensemble(map(str, range(n)), raw / raw.sum(), dens))
-    for n in (2, 3, 4):
-        es = [e for e in rows if len(e.states) == n]
-        priors = np.array([e.priors for e in es])
-        entropies = np.array([[s.entropy for s in e.states] for e in es])
-        got = info.holevo_informations(priors, entropies, [e.average_state.entropy for e in es])
-        assert got.tolist() == [info.holevo_information(e) for e in es]
-        want = [float(info.conditional_entropies(e.priors, [s.entropy for s in e.states])) for e in es]
+            es.append((raw / raw.sum(), dens))
+        priors = np.array([p for p, _ in es])
+        entropies = np.array([[s.entropy for s in dens] for _, dens in es])
+        averages = [states.make_density(states.mixture_matrix(p, [s.mat for s in dens])) for p, dens in es]
+        got = info.holevo_informations(priors, entropies, [avg.entropy for avg in averages])
+        assert got.tolist() == [info.holevo_information(p, dens) for p, dens in es]
+        want = [float(info.conditional_entropies(p, [s.entropy for s in dens])) for p, dens in es]
         assert info.conditional_entropies(priors, entropies).tolist() == want
 
 
@@ -354,8 +354,8 @@ NAN_CONSTRUCTORS = {
     "make_pures": lambda mp: states.make_pures([(2, 1, [np.nan, 0.0])]),
     "pure_density": lambda mp: states.pure_density([np.nan, 0.0]),
     "mixture_matrix": lambda mp: states.mixture_matrix([np.nan, 1.0], [np.eye(2) / 2] * 2),
-    "make_ensemble": lambda mp: info.make_ensemble(
-        "ab", [np.nan, 1.0], [states.pure_density([1, 0]), states.pure_density([0, 1])]
+    "holevo_information": lambda mp: info.holevo_information(
+        [np.nan, 1.0], [states.pure_density([1, 0]), states.pure_density([0, 1])]
     ),
     "state_prep_unitary": lambda mp: protocol.state_prep_unitary([np.nan, 1.0]),
     "shannon_entropy": lambda mp: info.shannon_entropy([np.nan, 1.0]),

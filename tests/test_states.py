@@ -80,16 +80,20 @@ def test_density_is_frozen():
         rho.mat[0, 0] = 9.0
 
 
+def _mixture(weights, parts):
+    return states.make_density(states.mixture_matrix(weights, [rho.mat for rho in parts]))
+
+
 def test_mixture_single_state():
     rho = states.random_density(3, 2, 1)
-    out = states.mixture([1.0], [rho])
+    out = _mixture([1.0], [rho])
     assert np.allclose(out.mat, rho.mat)
 
 
 def test_mixture_uniform_basis():
     p0 = states.pure_density([1, 0])
     p1 = states.pure_density([0, 1])
-    out = states.mixture([0.5, 0.5], [p0, p1])
+    out = _mixture([0.5, 0.5], [p0, p1])
     assert np.allclose(out.mat, np.eye(2) / 2)
 
 
@@ -98,7 +102,7 @@ def test_mixture_of_random_pure_states_is_valid():
         states.pure_density(states.random_pure(2, 1, seed).vec)
         for seed in range(4)
     ]
-    out = states.mixture([0.25] * 4, parts)
+    out = _mixture([0.25] * 4, parts)
     assert abs(np.trace(out.mat) - 1) < 1e-12
     assert np.min(np.linalg.eigvalsh(out.mat)) > -1e-12
 
@@ -106,9 +110,9 @@ def test_mixture_of_random_pure_states_is_valid():
 def test_mixture_rejects_bad_weights():
     rho = states.random_density(2, 1, 2)
     with pytest.raises(NormalizationError):
-        states.mixture([0.7, 0.7], [rho, rho])
+        _mixture([0.7, 0.7], [rho, rho])
     with pytest.raises(NormalizationError):
-        states.mixture([1.5, -0.5], [rho, rho])
+        _mixture([1.5, -0.5], [rho, rho])
 
 
 def test_canonical_purification_pure_state():
